@@ -15,7 +15,9 @@ behaviour is "only applied locally" (residual predicates, see
 """
 
 import inspect
-from typing import Any, Dict, Optional, Type
+import weakref
+from types import FunctionType, MethodType
+from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.events.base import CLASS_ATTRIBUTE, PropertyEvent
 
@@ -74,6 +76,61 @@ def _takes_no_arguments(method: Any) -> bool:
     return True
 
 
+class _ReflectionPlan:
+    """What reflection learns from a class alone, resolved once per class.
+
+    ``accessors`` lists, in ``dir(cls)`` order, every public name that
+    follows the accessor convention as ``(name, attribute, function,
+    zero_argument)``: ``function`` is a weak reference to the plain
+    function the class defines under ``name`` (``None`` for anything
+    else — a static method, a callable object, a non-callable) and
+    ``zero_argument`` whether that function, bound, is callable without
+    arguments.  ``properties`` lists the public ``property`` members.
+
+    The plan holds names, flags and weak references only, so it never
+    keeps its class alive (a method using ``super()`` references its
+    class through the ``__class__`` cell).
+    """
+
+    __slots__ = ("accessors", "properties")
+
+    def __init__(self, cls: type):
+        names = [name for name in dir(cls) if not name.startswith("_")]
+        self.accessors: List[Tuple[str, str, Optional[weakref.ref], bool]] = []
+        for name in names:
+            attribute = _accessor_attribute_name(name)
+            if attribute is None:
+                continue
+            function = _defined_function(cls, name)
+            if function is None:
+                self.accessors.append((name, attribute, None, False))
+            else:
+                # The signature of a bound method does not depend on
+                # what it is bound to.
+                zero_argument = _takes_no_arguments(MethodType(function, cls))
+                self.accessors.append(
+                    (name, attribute, weakref.ref(function), zero_argument)
+                )
+        self.properties: List[str] = [
+            name for name in names if isinstance(getattr(cls, name, None), property)
+        ]
+
+
+def _defined_function(cls: type, name: str) -> Optional[FunctionType]:
+    """The plain function ``cls`` defines or inherits under ``name``."""
+    for klass in cls.__mro__:
+        if name in vars(klass):
+            member = vars(klass)[name]
+            return member if type(member) is FunctionType else None
+    return None
+
+
+#: One plan per event class, dropped with the class.
+_PLANS: "weakref.WeakKeyDictionary[type, _ReflectionPlan]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def reflect_attributes(event: Any) -> Dict[str, Any]:
     """Extract the filterable attributes of an event object.
 
@@ -85,23 +142,35 @@ def reflect_attributes(event: Any) -> Dict[str, Any]:
     Private state (underscore-prefixed) is never read directly — only
     through accessors, preserving encapsulation exactly as the paper's
     reflection scheme does.
+
+    Which names exist and what their methods take is a property of the
+    type (§3.4), resolved at the class's first event and reused for
+    every later one; per event the accessors are only looked up on the
+    instance and called.  Members added to a class after its first
+    event are not seen.
     """
-    attributes: Dict[str, Any] = {}
     cls = type(event)
-    for name in dir(cls):
-        if name.startswith("_"):
-            continue
-        attribute = _accessor_attribute_name(name)
-        if attribute is None or attribute in attributes:
+    plan = _PLANS.get(cls)
+    if plan is None:
+        plan = _PLANS[cls] = _ReflectionPlan(cls)
+    attributes: Dict[str, Any] = {}
+    for name, attribute, function, zero_argument in plan.accessors:
+        if attribute in attributes:
             continue
         member = getattr(event, name, None)
-        if callable(member) and _takes_no_arguments(member):
+        if (
+            function is not None
+            and type(member) is MethodType
+            and member.__func__ is function()
+        ):
+            if zero_argument:
+                attributes[attribute] = member()
+        elif callable(member) and _takes_no_arguments(member):
+            # Not the method the plan saw (an instance attribute of the
+            # same name, a descriptor, a replaced method): inspect it.
             attributes[attribute] = member()
-    for name in dir(cls):
-        if name.startswith("_") or name in attributes:
-            continue
-        class_member = getattr(cls, name, None)
-        if isinstance(class_member, property):
+    for name in plan.properties:
+        if name not in attributes:
             attributes[name] = getattr(event, name)
     return attributes
 

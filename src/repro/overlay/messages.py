@@ -7,7 +7,7 @@ renewal messages, advertisements, and event publication.
 """
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.core.advertisement import Advertisement
 from repro.events.serialization import Envelope
@@ -16,6 +16,25 @@ from repro.filters.filter import Filter
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Process
     from repro.streams.spec import FlowSpec
+
+
+# Wire sizes.  The simulated network prices a message at the length of
+# its ``repr`` (:mod:`repro.sim.network`).  Event-carrying messages
+# answer ``wire_size()`` with exactly that length without rendering it
+# on every hop: a :class:`Publish` remembers its own, and the messages
+# that carry a run of them add the run's sizes to the length of their
+# own dataclass punctuation.  Control messages have no ``wire_size``:
+# they embed processes, whose ``repr`` shows live counters, and so must
+# be rendered at every send.
+
+
+def _run_size(publishes: tuple) -> int:
+    """``len(repr(publishes))`` for a tuple of :class:`Publish`."""
+    count = len(publishes)
+    members = sum(map(Publish.wire_size, publishes))
+    if count == 1:
+        return members + len("(,)")
+    return members + len("()") + len(", ") * max(count - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -141,6 +160,16 @@ class Sequenced:
     seq: int
     payload: object
 
+    def wire_size(self) -> int:
+        """``len(repr(self))``, composed when the payload knows its own."""
+        payload_size = getattr(self.payload, "wire_size", None)
+        if payload_size is None:
+            return len(repr(self))
+        return (
+            len(f"Sequenced(epoch={self.epoch!r}, seq={self.seq!r}, payload=)")
+            + payload_size()
+        )
+
 
 @dataclass(frozen=True)
 class Ack:
@@ -228,6 +257,29 @@ class Publish:
     envelope: Envelope
     offset: Optional[int] = None
 
+    def wire_size(self) -> int:
+        """``len(repr(self))``, rendered once per object.
+
+        A ``Publish`` is immutable and travels the simulated hierarchy
+        by reference, so every hop and every fan-out copy after the
+        first reads the remembered length.  It is kept in the instance
+        ``__dict__`` as ``_wire_size``, not among the dataclass fields:
+        ``repr``, ``==`` and ``hash`` do not see it.
+        """
+        try:
+            return self._wire_size
+        except AttributeError:
+            # Straight into __dict__: the dataclass is frozen.
+            size = self.__dict__["_wire_size"] = len(repr(self))
+            return size
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """The fields alone: a remembered size never reaches a pickle
+        (socket frames, worker hand-off), which stays byte-identical."""
+        state = self.__dict__.copy()
+        state.pop("_wire_size", None)
+        return state
+
 
 @dataclass(frozen=True)
 class PublishBatch:
@@ -244,6 +296,10 @@ class PublishBatch:
 
     def __len__(self) -> int:
         return len(self.publishes)
+
+    def wire_size(self) -> int:
+        """``len(repr(self))`` from the members' remembered sizes."""
+        return len("PublishBatch(publishes=)") + _run_size(self.publishes)
 
 
 @dataclass(frozen=True)
@@ -266,6 +322,12 @@ class DataFrame:
 
     def __len__(self) -> int:
         return len(self.publishes)
+
+    def wire_size(self) -> int:
+        """``len(repr(self))`` from the members' remembered sizes."""
+        return len(f"DataFrame(seq={self.seq!r}, publishes=)") + _run_size(
+            self.publishes
+        )
 
 
 @dataclass(frozen=True)
@@ -302,6 +364,13 @@ class CatchUpBatch:
 
     def __len__(self) -> int:
         return len(self.publishes)
+
+    def wire_size(self) -> int:
+        """``len(repr(self))`` from the members' remembered sizes."""
+        return len(
+            f"CatchUpBatch(subscription_id={self.subscription_id!r}, "
+            f"publishes=, history={self.history!r})"
+        ) + _run_size(self.publishes)
 
 
 @dataclass(frozen=True)
@@ -342,3 +411,7 @@ class ReplayBatch:
 
     def __len__(self) -> int:
         return len(self.publishes)
+
+    def wire_size(self) -> int:
+        """``len(repr(self))`` from the members' remembered sizes."""
+        return len("ReplayBatch(publishes=)") + _run_size(self.publishes)

@@ -139,6 +139,9 @@ class SubscriberRuntime(Process):
         #: Publish-to-delivery latencies (simulated time), §5-style metric.
         self.delivery_latencies: List[float] = []
         self._states: Dict[int, _SubscriptionState] = {}
+        # Active states grouped by home, in ``_states`` order; ``None``
+        # after any change of a state's ``active`` or ``home``.
+        self._by_home: Optional[Dict[Process, List[_SubscriptionState]]] = None
         self._renew_handle = None
         self._maintenance_interval: Optional[float] = None
         self.offline = False
@@ -173,6 +176,7 @@ class SubscriberRuntime(Process):
         """
         state = _SubscriptionState(subscription, handler)
         self._states[subscription.subscription_id] = state
+        self._by_home = None
         self.counters.set_filters_held(len(self._active_states()))
         self._send_request(state, at_node if at_node is not None else self.root)
         return subscription.subscription_id
@@ -188,6 +192,7 @@ class SubscriberRuntime(Process):
         if state is None or not state.active:
             return
         state.active = False
+        self._by_home = None
         self.counters.set_filters_held(len(self._active_states()))
         if explicit and state.joined and state.stored_filter is not None:
             self._send_control(state.home, Unsubscribe(state.stored_filter, self))
@@ -365,6 +370,7 @@ class SubscriberRuntime(Process):
         if state is None or not state.active:
             raise KeyError(f"no active subscription {subscription_id}")
         state.home = None
+        self._by_home = None
         state.stored_filter = None
         state.join_hops = 0
         self._send_request(state, self.root)
@@ -404,6 +410,7 @@ class SubscriberRuntime(Process):
             state = self._states.get(message.subscription_id)
             if state is not None:
                 state.home = message.node
+                self._by_home = None
                 state.stored_filter = message.stored_filter
                 self.trace.record(
                     self.sim.now, "joined", self.name,
@@ -554,7 +561,7 @@ class SubscriberRuntime(Process):
         # homed at N.  This keeps per-subscription delivery exactly-once
         # even when one subscriber attaches at several points of the tree.
         self.counters.bytes_received += len(envelope)
-        states = [s for s in self._active_states() if s.home is sender]
+        states = self._states_homed_at(sender)
         matched_states = []
         for state in states:
             if state.subscription.filter.matches(envelope.metadata):
@@ -621,6 +628,20 @@ class SubscriberRuntime(Process):
 
     def _active_states(self) -> List[_SubscriptionState]:
         return [s for s in self._states.values() if s.active]
+
+    def _states_homed_at(self, home: Process) -> List[_SubscriptionState]:
+        """The active states whose home is ``home``, in ``_states`` order.
+
+        Regrouped from ``_states`` on the first event after a change
+        (subscribe, unsubscribe, accepted-At, rejoin), not per envelope.
+        """
+        by_home = self._by_home
+        if by_home is None:
+            by_home = self._by_home = {}
+            for state in self._active_states():
+                if state.joined:
+                    by_home.setdefault(state.home, []).append(state)
+        return by_home.get(home, [])
 
     # ------------------------------------------------------------------
     # Renewal task (§4.3)

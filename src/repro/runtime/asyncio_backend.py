@@ -52,7 +52,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.tracing import EventTracer
 from repro.sim.kernel import Process, SimulationError
-from repro.sim.network import Link, NetworkStats, _default_sizer
+from repro.sim.network import Link, NetworkStats
 
 FRAME_VERSION = 1
 _HEADER_SIZE = 4
@@ -421,7 +421,6 @@ class TcpTransport:
         self,
         runtime: AsyncioRuntime,
         default_latency: Optional[float] = None,
-        sizer: Callable[[Any], int] = _default_sizer,
         tracer: Optional[EventTracer] = None,
         host: str = "127.0.0.1",
     ):
@@ -430,7 +429,6 @@ class TcpTransport:
         #: Unused for timing (the kernel schedules real packets); kept
         #: for constructor parity with Network.
         self.default_latency = default_latency
-        self.sizer = sizer
         self.stats = NetworkStats()
         self.tracer = tracer if tracer is not None else EventTracer(enabled=False)
         self._endpoints: Dict[str, _Endpoint] = {}

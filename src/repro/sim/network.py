@@ -25,8 +25,19 @@ from repro.sim.kernel import Process, SimulationError, Simulator
 
 
 def _default_sizer(message: Any) -> int:
-    """Crude default message size model: repr length in bytes."""
-    return max(16, len(repr(message)))
+    """Crude default message size model: ``repr`` length in bytes.
+
+    The size of every message is the length of its ``repr``, and never
+    below 16.  Event-carrying messages answer ``wire_size()`` with that
+    length without rendering it (see :mod:`repro.overlay.messages`;
+    duck-typed so the sim layer stays free of overlay imports).
+    Anything else — a control message — is rendered at every send,
+    because it embeds processes whose ``repr`` shows counters that move
+    between sends.
+    """
+    wire_size = getattr(message, "wire_size", None)
+    size = wire_size() if wire_size is not None else len(repr(message))
+    return max(16, size)
 
 
 class Link:

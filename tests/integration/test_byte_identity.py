@@ -1,0 +1,77 @@
+"""Byte tables are unchanged by construction — and by measurement.
+
+The reflection plan and the composed wire sizes are pure optimisations:
+for one seed, ``run_bibliographic`` must book the same bytes on every
+link and emit the same spans as the commit before them (PR 12,
+``f196111``).  Checked two ways: against that commit's numbers, recorded
+from it with the script below, and against its size model and its
+reflection swapped back in (which holds on any interpreter).
+"""
+
+import functools
+import hashlib
+import itertools
+
+import repro.core.subscription as subscription_module
+import repro.events.typed as typed
+import repro.experiments.common as common
+from repro.core.engine import MultiStageEventSystem
+from repro.experiments.common import ScenarioConfig, run_bibliographic
+from repro.sim.network import Network
+from tests.events.reflection_reference import reference_reflect_attributes
+from tests.overlay.test_wire_size import reference_size
+
+CONFIG = dict(seed=3, n_subscribers=60, n_events=120, stage_sizes=(6, 3, 1))
+
+#: Recorded at the parent commit, one fresh interpreter per run, from
+#: ``measure()`` below with the unpatched ``MultiStageEventSystem``
+#: given ``tracing=True``.
+PARENT = {
+    "total_bytes": 165683,
+    "total_messages": 640,
+    "links": "ec1c08abfb63e35865d7128ee62e432edac0ff9f27e0ecff9f37167a9b1816e5",
+    "spans": "bf1f8eca9095316c663aaf0060d5681ecfe126ac12d19f17045ad44a84fd65dd",
+    "n_spans": 559,
+}
+
+
+def measure(monkeypatch):
+    """One traced same-seed run, summarised as the parent's record was."""
+    # Subscription ids are drawn from a process-wide counter and are
+    # rendered into control messages: start it where a fresh
+    # interpreter would.
+    monkeypatch.setattr(subscription_module, "_subscription_ids", itertools.count(1))
+    monkeypatch.setattr(
+        common,
+        "MultiStageEventSystem",
+        functools.partial(MultiStageEventSystem, tracing=True),
+    )
+    system = run_bibliographic(ScenarioConfig(**CONFIG)).system
+    links = sorted(
+        (link.src.name, link.dst.name, link.messages, link.bytes)
+        for link in system.network._links.values()
+    )
+    dump = system.tracer.dump()
+    return {
+        "total_bytes": system.network.stats.total_bytes,
+        "total_messages": system.network.stats.total_messages,
+        "links": hashlib.sha256(repr(links).encode()).hexdigest(),
+        "spans": hashlib.sha256(dump).hexdigest(),
+        "n_spans": len(system.tracer),
+    }
+
+
+def test_bibliographic_bytes_and_spans_equal_the_parent_commit(monkeypatch):
+    assert measure(monkeypatch) == PARENT
+
+
+def test_bibliographic_bytes_and_spans_equal_the_reference_model(monkeypatch):
+    optimised = measure(monkeypatch)
+
+    class ReferenceNetwork(Network):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, sizer=reference_size, **kwargs)
+
+    monkeypatch.setattr("repro.core.engine.Network", ReferenceNetwork)
+    monkeypatch.setattr(typed, "reflect_attributes", reference_reflect_attributes)
+    assert measure(monkeypatch) == optimised

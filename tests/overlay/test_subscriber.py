@@ -154,6 +154,46 @@ def test_unsubscribed_subscription_stops_matching_locally():
     assert subscriber.counters.events_delivered == 0
 
 
+def test_stage0_grouping_follows_subscribe_unsubscribe_and_rejoin():
+    """The per-home grouping of active states is rebuilt after every
+    change of ``active`` or ``home``, in subscription order."""
+    system = make_system()
+    publisher = system.create_publisher()
+    subscriber = system.create_subscriber()
+    delivered = []
+
+    def subscribe(bound):
+        return system.subscribe(
+            subscriber, f'class = "Quote" and symbol = "A" and price < {bound}',
+            handler=lambda e, m, s: delivered.append(bound),
+        )[0]
+
+    def evaluations_for_one_event():
+        before = subscriber.counters.filter_evaluations
+        del delivered[:]
+        publisher.publish(Quote("A", 1.0), event_class="Quote")
+        system.drain()
+        return subscriber.counters.filter_evaluations - before
+
+    first = subscribe(10)
+    system.drain()
+    assert evaluations_for_one_event() == 1  # the grouping exists from here on
+    second = subscribe(20)
+    system.drain()
+    home = subscriber.home_of(first.subscription_id)
+    assert subscriber.home_of(second.subscription_id) is home
+    assert evaluations_for_one_event() == 2
+    assert delivered == [10, 20]
+    subscriber.unsubscribe(first.subscription_id, explicit=False)
+    assert evaluations_for_one_event() == 1
+    assert delivered == [20]
+    subscriber.rejoin(second.subscription_id)
+    assert subscriber._states_homed_at(home) == []  # until accepted-At
+    system.drain()
+    assert evaluations_for_one_event() == 1
+    assert delivered == [20]
+
+
 def test_unsubscribe_twice_is_harmless():
     system = make_system()
     subscriber = system.create_subscriber()
