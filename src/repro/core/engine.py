@@ -33,14 +33,12 @@ from repro.events.closures import FilterClosure
 from repro.events.hierarchy import TypeRegistry
 from repro.filters.disjunction import Disjunction
 from repro.filters.filter import Filter
-from repro.filters.compiled import CompiledMatchEngine
-from repro.filters.index import CountingIndex
 from repro.filters.parser import parse_filter
-from repro.filters.table import FilterTable
 from repro.flow import FlowConfig
 from repro.log.config import LogConfig
 from repro.obs.sampling import StageSampler
 from repro.obs.tracing import EventTracer
+from repro.overlay.config import BrokerConfig
 from repro.overlay.hierarchy import Hierarchy, build_hierarchy
 from repro.overlay.publisher import PublisherRuntime
 from repro.overlay.subscriber import Handler, SubscriberRuntime
@@ -98,10 +96,27 @@ class MultiStageEventSystem:
         log: Optional[LogConfig] = None,
         runtime: str = "sim",
     ):
-        if engine not in ("index", "table", "compiled"):
-            raise ValueError(
-                f"engine must be 'index', 'table' or 'compiled', got {engine!r}"
-            )
+        """``stage_sizes``, ``seed``, ``link_latency`` and ``runtime``
+        shape the deployment, ``trace``/``tracing`` switch the two
+        recorders; every other keyword is a broker option, documented
+        on :class:`~repro.overlay.config.BrokerConfig`."""
+        #: The one broker configuration every broker of this system —
+        #: in this process or in a worker — is built from.  Validated
+        #: here, before any runtime resource or process exists.
+        self.broker_config = BrokerConfig(
+            ttl=ttl,
+            engine=engine,
+            wildcard_routing=wildcard_routing,
+            compact=compact,
+            cache=cache,
+            batch=batch,
+            aggregate=aggregate,
+            reliable=reliable,
+            flow=flow,
+            service_rate=service_rate,
+            service_batch=service_batch,
+            log=log,
+        )
         if runtime not in ("sim", "asyncio", "multiprocess"):
             raise ValueError(
                 f"runtime must be 'sim', 'asyncio' or 'multiprocess', "
@@ -140,65 +155,41 @@ class MultiStageEventSystem:
                 self.sim, default_latency=link_latency, tracer=self.tracer
             )
         self.reliable = reliable
-        #: Flow-control knobs, plumbed to every broker/publisher/subscriber
-        #: this system creates (None = flow control off).
+        #: Flow-control knobs, also plumbed to every publisher and
+        #: subscriber this system creates (None = flow control off).
         self.flow = flow
-        #: Durable-log knobs, plumbed to every broker (None = no logging,
-        #: no replay, no catch-up subscribers).
-        self.log = log
         self.rngs = RngRegistry(seed)
         self.trace = TraceRecorder(enabled=trace)
-        engine_factory = {
-            "index": CountingIndex,
-            "table": FilterTable,
-            "compiled": CompiledMatchEngine,
-        }[engine]
         if runtime == "multiprocess":
             from repro.runtime.multiprocess_backend import SystemSpec
 
             # Workers rebuild their slice of the tree from this spec;
             # the driver-side hierarchy is all proxies.
-            self.hierarchy: Hierarchy = self.sim.launch(
-                self.network,
-                SystemSpec(
-                    stage_sizes=tuple(stage_sizes),
-                    ttl=ttl,
-                    engine=engine,
-                    seed=seed,
-                    link_latency=link_latency,
-                    wildcard_routing=wildcard_routing,
-                    compact=compact,
-                    cache=cache,
-                    batch=batch,
-                    aggregate=aggregate,
-                    reliable=reliable,
-                    service_rate=service_rate,
-                    service_batch=service_batch,
-                    flow=flow,
-                    log=log,
-                ),
-            )
+            try:
+                self.hierarchy: Hierarchy = self.sim.launch(
+                    self.network,
+                    SystemSpec(
+                        stage_sizes=tuple(stage_sizes),
+                        seed=seed,
+                        broker=self.broker_config,
+                        link_latency=link_latency,
+                    ),
+                )
+            except BaseException:
+                # A worker that cannot start must not leave its siblings,
+                # the control server and the loop behind.
+                self.close()
+                raise
         else:
             self.hierarchy = build_hierarchy(
                 self.sim,
                 self.network,
                 stage_sizes,
-                ttl=ttl,
-                engine_factory=engine_factory,
+                self.broker_config,
                 rngs=self.rngs,
                 trace=self.trace,
                 link_latency=link_latency,
-                wildcard_routing=wildcard_routing,
-                compact=compact,
-                cache=cache,
-                batch=batch,
-                aggregate=aggregate,
-                reliable=reliable,
                 tracer=self.tracer,
-                flow=flow,
-                service_rate=service_rate,
-                service_batch=service_batch,
-                log=log,
             )
         if runtime == "asyncio" and log is not None and log.directory:
             # Real-runtime semantics: a broker's in-memory log dies with

@@ -368,6 +368,8 @@ class CompiledMatchEngine(MatchEngine):
     round-trip exactly through ``float``).
     """
 
+    native_batch = True
+
     def __init__(self, use_numpy: Optional[bool] = None) -> None:
         self._attributes: Dict[str, _CompiledAttribute] = {}
         self._filters: Dict[Filter, int] = {}

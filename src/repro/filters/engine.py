@@ -36,6 +36,7 @@ from abc import ABC, abstractmethod
 from collections import OrderedDict
 from typing import (
     Any,
+    Dict,
     FrozenSet,
     Hashable,
     Iterator,
@@ -45,6 +46,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Type,
 )
 
 from repro.filters.filter import Filter
@@ -57,8 +59,18 @@ class MatchEngine(ABC):
 
     Concrete engines also expose an ``evaluations`` counter of constraint
     probes performed (the LC bookkeeping callers read as a delta around
-    each ``match`` call).
+    each ``match`` call).  The counters and the marker below are part of
+    the surface too, so that a broker reads them off whatever engine it
+    holds instead of probing for its class.
     """
+
+    #: Dirty-structure recompiles performed (engines that compile).
+    rebuilds = 0
+    #: Residual predicates evaluated on candidates the compiled tiers kept.
+    residual_evaluations = 0
+    #: Whether :meth:`match_batch` is a real whole-run pass, not the
+    #: per-event loop below.
+    native_batch = False
 
     @abstractmethod
     def insert(self, filter_: Filter, destination: Hashable) -> None:
@@ -115,6 +127,10 @@ class MatchEngine(ABC):
         vectorize lookups across the whole run.
         """
         return [self.match(event) for event in events]
+
+    def cached_decisions(self) -> int:
+        """Routing decisions currently memoized (none without a cache)."""
+        return 0
 
 
 def value_key(value: Any) -> Any:
@@ -284,6 +300,18 @@ class CachedMatchEngine(MatchEngine):
     def evaluations(self, value: int) -> None:
         self.inner.evaluations = value
 
+    @property
+    def rebuilds(self) -> int:
+        return self.inner.rebuilds
+
+    @property
+    def residual_evaluations(self) -> int:
+        return self.inner.residual_evaluations
+
+    @property
+    def native_batch(self) -> bool:
+        return self.inner.native_batch
+
     def destinations_for(self, filter_: Filter) -> Tuple[Hashable, ...]:
         return self.inner.destinations_for(filter_)
 
@@ -308,3 +336,32 @@ class CachedMatchEngine(MatchEngine):
             f"CachedMatchEngine({self.inner!r}, {len(self._cache)} cached, "
             f"hits={self.stats.hits}, misses={self.stats.misses})"
         )
+
+
+def engine_classes() -> Dict[str, Type[MatchEngine]]:
+    """The engine name → class map (``BrokerConfig.engine`` names).
+
+    Resolved on call: the concrete engines subclass :class:`MatchEngine`
+    from this module, so they cannot be imported at its top.
+    """
+    from repro.filters.compiled import CompiledMatchEngine
+    from repro.filters.index import CountingIndex
+    from repro.filters.table import FilterTable
+
+    return {
+        "index": CountingIndex,
+        "table": FilterTable,
+        "compiled": CompiledMatchEngine,
+    }
+
+
+def make_engine(
+    name: str, cache: bool = False, stats: Optional[CacheStats] = None
+) -> MatchEngine:
+    """A fresh engine of the named kind, cache-wrapped when ``cache``.
+
+    ``stats`` is the :class:`CacheStats` the wrapper counts into (a node
+    shares its own so totals survive compaction rebuilds).
+    """
+    engine = engine_classes()[name]()
+    return CachedMatchEngine(engine, stats=stats) if cache else engine

@@ -11,8 +11,11 @@ class FlowConfig:
     """Knobs for credit flow control, shedding, and overload detection.
 
     Passing a ``FlowConfig`` to :class:`~repro.core.engine.
-    MultiStageEventSystem` (or directly to brokers/publishers) turns the
-    subsystem on; ``None`` keeps the pre-flow behaviour bit-for-bit.
+    MultiStageEventSystem` (or, inside a :class:`~repro.overlay.config.
+    BrokerConfig`, to brokers) turns the subsystem on.  ``None`` is the
+    same broker pipeline with an unbounded inbound queue, no credit
+    window on any link, and queued events flushed ahead of control
+    messages (DESIGN §10).
     """
 
     #: Broker inbound event queue bound (events awaiting processing).

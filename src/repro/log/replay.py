@@ -254,7 +254,7 @@ class Replayer:
         log = self.node.log
         window = None
         if self.node.flow is not None:
-            window = self.node._downlink_for(session.subscriber)[0]
+            window = self.node._downlink_for(session.subscriber).window
         budget = self.config.replay_batch
         run: List[Publish] = []
         while budget > 0 and session.cursor < session.fence:
@@ -361,7 +361,7 @@ class Replayer:
         ]
         window = None
         if self.node.flow is not None:
-            window = self.node._downlink_for(session.requester)[0]
+            window = self.node._downlink_for(session.requester).window
         budget = self.config.replay_batch
         run: List[Publish] = []
         while budget > 0 and session.cursor < session.fence:
@@ -403,25 +403,16 @@ class Replayer:
         # Replay spans share the original (publisher, seq) trace id, so
         # reconstruct_paths stitches a replayed delivery onto the
         # event's original publish/hop history.
-        self.node.tracer.span(
-            self.node.sim.now,
+        self.node._span(
             "replay",
-            self.node.name,
-            self.node.stage,
+            ("peer", peer),
+            ("mode", mode),
+            ("offset", message.offset),
             trace_id=message.envelope.event_id,
-            details=(("peer", peer), ("mode", mode), ("offset", message.offset)),
         )
 
     def _session_span(self, kind: str, **details) -> None:
-        if not self.node.tracer.enabled:
-            return
-        self.node.tracer.span(
-            self.node.sim.now,
-            kind,
-            self.node.name,
-            self.node.stage,
-            details=tuple(details.items()),
-        )
+        self.node._span(kind, *details.items())
 
     def __repr__(self) -> str:
         return (

@@ -6,13 +6,11 @@ counts, distributing children round-robin so the tree stays balanced.
 Node names follow the paper's ``N<stage>.<index>`` convention.
 """
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.filters.index import CountingIndex
-from repro.flow import FlowConfig
-from repro.log.config import LogConfig
 from repro.obs.tracing import EventTracer
-from repro.overlay.node import BrokerNode, MatchEngine
+from repro.overlay.config import BrokerConfig
+from repro.overlay.node import BrokerNode
 from repro.runtime.base import Executor, Transport
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
@@ -61,34 +59,21 @@ class Hierarchy:
         return f"Hierarchy({shape})"
 
 
-def build_hierarchy(
-    sim: Executor,
-    network: Transport,
+def build_tree(
     stage_sizes: Sequence[int],
-    ttl: float = 60.0,
-    engine_factory: Callable[[], MatchEngine] = CountingIndex,
-    rngs: Optional[RngRegistry] = None,
-    trace: Optional[TraceRecorder] = None,
-    link_latency: float = 0.001,
-    wildcard_routing: bool = True,
-    compact: bool = False,
-    cache: bool = True,
-    batch: bool = True,
-    aggregate: bool = True,
-    reliable: bool = True,
-    tracer: Optional[EventTracer] = None,
-    flow: Optional[FlowConfig] = None,
-    service_rate: Optional[float] = None,
-    service_batch: int = 16,
-    log: Optional[LogConfig] = None,
-) -> Hierarchy:
-    """Build a balanced broker tree.
+    member: Callable[[str, int], Any],
+    connect: Callable[[Any, Any], None],
+) -> Dict[int, List[Any]]:
+    """The tree shape, in one place: names, parents, wiring order.
 
     ``stage_sizes[i]`` is the number of nodes at stage ``i + 1``; the last
-    entry must be 1 (the root).  The paper's configuration is
-    ``stage_sizes=[100, 10, 1]``.  Children are assigned to parents
-    round-robin: child ``k`` at stage ``s`` hangs under parent
-    ``k % len(stage s+1)``.
+    entry must be 1 (the root).  Node ``i`` of stage ``s`` is
+    ``member(f"N{s}.{i + 1}", s)``; child ``k`` at stage ``s`` hangs under
+    parent ``k % len(stage s+1)`` (``parent.attach_child(child)`` then
+    ``connect(parent, child)``).  The simulator builder, the
+    multiprocess driver and every worker all build through here, so
+    each derives the identical topology — child order included, which
+    placement round-robins over — independently.
     """
     if not stage_sizes:
         raise ValueError("need at least one stage of brokers")
@@ -96,42 +81,50 @@ def build_hierarchy(
         raise ValueError(f"the top stage must have exactly 1 node, got {stage_sizes[-1]}")
     if any(size < 1 for size in stage_sizes):
         raise ValueError(f"every stage needs at least one node: {list(stage_sizes)}")
-    rngs = rngs or RngRegistry(0)
-
-    nodes_by_stage: Dict[int, List[BrokerNode]] = {}
-    for index, size in enumerate(stage_sizes):
-        stage = index + 1
-        nodes_by_stage[stage] = [
-            BrokerNode(
-                sim,
-                network,
-                name=f"N{stage}.{i + 1}",
-                stage=stage,
-                ttl=ttl,
-                engine_factory=engine_factory,
-                rng=rngs.stream(f"node/N{stage}.{i + 1}"),
-                trace=trace,
-                wildcard_routing=wildcard_routing,
-                compact=compact,
-                cache=cache,
-                batch=batch,
-                aggregate=aggregate,
-                reliable=reliable,
-                tracer=tracer,
-                flow=flow,
-                service_rate=service_rate,
-                service_batch=service_batch,
-                log_config=log,
-            )
-            for i in range(size)
-        ]
-
-    for index in range(len(stage_sizes) - 1):
-        stage = index + 1
+    nodes_by_stage: Dict[int, List[Any]] = {
+        stage: [member(f"N{stage}.{i + 1}", stage) for i in range(size)]
+        for stage, size in enumerate(stage_sizes, start=1)
+    }
+    for stage in range(1, len(stage_sizes)):
         parents = nodes_by_stage[stage + 1]
         for position, child in enumerate(nodes_by_stage[stage]):
             parent = parents[position % len(parents)]
             parent.attach_child(child)
-            network.connect(parent, child, latency=link_latency)
+            connect(parent, child)
+    return nodes_by_stage
 
-    return Hierarchy(nodes_by_stage)
+
+def build_hierarchy(
+    sim: Executor,
+    network: Transport,
+    stage_sizes: Sequence[int],
+    config: Optional[BrokerConfig] = None,
+    rngs: Optional[RngRegistry] = None,
+    trace: Optional[TraceRecorder] = None,
+    link_latency: float = 0.001,
+    tracer: Optional[EventTracer] = None,
+) -> Hierarchy:
+    """Build a balanced tree of real brokers, all sharing ``config``.
+
+    The paper's configuration is ``stage_sizes=[100, 10, 1]``; see
+    :func:`build_tree` for the shape.
+    """
+    rngs = rngs or RngRegistry(0)
+    return Hierarchy(
+        build_tree(
+            stage_sizes,
+            lambda name, stage: BrokerNode(
+                sim,
+                network,
+                name,
+                stage,
+                config,
+                rng=rngs.stream(f"node/{name}"),
+                trace=trace,
+                tracer=tracer,
+            ),
+            lambda parent, child: network.connect(
+                parent, child, latency=link_latency
+            ),
+        )
+    )

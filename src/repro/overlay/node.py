@@ -23,30 +23,39 @@ Behaviour implemented here, with the paper's names:
   just above the topmost stage using the wildcarded attribute;
 - the TTL tasks (renew own filters at the parent, purge silent ones);
 - event filtering and forwarding (Figure 6).
+
+Event traffic takes one path whatever the :class:`~repro.overlay.config.
+BrokerConfig`: ``_admit`` queues every arrival in the one inbound queue,
+``_drain`` serves it into ``_process_batch``, every matched run leaves
+through ``_send_run``.  A configuration changes two policies, each
+decided at one site (DESIGN §10): *flush-before-control*
+(``_flush_inbound``: only an unmanaged broker serves its queue ahead of
+a control message) and *controlled downlinks* (``_send_run``: credit
+window, outbound queue and ``DataFrame`` numbering only under ``flow``,
+toward a broker).
 """
 
 import math
 import pickle
 import random
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.advertisement import AdvertisementRegistry
-from repro.core.subscription import DEFAULT_EXPIRY_FACTOR, LeaseTable
+from repro.core.subscription import LeaseTable
 from repro.events.base import CLASS_ATTRIBUTE, PropertyEvent
 from repro.events.serialization import Envelope
 from repro.core.weakening import merge_covering, weaken_filter
 from repro.filters.covering_index import CoveringIndex
-from repro.filters.engine import CachedMatchEngine, MatchEngine
+from repro.filters.engine import MatchEngine, make_engine
 from repro.filters.filter import Filter
-from repro.filters.index import CountingIndex
 from repro.filters.standard import most_general_wildcard, wildcard_attributes
-from repro.flow import BoundedQueue, CreditWindow, FlowConfig, OverloadDetector
-from repro.log.config import LogConfig
+from repro.flow import BoundedQueue, CreditWindow, OverloadDetector
 from repro.log.eventlog import EventLog
 from repro.metrics.counters import NodeCounters
 from repro.obs.tracing import EventTracer
 from repro.overlay.channel import ReliableReceiver, ReliableSender
+from repro.overlay.config import BrokerConfig
 from repro.overlay.messages import (
     AcceptedAt,
     Ack,
@@ -107,6 +116,26 @@ class _UpLink:
         self.cover_of: Dict[Filter, Filter] = {}
         self.covered: Dict[Filter, Dict[Filter, None]] = {}
 
+    def propagated_cover(self, form: Filter) -> Optional[Filter]:
+        """The first propagated form, other than ``form``, covering it."""
+        for cover in self.index.covered_by(form):
+            if cover != form and cover in self.propagated:
+                return cover
+        return None
+
+
+class _DownLink:
+    """Sender-side state of one credit-controlled link: the window the
+    peer grants back into, the events waiting for credits, and the
+    number of the next ``DataFrame`` event."""
+
+    __slots__ = ("window", "queue", "next_seq")
+
+    def __init__(self, window: CreditWindow, queue: BoundedQueue) -> None:
+        self.window = window
+        self.queue = queue
+        self.next_seq = 0
+
 
 class BrokerNode(Process):
     """One intermediate node of the multi-stage hierarchy."""
@@ -125,48 +154,28 @@ class BrokerNode(Process):
         network: Transport,
         name: str,
         stage: int,
-        ttl: float = 60.0,
-        engine_factory: Callable[[], MatchEngine] = CountingIndex,
+        config: Optional[BrokerConfig] = None,
         rng: Optional[random.Random] = None,
         trace: Optional[TraceRecorder] = None,
-        expiry_factor: float = DEFAULT_EXPIRY_FACTOR,
-        wildcard_routing: bool = True,
-        compact: bool = False,
-        offline_buffer_limit: int = 1000,
-        cache: bool = True,
-        batch: bool = True,
-        aggregate: bool = True,
-        reliable: bool = True,
         tracer: Optional[EventTracer] = None,
-        flow: Optional[FlowConfig] = None,
-        service_rate: Optional[float] = None,
-        service_batch: int = 16,
-        log_config: Optional[LogConfig] = None,
     ):
+        """``config`` holds every behaviour option (see
+        :class:`~repro.overlay.config.BrokerConfig`; default: all
+        defaults); ``rng`` draws the random-child redirects."""
         super().__init__(sim, name)
         if stage < 1:
             raise ValueError(f"broker stages start at 1, got {stage}")
-        if service_rate is not None and service_rate <= 0:
-            raise ValueError(f"service_rate must be positive, got {service_rate}")
-        if service_batch < 1:
-            raise ValueError(f"service_batch must be >= 1, got {service_batch}")
+        config = config if config is not None else BrokerConfig()
+        self.config = config
         self.network = network
         self.stage = stage
-        self.ttl = ttl
-        self.expiry_factor = expiry_factor
+        self.ttl = config.ttl
+        self.expiry_factor = config.expiry_factor
         self.parent: Optional["BrokerNode"] = None
         self.broker_children: List["BrokerNode"] = []
-        self.leases = LeaseTable(ttl, expiry_factor)
+        self.leases = LeaseTable(self.ttl, self.expiry_factor)
         self.advertisements = AdvertisementRegistry()
         self.counters = NodeCounters()
-        #: Routing-decision cache (per-node match memo) toggle.
-        self.cache_enabled = cache
-        #: Batched dispatch (runs of events per wakeup) toggle.
-        self.batch_enabled = batch
-        #: Covering-based subscription aggregation toggle (§4, Prop. 1).
-        self.aggregate_enabled = aggregate
-        #: Acked, sequence-numbered control channel toggle.
-        self.reliable_enabled = reliable
         #: Per-event-class uplink aggregation state (empty at the root).
         self._uplinks: Dict[str, _UpLink] = {}
         # Reliable control channel state: one sender toward the parent
@@ -180,19 +189,13 @@ class BrokerNode(Process):
         self._receivers: Dict[str, ReliableReceiver] = {}
         self._peer_incarnations: Dict[str, int] = {}
         self._was_maintained = False
-        self._engine_factory = engine_factory
         self.table: MatchEngine = self._new_engine()
         self.rng = rng or random.Random(0)
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         #: Causal span tracer (shared system-wide; disabled tracer when
         #: observability is off, so every emission site is one flag check).
         self.tracer = tracer if tracer is not None else EventTracer(enabled=False)
-        #: Whether HANDLE-WILDCARD-SUBS is active (ablation toggle, §4.4).
-        self.wildcard_routing = wildcard_routing
-        #: Whether the matching table is compacted with covering merges
-        #: (the g1-covers-f1,f2 collapse of §4; ablation toggle).
-        self.compact = compact
-        self.offline_buffer_limit = offline_buffer_limit
+        self.offline_buffer_limit = config.offline_buffer_limit
         self._filter_class: Dict[Filter, str] = {}
         self._maintenance_handles: Dict[str, Any] = {}
         # Durable-subscription state (§2.1): offline destinations and the
@@ -205,46 +208,28 @@ class BrokerNode(Process):
         # Compacted match engine, rebuilt lazily after table changes.
         self._compacted: Optional[MatchEngine] = None
         self._compacted_dirty = True
-        # Batched dispatch: same-instant publishes queue here and drain in
-        # one deferred wakeup (or earlier, if a control message arrives).
-        self._publish_queue: Deque[Publish] = deque()
-        self._drain_handle: Optional[Any] = None
-        # Tracing sidecar for the publish queue: (sender name, arrival
-        # time) per queued publish.  Only populated while the tracer is
-        # enabled — the hot path never touches it otherwise.
-        self._publish_meta: Deque[Tuple[str, float]] = deque()
-        # ---- Flow control / overload protection (PR 5) -----------------
-        #: Flow-control knobs (None = uncontrolled, the legacy data path).
-        self.flow = flow
-        #: Modelled processing capacity in events per simulated second
-        #: (None = infinitely fast, the legacy zero-cost model).
-        self.service_rate = service_rate
-        self.service_batch = service_batch
-        # Either knob moves event traffic onto the managed data path:
-        # a bounded inbound queue drained by an explicit service loop.
-        # Note the semantic difference from the legacy path: control
-        # messages no longer flush queued events first (a finite-speed
-        # broker cannot "catch up" instantaneously), so managed runs are
-        # an opt-in, not a bit-identical superset of the legacy schedule.
-        self._flow_managed = flow is not None or service_rate is not None
+        # ---- The data path: admit -> drain -> match -> forward ----------
+        #: Flow-control knobs (None = unbounded queue, no credit windows).
+        self.flow = flow = config.flow
+        #: Arrived events awaiting the drain, as ``(publish, source name,
+        #: arrival time)``; bounded only under flow control.
         self._inbound = BoundedQueue(
             flow.queue_capacity if flow is not None else None,
             flow.policy if flow is not None else "drop_tail",
-            priority=self._entry_priority,
+            priority=lambda entry: self._shed_priority(entry[0]),
         )
+        self._drain_handle: Optional[Any] = None
         self._busy_until = 0.0
         self._drain_paused = False
-        #: Events blocked waiting for downstream credits, per child name.
-        self._outbound: Dict[str, BoundedQueue] = {}
-        #: Sender-side credit window per downstream broker link.
-        self._downlink_credits: Dict[str, CreditWindow] = {}
+        #: Credit-controlled links by downstream peer name.
+        self._downlinks: Dict[str, _DownLink] = {}
         #: Reliable channels carrying credit grants to publishers.
         self._credit_senders: Dict[str, ReliableSender] = {}
         #: Event sources (by name) we owe credit grants to.
         self._event_sources: Dict[str, Process] = {}
         # ---- Durable event log and replay (PR 6) -----------------------
-        #: Log knobs (None = no log, the pre-log behaviour).
-        self.log_config = log_config
+        #: Log knobs (None = no log).
+        self.log_config = log_config = config.log
         #: Append-only publish log; survives :meth:`crash` (durable).
         self.log: Optional[EventLog] = (
             EventLog(
@@ -267,8 +252,6 @@ class BrokerNode(Process):
         #: Next expected per-link data sequence number, per sender name
         #: (gap detection for the §10 credit-leak fix).
         self._data_expected: Dict[str, int] = {}
-        #: Next outgoing data sequence number, per downstream peer name.
-        self._data_seq_out: Dict[str, int] = {}
         self.overload_detector: Optional[OverloadDetector] = (
             OverloadDetector(
                 flow.queue_capacity,
@@ -303,10 +286,23 @@ class BrokerNode(Process):
         hit/miss/invalidation totals survive compaction rebuilds (which
         construct a fresh wrapped engine each time).
         """
-        engine = self._engine_factory()
-        if self.cache_enabled:
-            engine = CachedMatchEngine(engine, stats=self.counters.cache)
-        return engine
+        return make_engine(self.config.engine, self.config.cache, self.counters.cache)
+
+    @property
+    def _control_window(self) -> Optional[int]:
+        """Outstanding-frame bound of this broker's reliable channels."""
+        return self.flow.control_window if self.flow is not None else None
+
+    def _span(
+        self, kind: str, *details: Tuple[str, Any], trace_id: Optional[Tuple] = None
+    ) -> None:
+        """Emit one span of this broker, now (a no-op with tracing off;
+        callers guard on ``tracer.enabled`` only where merely building
+        ``details`` would cost something)."""
+        self.tracer.span(self.sim.now, kind, self.name, self.stage, trace_id, details)
+
+    def _record(self, category: str, **details: Any) -> None:
+        self.trace.record(self.sim.now, category, self.name, **details)
 
     # ------------------------------------------------------------------
     # Topology wiring (done by hierarchy builder / engine)
@@ -332,10 +328,10 @@ class BrokerNode(Process):
 
     def receive(self, message: Any, sender: Process) -> None:
         if isinstance(message, Publish):
-            self._accept_publishes((message,), sender)
+            self._admit((message,), sender)
             return
         if isinstance(message, PublishBatch):
-            self._accept_publishes(message.publishes, sender)
+            self._admit(message.publishes, sender)
             return
         if isinstance(message, DataFrame):
             self._on_data_frame(message, sender)
@@ -354,18 +350,14 @@ class BrokerNode(Process):
             if self._up_sender is not None:
                 self._up_sender.on_ack(message)
             return
-        # Control messages mutate routing state; flush any queued events
-        # first so the batch observes exactly the tables it would have
-        # seen unbatched (arrival order is preserved bit-for-bit).
-        self._flush_publishes()
+        # Control messages mutate routing state: an unmanaged broker
+        # serves its queued events first.
+        self._flush_inbound()
         if isinstance(message, Sequenced):
             receiver = self._receivers.get(sender.name)
             if receiver is None:
-                capacity = (
-                    self.flow.control_window if self.flow is not None else None
-                )
                 receiver = self._receivers[sender.name] = ReliableReceiver(
-                    capacity=capacity
+                    capacity=self._control_window
                 )
             before = receiver.dups_discarded
             epoch_before = receiver.epoch
@@ -375,11 +367,7 @@ class BrokerNode(Process):
             self.counters.control_dups_discarded += (
                 receiver.dups_discarded - before
             )
-            if (
-                self.flow is not None
-                and epoch_before is not None
-                and receiver.epoch != epoch_before
-            ):
+            if epoch_before is not None and receiver.epoch != epoch_before:
                 # The peer opened a new channel epoch without us seeing a
                 # ChannelReset (the reset was lost to the wire): treat the
                 # epoch adoption as the reset, so its credit window comes
@@ -405,9 +393,9 @@ class BrokerNode(Process):
         elif isinstance(message, Advertise):
             self._on_advertise(message)
         elif isinstance(message, Unsubscribe):
-            self._on_unsubscribe(message)
+            self._remove_pair(message.filter, message.subscriber)
         elif isinstance(message, Withdraw):
-            self._on_withdraw(message)
+            self._remove_pair(message.filter, message.child)
         elif isinstance(message, Disconnect):
             self._on_disconnect(message, sender)
         elif isinstance(message, Reconnect):
@@ -433,9 +421,8 @@ class BrokerNode(Process):
 
     def _on_advertise(self, message: Advertise) -> None:
         changed = self.advertisements.add(message.advertisement)
-        self.trace.record(
-            self.sim.now, "advertise", self.name,
-            event_class=message.advertisement.event_class, changed=changed,
+        self._record(
+            "advertise", event_class=message.advertisement.event_class, changed=changed
         )
         if changed:
             for child in self.broker_children:
@@ -455,15 +442,13 @@ class BrokerNode(Process):
 
         redirect = self._strongest_covering_child(request.filter)
         if redirect is not None:
-            self.trace.record(
-                self.sim.now, "route-covering", self.name, target=redirect.name
-            )
+            self._record("route-covering", target=redirect.name)
             self.network.send(
                 self, request.subscriber, JoinAt(redirect, request.subscription_id)
             )
             return
 
-        if self.wildcard_routing and self._has_schema_wildcards(request):
+        if self.config.wildcard_routing and self._has_schema_wildcards(request):
             self._handle_wildcard_subscription(request)
             return
 
@@ -512,9 +497,8 @@ class BrokerNode(Process):
         top_used = advertisement.association.top_stage_using(attribute)
         target_stage = top_used + 1
         if self.stage == target_stage or (self.is_root and target_stage > self.stage):
-            self.trace.record(
-                self.sim.now, "wildcard-attach", self.name,
-                attribute=attribute, target_stage=target_stage,
+            self._record(
+                "wildcard-attach", attribute=attribute, target_stage=target_stage
             )
             self._insert_subscriber(request)
         else:
@@ -544,24 +528,25 @@ class BrokerNode(Process):
             request.subscriber,
             AcceptedAt(self, request.subscription_id, stored),
         )
-        self.trace.record(
-            self.sim.now, "subscriber-insert", self.name,
-            subscriber=request.subscriber.name, filter=str(stored),
+        self._record(
+            "subscriber-insert", subscriber=request.subscriber.name, filter=str(stored)
         )
-        if self.aggregate_enabled:
+        if self.config.aggregate:
             if newly_known:
                 self._up_insert(stored, request.event_class)
         else:
             self._propagate_up(request.filter, request.event_class)
 
     def _on_req_insert(self, message: ReqInsert) -> None:
-        newly_known = self._store(message.filter, message.child, message.event_class)
-        if not newly_known:
-            return
-        if self.aggregate_enabled:
-            self._up_insert(message.filter, message.event_class)
+        if self._store(message.filter, message.child, message.event_class):
+            self._announce_up(message.filter, message.event_class)
+
+    def _announce_up(self, filter_: Filter, event_class: str) -> None:
+        """A filter first stored here goes up, aggregated or plain."""
+        if self.config.aggregate:
+            self._up_insert(filter_, event_class)
         else:
-            self._propagate_up(message.filter, message.event_class)
+            self._propagate_up(filter_, event_class)
 
     def _store(self, filter_: Filter, destination: Process, event_class: str) -> bool:
         """Insert one pair; True when the *filter* was not stored before."""
@@ -584,29 +569,17 @@ class BrokerNode(Process):
     def _on_renewal(self, message: Renewal, sender: Process) -> None:
         """Refresh-or-restore each renewed pair (see :class:`Renewal`)."""
         for filter_, event_class in message.items:
-            newly_known = self._store(filter_, sender, event_class)
-            if not newly_known:
-                continue
-            if self.aggregate_enabled:
-                self._up_insert(filter_, event_class)
-            else:
-                self._propagate_up(filter_, event_class)
+            if self._store(filter_, sender, event_class):
+                self._announce_up(filter_, event_class)
 
-    def _on_unsubscribe(self, message: Unsubscribe) -> None:
-        """Explicit unsubscription: ``message.filter`` is the *stored*
-        (stage-weakened) filter the subscriber learned from accepted-At."""
-        if self.table.remove(message.filter, message.subscriber):
-            self.leases.forget(message.filter, message.subscriber)
-            if message.filter not in self.table:
-                self._filter_removed(message.filter)
-            self._table_changed()
-
-    def _on_withdraw(self, message: Withdraw) -> None:
-        """A child retracted a propagated filter (covering aggregation)."""
-        if self.table.remove(message.filter, message.child):
-            self.leases.forget(message.filter, message.child)
-            if message.filter not in self.table:
-                self._filter_removed(message.filter)
+    def _remove_pair(self, filter_: Filter, destination: Process) -> None:
+        """Explicit removal of one stored pair: an ``Unsubscribe`` (of the
+        stage-weakened filter the subscriber learned from accepted-At) or
+        a child's ``Withdraw`` of a propagated form."""
+        if self.table.remove(filter_, destination):
+            self.leases.forget(filter_, destination)
+            if filter_ not in self.table:
+                self._filter_removed(filter_)
             self._table_changed()
 
     # ------------------------------------------------------------------
@@ -637,22 +610,12 @@ class BrokerNode(Process):
         if count:
             return  # form already live: propagated or suppressed
         link.index.add(form)
-        cover = next(
-            (
-                g
-                for g in link.index.covered_by(form)
-                if g != form and g in link.propagated
-            ),
-            None,
-        )
+        cover = link.propagated_cover(form)
         if cover is not None:
             link.cover_of[form] = cover
             link.covered.setdefault(cover, {})[form] = None
             self.counters.propagations_suppressed += 1
-            self.trace.record(
-                self.sim.now, "propagation-suppressed", self.name,
-                filter=str(form), cover=str(cover),
-            )
+            self._record("propagation-suppressed", filter=str(form), cover=str(cover))
         else:
             self._propagate_form(link, form, event_class)
         self._uplinks_changed()
@@ -676,15 +639,12 @@ class BrokerNode(Process):
             link.covered.setdefault(form, {})[other] = None
             self.counters.withdrawals_sent += 1
             self._send_up(Withdraw(other, event_class, self))
-            self.trace.record(
-                self.sim.now, "propagation-demoted", self.name,
-                filter=str(other), cover=str(form),
-            )
+            self._record("propagation-demoted", filter=str(other), cover=str(form))
 
     def _filter_removed(self, filter_: Filter) -> None:
         """``filter_`` no longer has any destination in the table."""
         event_class = self._filter_class.pop(filter_, None)
-        if event_class is not None and self.aggregate_enabled:
+        if event_class is not None and self.config.aggregate:
             self._up_remove(filter_, event_class)
 
     def _up_remove(self, stored: Filter, event_class: str) -> None:
@@ -728,22 +688,14 @@ class BrokerNode(Process):
         orphans.sort(key=lambda g: (len(g.constraints), str(g)))
         for orphan in orphans:
             link.cover_of.pop(orphan, None)
-            new_cover = next(
-                (
-                    g
-                    for g in link.index.covered_by(orphan)
-                    if g != orphan and g in link.propagated
-                ),
-                None,
-            )
+            new_cover = link.propagated_cover(orphan)
             if new_cover is not None:
                 link.cover_of[orphan] = new_cover
                 link.covered.setdefault(new_cover, {})[orphan] = None
             else:
                 self.counters.uncover_repropagations += 1
-                self.trace.record(
-                    self.sim.now, "uncover-repropagate", self.name,
-                    filter=str(orphan), cover=str(form),
+                self._record(
+                    "uncover-repropagate", filter=str(orphan), cover=str(form)
                 )
                 self._propagate_form(link, orphan, event_class)
         self.counters.withdrawals_sent += 1
@@ -769,7 +721,7 @@ class BrokerNode(Process):
         """Send one control message to the parent (reliably when enabled)."""
         if self.parent is None:
             return
-        if not self.reliable_enabled:
+        if not self.config.reliable:
             self.network.send(self, self.parent, payload)
             return
         if self._up_sender is None:
@@ -778,7 +730,7 @@ class BrokerNode(Process):
                 self._send_up_raw,
                 self._count_retransmits,
                 observer=self._trace_retransmits,
-                window=self.flow.control_window if self.flow is not None else None,
+                window=self._control_window,
             )
         self._up_sender.send(payload)
 
@@ -791,20 +743,12 @@ class BrokerNode(Process):
     def _trace_retransmits(self, epoch: int, frames: Tuple[Sequenced, ...]) -> None:
         if not self.tracer.enabled:
             return
-        self.tracer.span(
-            self.sim.now,
+        self._span(
             "retransmit",
-            self.name,
-            self.stage,
-            details=(
-                ("peer", self.parent.name if self.parent is not None else "?"),
-                ("epoch", epoch),
-                ("frames", len(frames)),
-                (
-                    "payloads",
-                    ",".join(type(f.payload).__name__ for f in frames),
-                ),
-            ),
+            ("peer", self.parent.name if self.parent is not None else "?"),
+            ("epoch", epoch),
+            ("frames", len(frames)),
+            ("payloads", ",".join(type(f.payload).__name__ for f in frames)),
         )
 
     @property
@@ -832,33 +776,17 @@ class BrokerNode(Process):
             credit_sender = self._credit_senders.get(sender.name)
             if credit_sender is not None:
                 credit_sender.reset()
-        if self.tracer.enabled:
-            self.tracer.span(
-                self.sim.now,
-                "channel-reset",
-                self.name,
-                self.stage,
-                details=(
-                    ("peer", sender.name),
-                    ("incarnation", message.incarnation),
-                ),
-            )
+        self._span(
+            "channel-reset", ("peer", sender.name), ("incarnation", message.incarnation)
+        )
         if sender is self.parent:
             if self._up_sender is not None:
                 # Abandon in-flight frames (the parent forgot the channel
                 # anyway) and open a fresh epoch.
                 self._up_sender.reset()
-                if self.tracer.enabled:
-                    self.tracer.span(
-                        self.sim.now,
-                        "epoch-reset",
-                        self.name,
-                        self.stage,
-                        details=(
-                            ("peer", sender.name),
-                            ("epoch", self._up_sender.epoch),
-                        ),
-                    )
+                self._span(
+                    "epoch-reset", ("peer", sender.name), ("epoch", self._up_sender.epoch)
+                )
             items = self._parent_renewal_items()
             if items:
                 self._send_up(Renewal(tuple(items)))
@@ -882,8 +810,6 @@ class BrokerNode(Process):
         self._filter_class.clear()
         self._offline.clear()
         self._buffers.clear()
-        self._publish_queue.clear()
-        self._publish_meta.clear()
         if self._drain_handle is not None:
             self._drain_handle.cancel()
             self._drain_handle = None
@@ -892,13 +818,9 @@ class BrokerNode(Process):
         self._receivers.clear()
         self._peer_incarnations.clear()
         self._inbound.clear()
-        for queue in self._outbound.values():
-            queue.clear()
-        self._outbound.clear()
-        self._downlink_credits.clear()
+        self._downlinks.clear()
         self._event_sources.clear()
         self._data_expected.clear()
-        self._data_seq_out.clear()
         # The event log is the one durable thing a broker owns: it
         # survives the crash (that is what recovery replays against).
         # Under real-runtime semantics only the *files* survive — the
@@ -921,20 +843,14 @@ class BrokerNode(Process):
         for runtime in self._flows.values():
             for group, window_start, pending in runtime.pending_windows():
                 dropped += 1
-                if self.tracer.enabled:
-                    self.tracer.span(
-                        self.sim.now,
-                        "window-dropped",
-                        self.name,
-                        self.stage,
-                        details=(
-                            ("flow", runtime.spec.name),
-                            ("group", group),
-                            ("window_start", window_start),
-                            ("pending", pending),
-                            ("reason", "crash"),
-                        ),
-                    )
+                self._span(
+                    "window-dropped",
+                    ("flow", runtime.spec.name),
+                    ("group", group),
+                    ("window_start", window_start),
+                    ("pending", pending),
+                    ("reason", "crash"),
+                )
         self.counters.flow_windows_dropped += dropped
         self._flows.clear()
         self._flow_timers.clear()  # owned handles already cancelled above
@@ -1031,7 +947,7 @@ class BrokerNode(Process):
         """The ``(form, event_class)`` pairs a renewal to the parent
         carries (insertion-ordered, deduplicated)."""
         items: Dict[Tuple[Filter, str], None] = {}
-        if self.aggregate_enabled:
+        if self.config.aggregate:
             # Renewals piggyback only the maximal (propagated) forms:
             # suppressed forms have no lease upstream to keep alive.
             for event_class, link in self._uplinks.items():
@@ -1059,18 +975,17 @@ class BrokerNode(Process):
 
     def _purge_task(self, interval: float) -> None:
         """REMOVE INVALID FILTERS: drop pairs silent for 3xTTL."""
-        # The purge mutates the table outside the message path: drain any
-        # queued events first so they match against pre-purge state, as
-        # they would have unbatched.
-        self._flush_publishes()
+        # The purge mutates the table outside the message path: like a
+        # control message, it lets an unmanaged broker serve its queued
+        # events against the pre-purge state first.
+        self._flush_inbound()
         for filter_, destination in self.leases.expired(self.sim.now):
             removed = self.table.remove(filter_, destination)
             self.leases.forget(filter_, destination)
             if removed and filter_ not in self.table:
                 self._filter_removed(filter_)
-            self.trace.record(
-                self.sim.now, "lease-expired", self.name,
-                destination=getattr(destination, "name", destination),
+            self._record(
+                "lease-expired", destination=getattr(destination, "name", destination)
             )
         for stale in [f for f in self._filter_class if f not in self.table]:
             self._filter_removed(stale)
@@ -1118,19 +1033,13 @@ class BrokerNode(Process):
             # downstream logs would silently swallow.
             self._flow_seqs[spec.name] = self._flow_seq_floor(spec.name)
         self.counters.flows_installed = len(self._flows)
-        if self.tracer.enabled:
-            self.tracer.span(
-                now,
-                "flow-install",
-                self.name,
-                self.stage,
-                details=(
-                    ("flow", spec.name),
-                    ("operator", spec.operator_kind),
-                    ("out", spec.output_class),
-                    ("from", sender.name),
-                ),
-            )
+        self._span(
+            "flow-install",
+            ("flow", spec.name),
+            ("operator", spec.operator_kind),
+            ("out", spec.output_class),
+            ("from", sender.name),
+        )
 
     def _flow_seq_floor(self, flow_name: str) -> int:
         if self.log is None:
@@ -1143,14 +1052,7 @@ class BrokerNode(Process):
             return
         self._cancel_flow_timer(flow_name)
         self.counters.flows_installed = len(self._flows)
-        if self.tracer.enabled:
-            self.tracer.span(
-                self.sim.now,
-                "flow-remove",
-                self.name,
-                self.stage,
-                details=(("flow", flow_name), ("reason", reason)),
-            )
+        self._span("flow-remove", ("flow", flow_name), ("reason", reason))
 
     def _cancel_flow_timer(self, flow_name: str) -> None:
         handle = self._flow_timers.pop(flow_name, None)
@@ -1260,26 +1162,19 @@ class BrokerNode(Process):
                 ids = ",".join(f"{p}/{s}" for p, s in emission.inputs)
                 if emission.n_inputs > len(emission.inputs):
                     ids += f",+{emission.n_inputs - len(emission.inputs)}"
-                self.tracer.span(
-                    now,
+                self._span(
                     "publish",
-                    self.name,
-                    self.stage,
+                    ("class", spec.output_class),
+                    ("flow", spec.name),
                     trace_id=envelope.event_id,
-                    details=(("class", spec.output_class), ("flow", spec.name)),
                 )
-                self.tracer.span(
-                    now,
+                self._span(
                     "derive",
-                    self.name,
-                    self.stage,
+                    ("flow", spec.name),
+                    ("op", spec.operator_kind),
+                    ("inputs", emission.n_inputs),
+                    ("input_ids", ids),
                     trace_id=envelope.event_id,
-                    details=(
-                        ("flow", spec.name),
-                        ("op", spec.operator_kind),
-                        ("inputs", emission.n_inputs),
-                        ("input_ids", ids),
-                    ),
                 )
         metas = None
         if tracing:
@@ -1302,20 +1197,14 @@ class BrokerNode(Process):
         self._offline[sender.name] = (sender, message.durable)
         if message.durable:
             self._buffers.setdefault(sender.name, deque())
-        self.trace.record(
-            self.sim.now, "disconnect", self.name,
-            subscriber=sender.name, durable=message.durable,
-        )
+        self._record("disconnect", subscriber=sender.name, durable=message.durable)
 
     def _on_reconnect(self, sender: Process) -> None:
         self._offline.pop(sender.name, None)
         buffered = self._buffers.pop(sender.name, ())
         for publish in buffered:
             self.network.send(self, sender, publish)
-        self.trace.record(
-            self.sim.now, "reconnect", self.name,
-            subscriber=sender.name, replayed=len(buffered),
-        )
+        self._record("reconnect", subscriber=sender.name, replayed=len(buffered))
 
     def _buffer_durable(self, destination: Process, message: Publish) -> None:
         """Buffer one event for an offline durable subscriber, shedding
@@ -1333,7 +1222,7 @@ class BrokerNode(Process):
 
     def _table_changed(self) -> None:
         self._compacted_dirty = True
-        if not self.compact:
+        if not self.config.compact:
             self.counters.set_filters_held(len(self.table))
 
     def _match_engine(self) -> MatchEngine:
@@ -1346,15 +1235,12 @@ class BrokerNode(Process):
         exact again one stage below.  Leases and upward propagation keep
         using the authoritative table.
         """
-        if not self.compact:
+        if not self.config.compact:
             return self.table
         if self._compacted_dirty or self._compacted is None:
             # A rebuild discards the previous compacted engine together
             # with its memoized decisions: account the flush.
-            if (
-                isinstance(self._compacted, CachedMatchEngine)
-                and self._compacted.cached_decisions()
-            ):
+            if self._compacted is not None and self._compacted.cached_decisions():
                 self.counters.cache.invalidations += 1
             groups: Dict[Tuple[int, ...], Tuple[List[Filter], Tuple]] = {}
             for filter_, ids in self.table.entries():
@@ -1375,53 +1261,96 @@ class BrokerNode(Process):
     # Event filtering and forwarding (Figure 6, batched)
     # ------------------------------------------------------------------
 
-    def _accept_publishes(self, publishes: Sequence[Publish], sender: Process) -> None:
-        """Entry point for event traffic (single messages or batches).
+    def _admit(self, publishes: Sequence[Publish], sender: Process) -> None:
+        """The one entry for event traffic: queue a run of arrivals.
 
-        With batching on, publishes queue up and a single drain wakeup —
-        deferred to the end of the current instant — processes the whole
-        run; control messages arriving in between flush the queue first,
-        so processing order is identical to the unbatched schedule.
-
-        With flow control or a service rate configured, admission instead
-        goes through the bounded inbound queue and the managed service
-        loop (see the flow-control section below).
+        They wait in the inbound queue — bounded, and shedding, only
+        under flow control — for a drain wakeup at the end of the
+        current instant, so same-instant arrivals are served as one run
+        in arrival order.  Without batching an unmanaged broker serves
+        them right here.
         """
-        if self._flow_managed:
-            self._accept_managed(publishes, sender)
-            return
-        if not self.batch_enabled:
-            metas = None
-            if self.tracer.enabled:
-                metas = tuple((sender.name, self.sim.now) for _ in publishes)
-            self._process_batch(tuple(publishes), metas)
-            return
-        self._publish_queue.extend(publishes)
-        if self.tracer.enabled:
-            now = self.sim.now
-            self._publish_meta.extend((sender.name, now) for _ in publishes)
-        if self._drain_handle is None:
-            self._drain_handle = self.call_soon(self._drain_publishes)
+        now = self.sim.now
+        source = sender.name
+        self._event_sources[source] = sender
+        capacity = None
+        if (
+            self.overload_detector is not None
+            and self.overload_detector.overloaded
+        ):
+            capacity = max(
+                1, int(self.flow.queue_capacity * self.flow.overload_capacity_factor)
+            )
+        shed_entries: List[Tuple[Publish, str, float]] = []
+        for publish in publishes:
+            _, shed = self._inbound.offer((publish, source, now), capacity)
+            shed_entries.extend(shed)
+        if shed_entries:
+            self._shed_entries(shed_entries, "queue-overflow")
+        if not self.config.batch:
+            self._flush_inbound()
+        self._schedule_drain()
 
-    def _drain_publishes(self) -> None:
+    def _schedule_drain(self) -> None:
+        if self._drain_handle is not None or self._drain_paused:
+            return
+        if not self._inbound:
+            return
+        # ``_busy_until`` only ever moves on a finite-speed broker;
+        # otherwise this is the end of the current instant.
+        self._drain_handle = self.call_at(
+            max(self.sim.now, self._busy_until), self._drain
+        )
+
+    def _drain(self) -> None:
+        """The service loop: one wakeup serves one run.
+
+        An infinitely fast broker serves the whole queue; with
+        ``service_rate`` set it serves ``service_batch`` events and is
+        busy for their service time.  A credit-starved downlink pauses
+        the loop until grants arrive (head-of-line backpressure).
+        """
         self._drain_handle = None
-        self._flush_publishes()
+        if self._outbound_blocked():
+            self._drain_paused = True
+            return
+        if not self._inbound:
+            return  # flushed since this wakeup was armed
+        count = len(self._inbound)
+        rate = self.config.service_rate
+        if rate is not None:
+            count = min(self.config.service_batch, count)
+        entries = self._serve(count)
+        if rate is not None:
+            self._busy_until = self.sim.now + count / rate
+        if self.flow is not None:
+            self._grant_for_entries(entries)
+        if self._outbound_blocked():
+            self._drain_paused = True
+            return
+        self._schedule_drain()
 
-    def _flush_publishes(self) -> None:
-        if self._flow_managed:
-            # Managed mode: events wait in the bounded inbound queue for
-            # the service loop; control messages cannot flush them early
-            # (a finite-speed broker has no instantaneous catch-up).
-            return
-        if not self._publish_queue:
-            return
-        batch = tuple(self._publish_queue)
-        self._publish_queue.clear()
+    def _serve(self, count: int) -> List[Tuple[Publish, str, float]]:
+        """Take the ``count`` oldest queued events through matching and
+        forwarding; returns their queue entries."""
+        entries = [self._inbound.popleft() for _ in range(count)]
         metas = None
-        if self._publish_meta:
-            metas = tuple(self._publish_meta)
-            self._publish_meta.clear()
-        self._process_batch(batch, metas)
+        if self.tracer.enabled:
+            metas = tuple((source, arrived) for _, source, arrived in entries)
+        self._process_batch(tuple(entry[0] for entry in entries), metas)
+        return entries
+
+    def _flush_inbound(self) -> None:
+        """Flush-before-control, the first of the two policies: serve
+        everything queued *now*, ahead of a table mutation, so the run
+        sees exactly the tables it would have seen unbatched.  Only an
+        unmanaged broker does: a finite-speed or credit-paced one cannot
+        catch up instantly.  The drain wakeup already armed is left to
+        fire on the emptied queue.
+        """
+        if self.config.managed or not self._inbound:
+            return
+        self._serve(len(self._inbound))
 
     def _process_batch(
         self,
@@ -1443,22 +1372,17 @@ class BrokerNode(Process):
                 self._replayer.tap_batch(batch)
         engine = self._match_engine()
         tracing = self.tracer.enabled
-        raw = engine.inner if isinstance(engine, CachedMatchEngine) else engine
-        # Whole-batch evaluation when the underlying engine has a native
+        # Whole-batch evaluation when the engine has a native
         # match_batch (the compiled bitmap engine): one dirty recompile
         # and one structure pass for the entire run.  The tracing path
         # keeps per-event match calls so each hop span can report its own
         # probe delta and cache verdict — results are identical.
-        use_batch = (
-            not tracing
-            and len(batch) > 1
-            and type(raw).match_batch is not MatchEngine.match_batch
-        )
+        use_batch = not tracing and len(batch) > 1 and engine.native_batch
         all_matches = None
         if use_batch:
             probes_before = engine.evaluations
-            rebuilds_before = getattr(raw, "rebuilds", 0)
-            residual_before = getattr(raw, "residual_evaluations", 0)
+            rebuilds_before = engine.rebuilds
+            residual_before = engine.residual_evaluations
             all_matches = engine.match_batch(
                 tuple(message.envelope.metadata for message in batch)
             )
@@ -1467,11 +1391,9 @@ class BrokerNode(Process):
             # identical to the per-event accounting.
             self.counters.filter_evaluations += engine.evaluations - probes_before
             self.counters.events_matched_batch += len(batch)
-            self.counters.compile_rebuilds += (
-                getattr(raw, "rebuilds", 0) - rebuilds_before
-            )
+            self.counters.compile_rebuilds += engine.rebuilds - rebuilds_before
             self.counters.residual_evaluations += (
-                getattr(raw, "residual_evaluations", 0) - residual_before
+                engine.residual_evaluations - residual_before
             )
         runs: Dict[int, List[Publish]] = {}
         run_order: List[Process] = []
@@ -1501,26 +1423,21 @@ class BrokerNode(Process):
                     src, arrived = metas[position]
                 else:
                     src, arrived = "?", self.sim.now
-                if not self.cache_enabled:
+                if not self.config.cache:
                     cache = "off"
                 elif self.counters.cache.hits > hits_before:
                     cache = "hit"
                 else:
                     cache = "miss"
-                self.tracer.span(
-                    self.sim.now,
+                self._span(
                     "hop",
-                    self.name,
-                    self.stage,
+                    ("src", src),
+                    ("cache", cache),
+                    ("probed", probes_delta),
+                    ("matched", bool(matches)),
+                    ("fanout", len(destinations)),
+                    ("defer", self.sim.now - arrived),
                     trace_id=message.envelope.event_id,
-                    details=(
-                        ("src", src),
-                        ("cache", cache),
-                        ("probed", probes_delta),
-                        ("matched", bool(matches)),
-                        ("fanout", len(destinations)),
-                        ("defer", self.sim.now - arrived),
-                    ),
                 )
             for destination in destinations:
                 offline = self._offline.get(destination.name)
@@ -1535,11 +1452,7 @@ class BrokerNode(Process):
                     run_order.append(destination)
                 run.append(message)
         for destination in run_order:
-            run = runs[id(destination)]
-            if self.flow is not None and getattr(destination, "is_broker", False):
-                self._forward_controlled(destination, run)
-            else:
-                self._send_run(destination, run)
+            self._send_run(destination, runs[id(destination)])
         # Information flows tap the batch *after* the raw path has fully
         # forwarded it: subscribers not behind a flow see byte-identical
         # schedules whether or not any flow is installed here.
@@ -1547,17 +1460,41 @@ class BrokerNode(Process):
             self._feed_flows(batch)
 
     def _send_run(self, destination: Process, run: Sequence[Publish]) -> None:
-        if self.flow is not None and getattr(destination, "is_broker", False):
+        """The one exit for event traffic: put a run on the wire.
+
+        Controlled downlinks, the second of the two policies: only when
+        ``flow`` is set and the peer is a broker does the link carry a
+        credit window, an outbound queue and ``DataFrame`` numbering.
+        There each event spends one credit, and credit-starved events
+        wait in the bounded outbound queue behind whatever already
+        waits (an empty ``run`` just releases what fresh credits cover).
+        """
+        if self.flow is None or not getattr(destination, "is_broker", False):
+            if len(run) == 1:
+                self.network.send(self, destination, run[0])
+            else:
+                self.network.send(self, destination, PublishBatch(tuple(run)))
+            return
+        link = self._downlink_for(destination)
+        window, queue = link.window, link.queue
+        sendable: List[Publish] = []
+        while queue and window.take(1):
+            sendable.append(queue.popleft())
+        for publish in run:
+            if not queue and window.take(1):
+                sendable.append(publish)
+                continue
+            self.counters.credit_stalls += 1
+            _, shed = queue.offer(publish)
+            if shed:
+                self._shed_publishes(shed, "outbound-overflow", peer=destination.name)
+        if sendable:
             # Data frames carry a per-link sequence number so the child
             # can detect (and re-credit) events a lossy link swallowed.
-            seq = self._data_seq_out.get(destination.name, 0)
-            self._data_seq_out[destination.name] = seq + len(run)
-            self.network.send(self, destination, DataFrame(seq, tuple(run)))
-            return
-        if len(run) == 1:
-            self.network.send(self, destination, run[0])
-        else:
-            self.network.send(self, destination, PublishBatch(tuple(run)))
+            self.network.send(
+                self, destination, DataFrame(link.next_seq, tuple(sendable))
+            )
+            link.next_seq += len(sendable)
 
     # ------------------------------------------------------------------
     # Durable event log, replay, and crash recovery (see repro.log)
@@ -1626,7 +1563,7 @@ class BrokerNode(Process):
                 self._event_sources[sender.name] = sender
                 self._grant_credits(sender.name, dropped)
         if fresh:
-            self._accept_publishes(tuple(fresh), sender)
+            self._admit(tuple(fresh), sender)
 
     def _request_replay(self, incarnation: int) -> None:
         """Ask the root to re-drive events missed while down (scheduled
@@ -1644,14 +1581,7 @@ class BrokerNode(Process):
             from_offset = max(
                 -1, self.log.max_source_offset - self.log_config.recovery_rewind
             )
-        if self.tracer.enabled:
-            self.tracer.span(
-                self.sim.now,
-                "replay-request",
-                self.name,
-                self.stage,
-                details=(("root", root.name), ("from_offset", from_offset)),
-            )
+        self._span("replay-request", ("root", root.name), ("from_offset", from_offset))
         payload = ReplayRequest(self, from_offset)
         if self.parent is root:
             # Ride the existing uplink channel (one Sequenced stream per
@@ -1682,31 +1612,19 @@ class BrokerNode(Process):
                 if self.flow.gap_grant:
                     self.counters.credit_gap_grants += missing
                     self._event_sources[sender.name] = sender
-                    if self.tracer.enabled:
-                        self.tracer.span(
-                            self.sim.now,
-                            "credit-gap",
-                            self.name,
-                            self.stage,
-                            details=(
-                                ("peer", sender.name),
-                                ("missing", missing),
-                            ),
-                        )
+                    self._span("credit-gap", ("peer", sender.name), ("missing", missing))
                     self._grant_credits(sender.name, missing)
             advance = frame.seq + len(frame.publishes)
             if expected is None or advance > expected:
                 self._data_expected[sender.name] = advance
-        self._accept_publishes(frame.publishes, sender)
+        self._admit(frame.publishes, sender)
 
     # ------------------------------------------------------------------
     # Flow control, backpressure, and overload protection (see repro.flow)
     # ------------------------------------------------------------------
     #
-    # Managed data path: arriving events are admitted into a bounded
-    # inbound queue and drained by an explicit service loop (modelling a
-    # finite-speed broker when ``service_rate`` is set).  With ``flow``
-    # set, three credit loops bound every queue in the system:
+    # With ``flow`` set, three credit loops bound every queue in the
+    # system:
     #
     # - upstream grants: this node grants one credit per *processed* (or
     #   shed) event back to the event's source — to the parent over the
@@ -1726,37 +1644,11 @@ class BrokerNode(Process):
     #   shedding instead of unbounded queueing.
 
     def queue_depth(self) -> int:
-        """Events queued at this broker (inbound + outbound + legacy
-        publish queue) — the public accessor the sampler and overload
-        detector observe."""
-        depth = len(self._publish_queue) + len(self._inbound)
-        for queue in self._outbound.values():
-            depth += len(queue)
-        return depth
-
-    def _accept_managed(self, publishes: Sequence[Publish], sender: Process) -> None:
-        """Admit arriving events into the bounded inbound queue."""
-        now = self.sim.now
-        source = sender.name
-        self._event_sources[source] = sender
-        capacity = None
-        if (
-            self.overload_detector is not None
-            and self.overload_detector.overloaded
-        ):
-            capacity = max(
-                1, int(self.flow.queue_capacity * self.flow.overload_capacity_factor)
-            )
-        shed_entries: List[Tuple[Publish, str, float]] = []
-        for publish in publishes:
-            accepted, shed = self._inbound.offer((publish, source, now), capacity)
-            shed_entries.extend(shed)
-        if shed_entries:
-            self._shed_entries(shed_entries, "queue-overflow")
-        self._schedule_managed_drain()
-
-    def _entry_priority(self, entry: Tuple[Publish, str, float]) -> float:
-        return self._shed_priority(entry[0])
+        """Events queued at this broker (inbound + outbound) — the
+        public accessor the sampler and overload detector observe."""
+        return len(self._inbound) + sum(
+            len(link.queue) for link in self._downlinks.values()
+        )
 
     def _shed_priority(self, publish: Publish) -> float:
         """Selectivity estimate for ``priority_by_selectivity`` shedding:
@@ -1771,53 +1663,13 @@ class BrokerNode(Process):
             sum(count for form, count in link.forms.items() if form.matches(metadata))
         )
 
-    def _schedule_managed_drain(self) -> None:
-        if self._drain_handle is not None or self._drain_paused:
-            return
-        if not self._inbound:
-            return
-        if self.service_rate is None:
-            self._drain_handle = self.call_soon(self._drain_managed)
-        else:
-            self._drain_handle = self.call_at(
-                max(self.sim.now, self._busy_until), self._drain_managed
-            )
-
-    def _drain_managed(self) -> None:
-        self._drain_handle = None
-        if self._outbound_blocked():
-            # Head-of-line backpressure: a credit-starved downstream link
-            # pauses the whole service loop until grants arrive.
-            self._drain_paused = True
-            return
-        if not self._inbound:
-            return
-        if self.service_rate is None:
-            count = len(self._inbound)
-        else:
-            count = min(self.service_batch, len(self._inbound))
-        entries = [self._inbound.popleft() for _ in range(count)]
-        batch = tuple(entry[0] for entry in entries)
-        metas = None
-        if self.tracer.enabled:
-            metas = tuple((entry[1], entry[2]) for entry in entries)
-        self._process_batch(batch, metas)
-        if self.service_rate is not None:
-            self._busy_until = self.sim.now + count / self.service_rate
-        if self.flow is not None:
-            self._grant_for_entries(entries)
-        if self._outbound_blocked():
-            self._drain_paused = True
-            return
-        self._schedule_managed_drain()
-
     def _outbound_blocked(self) -> bool:
-        return any(len(queue) for queue in self._outbound.values())
+        return any(link.queue for link in self._downlinks.values())
 
     def _maybe_resume_drain(self) -> None:
         if self._drain_paused and not self._outbound_blocked():
             self._drain_paused = False
-            self._schedule_managed_drain()
+            self._schedule_drain()
 
     # -- upstream credit grants ----------------------------------------
 
@@ -1832,14 +1684,7 @@ class BrokerNode(Process):
 
     def _grant_credits(self, source: str, count: int) -> None:
         self.counters.credits_granted += count
-        if self.tracer.enabled:
-            self.tracer.span(
-                self.sim.now,
-                "credit-grant",
-                self.name,
-                self.stage,
-                details=(("peer", source), ("credits", count)),
-            )
+        self._span("credit-grant", ("peer", source), ("credits", count))
         if self.parent is not None and source == self.parent.name:
             # Child-to-parent grants ride the existing reliable uplink.
             self._send_up(CreditGrant(count))
@@ -1849,97 +1694,62 @@ class BrokerNode(Process):
             return
         self._send_peer(target, CreditGrant(count))
 
-    def _peer_sender(self, target: Process) -> ReliableSender:
-        """The reliable channel toward an arbitrary peer (publisher
-        credit grants, catch-up streams, recovery replay).  One channel
-        per peer: acks from ``target`` route back to it by name."""
+    def _send_peer(self, target: Process, payload: Any) -> None:
+        """Send one control payload to a non-parent peer (publisher
+        credit grants, catch-up streams, recovery replay) — when
+        ``reliable``, over one reliable channel per peer: acks from
+        ``target`` route back to it by name."""
+        if not self.config.reliable:
+            self.network.send(self, target, payload)
+            return
         sender = self._credit_senders.get(target.name)
         if sender is None:
             sender = self._credit_senders[target.name] = ReliableSender(
                 self.sim,
-                lambda frame, peer=target: self.network.send(self, peer, frame),
+                lambda frame: self.network.send(self, target, frame),
                 self._count_retransmits,
-                window=self.flow.control_window if self.flow is not None else None,
+                window=self._control_window,
             )
-        return sender
-
-    def _send_peer(self, target: Process, payload: Any) -> None:
-        """Send one control payload to a non-parent peer (reliably when
-        enabled)."""
-        if not self.reliable_enabled:
-            self.network.send(self, target, payload)
-            return
-        self._peer_sender(target).send(payload)
+        sender.send(payload)
 
     # -- downstream credit spending ------------------------------------
 
-    def _downlink_for(self, destination: Process) -> Tuple[CreditWindow, BoundedQueue]:
-        window = self._downlink_credits.get(destination.name)
-        if window is None:
-            window = self._downlink_credits[destination.name] = CreditWindow(
-                self.flow.link_window
+    def _downlink_for(self, destination: Process) -> _DownLink:
+        link = self._downlinks.get(destination.name)
+        if link is None:
+            link = self._downlinks[destination.name] = _DownLink(
+                CreditWindow(self.flow.link_window),
+                BoundedQueue(
+                    self.flow.outbound_capacity,
+                    self.flow.policy,
+                    priority=self._shed_priority,
+                ),
             )
-        queue = self._outbound.get(destination.name)
-        if queue is None:
-            queue = self._outbound[destination.name] = BoundedQueue(
-                self.flow.outbound_capacity,
-                self.flow.policy,
-                priority=self._shed_priority,
-            )
-        return window, queue
-
-    def _forward_controlled(
-        self, destination: "BrokerNode", run: Sequence[Publish]
-    ) -> None:
-        """Forward a run to a broker child, spending one credit per event;
-        credit-starved events wait in the bounded outbound queue."""
-        window, queue = self._downlink_for(destination)
-        sendable: List[Publish] = []
-        for publish in run:
-            if not queue and window.take(1):
-                sendable.append(publish)
-                continue
-            self.counters.credit_stalls += 1
-            _, shed = queue.offer(publish)
-            if shed:
-                self._shed_publishes(shed, "outbound-overflow", peer=destination.name)
-        if sendable:
-            self._send_run(destination, sendable)
+        return link
 
     def _on_credit_grant(self, message: CreditGrant, sender: Process) -> None:
-        window = self._downlink_credits.get(sender.name)
-        if window is None:
+        link = self._downlinks.get(sender.name)
+        if link is None:
             return  # stale grant for a link we no longer track
-        window.grant(message.credits)
-        self._flush_outbound(sender)
+        link.window.grant(message.credits)
+        if link.queue:
+            self._send_run(sender, ())  # release what the fresh credits cover
+        self._maybe_resume_drain()
         if self._replayer is not None:
             # A replay stalled on this window can resume immediately.
             self._replayer.kick()
 
-    def _flush_outbound(self, destination: Process) -> None:
-        queue = self._outbound.get(destination.name)
-        window = self._downlink_credits.get(destination.name)
-        if queue is None or window is None:
-            return
-        sendable: List[Publish] = []
-        while queue and window.take(1):
-            sendable.append(queue.popleft())
-        if sendable:
-            self._send_run(destination, sendable)
-        self._maybe_resume_drain()
-
     def _reset_downlink(self, peer: Process) -> None:
         """A downstream peer lost its state (ChannelReset or a new channel
-        epoch): its window comes back full, and events queued for the dead
-        incarnation are shed — its wiped table would drop them anyway."""
-        window = self._downlink_credits.get(peer.name)
-        if window is not None:
-            window.reset()
-        queue = self._outbound.get(peer.name)
-        if queue is not None and queue:
-            self._shed_publishes(queue.drain(), "peer-reset", peer=peer.name)
-        # The peer's data-frame numbering died with its incarnation.
-        self._data_seq_out.pop(peer.name, None)
+        epoch): its window comes back full, its data-frame numbering
+        restarts, and events queued for the dead incarnation are shed —
+        its wiped table would drop them anyway."""
+        link = self._downlinks.get(peer.name)
+        if link is not None:
+            link.window.reset()
+            link.next_seq = 0
+            if link.queue:
+                self._shed_publishes(link.queue.drain(), "peer-reset", peer=peer.name)
         self._maybe_resume_drain()
 
     # -- shedding accounting -------------------------------------------
@@ -1953,13 +1763,7 @@ class BrokerNode(Process):
         self.counters.on_shed(reason, len(entries))
         for publish, source, _ in entries:
             self._shed_span(publish, reason, peer=source)
-        if self.flow is None:
-            return
-        per_source: Dict[str, int] = {}
-        for _, source, _ in entries:
-            per_source[source] = per_source.get(source, 0) + 1
-        for source, count in per_source.items():
-            self._grant_credits(source, count)
+        self._grant_for_entries(entries)
 
     def _shed_publishes(
         self, publishes: Sequence[Publish], reason: str, peer: Optional[str] = None
@@ -1980,17 +1784,10 @@ class BrokerNode(Process):
     ) -> None:
         if not self.tracer.enabled:
             return
-        details: List[Tuple[str, Any]] = [("reason", reason)]
+        details = (("reason", reason),)
         if peer is not None:
-            details.append(("peer", peer))
-        self.tracer.span(
-            self.sim.now,
-            "shed",
-            self.name,
-            self.stage,
-            trace_id=publish.envelope.event_id,
-            details=tuple(details),
-        )
+            details += (("peer", peer),)
+        self._span("shed", *details, trace_id=publish.envelope.event_id)
 
     def _on_overload_transition(self, state: str, now: float, ewma: float) -> None:
         self.counters.overload_transitions += 1

@@ -66,14 +66,14 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.flow import FlowConfig
-from repro.log.config import LogConfig
 from repro.metrics.counters import NodeCounters
 from repro.obs.tracing import EventTracer
-from repro.overlay.hierarchy import Hierarchy
+from repro.overlay.config import BrokerConfig
+from repro.overlay.hierarchy import Hierarchy, build_tree
+from repro.overlay.node import BrokerNode
 from repro.runtime.asyncio_backend import (
     BINDING,
     CRASHED,
@@ -83,6 +83,7 @@ from repro.runtime.asyncio_backend import (
     TcpTransport,
 )
 from repro.sim.kernel import Process, SimulationError
+from repro.sim.rng import RngRegistry
 
 #: Endpoint FSM state for processes that live in *another* OS process:
 #: the local transport connects out to their port but never binds a
@@ -105,20 +106,10 @@ class SystemSpec:
     """Everything a worker needs to rebuild its slice of the system."""
 
     stage_sizes: Tuple[int, ...]
-    ttl: float
-    engine: str
     seed: int
+    #: Every broker option, as one object (validated by the driver).
+    broker: BrokerConfig
     link_latency: float = 0.001
-    wildcard_routing: bool = True
-    compact: bool = False
-    cache: bool = True
-    batch: bool = True
-    aggregate: bool = True
-    reliable: bool = True
-    service_rate: Optional[float] = None
-    service_batch: int = 16
-    flow: Optional[FlowConfig] = None
-    log: Optional[LogConfig] = None
     host: str = "127.0.0.1"
 
 
@@ -143,30 +134,6 @@ class WorkerSpec:
         default_factory=dict
     )
     maintain: bool = False
-
-
-def _broker_tree(
-    stage_sizes: Sequence[int],
-) -> Tuple[Dict[int, List[str]], Dict[str, Optional[str]]]:
-    """The pure-name shadow of :func:`build_hierarchy`: same
-    ``N<stage>.<index>`` names, same round-robin parent assignment, so
-    every process derives the identical topology independently."""
-    names_by_stage: Dict[int, List[str]] = {}
-    for index, size in enumerate(stage_sizes):
-        stage = index + 1
-        names_by_stage[stage] = [f"N{stage}.{i + 1}" for i in range(size)]
-    top = len(stage_sizes)
-    parent_of: Dict[str, Optional[str]] = {}
-    for stage in range(1, top + 1):
-        names = names_by_stage[stage]
-        if stage == top:
-            for name in names:
-                parent_of[name] = None
-        else:
-            parents = names_by_stage[stage + 1]
-            for position, name in enumerate(names):
-                parent_of[name] = parents[position % len(parents)]
-    return names_by_stage, parent_of
 
 
 # ----------------------------------------------------------------------
@@ -211,6 +178,10 @@ class BrokerProxy(RemoteProcess):
         #: ``{"alive": False}`` when the worker is down.
         self.snapshot: Dict[str, Any] = {}
         self.counters = NodeCounters()
+
+    def attach_child(self, child: Process) -> None:
+        child.parent = self
+        self.broker_children.append(child)
 
     def stat(self, key: str, default: Any = None) -> Any:
         return self.snapshot.get(key, default)
@@ -385,6 +356,8 @@ class MultiprocessRuntime(AsyncioRuntime):
 
     #: Worker spawn is a fresh interpreter + imports; generous.
     hello_timeout = 60.0
+    #: How often the hello wait looks for a worker that died instead.
+    hello_poll = 0.02
     control_timeout = 10.0
     #: Minimum wall-clock gap between stats broadcasts in ``run_until``.
     stats_interval = 0.1
@@ -411,23 +384,13 @@ class MultiprocessRuntime(AsyncioRuntime):
         the directory, and return the proxy hierarchy."""
         self._transport = transport
         self._spec = spec
-        names_by_stage, parent_of = _broker_tree(spec.stage_sizes)
-        nodes_by_stage: Dict[int, List[Any]] = {}
-        for stage, names in names_by_stage.items():
-            nodes_by_stage[stage] = []
-            for name in names:
-                proxy = BrokerProxy(self, name, stage)
-                self._proxies[name] = proxy
-                transport.register_remote(proxy)
-                nodes_by_stage[stage].append(proxy)
-        for name, parent in parent_of.items():
-            if parent is None:
-                continue
-            child, papa = self._proxies[name], self._proxies[parent]
-            child.parent = papa
-            papa.broker_children.append(child)
-            transport.connect(papa, child)
 
+        def member(name: str, stage: int) -> BrokerProxy:
+            proxy = self._proxies[name] = BrokerProxy(self, name, stage)
+            transport.register_remote(proxy)
+            return proxy
+
+        nodes_by_stage = build_tree(spec.stage_sizes, member, transport.connect)
         self._start_control_server(spec.host)
         for name, proxy in self._proxies.items():
             self._spawn(
@@ -483,19 +446,41 @@ class MultiprocessRuntime(AsyncioRuntime):
         handle.writer = None
 
     def _await_hellos(self, names: List[str]) -> None:
+        """Collect the named workers' bind-reports.  A worker process
+        that exits before its hello fails the wait at once rather than
+        running out ``hello_timeout``."""
+
         async def _collect() -> None:
             futures = {name: self._pending_hello[name] for name in names}
-            await asyncio.wait_for(
-                asyncio.gather(*futures.values()), self.hello_timeout
-            )
-            for name, future in futures.items():
-                hello, reader, writer = future.result()
-                handle = self._workers[name]
-                handle.reader = reader
-                handle.writer = writer
-                handle.port = hello.get("port")
-                handle.request_id = 0
-                self._transport.set_remote_port(name, handle.port)
+            deadline = self._loop.time() + self.hello_timeout
+            try:
+                while not all(future.done() for future in futures.values()):
+                    for name, future in futures.items():
+                        process = self._workers[name].process
+                        if not future.done() and not process.is_alive():
+                            raise SimulationError(
+                                f"worker {name!r} exited with code "
+                                f"{process.exitcode} before its hello"
+                            )
+                    if self._loop.time() > deadline:
+                        raise asyncio.TimeoutError(
+                            f"no hello within {self.hello_timeout}s from "
+                            f"{[n for n, f in futures.items() if not f.done()]}"
+                        )
+                    await asyncio.sleep(self.hello_poll)
+            finally:
+                # Also on failure: close() stops the workers that did
+                # report in over the channels recorded here.
+                for name, future in futures.items():
+                    if not future.done():
+                        continue
+                    hello, reader, writer = future.result()
+                    handle = self._workers[name]
+                    handle.reader = reader
+                    handle.writer = writer
+                    handle.port = hello.get("port")
+                    handle.request_id = 0
+                    self._transport.set_remote_port(name, handle.port)
 
         self._loop.run_until_complete(_collect())
 
@@ -723,6 +708,9 @@ class MultiprocessRuntime(AsyncioRuntime):
             process = handle.process
             if process is None:
                 continue
+            if handle.writer is None and process.is_alive():
+                # Never reported in (a failed launch): nobody to ask.
+                process.terminate()
             process.join(5)
             if process.is_alive():
                 process.terminate()
@@ -808,8 +796,8 @@ class _BrokerWorker:
         system = spec.system
         runtime = self.runtime
         transport = self.transport = _WorkerTransport(runtime, host=system.host)
-        node = self.node = self._build_node()
-        self._wire_topology()
+        self._build_tree()
+        node = self.node
         for name, (port, stage) in spec.directory.items():
             self._register_entry({"name": name, "port": port, "stage": stage})
         endpoint = transport.register(node)
@@ -833,71 +821,43 @@ class _BrokerWorker:
         await writer.drain()
         await self._control_loop(reader, writer)
 
-    def _build_node(self) -> Any:
-        from repro.filters.compiled import CompiledMatchEngine
-        from repro.filters.index import CountingIndex
-        from repro.filters.table import FilterTable
-        from repro.overlay.node import BrokerNode
-        from repro.sim.rng import RngRegistry
-
+    def _build_node(self) -> BrokerNode:
         spec = self.spec
         system = spec.system
-        engine_factory = {
-            "index": CountingIndex,
-            "table": FilterTable,
-            "compiled": CompiledMatchEngine,
-        }[system.engine]
+        config = system.broker
         restoring = spec.incarnation_base > 0
         node = BrokerNode(
             self.runtime,
             self.transport,
-            name=spec.name,
-            stage=spec.stage,
-            ttl=system.ttl,
-            engine_factory=engine_factory,
-            rng=RngRegistry(system.seed).stream(f"node/{spec.name}"),
-            wildcard_routing=system.wildcard_routing,
-            compact=system.compact,
-            cache=system.cache,
-            batch=system.batch,
-            aggregate=system.aggregate,
-            reliable=system.reliable,
-            tracer=EventTracer(enabled=False),
-            flow=system.flow,
-            service_rate=system.service_rate,
-            service_batch=system.service_batch,
+            spec.name,
+            spec.stage,
             # On restore the fresh EventLog a normal construction would
             # open must NOT clobber the on-disk segments we are about to
             # recover from: build logless and let restart() reload.
-            log_config=None if restoring else system.log,
+            replace(config, log=None) if restoring else config,
+            rng=RngRegistry(system.seed).stream(f"node/{spec.name}"),
+            tracer=EventTracer(enabled=False),
         )
-        if system.log is not None and system.log.directory:
+        if config.log is not None and config.log.directory:
             node.recover_log_from_disk = True
             if restoring:
-                node.log_config = system.log
+                node.log_config = config.log
         return node
 
-    def _wire_topology(self) -> None:
+    def _build_tree(self) -> None:
         """Rebuild the tree with this broker real and everyone else a
-        proxy, preserving build_hierarchy's child order (placement
-        round-robins over ``broker_children``, so order is protocol)."""
-        spec = self.spec
-        names_by_stage, parent_of = _broker_tree(spec.system.stage_sizes)
-        members: Dict[str, Process] = {spec.name: self.node}
-        for stage, names in names_by_stage.items():
-            for name in names:
-                if name == spec.name:
-                    continue
-                proxy = BrokerProxy(self.runtime, name, stage)
-                members[name] = proxy
-                self.transport.register_remote(proxy)
-        for name, parent in parent_of.items():
-            if parent is None:
-                continue
-            child, papa = members[name], members[parent]
-            child.parent = papa
-            papa.broker_children.append(child)
-            self.transport.connect(papa, child)
+        proxy (same shape and child order as every other process: see
+        :func:`~repro.overlay.hierarchy.build_tree`)."""
+
+        def member(name: str, stage: int) -> Process:
+            if name == self.spec.name:
+                self.node = self._build_node()
+                return self.node
+            proxy = BrokerProxy(self.runtime, name, stage)
+            self.transport.register_remote(proxy)
+            return proxy
+
+        build_tree(self.spec.system.stage_sizes, member, self.transport.connect)
 
     async def _bind_data_server(self, endpoint: Any) -> None:
         """Bind the broker's data server; on restore the fixed old port

@@ -20,11 +20,11 @@ class _FakeBroker:
         self.name = name
         self.stage = stage
         self.counters = _Counters()
-        self._publish_queue = []
+        self.depth = 0
         self.table = {}
 
     def queue_depth(self):
-        return len(self._publish_queue)
+        return self.depth
 
 
 class TestSimulatorEvery:
@@ -91,7 +91,7 @@ class TestStageSampler:
         sim, sampler, top, left, _ = self._sampler()
         sampler.start()
         top.counters.events_received = 10
-        top._publish_queue.extend(["a", "b"])
+        top.depth = 2
         left.table["f"] = object()
         sim.run(until=0.6)  # one tick at t=0.5
         top.counters.events_received = 12

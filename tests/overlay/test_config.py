@@ -1,0 +1,147 @@
+"""The option surface is one object: ``BrokerConfig``.
+
+Pinned here: the facade's keyword signature (unchanged by the config
+refactor), that its broker options are exactly the config's fields, that
+nothing downstream keeps per-option copies, and that the object crosses
+the spawn boundary.
+"""
+
+import dataclasses
+import inspect
+import pickle
+
+import pytest
+
+from repro.core.engine import MultiStageEventSystem
+from repro.filters.compiled import CompiledMatchEngine
+from repro.filters.engine import CachedMatchEngine, engine_classes, make_engine
+from repro.filters.filter import Filter
+from repro.filters.index import CountingIndex
+from repro.filters.table import FilterTable
+from repro.flow import FlowConfig
+from repro.log.config import LogConfig
+from repro.metrics.counters import CacheStats
+from repro.overlay.config import BrokerConfig
+from repro.overlay.hierarchy import build_hierarchy
+from repro.overlay.node import BrokerNode
+from repro.runtime.multiprocess_backend import SystemSpec
+
+#: What shapes the deployment rather than a broker.
+DEPLOYMENT = {"stage_sizes", "seed", "trace", "link_latency", "tracing", "runtime"}
+#: Config fields the facade does not expose (constants of every caller).
+INTERNAL = {"expiry_factor", "offline_buffer_limit"}
+
+CONFIG_FIELDS = {field.name for field in dataclasses.fields(BrokerConfig)}
+
+
+def parameters(callable_):
+    return [name for name in inspect.signature(callable_).parameters if name != "self"]
+
+
+def test_facade_signature_is_the_eighteen_names_it_always_had():
+    assert parameters(MultiStageEventSystem.__init__) == [
+        "stage_sizes", "ttl", "seed", "engine", "trace", "link_latency",
+        "wildcard_routing", "compact", "cache", "batch", "aggregate", "reliable",
+        "tracing", "flow", "service_rate", "service_batch", "log", "runtime",
+    ]  # fmt: skip
+
+
+def test_facade_broker_options_are_the_config_fields():
+    facade = set(parameters(MultiStageEventSystem.__init__))
+    assert facade - DEPLOYMENT == CONFIG_FIELDS - INTERNAL
+    assert len(CONFIG_FIELDS - INTERNAL) == 12
+
+
+def test_facade_and_config_defaults_agree():
+    signature = inspect.signature(MultiStageEventSystem.__init__)
+    for field in dataclasses.fields(BrokerConfig):
+        if field.name not in INTERNAL:
+            assert signature.parameters[field.name].default == field.default
+
+
+def test_nothing_downstream_spells_the_options_out_again():
+    spec_fields = {field.name for field in dataclasses.fields(SystemSpec)}
+    assert spec_fields == {"stage_sizes", "seed", "broker", "link_latency", "host"}
+    for builder in (build_hierarchy, BrokerNode.__init__):
+        names = set(parameters(builder))
+        assert "config" in names
+        assert not names & CONFIG_FIELDS
+
+
+def test_every_broker_of_a_system_shares_the_one_config_object():
+    system = MultiStageEventSystem(stage_sizes=(2, 1), compact=True, ttl=5.0)
+    assert system.broker_config == BrokerConfig(compact=True, ttl=5.0)
+    assert all(n.config is system.broker_config for n in system.hierarchy.nodes())
+
+
+def test_config_pickles_with_its_nested_configs():
+    config = BrokerConfig(
+        engine="compiled",
+        flow=FlowConfig(link_window=5, policy="drop_oldest"),
+        service_rate=100.0,
+        log=LogConfig(directory="/tmp/segments", segment_size=8),
+    )
+    assert pickle.loads(pickle.dumps(config)) == config
+    spec = SystemSpec(stage_sizes=(2, 1), seed=3, broker=config)
+    assert pickle.loads(pickle.dumps(spec)) == spec
+
+
+def test_config_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        BrokerConfig().batch = False
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (dict(engine="trie"), "engine must be"),
+        (dict(service_rate=0.0), "service_rate must be positive"),
+        (dict(service_batch=0), "service_batch must be >= 1"),
+        (dict(ttl=0.0), "TTL must be positive"),
+        (dict(expiry_factor=0.5), "expiry factor must be >= 1"),
+    ],
+)
+def test_config_validates_in_post_init(options, message):
+    with pytest.raises(ValueError, match=message):
+        BrokerConfig(**options)
+
+
+def test_managed_means_flow_or_service_rate():
+    assert not BrokerConfig().managed
+    assert not BrokerConfig(log=LogConfig(), batch=False).managed
+    assert BrokerConfig(flow=FlowConfig()).managed
+    assert BrokerConfig(service_rate=10.0).managed
+
+
+# -- the engine map and the engine protocol ------------------------------
+
+
+def test_one_engine_map_builds_every_engine():
+    assert engine_classes() == {
+        "index": CountingIndex,
+        "table": FilterTable,
+        "compiled": CompiledMatchEngine,
+    }
+    for name, cls in engine_classes().items():
+        assert type(make_engine(name)) is cls
+        stats = CacheStats()
+        cached = make_engine(name, cache=True, stats=stats)
+        assert isinstance(cached, CachedMatchEngine)
+        assert type(cached.inner) is cls and cached.stats is stats
+
+
+@pytest.mark.parametrize("name", sorted(engine_classes()))
+def test_engine_protocol_needs_no_probing(name):
+    """Counters and the batch marker read the same through the cache
+    wrapper as off the engine itself."""
+    raw = make_engine(name)
+    cached = make_engine(name, cache=True)
+    assert raw.cached_decisions() == 0
+    for engine in (raw, cached):
+        engine.insert(Filter.top(), "d")
+        engine.match_batch([{"x": 1}, {"x": 1}])
+        assert engine.native_batch == (name == "compiled")
+        assert engine.residual_evaluations == 0
+        assert engine.rebuilds >= 0
+    assert cached.rebuilds == cached.inner.rebuilds
+    assert cached.cached_decisions() == 1

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.engine import MultiStageEventSystem
 from repro.events.base import PropertyEvent
-from repro.overlay.messages import Renewal
+from repro.flow import FlowConfig
+from repro.overlay.messages import Renewal, Unsubscribe
 
 SCHEMA = ("class", "symbol", "price")
 
@@ -273,3 +274,38 @@ class TestUnsubscribe:
         subscriber.unsubscribe(sub.subscription_id, explicit=False)
         system.drain()
         assert len(home.table) == 1  # decays only via TTL
+
+
+class TestFlushBeforeControl:
+    """The one thing a managed broker's queue does differently: a control
+    message does not serve it first (see ``BrokerNode._flush_inbound``)."""
+
+    def _publish_unsubscribe_publish(self, **options):
+        """At one instant the subscriber's home receives an event, the
+        subscriber's Unsubscribe, and a second event; returns how many of
+        the two the home matched."""
+        system = make_system(**options)
+        publisher = system.create_publisher()
+        subscriber = system.create_subscriber()
+        sub = subscribe(system, subscriber, 'class = "Quote" and symbol = "A"')
+        home = subscriber.home_of(sub.subscription_id)
+        (stored,) = home.table.filters()
+        first = publisher._marshal(Quote("A", 1.0), "Quote")
+        second = publisher._marshal(Quote("A", 2.0), "Quote")
+        home.receive(first, home.parent)
+        assert home.queue_depth() == 1
+        home.receive(Unsubscribe(stored, subscriber), subscriber)
+        home.receive(second, home.parent)
+        system.drain()
+        assert home.queue_depth() == 0
+        assert home.counters.events_received == 2
+        return home.counters.events_matched
+
+    def test_unmanaged_broker_serves_queued_events_first(self):
+        assert self._publish_unsubscribe_publish() == 1
+
+    @pytest.mark.parametrize(
+        "options", [dict(service_rate=1000.0), dict(flow=FlowConfig())]
+    )
+    def test_managed_broker_leaves_them_to_the_service_loop(self, options):
+        assert self._publish_unsubscribe_publish(**options) == 0

@@ -16,6 +16,7 @@ plus the §4.3 refresh-or-restore renewal chain.  The gates here:
 """
 
 import os
+import time
 
 import pytest
 
@@ -23,7 +24,11 @@ from repro.core.engine import MultiStageEventSystem
 from repro.log.audit import AuditSubscription, verify_exactly_once
 from repro.log.config import LogConfig
 from repro.log.eventlog import EventLog
-from repro.runtime.multiprocess_backend import REMOTE, BrokerProxy
+from repro.runtime.multiprocess_backend import (
+    REMOTE,
+    BrokerProxy,
+    MultiprocessRuntime,
+)
 from repro.sim.kernel import SimulationError
 
 from tests.runtime.test_differential import run_workload
@@ -105,6 +110,47 @@ def test_restore_on_live_worker_raises():
         broker = system.hierarchy.nodes(1)[0]
         with pytest.raises(SimulationError, match="cannot restore"):
             system.restore(broker)
+
+
+# ---------------------------------------------------------------------------
+# Launch failure (used to be a silent 60 s wait for hellos that never come)
+
+
+@pytest.mark.parametrize("runtime", ["sim", "asyncio", "multiprocess"])
+def test_invalid_option_raises_before_anything_is_spawned(runtime, monkeypatch):
+    spawned = []
+    monkeypatch.setattr(MultiprocessRuntime, "_spawn", spawned.append)
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="service_rate must be positive"):
+        MultiStageEventSystem(stage_sizes=(2, 1), runtime=runtime, service_rate=-1.0)
+    assert not spawned
+    assert time.monotonic() - started < 5.0
+
+
+def test_worker_that_cannot_start_fails_the_launch_at_once(tmp_path, monkeypatch):
+    not_a_directory = tmp_path / "segments"
+    not_a_directory.write_text("a regular file where the log directory should be")
+    runtimes = []
+    launch = MultiprocessRuntime.launch
+
+    def recording_launch(runtime, transport, spec):
+        runtimes.append(runtime)
+        return launch(runtime, transport, spec)
+
+    monkeypatch.setattr(MultiprocessRuntime, "launch", recording_launch)
+    started = time.monotonic()
+    with pytest.raises(SimulationError, match=r"worker 'N\d\.\d' exited with code 1"):
+        MultiStageEventSystem(
+            stage_sizes=(2, 1),
+            runtime="multiprocess",
+            log=LogConfig(directory=str(not_a_directory)),
+        )
+    assert time.monotonic() - started < MultiprocessRuntime.hello_timeout / 2
+    # The facade closed what the failed launch had opened.
+    (runtime,) = runtimes
+    assert runtime._closed and runtime._control_server is None
+    for handle in runtime._workers.values():
+        assert not handle.process.is_alive()
 
 
 # ---------------------------------------------------------------------------
