@@ -13,7 +13,7 @@ This example:
 - builds a 3-broker hierarchy, one OS process per broker (watch the
   pids), with the driver hosting only the publisher and subscriber;
 - publishes quotes and shows them routed across process boundaries
-  using PR 8's length-prefixed JSON frame wire format unchanged;
+  using the asyncio backend's length-prefixed frame format unchanged;
 - SIGKILLs the subscriber's home broker mid-run;
 - restores it: a *fresh process* recovers purely from the on-disk JSONL
   event log and the §4.3 refresh-or-restore lease renewals, and

@@ -7,7 +7,7 @@ real localhost TCP — ``runtime="asyncio"`` swaps the ``Executor`` and
 ``Transport`` bindings and nothing else:
 
 - a publisher feeds a 2-level broker hierarchy over length-prefixed
-  JSON frames on real sockets;
+  binary frames on real sockets;
 - every broker persists its event log to JSONL segment files on disk;
 - the subscriber's home broker is killed mid-run (socket torn down,
   soft state and in-memory log gone);

@@ -42,6 +42,18 @@ class PropertyEvent(AbcMapping):
         object.__setattr__(self, "_properties", merged)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _owning(cls, properties: Dict[str, Any]) -> "PropertyEvent":
+        """Internal constructor: wrap ``properties`` as is.
+
+        The caller hands over a dict it built itself, with string names,
+        and keeps no reference to it: no copy, no validation loop.
+        """
+        event = object.__new__(cls)
+        object.__setattr__(event, "_properties", properties)
+        object.__setattr__(event, "_hash", None)
+        return event
+
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("PropertyEvent is immutable")
 
@@ -75,7 +87,7 @@ class PropertyEvent(AbcMapping):
         coordinated-weakening condition of Proposition 2.
         """
         keep = set(attributes)
-        return PropertyEvent(
+        return PropertyEvent._owning(
             {name: value for name, value in self._properties.items() if name in keep}
         )
 
@@ -83,12 +95,13 @@ class PropertyEvent(AbcMapping):
         """Functional update: a new event with the given properties set."""
         merged = dict(self._properties)
         merged.update(updates)
-        return PropertyEvent(merged)
+        return PropertyEvent._owning(merged)
 
     def __reduce__(self):
         # Immutability (__setattr__ raises) breaks pickle's default slot
-        # restoration; rebuild through the constructor instead.
-        return (PropertyEvent, (dict(self._properties),))
+        # restoration; rebuild through the owning constructor instead
+        # (the unpickled dict is fresh and belongs to nobody else).
+        return (_restore, (self._properties,))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PropertyEvent):
@@ -107,3 +120,8 @@ class PropertyEvent(AbcMapping):
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self._properties.items())
         return f"PropertyEvent({inner})"
+
+
+def _restore(properties: Dict[str, Any]) -> PropertyEvent:
+    """Unpickling hook of :meth:`PropertyEvent.__reduce__`."""
+    return PropertyEvent._owning(properties)

@@ -6,10 +6,13 @@ equivalent of a node id); names match the paper's vocabulary:
 renewal messages, advertisements, and event publication.
 """
 
+import pickle
+import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.core.advertisement import Advertisement
+from repro.events.base import PropertyEvent
 from repro.events.serialization import Envelope
 from repro.filters.filter import Filter
 
@@ -242,6 +245,25 @@ class CreditGrant:
     credits: int
 
 
+# The event record: one event as the socket runtimes put it on the wire
+# (the frame around a run of records is :mod:`repro.runtime.asyncio_backend`).
+#
+#     1 byte   flags: which of offset / published_at / event_id are set
+#     8 bytes  root log offset                      (signed, big-endian)
+#     8 bytes  published_at                         (IEEE double)
+#     8 bytes  event_id sequence number             (signed)
+#     2+4+4    byte lengths of the three parts that follow
+#     ...      event_id publisher name, UTF-8
+#     ...      the property set: C pickle of the plain ``{name: value}`` dict
+#     ...      the payload, raw: no broker opens it (section 2.2)
+_RECORD = struct.Struct("!BqdqHII")
+_RECORD_STAMP = struct.Struct("!Bq")  # the head a root re-stamps
+_HAS_OFFSET, _HAS_PUBLISHED_AT, _HAS_EVENT_ID = 1, 2, 4
+#: Property values a record carries; ``pickle`` keeps their exact type
+#: (``True`` is not ``1``: the engines bucket on it) and opens nothing.
+_PLAIN_VALUES = frozenset((str, int, float, bool, bytes, type(None)))
+
+
 @dataclass(frozen=True)
 class Publish:
     """An event on its way down the hierarchy (or into a subscriber).
@@ -252,20 +274,20 @@ class Publish:
     coordinate crash recovery replays from (see :mod:`repro.log`).
     ``None`` means "not yet through a logging root" (publisher→root leg,
     or a system with no log configured).
+
+    A ``Publish`` is immutable and travels by reference, so what is
+    worked out about it once is remembered in the instance ``__dict__``,
+    not among the dataclass fields: its simulated size (``_wire_size``)
+    and its socket record (``_record``).  ``repr``, ``==``, ``hash``,
+    ``asdict`` and pickles do not see either.
     """
 
     envelope: Envelope
     offset: Optional[int] = None
 
     def wire_size(self) -> int:
-        """``len(repr(self))``, rendered once per object.
-
-        A ``Publish`` is immutable and travels the simulated hierarchy
-        by reference, so every hop and every fan-out copy after the
-        first reads the remembered length.  It is kept in the instance
-        ``__dict__`` as ``_wire_size``, not among the dataclass fields:
-        ``repr``, ``==`` and ``hash`` do not see it.
-        """
+        """``len(repr(self))``, rendered once per object: every hop and
+        every fan-out copy after the first reads the remembered length."""
         try:
             return self._wire_size
         except AttributeError:
@@ -273,12 +295,115 @@ class Publish:
             size = self.__dict__["_wire_size"] = len(repr(self))
             return size
 
+    def record(self) -> Optional[bytes]:
+        """This event as one self-delimiting wire record, built once.
+
+        A broker forwarding a decoded ``Publish`` to k children and to
+        the next stage hands out the very bytes it parsed.  ``None``
+        when the record cannot carry the event *exactly* (an event id
+        that is not ``(str, int)``, a property value outside the plain
+        types, an integer beyond 64 bits): such a message travels
+        pickled whole instead.
+        """
+        try:
+            return self._record
+        except AttributeError:
+            pass
+        envelope, offset = self.envelope, self.offset
+        if type(envelope) is not Envelope:
+            return None
+        metadata, payload = envelope.metadata, envelope.payload
+        published_at, event_id = envelope.published_at, envelope.event_id
+        flags, publisher, seq = 0, b"", 0
+        if offset is not None:
+            flags |= _HAS_OFFSET
+        if published_at is not None:
+            flags |= _HAS_PUBLISHED_AT
+        if event_id is not None:
+            if type(event_id) is not tuple or len(event_id) != 2:
+                return None
+            name, seq = event_id
+            if type(name) is not str:
+                return None
+            flags |= _HAS_EVENT_ID
+            publisher = name.encode("utf-8", "surrogatepass")
+        if (
+            type(metadata) is not PropertyEvent
+            or type(payload) is not bytes
+            or type(offset) not in (int, type(None))
+            or type(published_at) not in (float, type(None))
+            or type(seq) is not int
+        ):
+            return None
+        plain = metadata._properties
+        if not _PLAIN_VALUES.issuperset(map(type, plain.values())):
+            return None
+        properties = pickle.dumps(plain, pickle.HIGHEST_PROTOCOL)
+        try:
+            head = _RECORD.pack(
+                flags,
+                0 if offset is None else offset,
+                0.0 if published_at is None else published_at,  # keeps -0.0
+                seq,
+                len(publisher),
+                len(properties),
+                len(payload),
+            )
+        except struct.error:  # an integer or a length beyond its field
+            return None
+        record = b"".join((head, publisher, properties, payload))
+        # The dataclass is frozen; and not through ``__dict__``, which
+        # would make every event on a socket run materialise one.
+        object.__setattr__(self, "_record", record)
+        return record
+
+    @classmethod
+    def from_record(cls, buffer: bytes, start: int) -> Tuple["Publish", int]:
+        """Parse the record at ``buffer[start:]``; returns the event and
+        the position after it.  The parsed slice is remembered, so the
+        next ``record()`` re-serialises nothing.  The payload is sliced
+        out, never opened."""
+        flags, offset, published_at, seq, n_publisher, n_properties, n_payload = (
+            _RECORD.unpack_from(buffer, start)
+        )
+        properties_at = start + _RECORD.size + n_publisher
+        payload_at = properties_at + n_properties
+        end = payload_at + n_payload
+        if end > len(buffer):
+            raise ValueError("truncated event record")
+        event_id = None
+        if flags & _HAS_EVENT_ID:
+            name = buffer[start + _RECORD.size : properties_at]
+            event_id = (name.decode("utf-8", "surrogatepass"), seq)
+        publish = cls(
+            Envelope(
+                PropertyEvent._owning(pickle.loads(buffer[properties_at:payload_at])),
+                buffer[payload_at:end],
+                published_at if flags & _HAS_PUBLISHED_AT else None,
+                event_id,
+            ),
+            offset if flags & _HAS_OFFSET else None,
+        )
+        object.__setattr__(publish, "_record", buffer[start:end])
+        return publish, end
+
+    def stamped(self, offset: int) -> "Publish":
+        """This event with the root's log offset set.  The offset is a
+        fixed field at the head of the record, so a remembered record is
+        carried over with its head rewritten, not rebuilt."""
+        stamped = Publish(self.envelope, offset)
+        record = getattr(self, "_record", None)
+        if record is not None:
+            head = _RECORD_STAMP.pack(record[0] | _HAS_OFFSET, offset)
+            object.__setattr__(
+                stamped, "_record", head + record[_RECORD_STAMP.size :]
+            )
+        return stamped
+
     def __getstate__(self) -> Dict[str, Any]:
-        """The fields alone: a remembered size never reaches a pickle
-        (socket frames, worker hand-off), which stays byte-identical."""
-        state = self.__dict__.copy()
-        state.pop("_wire_size", None)
-        return state
+        """The fields alone: nothing remembered reaches a pickle
+        (worker hand-off, pickled frames), which stays byte-identical."""
+        return {"envelope": self.envelope, "offset": self.offset}
 
 
 @dataclass(frozen=True)

@@ -1519,7 +1519,7 @@ class BrokerNode(Process):
             if log.next_offset != before:
                 self.counters.events_logged += 1
             if self.is_root and message.offset is None:
-                message = Publish(message.envelope, record.offset)
+                message = message.stamped(record.offset)
                 changed = True
             stamped.append(message)
         return tuple(stamped) if changed else batch

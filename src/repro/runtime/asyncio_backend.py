@@ -6,26 +6,37 @@ onto an asyncio event loop (``schedule`` → ``call_at``, ``now`` → loop
 time since construction), and :class:`TcpTransport` replaces the
 simulated link model with real localhost TCP sockets: every registered
 process gets its own listening server and an FSM-tracked endpoint, and
-``send`` writes length-prefixed JSON frames instead of scheduling a
+``send`` writes length-prefixed binary frames instead of scheduling a
 delivery event.
 
-Framing protocol (one frame per message)::
+Framing protocol (one frame per message, DESIGN §13)::
 
-    4 bytes   payload length, big-endian
-    N bytes   JSON: {"v": 1, "src": <sender name>,
-                     "kind": <message class name>,
-                     "body": <base64(pickle of the message)>}
+    4 bytes   frame length, this prefix included, big-endian
+              (at most ``MAX_FRAME_BYTES``; a reader hangs up on more)
+    8 bytes   header: version, kind, sender-name length, record count
+    ...       sender name, UTF-8
+    ...       body, by kind
+    4 bytes   CRC-32 of header, name and body
 
 Messages are the same dataclasses the simulator delivers by reference
-(:mod:`repro.overlay.messages`), and event payloads inside them are the
-same pre-pickled :class:`~repro.events.serialization.Envelope` bodies —
-the wire format reuses ``events/serialization.py`` wholesale.  The one
-wrinkle is that several control messages carry direct
+(:mod:`repro.overlay.messages`).  The data plane — ``Publish``,
+``PublishBatch``, ``DataFrame``, ``ReplayBatch``, ``CatchUpBatch``,
+bare or inside one ``Sequenced`` — has a kind each: the body is the
+message's few integer fields, fixed-width, and then one self-delimiting
+*record* per event (:meth:`repro.overlay.messages.Publish.record`: root
+offset, ``published_at`` and ``(publisher, seq)`` as fixed fields, the
+property set, and the payload as a raw length-prefixed slice that no
+broker opens).  A record is built once per ``Publish`` object and
+remembered on it, and decoding remembers the slice it parsed, so a
+broker forwarding an event to k children encodes with a ``bytes.join``.
+Every other message, and a data-plane message holding a value the
+record format cannot carry exactly, is ``kind`` 0: the body is the
+message pickled.  Control messages carry direct
 :class:`~repro.sim.kernel.Process` references (``JoinAt.node``,
-``SubscriptionRequest.subscriber``, ...).  Those are serialized as
-*name references* via a pickler ``persistent_id`` hook and resolved
-against the transport's registry on receive, so identity survives the
-wire without pickling a whole broker.
+``SubscriptionRequest.subscriber``, ...); those are pickled as *name
+references* via a ``persistent_id`` hook and resolved against the
+transport's registry on receive, so identity survives the wire without
+pickling a whole broker.
 
 Endpoint FSM (see DESIGN §13)::
 
@@ -43,19 +54,31 @@ machinery run over the reopened sockets.
 """
 
 import asyncio
-import base64
 import io
-import json
 import pickle
+import struct
+import zlib
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.tracing import EventTracer
+from repro.overlay.messages import (
+    CatchUpBatch,
+    DataFrame,
+    Publish,
+    PublishBatch,
+    ReplayBatch,
+    Sequenced,
+)
 from repro.sim.kernel import Process, SimulationError
 from repro.sim.network import Link, NetworkStats
 
-FRAME_VERSION = 1
+FRAME_VERSION = 2
 _HEADER_SIZE = 4
+#: Largest frame a reader accepts, length prefix included.  A length
+#: outside ``_HEADER_SIZE + 1 .. MAX_FRAME_BYTES`` is a corrupt or
+#: hostile prefix: the connection is closed before anything is buffered.
+MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 # Endpoint FSM states.
 INIT = "init"
@@ -70,6 +93,36 @@ STOPPED = "stopped"
 # ----------------------------------------------------------------------
 # Frame codec
 # ----------------------------------------------------------------------
+
+#: Version, kind, byte length of the sender name, number of records.
+_HEAD = struct.Struct("!BBHI")
+_SEQUENCED = struct.Struct("!qq")  # epoch, seq
+_NO_FIELDS = struct.Struct("!")
+#: A frame ends in the CRC-32 of everything before it, little-endian,
+#: which makes the CRC-32 of the *whole* frame this constant: the check
+#: is one pass over the bytes as they arrived, with nothing sliced off.
+_TRAILER = struct.Struct("<I")
+_CRC_RESIDUE = 0x2144DF1C
+
+#: ``kind`` of a frame whose body is the pickled message.
+_PICKLE = 0
+_PUBLISH = 1
+#: ``kind`` bit: the run travels inside ``Sequenced(epoch, seq, ...)``.
+_IN_SEQUENCED = 0x80
+#: The data plane.  ``kind -> (message class, its fields besides the
+#: run of events, their fixed encoding)``; a single ``Publish`` is the
+#: run itself.  ``?`` demands a ``bool`` and ``q`` an ``int``.
+_RUN_KINDS = {
+    _PUBLISH: (Publish, (), _NO_FIELDS),
+    2: (PublishBatch, (), _NO_FIELDS),
+    3: (DataFrame, ("seq",), struct.Struct("!q")),
+    4: (ReplayBatch, (), _NO_FIELDS),
+    5: (CatchUpBatch, ("subscription_id", "history"), struct.Struct("!q?")),
+}
+_KIND_OF = {
+    cls: (kind, names, layout) for kind, (cls, names, layout) in _RUN_KINDS.items()
+}
+_FIELD_TYPES = {"q": int, "?": bool}
 
 
 class _ProcessRefPickler(pickle.Pickler):
@@ -90,31 +143,139 @@ class _ProcessRefUnpickler(pickle.Unpickler):
         return self._resolve(pid)
 
 
+def _pack_fields(layout: struct.Struct, values: tuple) -> Optional[bytes]:
+    """``values`` in ``layout``, or ``None`` unless every value has
+    exactly the type its field decodes to, and fits."""
+    for code, value in zip(layout.format[1:], values):
+        if type(value) is not _FIELD_TYPES[code]:
+            return None
+    try:
+        return layout.pack(*values)
+    except struct.error:
+        return None
+
+
+def _run_parts(message: Any) -> Optional[Tuple[int, int, List[bytes]]]:
+    """``(kind, record count, body parts)`` of a data-plane message, or
+    ``None`` when the record format cannot carry it exactly.  That is
+    decided by the types of the values in it, never by a setting."""
+    flag, parts = 0, []
+    if type(message) is Sequenced:
+        numbering = _pack_fields(_SEQUENCED, (message.epoch, message.seq))
+        if numbering is None:
+            return None
+        flag, parts, message = _IN_SEQUENCED, [numbering], message.payload
+    known = _KIND_OF.get(type(message))
+    if known is None:
+        return None
+    kind, names, layout = known
+    if names:
+        fields = _pack_fields(layout, tuple(getattr(message, n) for n in names))
+        if fields is None:
+            return None
+        parts.append(fields)
+    run = (message,) if kind == _PUBLISH else message.publishes
+    if type(run) is not tuple:
+        return None
+    try:
+        # A forwarding broker's case: every record is remembered.
+        parts += [publish._record for publish in run]
+    except AttributeError:
+        for publish in run:
+            record = publish.record() if type(publish) is Publish else None
+            if record is None:
+                return None
+            parts.append(record)
+    return flag | kind, len(run), parts
+
+
 def encode_frame(src_name: str, message: Any) -> bytes:
-    """One message as the JSON frame payload (without the length prefix)."""
-    buffer = io.BytesIO()
-    _ProcessRefPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(message)
-    return json.dumps(
-        {
-            "v": FRAME_VERSION,
-            "src": src_name,
-            "kind": type(message).__name__,
-            "body": base64.b64encode(buffer.getvalue()).decode("ascii"),
-        },
-        sort_keys=True,
-    ).encode("utf-8")
+    """One message as a frame payload (without the length prefix).
+
+    A run of events is a header and the events' records joined: a
+    record is built once per ``Publish`` and remembered on it, so a
+    forwarding broker re-serialises nothing.  Everything else is the
+    message pickled (``Process`` references as names), as raw bytes.
+    """
+    run = _run_parts(message)
+    if run is None:
+        buffer = io.BytesIO()
+        _ProcessRefPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(message)
+        run = _PICKLE, 0, [buffer.getvalue()]
+    kind, count, parts = run
+    name = src_name.encode("utf-8", "surrogatepass")
+    parts[:0] = _HEAD.pack(FRAME_VERSION, kind, len(name), count), name
+    body = b"".join(parts)
+    return body + _TRAILER.pack(zlib.crc32(body))
+
+
+def frame_sender(payload: bytes) -> Optional[str]:
+    """The sender name in a frame's header, checked against nothing:
+    who to book a frame on when :func:`decode_frame` refused it.
+    ``None`` when the header itself does not parse."""
+    try:
+        version, _, name_size, _ = _HEAD.unpack_from(payload)
+        name = payload[_HEAD.size : _HEAD.size + name_size]
+        if version != FRAME_VERSION or len(name) != name_size:
+            return None
+        return name.decode("utf-8", "surrogatepass")
+    except (struct.error, ValueError):
+        return None
 
 
 def decode_frame(
     payload: bytes, resolve: Callable[[str], Process]
 ) -> Tuple[str, Any]:
-    """Parse a frame payload back into ``(sender name, message)``."""
-    obj = json.loads(payload.decode("utf-8"))
-    if obj.get("v") != FRAME_VERSION:
-        raise ValueError(f"unsupported frame version {obj.get('v')!r}")
-    buffer = io.BytesIO(base64.b64decode(obj["body"]))
-    message = _ProcessRefUnpickler(buffer, resolve).load()
-    return obj["src"], message
+    """Parse a frame payload back into ``(sender name, message)``.
+
+    Raises ``ValueError``, and nothing else, on a frame that is
+    truncated, of another version, fails its checksum (so corrupt bytes
+    are never unpickled) or names an unknown process.  Event payloads
+    are sliced out of the frame, never opened.
+    """
+    try:
+        return _decode(payload, resolve)
+    except ValueError:
+        raise
+    except Exception as exc:  # struct, pickle, a class this side lacks
+        raise ValueError(f"undecodable frame: {exc!r}") from exc
+
+
+def _decode(payload: bytes, resolve: Callable[[str], Process]) -> Tuple[str, Any]:
+    if len(payload) < _HEAD.size + _TRAILER.size:
+        raise ValueError(f"truncated frame ({len(payload)} bytes)")
+    version, kind, name_size, count = _HEAD.unpack_from(payload)
+    if version != FRAME_VERSION:
+        raise ValueError(f"unsupported frame version {version!r}")
+    if zlib.crc32(payload) != _CRC_RESIDUE:
+        raise ValueError("frame checksum mismatch")
+    position = _HEAD.size + name_size
+    src_name = payload[_HEAD.size : position].decode("utf-8", "surrogatepass")
+    if kind == _PICKLE:
+        buffer = io.BytesIO(payload)
+        buffer.seek(position)
+        return src_name, _ProcessRefUnpickler(buffer, resolve).load()
+    numbering = None
+    if kind & _IN_SEQUENCED:
+        numbering = _SEQUENCED.unpack_from(payload, position)
+        position += _SEQUENCED.size
+    cls, names, layout = _RUN_KINDS[kind & ~_IN_SEQUENCED]
+    fields = layout.unpack_from(payload, position)
+    position += layout.size
+    run = []
+    from_record = Publish.from_record
+    for _ in range(count):
+        publish, position = from_record(payload, position)
+        run.append(publish)
+    if position != len(payload) - _TRAILER.size:
+        raise ValueError("the records do not end where the frame does")
+    if cls is Publish:
+        (message,) = run
+    else:
+        message = cls(publishes=tuple(run), **dict(zip(names, fields)))
+    if numbering is not None:
+        message = Sequenced(*numbering, message)
+    return src_name, message
 
 
 # ----------------------------------------------------------------------
@@ -506,6 +667,10 @@ class TcpTransport:
         if src.crashed:
             self.stats.record_drop(link, size)
             return
+        if size > MAX_FRAME_BYTES:  # the receiver would close on it
+            self.errors.append(f"{size}-byte frame from {src.name} refused")
+            self.stats.record_drop(link, size)
+            return
         self.stats.record_scheduled()
         self.runtime._inflight += 1
         wire = self._wire.get((src.name, dst.name))
@@ -640,6 +805,13 @@ class TcpTransport:
             while True:
                 header = await reader.readexactly(_HEADER_SIZE)
                 size = int.from_bytes(header, "big")
+                if not _HEADER_SIZE < size <= MAX_FRAME_BYTES:
+                    # Nothing after a wrong length can be framed: this
+                    # connection ends here, before any of it is buffered.
+                    self._refuse(
+                        endpoint, None, _HEADER_SIZE, f"frame length {size}"
+                    )
+                    break
                 payload = await reader.readexactly(size - _HEADER_SIZE)
                 self._dispatch(endpoint, payload, size)
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
@@ -658,19 +830,8 @@ class TcpTransport:
         process = endpoint.process
         try:
             src_name, message = decode_frame(payload, self.lookup)
-        except Exception as exc:  # codec failure: surface, drop the frame
-            # The sender is unknowable without a decoded frame; settle an
-            # arbitrary in-flight entry bound for this endpoint so the
-            # occupancy registry stays consistent with the counter.
-            for (src, dst), wire in self._wire.items():
-                if dst == process.name and wire:
-                    self._settle(src, dst)
-                    break
-            else:
-                self.stats.record_arrival()
-                self.runtime._inflight -= 1
-            self.errors.append(f"decode for {process.name}: {exc!r}")
-            self.stats.record_drop(None, size)
+        except ValueError as exc:
+            self._refuse(endpoint, frame_sender(payload), size, f"decode: {exc!r}")
             return
         settled = self._settle(src_name, process.name)
         link = self._links.get((src_name, process.name))
@@ -693,6 +854,37 @@ class TcpTransport:
             process.receive(message, self._by_name.get(src_name))
         except Exception as exc:  # keep the read loop alive; tests check
             self.errors.append(f"{process.name} receive: {exc!r}")
+
+    def _refuse(
+        self, endpoint: _Endpoint, src_name: Optional[str], size: int, why: str
+    ) -> None:
+        """Book a frame that cannot be delivered: surfaced in ``errors``,
+        counted as a drop, and its in-flight entry settled.
+
+        ``src_name`` comes from the frame's header when that still
+        parses, so a corrupt body is booked on the pair and the link it
+        travelled.  ``None`` is a corrupt header or length prefix: the
+        sender is unknowable, and any in-flight entry bound for this
+        endpoint is settled so the registry stays consistent with the
+        counter.  A frame nobody here accounted for (a sender in another
+        process settles at its write) settles nothing.
+        """
+        dst_name = endpoint.process.name
+        if src_name is None:
+            src_name = next(
+                (
+                    src
+                    for (src, dst), wire in self._wire.items()
+                    if dst == dst_name and wire
+                ),
+                None,
+            )
+        link = None
+        if src_name is not None:
+            self._settle(src_name, dst_name)
+            link = self._links.get((src_name, dst_name))
+        self.errors.append(f"{why} at {dst_name}")
+        self.stats.record_drop(link, size)
 
     # -- crash lifecycle (the endpoint FSM's externally driven edges) --
 

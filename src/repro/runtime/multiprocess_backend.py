@@ -13,13 +13,15 @@ segments and the paper's §4.3 refresh-or-restore renewals.
 Wire protocol
 -------------
 
-Unchanged from PR 8: length-prefixed JSON frames
-(:func:`repro.runtime.asyncio_backend.encode_frame`), with ``Process``
-references travelling as name refs.  Frames carry a source name but no
-destination — addressing is *which server socket the frame arrives at*
-— so the one-listening-server-per-process model maps directly onto
-processes: each worker binds one data server for its broker, and the
-driver binds one per local publisher/subscriber.  Name refs resolve
+The asyncio backend's, unchanged: length-prefixed binary frames
+(:func:`repro.runtime.asyncio_backend.encode_frame` — events as records
+a broker process forwards without re-serialising or opening them,
+everything else pickled), with ``Process`` references travelling as
+name refs.  Frames carry a source name but no destination — addressing
+is *which server socket the frame arrives at* — so the
+one-listening-server-per-process model maps directly onto processes:
+each worker binds one data server for its broker, and the driver binds
+one per local publisher/subscriber.  Name refs resolve
 against each process's local registry, where every non-local name is a
 :class:`RemoteProcess` / :class:`BrokerProxy` stand-in registered at
 the same name.  Because the stand-ins are per-name singletons, identity

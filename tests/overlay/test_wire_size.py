@@ -8,6 +8,7 @@ parametrised over the module's dataclasses, so a kind added there
 without a case in ``cases()`` fails under its own name.
 """
 
+import copy
 import dataclasses
 import pickle
 
@@ -46,7 +47,7 @@ from repro.overlay.messages import (
     Withdraw,
 )
 from repro.overlay.subscriber import SubscriberRuntime
-from repro.runtime.asyncio_backend import encode_frame
+from repro.runtime.asyncio_backend import decode_frame, encode_frame
 from repro.sim.kernel import Process, Simulator
 from repro.sim.network import Network, _default_sizer
 
@@ -214,13 +215,25 @@ def test_remembered_size_is_invisible_outside_sizing():
     fresh, sized = publishes(1)[0], publishes(1)[0]
     frame = encode_frame("feed", PublishBatch((sized,)))
     assert sized.wire_size() == len(repr(fresh))
+    # Both memos are taken now: the simulated size and the socket record.
+    assert sized.record() is sized.record() and sized.record() in frame
+    _, arrived = decode_frame(frame, None)
+    (parsed,) = arrived.publishes  # remembers the slice it was parsed from
+    assert parsed.record() == sized.record()
 
-    assert repr(sized) == repr(fresh)
-    assert sized == fresh and hash(sized) == hash(fresh)
-    assert dataclasses.asdict(sized) == dataclasses.asdict(fresh)
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        assert pickle.dumps(sized, protocol) == pickle.dumps(fresh, protocol)
-    # Socket frames: the same bytes before and after the size was taken.
-    assert encode_frame("feed", PublishBatch((sized,))) == frame
-    restored = pickle.loads(pickle.dumps(sized))
-    assert restored == sized and vars(restored) == vars(fresh)
+    for remembering in (sized, parsed):
+        assert repr(remembering) == repr(fresh)
+        assert remembering == fresh and hash(remembering) == hash(fresh)
+        assert dataclasses.asdict(remembering) == dataclasses.asdict(fresh)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(remembering, protocol) == pickle.dumps(fresh, protocol)
+        # Socket frames: the same bytes before and after the memos were taken.
+        assert encode_frame("feed", PublishBatch((remembering,))) == frame
+        for copied in (
+            pickle.loads(pickle.dumps(remembering)),
+            copy.copy(remembering),
+            dataclasses.replace(remembering),
+        ):
+            assert copied == remembering and vars(copied) == vars(fresh)
+    # A changed field is a different event: nothing remembered follows it.
+    assert vars(dataclasses.replace(sized, offset=4)) == vars(Publish(fresh.envelope, 4))

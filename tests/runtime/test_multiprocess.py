@@ -31,6 +31,7 @@ from repro.runtime.multiprocess_backend import (
 )
 from repro.sim.kernel import SimulationError
 
+from tests.runtime import frame_reference
 from tests.runtime.test_differential import run_workload
 
 STOCK_SCHEMA = ("class", "symbol", "price")
@@ -67,6 +68,16 @@ def test_three_backend_differential(seed):
     mp_sets = run_workload("multiprocess", seed)
     assert sim_sets == mp_sets
     assert all(sim_sets.values())  # not vacuous: everyone saw something
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_reference_and_binary_codec_deliver_the_same_sets(seed):
+    # Driver and broker processes alike on the pre-binary codec, kept
+    # under tests/ as the oracle (the workers import it by name).
+    with frame_reference.installed():
+        reference_sets = run_workload("multiprocess", seed)
+    assert run_workload("multiprocess", seed) == reference_sets
+    assert all(reference_sets.values())
 
 
 # ---------------------------------------------------------------------------
