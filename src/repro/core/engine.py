@@ -88,7 +88,6 @@ class MultiStageEventSystem:
         cache: bool = True,
         batch: bool = True,
         aggregate: bool = True,
-        reliable: bool = True,
         tracing: bool = False,
         flow: Optional[FlowConfig] = None,
         service_rate: Optional[float] = None,
@@ -111,7 +110,6 @@ class MultiStageEventSystem:
             cache=cache,
             batch=batch,
             aggregate=aggregate,
-            reliable=reliable,
             flow=flow,
             service_rate=service_rate,
             service_batch=service_batch,
@@ -154,7 +152,6 @@ class MultiStageEventSystem:
             self.network = TcpTransport(
                 self.sim, default_latency=link_latency, tracer=self.tracer
             )
-        self.reliable = reliable
         #: Flow-control knobs, also plumbed to every publisher and
         #: subscriber this system creates (None = flow control off).
         self.flow = flow
@@ -261,7 +258,6 @@ class MultiStageEventSystem:
             self.root,
             ttl=self.ttl,
             trace=self.trace,
-            reliable=self.reliable,
             tracer=self.tracer,
             flow=self.flow,
         )
@@ -296,7 +292,6 @@ class MultiStageEventSystem:
             self.network,
             name or self._fresh_name("flows"),
             ttl=self.ttl,
-            reliable=self.reliable,
             control_window=self.flow.control_window if self.flow else None,
             tracer=self.tracer,
         )

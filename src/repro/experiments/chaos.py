@@ -100,7 +100,6 @@ class ChaosConfig:
     #: Give up measuring convergence after this long past heal.
     max_convergence: float = 80.0
     aggregate: bool = True
-    reliable: bool = True
     #: Causal span tracing + per-stage sampling (the observability layer).
     tracing: bool = False
     sample_interval: float = 0.5
@@ -157,7 +156,6 @@ def _build_system(config: ChaosConfig):
         ttl=config.ttl,
         seed=config.seed,
         aggregate=config.aggregate,
-        reliable=config.reliable,
         tracing=config.tracing,
     )
     system.advertise(CHAOS_EVENT_CLASS, schema=SCHEMA)

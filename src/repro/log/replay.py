@@ -206,7 +206,7 @@ class Replayer:
             if self.node.tracer.enabled:
                 for message in run:
                     self._replay_span(message, "tap", session.subscriber.name)
-            self.node._send_peer(
+            self.node.links.send(
                 session.subscriber,
                 CatchUpBatch(session.subscription_id, tuple(run), history=False),
             )
@@ -279,7 +279,7 @@ class Replayer:
             if self.node.tracer.enabled:
                 for message in run:
                     self._replay_span(message, "history", session.subscriber.name)
-            self.node._send_peer(
+            self.node.links.send(
                 session.subscriber,
                 CatchUpBatch(session.subscription_id, tuple(run), history=True),
             )
@@ -296,7 +296,7 @@ class Replayer:
             sid=session.subscription_id,
             replayed=session.replayed,
         )
-        self.node._send_peer(
+        self.node.links.send(
             session.subscriber,
             CatchUpDone(session.subscription_id, session.replayed),
         )
@@ -313,7 +313,7 @@ class Replayer:
                 replayed=session.replayed,
                 taps=session.taps,
             )
-            self.node._send_peer(
+            self.node.links.send(
                 session.subscriber, CatchUpLive(session.subscription_id)
             )
 
@@ -386,7 +386,7 @@ class Replayer:
             if self.node.tracer.enabled:
                 for message in run:
                     self._replay_span(message, "recovery", session.requester.name)
-            self.node._send_peer(session.requester, ReplayBatch(tuple(run)))
+            self.node.links.send(session.requester, ReplayBatch(tuple(run)))
         if session.cursor >= session.fence:
             del self._recovery[session.requester.name]
             self._session_span(

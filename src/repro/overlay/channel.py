@@ -20,13 +20,18 @@ Epochs handle crash/restart: a sender that loses its state restarts at
 fresh channel (expected seq 0) and drop stale-epoch frames.  Receivers
 with no state adopt the first frame they see, which tolerates receivers
 that themselves lost state.
+
+A process never holds a sender or receiver itself: :class:`PeerLinks`
+owns them all, and is the one place the crash edge, the ``ChannelReset``
+edge and the routing of acks to channels are decided.
 """
 
 from collections import OrderedDict, deque
-from typing import Any, Callable, Deque, Dict, Optional
+from functools import partial
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from repro.overlay.messages import Ack, Sequenced
-from repro.runtime.base import Executor
+from repro.runtime.base import Executor, Transport
 
 #: Initial retransmission timeout.  Links default to 1 ms latency, so
 #: 50 ms comfortably exceeds one RTT while staying well under the renewal
@@ -260,8 +265,120 @@ class ReliableReceiver:
                 deliver(ready.payload)
         return self._ack()
 
+
+def retransmit_details(
+    peer: str, epoch: int, frames: Tuple[Sequenced, ...]
+) -> Tuple[Tuple[str, Any], ...]:
+    """The details of a ``retransmit`` span (one shape for every owner)."""
+    return (
+        ("peer", peer),
+        ("epoch", epoch),
+        ("frames", len(frames)),
+        ("payloads", ",".join(type(f.payload).__name__ for f in frames)),
+    )
+
+
+class PeerLinks:
+    """Every reliable link of one process, by peer *name*.
+
+    The name is the stable process identity on a network; an ``id()``
+    key would let a recycled object id inherit a dead peer's state.
+    Toward each peer there is at most one :class:`ReliableSender`,
+    opened by the first :meth:`send`, and from each peer at most one
+    :class:`ReliableReceiver`, opened by its first frame — so all the
+    owner says to one peer is one ordered stream, and an ``Ack`` only
+    ever reaches the channel of the peer that sent it.
+
+    Two edges end a link's incarnation: :meth:`forget`, one peer lost
+    its state (``ChannelReset``), and :meth:`reset`, the owner lost its
+    own (crash).  Both keep the sender *objects* and reset them, so
+    epochs rise monotonically (a fresh object would reuse epoch 0 and be
+    dropped as stale by a peer that kept its receiver), and both leave
+    no retransmit timer armed.
+
+    ``window`` bounds each sender's outstanding frames and is the
+    reorder capacity each receiver advertises (``None``: unbounded,
+    nothing advertised).  ``on_retransmit(peer name, epoch, frames)``
+    hears every timeout resend.
+    """
+
+    __slots__ = ("owner", "network", "window", "on_retransmit", "_senders", "_receivers")
+
+    def __init__(
+        self,
+        owner: Any,
+        network: Transport,
+        window: Optional[int] = None,
+        on_retransmit: Optional[Callable[[str, int, tuple], None]] = None,
+    ):
+        #: The process whose links these are (frames are sent as it).
+        self.owner = owner
+        self.network = network
+        self.window = window
+        self.on_retransmit = on_retransmit
+        self._senders: Dict[str, ReliableSender] = {}
+        self._receivers: Dict[str, ReliableReceiver] = {}
+
+    def send(self, peer: Any, payload: Any) -> None:
+        """Send one payload to ``peer`` in order, retransmitted until
+        acked, behind everything already sent to it."""
+        sender = self._senders.get(peer.name)
+        if sender is None:
+            owner, network, hook = self.owner, self.network, self.on_retransmit
+            sender = self._senders[peer.name] = ReliableSender(
+                owner.sim,
+                lambda frame: network.send(owner, peer, frame),
+                observer=partial(hook, peer.name) if hook is not None else None,
+                window=self.window,
+            )
+        sender.send(payload)
+
+    def on_ack(self, sender: Any, ack: Ack) -> None:
+        """Route an ack to the channel toward the peer that sent it; an
+        ack from a peer the owner never sent to is ignored."""
+        channel = self._senders.get(sender.name)
+        if channel is not None:
+            channel.on_ack(ack)
+
+    def on_frame(
+        self, frame: Sequenced, sender: Any, deliver: Callable[[Any], None]
+    ) -> Tuple[int, bool]:
+        """Take one frame from ``sender``: newly in-order payloads go
+        through ``deliver``, then the cumulative ack goes back.
+
+        Returns ``(duplicates discarded, new epoch adopted)``.  The
+        second is True when a known peer opened a higher epoch — it
+        restarted and its ``ChannelReset`` never arrived."""
+        receiver = self._receivers.get(sender.name)
+        if receiver is None:
+            receiver = self._receivers[sender.name] = ReliableReceiver(self.window)
+        dups_before, epoch_before = receiver.dups_discarded, receiver.epoch
+        ack = receiver.on_frame(frame, deliver)
+        self.network.send(self.owner, sender, ack)
+        return (
+            receiver.dups_discarded - dups_before,
+            epoch_before is not None and receiver.epoch != epoch_before,
+        )
+
+    def forget(self, peer: Any) -> Optional[int]:
+        """``peer`` lost its state: drop what was heard from it, abandon
+        what is in flight toward it and open a fresh epoch.  Returns the
+        new epoch, or ``None`` when nothing was ever sent to it."""
+        self._receivers.pop(peer.name, None)
+        sender = self._senders.get(peer.name)
+        if sender is None:
+            return None
+        sender.reset()
+        return sender.epoch
+
     def reset(self) -> None:
-        """Forget the peer's channel (it announced a new incarnation)."""
-        self.epoch = None
-        self.expected = 0
-        self.buffer.clear()
+        """The owner crashed: every receiver is gone, every sender
+        abandons its frames and timer and moves to its next epoch."""
+        self._receivers.clear()
+        for sender in self._senders.values():
+            sender.reset()
+
+    @property
+    def idle(self) -> bool:
+        """True when every frame sent to any peer has been acknowledged."""
+        return all(sender.idle for sender in self._senders.values())

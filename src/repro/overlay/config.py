@@ -48,9 +48,6 @@ class BrokerConfig:
     #: Covering-based subscription aggregation on the uplinks (§4,
     #: Definition 2 / Proposition 1).
     aggregate: bool = True
-    #: Carry uplink control traffic on the acked, sequence-numbered
-    #: channel; off is the ablation baseline.
-    reliable: bool = True
     #: Credit flow control, bounded queues and overload shedding.
     #: ``None``: the inbound queue is unbounded and no link carries a
     #: credit window.  Set (or ``service_rate`` set), the broker is

@@ -54,7 +54,7 @@ from repro.flow import BoundedQueue, CreditWindow, OverloadDetector
 from repro.log.eventlog import EventLog
 from repro.metrics.counters import NodeCounters
 from repro.obs.tracing import EventTracer
-from repro.overlay.channel import ReliableReceiver, ReliableSender
+from repro.overlay.channel import PeerLinks, retransmit_details
 from repro.overlay.config import BrokerConfig
 from repro.overlay.messages import (
     AcceptedAt,
@@ -178,15 +178,19 @@ class BrokerNode(Process):
         self.counters = NodeCounters()
         #: Per-event-class uplink aggregation state (empty at the root).
         self._uplinks: Dict[str, _UpLink] = {}
-        # Reliable control channel state: one sender toward the parent
-        # (the only order-sensitive direction), one receiver per framing
-        # peer, and the highest ChannelReset incarnation seen per peer.
-        # Both maps are keyed by the peer's *name* — the stable process
-        # identity on this network (Network enforces uniqueness).  Keying
-        # by id() would let a recycled object id silently inherit a dead
-        # peer's channel state and discard its legitimate resets.
-        self._up_sender: Optional[ReliableSender] = None
-        self._receivers: Dict[str, ReliableReceiver] = {}
+        #: Every reliable control link of this broker: the uplink (order-
+        #: sensitive req-Insert / Withdraw / Renewal traffic and grants
+        #: to the parent), grants to publishers, replay streams.
+        self.links = PeerLinks(
+            self,
+            network,
+            config.flow.control_window if config.flow is not None else None,
+            self._on_retransmit,
+        )
+        #: The highest ChannelReset incarnation seen per peer *name* —
+        #: the stable process identity on this network.  Keying by id()
+        #: would let a recycled object id silently inherit a dead peer's
+        #: history and discard its legitimate resets.
         self._peer_incarnations: Dict[str, int] = {}
         self._was_maintained = False
         self.table: MatchEngine = self._new_engine()
@@ -223,8 +227,6 @@ class BrokerNode(Process):
         self._drain_paused = False
         #: Credit-controlled links by downstream peer name.
         self._downlinks: Dict[str, _DownLink] = {}
-        #: Reliable channels carrying credit grants to publishers.
-        self._credit_senders: Dict[str, ReliableSender] = {}
         #: Event sources (by name) we owe credit grants to.
         self._event_sources: Dict[str, Process] = {}
         # ---- Durable event log and replay (PR 6) -----------------------
@@ -288,11 +290,6 @@ class BrokerNode(Process):
         """
         return make_engine(self.config.engine, self.config.cache, self.counters.cache)
 
-    @property
-    def _control_window(self) -> Optional[int]:
-        """Outstanding-frame bound of this broker's reliable channels."""
-        return self.flow.control_window if self.flow is not None else None
-
     def _span(
         self, kind: str, *details: Tuple[str, Any], trace_id: Optional[Tuple] = None
     ) -> None:
@@ -338,43 +335,25 @@ class BrokerNode(Process):
             return
         if isinstance(message, Ack):
             # Acks touch only channel bookkeeping, never routing state:
-            # no publish flush (batching must match the unreliable run)
-            # and no control_messages count (they are overhead frames).
-            # Acks from the parent belong to the uplink; acks from a
-            # publisher belong to its credit-grant channel.
-            if sender is not self.parent:
-                credit_sender = self._credit_senders.get(sender.name)
-                if credit_sender is not None:
-                    credit_sender.on_ack(message)
-                    return
-            if self._up_sender is not None:
-                self._up_sender.on_ack(message)
+            # no publish flush and no control_messages count (they are
+            # overhead frames).
+            self.links.on_ack(sender, message)
             return
         # Control messages mutate routing state: an unmanaged broker
         # serves its queued events first.
         self._flush_inbound()
         if isinstance(message, Sequenced):
-            receiver = self._receivers.get(sender.name)
-            if receiver is None:
-                receiver = self._receivers[sender.name] = ReliableReceiver(
-                    capacity=self._control_window
-                )
-            before = receiver.dups_discarded
-            epoch_before = receiver.epoch
-            ack = receiver.on_frame(
-                message, lambda payload: self._apply_control(payload, sender)
+            dups, new_epoch = self.links.on_frame(
+                message, sender, lambda payload: self._apply_control(payload, sender)
             )
-            self.counters.control_dups_discarded += (
-                receiver.dups_discarded - before
-            )
-            if epoch_before is not None and receiver.epoch != epoch_before:
+            self.counters.control_dups_discarded += dups
+            if new_epoch:
                 # The peer opened a new channel epoch without us seeing a
                 # ChannelReset (the reset was lost to the wire): treat the
                 # epoch adoption as the reset, so its credit window comes
                 # back full instead of deadlocking on credits that died
                 # with the old incarnation.
                 self._reset_downlink(sender)
-            self.network.send(self, sender, ack)
             return
         if isinstance(message, ChannelReset):
             self._on_channel_reset(message, sender)
@@ -714,48 +693,24 @@ class BrokerNode(Process):
     # the replacement req-Insert before the Withdraw" discipline only
     # survives the wire if the parent applies the two in that order.
     # All req-Insert / Withdraw / Renewal traffic to the parent therefore
-    # rides the acked, sequence-numbered channel (unless ``reliable`` is
-    # off, the ablation baseline).
+    # rides the acked, sequence-numbered link ``self.links`` keeps to it.
 
     def _send_up(self, payload: Any) -> None:
-        """Send one control message to the parent (reliably when enabled)."""
-        if self.parent is None:
-            return
-        if not self.config.reliable:
-            self.network.send(self, self.parent, payload)
-            return
-        if self._up_sender is None:
-            self._up_sender = ReliableSender(
-                self.sim,
-                self._send_up_raw,
-                self._count_retransmits,
-                observer=self._trace_retransmits,
-                window=self._control_window,
-            )
-        self._up_sender.send(payload)
+        """Send one control message to the parent."""
+        self.links.send(self.parent, payload)
 
-    def _send_up_raw(self, frame: Sequenced) -> None:
-        self.network.send(self, self.parent, frame)
-
-    def _count_retransmits(self, frames: int) -> None:
-        self.counters.control_retransmits += frames
-
-    def _trace_retransmits(self, epoch: int, frames: Tuple[Sequenced, ...]) -> None:
-        if not self.tracer.enabled:
-            return
-        self._span(
-            "retransmit",
-            ("peer", self.parent.name if self.parent is not None else "?"),
-            ("epoch", epoch),
-            ("frames", len(frames)),
-            ("payloads", ",".join(type(f.payload).__name__ for f in frames)),
-        )
+    def _on_retransmit(self, peer: str, epoch: int, frames: tuple) -> None:
+        self.counters.control_retransmits += len(frames)
+        # Spans on the uplink only (extending them renumbers Span.seq).
+        uplink = self.parent is not None and peer == self.parent.name
+        if uplink and self.tracer.enabled:
+            self._span("retransmit", *retransmit_details(peer, epoch, frames))
 
     @property
     def uplink_idle(self) -> bool:
-        """True when every reliable uplink frame has been acknowledged
-        (convergence probes use this to detect a quiesced control plane)."""
-        return self._up_sender is None or self._up_sender.idle
+        """True when every reliable frame this broker sent is acked
+        (convergence probes: a quiesced control plane)."""
+        return self.links.idle
 
     def _on_channel_reset(self, message: ChannelReset, sender: Process) -> None:
         """A neighbour restarted: drop its channel state; if it is our
@@ -764,7 +719,9 @@ class BrokerNode(Process):
         if known is not None and known >= message.incarnation:
             return  # duplicate / stale reset
         self._peer_incarnations[sender.name] = message.incarnation
-        self._receivers.pop(sender.name, None)
+        # Abandon in-flight frames (the peer forgot the channel anyway)
+        # and open a fresh epoch toward it.
+        epoch = self.links.forget(sender)
         # The restarted peer restarts its data-frame numbering too.
         self._data_expected.pop(sender.name, None)
         if self._replayer is not None:
@@ -773,20 +730,12 @@ class BrokerNode(Process):
             # The peer's incarnation died with whatever credits it held:
             # reset-to-full (see flow.credits) rather than leak them.
             self._reset_downlink(sender)
-            credit_sender = self._credit_senders.get(sender.name)
-            if credit_sender is not None:
-                credit_sender.reset()
         self._span(
             "channel-reset", ("peer", sender.name), ("incarnation", message.incarnation)
         )
         if sender is self.parent:
-            if self._up_sender is not None:
-                # Abandon in-flight frames (the parent forgot the channel
-                # anyway) and open a fresh epoch.
-                self._up_sender.reset()
-                self._span(
-                    "epoch-reset", ("peer", sender.name), ("epoch", self._up_sender.epoch)
-                )
+            if epoch is not None:
+                self._span("epoch-reset", ("peer", sender.name), ("epoch", epoch))
             items = self._parent_renewal_items()
             if items:
                 self._send_up(Renewal(tuple(items)))
@@ -815,7 +764,6 @@ class BrokerNode(Process):
             self._drain_handle = None
         self._compacted = None
         self._compacted_dirty = True
-        self._receivers.clear()
         self._peer_incarnations.clear()
         self._inbound.clear()
         self._downlinks.clear()
@@ -856,15 +804,7 @@ class BrokerNode(Process):
         self._flow_timers.clear()  # owned handles already cancelled above
         self._flow_depth = 0
         self.counters.flows_installed = 0
-        if self._up_sender is not None:
-            # The sender object persists so epochs stay monotonic across
-            # restarts (a fresh object would reuse epoch 0 and be dropped
-            # as stale by a parent that kept its receiver state); its
-            # un-acked frames and timer are lost with the crash.
-            self._up_sender.reset()
-        for credit_sender in self._credit_senders.values():
-            # Same epoch-monotonicity argument as the uplink sender.
-            credit_sender.reset()
+        self.links.reset()
 
     def restart(self) -> None:
         """Come back up and rebuild from the neighbours' renewals.
@@ -1582,13 +1522,7 @@ class BrokerNode(Process):
                 -1, self.log.max_source_offset - self.log_config.recovery_rewind
             )
         self._span("replay-request", ("root", root.name), ("from_offset", from_offset))
-        payload = ReplayRequest(self, from_offset)
-        if self.parent is root:
-            # Ride the existing uplink channel (one Sequenced stream per
-            # sender/receiver pair; a second would collide with it).
-            self._send_up(payload)
-        else:
-            self._send_peer(root, payload)
+        self.links.send(root, ReplayRequest(self, from_offset))
 
     # ------------------------------------------------------------------
     # Gap-granting data frames (DESIGN §10 credit-leak fix)
@@ -1627,10 +1561,9 @@ class BrokerNode(Process):
     # system:
     #
     # - upstream grants: this node grants one credit per *processed* (or
-    #   shed) event back to the event's source — to the parent over the
-    #   existing reliable uplink, to publishers over a dedicated reliable
-    #   channel — so a source's in-flight + queued-here events never
-    #   exceed its link window;
+    #   shed) event back to the event's source, parent or publisher, over
+    #   the reliable link toward it — so a source's in-flight +
+    #   queued-here events never exceed its link window;
     # - downstream spending: forwarding to a broker child spends one
     #   credit from that child's window; when the window is empty the
     #   events queue in a bounded per-link outbound queue, and a
@@ -1685,32 +1618,9 @@ class BrokerNode(Process):
     def _grant_credits(self, source: str, count: int) -> None:
         self.counters.credits_granted += count
         self._span("credit-grant", ("peer", source), ("credits", count))
-        if self.parent is not None and source == self.parent.name:
-            # Child-to-parent grants ride the existing reliable uplink.
-            self._send_up(CreditGrant(count))
-            return
         target = self._event_sources.get(source)
-        if target is None:
-            return
-        self._send_peer(target, CreditGrant(count))
-
-    def _send_peer(self, target: Process, payload: Any) -> None:
-        """Send one control payload to a non-parent peer (publisher
-        credit grants, catch-up streams, recovery replay) — when
-        ``reliable``, over one reliable channel per peer: acks from
-        ``target`` route back to it by name."""
-        if not self.config.reliable:
-            self.network.send(self, target, payload)
-            return
-        sender = self._credit_senders.get(target.name)
-        if sender is None:
-            sender = self._credit_senders[target.name] = ReliableSender(
-                self.sim,
-                lambda frame: self.network.send(self, target, frame),
-                self._count_retransmits,
-                window=self._control_window,
-            )
-        sender.send(payload)
+        if target is not None:
+            self.links.send(target, CreditGrant(count))
 
     # -- downstream credit spending ------------------------------------
 

@@ -24,7 +24,7 @@ from repro.events.serialization import marshal
 from repro.flow import BoundedQueue, CreditWindow, FlowConfig, RateLimiter
 from repro.metrics.counters import NodeCounters
 from repro.obs.tracing import PUBLISHER_STAGE, EventTracer
-from repro.overlay.channel import ReliableReceiver
+from repro.overlay.channel import PeerLinks
 from repro.overlay.messages import (
     Advertise,
     CreditGrant,
@@ -85,8 +85,8 @@ class PublisherRuntime(Process):
             if effective_rate is not None
             else None
         )
-        #: Reliable-channel receiver for the root's credit grants.
-        self._grant_receiver = ReliableReceiver()
+        #: The reliable link the root's credit grants arrive on.
+        self.links = PeerLinks(self, network)
         #: Next data-frame sequence number on the link to the root (flow
         #: mode only): lets the root detect and re-credit events a lossy
         #: wire swallowed (the DESIGN §10 credit-leak fix).
@@ -209,20 +209,12 @@ class PublisherRuntime(Process):
         return Publish(envelope)
 
     def receive(self, message: Any, sender: Process) -> None:
-        # Credit grants from the root arrive on a reliable channel (so a
-        # grant lost to the wire is retransmitted, never deadlocking the
-        # loop); plain grants appear when the overlay runs with the
-        # reliable channel ablated.  Handled regardless of this
-        # publisher's own flow flag: absorbing an unexpected grant is
-        # harmless, crashing on one is not.
+        # Credit grants from the root arrive on a reliable channel (a grant
+        # lost to the wire is retransmitted, never deadlocking the loop).
+        # Handled regardless of this publisher's own flow flag: absorbing
+        # an unexpected grant is harmless, crashing on one is not.
         if isinstance(message, Sequenced):
-            ack = self._grant_receiver.on_frame(
-                message, lambda payload: self._apply_grant(payload)
-            )
-            self.network.send(self, sender, ack)
-            return
-        if isinstance(message, CreditGrant):
-            self._apply_grant(message)
+            self.links.on_frame(message, sender, self._apply_grant)
             return
         raise TypeError(f"publisher {self.name} received unexpected {message!r}")
 
@@ -247,6 +239,12 @@ class PublisherRuntime(Process):
         frame = DataFrame(self._data_seq, tuple(publishes))
         self._data_seq += len(frame.publishes)
         self.network.send(self, self.root, frame)
+
+    def crash(self) -> None:
+        """Fail-stop: the grant stream's position dies with the process;
+        the next incarnation adopts the first frame it hears."""
+        super().crash()
+        self.links.reset()
 
     def __repr__(self) -> str:
         return f"PublisherRuntime({self.name}, published={self.events_published})"

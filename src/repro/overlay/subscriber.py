@@ -18,7 +18,7 @@ from repro.filters.filter import Filter
 from repro.flow import FlowConfig
 from repro.metrics.counters import NodeCounters
 from repro.obs.tracing import SUBSCRIBER_STAGE, EventTracer
-from repro.overlay.channel import ReliableReceiver, ReliableSender
+from repro.overlay.channel import PeerLinks, retransmit_details
 from repro.overlay.messages import (
     AcceptedAt,
     Ack,
@@ -43,6 +43,9 @@ from repro.sim.trace import TraceRecorder
 
 #: The handler signature: (typed event object, meta-data, subscription).
 Handler = Callable[[Any, Any, Subscription], None]
+
+#: Stands for an envelope's event while its payload is still sealed.
+_UNOPENED = object()
 
 
 @dataclass
@@ -116,7 +119,6 @@ class SubscriberRuntime(Process):
         root: Process,
         ttl: float = 60.0,
         trace: Optional[TraceRecorder] = None,
-        reliable: bool = True,
         tracer: Optional[EventTracer] = None,
         flow: Optional[FlowConfig] = None,
     ):
@@ -124,14 +126,17 @@ class SubscriberRuntime(Process):
         self.network = network
         self.root = root
         self.ttl = ttl
-        #: Acked, sequence-numbered control channel toggle.
-        self.reliable_enabled = reliable
-        #: Flow-control knobs: bounds the control channels' send windows.
+        #: Flow-control knobs: bounds the control links' send windows.
         self.flow = flow
-        # One reliable sender per home node (order matters between a
-        # Renewal restoring a filter and an Unsubscribe removing it).
-        # Keyed by the home's *name* — the stable identity — not id().
-        self._control_out: Dict[str, ReliableSender] = {}
+        #: One reliable link per home node (order matters between a
+        #: Renewal restoring a filter and an Unsubscribe removing it) and
+        #: one with the root (catch-up requests out, replay stream in).
+        self.links = PeerLinks(
+            self,
+            network,
+            flow.control_window if flow is not None else None,
+            self._on_retransmit,
+        )
         self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         #: Causal span tracer (shared system-wide when observability is on).
         self.tracer = tracer if tracer is not None else EventTracer(enabled=False)
@@ -150,11 +155,9 @@ class SubscriberRuntime(Process):
         self._delivered_groups: "OrderedDict[Tuple, None]" = OrderedDict()
         self._delivered_groups_limit = 4096
         # Catch-up replay (see repro.log.replay): per-subscription
-        # sessions (kept after switchover — their seen-sets are the
-        # handover dedup) and per-peer receivers for the root's reliable
-        # replay stream.
+        # sessions, kept after switchover — their seen-sets are the
+        # handover dedup.
         self._catch_up: Dict[int, _CatchUpSession] = {}
-        self._framed_in: Dict[str, ReliableReceiver] = {}
 
     # ------------------------------------------------------------------
     # Subscribing (Figure 5a)
@@ -195,7 +198,7 @@ class SubscriberRuntime(Process):
         self._by_home = None
         self.counters.set_filters_held(len(self._active_states()))
         if explicit and state.joined and state.stored_filter is not None:
-            self._send_control(state.home, Unsubscribe(state.stored_filter, self))
+            self.links.send(state.home, Unsubscribe(state.stored_filter, self))
 
     # ------------------------------------------------------------------
     # Catch-up replay (late joiners; see repro.log.replay)
@@ -226,7 +229,7 @@ class SubscriberRuntime(Process):
                 f"subscription {subscription_id} must be joined before catch-up"
             )
         self._catch_up[subscription_id] = _CatchUpSession(subscription_id)
-        self._send_control(
+        self.links.send(
             self.root,
             CatchUpRequest(
                 subscription_id,
@@ -260,47 +263,18 @@ class SubscriberRuntime(Process):
             "dupes_discarded": session.dupes,
         }
 
-    def _send_control(self, home: Process, payload: Any) -> None:
-        """Send one control message to a home node (reliably when enabled)."""
-        if not self.reliable_enabled:
-            self.network.send(self, home, payload)
-            return
-        channel = self._control_out.get(home.name)
-        if channel is None:
-            channel = self._control_out[home.name] = ReliableSender(
-                self.sim,
-                lambda frame, home=home: self.network.send(self, home, frame),
-                self._count_retransmits,
-                observer=lambda epoch, frames, peer=home.name: (
-                    self._trace_retransmits(peer, epoch, frames)
-                ),
-                window=self.flow.control_window if self.flow is not None else None,
+    def _on_retransmit(self, peer: str, epoch: int, frames: tuple) -> None:
+        self.counters.control_retransmits += len(frames)
+        if self.tracer.enabled:
+            self.tracer.span(
+                self.sim.now, "retransmit", self.name, SUBSCRIBER_STAGE,
+                details=retransmit_details(peer, epoch, frames),
             )
-        channel.send(payload)
-
-    def _count_retransmits(self, frames: int) -> None:
-        self.counters.control_retransmits += frames
-
-    def _trace_retransmits(self, peer: str, epoch: int, frames: tuple) -> None:
-        if not self.tracer.enabled:
-            return
-        self.tracer.span(
-            self.sim.now,
-            "retransmit",
-            self.name,
-            SUBSCRIBER_STAGE,
-            details=(
-                ("peer", peer),
-                ("epoch", epoch),
-                ("frames", len(frames)),
-                ("payloads", ",".join(type(f.payload).__name__ for f in frames)),
-            ),
-        )
 
     @property
     def control_idle(self) -> bool:
         """True when every reliable control frame has been acknowledged."""
-        return all(channel.idle for channel in self._control_out.values())
+        return self.links.idle
 
     def _send_request(self, state: _SubscriptionState, node: Process) -> None:
         request = SubscriptionRequest(
@@ -317,9 +291,12 @@ class SubscriberRuntime(Process):
 
     def crash(self) -> None:
         """Fail-stop: the base class cancels the owned renew timer; drop
-        the dangling reference so :meth:`restart` can re-arm cleanly."""
+        the dangling reference so :meth:`restart` can re-arm cleanly.
+        Un-acked control frames die here too — the renewals of the next
+        incarnation restore what they carried."""
         super().crash()
         self._renew_handle = None
+        self.links.reset()
 
     def restart(self) -> None:
         """Come back up; resume the renewal chain if maintenance was on."""
@@ -337,11 +314,7 @@ class SubscriberRuntime(Process):
 
     def _homes(self) -> List[Process]:
         """Distinct home nodes of the active, joined subscriptions."""
-        homes: Dict[int, Process] = {}
-        for state in self._active_states():
-            if state.joined:
-                homes[id(state.home)] = state.home
-        return list(homes.values())
+        return list(self._grouped())
 
     def disconnect(self, durable: bool = True) -> None:
         """Go offline gracefully.
@@ -392,13 +365,19 @@ class SubscriberRuntime(Process):
     # ------------------------------------------------------------------
 
     def receive(self, message: Any, sender: Process) -> None:
+        # Subscriptions homed at different nodes each receive their own
+        # copy stream; a copy from node N serves exactly the subscriptions
+        # homed at N.  This keeps per-subscription delivery exactly-once
+        # even when one subscriber attaches at several points of the tree.
         if isinstance(message, Publish):
-            self._on_publish(message.envelope, sender)
+            self._deliver(message.envelope, sender, self._states_homed_at(sender))
         elif isinstance(message, PublishBatch):
             # A coalesced run from the home node: deliver in batch order,
             # which is exactly the unbatched per-destination send order.
             for publish in message.publishes:
-                self._on_publish(publish.envelope, sender)
+                self._deliver(
+                    publish.envelope, sender, self._states_homed_at(sender)
+                )
         elif isinstance(message, JoinAt):
             self.counters.control_messages += 1
             state = self._states.get(message.subscription_id)
@@ -417,31 +396,14 @@ class SubscriberRuntime(Process):
                     home=message.node.name, hops=state.join_hops,
                 )
         elif isinstance(message, Ack):
-            channel = self._control_out.get(sender.name)
-            if channel is not None:
-                channel.on_ack(message)
+            self.links.on_ack(sender, message)
         elif isinstance(message, Sequenced):
             # The root's reliable replay stream (catch-up batches and
-            # session control), one receiver per framing peer.
-            receiver = self._framed_in.get(sender.name)
-            if receiver is None:
-                capacity = (
-                    self.flow.control_window if self.flow is not None else None
-                )
-                receiver = self._framed_in[sender.name] = ReliableReceiver(
-                    capacity=capacity
-                )
-            before = receiver.dups_discarded
-            ack = receiver.on_frame(
-                message, lambda payload: self._on_framed(payload, sender)
+            # session control).
+            dups, _ = self.links.on_frame(
+                message, sender, lambda payload: self._on_framed(payload, sender)
             )
-            self.counters.control_dups_discarded += (
-                receiver.dups_discarded - before
-            )
-            self.network.send(self, sender, ack)
-        elif isinstance(message, (CatchUpBatch, CatchUpDone, CatchUpLive)):
-            # Plain (unframed) replay stream: the unreliable ablation.
-            self._on_framed(message, sender)
+            self.counters.control_dups_discarded += dups
         else:
             raise TypeError(f"{self.name}: unexpected message {message!r}")
 
@@ -467,172 +429,116 @@ class SubscriberRuntime(Process):
             return  # stale stream for a session we no longer track
         state = self._states.get(message.subscription_id)
         for publish in message.publishes:
-            self._deliver_catch_up(
-                session, state, publish.envelope, sender, message.history
-            )
+            states = [state] if state is not None and state.active else []
+            self._deliver(publish.envelope, sender, states, session, message.history)
         if message.history and self.flow is not None and message.publishes:
             # One credit per consumed history event, back on the control
             # channel: the replay rate composes with PR 5's credit
             # windows exactly like live traffic does.
-            self._send_control(sender, CreditGrant(len(message.publishes)))
-
-    def _deliver_catch_up(
-        self,
-        session: _CatchUpSession,
-        state: Optional[_SubscriptionState],
-        envelope: Envelope,
-        sender: Process,
-        history: bool,
-    ) -> None:
-        """Deliver one replayed (or tapped) event with session dedup.
-
-        Stage-0 semantics are identical to live delivery — exact filter,
-        disjunction-group dedup, residual closure, unmarshal-once —
-        except that replayed events never enter the delivery-latency
-        series (a historical event's publish-to-now span measures the
-        subscriber's lateness, not the system's delivery latency).
-        """
-        matched = (
-            state is not None
-            and state.active
-            and state.subscription.filter.matches(envelope.metadata)
-        )
-        self.counters.bytes_received += len(envelope)
-        self.counters.on_event(matched=matched, forwarded_to=0, evaluations=1)
-        tracing = self.tracer.enabled
-        delivered_before = self.counters.events_delivered if tracing else 0
-        if matched:
-            if envelope.event_id is not None and not session.remember(
-                envelope.event_id
-            ):
-                session.dupes += 1
-                self.counters.replay_dupes_discarded += 1
-            else:
-                subscription = state.subscription
-                event = unmarshal(envelope)
-                deliver = True
-                if subscription.group is not None and envelope.event_id is not None:
-                    key = (subscription.group, envelope.event_id)
-                    if key in self._delivered_groups:
-                        deliver = False
-                    else:
-                        self._delivered_groups[key] = None
-                        if len(self._delivered_groups) > self._delivered_groups_limit:
-                            self._delivered_groups.popitem(last=False)
-                closure = subscription.closure
-                if deliver and closure is not None and closure.residual is not None:
-                    if not closure.residual(event):
-                        deliver = False
-                if deliver:
-                    if history:
-                        session.history_delivered += 1
-                    else:
-                        session.tap_delivered += 1
-                    self.counters.events_delivered += 1
-                    self.counters.catchup_delivered += 1
-                    if state.handler is not None:
-                        state.handler(event, envelope.metadata, subscription)
-        if tracing:
-            self.tracer.span(
-                self.sim.now,
-                "deliver",
-                self.name,
-                SUBSCRIBER_STAGE,
-                trace_id=envelope.event_id,
-                details=(
-                    ("src", sender.name),
-                    ("matched", matched),
-                    (
-                        "delivered",
-                        self.counters.events_delivered - delivered_before,
-                    ),
-                    ("latency", None),
-                    ("replay", "history" if history else "tap"),
-                ),
-            )
+            self.links.send(sender, CreditGrant(len(message.publishes)))
 
     # ------------------------------------------------------------------
     # Perfect filtering and delivery (stage 0)
     # ------------------------------------------------------------------
 
-    def _on_publish(self, envelope: Envelope, sender: Process) -> None:
-        # Subscriptions homed at different nodes each receive their own
-        # copy stream; a copy from node N serves exactly the subscriptions
-        # homed at N.  This keeps per-subscription delivery exactly-once
-        # even when one subscriber attaches at several points of the tree.
-        self.counters.bytes_received += len(envelope)
-        states = self._states_homed_at(sender)
-        matched_states = []
+    def _deliver(
+        self,
+        envelope: Envelope,
+        sender: Process,
+        states: List[_SubscriptionState],
+        session: Optional[_CatchUpSession] = None,
+        history: Optional[bool] = None,
+    ) -> None:
+        """Stage 0 for one envelope, live or replayed: exact filter,
+        catch-up session dedup, disjunction-group dedup, residual
+        closure, handler — in that order, for each of ``states``.
+
+        A live copy (no ``session``) is checked against the states homed
+        at ``sender``.  A replayed copy arrives on ``session``'s stream
+        for its one subscription, as history or (``history=False``) a
+        live tap; it never enters the delivery-latency series — a
+        historical event's publish-to-now span measures the subscriber's
+        lateness, not the system's delivery latency.
+        """
+        metadata = envelope.metadata
+        counters = self.counters
+        counters.bytes_received += len(envelope)
+        matched = []
         for state in states:
-            if state.subscription.filter.matches(envelope.metadata):
-                matched_states.append(state)
-        self.counters.on_event(
-            matched=bool(matched_states),
+            if state.subscription.filter.matches(metadata):
+                matched.append(state)
+        counters.on_event(
+            matched=bool(matched),
             forwarded_to=0,
-            evaluations=len(states),
+            evaluations=len(states) if session is None else 1,
         )
         tracing = self.tracer.enabled
-        delivered_before = self.counters.events_delivered if tracing else 0
-        if matched_states:
-            if envelope.published_at is not None:
-                self.delivery_latencies.append(self.sim.now - envelope.published_at)
-            # Event safety: the payload is opened exactly once, at the edge.
-            event = unmarshal(envelope)
-            for state in matched_states:
-                subscription = state.subscription
-                session = self._catch_up.get(subscription.subscription_id)
-                if session is not None and envelope.event_id is not None:
-                    # Around the catch-up handover the same event can
-                    # also arrive via the replay stream; first copy in
-                    # wins, later ones are discarded (exactly-once).
-                    if not session.remember(envelope.event_id):
-                        session.dupes += 1
-                        self.counters.replay_dupes_discarded += 1
-                        continue
-                if subscription.group is not None and envelope.event_id is not None:
-                    key = (subscription.group, envelope.event_id)
-                    if key in self._delivered_groups:
-                        continue  # another branch already delivered this event
-                    self._delivered_groups[key] = None
-                    if len(self._delivered_groups) > self._delivered_groups_limit:
-                        self._delivered_groups.popitem(last=False)
-                closure = subscription.closure
-                if closure is not None and closure.residual is not None:
-                    if not closure.residual(event):
-                        continue
-                self.counters.events_delivered += 1
-                if state.handler is not None:
-                    state.handler(event, envelope.metadata, subscription)
+        delivered_before = counters.events_delivered if tracing else 0
+        live = session is None and envelope.published_at is not None
+        if matched and live:
+            self.delivery_latencies.append(self.sim.now - envelope.published_at)
+        event_id = envelope.event_id
+        event = _UNOPENED
+        for state in matched:
+            subscription = state.subscription
+            # Around the catch-up handover one event can arrive on the
+            # replay stream and from the home; first copy in wins, later
+            # ones are discarded (exactly-once).
+            dedup = session or self._catch_up.get(subscription.subscription_id)
+            if dedup is not None and event_id is not None:
+                if not dedup.remember(event_id):
+                    dedup.dupes += 1
+                    counters.replay_dupes_discarded += 1
+                    continue
+            if subscription.group is not None and event_id is not None:
+                key = (subscription.group, event_id)
+                if key in self._delivered_groups:
+                    continue  # another branch already delivered this event
+                self._delivered_groups[key] = None
+                if len(self._delivered_groups) > self._delivered_groups_limit:
+                    self._delivered_groups.popitem(last=False)
+            # Event safety: the payload is opened at most once, at the
+            # edge, and only for a copy someone looks at.
+            closure = subscription.closure
+            handler = state.handler
+            if closure is not None and closure.residual is not None:
+                if event is _UNOPENED:
+                    event = unmarshal(envelope)
+                if not closure.residual(event):
+                    continue
+            elif event is _UNOPENED and handler is not None:
+                event = unmarshal(envelope)
+            counters.events_delivered += 1
+            if session is not None:
+                counters.catchup_delivered += 1
+                if history:
+                    session.history_delivered += 1
+                else:
+                    session.tap_delivered += 1
+            if handler is not None:
+                handler(event, metadata, subscription)
         if tracing:
-            latency = (
-                self.sim.now - envelope.published_at
-                if envelope.published_at is not None
-                else None
+            details = (
+                ("src", sender.name),
+                ("matched", bool(matched)),
+                ("delivered", counters.events_delivered - delivered_before),
+                ("latency", self.sim.now - envelope.published_at if live else None),
             )
+            if session is not None:
+                details += (("replay", "history" if history else "tap"),)
             self.tracer.span(
-                self.sim.now,
-                "deliver",
-                self.name,
-                SUBSCRIBER_STAGE,
-                trace_id=envelope.event_id,
-                details=(
-                    ("src", sender.name),
-                    ("matched", bool(matched_states)),
-                    (
-                        "delivered",
-                        self.counters.events_delivered - delivered_before,
-                    ),
-                    ("latency", latency),
-                ),
+                self.sim.now, "deliver", self.name, SUBSCRIBER_STAGE,
+                trace_id=event_id, details=details,
             )
 
     def _active_states(self) -> List[_SubscriptionState]:
         return [s for s in self._states.values() if s.active]
 
-    def _states_homed_at(self, home: Process) -> List[_SubscriptionState]:
-        """The active states whose home is ``home``, in ``_states`` order.
+    def _grouped(self) -> Dict[Process, List[_SubscriptionState]]:
+        """The active, joined states by home: homes in order of first
+        appearance in ``_states``, each home's states in ``_states`` order.
 
-        Regrouped from ``_states`` on the first event after a change
+        Regrouped from ``_states`` on the first use after a change
         (subscribe, unsubscribe, accepted-At, rejoin), not per envelope.
         """
         by_home = self._by_home
@@ -641,7 +547,10 @@ class SubscriberRuntime(Process):
             for state in self._active_states():
                 if state.joined:
                     by_home.setdefault(state.home, []).append(state)
-        return by_home.get(home, [])
+        return by_home
+
+    def _states_homed_at(self, home: Process) -> List[_SubscriptionState]:
+        return (self._by_home or self._grouped()).get(home, [])
 
     # ------------------------------------------------------------------
     # Renewal task (§4.3)
@@ -663,19 +572,14 @@ class SubscriberRuntime(Process):
         self._maintenance_interval = None
 
     def _renew_task(self, interval: float) -> None:
-        by_home: Dict[int, List] = {}
-        homes: Dict[int, Process] = {}
-        for state in self._active_states():
-            if not state.joined or state.stored_filter is None:
-                continue
-            key = id(state.home)
-            homes[key] = state.home
-            by_home.setdefault(key, []).append(
+        for home, states in self._grouped().items():
+            items = dict.fromkeys(
                 (state.stored_filter, state.subscription.event_class)
+                for state in states
+                if state.stored_filter is not None
             )
-        for key, items in by_home.items():
-            deduped = tuple(dict.fromkeys(items))
-            self._send_control(homes[key], Renewal(deduped))
+            if items:
+                self.links.send(home, Renewal(tuple(items)))
         self._renew_handle = self.call_later(interval, self._renew_task, interval)
 
     # ------------------------------------------------------------------

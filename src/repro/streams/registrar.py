@@ -5,7 +5,7 @@ nothing at the broker remembers they existed.  What survives is this
 process — a stage-0 client, exactly like a subscriber runtime — which
 holds the authoritative flow graph and periodically re-sends
 ``FlowInstall`` for every flow over the PR 3 reliable control channel
-(one go-back-N sender per hosting broker).  The broker treats an
+(one link per hosting broker).  The broker treats an
 install of an already-identical spec as a pure lease renewal
 (refresh-or-restore, Figure 6): a healthy broker just refreshes the
 lease clock, a restarted one re-creates the machine from scratch.  The
@@ -17,7 +17,7 @@ it sees — so renewals alone heal any crash.
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.tracing import SUBSCRIBER_STAGE, EventTracer
-from repro.overlay.channel import ReliableSender
+from repro.overlay.channel import PeerLinks
 from repro.overlay.messages import Ack, ChannelReset, FlowInstall, FlowRemove
 from repro.runtime.base import Executor, Transport
 from repro.sim.kernel import Process
@@ -37,20 +37,18 @@ class FlowRegistrar(Process):
         network: Transport,
         name: str,
         ttl: float = 60.0,
-        reliable: bool = True,
         control_window: Optional[int] = None,
         tracer: Optional[EventTracer] = None,
     ):
         super().__init__(sim, name)
         self.network = network
         self.ttl = ttl
-        self.reliable_enabled = reliable
-        self.control_window = control_window
         self.tracer = tracer if tracer is not None else EventTracer(enabled=False)
         self.control_retransmits = 0
         # Authoritative flow graph: broker name -> (broker, {flow: spec}).
         self._installed: Dict[str, Tuple[Process, Dict[str, FlowSpec]]] = {}
-        self._control_out: Dict[str, ReliableSender] = {}
+        #: One reliable link per hosting broker.
+        self.links = PeerLinks(self, network, control_window, self._on_retransmit)
         self._renew_handle = None
         self._maintenance_interval: Optional[float] = None
 
@@ -62,7 +60,7 @@ class FlowRegistrar(Process):
         """Install (or replace) one flow at a broker and start renewing it."""
         _, specs = self._installed.setdefault(broker.name, (broker, {}))
         specs[spec.name] = spec
-        self._send_control(broker, FlowInstall(spec))
+        self.links.send(broker, FlowInstall(spec))
 
     def remove(self, broker: Process, flow_name: str) -> None:
         """Tear one flow down and stop renewing it."""
@@ -71,7 +69,7 @@ class FlowRegistrar(Process):
             entry[1].pop(flow_name, None)
             if not entry[1]:
                 del self._installed[broker.name]
-        self._send_control(broker, FlowRemove(flow_name))
+        self.links.send(broker, FlowRemove(flow_name))
 
     def flows(self) -> List[FlowSpec]:
         return [
@@ -80,44 +78,22 @@ class FlowRegistrar(Process):
             for spec in specs.values()
         ]
 
-    # ------------------------------------------------------------------
-    # Reliable control channel (one sender per hosting broker)
-    # ------------------------------------------------------------------
-
-    def _send_control(self, broker: Process, payload: Any) -> None:
-        if not self.reliable_enabled:
-            self.network.send(self, broker, payload)
-            return
-        channel = self._control_out.get(broker.name)
-        if channel is None:
-            channel = self._control_out[broker.name] = ReliableSender(
-                self.sim,
-                lambda frame, broker=broker: self.network.send(self, broker, frame),
-                self._count_retransmits,
-                window=self.control_window,
-            )
-        channel.send(payload)
-
-    def _count_retransmits(self, frames: int) -> None:
-        self.control_retransmits += frames
+    def _on_retransmit(self, peer: str, epoch: int, frames: tuple) -> None:
+        self.control_retransmits += len(frames)
 
     def receive(self, message: Any, sender: Process) -> None:
         if isinstance(message, Ack):
-            channel = self._control_out.get(sender.name)
-            if channel is not None:
-                channel.on_ack(message)
+            self.links.on_ack(sender, message)
         elif isinstance(message, ChannelReset):
             # A broker announcing a fresh incarnation: abandon in-flight
             # frames and push the full flow set immediately rather than
             # waiting out the renewal interval.
-            channel = self._control_out.get(sender.name)
-            if channel is not None:
-                channel.reset()
+            self.links.forget(sender)
             entry = self._installed.get(sender.name)
             if entry is not None:
                 broker, specs = entry
                 for spec in specs.values():
-                    self._send_control(broker, FlowInstall(spec))
+                    self.links.send(broker, FlowInstall(spec))
         else:
             raise TypeError(f"{self.name}: unexpected message {message!r}")
 
@@ -140,7 +116,7 @@ class FlowRegistrar(Process):
     def _renew_task(self, interval: float) -> None:
         for broker, specs in self._installed.values():
             for spec in specs.values():
-                self._send_control(broker, FlowInstall(spec))
+                self.links.send(broker, FlowInstall(spec))
         if self.tracer.enabled and self._installed:
             self.tracer.span(
                 self.sim.now,
@@ -156,8 +132,11 @@ class FlowRegistrar(Process):
     # ------------------------------------------------------------------
 
     def crash(self) -> None:
+        """Fail-stop: un-acked installs die with the incarnation; the
+        next one's renewals re-send every flow."""
         super().crash()
         self._renew_handle = None
+        self.links.reset()
 
     def restart(self) -> None:
         super().restart()

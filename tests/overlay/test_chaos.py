@@ -14,6 +14,11 @@ from repro.overlay.invariants import covering_violations
 from repro.overlay.messages import Ack, ChannelReset, Sequenced
 from repro.sim.kernel import Process, Simulator
 from repro.sim.network import FaultPlan
+from repro.workloads.telemetry import (
+    TELEMETRY_EVENT_CLASS,
+    TELEMETRY_SCHEMA,
+    TelemetryWorkload,
+)
 
 SCHEMA = ("class", "price", "symbol")
 #: Stage 1 keeps the full schema, stage 2 keeps (class, price), the root
@@ -175,7 +180,7 @@ def test_chaos_stale_timer_from_dead_epoch_is_inert():
 
 
 def test_chaos_peer_channel_state_keyed_by_stable_name():
-    """Regression: ``_peer_incarnations`` / ``_receivers`` used to key by
+    """Regression: ``_peer_incarnations`` / the receivers used to key by
     ``id(sender)``; after the old peer object was garbage-collected a
     recycled id could inherit its incarnation and silently discard the
     new peer's legitimate ChannelReset.  Channel history must follow the
@@ -186,12 +191,12 @@ def test_chaos_peer_channel_state_keyed_by_stable_name():
     parent = home.parent
     # The reliable control traffic above left receiver state at the
     # parent, keyed by the child's name.
-    assert home.name in parent._receivers
+    assert home.name in parent.links._receivers
     # A reset from the child is recorded under its name and drops the
     # channel state.
     parent.receive(ChannelReset(1), home)
     assert parent._peer_incarnations[home.name] == 1
-    assert home.name not in parent._receivers
+    assert home.name not in parent.links._receivers
     # The same identity re-announcing through a *different* object (the
     # restarted process, old object gone): a duplicate of incarnation 1
     # is recognized as stale and ignored...
@@ -247,18 +252,67 @@ def test_chaos_lost_reqinsert_is_retransmitted():
     assert traces["bob"] == [("X", 5)]
 
 
-def test_chaos_unreliable_baseline_loses_the_subscription():
-    """The ablation control: with reliable=False the same loss window
-    leaves a covering hole (this is the bug class the channel fixes)."""
-    system = make_system(reliable=False)
-    home = system.hierarchy.stage1_nodes()[0]
-    plan = FaultPlan(seed=1)
-    plan.add_window(0.0, 0.5, loss=1.0, links=[(home, home.parent)])
-    system.network.install_faults(plan)
+def _assert_quiet_after_crash(system):
+    """A crashed process owns no live timer: the run ends.  (Bounded
+    first — the retransmit chain this guards against never ended.)"""
+    system.sim.run(max_events=2000)
+    assert system.sim.pending_events == 0
+    system.drain()
 
-    pinned_subscribe(system, "alice", 'class = "Quote" and price < 10')
 
-    assert covering_violations(system.hierarchy, system.sim.now) != []
+def test_chaos_crashed_subscriber_stops_retransmitting():
+    """Regression: only ``BrokerNode.crash()`` reset its senders.  A
+    subscriber that died with an un-acked control frame kept
+    retransmitting it into its own crash gate, backing off to one frame
+    every 2 s, forever — ``drain()`` never returned."""
+    system = make_system()
+    alice, home = pinned_subscribe(system, "alice", 'class = "Quote" and price < 10')
+    alice.unsubscribe(alice.subscriptions()[0].subscription_id)
+    assert not alice.control_idle  # one frame on the wire, un-acked...
+    alice.crash()  # ...when the process dies
+    _assert_quiet_after_crash(system)
+    assert alice.counters.control_retransmits == 0
+    assert alice.control_idle
+
+    # The next incarnation's first control send opens a higher epoch,
+    # which the home — still holding the old epoch's position — accepts.
+    alice.restart()
+    (subscription,) = system.subscribe(
+        alice, 'class = "Quote" and price < 20', event_class="Quote", at_node=home
+    )
+    system.drain()
+    assert any(alice in ids for _, ids in home.table.entries())
+    alice.unsubscribe(subscription.subscription_id)
+    system.drain()
+    assert home.links._receivers[alice.name].epoch == 1
+    assert not any(alice in ids for _, ids in home.table.entries())
+    assert alice.control_idle
+    assert alice.counters.control_retransmits == 0
+
+
+def test_chaos_crashed_registrar_stops_retransmitting():
+    """Regression: the same endless chain from a ``FlowRegistrar`` that
+    died with an un-acked ``FlowInstall``."""
+    system = make_system()
+    workload = TelemetryWorkload(
+        system.rngs.stream("telemetry"), n_regions=2, sensors_per_region=2
+    )
+    system.advertise(TELEMETRY_EVENT_CLASS, schema=TELEMETRY_SCHEMA)
+    system.drain()
+    spec = workload.rollup_flow()
+    registrar = system.install_flows([spec])  # on the wire, un-acked...
+    registrar.crash()  # ...when the process dies
+    _assert_quiet_after_crash(system)
+    assert registrar.control_retransmits == 0
+    assert system.root.flows() == (spec.name,)  # the copy in flight arrived
+
+    registrar.restart()
+    registrar.remove(system.root, spec.name)
+    system.drain()
+    assert system.root.links._receivers[registrar.name].epoch == 1
+    assert system.root.flows() == ()
+    assert registrar.links.idle
+    assert registrar.control_retransmits == 0
 
 
 def test_chaos_duplicated_control_frames_apply_once():

@@ -1,18 +1,22 @@
 """The option surface is one object: ``BrokerConfig``.
 
-Pinned here: the facade's keyword signature (unchanged by the config
-refactor), that its broker options are exactly the config's fields, that
-nothing downstream keeps per-option copies, and that the object crosses
-the spawn boundary.
+Pinned here: the facade's keyword signature (seventeen names since
+``reliable`` went), that its broker options are exactly the config's
+fields, that nothing downstream keeps per-option copies or builds its
+own reliable channel, and that the object crosses the spawn boundary.
 """
 
 import dataclasses
 import inspect
+import pathlib
 import pickle
+import re
 
 import pytest
 
+import repro
 from repro.core.engine import MultiStageEventSystem
+from repro.experiments.chaos import ChaosConfig
 from repro.filters.compiled import CompiledMatchEngine
 from repro.filters.engine import CachedMatchEngine, engine_classes, make_engine
 from repro.filters.filter import Filter
@@ -24,7 +28,9 @@ from repro.metrics.counters import CacheStats
 from repro.overlay.config import BrokerConfig
 from repro.overlay.hierarchy import build_hierarchy
 from repro.overlay.node import BrokerNode
+from repro.overlay.subscriber import SubscriberRuntime
 from repro.runtime.multiprocess_backend import SystemSpec
+from repro.streams.registrar import FlowRegistrar
 
 #: What shapes the deployment rather than a broker.
 DEPLOYMENT = {"stage_sizes", "seed", "trace", "link_latency", "tracing", "runtime"}
@@ -38,10 +44,10 @@ def parameters(callable_):
     return [name for name in inspect.signature(callable_).parameters if name != "self"]
 
 
-def test_facade_signature_is_the_eighteen_names_it_always_had():
+def test_facade_signature_is_seventeen_names():
     assert parameters(MultiStageEventSystem.__init__) == [
         "stage_sizes", "ttl", "seed", "engine", "trace", "link_latency",
-        "wildcard_routing", "compact", "cache", "batch", "aggregate", "reliable",
+        "wildcard_routing", "compact", "cache", "batch", "aggregate",
         "tracing", "flow", "service_rate", "service_batch", "log", "runtime",
     ]  # fmt: skip
 
@@ -49,7 +55,28 @@ def test_facade_signature_is_the_eighteen_names_it_always_had():
 def test_facade_broker_options_are_the_config_fields():
     facade = set(parameters(MultiStageEventSystem.__init__))
     assert facade - DEPLOYMENT == CONFIG_FIELDS - INTERNAL
-    assert len(CONFIG_FIELDS - INTERNAL) == 12
+    assert len(CONFIG_FIELDS - INTERNAL) == 11
+    assert "reliable" not in CONFIG_FIELDS
+
+
+@pytest.mark.parametrize(
+    "configurable",
+    [MultiStageEventSystem, BrokerConfig, SubscriberRuntime, FlowRegistrar, ChaosConfig],
+)
+def test_the_control_channel_is_not_an_option(configurable):
+    """``reliable=`` went with the raw twin of every control send."""
+    assert "reliable" not in parameters(configurable.__init__)
+
+
+def test_only_the_channel_module_builds_senders_and_receivers():
+    """Every process reaches its links through ``PeerLinks``."""
+    root = pathlib.Path(repro.__file__).parent
+    builders = [
+        str(path.relative_to(root))
+        for path in sorted(root.rglob("*.py"))
+        if re.search(r"Reliable(Sender|Receiver)\(", path.read_text())
+    ]
+    assert builders == ["overlay/channel.py"]
 
 
 def test_facade_and_config_defaults_agree():

@@ -6,7 +6,9 @@ import pytest
 from repro.core.engine import MultiStageEventSystem
 from repro.events.base import PropertyEvent
 from repro.flow import FlowConfig
-from repro.overlay.messages import Renewal, Unsubscribe
+from repro.overlay.invariants import covering_violations
+from repro.overlay.messages import Ack, Renewal, Unsubscribe
+from repro.sim.network import FaultPlan
 
 SCHEMA = ("class", "symbol", "price")
 
@@ -309,3 +311,32 @@ class TestFlushBeforeControl:
     )
     def test_managed_broker_leaves_them_to_the_service_loop(self, options):
         assert self._publish_unsubscribe_publish(**options) == 0
+
+
+class TestAckRouting:
+    def test_an_ack_only_reaches_the_channel_of_the_peer_that_sent_it(self):
+        """Regression: an ``Ack`` from any non-parent peer without a
+        channel of its own was applied to the uplink sender — a stray
+        ``Ack(0, 5)`` from a subscriber cleared a ``ReqInsert`` the
+        parent never got and ended its retransmission."""
+        system = make_system()
+        system.drain()
+        leaf = system.hierarchy.stage1_nodes()[0]
+        now = system.sim.now
+        plan = FaultPlan(seed=1)
+        plan.add_window(now, now + 0.5, loss=1.0, links=[(leaf, leaf.parent)])
+        system.network.install_faults(plan)
+        alice = system.create_subscriber("alice")
+        system.subscribe(
+            alice, 'class = "Quote" and symbol = "A"', event_class="Quote", at_node=leaf
+        )
+        system.run_for(0.01)  # the leaf's ReqInsert died on the uplink
+        assert len(leaf.table) == 1 and not leaf.uplink_idle
+
+        leaf.receive(Ack(0, 5), alice)
+
+        assert not leaf.uplink_idle  # still un-acked...
+        system.drain()  # ...and retransmitted until the window lifts
+        assert leaf.counters.control_retransmits > 0
+        assert leaf.uplink_idle
+        assert covering_violations(system.hierarchy, system.sim.now) == []
