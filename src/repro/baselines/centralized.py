@@ -8,7 +8,7 @@ matched, so edge matching rates are 1 by construction (the server did
 the perfect filtering for them).
 """
 
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from repro.baselines.common import (
     BaselineSystem,
@@ -17,8 +17,7 @@ from repro.baselines.common import (
     Handler,
 )
 from repro.core.subscription import Subscription
-from repro.filters.index import CountingIndex
-from repro.filters.table import FilterTable
+from repro.filters.engine import DEFAULT_ENGINE, MatchEngine, make_engine
 from repro.metrics.counters import NodeCounters
 from repro.overlay.messages import Publish
 from repro.sim.kernel import Process, Simulator
@@ -33,13 +32,13 @@ class CentralServer(Process):
         sim: Simulator,
         network: Network,
         name: str = "central-server",
-        engine: str = "index",
+        engine: str = DEFAULT_ENGINE,
     ):
         super().__init__(sim, name)
         self.network = network
-        self.table: Union[FilterTable, CountingIndex] = (
-            CountingIndex() if engine == "index" else FilterTable()
-        )
+        # No routing cache: a server holding every subscription is the
+        # large-table, low-hit-rate regime where it only costs.
+        self.table: MatchEngine = make_engine(engine)
         self.counters = NodeCounters()
         self._subscription_count = 0
 
@@ -75,7 +74,9 @@ class CentralServer(Process):
 class CentralizedSystem(BaselineSystem):
     """Facade: a single server between publishers and subscribers."""
 
-    def __init__(self, seed: int = 0, link_latency: float = 0.001, engine: str = "index"):
+    def __init__(
+        self, seed: int = 0, link_latency: float = 0.001, engine: str = DEFAULT_ENGINE
+    ):
         super().__init__(seed=seed, link_latency=link_latency)
         self.server = CentralServer(self.sim, self.network, engine=engine)
 

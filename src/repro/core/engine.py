@@ -80,12 +80,12 @@ class MultiStageEventSystem:
         stage_sizes: Sequence[int] = (100, 10, 1),
         ttl: float = 60.0,
         seed: int = 0,
-        engine: str = "index",
+        engine: str = BrokerConfig.engine,
         trace: bool = False,
         link_latency: float = 0.001,
         wildcard_routing: bool = True,
         compact: bool = False,
-        cache: bool = True,
+        cache: bool = BrokerConfig.cache,
         batch: bool = True,
         aggregate: bool = True,
         tracing: bool = False,

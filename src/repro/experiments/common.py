@@ -15,6 +15,7 @@ from repro.core.engine import MultiStageEventSystem
 from repro.metrics.counters import NodeCounters
 from repro.metrics.load import mean, relative_load_complexity
 from repro.metrics.matching import average_matching_rate, matching_rate
+from repro.overlay.config import BrokerConfig
 from repro.sim.rng import RngRegistry
 from repro.workloads.bibliographic import BIB_EVENT_CLASS, BibliographicWorkload
 
@@ -32,7 +33,7 @@ class ScenarioConfig:
     n_subscribers: int = 200
     n_events: int = 200
     seed: int = 0
-    engine: str = "index"
+    engine: str = BrokerConfig.engine
     ttl: float = 60.0
     wildcard_rate: float = 0.0
     #: Which attribute (and everything less general) wildcard subscriptions
@@ -45,7 +46,7 @@ class ScenarioConfig:
     #: Compact broker tables with covering merges (§4 g1-collapse).
     compact: bool = False
     #: Routing-decision cache on broker match engines (hot-path memo).
-    cache: bool = True
+    cache: bool = BrokerConfig.cache
     #: Batched dispatch: nodes drain runs of publishes per wakeup.
     batch: bool = True
     #: Covering-based subscription aggregation on the broker uplinks
@@ -134,17 +135,6 @@ class ScenarioResult:
             for stage in self.stages()
             if stage >= 1
         }
-
-    def cache_totals(self) -> Dict[str, float]:
-        """System-wide routing-cache and batch counters (broker stages)."""
-        from repro.metrics.report import aggregate_cache_counters
-
-        return aggregate_cache_counters(
-            counters
-            for stage in self.stages()
-            if stage >= 1
-            for _, counters in self.counters_by_stage[stage]
-        )
 
     def aggregation_totals(self) -> Dict[str, float]:
         """System-wide covering-aggregation counters (broker stages)."""

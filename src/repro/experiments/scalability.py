@@ -31,8 +31,6 @@ class ScalabilityPoint:
     #: The centralized comparator: every event against every subscription.
     centralized_lc: float
     subscriber_mr: float
-    #: System-wide routing-cache hit rate over the broker stages.
-    cache_hit_rate: float = 0.0
     #: Distinct filters held per broker stage (covering aggregation
     #: keeps the upper stages maximal-only).
     filters_by_stage: Dict[int, int] = field(default_factory=dict)
@@ -72,7 +70,6 @@ def run_scalability(
                 max_lc_by_stage=max_lc,
                 centralized_lc=float(result.total_events) * count,
                 subscriber_mr=result.subscriber_average_mr(),
-                cache_hit_rate=result.cache_totals()["hit_rate"],
                 filters_by_stage=result.filters_per_stage(),
                 req_inserts=aggregation["req_inserts_sent"],
                 suppressed=aggregation["propagations_suppressed"],
@@ -86,11 +83,7 @@ def render(points: List[ScalabilityPoint]) -> str:
     headers = (
         ["Subscribers"]
         + [f"Max LC stage {s}" for s in stages]
-        + [
-            "Centralized LC",
-            "Subscriber MR",
-            "Cache hit rate",
-        ]
+        + ["Centralized LC", "Subscriber MR"]
         + [f"Filters stage {s}" for s in stages]
         + ["ReqInsert", "Suppressed"]
     )
@@ -99,7 +92,7 @@ def render(points: List[ScalabilityPoint]) -> str:
         rows.append(
             [point.n_subscribers]
             + [point.max_lc_by_stage[s] for s in stages]
-            + [point.centralized_lc, point.subscriber_mr, point.cache_hit_rate]
+            + [point.centralized_lc, point.subscriber_mr]
             + [point.filters_by_stage.get(s, 0) for s in stages]
             + [point.req_inserts, point.suppressed]
         )

@@ -14,16 +14,19 @@ paper's overlay nodes evaluate and weaken.  This package provides:
 - :mod:`~repro.filters.standard` — the "standard subscription filter
   format" of Section 4.4 (wildcard completion, generality ordering);
 - :mod:`~repro.filters.parser` — a small textual filter language;
-- :mod:`~repro.filters.table` — the paper's naive Figure-6 filter table;
-- :mod:`~repro.filters.index` — a counting-based matching index;
+- :mod:`~repro.filters.table` — the paper's naive Figure-6 filter table
+  (the test oracle);
+- :mod:`~repro.filters.index` — a counting-based matching index (an
+  opt-in ablation);
 - :mod:`~repro.filters.engine` — the shared :class:`MatchEngine`
-  interface both implement, plus :class:`CachedMatchEngine`, a
-  fingerprint-keyed routing-decision cache for the broker hot path;
+  interface every engine implements, the engine name map and its
+  default, plus :class:`CachedMatchEngine`, an opt-in fingerprint-keyed
+  routing-decision cache;
 - :mod:`~repro.filters.covering_index` — :class:`CoveringIndex`, a
   candidate-pruned subsumption structure the broker control plane uses
   to aggregate subscriptions along the covering relation;
 - :mod:`~repro.filters.compiled` — :class:`CompiledMatchEngine`, the
-  batch hot path: indexable conjunctive parts compiled into flat
+  default engine: indexable conjunctive parts compiled into flat
   bitmap/bisect structures with residual predicates on survivors only.
 
 Covering here is *sound but not complete*: ``f.covers(g)`` returning True

@@ -1,4 +1,4 @@
-"""Compiled bitmap matching engine — the batch hot path of the broker.
+"""Compiled bitmap matching engine — what brokers match with by default.
 
 :class:`CountingIndex` already reduces matching to "harvest satisfied
 constraints, count per filter", but every harvested constraint still
@@ -33,9 +33,9 @@ Python bookkeeping:
   of the counting algorithm's per-handle required-count check, with the
   popcount bookkeeping replaced by word-parallel masking;
 - **residual** predicates (``NE``/``PREFIX``/``CONTAINS``, multi-
-  constraint groups on one attribute, boolean or unhashable operands)
-  are evaluated interpretively, but only on the candidates that
-  survived every indexed tier.
+  constraint groups on one attribute, boolean, unhashable or NaN
+  operands) are evaluated interpretively, but only on the candidates
+  that survived every indexed tier.
 
 Mutations never rebuild eagerly: they update cheap per-attribute source
 structures (operand lists, slot sets) and mark the attribute *dirty*;
@@ -60,7 +60,7 @@ import bisect
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.filters.constraints import AttributeConstraint
-from repro.filters.engine import MatchEngine, value_key
+from repro.filters.engine import MatchEngine, is_nan, value_key
 from repro.filters.filter import Filter
 from repro.filters.operators import ALL, EQ, EXISTS, GE, GT, LE, LT
 
@@ -88,11 +88,17 @@ def _family_of(value: Any) -> Optional[str]:
 
     Mirrors :func:`~repro.filters.operators.values_comparable`: booleans
     are excluded from the numeric family, so a boolean operand (or probe
-    value) never touches the sorted arrays.
+    value) never touches the sorted arrays.  Neither does NaN, which
+    that function calls comparable but which has no place in a sorted
+    array: as an operand it would sit wherever the bisect left it and
+    shift the boundary of every later probe, as a value it satisfies no
+    ordering constraint.
     """
     if isinstance(value, bool):
         return None
-    if isinstance(value, (int, float)):
+    if isinstance(value, float):
+        return "num" if value == value else None
+    if isinstance(value, int):
         return "num"
     if isinstance(value, str):
         return "str"
@@ -338,15 +344,18 @@ def _indexable_group(
     ``exists``, or an ordering operator with a non-boolean numeric or
     string operand.  Everything else — multi-constraint conjunctions on
     one attribute (interval subscriptions), ``NE``/``PREFIX``/
-    ``CONTAINS``, boolean or unhashable operands — stays interpreted,
-    but only runs on candidates that survived the compiled tiers.
+    ``CONTAINS``, boolean, unhashable or NaN operands — stays
+    interpreted, but only runs on candidates that survived the compiled
+    tiers.  (``= nan`` holds for no value, yet a bucket keyed by it
+    would be found by the same NaN object through dict identity.)
     """
     if len(constraints) != 1:
         return None
     constraint = constraints[0]
     op = constraint.operator
     if op is EQ:
-        return constraint if _hashable(constraint.operand) else None
+        operand = constraint.operand
+        return constraint if _hashable(operand) and not is_nan(operand) else None
     if op is EXISTS:
         return constraint
     if op in (LT, LE, GT, GE) and _family_of(constraint.operand) is not None:
@@ -706,7 +715,7 @@ class CompiledMatchEngine(MatchEngine):
 def _exact_float(value: Any) -> bool:
     """True when ``float(value)`` represents ``value`` exactly."""
     if isinstance(value, float):
-        return value == value  # NaN operands stay on the exact path's fallback
+        return True  # NaN has no family: it never gets this far
     try:
         return float(value) == value
     except OverflowError:

@@ -1,14 +1,27 @@
-"""Shared match-engine interface and the routing-decision cache.
+"""Shared match-engine interface, the engine registry and the routing cache.
 
-Both matching engines — the naive Figure-6 :class:`~repro.filters.table.
-FilterTable` and the production :class:`~repro.filters.index.CountingIndex`
-— implement the :class:`MatchEngine` surface so broker nodes (and the
-caching layer below) treat them interchangeably.
+Three engines implement the :class:`MatchEngine` surface, so broker
+nodes, the centralized baseline and the caching layer below treat them
+interchangeably; :func:`engine_classes` names them, :data:`DEFAULT_ENGINE`
+says which one a system gets when nothing is passed, and
+:func:`make_engine` is the one place an engine is built from its name:
 
-:class:`CachedMatchEngine` wraps either engine with a memo of routing
-decisions keyed by a canonical *fingerprint* of the event's property set.
-Real event streams are highly repetitive (identical property-set shapes
-recur constantly — Gryphon's information-flow brokering and Shi et al.'s
+- :class:`~repro.filters.compiled.CompiledMatchEngine` (``"compiled"``,
+  the default) — bitmap tiers evaluated a whole run at a time;
+- :class:`~repro.filters.index.CountingIndex` (``"index"``) — the
+  counting algorithm, kept as the opt-in ablation EXPERIMENTS.md's
+  tables read;
+- :class:`~repro.filters.table.FilterTable` (``"table"``) — the paper's
+  naive Figure-6 table, the oracle the other two are tested against.
+
+:class:`CachedMatchEngine` wraps any of them with a memo of routing
+decisions keyed by a canonical *fingerprint* of the event's property set
+(``cache=True``, opt-in: on top of the compiled engine a hit — fingerprint
+sort, tuple, LRU move, list copy — costs what the match it saves costs,
+and a miss costs both, DESIGN §12; it still pays on the counting index,
+whose match is proportional to the satisfied constraints).  Real event
+streams are highly repetitive (identical property-set shapes recur
+constantly — Gryphon's information-flow brokering and Shi et al.'s
 subscription aggregation both exploit this), so a per-node memo converts
 most matches into a single dict lookup.
 
@@ -16,7 +29,7 @@ Soundness rests on two facts:
 
 1. A match result depends only on the values of attributes some stored
    filter actually constrains (the *relevant* attributes): every other
-   attribute is never probed by either engine.  The fingerprint therefore
+   attribute is never probed by any engine.  The fingerprint therefore
    restricts the event to its relevant attributes — two events that agree
    there are routed identically — and encodes attribute *absence* by
    omission (constraints never match absent attributes).
@@ -26,9 +39,9 @@ Soundness rests on two facts:
    engine) — flushes the memo and the relevant-attribute set, so a stale
    decision can never survive a table change.
 
-Values are keyed with the same bool-vs-number discrimination the counting
-index uses for its equality buckets: ``1 == 1.0`` may share a decision
-(both engines treat them identically under every operator) but ``True``
+Values are keyed with the same bool-vs-number discrimination the indexed
+engines use for their equality buckets: ``1 == 1.0`` may share a decision
+(every engine treats them identically under every operator) but ``True``
 may not.
 """
 
@@ -136,6 +149,18 @@ class MatchEngine(ABC):
 def value_key(value: Any) -> Any:
     """Canonical key separating bools from numbers (1 != True for matching)."""
     return (type(value) is bool, value)
+
+
+def is_nan(value: Any) -> bool:
+    """Whether ``value`` is a float NaN.
+
+    NaN compares false with everything, itself included, so it has no
+    position in a sorted operand tier (a bisect over it lands anywhere)
+    and no equality bucket (a dict finds it by identity, ``=`` never
+    holds).  The indexed engines keep a NaN operand on their interpreted
+    path and let a NaN value satisfy no indexed constraint but ``exists``.
+    """
+    return isinstance(value, float) and value != value
 
 
 def event_fingerprint(
@@ -338,6 +363,12 @@ class CachedMatchEngine(MatchEngine):
         )
 
 
+#: The engine a system gets when none is named — the one spelling every
+#: default (``BrokerConfig``, the facade, ``ScenarioConfig``, the
+#: centralized baseline) reads.  Chosen by measurement (DESIGN §12).
+DEFAULT_ENGINE = "compiled"
+
+
 def engine_classes() -> Dict[str, Type[MatchEngine]]:
     """The engine name → class map (``BrokerConfig.engine`` names).
 
@@ -355,6 +386,15 @@ def engine_classes() -> Dict[str, Type[MatchEngine]]:
     }
 
 
+def engine_class(name: str) -> Type[MatchEngine]:
+    """The class behind an engine name; ``ValueError`` for an unknown one."""
+    classes = engine_classes()
+    if name not in classes:
+        known = ", ".join(map(repr, classes))
+        raise ValueError(f"engine must be one of {known}, got {name!r}")
+    return classes[name]
+
+
 def make_engine(
     name: str, cache: bool = False, stats: Optional[CacheStats] = None
 ) -> MatchEngine:
@@ -363,5 +403,5 @@ def make_engine(
     ``stats`` is the :class:`CacheStats` the wrapper counts into (a node
     shares its own so totals survive compaction rebuilds).
     """
-    engine = engine_classes()[name]()
+    engine = engine_class(name)()
     return CachedMatchEngine(engine, stats=stats) if cache else engine

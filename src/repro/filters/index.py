@@ -16,15 +16,17 @@ classic *counting algorithm* for conjunctive subscriptions:
 The semantics are identical to :class:`repro.filters.table.FilterTable`
 (which the test suite uses as an oracle); only the complexity differs:
 matching is proportional to the number of *satisfied* constraints rather
-than the number of filters.
+than the number of filters.  Selected with ``engine="index"``; the
+default is :class:`repro.filters.compiled.CompiledMatchEngine`, which
+replaces the per-constraint bookkeeping with per-attribute bitmaps.
 """
 
 import bisect
 from collections import defaultdict
-from typing import Any, Dict, Hashable, List, Set, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.filters.constraints import AttributeConstraint
-from repro.filters.engine import MatchEngine, value_key
+from repro.filters.engine import MatchEngine, is_nan, value_key
 from repro.filters.filter import Filter
 from repro.filters.operators import ALL, EQ, EXISTS, GE, GT, LE, LT, values_comparable
 
@@ -93,26 +95,34 @@ class _AttributeIndex:
         self.gt = _SortedOperands()
         self.ge = _SortedOperands()
         self.exists: List[int] = []
-        #: Fallback for NE/PREFIX/CONTAINS and family-mismatched operands.
+        #: Fallback for NE/PREFIX/CONTAINS and operands no bucket or
+        #: sorted array can hold (family-mismatched, boolean, NaN).
         self.linear: List[Tuple[AttributeConstraint, int]] = []
+
+    def _sorted_for(self, constraint: AttributeConstraint) -> Optional[_SortedOperands]:
+        """The sorted array an ordering constraint belongs in, if any."""
+        if isinstance(constraint.operand, bool) or is_nan(constraint.operand):
+            return None
+        return {LT: self.lt, LE: self.le, GT: self.gt, GE: self.ge}.get(
+            constraint.operator
+        )
 
     def insert(self, constraint: AttributeConstraint, handle: int) -> None:
         op = constraint.operator
-        if op is EQ and _hashable(constraint.operand):
+        if op is EQ and _eq_indexable(constraint.operand):
             self.eq.setdefault(_eq_key(constraint.operand), []).append(handle)
             return
         if op is EXISTS:
             self.exists.append(handle)
             return
-        sorted_for = {LT: self.lt, LE: self.le, GT: self.gt, GE: self.ge}.get(op)
-        if sorted_for is not None and not isinstance(constraint.operand, bool):
-            if sorted_for.insert(constraint.operand, handle):
-                return
+        sorted_for = self._sorted_for(constraint)
+        if sorted_for is not None and sorted_for.insert(constraint.operand, handle):
+            return
         self.linear.append((constraint, handle))
 
     def remove(self, constraint: AttributeConstraint, handle: int) -> None:
         op = constraint.operator
-        if op is EQ and _hashable(constraint.operand):
+        if op is EQ and _eq_indexable(constraint.operand):
             handles = self.eq.get(_eq_key(constraint.operand))
             if handles and handle in handles:
                 handles.remove(handle)
@@ -122,10 +132,9 @@ class _AttributeIndex:
         if op is EXISTS and handle in self.exists:
             self.exists.remove(handle)
             return
-        sorted_for = {LT: self.lt, LE: self.le, GT: self.gt, GE: self.ge}.get(op)
+        sorted_for = self._sorted_for(constraint)
         if (
             sorted_for is not None
-            and not isinstance(constraint.operand, bool)
             and sorted_for.comparable_with(constraint.operand)
             and sorted_for.remove(constraint.operand, handle)
         ):
@@ -151,7 +160,9 @@ class _AttributeIndex:
             for handle in self.eq.get(_eq_key(value), ()):  # equality probe
                 counts[handle] += 1
                 probes += 1
-        if not isinstance(value, bool):
+        # A NaN value satisfies no ordering constraint, and a bisect
+        # with it would harvest half the array.
+        if not isinstance(value, bool) and not is_nan(value):
             for structure, probe in (
                 (self.lt, _SortedOperands.satisfied_lt),
                 (self.le, _SortedOperands.satisfied_le),
@@ -186,6 +197,13 @@ def _hashable(value: Any) -> bool:
     except TypeError:
         return False
     return True
+
+
+def _eq_indexable(operand: Any) -> bool:
+    """Whether ``= operand`` may live in the hash buckets: ``= nan``
+    holds for no value, but a bucket would be found by the same NaN
+    object through dict identity."""
+    return _hashable(operand) and not is_nan(operand)
 
 
 #: Key that separates bools from numbers (1 != True for matching); the

@@ -4,9 +4,10 @@ Each node of the overlay keeps a table ``T`` of entries
 ``<filter, id1[, id2, ...]>`` mapping a (weakened) filter to the child
 nodes or subscribers interested in it.  Matching an event evaluates every
 filter in the table — exactly the algorithm the paper presents "for
-clarity" in Figure 6.  The production engine is
-:class:`repro.filters.index.CountingIndex`; this table doubles as the
-correctness oracle for it in the test suite.
+clarity" in Figure 6.  Systems match with
+:class:`repro.filters.compiled.CompiledMatchEngine` by default; this
+table (``engine="table"``) is the correctness oracle the test suite
+holds that engine and :class:`repro.filters.index.CountingIndex` to.
 """
 
 from typing import Any, Dict, Hashable, Iterator, List, Tuple

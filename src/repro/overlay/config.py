@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.subscription import DEFAULT_EXPIRY_FACTOR
-from repro.filters.engine import engine_classes
+from repro.filters.engine import DEFAULT_ENGINE, engine_class
 from repro.flow import FlowConfig
 from repro.log.config import LogConfig
 
@@ -31,17 +31,20 @@ class BrokerConfig:
     #: half-TTL and purged after ``expiry_factor`` silent TTLs.
     ttl: float = 60.0
     #: Matching engine, a key of :func:`~repro.filters.engine.
-    #: engine_classes`: ``"index"`` (counting index), ``"table"`` (the
-    #: naive Figure-6 table) or ``"compiled"`` (bitmap engine).
-    engine: str = "index"
+    #: engine_classes`: ``"compiled"`` (bitmap engine, the measured
+    #: default), ``"index"`` (counting index) or ``"table"`` (the naive
+    #: Figure-6 table, the test oracle).
+    engine: str = DEFAULT_ENGINE
     #: HANDLE-WILDCARD-SUBS (§4.4) on; off is the ablation baseline.
     wildcard_routing: bool = True
     #: Match against a table compacted with covering merges (the
     #: g1-covers-f1,f2 collapse of §4; ablation toggle).
     compact: bool = False
     #: Memoize routing decisions per node (:class:`~repro.filters.engine.
-    #: CachedMatchEngine`).
-    cache: bool = True
+    #: CachedMatchEngine`).  Off: on the compiled engine a hit costs what
+    #: the match it saves costs and a miss costs both (DESIGN §12); the
+    #: ``"index"`` ablation is where it still pays.
+    cache: bool = False
     #: Queue same-instant publishes and serve them as one run per wakeup;
     #: off, an unmanaged broker serves each arrival at once.
     batch: bool = True
@@ -74,10 +77,7 @@ class BrokerConfig:
             raise ValueError(
                 f"expiry factor must be >= 1, got {self.expiry_factor}"
             )
-        if self.engine not in engine_classes():
-            raise ValueError(
-                f"engine must be 'index', 'table' or 'compiled', got {self.engine!r}"
-            )
+        engine_class(self.engine)  # raises for a name the map lacks
         if self.service_rate is not None and self.service_rate <= 0:
             raise ValueError(
                 f"service_rate must be positive, got {self.service_rate}"

@@ -1318,11 +1318,11 @@ class BrokerNode(Process):
         # keeps per-event match calls so each hop span can report its own
         # probe delta and cache verdict — results are identical.
         use_batch = not tracing and len(batch) > 1 and engine.native_batch
+        rebuilds_before = engine.rebuilds
+        residual_before = engine.residual_evaluations
         all_matches = None
         if use_batch:
             probes_before = engine.evaluations
-            rebuilds_before = engine.rebuilds
-            residual_before = engine.residual_evaluations
             all_matches = engine.match_batch(
                 tuple(message.envelope.metadata for message in batch)
             )
@@ -1331,10 +1331,6 @@ class BrokerNode(Process):
             # identical to the per-event accounting.
             self.counters.filter_evaluations += engine.evaluations - probes_before
             self.counters.events_matched_batch += len(batch)
-            self.counters.compile_rebuilds += engine.rebuilds - rebuilds_before
-            self.counters.residual_evaluations += (
-                engine.residual_evaluations - residual_before
-            )
         runs: Dict[int, List[Publish]] = {}
         run_order: List[Process] = []
         for position, message in enumerate(batch):
@@ -1391,6 +1387,12 @@ class BrokerNode(Process):
                     run = runs[id(destination)] = []
                     run_order.append(destination)
                 run.append(message)
+        # Whichever path matched the run — a lone event and a traced run
+        # recompile dirty attributes and run residuals all the same.
+        self.counters.compile_rebuilds += engine.rebuilds - rebuilds_before
+        self.counters.residual_evaluations += (
+            engine.residual_evaluations - residual_before
+        )
         for destination in run_order:
             self._send_run(destination, runs[id(destination)])
         # Information flows tap the batch *after* the raw path has fully

@@ -1,9 +1,12 @@
 """Unit tests for the centralized baseline (§2.1)."""
 
+import pytest
+
 from repro.baselines.centralized import CentralizedSystem
 from repro.core.advertisement import Advertisement
 from repro.core.stages import AttributeStageAssociation
 from repro.events.base import PropertyEvent
+from repro.filters.engine import DEFAULT_ENGINE, engine_classes
 
 ADV = Advertisement(
     "Stock",
@@ -102,6 +105,18 @@ def test_unadvertised_class_subscribes_without_standardization():
     subscriber = system.create_subscriber()
     subscription = system.subscribe(subscriber, "x = 1", event_class="Raw")
     assert subscription.filter.matches(PropertyEvent(x=1))
+
+
+def test_the_server_builds_the_engine_it_is_asked_for():
+    """``engine="compiled"`` — and any typo — used to get the naive
+    table silently: the comparison experiment would have run the
+    baseline on the slowest engine beside a multi-stage system on the
+    fastest."""
+    for name, cls in engine_classes().items():
+        assert type(CentralizedSystem(engine=name).server.table) is cls
+    assert type(CentralizedSystem().server.table) is engine_classes()[DEFAULT_ENGINE]
+    with pytest.raises(ValueError, match="engine must be one of"):
+        CentralizedSystem(engine="indx")
 
 
 def test_table_engine_variant():

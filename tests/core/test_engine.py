@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.engine import MultiStageEventSystem
+from repro.filters.engine import engine_classes
 from repro.filters.parser import parse_filter
 
 STOCK_SCHEMA = ("class", "symbol", "price")
@@ -56,7 +57,7 @@ def test_publish_subscribe_round_trip():
 
 
 def test_table_engine_behaves_identically():
-    for engine in ("index", "table"):
+    for engine in engine_classes():
         system = make_system(engine=engine)
         publisher = system.create_publisher()
         subscriber = system.create_subscriber()

@@ -1,5 +1,7 @@
 """Tests for the architecture comparison and the ablations."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import ablations, comparison
@@ -44,6 +46,20 @@ class TestComparison:
         """Multi-stage edges see mostly-relevant traffic; broadcast edges
         see the raw stream."""
         assert results["multistage"].edge_avg_mr > results["broadcast"].edge_avg_mr
+
+    @pytest.mark.parametrize("engine", ["index", "table"])
+    def test_the_engine_changes_no_delivery_and_no_rlc(self, results, engine):
+        """``config.engine`` reaches the centralized server as well as
+        the brokers; whichever it is, the table is the same."""
+        other = comparison.run_comparison(
+            dataclasses.replace(QUICK, engine=engine),
+            architectures=("multistage", "centralized"),
+        )
+        assert other["centralized"].max_broker_rlc == pytest.approx(1.0)
+        for name, result in other.items():
+            assert result.deliveries == results[name].deliveries, name
+            assert result.max_broker_rlc == results[name].max_broker_rlc, name
+            assert result.total_messages == results[name].total_messages, name
 
     def test_render(self, results):
         text = comparison.render(results)

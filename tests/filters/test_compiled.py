@@ -30,6 +30,7 @@ from repro.filters.operators import (
     NE,
     PREFIX,
 )
+from repro.filters.table import FilterTable
 
 
 def eq(attr, operand):
@@ -292,11 +293,26 @@ class TestBatch:
 
 @pytest.mark.skipif(_numpy is None, reason="numpy not installed")
 class TestNumpyFastPath:
+    @staticmethod
+    def three_subjects(table):
+        """The numpy tier, the pure tier and the Figure-6 oracle."""
+        subjects = (
+            CompiledMatchEngine(use_numpy=True),
+            CompiledMatchEngine(use_numpy=False),
+            FilterTable(),
+        )
+        for filter_, destination in table:
+            for subject in subjects:
+                subject.insert(filter_, destination)
+        return subjects
+
     def test_numpy_and_pure_python_agree(self):
         rng = random.Random(21)
         operators = [LT, LE, GT, GE, EQ]
         table = []
-        for position in range(3 * _BLOCK):
+        # Eight blocks over five operators: every range tier is past the
+        # _BLOCK operands below which the numpy hints are not built.
+        for position in range(8 * _BLOCK):
             op = operators[position % len(operators)]
             operand = rng.choice(
                 [rng.randrange(100), round(rng.uniform(0, 100), 3)]
@@ -304,16 +320,22 @@ class TestNumpyFastPath:
             table.append(
                 (Filter([AttributeConstraint("v", op, operand)]), f"d{position}")
             )
-        with_numpy = CompiledMatchEngine(use_numpy=True)
-        without = CompiledMatchEngine(use_numpy=False)
-        for filter_, destination in table:
-            with_numpy.insert(filter_, destination)
-            without.insert(filter_, destination)
+        with_numpy, without, oracle = self.three_subjects(table)
         events = [
             {"v": rng.choice([rng.randrange(110), round(rng.uniform(0, 110), 3)])}
             for _ in range(60)
-        ] + [{"v": "str-probe"}, {"v": True}, {}, {"v": float("nan")}]
-        assert with_numpy.match_batch(events) == without.match_batch(events)
+        ] + [
+            {"v": probe}
+            for probe in (
+                "str-probe", True, float("nan"), float("inf"), float("-inf"),
+                -0.0, 2**63 + 1,
+            )
+        ] + [{}]  # fmt: skip
+        expected = [oracle.match(event) for event in events]
+        assert any(expected) and not expected[62]  # the NaN probe
+        assert with_numpy._numpy_hints(events)  # the fast path is taken
+        assert with_numpy.match_batch(events) == expected
+        assert without.match_batch(events) == expected
 
     def test_inexact_operands_fall_back(self):
         huge = 2**63 + 1  # not exactly representable as float64
@@ -321,13 +343,11 @@ class TestNumpyFastPath:
             (Filter([AttributeConstraint("v", GE, huge + offset)]), f"d{offset}")
             for offset in range(_BLOCK + 4)
         ]
-        with_numpy = CompiledMatchEngine(use_numpy=True)
-        without = CompiledMatchEngine(use_numpy=False)
-        for filter_, destination in table:
-            with_numpy.insert(filter_, destination)
-            without.insert(filter_, destination)
+        with_numpy, without, oracle = self.three_subjects(table)
         events = [{"v": huge + offset} for offset in range(-1, _BLOCK + 5)]
-        assert with_numpy.match_batch(events) == without.match_batch(events)
+        expected = [oracle.match(event) for event in events]
+        assert with_numpy.match_batch(events) == expected
+        assert without.match_batch(events) == expected
 
     def test_default_autodetects(self):
         assert CompiledMatchEngine().use_numpy is True

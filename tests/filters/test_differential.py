@@ -45,13 +45,22 @@ from repro.filters.table import FilterTable
 ATTRIBUTES = ["a", "b", "c"]
 DESTINATIONS = ["n1", "n2", "n3"]
 
+#: Operands and probe values alike.  The floats no ordered structure
+#: likes ride along: NaN (unordered — one object, so that a filter
+#: holding it equals itself and can be removed again; a branch of its
+#: own, since drawn once in twenty-five it met no ordering filter in 60
+#: examples and the engines it breaks passed), both infinities, a
+#: negative zero (equal to 0 under ``=``, hashed like it) and an integer
+#: past 2**63 that no float64 holds exactly (the numpy tier must step
+#: aside for it).
 values = st.one_of(
     st.integers(min_value=-3, max_value=3),
     st.sampled_from([0.5, 1.5]),
+    st.just(float("nan")),
+    st.sampled_from([float("inf"), float("-inf"), -0.0, 2**63 + 1]),
     st.sampled_from(["", "v", "va", "w"]),
     st.booleans(),
 )
-
 
 @st.composite
 def constraints(draw):

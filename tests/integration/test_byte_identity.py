@@ -30,12 +30,20 @@ PARENT = {
     "total_bytes": 165683,
     "total_messages": 640,
     "links": "ec1c08abfb63e35865d7128ee62e432edac0ff9f27e0ecff9f37167a9b1816e5",
-    "spans": "bf1f8eca9095316c663aaf0060d5681ecfe126ac12d19f17045ad44a84fd65dd",
+    "spans": "046f730a17b5bee1d37646860c7287fd0fbef411bb6ae8ffc7d31db596fa17c5",
     "n_spans": 559,
 }
+#: ``spans`` is the one field the default engine reaches (each ``hop``
+#: span's ``cache`` and ``probed`` details) and was re-recorded when the
+#: default became ``"compiled"`` without the routing cache (DESIGN §12).
+#: This is the hash recorded at ``f196111``; it still holds for a run
+#: that asks for that commit's default, ``engine="index", cache=True``.
+SPANS_INDEX_WITH_CACHE = (
+    "bf1f8eca9095316c663aaf0060d5681ecfe126ac12d19f17045ad44a84fd65dd"
+)
 
 
-def measure(monkeypatch):
+def measure(monkeypatch, **scenario):
     """One traced same-seed run, summarised as the parent's record was."""
     # Subscription ids are drawn from a process-wide counter and are
     # rendered into control messages: start it where a fresh
@@ -46,7 +54,7 @@ def measure(monkeypatch):
         "MultiStageEventSystem",
         functools.partial(MultiStageEventSystem, tracing=True),
     )
-    system = run_bibliographic(ScenarioConfig(**CONFIG)).system
+    system = run_bibliographic(ScenarioConfig(**CONFIG, **scenario)).system
     links = sorted(
         (link.src.name, link.dst.name, link.messages, link.bytes)
         for link in system.network._links.values()
@@ -63,6 +71,13 @@ def measure(monkeypatch):
 
 def test_bibliographic_bytes_and_spans_equal_the_parent_commit(monkeypatch):
     assert measure(monkeypatch) == PARENT
+
+
+def test_engine_and_cache_move_only_the_spans_hash(monkeypatch):
+    assert measure(monkeypatch, engine="index", cache=True) == {
+        **PARENT,
+        "spans": SPANS_INDEX_WITH_CACHE,
+    }
 
 
 def test_bibliographic_bytes_and_spans_equal_the_reference_model(monkeypatch):

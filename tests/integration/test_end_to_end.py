@@ -12,12 +12,16 @@ import pytest
 
 from repro.baselines.centralized import CentralizedSystem
 from repro.core.engine import MultiStageEventSystem
+from repro.filters.constraints import AttributeConstraint
+from repro.filters.engine import DEFAULT_ENGINE, engine_classes
+from repro.filters.filter import Filter
+from repro.filters.operators import EQ, LT
 from repro.sim.rng import RngRegistry
 from repro.workloads.bibliographic import BIB_EVENT_CLASS, BibliographicWorkload
 
 
 def run_multistage(workload, filters, records, stage_sizes=(6, 3, 1), seed=0,
-                   engine="index", wildcard_routing=True):
+                   engine=DEFAULT_ENGINE, wildcard_routing=True):
     system = MultiStageEventSystem(
         stage_sizes=stage_sizes, seed=seed, engine=engine,
         wildcard_routing=wildcard_routing,
@@ -96,7 +100,8 @@ class TestDeliveryEquivalence:
         workload, filters, records = make_workload(7)
         _, with_index = run_multistage(workload, filters, records, engine="index")
         _, with_table = run_multistage(workload, filters, records, engine="table")
-        assert with_index == with_table
+        _, by_default = run_multistage(workload, filters, records)
+        assert with_index == with_table == by_default
 
     @pytest.mark.parametrize("stage_sizes", [(1,), (5, 1), (8, 4, 2, 1)])
     def test_any_hierarchy_depth(self, stage_sizes):
@@ -238,6 +243,56 @@ class TestFailureInjection:
                 subscriber in ids for _, ids in home.table.entries()
             )
         system.stop_maintenance()
+
+
+class Quote:
+    def __init__(self, symbol, price):
+        self._symbol = symbol
+        self._price = price
+
+    def get_symbol(self):
+        return self._symbol
+
+    def get_price(self):
+        return self._price
+
+
+class TestNanOperand:
+    """One subscriber's ``price < nan`` used to silence another's
+    ``price < 5.0``: the NaN sat in the broker's sorted ``<`` operands
+    and moved the bisect boundary of every probe (tests/filters/
+    test_nan.py has the engine-level table)."""
+
+    @pytest.mark.parametrize("engine", sorted(engine_classes()))
+    def test_a_nan_bound_does_not_silence_other_subscribers(self, engine):
+        system = MultiStageEventSystem(stage_sizes=(1,), engine=engine)
+        # The price bound stays in the broker's weakened filters.
+        system.advertise(
+            "Quote", schema=("class", "symbol", "price"), stage_prefixes=(3, 3)
+        )
+
+        def bound(symbol, price):
+            return Filter([
+                AttributeConstraint("symbol", EQ, symbol),
+                AttributeConstraint("price", LT, price),
+            ])
+
+        got = {"a": [], "b": []}
+        for name, filter_ in (
+            ("a", bound("x", 5.0)),
+            ("b", bound("y", float("nan"))),
+        ):
+            system.subscribe(
+                system.create_subscriber(name), filter_, event_class="Quote",
+                handler=lambda e, m, s, _n=name: got[_n].append(m["price"]),
+            )
+            system.drain()
+        publisher = system.create_publisher()
+        publisher.publish(Quote("x", 3.0), event_class="Quote")
+        publisher.publish(Quote("y", 3.0), event_class="Quote")
+        publisher.publish(Quote("x", float("nan")), event_class="Quote")
+        system.drain()
+        assert got == {"a": [3.0], "b": []}
 
 
 class Alpha:

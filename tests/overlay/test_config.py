@@ -15,10 +15,18 @@ import re
 import pytest
 
 import repro
+import repro.runtime.multiprocess_backend as multiprocess_backend
+from repro.baselines.centralized import CentralizedSystem, CentralServer
 from repro.core.engine import MultiStageEventSystem
 from repro.experiments.chaos import ChaosConfig
+from repro.experiments.common import ScenarioConfig
 from repro.filters.compiled import CompiledMatchEngine
-from repro.filters.engine import CachedMatchEngine, engine_classes, make_engine
+from repro.filters.engine import (
+    DEFAULT_ENGINE,
+    CachedMatchEngine,
+    engine_classes,
+    make_engine,
+)
 from repro.filters.filter import Filter
 from repro.filters.index import CountingIndex
 from repro.filters.table import FilterTable
@@ -29,6 +37,7 @@ from repro.overlay.config import BrokerConfig
 from repro.overlay.hierarchy import build_hierarchy
 from repro.overlay.node import BrokerNode
 from repro.overlay.subscriber import SubscriberRuntime
+from repro.runtime.asyncio_backend import AsyncioRuntime
 from repro.runtime.multiprocess_backend import SystemSpec
 from repro.streams.registrar import FlowRegistrar
 
@@ -84,6 +93,62 @@ def test_facade_and_config_defaults_agree():
     for field in dataclasses.fields(BrokerConfig):
         if field.name not in INTERNAL:
             assert signature.parameters[field.name].default == field.default
+
+
+def test_scenario_and_baseline_defaults_agree_with_the_config():
+    """The experiment runner forwards these to the facade and the
+    comparison experiment hands ``engine`` to the centralized baseline:
+    a default of their own would be a second opinion."""
+    scenario = {field.name: field.default for field in dataclasses.fields(ScenarioConfig)}
+    forwarded = (CONFIG_FIELDS - INTERNAL) & set(scenario)
+    assert {"engine", "cache", "batch", "aggregate", "compact"} <= forwarded
+    for name in forwarded:
+        assert scenario[name] == getattr(BrokerConfig, name), name
+    for baseline in (CentralServer, CentralizedSystem):
+        default = inspect.signature(baseline.__init__).parameters["engine"].default
+        assert default == BrokerConfig.engine == DEFAULT_ENGINE
+
+
+def test_the_default_is_the_compiled_engine_without_the_cache():
+    system = MultiStageEventSystem(stage_sizes=(2, 1))
+    config = system.broker_config
+    assert config.engine == "compiled" and config.cache is False
+    assert config == BrokerConfig()
+    for node in system.hierarchy.nodes():
+        assert type(node.table) is CompiledMatchEngine
+        assert node._match_engine() is node.table
+
+
+def test_a_multiprocess_worker_builds_the_default_engine_bare(monkeypatch):
+    """What the facade sends across the spawn boundary is all a worker
+    builds its broker from: take the spec off a launch and build the
+    worker's slice of the tree from it, as ``_BrokerWorker._main`` does."""
+    launched = []
+
+    def launch(runtime, network, spec):
+        launched.append(pickle.loads(pickle.dumps(spec)))
+        raise RuntimeError("spec taken")
+
+    monkeypatch.setattr(multiprocess_backend.MultiprocessRuntime, "launch", launch)
+    with pytest.raises(RuntimeError, match="spec taken"):
+        MultiStageEventSystem(stage_sizes=(2, 1), runtime="multiprocess")
+    (spec,) = launched
+    worker = multiprocess_backend._BrokerWorker(
+        multiprocess_backend.WorkerSpec("N1.2", 1, spec, control_port=0)
+    )
+    worker.runtime = AsyncioRuntime()
+    try:
+        worker.transport = multiprocess_backend._WorkerTransport(
+            worker.runtime, host=spec.host
+        )
+        worker._build_tree()
+        assert worker.node.config == BrokerConfig()
+        assert type(worker.node.table) is CompiledMatchEngine
+        assert worker.node._match_engine() is worker.node.table
+    finally:
+        if worker.transport is not None:
+            worker.transport.close()
+        worker.runtime.close()
 
 
 def test_nothing_downstream_spells_the_options_out_again():
@@ -149,6 +214,12 @@ def test_one_engine_map_builds_every_engine():
         "table": FilterTable,
         "compiled": CompiledMatchEngine,
     }
+    assert DEFAULT_ENGINE in engine_classes()
+    # One message, built from the map, for every way in.
+    message = "engine must be one of 'index', 'table', 'compiled', got 'trie'"
+    for build in (make_engine, lambda name: BrokerConfig(engine=name)):
+        with pytest.raises(ValueError, match=message):
+            build("trie")
     for name, cls in engine_classes().items():
         assert type(make_engine(name)) is cls
         stats = CacheStats()
