@@ -45,7 +45,6 @@ from repro.overlay.subscriber import Handler, SubscriberRuntime
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecorder
 from repro.streams.flowgraph import FlowGraph
 from repro.streams.registrar import FlowRegistrar
 from repro.streams.spec import FlowSpec
@@ -81,7 +80,6 @@ class MultiStageEventSystem:
         ttl: float = 60.0,
         seed: int = 0,
         engine: str = BrokerConfig.engine,
-        trace: bool = False,
         link_latency: float = 0.001,
         wildcard_routing: bool = True,
         compact: bool = False,
@@ -96,9 +94,9 @@ class MultiStageEventSystem:
         runtime: str = "sim",
     ):
         """``stage_sizes``, ``seed``, ``link_latency`` and ``runtime``
-        shape the deployment, ``trace``/``tracing`` switch the two
-        recorders; every other keyword is a broker option, documented
-        on :class:`~repro.overlay.config.BrokerConfig`."""
+        shape the deployment, ``tracing`` switches the one recorder
+        (:attr:`tracer`); every other keyword is a broker option,
+        documented on :class:`~repro.overlay.config.BrokerConfig`."""
         #: The one broker configuration every broker of this system —
         #: in this process or in a worker — is built from.  Validated
         #: here, before any runtime resource or process exists.
@@ -156,7 +154,6 @@ class MultiStageEventSystem:
         #: subscriber this system creates (None = flow control off).
         self.flow = flow
         self.rngs = RngRegistry(seed)
-        self.trace = TraceRecorder(enabled=trace)
         if runtime == "multiprocess":
             from repro.runtime.multiprocess_backend import SystemSpec
 
@@ -184,7 +181,6 @@ class MultiStageEventSystem:
                 stage_sizes,
                 self.broker_config,
                 rngs=self.rngs,
-                trace=self.trace,
                 link_latency=link_latency,
                 tracer=self.tracer,
             )
@@ -257,7 +253,6 @@ class MultiStageEventSystem:
             name or self._fresh_name("subscriber"),
             self.root,
             ttl=self.ttl,
-            trace=self.trace,
             tracer=self.tracer,
             flow=self.flow,
         )

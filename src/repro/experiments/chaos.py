@@ -34,7 +34,6 @@ from repro.metrics.report import (
     render_series,
     render_stage_latency_histograms,
     render_table,
-    render_trace_path,
 )
 from repro.overlay.invariants import covering_violations
 from repro.sim.network import FaultPlan
@@ -394,11 +393,11 @@ def render_observability(result: ChaosResult) -> str:
             )
     # One reconstructed path, picked deterministically: the first event
     # with a complete delivered path.
-    for event_id in tracer.event_ids():
-        paths = tracer.reconstruct(event_id)
+    for paths in tracer.reconstruct_all():
         if any(p.complete and p.delivered for p in paths):
             parts.append(
-                "Reconstructed event path\n" + render_trace_path(tracer, event_id)
+                "Reconstructed event path\n"
+                + "\n".join(path.render() for path in paths)
             )
             break
     return "\n\n".join(parts)

@@ -377,8 +377,6 @@ class CompiledMatchEngine(MatchEngine):
     round-trip exactly through ``float``).
     """
 
-    native_batch = True
-
     def __init__(self, use_numpy: Optional[bool] = None) -> None:
         self._attributes: Dict[str, _CompiledAttribute] = {}
         self._filters: Dict[Filter, int] = {}
@@ -558,13 +556,17 @@ class CompiledMatchEngine(MatchEngine):
 
         Dirty attributes recompile once for the run; with numpy present
         the range-tier bisect positions for all events are computed in a
-        single vectorized ``searchsorted`` per tier.
+        single vectorized ``searchsorted`` per tier.  A one-event run
+        skips that pass: building the arrays costs more than the one
+        bisect per tier it would save.
         """
         if not self._filters:
             return [[] for _ in events]
         self._recompile_dirty()
         properties = [getattr(event, "properties", event) for event in events]
-        hints = self._numpy_hints(properties) if self.use_numpy else None
+        hints = None
+        if self.use_numpy and len(properties) > 1:
+            hints = self._numpy_hints(properties)
         return [
             self._materialize(self._match_bitmap(props, hints, position))
             for position, props in enumerate(properties)

@@ -72,8 +72,8 @@ class MatchEngine(ABC):
 
     Concrete engines also expose an ``evaluations`` counter of constraint
     probes performed (the LC bookkeeping callers read as a delta around
-    each ``match`` call).  The counters and the marker below are part of
-    the surface too, so that a broker reads them off whatever engine it
+    each ``match_batch`` call).  The counters below are part of the
+    surface too, so that a broker reads them off whatever engine it
     holds instead of probing for its class.
     """
 
@@ -81,9 +81,6 @@ class MatchEngine(ABC):
     rebuilds = 0
     #: Residual predicates evaluated on candidates the compiled tiers kept.
     residual_evaluations = 0
-    #: Whether :meth:`match_batch` is a real whole-run pass, not the
-    #: per-event loop below.
-    native_batch = False
 
     @abstractmethod
     def insert(self, filter_: Filter, destination: Hashable) -> None:
@@ -332,10 +329,6 @@ class CachedMatchEngine(MatchEngine):
     @property
     def residual_evaluations(self) -> int:
         return self.inner.residual_evaluations
-
-    @property
-    def native_batch(self) -> bool:
-        return self.inner.native_batch
 
     def destinations_for(self, filter_: Filter) -> Tuple[Hashable, ...]:
         return self.inner.destinations_for(filter_)

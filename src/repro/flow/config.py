@@ -48,11 +48,6 @@ class FlowConfig:
     #: Effective inbound capacity fraction while OVERLOADED (shedding
     #: mode: admit less, recover faster).
     overload_capacity_factor: float = 0.5
-    #: Return credits for events a lossy link swallowed, detected via the
-    #: per-link sequence numbers on data frames (the DESIGN §10
-    #: credit-leak fix).  ``False`` keeps the leaky pre-fix accounting
-    #: (same wire format) for ablation.
-    gap_grant: bool = True
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:

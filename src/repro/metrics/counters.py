@@ -117,9 +117,6 @@ class NodeCounters:
     catchup_delivered: int = 0
     #: Credits returned for events a lossy link swallowed (gap-grant).
     credit_gap_grants: int = 0
-    #: Events matched through a single ``match_batch`` engine pass
-    #: (subset of ``events_received``; compiled-engine brokers only).
-    events_matched_batch: int = 0
     #: Dirty-attribute recompiles performed by a compiled match engine.
     compile_rebuilds: int = 0
     #: Residual (non-indexable) predicates evaluated on candidates that
@@ -142,8 +139,9 @@ class NodeCounters:
     #: downlink-bandwidth measure; subscriber runtimes only).
     bytes_received: int = 0
 
-    def on_event(self, matched: bool, forwarded_to: int, evaluations: int) -> None:
-        """Record one filtered event."""
+    def on_event(self, matched: bool, forwarded_to: int, evaluations: int = 0) -> None:
+        """Record one filtered event (a broker books ``evaluations`` per
+        served run instead, as the engine's delta)."""
         self.events_received += 1
         if matched:
             self.events_matched += 1
@@ -161,9 +159,6 @@ class NodeCounters:
         self.batched_events += size
         if size > self.max_batch_size:
             self.max_batch_size = size
-
-    def average_batch_size(self) -> float:
-        return self.batched_events / self.batches if self.batches else 0.0
 
     def set_filters_held(self, count: int) -> None:
         self.filters_held = count
@@ -205,7 +200,6 @@ class NodeCounters:
             "catchup_taps": self.catchup_taps,
             "catchup_delivered": self.catchup_delivered,
             "credit_gap_grants": self.credit_gap_grants,
-            "events_matched_batch": self.events_matched_batch,
             "compile_rebuilds": self.compile_rebuilds,
             "residual_evaluations": self.residual_evaluations,
             "flows_installed": self.flows_installed,

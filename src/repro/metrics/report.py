@@ -2,8 +2,6 @@
 
 The benchmark harness prints the same rows/series the paper reports; a
 couple of small formatters keep that output consistent everywhere.
-:func:`render_cache_summary` surfaces the routing-decision cache and
-batched-dispatch counters the hot-path optimisations add.
 """
 
 from typing import Any, Iterable, List, Sequence, Tuple
@@ -45,153 +43,6 @@ def render_table(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     return "\n".join(out)
 
 
-def aggregate_cache_counters(
-    counters: Iterable[NodeCounters],
-) -> dict:
-    """Fold per-node cache/batch counters into system-wide totals."""
-    totals = {
-        "hits": 0,
-        "misses": 0,
-        "invalidations": 0,
-        "batches": 0,
-        "batched_events": 0,
-        "max_batch_size": 0,
-    }
-    for counter in counters:
-        totals["hits"] += counter.cache.hits
-        totals["misses"] += counter.cache.misses
-        totals["invalidations"] += counter.cache.invalidations
-        totals["batches"] += counter.batches
-        totals["batched_events"] += counter.batched_events
-        totals["max_batch_size"] = max(
-            totals["max_batch_size"], counter.max_batch_size
-        )
-    lookups = totals["hits"] + totals["misses"]
-    totals["hit_rate"] = totals["hits"] / lookups if lookups else 0.0
-    totals["avg_batch_size"] = (
-        totals["batched_events"] / totals["batches"] if totals["batches"] else 0.0
-    )
-    return totals
-
-
-def render_cache_summary(
-    named_counters: Iterable[Tuple[str, NodeCounters]],
-    title: str = "Routing cache / batched dispatch",
-) -> str:
-    """Per-location cache and batch counters, plus a totals row."""
-    rows: List[List[Any]] = []
-    all_counters: List[NodeCounters] = []
-    for name, counter in named_counters:
-        all_counters.append(counter)
-        rows.append(
-            [
-                name,
-                counter.cache.hits,
-                counter.cache.misses,
-                counter.cache.hit_rate(),
-                counter.cache.invalidations,
-                counter.batches,
-                counter.average_batch_size(),
-                counter.max_batch_size,
-            ]
-        )
-    totals = aggregate_cache_counters(all_counters)
-    rows.append(
-        [
-            "TOTAL",
-            totals["hits"],
-            totals["misses"],
-            totals["hit_rate"],
-            totals["invalidations"],
-            totals["batches"],
-            totals["avg_batch_size"],
-            totals["max_batch_size"],
-        ]
-    )
-    table = render_table(
-        [
-            "Location",
-            "Hits",
-            "Misses",
-            "Hit rate",
-            "Invalidations",
-            "Batches",
-            "Avg batch",
-            "Max batch",
-        ],
-        rows,
-    )
-    return f"{title}\n{table}"
-
-
-def aggregate_matching_counters(
-    counters: Iterable[NodeCounters],
-) -> dict:
-    """Fold per-node compiled-engine counters into system-wide totals."""
-    totals = {
-        "events_received": 0,
-        "events_matched_batch": 0,
-        "compile_rebuilds": 0,
-        "residual_evaluations": 0,
-        "filter_evaluations": 0,
-    }
-    for counter in counters:
-        totals["events_received"] += counter.events_received
-        totals["events_matched_batch"] += counter.events_matched_batch
-        totals["compile_rebuilds"] += counter.compile_rebuilds
-        totals["residual_evaluations"] += counter.residual_evaluations
-        totals["filter_evaluations"] += counter.filter_evaluations
-    totals["batch_match_rate"] = (
-        totals["events_matched_batch"] / totals["events_received"]
-        if totals["events_received"]
-        else 0.0
-    )
-    return totals
-
-
-def render_matching_summary(
-    named_counters: Iterable[Tuple[str, NodeCounters]],
-    title: str = "Compiled matching engine",
-) -> str:
-    """Per-location compiled-engine counters, plus a totals row.
-
-    ``Batched`` is how many events went through a single whole-batch
-    engine pass, ``Rebuilds`` the dirty-attribute recompiles the
-    control-plane churn forced, and ``Residual`` the non-indexable
-    predicates that had to run interpretively on surviving candidates.
-    """
-    rows: List[List[Any]] = []
-    all_counters: List[NodeCounters] = []
-    for name, counter in named_counters:
-        all_counters.append(counter)
-        rows.append(
-            [
-                name,
-                counter.events_received,
-                counter.events_matched_batch,
-                counter.compile_rebuilds,
-                counter.residual_evaluations,
-                counter.filter_evaluations,
-            ]
-        )
-    totals = aggregate_matching_counters(all_counters)
-    rows.append(
-        [
-            "TOTAL",
-            totals["events_received"],
-            totals["events_matched_batch"],
-            totals["compile_rebuilds"],
-            totals["residual_evaluations"],
-            totals["filter_evaluations"],
-        ]
-    )
-    table = render_table(
-        ["Location", "Received", "Batched", "Rebuilds", "Residual", "Probes"],
-        rows,
-    )
-    return f"{title}\n{table}"
-
-
 def aggregate_aggregation_counters(
     counters: Iterable[NodeCounters],
 ) -> dict:
@@ -214,53 +65,6 @@ def aggregate_aggregation_counters(
         totals["propagations_suppressed"] / attempts if attempts else 0.0
     )
     return totals
-
-
-def render_aggregation_summary(
-    named_counters: Iterable[Tuple[str, NodeCounters]],
-    title: str = "Covering aggregation (control plane)",
-) -> str:
-    """Per-location covering-aggregation counters, plus a totals row."""
-    rows: List[List[Any]] = []
-    all_counters: List[NodeCounters] = []
-    for name, counter in named_counters:
-        all_counters.append(counter)
-        rows.append(
-            [
-                name,
-                counter.filters_held,
-                counter.propagated_filters,
-                counter.req_inserts_sent,
-                counter.propagations_suppressed,
-                counter.withdrawals_sent,
-                counter.uncover_repropagations,
-            ]
-        )
-    totals = aggregate_aggregation_counters(all_counters)
-    rows.append(
-        [
-            "TOTAL",
-            sum(c.filters_held for c in all_counters),
-            totals["propagated_filters"],
-            totals["req_inserts_sent"],
-            totals["propagations_suppressed"],
-            totals["withdrawals_sent"],
-            totals["uncover_repropagations"],
-        ]
-    )
-    table = render_table(
-        [
-            "Location",
-            "Held",
-            "Propagated",
-            "ReqInsert",
-            "Suppressed",
-            "Withdrawn",
-            "Uncovered",
-        ],
-        rows,
-    )
-    return f"{title}\n{table}"
 
 
 def aggregate_reliability_counters(
@@ -364,28 +168,6 @@ def render_flow_summary(
     return "\n".join(out)
 
 
-def render_offline_drop_summary(
-    named_counters: Iterable[Tuple[str, NodeCounters]],
-    title: str = "Durable offline-buffer drops",
-) -> str:
-    """Per-subscriber durable-buffer drops, grouped by the home broker
-    that shed them.  A durable subscriber that was offline longer than
-    its buffer capacity allows shows up here — the explicit, observable
-    form of what used to be a silent ``popleft``."""
-    rows: List[List[Any]] = []
-    total = 0
-    for name, counter in named_counters:
-        for subscriber in sorted(counter.offline_drops):
-            dropped = counter.offline_drops[subscriber]
-            rows.append([name, subscriber, dropped])
-            total += dropped
-    if not rows:
-        rows = [["(none)", "-", 0]]
-    rows.append(["TOTAL", "", total])
-    table = render_table(["Home broker", "Subscriber", "Dropped"], rows)
-    return f"{title}\n{table}"
-
-
 def render_network_summary(stats: Any, title: str = "Network traffic") -> str:
     """Totals from a :class:`~repro.sim.network.NetworkStats`, including
     the loss/duplication columns the fault injector feeds."""
@@ -426,8 +208,8 @@ def render_stage_latency_histograms(
     queue/defer time, link latency, and fault-window jitter included.
     """
     by_stage: dict = {}
-    for event_id in tracer.event_ids():
-        for path in tracer.reconstruct(event_id):
+    for paths in tracer.reconstruct_all():
+        for path in paths:
             if not path.complete:
                 continue
             for _, stage, latency in path.hop_latencies:
@@ -465,28 +247,24 @@ def render_hottest_brokers(
     tracer: Any, top: int = 10, title: str = "Hottest brokers"
 ) -> str:
     """Top-N brokers by hop-span count (events actually processed),
-    with their cache hit counts and total fan-out alongside."""
+    with their total fan-out alongside."""
     per_node: dict = {}
     for span in tracer.kinds("hop"):
         entry = per_node.get(span.node)
         if entry is None:
-            entry = per_node[span.node] = {
-                "stage": span.stage, "hops": 0, "hits": 0, "fanout": 0,
-            }
+            entry = per_node[span.node] = {"stage": span.stage, "hops": 0, "fanout": 0}
         entry["hops"] += 1
-        if span.detail("cache") == "hit":
-            entry["hits"] += 1
         entry["fanout"] += span.detail("fanout", 0)
     ranked = sorted(
         per_node.items(), key=lambda item: (-item[1]["hops"], item[0])
     )[:top]
     rows = [
-        [name, entry["stage"], entry["hops"], entry["hits"], entry["fanout"]]
+        [name, entry["stage"], entry["hops"], entry["fanout"]]
         for name, entry in ranked
     ]
     if not rows:
-        rows = [["(none)", "-", 0, 0, 0]]
-    table = render_table(["Broker", "Stage", "Events", "Cache hits", "Fan-out"], rows)
+        rows = [["(none)", "-", 0, 0]]
+    table = render_table(["Broker", "Stage", "Events", "Fan-out"], rows)
     return f"{title}\n{table}"
 
 

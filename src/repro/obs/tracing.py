@@ -1,4 +1,5 @@
-"""Causal event tracing: one span per hop of every published event.
+"""Causal event tracing: one span per hop of every published event, and
+one per control-plane decision, in the one recorder a system has.
 
 Every published envelope already carries a stable identity —
 ``event_id = (publisher name, publish sequence)`` — which doubles as the
@@ -7,9 +8,10 @@ the event's path appends a :class:`Span` to the shared
 :class:`EventTracer`:
 
 - ``publish`` at the publisher (event class, publish time),
-- ``hop`` at each broker stage (which neighbour it came from, cache
-  hit/miss, constraint probes, match verdict, fan-out, queue/defer
-  time),
+- ``hop`` at each broker stage (which neighbour it came from, match
+  verdict, fan-out, queue/defer time): a view over the result of the
+  run's one ``match_batch`` call, the same whatever the engine (what
+  matching cost is in the counters, per run),
 - ``deliver`` at the subscriber runtime (exact-filter verdict, delivery
   latency).
 
@@ -18,6 +20,25 @@ Control-plane occurrences record spans with ``trace_id=None``:
 — ReqInsert/Withdraw/Renewal — being retried), ``epoch-reset`` /
 ``channel-reset`` (sender/receiver sides of a channel incarnation bump),
 and wire-level ``drop`` / ``dup`` spans from the fault injector.
+
+So do the routing decisions of Figure 5 and §4.3, at the broker that
+took them (at the subscriber for ``joined``):
+
+=========================== ==========================================
+kind                        details
+=========================== ==========================================
+``advertise``               ``event_class``, ``changed`` (re-flooded?)
+``route-covering``          ``target`` (child of the strongest cover)
+``wildcard-attach``         ``attribute``, ``target_stage`` (§4.5)
+``subscriber-insert``       ``subscriber``, ``filter`` (as stored)
+``joined``                  ``home``, ``hops`` (redirects taken)
+``propagation-suppressed``  ``filter``, ``cover`` (already propagated)
+``propagation-demoted``     ``filter``, ``cover`` (withdrawn under it)
+``uncover-repropagate``     ``filter``, ``cover`` (the cover that died)
+``lease-expired``           ``destination`` (silent for 3×TTL)
+``disconnect``              ``subscriber``, ``durable``
+``reconnect``               ``subscriber``, ``replayed`` (buffered)
+=========================== ==========================================
 
 Flow control (see :mod:`repro.flow`) adds three kinds: ``shed`` (an
 event dropped by a bounded queue — carries the reason, and the event's
@@ -191,6 +212,17 @@ class EventTracer:
         :func:`reconstruct_paths`)."""
         return reconstruct_paths(self.for_event(trace_id))
 
+    def reconstruct_all(self) -> Iterator[List["PathReconstruction"]]:
+        """Every event's delivery paths, one list per event in
+        :meth:`event_ids` order — what a whole-trace report iterates.
+        Spans are grouped by trace id in one pass; :meth:`reconstruct`
+        per id would scan them all once per event."""
+        by_event: Dict[Tuple[Any, ...], List[Span]] = {}
+        for span in self._spans:
+            if span.trace_id is not None:
+                by_event.setdefault(span.trace_id, []).append(span)
+        return map(reconstruct_paths, by_event.values())
+
     def incomplete_deliveries(self) -> List["PathReconstruction"]:
         """Every delivery whose span chain does *not* reach a publisher.
 
@@ -199,12 +231,12 @@ class EventTracer:
         path.  Deliveries where the exact filter rejected the event are
         not deliveries and are ignored.
         """
-        broken: List[PathReconstruction] = []
-        for trace_id in self.event_ids():
-            for path in self.reconstruct(trace_id):
-                if path.delivered and not path.complete:
-                    broken.append(path)
-        return broken
+        return [
+            path
+            for paths in self.reconstruct_all()
+            for path in paths
+            if path.delivered and not path.complete
+        ]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from repro.overlay.config import BrokerConfig
 from repro.overlay.node import BrokerNode
 from repro.runtime.base import Executor, Transport
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecorder
 
 
 class Hierarchy:
@@ -100,7 +99,6 @@ def build_hierarchy(
     stage_sizes: Sequence[int],
     config: Optional[BrokerConfig] = None,
     rngs: Optional[RngRegistry] = None,
-    trace: Optional[TraceRecorder] = None,
     link_latency: float = 0.001,
     tracer: Optional[EventTracer] = None,
 ) -> Hierarchy:
@@ -120,7 +118,6 @@ def build_hierarchy(
                 stage,
                 config,
                 rng=rngs.stream(f"node/{name}"),
-                trace=trace,
                 tracer=tracer,
             ),
             lambda parent, child: network.connect(

@@ -82,7 +82,6 @@ from repro.overlay.messages import (
 )
 from repro.runtime.base import Executor, Transport
 from repro.sim.kernel import Process
-from repro.sim.trace import TraceRecorder
 from repro.streams.operators import Emission, FlowRuntime
 from repro.streams.spec import CollapseSpec
 
@@ -156,7 +155,6 @@ class BrokerNode(Process):
         stage: int,
         config: Optional[BrokerConfig] = None,
         rng: Optional[random.Random] = None,
-        trace: Optional[TraceRecorder] = None,
         tracer: Optional[EventTracer] = None,
     ):
         """``config`` holds every behaviour option (see
@@ -195,7 +193,6 @@ class BrokerNode(Process):
         self._was_maintained = False
         self.table: MatchEngine = self._new_engine()
         self.rng = rng or random.Random(0)
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         #: Causal span tracer (shared system-wide; disabled tracer when
         #: observability is off, so every emission site is one flag check).
         self.tracer = tracer if tracer is not None else EventTracer(enabled=False)
@@ -294,12 +291,9 @@ class BrokerNode(Process):
         self, kind: str, *details: Tuple[str, Any], trace_id: Optional[Tuple] = None
     ) -> None:
         """Emit one span of this broker, now (a no-op with tracing off;
-        callers guard on ``tracer.enabled`` only where merely building
-        ``details`` would cost something)."""
+        callers guard on ``tracer.enabled`` where building ``details``
+        costs more than that check)."""
         self.tracer.span(self.sim.now, kind, self.name, self.stage, trace_id, details)
-
-    def _record(self, category: str, **details: Any) -> None:
-        self.trace.record(self.sim.now, category, self.name, **details)
 
     # ------------------------------------------------------------------
     # Topology wiring (done by hierarchy builder / engine)
@@ -400,9 +394,12 @@ class BrokerNode(Process):
 
     def _on_advertise(self, message: Advertise) -> None:
         changed = self.advertisements.add(message.advertisement)
-        self._record(
-            "advertise", event_class=message.advertisement.event_class, changed=changed
-        )
+        if self.tracer.enabled:
+            self._span(
+                "advertise",
+                ("event_class", message.advertisement.event_class),
+                ("changed", changed),
+            )
         if changed:
             for child in self.broker_children:
                 self.network.send(self, child, message)
@@ -421,7 +418,8 @@ class BrokerNode(Process):
 
         redirect = self._strongest_covering_child(request.filter)
         if redirect is not None:
-            self._record("route-covering", target=redirect.name)
+            if self.tracer.enabled:
+                self._span("route-covering", ("target", redirect.name))
             self.network.send(
                 self, request.subscriber, JoinAt(redirect, request.subscription_id)
             )
@@ -476,9 +474,12 @@ class BrokerNode(Process):
         top_used = advertisement.association.top_stage_using(attribute)
         target_stage = top_used + 1
         if self.stage == target_stage or (self.is_root and target_stage > self.stage):
-            self._record(
-                "wildcard-attach", attribute=attribute, target_stage=target_stage
-            )
+            if self.tracer.enabled:
+                self._span(
+                    "wildcard-attach",
+                    ("attribute", attribute),
+                    ("target_stage", target_stage),
+                )
             self._insert_subscriber(request)
         else:
             self._redirect_to_random_child(request)
@@ -507,9 +508,12 @@ class BrokerNode(Process):
             request.subscriber,
             AcceptedAt(self, request.subscription_id, stored),
         )
-        self._record(
-            "subscriber-insert", subscriber=request.subscriber.name, filter=str(stored)
-        )
+        if self.tracer.enabled:
+            self._span(
+                "subscriber-insert",
+                ("subscriber", request.subscriber.name),
+                ("filter", str(stored)),
+            )
         if self.config.aggregate:
             if newly_known:
                 self._up_insert(stored, request.event_class)
@@ -594,7 +598,12 @@ class BrokerNode(Process):
             link.cover_of[form] = cover
             link.covered.setdefault(cover, {})[form] = None
             self.counters.propagations_suppressed += 1
-            self._record("propagation-suppressed", filter=str(form), cover=str(cover))
+            if self.tracer.enabled:
+                self._span(
+                    "propagation-suppressed",
+                    ("filter", str(form)),
+                    ("cover", str(cover)),
+                )
         else:
             self._propagate_form(link, form, event_class)
         self._uplinks_changed()
@@ -618,7 +627,10 @@ class BrokerNode(Process):
             link.covered.setdefault(form, {})[other] = None
             self.counters.withdrawals_sent += 1
             self._send_up(Withdraw(other, event_class, self))
-            self._record("propagation-demoted", filter=str(other), cover=str(form))
+            if self.tracer.enabled:
+                self._span(
+                    "propagation-demoted", ("filter", str(other)), ("cover", str(form))
+                )
 
     def _filter_removed(self, filter_: Filter) -> None:
         """``filter_`` no longer has any destination in the table."""
@@ -673,9 +685,12 @@ class BrokerNode(Process):
                 link.covered.setdefault(new_cover, {})[orphan] = None
             else:
                 self.counters.uncover_repropagations += 1
-                self._record(
-                    "uncover-repropagate", filter=str(orphan), cover=str(form)
-                )
+                if self.tracer.enabled:
+                    self._span(
+                        "uncover-repropagate",
+                        ("filter", str(orphan)),
+                        ("cover", str(form)),
+                    )
                 self._propagate_form(link, orphan, event_class)
         self.counters.withdrawals_sent += 1
         self._send_up(Withdraw(form, event_class, self))
@@ -924,9 +939,11 @@ class BrokerNode(Process):
             self.leases.forget(filter_, destination)
             if removed and filter_ not in self.table:
                 self._filter_removed(filter_)
-            self._record(
-                "lease-expired", destination=getattr(destination, "name", destination)
-            )
+            if self.tracer.enabled:
+                self._span(
+                    "lease-expired",
+                    ("destination", getattr(destination, "name", destination)),
+                )
         for stale in [f for f in self._filter_class if f not in self.table]:
             self._filter_removed(stale)
         # Offline/buffer state for destinations that no longer hold any
@@ -1137,14 +1154,20 @@ class BrokerNode(Process):
         self._offline[sender.name] = (sender, message.durable)
         if message.durable:
             self._buffers.setdefault(sender.name, deque())
-        self._record("disconnect", subscriber=sender.name, durable=message.durable)
+        if self.tracer.enabled:
+            self._span(
+                "disconnect", ("subscriber", sender.name), ("durable", message.durable)
+            )
 
     def _on_reconnect(self, sender: Process) -> None:
         self._offline.pop(sender.name, None)
         buffered = self._buffers.pop(sender.name, ())
         for publish in buffered:
             self.network.send(self, sender, publish)
-        self._record("reconnect", subscriber=sender.name, replayed=len(buffered))
+        if self.tracer.enabled:
+            self._span(
+                "reconnect", ("subscriber", sender.name), ("replayed", len(buffered))
+            )
 
     def _buffer_durable(self, destination: Process, message: Publish) -> None:
         """Buffer one event for an offline durable subscriber, shedding
@@ -1303,7 +1326,8 @@ class BrokerNode(Process):
         :class:`PublishBatch` send (one scheduling round downstream);
         per-destination event order is the batch order, i.e. exactly the
         unbatched delivery order.  ``metas`` carries per-event ``(sender
-        name, arrival time)`` when tracing is on.
+        name, arrival time)`` exactly when tracing is on: each becomes
+        one ``hop`` span.
         """
         self.counters.on_batch(len(batch))
         if self.log is not None:
@@ -1311,37 +1335,24 @@ class BrokerNode(Process):
             if self._replayer is not None and self._replayer.has_catch_up:
                 self._replayer.tap_batch(batch)
         engine = self._match_engine()
-        tracing = self.tracer.enabled
-        # Whole-batch evaluation when the engine has a native
-        # match_batch (the compiled bitmap engine): one dirty recompile
-        # and one structure pass for the entire run.  The tracing path
-        # keeps per-event match calls so each hop span can report its own
-        # probe delta and cache verdict — results are identical.
-        use_batch = not tracing and len(batch) > 1 and engine.native_batch
+        # One engine call per served run, whatever the engine, the run
+        # length or the tracer; the run's deltas are the only work
+        # accounting (DESIGN §12) and a hop span is a view over the
+        # result.
+        probes_before = engine.evaluations
         rebuilds_before = engine.rebuilds
         residual_before = engine.residual_evaluations
-        all_matches = None
-        if use_batch:
-            probes_before = engine.evaluations
-            all_matches = engine.match_batch(
-                tuple(message.envelope.metadata for message in batch)
-            )
-            # Per-event on_event() calls below pass evaluations=0; the
-            # whole run's probe delta lands here once, so the totals are
-            # identical to the per-event accounting.
-            self.counters.filter_evaluations += engine.evaluations - probes_before
-            self.counters.events_matched_batch += len(batch)
+        all_matches = engine.match_batch(
+            tuple(message.envelope.metadata for message in batch)
+        )
+        self.counters.filter_evaluations += engine.evaluations - probes_before
+        self.counters.compile_rebuilds += engine.rebuilds - rebuilds_before
+        self.counters.residual_evaluations += (
+            engine.residual_evaluations - residual_before
+        )
         runs: Dict[int, List[Publish]] = {}
         run_order: List[Process] = []
-        for position, message in enumerate(batch):
-            if all_matches is not None:
-                matches = all_matches[position]
-                probes_delta = 0
-            else:
-                probes_before = engine.evaluations
-                hits_before = self.counters.cache.hits if tracing else 0
-                matches = engine.match(message.envelope.metadata)
-                probes_delta = engine.evaluations - probes_before
+        for position, (message, matches) in enumerate(zip(batch, all_matches)):
             destinations: List[Process] = []
             seen = set()
             for _, ids in matches:
@@ -1349,27 +1360,12 @@ class BrokerNode(Process):
                     if id(destination) not in seen:
                         seen.add(id(destination))
                         destinations.append(destination)
-            self.counters.on_event(
-                matched=bool(matches),
-                forwarded_to=len(destinations),
-                evaluations=probes_delta,
-            )
-            if tracing:
-                if metas is not None and position < len(metas):
-                    src, arrived = metas[position]
-                else:
-                    src, arrived = "?", self.sim.now
-                if not self.config.cache:
-                    cache = "off"
-                elif self.counters.cache.hits > hits_before:
-                    cache = "hit"
-                else:
-                    cache = "miss"
+            self.counters.on_event(bool(matches), forwarded_to=len(destinations))
+            if metas is not None:
+                src, arrived = metas[position]
                 self._span(
                     "hop",
                     ("src", src),
-                    ("cache", cache),
-                    ("probed", probes_delta),
                     ("matched", bool(matches)),
                     ("fanout", len(destinations)),
                     ("defer", self.sim.now - arrived),
@@ -1387,12 +1383,6 @@ class BrokerNode(Process):
                     run = runs[id(destination)] = []
                     run_order.append(destination)
                 run.append(message)
-        # Whichever path matched the run — a lone event and a traced run
-        # recompile dirty attributes and run residuals all the same.
-        self.counters.compile_rebuilds += engine.rebuilds - rebuilds_before
-        self.counters.residual_evaluations += (
-            engine.residual_evaluations - residual_before
-        )
         for destination in run_order:
             self._send_run(destination, runs[id(destination)])
         # Information flows tap the batch *after* the raw path has fully
@@ -1545,11 +1535,10 @@ class BrokerNode(Process):
             expected = self._data_expected.get(sender.name)
             if expected is not None and frame.seq > expected:
                 missing = min(frame.seq - expected, self.flow.link_window)
-                if self.flow.gap_grant:
-                    self.counters.credit_gap_grants += missing
-                    self._event_sources[sender.name] = sender
-                    self._span("credit-gap", ("peer", sender.name), ("missing", missing))
-                    self._grant_credits(sender.name, missing)
+                self.counters.credit_gap_grants += missing
+                self._event_sources[sender.name] = sender
+                self._span("credit-gap", ("peer", sender.name), ("missing", missing))
+                self._grant_credits(sender.name, missing)
             advance = frame.seq + len(frame.publishes)
             if expected is None or advance > expected:
                 self._data_expected[sender.name] = advance

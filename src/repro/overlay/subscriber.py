@@ -39,7 +39,6 @@ from repro.overlay.messages import (
 )
 from repro.runtime.base import Executor, Transport
 from repro.sim.kernel import Process
-from repro.sim.trace import TraceRecorder
 
 #: The handler signature: (typed event object, meta-data, subscription).
 Handler = Callable[[Any, Any, Subscription], None]
@@ -118,7 +117,6 @@ class SubscriberRuntime(Process):
         name: str,
         root: Process,
         ttl: float = 60.0,
-        trace: Optional[TraceRecorder] = None,
         tracer: Optional[EventTracer] = None,
         flow: Optional[FlowConfig] = None,
     ):
@@ -137,7 +135,6 @@ class SubscriberRuntime(Process):
             flow.control_window if flow is not None else None,
             self._on_retransmit,
         )
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         #: Causal span tracer (shared system-wide when observability is on).
         self.tracer = tracer if tracer is not None else EventTracer(enabled=False)
         self.counters = NodeCounters()
@@ -391,10 +388,12 @@ class SubscriberRuntime(Process):
                 state.home = message.node
                 self._by_home = None
                 state.stored_filter = message.stored_filter
-                self.trace.record(
-                    self.sim.now, "joined", self.name,
-                    home=message.node.name, hops=state.join_hops,
-                )
+                if self.tracer.enabled:
+                    details = (("home", message.node.name), ("hops", state.join_hops))
+                    self.tracer.span(
+                        self.sim.now, "joined", self.name, SUBSCRIBER_STAGE,
+                        details=details,
+                    )
         elif isinstance(message, Ack):
             self.links.on_ack(sender, message)
         elif isinstance(message, Sequenced):

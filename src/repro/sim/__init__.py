@@ -2,9 +2,8 @@
 
 The paper's evaluation (Section 5) is a simulation of a broker hierarchy.
 This package provides the deterministic discrete-event kernel that hosts
-broker processes, the latency/bandwidth network model connecting them, the
-seeded random-number streams that make every experiment reproducible, and a
-structured trace recorder used by the metrics layer.
+broker processes, the latency/bandwidth network model connecting them, and
+the seeded random-number streams that make every experiment reproducible.
 
 The kernel is intentionally small and dependency-free: a time-ordered event
 queue (:class:`~repro.sim.kernel.Simulator`), processes that exchange
@@ -21,7 +20,6 @@ from repro.sim.network import (
     NetworkStats,
 )
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecord, TraceRecorder
 
 __all__ = [
     "CrashWindow",
@@ -35,6 +33,4 @@ __all__ = [
     "RngRegistry",
     "SimulationError",
     "Simulator",
-    "TraceRecord",
-    "TraceRecorder",
 ]

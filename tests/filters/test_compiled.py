@@ -306,7 +306,7 @@ class TestNumpyFastPath:
                 subject.insert(filter_, destination)
         return subjects
 
-    def test_numpy_and_pure_python_agree(self):
+    def test_numpy_and_pure_python_agree(self, monkeypatch):
         rng = random.Random(21)
         operators = [LT, LE, GT, GE, EQ]
         table = []
@@ -336,6 +336,14 @@ class TestNumpyFastPath:
         assert with_numpy._numpy_hints(events)  # the fast path is taken
         assert with_numpy.match_batch(events) == expected
         assert without.match_batch(events) == expected
+        # A one-event run is the plain match: the hint arrays would cost
+        # more than the one bisect per tier they save, so none are built.
+        monkeypatch.setattr(
+            with_numpy, "_numpy_hints", lambda properties: pytest.fail("hints built")
+        )
+        for event, matches in zip(events, expected):
+            assert with_numpy.match_batch([event]) == [matches]
+            assert with_numpy.match(event) == matches
 
     def test_inexact_operands_fall_back(self):
         huge = 2**63 + 1  # not exactly representable as float64

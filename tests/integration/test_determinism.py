@@ -15,7 +15,7 @@ def run(seed):
     rngs = RngRegistry(seed)
     workload = BibliographicWorkload(rngs.stream("records"), n_records=150)
     system = MultiStageEventSystem(
-        stage_sizes=(6, 3, 1), seed=seed, trace=True, tracing=True
+        stage_sizes=(6, 3, 1), seed=seed, tracing=True
     )
     system.advertise(
         BIB_EVENT_CLASS, schema=workload.schema,
@@ -52,8 +52,10 @@ def test_identical_seed_identical_everything():
     # total_bytes is NOT compared: the byte model reprs messages, and
     # subscription ids come from a process-global counter, so their digit
     # lengths differ between two runs in one interpreter.
-    trace_a = [(r.time, r.category, r.source) for r in system_a.trace]
-    trace_b = [(r.time, r.category, r.source) for r in system_b.trace]
+    # The control-plane half of the trace (placement, redirects, joins).
+    trace_a = [(s.time, s.kind, s.node) for s in system_a.tracer if s.trace_id is None]
+    trace_b = [(s.time, s.kind, s.node) for s in system_b.tracer if s.trace_id is None]
+    assert {"subscriber-insert", "joined"} <= {kind for _, kind, _ in trace_a}
     assert trace_a == trace_b
     homes_a = {s.name: s.home_of(s.subscriptions()[0].subscription_id).name
                for s in system_a.subscribers}

@@ -213,21 +213,29 @@ def test_the_default_is_the_old_default_is_the_oracle_under_churn(seed):
     assert times[0] < 3 * TTL and times[-1] > 9 * TTL
     nodes = default.hierarchy.nodes()
     assert sum(n.counters.compile_rebuilds for n in nodes) > 0
-    assert sum(n.counters.events_matched_batch for n in nodes) > 0
     # Slots were handed out again: fewer bit positions than filters ever
     # stored; and the engines were rebuilt from nothing after the gap.
     assert any(n.table._next_slot < n.table._next_handle for n in nodes)
     assert all(n.table._attributes for n in nodes if len(n.table))
 
 
-def test_compiled_engine_batch_path_engages():
+def test_compiled_engine_batch_path_engages(monkeypatch):
+    """Every served run is one ``match_batch`` call, multi-event runs
+    among them, and every event of a run is received exactly once."""
+    runs = []
+    match_batch = CompiledMatchEngine.match_batch
+
+    def counting(engine, events):
+        runs.append(len(events))
+        return match_batch(engine, events)
+
+    monkeypatch.setattr(CompiledMatchEngine, "match_batch", counting)
     compiled, _ = run(7)
     counters = [n.counters for n in compiled.hierarchy.nodes()]
-    assert sum(c.events_matched_batch for c in counters) > 0
+    assert max(runs) > 1
+    assert len(runs) == sum(c.batches for c in counters)
+    assert sum(runs) == sum(c.events_received for c in counters)
     assert sum(c.compile_rebuilds for c in counters) > 0
-    # Every batched event was still received/filtered exactly once.
-    for counter in counters:
-        assert counter.events_matched_batch <= counter.events_received
 
 
 def test_compiled_engine_without_cache_or_batch_still_identical():
@@ -236,10 +244,6 @@ def test_compiled_engine_without_cache_or_batch_still_identical():
         "compiled": (compiled, traces),
         "index": run(13, engine="index", cache=False, batch=False),
     })
-    # Without batching there are no multi-event runs to batch-match.
-    assert all(
-        n.counters.events_matched_batch == 0 for n in compiled.hierarchy.nodes()
-    )
 
 
 def test_compiled_engine_composes_with_routing_cache():

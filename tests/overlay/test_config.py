@@ -1,9 +1,10 @@
 """The option surface is one object: ``BrokerConfig``.
 
-Pinned here: the facade's keyword signature (seventeen names since
-``reliable`` went), that its broker options are exactly the config's
-fields, that nothing downstream keeps per-option copies or builds its
-own reliable channel, and that the object crosses the spawn boundary.
+Pinned here: the facade's keyword signature (sixteen names since
+``trace`` went after ``reliable``), that its broker options are exactly
+the config's fields, that nothing downstream keeps per-option copies or
+builds its own reliable channel or a second recorder or a second match
+path, and that the object crosses the spawn boundary.
 """
 
 import dataclasses
@@ -42,7 +43,7 @@ from repro.runtime.multiprocess_backend import SystemSpec
 from repro.streams.registrar import FlowRegistrar
 
 #: What shapes the deployment rather than a broker.
-DEPLOYMENT = {"stage_sizes", "seed", "trace", "link_latency", "tracing", "runtime"}
+DEPLOYMENT = {"stage_sizes", "seed", "link_latency", "tracing", "runtime"}
 #: Config fields the facade does not expose (constants of every caller).
 INTERNAL = {"expiry_factor", "offline_buffer_limit"}
 
@@ -53,12 +54,44 @@ def parameters(callable_):
     return [name for name in inspect.signature(callable_).parameters if name != "self"]
 
 
-def test_facade_signature_is_seventeen_names():
+def test_facade_signature_is_sixteen_names():
     assert parameters(MultiStageEventSystem.__init__) == [
-        "stage_sizes", "ttl", "seed", "engine", "trace", "link_latency",
+        "stage_sizes", "ttl", "seed", "engine", "link_latency",
         "wildcard_routing", "compact", "cache", "batch", "aggregate",
         "tracing", "flow", "service_rate", "service_batch", "log", "runtime",
     ]  # fmt: skip
+
+
+def source_files():
+    root = pathlib.Path(repro.__file__).parent
+    return {
+        str(path.relative_to(root)): path.read_text()
+        for path in sorted(root.rglob("*.py"))
+    }
+
+
+def test_there_is_one_recorder():
+    """``TraceRecorder``/``trace=`` retired into the ``EventTracer``."""
+    sources = source_files()
+    assert "sim/trace.py" not in sources
+    assert [name for name, text in sources.items() if "TraceRecord" in text] == []
+    for built in (MultiStageEventSystem, BrokerNode, SubscriberRuntime, build_hierarchy):
+        assert "trace" not in parameters(built)
+
+
+def test_a_broker_has_one_match_path():
+    """``_process_batch`` calls ``match_batch`` and nothing else on the
+    engine, so a traced run executes what an untraced run executes."""
+    node_source = source_files()["overlay/node.py"]
+    assert not re.search(r"\.match\(", node_source)
+    assert node_source.count(".match_batch(") == 1
+    for name in ("native_batch", "use_batch"):
+        assert name not in node_source
+
+
+def test_the_gap_grant_is_not_an_option():
+    fields = [field.name for field in dataclasses.fields(FlowConfig)]
+    assert "gap_grant" not in fields and len(fields) == 12
 
 
 def test_facade_broker_options_are_the_config_fields():
@@ -79,11 +112,10 @@ def test_the_control_channel_is_not_an_option(configurable):
 
 def test_only_the_channel_module_builds_senders_and_receivers():
     """Every process reaches its links through ``PeerLinks``."""
-    root = pathlib.Path(repro.__file__).parent
     builders = [
-        str(path.relative_to(root))
-        for path in sorted(root.rglob("*.py"))
-        if re.search(r"Reliable(Sender|Receiver)\(", path.read_text())
+        name
+        for name, text in source_files().items()
+        if re.search(r"Reliable(Sender|Receiver)\(", text)
     ]
     assert builders == ["overlay/channel.py"]
 
@@ -230,15 +262,14 @@ def test_one_engine_map_builds_every_engine():
 
 @pytest.mark.parametrize("name", sorted(engine_classes()))
 def test_engine_protocol_needs_no_probing(name):
-    """Counters and the batch marker read the same through the cache
-    wrapper as off the engine itself."""
+    """Counters read the same through the cache wrapper as off the
+    engine itself."""
     raw = make_engine(name)
     cached = make_engine(name, cache=True)
     assert raw.cached_decisions() == 0
     for engine in (raw, cached):
         engine.insert(Filter.top(), "d")
         engine.match_batch([{"x": 1}, {"x": 1}])
-        assert engine.native_batch == (name == "compiled")
         assert engine.residual_evaluations == 0
         assert engine.rebuilds >= 0
     assert cached.rebuilds == cached.inner.rebuilds
