@@ -10,19 +10,35 @@ engine, including the cache-on/off speedup on a repetitive workload.
 10^4/10^5-filter populations of the paper's Section 5 scalability story
 and gates the compiled bitmap engine's >=10x speedup over the counting
 index (the results land in ``benchmarks/results/``).
+``test_stage0_break_even_sweep`` measures the one other place that
+matches — a subscriber runtime's stage 0 — as a scan of the home's
+filters and as one engine call, over 1…50 states per home: the
+break-even ``STAGE0_SCAN_MAX`` is read off it (DESIGN §16).
 """
 
+import json
+import os
 import random
 import time
 
 import pytest
 
+from repro.core.subscription import Subscription
+from repro.events.serialization import marshal
+from repro.experiments.common import ScenarioConfig
 from repro.filters.compiled import CompiledMatchEngine
-from repro.filters.engine import CachedMatchEngine
+from repro.filters.engine import DEFAULT_ENGINE, CachedMatchEngine
 from repro.filters.index import CountingIndex
 from repro.filters.table import FilterTable
 from repro.metrics.counters import CacheStats
+from repro.overlay import subscriber
+from repro.overlay.messages import AcceptedAt, Publish
+from repro.overlay.subscriber import STAGE0_SCAN_MAX, SubscriberRuntime
+from repro.sim.kernel import Process, Simulator
+from repro.workloads.bibliographic import BIB_EVENT_CLASS, BibliographicWorkload
 from repro.workloads.subscriptions import SubscriptionGenerator
+
+from .conftest import RESULTS_DIR
 
 GENERATOR = SubscriptionGenerator(
     [("class", 5), ("category", 40), ("vendor", 200)],
@@ -214,3 +230,105 @@ def test_insert_throughput(benchmark, engine_name):
 
     engine = benchmark(insert_all)
     assert len(engine) == len(set(population))
+
+
+class _NoNetwork:
+    def send(self, src, dst, message):
+        pass
+
+
+def _stage0_home(filters):
+    """A runtime holding one handler-less subscription per filter, all
+    homed at one node: ``receive`` is the match and its bookkeeping."""
+    sim = Simulator()
+    runtime = SubscriberRuntime(sim, _NoNetwork(), "sub", Process(sim, "root"))
+    node = Process(sim, "home")
+    for filter_ in filters:
+        subscription = Subscription(filter_, BIB_EVENT_CLASS)
+        runtime.subscribe(subscription)
+        runtime.receive(AcceptedAt(node, subscription.subscription_id, filter_), node)
+    return runtime, node
+
+
+def test_stage0_break_even_sweep(monkeypatch):
+    """Stage 0 as a scan and as one engine call, through the real
+    ``SubscriberRuntime.receive``, on the bibliographic workload of the
+    ``*_bib`` end-to-end workloads.
+
+    *Pre-filtered* traffic is what a home node sends (every envelope
+    matches at least one filter of the home: stage-0 MR is 0.997 on
+    ``mp_bib``); *unfiltered* traffic is the whole feed, where a scanned
+    filter usually fails on its first constraint.  Each side is forced
+    on every home size — the engine below the break-even, the scan above
+    it, by moving the constant ``_attach`` reads — so the sweep shows
+    where they cross; production chooses by ``len(states)``.  The only gate: the engine wins by >= 2x at 25
+    states, the ``mp_bib`` home.  The rows are the artifact
+    (``benchmarks/results/stage0_break_even.json``).
+    """
+    config = ScenarioConfig()
+    rng = random.Random(20)
+    universe = BibliographicWorkload(
+        rng,
+        n_years=config.n_years,
+        n_conferences=config.n_conferences,
+        n_authors=config.n_authors,
+        n_records=config.n_records,
+        author_exponent=config.author_exponent,
+        record_exponent=config.record_exponent,
+        sibling_rate=config.sibling_rate,
+    )
+    envelopes, repeats = 2000, 5
+    rows = []
+    for states in (1, 2, 3, 4, 5, 6, 8, 12, 16, 25, 50):
+        records = [universe.sample_record(rng) for _ in range(states)]
+        filters = [universe.subscription_for(record) for record in records]
+        traffic = {
+            "prefiltered": [rng.choice(records) for _ in range(envelopes)],
+            "unfiltered": [universe.sample_record(rng) for _ in range(envelopes)],
+        }
+        for name, published in traffic.items():
+            messages = [
+                Publish(marshal(record, class_name=BIB_EVENT_CLASS, event_id=("feed", seq)))
+                for seq, record in enumerate(published)
+            ]
+            row = {"traffic": name, "states": states}
+            for side, scan_max in (("scan", states), ("engine", 0)):
+                # The runtime builds the home it would build in
+                # production, were this the break-even.
+                monkeypatch.setattr(subscriber, "STAGE0_SCAN_MAX", scan_max)
+                runtime, node = _stage0_home(filters)
+                assert (runtime._by_home[node].engine is None) == (side == "scan")
+                best = float("inf")
+                for _ in range(repeats):
+                    start = time.perf_counter()
+                    for message in messages:
+                        runtime.receive(message, node)
+                    best = min(best, time.perf_counter() - start)
+                row[f"{side}_us"] = round(best / envelopes * 1e6, 3)
+                row[f"{side}_delivered"] = runtime.counters.events_delivered
+            assert row["scan_delivered"] == row["engine_delivered"]
+            row["scan_over_engine"] = round(row["scan_us"] / row["engine_us"], 3)
+            row["production"] = "scan" if states <= STAGE0_SCAN_MAX else "engine"
+            rows.append(row)
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    with open(os.path.join(RESULTS_DIR, "stage0_break_even.json"), "w") as out:
+        json.dump(
+            {
+                "benchmark": "stage0_break_even",
+                "unit": "us per envelope through SubscriberRuntime.receive, best of repeats",
+                "envelopes": envelopes,
+                "repeats": repeats,
+                "engine": DEFAULT_ENGINE,
+                "STAGE0_SCAN_MAX": STAGE0_SCAN_MAX,
+                "rows": rows,
+            },
+            out,
+            indent=1,
+        )
+        out.write("\n")
+    (gate,) = [
+        row for row in rows if row["traffic"] == "prefiltered" and row["states"] == 25
+    ]
+    assert gate["scan_over_engine"] >= 2.0, (
+        f"one engine match must be >=2x a 25-filter scan, got {gate}"
+    )

@@ -92,7 +92,7 @@ class Advertisement:
         through an advertisement *is* subscribing to its class.
         """
         standard = standardize(filter_, self.schema, strict=True)
-        if CLASS_ATTRIBUTE not in self.schema:
+        if CLASS_ATTRIBUTE not in self.schema or standard.matches_nothing:
             return standard
         constraints = []
         for constraint in standard.constraints:

@@ -421,6 +421,10 @@ class MultiStageEventSystem:
         hook; see :meth:`SubscriberRuntime.subscribe`).
         """
         filter_ = self._coerce_filter(filter)
+        if filter_.matches_nothing:
+            # Refused here, before any state exists or anything is sent:
+            # no broker table can hold fF.
+            raise ValueError(f"filter {filter!r} matches nothing: nothing to subscribe to")
         if isinstance(filter_, Disjunction):
             return self._subscribe_disjunction(
                 subscriber, filter_, event_class, handler, residual, at_node

@@ -138,6 +138,10 @@ class NodeCounters:
     #: Wire bytes of every envelope that reached this runtime (the
     #: downlink-bandwidth measure; subscriber runtimes only).
     bytes_received: int = 0
+    #: ``SubscriptionRequest``s dropped because their filter matches
+    #: nothing (brokers only).  Not in :meth:`snapshot`: the recorded
+    #: schedule hashes are taken over its keys.
+    subscriptions_refused: int = 0
 
     def on_event(self, matched: bool, forwarded_to: int, evaluations: int = 0) -> None:
         """Record one filtered event (a broker books ``evaluations`` per

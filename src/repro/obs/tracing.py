@@ -31,6 +31,7 @@ kind                        details
 ``route-covering``          ``target`` (child of the strongest cover)
 ``wildcard-attach``         ``attribute``, ``target_stage`` (§4.5)
 ``subscriber-insert``       ``subscriber``, ``filter`` (as stored)
+``subscription-refused``    ``subscriber`` (its filter matches nothing)
 ``joined``                  ``home``, ``hops`` (redirects taken)
 ``propagation-suppressed``  ``filter``, ``cover`` (already propagated)
 ``propagation-demoted``     ``filter``, ``cover`` (withdrawn under it)

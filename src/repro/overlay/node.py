@@ -412,6 +412,15 @@ class BrokerNode(Process):
     # ------------------------------------------------------------------
 
     def _on_subscription_request(self, request: SubscriptionRequest) -> None:
+        if request.filter.matches_nothing:
+            # The edge refuses fF before sending (``SubscriberRuntime.
+            # subscribe``); one that arrives anyway is a client's input,
+            # not a reason for this broker to stop: no table holds fF,
+            # so there is nothing to store, accept or redirect.
+            self.counters.subscriptions_refused += 1
+            if self.tracer.enabled:
+                self._span("subscription-refused", ("subscriber", request.subscriber.name))
+            return
         if self.stage == 1:
             self._insert_subscriber(request)
             return

@@ -8,12 +8,14 @@ event safety are enforced end-to-end here, while everything upstream saw
 only weakened filters and meta-data.
 """
 
+from bisect import bisect_left, insort
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.subscription import Subscription
 from repro.events.serialization import Envelope, unmarshal
+from repro.filters.engine import DEFAULT_ENGINE, MatchEngine, make_engine
 from repro.filters.filter import Filter
 from repro.flow import FlowConfig
 from repro.metrics.counters import NodeCounters
@@ -46,11 +48,19 @@ Handler = Callable[[Any, Any, Subscription], None]
 #: Stands for an envelope's event while its payload is still sealed.
 _UNOPENED = object()
 
+#: A home holding more states than this is matched by one engine call
+#: per envelope; at or below it the ``Filter.matches`` scan is cheaper.
+#: A measured break-even (DESIGN §16, ``stage0_break_even.json``), not
+#: an option: the engine's fixed cost per match is about four scans.
+STAGE0_SCAN_MAX = 4
 
-@dataclass
+
+@dataclass(eq=False)
 class _SubscriptionState:
     subscription: Subscription
     handler: Optional[Handler]
+    #: Position in the runtime's ``_states``: the order handlers run in.
+    order: int
     home: Optional[Process] = None
     stored_filter: Optional[Filter] = None
     active: bool = True
@@ -59,6 +69,27 @@ class _SubscriptionState:
     @property
     def joined(self) -> bool:
         return self.home is not None
+
+    def __lt__(self, other: "_SubscriptionState") -> bool:
+        return self.order < other.order
+
+
+class _Home:
+    """The active, joined states homed at one node, in ``_states``
+    order, and the engine matching them while they outnumber
+    :data:`STAGE0_SCAN_MAX` (original filters, subscription ids as
+    destinations; ``None`` at or below it)."""
+
+    __slots__ = ("states", "engine")
+
+    def __init__(self, states: Sequence[_SubscriptionState]) -> None:
+        self.states = states
+        self.engine: Optional[MatchEngine] = None
+
+
+#: What an envelope from a node no subscription is homed at is checked
+#: against: nothing.
+_NO_HOME = _Home(())
 
 
 class _CatchUpSession:
@@ -141,9 +172,12 @@ class SubscriberRuntime(Process):
         #: Publish-to-delivery latencies (simulated time), §5-style metric.
         self.delivery_latencies: List[float] = []
         self._states: Dict[int, _SubscriptionState] = {}
-        # Active states grouped by home, in ``_states`` order; ``None``
-        # after any change of a state's ``active`` or ``home``.
-        self._by_home: Optional[Dict[Process, List[_SubscriptionState]]] = None
+        #: Number of active states (the ``filters_held`` gauge).
+        self._active = 0
+        # The active, joined states by home, kept current by ``_attach``
+        # and ``_detach`` at every change of a state's ``active`` or
+        # ``home``; a home with no such state has no entry.
+        self._by_home: Dict[Process, _Home] = {}
         self._renew_handle = None
         self._maintenance_interval: Optional[float] = None
         self.offline = False
@@ -174,10 +208,22 @@ class SubscriberRuntime(Process):
         locality/random placement the ablation experiments compare
         against similarity placement (§4.2).
         """
-        state = _SubscriptionState(subscription, handler)
+        if subscription.filter.matches_nothing:
+            # No table holds fF; a broker asked to store it could only
+            # refuse (and an engine raises).
+            raise ValueError(f"{subscription!r} matches nothing: nothing to subscribe to")
+        # Subscribed again under its id: the old state retires and the
+        # new one takes its place in ``_states``.
+        self.unsubscribe(subscription.subscription_id, explicit=False)
+        replaced = self._states.get(subscription.subscription_id)
+        state = _SubscriptionState(
+            subscription,
+            handler,
+            len(self._states) if replaced is None else replaced.order,
+        )
         self._states[subscription.subscription_id] = state
-        self._by_home = None
-        self.counters.set_filters_held(len(self._active_states()))
+        self._active += 1
+        self.counters.set_filters_held(self._active)
         self._send_request(state, at_node if at_node is not None else self.root)
         return subscription.subscription_id
 
@@ -192,8 +238,10 @@ class SubscriberRuntime(Process):
         if state is None or not state.active:
             return
         state.active = False
-        self._by_home = None
-        self.counters.set_filters_held(len(self._active_states()))
+        self._active -= 1
+        self.counters.set_filters_held(self._active)
+        if state.joined:
+            self._detach(state)
         if explicit and state.joined and state.stored_filter is not None:
             self.links.send(state.home, Unsubscribe(state.stored_filter, self))
 
@@ -310,8 +358,10 @@ class SubscriberRuntime(Process):
     # ------------------------------------------------------------------
 
     def _homes(self) -> List[Process]:
-        """Distinct home nodes of the active, joined subscriptions."""
-        return list(self._grouped())
+        """Distinct home nodes of the active, joined subscriptions, in
+        order of first appearance in ``_states``."""
+        by_home = self._by_home
+        return sorted(by_home, key=lambda home: by_home[home].states[0])
 
     def disconnect(self, durable: bool = True) -> None:
         """Go offline gracefully.
@@ -339,8 +389,9 @@ class SubscriberRuntime(Process):
         state = self._states.get(subscription_id)
         if state is None or not state.active:
             raise KeyError(f"no active subscription {subscription_id}")
+        if state.joined:
+            self._detach(state)
         state.home = None
-        self._by_home = None
         state.stored_filter = None
         state.join_hops = 0
         self._send_request(state, self.root)
@@ -367,14 +418,17 @@ class SubscriberRuntime(Process):
         # homed at N.  This keeps per-subscription delivery exactly-once
         # even when one subscriber attaches at several points of the tree.
         if isinstance(message, Publish):
-            self._deliver(message.envelope, sender, self._states_homed_at(sender))
+            home = self._by_home.get(sender, _NO_HOME)
+            self._deliver(message.envelope, sender, home.states, home.engine)
         elif isinstance(message, PublishBatch):
             # A coalesced run from the home node: deliver in batch order,
             # which is exactly the unbatched per-destination send order.
+            # The home is looked up per envelope: a handler may
+            # unsubscribe, and the next envelope of the run must see it.
+            by_home = self._by_home
             for publish in message.publishes:
-                self._deliver(
-                    publish.envelope, sender, self._states_homed_at(sender)
-                )
+                home = by_home.get(sender, _NO_HOME)
+                self._deliver(publish.envelope, sender, home.states, home.engine)
         elif isinstance(message, JoinAt):
             self.counters.control_messages += 1
             state = self._states.get(message.subscription_id)
@@ -385,9 +439,12 @@ class SubscriberRuntime(Process):
             self.counters.control_messages += 1
             state = self._states.get(message.subscription_id)
             if state is not None:
+                if state.active and state.joined:
+                    self._detach(state)  # accepted again: it may have moved
                 state.home = message.node
-                self._by_home = None
                 state.stored_filter = message.stored_filter
+                if state.active:
+                    self._attach(state)
                 if self.tracer.enabled:
                     details = (("home", message.node.name), ("hops", state.join_hops))
                     self.tracer.span(
@@ -429,7 +486,9 @@ class SubscriberRuntime(Process):
         state = self._states.get(message.subscription_id)
         for publish in message.publishes:
             states = [state] if state is not None and state.active else []
-            self._deliver(publish.envelope, sender, states, session, message.history)
+            self._deliver(
+                publish.envelope, sender, states, None, session, message.history
+            )
         if message.history and self.flow is not None and message.publishes:
             # One credit per consumed history event, back on the control
             # channel: the replay rate composes with PR 5's credit
@@ -444,7 +503,8 @@ class SubscriberRuntime(Process):
         self,
         envelope: Envelope,
         sender: Process,
-        states: List[_SubscriptionState],
+        states: Sequence[_SubscriptionState],
+        engine: Optional[MatchEngine] = None,
         session: Optional[_CatchUpSession] = None,
         history: Optional[bool] = None,
     ) -> None:
@@ -453,19 +513,34 @@ class SubscriberRuntime(Process):
         closure, handler — in that order, for each of ``states``.
 
         A live copy (no ``session``) is checked against the states homed
-        at ``sender``.  A replayed copy arrives on ``session``'s stream
-        for its one subscription, as history or (``history=False``) a
-        live tap; it never enters the delivery-latency series — a
-        historical event's publish-to-now span measures the subscriber's
-        lateness, not the system's delivery latency.
+        at ``sender``: by one ``engine.match`` when the home keeps an
+        engine over them, by a scan when it holds too few to (either way
+        the event was checked against ``len(states)`` filters, which is
+        what ``filter_evaluations`` books).  A replayed copy arrives on
+        ``session``'s stream for its one subscription, as history or
+        (``history=False``) a live tap; it never enters the
+        delivery-latency series — a historical event's publish-to-now
+        span measures the subscriber's lateness, not the system's
+        delivery latency.
         """
         metadata = envelope.metadata
         counters = self.counters
         counters.bytes_received += len(envelope)
-        matched = []
-        for state in states:
-            if state.subscription.filter.matches(metadata):
-                matched.append(state)
+        if engine is None:
+            matched = []
+            for state in states:
+                if state.subscription.filter.matches(metadata):
+                    matched.append(state)
+        else:
+            by_id = self._states
+            matched = [
+                by_id[subscription_id]
+                for _, ids in engine.match(metadata)
+                for subscription_id in ids
+            ]
+            # The engine answers by filter, in its own insertion order;
+            # handlers run in ``_states`` order.
+            matched.sort()
         counters.on_event(
             matched=bool(matched),
             forwarded_to=0,
@@ -533,23 +608,41 @@ class SubscriberRuntime(Process):
     def _active_states(self) -> List[_SubscriptionState]:
         return [s for s in self._states.values() if s.active]
 
-    def _grouped(self) -> Dict[Process, List[_SubscriptionState]]:
-        """The active, joined states by home: homes in order of first
-        appearance in ``_states``, each home's states in ``_states`` order.
+    def _attach(self, state: _SubscriptionState) -> None:
+        """An active state found its home: O(1) engine mutations."""
+        home = self._by_home.get(state.home)
+        if home is None:
+            home = self._by_home[state.home] = _Home([])
+        states = home.states
+        insort(states, state)
+        if home.engine is not None:
+            joining: Sequence[_SubscriptionState] = (state,)
+        elif len(states) > STAGE0_SCAN_MAX:
+            # Crossing the break-even: the engine takes the handful of
+            # states the scan served until now.
+            home.engine = make_engine(DEFAULT_ENGINE)
+            joining = states
+        else:
+            return
+        for held in joining:
+            home.engine.insert(
+                held.subscription.filter, held.subscription.subscription_id
+            )
 
-        Regrouped from ``_states`` on the first use after a change
-        (subscribe, unsubscribe, accepted-At, rejoin), not per envelope.
-        """
-        by_home = self._by_home
-        if by_home is None:
-            by_home = self._by_home = {}
-            for state in self._active_states():
-                if state.joined:
-                    by_home.setdefault(state.home, []).append(state)
-        return by_home
-
-    def _states_homed_at(self, home: Process) -> List[_SubscriptionState]:
-        return (self._by_home or self._grouped()).get(home, [])
+    def _detach(self, state: _SubscriptionState) -> None:
+        """An attached state left its home (unsubscribed, rejoining, or
+        accepted elsewhere)."""
+        home = self._by_home[state.home]
+        states = home.states
+        del states[bisect_left(states, state)]
+        if len(states) > STAGE0_SCAN_MAX:
+            home.engine.remove(
+                state.subscription.filter, state.subscription.subscription_id
+            )
+        else:
+            home.engine = None  # back on the scan side
+            if not states:
+                del self._by_home[state.home]
 
     # ------------------------------------------------------------------
     # Renewal task (§4.3)
@@ -571,10 +664,10 @@ class SubscriberRuntime(Process):
         self._maintenance_interval = None
 
     def _renew_task(self, interval: float) -> None:
-        for home, states in self._grouped().items():
+        for home in self._homes():
             items = dict.fromkeys(
                 (state.stored_filter, state.subscription.event_class)
-                for state in states
+                for state in self._by_home[home].states
                 if state.stored_filter is not None
             )
             if items:

@@ -9,9 +9,10 @@ to make the same handler calls in the same order, book the same
 counters and emit the same spans on every generated input.
 """
 
-from typing import List, Optional
+from typing import Optional, Sequence
 
 from repro.events.serialization import Envelope, unmarshal
+from repro.filters.engine import MatchEngine
 from repro.obs.tracing import SUBSCRIBER_STAGE
 from repro.overlay.subscriber import (
     SubscriberRuntime,
@@ -26,7 +27,8 @@ class ReferenceSubscriberRuntime(SubscriberRuntime):
         self,
         envelope: Envelope,
         sender: Process,
-        states: List[_SubscriptionState],
+        states: Sequence[_SubscriptionState],
+        engine: Optional[MatchEngine] = None,
         session: Optional[_CatchUpSession] = None,
         history: Optional[bool] = None,
     ) -> None:
@@ -117,7 +119,14 @@ class ReferenceSubscriberRuntime(SubscriberRuntime):
         # homed at N.  This keeps per-subscription delivery exactly-once
         # even when one subscriber attaches at several points of the tree.
         self.counters.bytes_received += len(envelope)
-        states = self._states_homed_at(sender)
+        # Regrouped from ``_states`` per envelope, as ``_grouped()`` once
+        # did per change: the oracle shares no bookkeeping with the
+        # incrementally kept ``_by_home`` it checks.
+        states = [
+            state
+            for state in self._states.values()
+            if state.active and state.home is sender
+        ]
         matched_states = []
         for state in states:
             if state.subscription.filter.matches(envelope.metadata):

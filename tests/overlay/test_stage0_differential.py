@@ -2,13 +2,20 @@
 
 A production :class:`SubscriberRuntime` and the reference of
 ``stage0_reference.py`` are given the same generated subscription set —
-several homes, disjunction groups, pure/stateless/stateful residuals,
+one to three homes holding up to sixteen states between them, so a home
+lands on either side of ``STAGE0_SCAN_MAX`` (scan or engine); filters
+the engine indexes and filters it keeps as residuals (``!=``, prefix, a
+two-constraint interval), the same filter on several states of a home;
+disjunction groups, pure/stateless/stateful residual closures,
 handler-less states — and the same interleaving of live copies, history
 and tap batches (event ids overlapping across streams), catch-up starts,
-unsubscriptions and clock ticks.  They must make the same handler calls
-in the same order, call each residual the same number of times, book the
-same counters and latency samples, put the same frames on the wire and
-dump the same spans.
+unsubscriptions, rejoins, accepted-At messages that move a state to
+another home (a home crosses the break-even up and down mid-run) and
+clock ticks.  They must make the same handler calls in the same order,
+call each residual the same number of times, book the same counters
+(``filter_evaluations`` among them: ``len(states)`` per live envelope,
+whichever way it was matched) and latency samples, put the same frames
+on the wire and dump the same spans.
 """
 
 import hypothesis.strategies as st
@@ -27,13 +34,23 @@ from repro.overlay.messages import (
     PublishBatch,
     Sequenced,
 )
-from repro.overlay.subscriber import SubscriberRuntime
+from repro.overlay.subscriber import STAGE0_SCAN_MAX, SubscriberRuntime
 from repro.sim.kernel import Process, Simulator
 
 from tests.overlay.stage0_reference import ReferenceSubscriberRuntime
 
 HOMES = 3
-FILTERS = ('n >= 0', 'n < 3', 'kind = "a"', 'kind = "b" and n < 4')
+FILTERS = (
+    'n >= 0',
+    'n < 3',
+    'kind = "a"',
+    'kind = "b" and n < 4',
+    # What the compiled engine runs as residuals, on survivors only:
+    'kind != "a"',
+    'kind prefix "b"',
+    'n >= 1 and n <= 3',
+    'kind = "a" and n != 2',
+)
 
 
 class Tick:
@@ -73,12 +90,14 @@ def _residual(kind, calls):
 class _Side:
     """One runtime with everything the comparison reads off it."""
 
-    def __init__(self, runtime_class, specs, flow):
+    def __init__(self, runtime_class, specs, flow, homes=HOMES):
         self.sim = Simulator()
         self.net = _Net()
         self.tracer = EventTracer(enabled=True)
         self.root = Process(self.sim, "root")
-        self.homes = [Process(self.sim, f"h{i}") for i in range(HOMES)]
+        # Home indices are drawn over all of HOMES and folded onto the
+        # ``homes`` a run uses: with one home, sixteen states share it.
+        self.homes = [Process(self.sim, f"h{i}") for i in range(homes)] * HOMES
         self.runtime = runtime_class(
             self.sim,
             self.net,
@@ -125,7 +144,19 @@ class _Side:
     def step(self, step):
         kind = step[0]
         runtime = self.runtime
-        if kind == "live":
+        if kind == "accept":
+            # accepted-At again, possibly elsewhere: the state moves.
+            state = runtime._states.get(step[1])
+            if state is not None:
+                home = self.homes[step[2]]
+                runtime.receive(
+                    AcceptedAt(home, step[1], state.subscription.filter), home
+                )
+        elif kind == "rejoin":
+            state = runtime._states.get(step[1])
+            if state is not None and state.active:
+                runtime.rejoin(step[1])
+        elif kind == "live":
             publishes = tuple(self._publish(event) for event in step[2])
             message = publishes[0] if len(publishes) == 1 else PublishBatch(publishes)
             runtime.receive(message, self.homes[step[1]])
@@ -137,7 +168,7 @@ class _Side:
             self.frames += 1
         elif kind == "catch_up":
             state = runtime._states.get(step[1])
-            if state is not None and state.active:
+            if state is not None and state.active and state.joined:
                 runtime.catch_up(step[1])
         elif kind == "unsubscribe":
             runtime.unsubscribe(step[1])
@@ -172,32 +203,88 @@ _spec = st.tuples(
     st.sampled_from((None, None, "even", "stateful")),
     st.booleans(),
 )
-_sid = st.integers(1, 7)  # 7 is never a subscription: stale streams
+_sid = st.integers(1, 17)  # 17 is never a subscription: stale streams
+_home = st.integers(0, HOMES - 1)
 _step = st.one_of(
-    st.tuples(st.just("live"), st.integers(0, HOMES - 1), _events),
-    st.tuples(st.just("live"), st.integers(0, HOMES - 1), _events),
+    st.tuples(st.just("live"), _home, _events),
+    st.tuples(st.just("live"), _home, _events),
+    st.tuples(st.just("live"), _home, _events),
     st.tuples(st.just("replay"), _sid, st.booleans(), _events),
     st.tuples(st.just("replay"), _sid, st.booleans(), _events),
     st.tuples(st.just("catch_up"), _sid),
     st.tuples(st.just("unsubscribe"), _sid),
+    st.tuples(st.just("unsubscribe"), _sid),
+    st.tuples(st.just("accept"), _sid, _home),
+    st.tuples(st.just("rejoin"), _sid),
     st.tuples(st.just("tick"), st.sampled_from((0.01, 0.5))),
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.lists(_spec, min_size=1, max_size=6),
+    st.integers(1, HOMES),
+    st.lists(_spec, min_size=1, max_size=16),
     st.lists(_step, max_size=30),
     st.booleans(),
 )
-def test_stage0_one_deliver_equals_the_two_loops(specs, steps, flow):
-    new = _Side(SubscriberRuntime, specs, flow)
-    old = _Side(ReferenceSubscriberRuntime, specs, flow)
+def test_stage0_one_deliver_equals_the_two_loops(homes, specs, steps, flow):
+    new = _Side(SubscriberRuntime, specs, flow, homes)
+    old = _Side(ReferenceSubscriberRuntime, specs, flow, homes)
     subscriptions = range(1, len(specs) + 1)
     for step in steps:
         new.step(step)
         old.step(step)
+        _check_homes(new.runtime)
     assert new.observed(subscriptions) == old.observed(subscriptions)
+
+
+def _check_homes(runtime):
+    """``_by_home`` is the regrouping of ``_states`` it replaced, and a
+    home keeps an engine exactly while it is past the break-even."""
+    regrouped = {}
+    for state in runtime._states.values():
+        if state.active and state.joined:
+            regrouped.setdefault(state.home, []).append(state)
+    assert {home: entry.states for home, entry in runtime._by_home.items()} == regrouped
+    assert runtime._homes() == list(regrouped)
+    for entry in runtime._by_home.values():
+        if len(entry.states) <= STAGE0_SCAN_MAX:
+            assert entry.engine is None
+        else:
+            held = sorted(sid for _, ids in entry.engine.entries() for sid in ids)
+            assert held == sorted(
+                state.subscription.subscription_id for state in entry.states
+            )
+    assert runtime.counters.filters_held == len(runtime.subscriptions())
+
+
+def test_an_unsubscription_between_two_envelopes_of_a_batch_is_seen_by_the_second():
+    """One ``PublishBatch``, two envelopes: the first one's handler
+    unsubscribes a sibling — and with it takes the home from six states
+    (engine) to four (scan) — so the second envelope is checked against
+    four filters and the sibling hears only the first."""
+    specs = [(0, 'n >= 0', None, None, True)] * 6
+    sides = [
+        _Side(runtime_class, specs, flow=False)
+        for runtime_class in (SubscriberRuntime, ReferenceSubscriberRuntime)
+    ]
+    for side in sides:
+        runtime = side.runtime
+
+        def handler(event, metadata, subscription, side=side, runtime=runtime):
+            side._handler(event, metadata, subscription)
+            runtime.unsubscribe(5)
+            runtime.unsubscribe(6)
+
+        runtime._states[1].handler = handler
+        side.step(("live", 0, [("a", 1, 0, True), ("a", 2, 1, True)]))
+    new, old = sides
+    assert new.observed(range(1, 7)) == old.observed(range(1, 7))
+    assert [(sid, n) for sid, _, n, _ in new.calls] == (
+        [(sid, 1) for sid in range(1, 7)] + [(sid, 2) for sid in range(1, 5)]
+    )
+    assert new.runtime.counters.filter_evaluations == 6 + 4
+    assert new.runtime._by_home[new.homes[0]].engine is None
 
 
 def test_stage0_opens_the_payload_only_for_a_copy_someone_looks_at(monkeypatch):
