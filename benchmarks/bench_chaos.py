@@ -11,6 +11,7 @@ seeds guard against a lucky schedule.
 import time
 
 from repro.experiments.chaos import ChaosConfig, render, run_chaos
+from repro.overlay.invariants import placement_violations
 
 SEEDS = (7, 11, 23)
 
@@ -57,6 +58,9 @@ def test_chaos_gate(report):
             f"seed {config.seed}: {result.violations_after} covering "
             f"violations still open after {config.max_convergence}s"
         )
+        # ... and every placing broker's covering index is still its
+        # table, after the losses, duplicates and the crash/restart.
+        assert placement_violations(result.system.hierarchy) == []
         assert result.convergence_time <= config.ttl, (
             f"seed {config.seed}: convergence took "
             f"{result.convergence_time}s (> TTL {config.ttl}s)"

@@ -7,13 +7,23 @@ full ``Filter.covers`` implication checks per query; the
 with equality buckets and bisected ordering bounds first.  This bench
 measures both on the same clustered population and gates the speedup —
 with a correctness assertion, because a fast wrong answer is worthless.
+
+``test_placement_lookup_sweep`` measures the other place the index
+answers ``covered_by``: Figure-5b placement at a broker above stage 1
+(DESIGN §5), against the table scan it replaced.
 """
 
+import json
+import os
 import random
 import time
 
 from repro.filters.covering_index import CoveringIndex
 from repro.workloads.subscriptions import SubscriptionGenerator
+from tests.overlay.placement_reference import strongest_covering_child
+from tests.overlay.test_placement_count import SHAPES, SIZES, loaded_root
+
+from .conftest import RESULTS_DIR
 
 GENERATOR = SubscriptionGenerator(
     [("class", 5), ("category", 40), ("vendor", 200)],
@@ -174,3 +184,57 @@ def test_incremental_maximal_under_churn(report):
         f"{churn_time * 1e3:.1f} ms; maximal set exact "
         f"({len(expected)} filters)"
     )
+
+
+def test_placement_lookup_sweep():
+    """Figure-5b placement as the table scan and as the index fold, at a
+    root holding 40, 400 and 4 000 routed forms (the set-up of
+    ``tests/overlay/test_placement_count.py``: ``sim_match_10k``'s root
+    is the 40-form row).  Both sides answer the same requests at the
+    same node and must name the same child.  The only gate: the index
+    wins by >= 10x at 4 000 forms.  The rows are the artifact
+    (``benchmarks/results/placement_lookup.json``).
+    """
+    repeats = 5
+    rows = []
+    for shape in SHAPES:
+        for size in SIZES:
+            root, _, requests = loaded_root(shape, size, random.Random(size))
+            sides = {
+                "scan": lambda request: strongest_covering_child(root, request),
+                "index": root._strongest_covering_child,
+            }
+            row = {"shape": shape, "forms": size, "requests": len(requests)}
+            chosen = {}
+            root.placement_index.covers_checks = 0
+            for side, place in sides.items():
+                best = float("inf")
+                for _ in range(repeats):
+                    start = time.perf_counter()
+                    chosen[side] = [place(request) for request in requests]
+                    best = min(best, time.perf_counter() - start)
+                row[f"{side}_us"] = round(best / len(requests) * 1e6, 3)
+            assert all(new is old for new, old in zip(chosen["index"], chosen["scan"]))
+            row["index_covers_checks_per_request"] = round(
+                root.placement_index.covers_checks / (repeats * len(requests)), 2
+            )
+            row["scan_over_index"] = round(row["scan_us"] / row["index_us"], 2)
+            rows.append(row)
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    with open(os.path.join(RESULTS_DIR, "placement_lookup.json"), "w") as out:
+        json.dump(
+            {
+                "benchmark": "placement_lookup",
+                "unit": "us per _strongest_covering_child call, best of repeats",
+                "repeats": repeats,
+                "rows": rows,
+            },
+            out,
+            indent=1,
+        )
+        out.write("\n")
+    for row in rows:
+        if row["forms"] == 4000:
+            assert row["scan_over_index"] >= 10.0, (
+                f"index placement must be >=10x the table scan at 4000 forms, got {row}"
+            )

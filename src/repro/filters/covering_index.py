@@ -43,7 +43,7 @@ import bisect
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.filters.constraints import AttributeConstraint
-from repro.filters.engine import value_key
+from repro.filters.engine import is_nan, value_key
 from repro.filters.filter import Filter
 from repro.filters.operators import ALL, EQ, GE, GT, LE, LT
 
@@ -86,12 +86,17 @@ def _classify(constraints: Tuple[AttributeConstraint, ...]) -> Tuple[str, Any]:
     Only a *single* constraint with a well-behaved operand is prunable;
     everything else (conjunctions, ``NE``/``PREFIX``/``CONTAINS``/
     ``EXISTS``, unhashable or unorderable operands) falls into the
-    ``other`` catch-all, which every query keeps as a candidate.
+    ``other`` catch-all, which every query keeps as a candidate.  So
+    does a NaN operand: it equals nothing, itself included, so a bisect
+    over an array holding one lands anywhere and ``_Sorted.remove``
+    cannot find it (or, past it, a different operand) again.
     """
     if len(constraints) != 1:
         return (_OTHER, None)
     constraint = constraints[0]
     operator, operand = constraint.operator, constraint.operand
+    if is_nan(operand):
+        return (_OTHER, None)
     if operator is EQ and _hashable(operand):
         return (_EQ, operand)
     if (operator is LT or operator is LE) and _orderable(operand):

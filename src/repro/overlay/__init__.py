@@ -14,7 +14,12 @@
 
 from repro.overlay.channel import ReliableReceiver, ReliableSender
 from repro.overlay.hierarchy import Hierarchy, build_hierarchy
-from repro.overlay.invariants import CoveringViolation, covering_violations
+from repro.overlay.invariants import (
+    CoveringViolation,
+    PlacementViolation,
+    covering_violations,
+    placement_violations,
+)
 from repro.overlay.messages import (
     AcceptedAt,
     Ack,
@@ -41,6 +46,7 @@ __all__ = [
     "CoveringViolation",
     "Hierarchy",
     "JoinAt",
+    "PlacementViolation",
     "Publish",
     "PublisherRuntime",
     "ReliableReceiver",
@@ -53,4 +59,5 @@ __all__ = [
     "Unsubscribe",
     "build_hierarchy",
     "covering_violations",
+    "placement_violations",
 ]

@@ -12,10 +12,16 @@ tables.
 The checker reads live state only (lease-expired pairs are the soft-state
 decay working as designed, not a violation) and skips crashed brokers
 (a crashed child neither holds state nor receives events).
+
+A second, local invariant rides along: a broker that places
+subscriptions (stage > 1) answers Figure 5b from a covering index over
+its table's filters, which must list exactly those filters in the
+table's order (:func:`placement_violations`) — otherwise a subscription
+is sent toward a child chosen from filters the table no longer holds.
 """
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from repro.core.weakening import weaken_filter
 from repro.filters.filter import Filter
@@ -76,4 +82,39 @@ def covering_violations(
                 violations.append(
                     CoveringViolation(parent, child, filter_, form)
                 )
+    return violations
+
+
+@dataclass(frozen=True)
+class PlacementViolation:
+    """``node``'s placement index and routing table disagree: ``indexed``
+    and ``stored`` are their filters, each in its own order."""
+
+    node: BrokerNode
+    indexed: Tuple[Filter, ...]
+    stored: Tuple[Filter, ...]
+
+    def __str__(self) -> str:
+        return (
+            f"{self.node.name} places from an index of {len(self.indexed)} "
+            f"filters that is not its table of {len(self.stored)}"
+        )
+
+
+def placement_violations(hierarchy: Hierarchy) -> List[PlacementViolation]:
+    """Every live placing broker whose covering index is not its table.
+
+    Equal *lists*, not sets: Figure 5b keeps the first of several
+    equally strong covers, so the index has to enumerate filters in
+    ``table.entries()`` order for the chosen child to be the one a scan
+    of the table would choose (DESIGN §5).
+    """
+    violations: List[PlacementViolation] = []
+    for node in hierarchy.nodes():
+        if node.crashed or node.placement_index is None:
+            continue
+        indexed = tuple(node.placement_index.filters())
+        stored = tuple(node.table.filters())
+        if indexed != stored:
+            violations.append(PlacementViolation(node, indexed, stored))
     return violations

@@ -192,6 +192,16 @@ class BrokerNode(Process):
         self._peer_incarnations: Dict[str, int] = {}
         self._was_maintained = False
         self.table: MatchEngine = self._new_engine()
+        #: Covering index over the table's filters, at the brokers that
+        #: place subscriptions (Figure 5b runs above stage 1 only; a
+        #: stage-1 node inserts without asking and holds the most
+        #: filters).  In lock-step with the table: a filter is added in
+        #: ``_store`` when it first enters, discarded in ``_drop_pair``
+        #: when its last destination leaves, so the index's insertion
+        #: order is ``table.entries()`` order (DESIGN §5).
+        self.placement_index: Optional[CoveringIndex] = (
+            CoveringIndex() if stage > 1 else None
+        )
         self.rng = rng or random.Random(0)
         #: Causal span tracer (shared system-wide; disabled tracer when
         #: observability is off, so every emission site is one flag check).
@@ -445,11 +455,14 @@ class BrokerNode(Process):
         covering ``fsub`` (None when no such entry exists)."""
         best_filter: Optional[Filter] = None
         best_child: Optional[BrokerNode] = None
-        for stored, ids in self.table.entries():
-            if not stored.covers(fsub):
-                continue
+        for stored in self.placement_index.covered_by(fsub):
             child = next(
-                (d for d in ids if getattr(d, "is_broker", False)), None
+                (
+                    d
+                    for d in self.table.destinations_for(stored)
+                    if getattr(d, "is_broker", False)
+                ),
+                None,
             )
             if child is None:
                 continue
@@ -544,6 +557,8 @@ class BrokerNode(Process):
         """Insert one pair; True when the *filter* was not stored before."""
         newly_known = filter_ not in self.table
         self.table.insert(filter_, destination)
+        if newly_known and self.placement_index is not None:
+            self.placement_index.add(filter_)
         self.leases.touch(filter_, destination, self.sim.now)
         self._filter_class[filter_] = event_class
         self._table_changed()
@@ -568,11 +583,22 @@ class BrokerNode(Process):
         """Explicit removal of one stored pair: an ``Unsubscribe`` (of the
         stage-weakened filter the subscriber learned from accepted-At) or
         a child's ``Withdraw`` of a propagated form."""
-        if self.table.remove(filter_, destination):
-            self.leases.forget(filter_, destination)
-            if filter_ not in self.table:
-                self._filter_removed(filter_)
+        if self._drop_pair(filter_, destination):
             self._table_changed()
+
+    def _drop_pair(self, filter_: Filter, destination: Process) -> bool:
+        """Take one pair and its lease out; True when the table held it.
+
+        The one place a filter can leave the table (explicit removal and
+        lease expiry both come through here), hence the one place it
+        leaves the placement index."""
+        removed = self.table.remove(filter_, destination)
+        self.leases.forget(filter_, destination)
+        if removed and filter_ not in self.table:
+            if self.placement_index is not None:
+                self.placement_index.discard(filter_)
+            self._filter_removed(filter_)
+        return removed
 
     # ------------------------------------------------------------------
     # Covering-based uplink aggregation (§4, Definition 2 / Proposition 1)
@@ -777,6 +803,8 @@ class BrokerNode(Process):
         self._was_maintained = bool(self._maintenance_handles)
         self.stop_maintenance()
         self.table = self._new_engine()
+        if self.placement_index is not None:
+            self.placement_index = CoveringIndex()
         self.leases = LeaseTable(self.ttl, self.expiry_factor)
         self._uplinks.clear()
         self._uplinks_changed()
@@ -944,10 +972,7 @@ class BrokerNode(Process):
         # events against the pre-purge state first.
         self._flush_inbound()
         for filter_, destination in self.leases.expired(self.sim.now):
-            removed = self.table.remove(filter_, destination)
-            self.leases.forget(filter_, destination)
-            if removed and filter_ not in self.table:
-                self._filter_removed(filter_)
+            self._drop_pair(filter_, destination)
             if self.tracer.enabled:
                 self._span(
                     "lease-expired",

@@ -30,9 +30,13 @@ from repro.filters.parser import parse_filter
 
 ATTRIBUTES = ["a", "b", "c"]
 
+NAN = float("nan")
+
+# NaN has no place in a sorted tier or a bucket, the infinities sit at the
+# ends of one, and -0.0 == 0 shares a bucket with it under another repr.
 values = st.one_of(
     st.integers(min_value=-5, max_value=5),
-    st.sampled_from([0.5, 1.5, 2.5]),
+    st.sampled_from([0.5, 1.5, 2.5, NAN, float("inf"), float("-inf"), -0.0]),
     st.sampled_from(["", "v", "va", "vab", "w"]),
     st.booleans(),
 )
@@ -74,13 +78,7 @@ def naive_maximal(pool):
     ]
 
 
-@given(
-    pool=st.lists(filters, min_size=0, max_size=12),
-    removals=st.lists(st.integers(min_value=0, max_value=11), max_size=6),
-    probes=st.lists(filters, min_size=1, max_size=4),
-)
-@settings(max_examples=120)
-def test_queries_agree_with_naive_pairwise(pool, removals, probes):
+def check_against_naive(pool, removals, probes):
     index = CoveringIndex()
     stored = []
     for f in pool:
@@ -97,6 +95,59 @@ def test_queries_agree_with_naive_pairwise(pool, removals, probes):
     assert index.maximal() == naive_maximal(stored)
     for f in stored:
         assert index.is_maximal(f) == (f in naive_maximal(stored))
+
+
+@given(
+    pool=st.lists(filters, min_size=0, max_size=12),
+    removals=st.lists(st.integers(min_value=0, max_value=11), max_size=6),
+    probes=st.lists(filters, min_size=1, max_size=4),
+)
+@settings(max_examples=120)
+def test_queries_agree_with_naive_pairwise(pool, removals, probes):
+    check_against_naive(pool, removals, probes)
+
+
+# The same differential where the sorted tiers are dense: one attribute,
+# one bound or equality per filter, operands from a handful of floats.
+# The pool above rarely puts a NaN *between* two operands of one tier and
+# then removes a neighbour, which is what it takes to strand a handle.
+bounds = st.builds(
+    lambda operator, operand: Filter([AttributeConstraint("a", operator, operand)]),
+    st.sampled_from([EQ, LT, LE, GT, GE]),
+    st.sampled_from([NAN, float("inf"), float("-inf"), -0.0, 0, 0.5, 1.0, 2.0, 3.0]),
+)
+
+
+@given(
+    pool=st.lists(bounds, min_size=0, max_size=16),
+    removals=st.lists(st.integers(min_value=0, max_value=15), max_size=10),
+    probes=st.lists(bounds, min_size=1, max_size=4),
+)
+@settings(max_examples=120)
+def test_dense_bounds_agree_with_naive_pairwise(pool, removals, probes):
+    check_against_naive(pool, removals, probes)
+
+
+def test_a_nan_bound_strands_no_handle():
+    """``x < nan`` used to enter the sorted upper bounds; removing
+    ``x < 2.0`` then bisected past it, left its handle behind, and the
+    next query dereferenced it (``KeyError: 0``)."""
+
+    def below(operand):
+        return Filter([AttributeConstraint("x", LT, operand)])
+
+    index = CoveringIndex()
+    first, nan_bound, third, fourth = below(2.0), below(NAN), below(3.0), below(1.0)
+    for f in (first, nan_bound, third, fourth):
+        assert index.add(f)
+    assert index.discard(first)
+    stored = [nan_bound, third, fourth]
+    probe = below(0.5)
+    assert index.covered_by(probe) == naive_covered_by(stored, probe) == [third, fourth]
+    assert index.covers_of(third) == naive_covers_of(stored, third)
+    assert index.maximal() == naive_maximal(stored)
+    assert index.discard(nan_bound)
+    assert list(index.filters()) == [third, fourth]
 
 
 def test_results_come_back_in_insertion_order():

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.engine import MultiStageEventSystem
 from repro.filters.compiled import CompiledMatchEngine
-from repro.overlay.invariants import covering_violations
+from repro.overlay.invariants import covering_violations, placement_violations
 from repro.sim.rng import RngRegistry
 from repro.workloads.bibliographic import BIB_EVENT_CLASS, BibliographicWorkload
 
@@ -165,6 +165,7 @@ def run_churn(seed, **options):
         )
         system.run_for(step)
         assert covering_violations(system.hierarchy, system.sim.now) == []
+        assert placement_violations(system.hierarchy) == []
 
     for round_index in range(6):
         publish_and_check(0.4 * TTL)
@@ -196,6 +197,7 @@ def run_churn(seed, **options):
     system.stop_maintenance()
     system.drain()
     assert covering_violations(system.hierarchy, system.sim.now) == []
+    assert placement_violations(system.hierarchy) == []
     return system, traces, empty_tables_seen
 
 

@@ -13,6 +13,9 @@ of the covering subscription.
 """
 
 from repro.core.engine import MultiStageEventSystem
+from repro.filters.constraints import AttributeConstraint
+from repro.filters.filter import Filter
+from repro.filters.operators import LT
 
 SCHEMA = ("class", "price", "symbol")
 #: Stage 1 keeps the full schema, stage 2 keeps (class, price), the root
@@ -212,3 +215,39 @@ def test_renewals_piggyback_only_propagated_forms():
     assert len(renewals) == 1
     items = renewals[0].items
     assert [str(f) for f, _ in items] == ["(class, 'Quote', =) (price, 20, <)"]
+
+
+def test_a_nan_bound_leaves_every_broker_running():
+    """One client's ``price < nan`` used to strand a handle in the home's
+    uplink covering index: the unsubscription of a neighbouring bound
+    bisected past it, and the next subscription's ``KeyError`` escaped
+    ``BrokerNode.receive`` and aborted ``drain()``."""
+
+    def below(bound):
+        return Filter([AttributeConstraint("price", LT, bound)])
+
+    system = MultiStageEventSystem(stage_sizes=(1, 1), seed=3)
+    system.advertise("Quote", schema=["price", "sym"])
+    system.drain()
+    subscriber = system.create_subscriber()
+    first = [
+        system.subscribe(subscriber, below(bound), event_class="Quote")[0]
+        for bound in (2.0, float("nan"), 3.0, 1.0)
+    ][0]
+    system.drain()
+    subscriber.unsubscribe(first.subscription_id)
+    system.drain()
+
+    got = []
+    system.subscribe(
+        subscriber,
+        below(0.5),
+        event_class="Quote",
+        handler=lambda event, metadata, subscription: got.append(event.get_price()),
+    )
+    system.drain()
+    assert subscriber.all_joined()
+    assert not any(node.crashed for node in system.hierarchy.nodes())
+    system.create_publisher().publish(Quote("A", 0.25), event_class="Quote")
+    system.drain()
+    assert got == [0.25]

@@ -10,7 +10,7 @@ import pytest
 from repro.core.engine import MultiStageEventSystem
 from repro.experiments.chaos import ChaosConfig, run_chaos
 from repro.overlay.channel import DEFAULT_RTO, ReliableReceiver, ReliableSender
-from repro.overlay.invariants import covering_violations
+from repro.overlay.invariants import covering_violations, placement_violations
 from repro.overlay.messages import Ack, ChannelReset, Sequenced
 from repro.sim.kernel import Process, Simulator
 from repro.sim.network import FaultPlan
@@ -243,6 +243,7 @@ def test_chaos_lost_reqinsert_is_retransmitted():
 
     assert home.counters.control_retransmits > 0
     assert covering_violations(system.hierarchy, system.sim.now) == []
+    assert placement_violations(system.hierarchy) == []
     # And the filter actually routes: a matching event arrives.
     traces = {}
     pinned_subscribe(system, "bob", 'class = "Quote" and price < 10', traces)
@@ -334,6 +335,7 @@ def test_chaos_duplicated_control_frames_apply_once():
     ]
     assert len(routed) == 1  # applied once, not once per copy
     assert covering_violations(system.hierarchy, system.sim.now) == []
+    assert placement_violations(system.hierarchy) == []
 
 
 def test_chaos_broker_crash_recovery_rebuilds_tables():
@@ -359,6 +361,7 @@ def test_chaos_broker_crash_recovery_rebuilds_tables():
 
     assert len(victim.table) > 0
     assert covering_violations(system.hierarchy, system.sim.now) == []
+    assert placement_violations(system.hierarchy) == []
     publisher = system.create_publisher("feed")
     publisher.publish(Quote("X", 5), event_class="Quote")
     system.run_for(1.0)
@@ -420,6 +423,7 @@ def test_chaos_partition_publish_heal_differential():
     assert all(len(t) > 0 for t in clean_post.values())
     # The parent's table covers the home's live leases again.
     assert covering_violations(system.hierarchy, system.sim.now) == []
+    assert placement_violations(system.hierarchy) == []
     live_forms = [
         f
         for f, ids in home.parent.table.entries()

@@ -6,7 +6,7 @@ import pytest
 from repro.core.engine import MultiStageEventSystem
 from repro.events.base import PropertyEvent
 from repro.flow import FlowConfig
-from repro.overlay.invariants import covering_violations
+from repro.overlay.invariants import covering_violations, placement_violations
 from repro.overlay.messages import Ack, Renewal, Unsubscribe
 from repro.sim.network import FaultPlan
 
@@ -340,3 +340,4 @@ class TestAckRouting:
         assert leaf.counters.control_retransmits > 0
         assert leaf.uplink_idle
         assert covering_violations(system.hierarchy, system.sim.now) == []
+        assert placement_violations(system.hierarchy) == []
