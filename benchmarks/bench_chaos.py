@@ -61,6 +61,9 @@ def test_chaos_gate(report):
         # ... and every placing broker's covering index is still its
         # table, after the losses, duplicates and the crash/restart.
         assert placement_violations(result.system.hierarchy) == []
+        # ... and the crashed broker, seen down, held nothing a newly
+        # built one would not hold.
+        assert result.soft_state_violations == []
         assert result.convergence_time <= config.ttl, (
             f"seed {config.seed}: convergence took "
             f"{result.convergence_time}s (> TTL {config.ttl}s)"

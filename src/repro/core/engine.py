@@ -84,7 +84,6 @@ class MultiStageEventSystem:
         wildcard_routing: bool = True,
         compact: bool = False,
         cache: bool = BrokerConfig.cache,
-        batch: bool = True,
         aggregate: bool = True,
         tracing: bool = False,
         flow: Optional[FlowConfig] = None,
@@ -106,7 +105,6 @@ class MultiStageEventSystem:
             wildcard_routing=wildcard_routing,
             compact=compact,
             cache=cache,
-            batch=batch,
             aggregate=aggregate,
             flow=flow,
             service_rate=service_rate,

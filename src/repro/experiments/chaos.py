@@ -35,7 +35,7 @@ from repro.metrics.report import (
     render_stage_latency_histograms,
     render_table,
 )
-from repro.overlay.invariants import covering_violations
+from repro.overlay.invariants import covering_violations, soft_state_violations
 from repro.sim.network import FaultPlan
 from repro.sim.rng import RngRegistry
 
@@ -121,6 +121,9 @@ class ChaosResult:
     convergence_time: float = 0.0
     #: Covering violations still open when measurement stopped.
     violations_after: int = 0
+    #: What the crashed broker still held each time it was seen down
+    #: (``None``: it never was).
+    soft_state_violations: Optional[List[str]] = None
     control_retransmits: int = 0
     control_dups_discarded: int = 0
     dropped_messages: int = 0
@@ -252,6 +255,10 @@ def run_chaos(config: Optional[ChaosConfig] = None) -> ChaosResult:
     for _ in range(config.events_per_phase):
         during_uids.append(publish_one())
         system.run_for(step)
+        if victim.crashed:
+            result.soft_state_violations = (
+                result.soft_state_violations or []
+            ) + soft_state_violations(victim)
     if system.sim.now < window_end:
         system.run_for(window_end - system.sim.now)
 

@@ -47,8 +47,6 @@ class ScenarioConfig:
     compact: bool = False
     #: Routing-decision cache on broker match engines (hot-path memo).
     cache: bool = BrokerConfig.cache
-    #: Batched dispatch: nodes drain runs of publishes per wakeup.
-    batch: bool = True
     #: Covering-based subscription aggregation on the broker uplinks
     #: (suppress propagation of covered filters; §4, Prop. 1).
     aggregate: bool = True
@@ -160,7 +158,6 @@ def run_bibliographic(config: Optional[ScenarioConfig] = None) -> ScenarioResult
         wildcard_routing=config.wildcard_routing,
         compact=config.compact,
         cache=config.cache,
-        batch=config.batch,
         aggregate=config.aggregate,
     )
     workload = BibliographicWorkload(

@@ -45,9 +45,6 @@ class BrokerConfig:
     #: the match it saves costs and a miss costs both (DESIGN §12); the
     #: ``"index"`` ablation is where it still pays.
     cache: bool = False
-    #: Queue same-instant publishes and serve them as one run per wakeup;
-    #: off, an unmanaged broker serves each arrival at once.
-    batch: bool = True
     #: Covering-based subscription aggregation on the uplinks (§4,
     #: Definition 2 / Proposition 1).
     aggregate: bool = True

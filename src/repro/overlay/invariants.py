@@ -18,10 +18,15 @@ subscriptions (stage > 1) answers Figure 5b from a covering index over
 its table's filters, which must list exactly those filters in the
 table's order (:func:`placement_violations`) — otherwise a subscription
 is sent toward a child chosen from filters the table no longer holds.
+
+A third is about the crash itself: a broker that just crashed holds
+what a newly constructed one holds and nothing more
+(:func:`soft_state_violations`), apart from what DESIGN §8 lists as
+surviving.
 """
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, List, Tuple
 
 from repro.core.weakening import weaken_filter
 from repro.filters.filter import Filter
@@ -118,3 +123,51 @@ def placement_violations(hierarchy: Hierarchy) -> List[PlacementViolation]:
         if indexed != stored:
             violations.append(PlacementViolation(node, indexed, stored))
     return violations
+
+
+#: What ``BrokerNode.crash()`` keeps (DESIGN §8 has the reason for each)
+#: besides identity, wiring and configuration, which are not state.  The
+#: components and the detector are kept as objects and reset inside.
+_KEPT = frozenset(
+    "sim name network stage config ttl expiry_factor offline_buffer_limit "
+    "flow log_config parent broker_children rng tracer crashed incarnation "
+    "advertisements counters log recover_log_from_disk _maintained "
+    "links uplink flow_host _replayer overload_detector".split()
+)
+
+
+def _held(value: Any) -> Any:
+    """A field reduced to what a crash empties: a size, or the value."""
+    return len(value) if hasattr(value, "__len__") else value
+
+
+def soft_state_violations(node: BrokerNode) -> List[str]:
+    """What a crashed ``node`` still holds that the crash should have lost.
+
+    Field by field against a just-constructed broker of the same name,
+    stage and configuration, for the node itself and for its uplink and
+    flow host.  Any attribute not in ``_KEPT`` counts as soft, so a field
+    added to the class later is checked without being listed here.
+    """
+    fresh = BrokerNode(
+        node.sim, node.network, node.name, node.stage, replace(node.config, log=None)
+    )
+    held = {}
+    for label, part, new, kept in (
+        ("", node, fresh, _KEPT),
+        ("uplink.", node.uplink, fresh.uplink, {"node"}),
+        # The derived-event numbering survives on purpose.
+        ("flow_host.", node.flow_host, fresh.flow_host, {"node", "seqs"}),
+    ):
+        for field in sorted(vars(part).keys() - kept):
+            size, empty = _held(vars(part)[field]), _held(vars(new).get(field))
+            held[f"{label}{field} holds {size!r}"] = size != empty
+    for gauge in ("filters_held", "propagated_filters", "flows_installed"):
+        held[f"counters.{gauge} is not 0"] = getattr(node.counters, gauge)
+    detector, replayer = node.overload_detector, node._replayer
+    held["un-acked frames on its links"] = not node.links.idle
+    held[f"overload detector remembers {detector!r}"] = detector is not None and (
+        detector.overloaded or detector.ewma
+    )
+    held["replay sessions open"] = replayer is not None and replayer.active
+    return [f"{node.name}: {what}" for what, wrong in held.items() if wrong]

@@ -11,40 +11,31 @@ Behaviour implemented here, with the paper's names:
   the strongest stored covering filter, handle wildcard subscriptions,
   or descend to a random child; insert at stage 1;
 - ``INSERT-SUBSCRIBER`` / ``req-Insert``: store weakened filters and
-  propagate further-weakened forms toward the root;
-- covering-based subscription aggregation (the Definition 2 / Proposition
-  1 trade): a per-class :class:`_UpLink` keeps a
-  :class:`~repro.filters.covering_index.CoveringIndex` over the weakened
-  forms, suppresses ``req-Insert`` when a propagated form already covers
-  the new one, and on the death of a cover re-propagates its still-live
-  covered forms *before* withdrawing it — the parent's table covers the
-  union of the child's filters at every instant;
+  announce them to the uplink;
 - ``HANDLE-WILDCARD-SUBS``: attach wildcard subscriptions at the stage
   just above the topmost stage using the wildcarded attribute;
 - the TTL tasks (renew own filters at the parent, purge silent ones);
 - event filtering and forwarding (Figure 6).
 
+Four components, each owning its soft state and one ``reset()``, do the
+rest (map in DESIGN §3): :class:`~repro.overlay.uplink.CoveringUplink`
+(what the parent is told, §4's covering-based aggregation),
+:class:`~repro.streams.host.FlowHost`, :class:`~repro.log.replay.
+Replayer` and :class:`~repro.overlay.channel.PeerLinks`.
+
 Event traffic takes one path whatever the :class:`~repro.overlay.config.
-BrokerConfig`: ``_admit`` queues every arrival in the one inbound queue,
-``_drain`` serves it into ``_process_batch``, every matched run leaves
-through ``_send_run``.  A configuration changes two policies, each
-decided at one site (DESIGN §10): *flush-before-control*
-(``_flush_inbound``: only an unmanaged broker serves its queue ahead of
-a control message) and *controlled downlinks* (``_send_run``: credit
-window, outbound queue and ``DataFrame`` numbering only under ``flow``,
-toward a broker).
+BrokerConfig`: ``_admit`` → ``_drain`` → ``_process_batch`` →
+``_send_run``.  A configuration changes two policies, each decided at
+one site (DESIGN §10): *flush-before-control* (``_flush_inbound``) and
+*controlled downlinks* (``_send_run``).
 """
 
-import math
-import pickle
 import random
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.advertisement import AdvertisementRegistry
 from repro.core.subscription import LeaseTable
-from repro.events.base import CLASS_ATTRIBUTE, PropertyEvent
-from repro.events.serialization import Envelope
 from repro.core.weakening import merge_covering, weaken_filter
 from repro.filters.covering_index import CoveringIndex
 from repro.filters.engine import MatchEngine, make_engine
@@ -80,47 +71,13 @@ from repro.overlay.messages import (
     Unsubscribe,
     Withdraw,
 )
+from repro.overlay.uplink import CoveringUplink
 from repro.runtime.base import Executor, Transport
 from repro.sim.kernel import Process
-from repro.streams.operators import Emission, FlowRuntime
-from repro.streams.spec import CollapseSpec
+from repro.streams.host import FlowHost
 
 #: Renew halfway through the TTL ("before the expiry of each TTL").
 RENEW_FRACTION = 0.5
-
-
-class _UpLink:
-    """Covering-aggregation state for one (node, event class) uplink.
-
-    ``forms`` refcounts the stage-``s+1`` weakened *forms* of the filters
-    stored locally (several stored filters can weaken to the same form);
-    ``index`` holds the live forms for fast subsumption queries.  A live
-    form is either *propagated* (sent to the parent via ``req-Insert``)
-    or *suppressed* under exactly one propagated ``cover_of`` it is
-    covered by; ``covered`` is the reverse map.  The propagated set is
-    kept an antichain — maximal forms only — by demotion on insert and
-    promotion (uncover re-propagation) on removal.
-
-    All containers are insertion-ordered dicts, never plain sets of
-    filters: iteration order feeds message emission, and ``str``-hash
-    randomization must not leak into traces.
-    """
-
-    __slots__ = ("forms", "index", "propagated", "cover_of", "covered")
-
-    def __init__(self) -> None:
-        self.forms: Dict[Filter, int] = {}
-        self.index = CoveringIndex()
-        self.propagated: Dict[Filter, None] = {}
-        self.cover_of: Dict[Filter, Filter] = {}
-        self.covered: Dict[Filter, Dict[Filter, None]] = {}
-
-    def propagated_cover(self, form: Filter) -> Optional[Filter]:
-        """The first propagated form, other than ``form``, covering it."""
-        for cover in self.index.covered_by(form):
-            if cover != form and cover in self.propagated:
-                return cover
-        return None
 
 
 class _DownLink:
@@ -169,77 +126,21 @@ class BrokerNode(Process):
         self.stage = stage
         self.ttl = config.ttl
         self.expiry_factor = config.expiry_factor
+        self.offline_buffer_limit = config.offline_buffer_limit
+        #: Flow-control knobs (None = unbounded queue, no credit windows).
+        self.flow = config.flow
+        #: Log knobs (None = no log).
+        self.log_config = log_config = config.log
         self.parent: Optional["BrokerNode"] = None
         self.broker_children: List["BrokerNode"] = []
-        self.leases = LeaseTable(self.ttl, self.expiry_factor)
-        self.advertisements = AdvertisementRegistry()
-        self.counters = NodeCounters()
-        #: Per-event-class uplink aggregation state (empty at the root).
-        self._uplinks: Dict[str, _UpLink] = {}
-        #: Every reliable control link of this broker: the uplink (order-
-        #: sensitive req-Insert / Withdraw / Renewal traffic and grants
-        #: to the parent), grants to publishers, replay streams.
-        self.links = PeerLinks(
-            self,
-            network,
-            config.flow.control_window if config.flow is not None else None,
-            self._on_retransmit,
-        )
-        #: The highest ChannelReset incarnation seen per peer *name* —
-        #: the stable process identity on this network.  Keying by id()
-        #: would let a recycled object id silently inherit a dead peer's
-        #: history and discard its legitimate resets.
-        self._peer_incarnations: Dict[str, int] = {}
-        self._was_maintained = False
-        self.table: MatchEngine = self._new_engine()
-        #: Covering index over the table's filters, at the brokers that
-        #: place subscriptions (Figure 5b runs above stage 1 only; a
-        #: stage-1 node inserts without asking and holds the most
-        #: filters).  In lock-step with the table: a filter is added in
-        #: ``_store`` when it first enters, discarded in ``_drop_pair``
-        #: when its last destination leaves, so the index's insertion
-        #: order is ``table.entries()`` order (DESIGN §5).
-        self.placement_index: Optional[CoveringIndex] = (
-            CoveringIndex() if stage > 1 else None
-        )
         self.rng = rng or random.Random(0)
         #: Causal span tracer (shared system-wide; disabled tracer when
         #: observability is off, so every emission site is one flag check).
         self.tracer = tracer if tracer is not None else EventTracer(enabled=False)
-        self.offline_buffer_limit = config.offline_buffer_limit
-        self._filter_class: Dict[Filter, str] = {}
-        self._maintenance_handles: Dict[str, Any] = {}
-        # Durable-subscription state (§2.1): offline destinations and the
-        # events buffered for the durable ones.  Keyed by the destination
-        # *name* — the stable identity on this network — not id(): a
-        # recycled object id must not inherit a dead subscriber's offline
-        # flag or durable buffer across a crash/reconnect cycle.
-        self._offline: Dict[str, Tuple[Process, bool]] = {}
-        self._buffers: Dict[str, Deque[Publish]] = {}
-        # Compacted match engine, rebuilt lazily after table changes.
-        self._compacted: Optional[MatchEngine] = None
-        self._compacted_dirty = True
-        # ---- The data path: admit -> drain -> match -> forward ----------
-        #: Flow-control knobs (None = unbounded queue, no credit windows).
-        self.flow = flow = config.flow
-        #: Arrived events awaiting the drain, as ``(publish, source name,
-        #: arrival time)``; bounded only under flow control.
-        self._inbound = BoundedQueue(
-            flow.queue_capacity if flow is not None else None,
-            flow.policy if flow is not None else "drop_tail",
-            priority=lambda entry: self._shed_priority(entry[0]),
-        )
-        self._drain_handle: Optional[Any] = None
-        self._busy_until = 0.0
-        self._drain_paused = False
-        #: Credit-controlled links by downstream peer name.
-        self._downlinks: Dict[str, _DownLink] = {}
-        #: Event sources (by name) we owe credit grants to.
-        self._event_sources: Dict[str, Process] = {}
-        # ---- Durable event log and replay (PR 6) -----------------------
-        #: Log knobs (None = no log).
-        self.log_config = log_config = config.log
-        #: Append-only publish log; survives :meth:`crash` (durable).
+        # ---- What survives crash() (DESIGN §8 has the reason for each) --
+        self.advertisements = AdvertisementRegistry()
+        self.counters = NodeCounters()
+        #: Append-only publish log (the one durable thing a broker owns).
         self.log: Optional[EventLog] = (
             EventLog(
                 name,
@@ -256,37 +157,96 @@ class BrokerNode(Process):
         #: ``LogConfig.directory``; the sim default keeps the in-memory
         #: log across crashes (its durability model).
         self.recover_log_from_disk = False
+        #: Whether the TTL tasks run: the *intent*, set by
+        #: ``start_maintenance``/``stop_maintenance``, which a restart
+        #: re-arms from (the handles themselves die with the incarnation).
+        self._maintained = False
+        # ---- Components: each owns its soft state and one reset() -------
+        #: Every reliable control link of this broker: the uplink (order-
+        #: sensitive req-Insert / Withdraw / Renewal traffic and grants
+        #: to the parent), grants to publishers, replay streams.
+        self.links = PeerLinks(
+            self,
+            network,
+            config.flow.control_window if config.flow is not None else None,
+            self._on_retransmit,
+        )
+        #: What the parent is told about the stored filters (§4).
+        self.uplink = CoveringUplink(self)
+        #: In-broker information flows (streams/, DESIGN §15).
+        self.flow_host = FlowHost(self)
         #: Root-side replayer, created lazily on the first replay request.
         self._replayer: Optional[Any] = None
+        self.overload_detector: Optional[OverloadDetector] = (
+            OverloadDetector(
+                config.flow.queue_capacity,
+                alpha=config.flow.ewma_alpha,
+                high=config.flow.overload_high,
+                low=config.flow.overload_low,
+                on_transition=self._on_overload_transition,
+            )
+            if config.flow is not None
+            else None
+        )
+        self._reset_soft_state()
+
+    def _reset_soft_state(self) -> None:
+        """Assign every soft field this class itself keeps — here and
+        nowhere else: the constructor runs it once and a crash runs it
+        again, so a field added here cannot be forgotten there
+        (``overlay.invariants.soft_state_violations`` checks)."""
+        # ---- Routing state (Figure 5b) ---------------------------------
+        self.table: MatchEngine = self._new_engine()
+        #: Covering index over the table's filters, at the brokers that
+        #: place subscriptions (Figure 5b runs above stage 1 only; a
+        #: stage-1 node inserts without asking and holds the most
+        #: filters).  In lock-step with the table: a filter is added in
+        #: ``_store`` when it first enters, discarded in ``_drop_pair``
+        #: when its last destination leaves, so the index's insertion
+        #: order is ``table.entries()`` order (DESIGN §5).
+        self.placement_index: Optional[CoveringIndex] = (
+            CoveringIndex() if self.stage > 1 else None
+        )
+        self.leases = LeaseTable(self.ttl, self.expiry_factor)
+        self._filter_class: Dict[Filter, str] = {}
+        # Compacted match engine, rebuilt lazily after table changes.
+        self._compacted: Optional[MatchEngine] = None
+        self._compacted_dirty = True
+        self._maintenance_handles: Dict[str, Any] = {}
+        #: The highest ChannelReset incarnation seen per peer *name* —
+        #: the stable process identity on this network.  Keying by id()
+        #: would let a recycled object id silently inherit a dead peer's
+        #: history and discard its legitimate resets.
+        self._peer_incarnations: Dict[str, int] = {}
+        # Durable-subscription state (§2.1): offline destinations and the
+        # events buffered for the durable ones.  Keyed by the destination
+        # *name* — the stable identity on this network — not id(): a
+        # recycled object id must not inherit a dead subscriber's offline
+        # flag or durable buffer across a crash/reconnect cycle.
+        self._offline: Dict[str, Tuple[Process, bool]] = {}
+        self._buffers: Dict[str, Deque[Publish]] = {}
+        # ---- The data path: admit -> drain -> match -> forward (Fig. 6) -
+        #: Arrived events awaiting the drain, as ``(publish, source name,
+        #: arrival time)``; bounded only under flow control.
+        self._inbound = BoundedQueue(
+            self.flow.queue_capacity if self.flow is not None else None,
+            self.flow.policy if self.flow is not None else "drop_tail",
+            priority=lambda entry: self._shed_priority(entry[0]),
+        )
+        self._drain_handle: Optional[Any] = None
+        self._busy_until = 0.0
+        self._drain_paused = False
+        #: Credit-controlled links by downstream peer name.
+        self._downlinks: Dict[str, _DownLink] = {}
+        #: Event sources (by name) we owe credit grants to.
+        self._event_sources: Dict[str, Process] = {}
         #: Next expected per-link data sequence number, per sender name
         #: (gap detection for the §10 credit-leak fix).
         self._data_expected: Dict[str, int] = {}
-        self.overload_detector: Optional[OverloadDetector] = (
-            OverloadDetector(
-                flow.queue_capacity,
-                alpha=flow.ewma_alpha,
-                high=flow.overload_high,
-                low=flow.overload_low,
-                on_transition=self._on_overload_transition,
-            )
-            if flow is not None
-            else None
-        )
-        # ---- In-broker information flows (streams/, DESIGN §15) --------
-        #: Installed flows by name.  Soft state: crash() discards it and
-        #: the registrar's renewals re-install (refresh-or-restore).
-        self._flows: Dict[str, FlowRuntime] = {}
-        #: Boundary-timer handles per flow (owned timers die with crash()).
-        self._flow_timers: Dict[str, Any] = {}
-        #: Next derived-event sequence number per flow name.  Survives
-        #: crash() for the same reason the uplink sender's epoch counter
-        #: does: the reserved publisher namespace (broker:flow, seq) must
-        #: stay collision-free across incarnations, or idempotent
-        #: downstream logs would silently swallow post-restart rollups.
-        self._flow_seqs: Dict[str, int] = {}
-        #: Re-entrancy depth of derived republication (chained flows);
-        #: bounded so a mutually-recursive pair cannot livelock.
-        self._flow_depth = 0
+        if self.overload_detector is not None:
+            self.overload_detector.reset()
+        # An empty table holds no filter, compacted or not.
+        self.counters.set_filters_held(0)
 
     def _new_engine(self) -> MatchEngine:
         """A fresh match engine, cache-wrapped when caching is on.
@@ -318,10 +278,6 @@ class BrokerNode(Process):
             )
         child.parent = self
         self.broker_children.append(child)
-
-    @property
-    def is_root(self) -> bool:
-        return self.parent is None
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -370,9 +326,9 @@ class BrokerNode(Process):
         if isinstance(message, SubscriptionRequest):
             self._on_subscription_request(message)
         elif isinstance(message, ReqInsert):
-            self._on_req_insert(message)
+            self._refresh(((message.filter, message.event_class),), message.child)
         elif isinstance(message, Renewal):
-            self._on_renewal(message, sender)
+            self._refresh(message.items, sender)
         elif isinstance(message, Advertise):
             self._on_advertise(message)
         elif isinstance(message, Unsubscribe):
@@ -386,15 +342,17 @@ class BrokerNode(Process):
         elif isinstance(message, CreditGrant):
             self._on_credit_grant(message, sender)
         elif isinstance(message, CatchUpRequest):
-            self._on_catch_up_request(message)
+            if self._ensure_replayer() is not None:
+                self._replayer.start_catch_up(message)
         elif isinstance(message, ReplayRequest):
-            self._on_replay_request(message)
+            if self._ensure_replayer() is not None:
+                self._replayer.start_recovery(message)
         elif isinstance(message, ReplayBatch):
             self._on_replay_batch(message, sender)
         elif isinstance(message, FlowInstall):
-            self._on_flow_install(message, sender)
+            self.flow_host.install(message, sender)
         elif isinstance(message, FlowRemove):
-            self._remove_flow(message.flow, reason="removed")
+            self.flow_host.remove(message.flow, reason="removed")
         else:
             raise TypeError(f"{self.name}: unexpected message {message!r}")
 
@@ -495,7 +453,8 @@ class BrokerNode(Process):
         attribute = most_general_wildcard(request.filter, advertisement.schema)
         top_used = advertisement.association.top_stage_using(attribute)
         target_stage = top_used + 1
-        if self.stage == target_stage or (self.is_root and target_stage > self.stage):
+        clamped = self.parent is None and target_stage > self.stage
+        if self.stage == target_stage or clamped:
             if self.tracer.enabled:
                 self._span(
                     "wildcard-attach",
@@ -536,22 +495,7 @@ class BrokerNode(Process):
                 ("subscriber", request.subscriber.name),
                 ("filter", str(stored)),
             )
-        if self.config.aggregate:
-            if newly_known:
-                self._up_insert(stored, request.event_class)
-        else:
-            self._propagate_up(request.filter, request.event_class)
-
-    def _on_req_insert(self, message: ReqInsert) -> None:
-        if self._store(message.filter, message.child, message.event_class):
-            self._announce_up(message.filter, message.event_class)
-
-    def _announce_up(self, filter_: Filter, event_class: str) -> None:
-        """A filter first stored here goes up, aggregated or plain."""
-        if self.config.aggregate:
-            self._up_insert(filter_, event_class)
-        else:
-            self._propagate_up(filter_, event_class)
+        self.uplink.announce(stored, request.event_class, first=newly_known)
 
     def _store(self, filter_: Filter, destination: Process, event_class: str) -> bool:
         """Insert one pair; True when the *filter* was not stored before."""
@@ -564,20 +508,12 @@ class BrokerNode(Process):
         self._table_changed()
         return newly_known
 
-    def _propagate_up(self, filter_: Filter, event_class: str) -> None:
-        """Send the next-stage weakening of ``filter_`` to the parent."""
-        if self.parent is None:
-            return
-        association = self._association_for(event_class)
-        weakened = weaken_filter(filter_, association, self.stage + 1)
-        self.counters.req_inserts_sent += 1
-        self._send_up(ReqInsert(weakened, event_class, self))
-
-    def _on_renewal(self, message: Renewal, sender: Process) -> None:
-        """Refresh-or-restore each renewed pair (see :class:`Renewal`)."""
-        for filter_, event_class in message.items:
-            if self._store(filter_, sender, event_class):
-                self._announce_up(filter_, event_class)
+    def _refresh(self, items: Sequence[Tuple[Filter, str]], child: Process) -> None:
+        """A ``req-Insert`` of one pair or a :class:`Renewal` of many:
+        refresh-or-restore each."""
+        for filter_, event_class in items:
+            if self._store(filter_, child, event_class):
+                self.uplink.announce(filter_, event_class)
 
     def _remove_pair(self, filter_: Filter, destination: Process) -> None:
         """Explicit removal of one stored pair: an ``Unsubscribe`` (of the
@@ -600,154 +536,15 @@ class BrokerNode(Process):
             self._filter_removed(filter_)
         return removed
 
-    # ------------------------------------------------------------------
-    # Covering-based uplink aggregation (§4, Definition 2 / Proposition 1)
-    # ------------------------------------------------------------------
-    #
-    # Soundness is free: a propagated cover is weaker than the forms it
-    # suppresses, so the parent routes a superset of the needed events
-    # (over-approximation, filtered exactly one stage below).  Complete-
-    # ness is an ordering discipline: any replacement ``req-Insert`` is
-    # sent *before* the ``Withdraw`` of the form it replaces, so at no
-    # instant does the parent's table stop covering the union of this
-    # node's stored filters.
-
-    def _up_insert(self, stored: Filter, event_class: str) -> None:
-        """A newly stored filter: refcount its weakened form; on the first
-        occurrence either suppress it under a propagated cover or
-        propagate it (demoting forms it strictly covers)."""
-        if self.parent is None:
-            return
-        association = self._association_for(event_class)
-        form = weaken_filter(stored, association, self.stage + 1)
-        link = self._uplinks.get(event_class)
-        if link is None:
-            link = self._uplinks[event_class] = _UpLink()
-        count = link.forms.get(form, 0)
-        link.forms[form] = count + 1
-        if count:
-            return  # form already live: propagated or suppressed
-        link.index.add(form)
-        cover = link.propagated_cover(form)
-        if cover is not None:
-            link.cover_of[form] = cover
-            link.covered.setdefault(cover, {})[form] = None
-            self.counters.propagations_suppressed += 1
-            if self.tracer.enabled:
-                self._span(
-                    "propagation-suppressed",
-                    ("filter", str(form)),
-                    ("cover", str(cover)),
-                )
-        else:
-            self._propagate_form(link, form, event_class)
-        self._uplinks_changed()
-
-    def _propagate_form(self, link: _UpLink, form: Filter, event_class: str) -> None:
-        """``req-Insert`` one form, then demote propagated forms it
-        strictly covers (withdrawn only *after* the replacement is up)."""
-        link.propagated[form] = None
-        self.counters.req_inserts_sent += 1
-        self._send_up(ReqInsert(form, event_class, self))
-        for other in link.index.covers_of(form):
-            if other == form or other not in link.propagated:
-                continue
-            if other.covers(form):
-                continue  # equivalent, not strictly covered
-            for child_form in link.covered.pop(other, {}):
-                link.cover_of[child_form] = form
-                link.covered.setdefault(form, {})[child_form] = None
-            del link.propagated[other]
-            link.cover_of[other] = form
-            link.covered.setdefault(form, {})[other] = None
-            self.counters.withdrawals_sent += 1
-            self._send_up(Withdraw(other, event_class, self))
-            if self.tracer.enabled:
-                self._span(
-                    "propagation-demoted", ("filter", str(other)), ("cover", str(form))
-                )
-
     def _filter_removed(self, filter_: Filter) -> None:
         """``filter_`` no longer has any destination in the table."""
         event_class = self._filter_class.pop(filter_, None)
-        if event_class is not None and self.config.aggregate:
-            self._up_remove(filter_, event_class)
-
-    def _up_remove(self, stored: Filter, event_class: str) -> None:
-        """Drop one refcount of the stored filter's weakened form; when the
-        form dies, either detach it (suppressed) or run uncover
-        re-propagation and withdraw it (propagated)."""
-        if self.parent is None:
-            return
-        link = self._uplinks.get(event_class)
-        if link is None:
-            return
-        association = self._association_for(event_class)
-        form = weaken_filter(stored, association, self.stage + 1)
-        count = link.forms.get(form)
-        if count is None:
-            return
-        if count > 1:
-            link.forms[form] = count - 1
-            return
-        del link.forms[form]
-        link.index.discard(form)
-        if form in link.propagated:
-            self._form_removed(link, form, event_class)
-        else:
-            cover = link.cover_of.pop(form, None)
-            if cover is not None:
-                children = link.covered.get(cover)
-                if children is not None:
-                    children.pop(form, None)
-                    if not children:
-                        del link.covered[cover]
-        self._uplinks_changed()
-
-    def _form_removed(self, link: _UpLink, form: Filter, event_class: str) -> None:
-        """Uncover re-propagation: re-home or re-propagate every form the
-        dying cover suppressed, *then* withdraw the cover."""
-        del link.propagated[form]
-        orphans = list(link.covered.pop(form, {}))
-        # Most-general first: an early promoted orphan can re-home the
-        # rest, minimizing re-propagations.
-        orphans.sort(key=lambda g: (len(g.constraints), str(g)))
-        for orphan in orphans:
-            link.cover_of.pop(orphan, None)
-            new_cover = link.propagated_cover(orphan)
-            if new_cover is not None:
-                link.cover_of[orphan] = new_cover
-                link.covered.setdefault(new_cover, {})[orphan] = None
-            else:
-                self.counters.uncover_repropagations += 1
-                if self.tracer.enabled:
-                    self._span(
-                        "uncover-repropagate",
-                        ("filter", str(orphan)),
-                        ("cover", str(form)),
-                    )
-                self._propagate_form(link, orphan, event_class)
-        self.counters.withdrawals_sent += 1
-        self._send_up(Withdraw(form, event_class, self))
-
-    def _uplinks_changed(self) -> None:
-        self.counters.propagated_filters = sum(
-            len(link.propagated) for link in self._uplinks.values()
-        )
+        if event_class is not None:
+            self.uplink.retract(filter_, event_class)
 
     # ------------------------------------------------------------------
-    # Reliable control channel (uplink) and crash recovery
+    # Reliable links and crash recovery
     # ------------------------------------------------------------------
-    #
-    # The uplink is the order-sensitive direction: aggregation's "send
-    # the replacement req-Insert before the Withdraw" discipline only
-    # survives the wire if the parent applies the two in that order.
-    # All req-Insert / Withdraw / Renewal traffic to the parent therefore
-    # rides the acked, sequence-numbered link ``self.links`` keeps to it.
-
-    def _send_up(self, payload: Any) -> None:
-        """Send one control message to the parent."""
-        self.links.send(self.parent, payload)
 
     def _on_retransmit(self, peer: str, epoch: int, frames: tuple) -> None:
         self.counters.control_retransmits += len(frames)
@@ -786,80 +583,31 @@ class BrokerNode(Process):
         if sender is self.parent:
             if epoch is not None:
                 self._span("epoch-reset", ("peer", sender.name), ("epoch", epoch))
-            items = self._parent_renewal_items()
-            if items:
-                self._send_up(Renewal(tuple(items)))
+            self.uplink.renew()
 
-    def crash(self) -> None:
-        """Fail-stop: lose all soft state (§4.3's failure model).
+    def _lose_soft_state(self) -> None:
+        """Fail-stop (``crash()``): lose all soft state, §4.3's failure
+        model.
 
         Tables, leases, aggregation state, channel receivers, durable
-        buffers, and queued events vanish.  Advertisements survive —
-        modelling a broker that re-reads the (rare, quasi-static)
-        advertisement configuration from durable storage on restart;
-        counters survive because they are measurement, not broker state.
+        buffers, installed flows and queued events vanish.  What
+        survives is listed once, with reasons, in DESIGN §8 —
+        advertisements (a broker re-reads the rare, quasi-static
+        advertisement configuration from durable storage on restart)
+        and counters (measurement, not broker state) among them.
         """
-        super().crash()
-        self._was_maintained = bool(self._maintenance_handles)
-        self.stop_maintenance()
-        self.table = self._new_engine()
-        if self.placement_index is not None:
-            self.placement_index = CoveringIndex()
-        self.leases = LeaseTable(self.ttl, self.expiry_factor)
-        self._uplinks.clear()
-        self._uplinks_changed()
-        self._filter_class.clear()
-        self._offline.clear()
-        self._buffers.clear()
-        if self._drain_handle is not None:
-            self._drain_handle.cancel()
-            self._drain_handle = None
-        self._compacted = None
-        self._compacted_dirty = True
-        self._peer_incarnations.clear()
-        self._inbound.clear()
-        self._downlinks.clear()
-        self._event_sources.clear()
-        self._data_expected.clear()
-        # The event log is the one durable thing a broker owns: it
-        # survives the crash (that is what recovery replays against).
-        # Under real-runtime semantics only the *files* survive — the
-        # in-memory object dies with the process and restart() reloads
-        # it from disk.  Replay sessions are soft state and vanish.
+        # The event log survives (it is what recovery replays against);
+        # under real-runtime semantics only its *files* do.
         if self.recover_log_from_disk and self.log is not None:
             self.log.close()
             self.log = None
-        if self._replayer is not None:
-            self._replayer.reset()
-        self._drain_paused = False
-        self._busy_until = 0.0
-        if self.overload_detector is not None:
-            self.overload_detector.reset()
-        # Information-flow operator state is soft state: open windows die
-        # with the process.  Announce each one so the exactly-once audit
-        # can excuse derived events the dropped windows will never emit
-        # (DESIGN §15); the registrar's renewals re-install the flows.
-        dropped = 0
-        for runtime in self._flows.values():
-            for group, window_start, pending in runtime.pending_windows():
-                dropped += 1
-                self._span(
-                    "window-dropped",
-                    ("flow", runtime.spec.name),
-                    ("group", group),
-                    ("window_start", window_start),
-                    ("pending", pending),
-                    ("reason", "crash"),
-                )
-        self.counters.flow_windows_dropped += dropped
-        self._flows.clear()
-        self._flow_timers.clear()  # owned handles already cancelled above
-        self._flow_depth = 0
-        self.counters.flows_installed = 0
-        self.links.reset()
+        self._reset_soft_state()
+        for part in (self.uplink, self._replayer, self.flow_host, self.links):
+            if part is not None:
+                part.reset()
 
-    def restart(self) -> None:
-        """Come back up and rebuild from the neighbours' renewals.
+    def _resume(self) -> None:
+        """Back up (``restart()``): rebuild from the neighbours' renewals.
 
         Tree neighbours get a :class:`ChannelReset`: broker children
         respond with an immediate full renewal (refresh-or-restore
@@ -868,7 +616,6 @@ class BrokerNode(Process):
         subscribers are unknown after the wipe — their periodic renewals
         restore their filters within one renewal interval.
         """
-        super().restart()  # clears the gate and bumps self.incarnation
         if (
             self.recover_log_from_disk
             and self.log is None
@@ -912,7 +659,7 @@ class BrokerNode(Process):
             self.call_later(
                 self.log_config.recovery_delay, self._request_replay, self.incarnation
             )
-        if self._was_maintained:
+        if self._maintained:
             self.start_maintenance()
 
     # ------------------------------------------------------------------
@@ -922,6 +669,7 @@ class BrokerNode(Process):
     def start_maintenance(self) -> None:
         """Begin the periodic renewal and purge tasks."""
         self.stop_maintenance()
+        self._maintained = True
         renew_interval = self.ttl * RENEW_FRACTION
         self._maintenance_handles["renew"] = self.call_later(
             renew_interval, self._renew_task, renew_interval
@@ -931,36 +679,14 @@ class BrokerNode(Process):
         )
 
     def stop_maintenance(self) -> None:
+        self._maintained = False
         for handle in self._maintenance_handles.values():
             handle.cancel()
         self._maintenance_handles.clear()
 
-    def _parent_renewal_items(self) -> Dict[Tuple[Filter, str], None]:
-        """The ``(form, event_class)`` pairs a renewal to the parent
-        carries (insertion-ordered, deduplicated)."""
-        items: Dict[Tuple[Filter, str], None] = {}
-        if self.config.aggregate:
-            # Renewals piggyback only the maximal (propagated) forms:
-            # suppressed forms have no lease upstream to keep alive.
-            for event_class, link in self._uplinks.items():
-                for form in link.propagated:
-                    items[(form, event_class)] = None
-        else:
-            for filter_ in self.table.filters():
-                event_class = self._filter_class.get(filter_)
-                if event_class is None:
-                    continue
-                association = self._association_for(event_class)
-                weakened = weaken_filter(filter_, association, self.stage + 1)
-                items[(weakened, event_class)] = None
-        return items
-
     def _renew_task(self, interval: float) -> None:
         """EXTEND THE VALIDITY OF FILTERS: renew own filters at the parent."""
-        if self.parent is not None:
-            items = self._parent_renewal_items()
-            if items:
-                self._send_up(Renewal(tuple(items)))
+        self.uplink.renew()
         self._maintenance_handles["renew"] = self.call_later(
             interval, self._renew_task, interval
         )
@@ -990,195 +716,15 @@ class BrokerNode(Process):
         # Flow leases decay on the same clock as filter leases: a flow
         # whose registrar fell silent (crashed, removed, partitioned past
         # the expiry window) is dropped with its pending state.
-        horizon = self.sim.now - self.ttl * self.expiry_factor
-        for name in [
-            n for n, r in self._flows.items() if r.renewed_at < horizon
-        ]:
-            self._remove_flow(name, reason="lease-expired")
+        self.flow_host.expire(self.sim.now - self.ttl * self.expiry_factor)
         self._table_changed()
         self._maintenance_handles["purge"] = self.call_later(
             interval, self._purge_task, interval
         )
 
-    # ------------------------------------------------------------------
-    # In-broker information flows (streams/, DESIGN §15)
-    # ------------------------------------------------------------------
-
-    def _on_flow_install(self, message: FlowInstall, sender: Process) -> None:
-        spec = message.spec
-        now = self.sim.now
-        runtime = self._flows.get(spec.name)
-        if runtime is not None and runtime.spec == spec:
-            # Refresh-or-restore: an identical spec is a pure lease renewal.
-            runtime.renewed_at = now
-            return
-        if runtime is not None:
-            # Changed definition: replace the machine, dropping its state.
-            self._cancel_flow_timer(spec.name)
-        runtime = self._flows[spec.name] = FlowRuntime(spec, now)
-        if spec.name not in self._flow_seqs:
-            # First install on this incarnation chain: start the derived
-            # sequence above anything ever logged under the flow's
-            # namespace, so a process death that lost the in-memory
-            # counter (asyncio backend) cannot reuse ids the idempotent
-            # downstream logs would silently swallow.
-            self._flow_seqs[spec.name] = self._flow_seq_floor(spec.name)
-        self.counters.flows_installed = len(self._flows)
-        self._span(
-            "flow-install",
-            ("flow", spec.name),
-            ("operator", spec.operator_kind),
-            ("out", spec.output_class),
-            ("from", sender.name),
-        )
-
-    def _flow_seq_floor(self, flow_name: str) -> int:
-        if self.log is None:
-            return 0
-        return self.log.watermarks().get(f"{self.name}:{flow_name}", -1) + 1
-
-    def _remove_flow(self, flow_name: str, reason: str) -> None:
-        runtime = self._flows.pop(flow_name, None)
-        if runtime is None:
-            return
-        self._cancel_flow_timer(flow_name)
-        self.counters.flows_installed = len(self._flows)
-        self._span("flow-remove", ("flow", flow_name), ("reason", reason))
-
-    def _cancel_flow_timer(self, flow_name: str) -> None:
-        handle = self._flow_timers.pop(flow_name, None)
-        if handle is not None:
-            handle.cancel()
-
-    def _arm_flow_timer(self, runtime: FlowRuntime) -> None:
-        """Arm the flow's next boundary timer (idempotent).
-
-        Timers are **lazy**: armed when the operator takes on pending
-        state and not re-armed once it runs dry, so an idle flow leaves
-        the simulator's event queue empty and ``drain()`` terminates.
-        Window boundaries align at multiples of the period anchored at
-        t=0: firing times are a function of the clock alone, so
-        same-seed runs fire identically regardless of install time.
-        """
-        period = runtime.timer_period()
-        if period is None or runtime.spec.name in self._flow_timers:
-            return
-        next_fire = (math.floor(self.sim.now / period) + 1) * period
-        self._flow_timers[runtime.spec.name] = self.call_at(
-            next_fire, self._on_flow_timer, runtime.spec.name
-        )
-
-    def _on_flow_timer(self, flow_name: str) -> None:
-        runtime = self._flows.get(flow_name)
-        self._flow_timers.pop(flow_name, None)
-        if runtime is None:
-            return
-        # Re-arm before emitting (an emission that crashes this broker
-        # mid-instant must not also lose the timer chain) — but only
-        # while state is still pending, to stay quiescent when idle.
-        emissions = runtime.on_timer(self.sim.now)
-        if runtime.pending_windows():
-            self._arm_flow_timer(runtime)
-        if emissions:
-            self._emit_derived(runtime, emissions)
-
-    def _feed_flows(self, batch: Sequence[Publish]) -> None:
-        """Feed a just-forwarded batch to the installed flows.
-
-        Chained flows compose because the derived batch re-enters
-        :meth:`_process_batch` and is tapped again; the depth guard
-        bounds mutually-recursive graphs, and a flow never consumes its
-        own output (events from its reserved namespace are skipped).
-        """
-        if self._flow_depth >= 8:
-            return
-        now = self.sim.now
-        for runtime in list(self._flows.values()):
-            own_namespace = f"{self.name}:{runtime.spec.name}"
-            emissions: List[Emission] = []
-            fed = 0
-            for message in batch:
-                envelope = message.envelope
-                event_id = envelope.event_id
-                if event_id is not None and event_id[0] == own_namespace:
-                    continue
-                if not runtime.matches(envelope.metadata):
-                    continue
-                fed += 1
-                emissions.extend(
-                    runtime.on_event(envelope.metadata, now, event_id)
-                )
-            if fed:
-                self.counters.flow_events_in += fed
-                self._arm_flow_timer(runtime)
-            if emissions:
-                self._emit_derived(runtime, emissions)
-
-    def _emit_derived(
-        self, runtime: FlowRuntime, emissions: Sequence[Emission]
-    ) -> None:
-        """Republish operator output into the normal publish path.
-
-        Derived events get ids under the reserved publisher namespace
-        ``(broker:flow, seq)`` and re-enter :meth:`_process_batch` at
-        this broker, so they are matched, covered, credit-paced, logged,
-        and traced exactly like events from a real publisher — with this
-        broker in the publisher role: a ``publish`` span anchors path
-        reconstruction here, and ``events_published`` counts once, at
-        the deriving broker only.
-        """
-        spec = runtime.spec
-        namespace = f"{self.name}:{spec.name}"
-        now = self.sim.now
-        tracing = self.tracer.enabled
-        collapse = isinstance(spec.operator, CollapseSpec)
-        publishes: List[Publish] = []
-        for emission in emissions:
-            seq = self._flow_seqs.get(spec.name, 0)
-            self._flow_seqs[spec.name] = seq + 1
-            props = dict(emission.properties)
-            props[CLASS_ATTRIBUTE] = spec.output_class
-            envelope = Envelope(
-                PropertyEvent(props),
-                pickle.dumps(props),
-                published_at=now,
-                event_id=(namespace, seq),
-            )
-            publishes.append(Publish(envelope))
-            self.counters.events_published += 1
-            self.counters.flow_events_out += 1
-            if collapse and emission.n_inputs > 1:
-                self.counters.flow_collapsed_events += emission.n_inputs - 1
-            if tracing:
-                ids = ",".join(f"{p}/{s}" for p, s in emission.inputs)
-                if emission.n_inputs > len(emission.inputs):
-                    ids += f",+{emission.n_inputs - len(emission.inputs)}"
-                self._span(
-                    "publish",
-                    ("class", spec.output_class),
-                    ("flow", spec.name),
-                    trace_id=envelope.event_id,
-                )
-                self._span(
-                    "derive",
-                    ("flow", spec.name),
-                    ("op", spec.operator_kind),
-                    ("inputs", emission.n_inputs),
-                    ("input_ids", ids),
-                    trace_id=envelope.event_id,
-                )
-        metas = None
-        if tracing:
-            metas = tuple((namespace, now) for _ in publishes)
-        self._flow_depth += 1
-        try:
-            self._process_batch(tuple(publishes), metas)
-        finally:
-            self._flow_depth -= 1
-
     def flows(self) -> Tuple[str, ...]:
         """Names of the currently installed flows (introspection)."""
-        return tuple(self._flows)
+        return tuple(self.flow_host.flows)
 
     # ------------------------------------------------------------------
     # Durable subscriptions (§2.1)
@@ -1211,7 +757,10 @@ class BrokerNode(Process):
         buffer.append(message)
         if len(buffer) > self.offline_buffer_limit:
             dropped = buffer.popleft()
-            self._shed_offline(destination.name, dropped)
+            self.counters.on_shed("offline-buffer")
+            drops = self.counters.offline_drops
+            drops[destination.name] = drops.get(destination.name, 0) + 1
+            self._shed_span(dropped, "offline-buffer", destination.name)
 
     # ------------------------------------------------------------------
     # Table compaction (covering merges, §4)
@@ -1264,8 +813,7 @@ class BrokerNode(Process):
         They wait in the inbound queue — bounded, and shedding, only
         under flow control — for a drain wakeup at the end of the
         current instant, so same-instant arrivals are served as one run
-        in arrival order.  Without batching an unmanaged broker serves
-        them right here.
+        in arrival order.
         """
         now = self.sim.now
         source = sender.name
@@ -1284,14 +832,10 @@ class BrokerNode(Process):
             shed_entries.extend(shed)
         if shed_entries:
             self._shed_entries(shed_entries, "queue-overflow")
-        if not self.config.batch:
-            self._flush_inbound()
         self._schedule_drain()
 
     def _schedule_drain(self) -> None:
-        if self._drain_handle is not None or self._drain_paused:
-            return
-        if not self._inbound:
+        if self._drain_handle is not None or self._drain_paused or not self._inbound:
             return
         # ``_busy_until`` only ever moves on a finite-speed broker;
         # otherwise this is the end of the current instant.
@@ -1422,8 +966,8 @@ class BrokerNode(Process):
         # Information flows tap the batch *after* the raw path has fully
         # forwarded it: subscribers not behind a flow see byte-identical
         # schedules whether or not any flow is installed here.
-        if self._flows:
-            self._feed_flows(batch)
+        if self.flow_host.flows:
+            self.flow_host.feed(batch)
 
     def _send_run(self, destination: Process, run: Sequence[Publish]) -> None:
         """The one exit for event traffic: put a run on the wire.
@@ -1484,28 +1028,19 @@ class BrokerNode(Process):
             )
             if log.next_offset != before:
                 self.counters.events_logged += 1
-            if self.is_root and message.offset is None:
+            if self.parent is None and message.offset is None:
                 message = message.stamped(record.offset)
                 changed = True
             stamped.append(message)
         return tuple(stamped) if changed else batch
 
     def _ensure_replayer(self):
-        if self._replayer is None:
+        """Built on the first request for history; ``None`` without a log."""
+        if self._replayer is None and self.log is not None:
             from repro.log.replay import Replayer
 
             self._replayer = Replayer(self)
         return self._replayer
-
-    def _on_catch_up_request(self, message: CatchUpRequest) -> None:
-        if self.log is None:
-            return  # no log configured: nothing to replay
-        self._ensure_replayer().start_catch_up(message)
-
-    def _on_replay_request(self, message: ReplayRequest) -> None:
-        if self.log is None:
-            return
-        self._ensure_replayer().start_recovery(message)
 
     def _on_replay_batch(self, message: ReplayBatch, sender: Process) -> None:
         """Recovery replay arriving at a restarted broker: drop what the
@@ -1610,16 +1145,9 @@ class BrokerNode(Process):
 
     def _shed_priority(self, publish: Publish) -> float:
         """Selectivity estimate for ``priority_by_selectivity`` shedding:
-        the refcount-weighted number of uplink forms the event matches —
-        the covering index's view of how many stored subscriptions the
-        event is likely to reach.  Higher reach = kept longer."""
-        metadata = publish.envelope.metadata
-        link = self._uplinks.get(metadata.event_class)
-        if link is None:
-            return 0.0
-        return float(
-            sum(count for form, count in link.forms.items() if form.matches(metadata))
-        )
+        the uplink's estimate of how many stored subscriptions the event
+        is likely to reach.  Higher reach = kept longer."""
+        return self.uplink.reach(publish.envelope.metadata)
 
     def _outbound_blocked(self) -> bool:
         return any(link.queue for link in self._downlinks.values())
@@ -1697,43 +1225,26 @@ class BrokerNode(Process):
         withholding the grant would leak the window shut)."""
         self.counters.on_shed(reason, len(entries))
         for publish, source, _ in entries:
-            self._shed_span(publish, reason, peer=source)
+            self._shed_span(publish, reason, source)
         self._grant_for_entries(entries)
 
     def _shed_publishes(
-        self, publishes: Sequence[Publish], reason: str, peer: Optional[str] = None
+        self, publishes: Sequence[Publish], reason: str, peer: str
     ) -> None:
         """Shed outbound events (no downstream credit was spent on them)."""
         self.counters.on_shed(reason, len(publishes))
         for publish in publishes:
-            self._shed_span(publish, reason, peer=peer)
+            self._shed_span(publish, reason, peer)
 
-    def _shed_offline(self, subscriber: str, publish: Publish) -> None:
-        self.counters.on_shed("offline-buffer")
-        drops = self.counters.offline_drops
-        drops[subscriber] = drops.get(subscriber, 0) + 1
-        self._shed_span(publish, "offline-buffer", peer=subscriber)
-
-    def _shed_span(
-        self, publish: Publish, reason: str, peer: Optional[str] = None
-    ) -> None:
-        if not self.tracer.enabled:
-            return
-        details = (("reason", reason),)
-        if peer is not None:
-            details += (("peer", peer),)
-        self._span("shed", *details, trace_id=publish.envelope.event_id)
+    def _shed_span(self, publish: Publish, reason: str, peer: str) -> None:
+        if self.tracer.enabled:
+            trace_id = publish.envelope.event_id
+            self._span("shed", ("reason", reason), ("peer", peer), trace_id=trace_id)
 
     def _on_overload_transition(self, state: str, now: float, ewma: float) -> None:
         self.counters.overload_transitions += 1
-        if self.tracer.enabled:
-            self.tracer.span(
-                now,
-                "overload",
-                self.name,
-                self.stage,
-                details=(("state", state), ("ewma", f"{ewma:.2f}")),
-            )
+        # ``now`` is the sampler's tick, the instant ``_span`` stamps.
+        self._span("overload", ("state", state), ("ewma", f"{ewma:.2f}"))
 
     def __repr__(self) -> str:
         return f"BrokerNode({self.name}, stage={self.stage}, filters={len(self.table)})"

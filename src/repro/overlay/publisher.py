@@ -240,10 +240,9 @@ class PublisherRuntime(Process):
         self._data_seq += len(frame.publishes)
         self.network.send(self, self.root, frame)
 
-    def crash(self) -> None:
+    def _lose_soft_state(self) -> None:
         """Fail-stop: the grant stream's position dies with the process;
         the next incarnation adopts the first frame it hears."""
-        super().crash()
         self.links.reset()
 
     def __repr__(self) -> str:

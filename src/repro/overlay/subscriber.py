@@ -334,18 +334,16 @@ class SubscriberRuntime(Process):
     # Crash lifecycle
     # ------------------------------------------------------------------
 
-    def crash(self) -> None:
-        """Fail-stop: the base class cancels the owned renew timer; drop
-        the dangling reference so :meth:`restart` can re-arm cleanly.
+    def _lose_soft_state(self) -> None:
+        """Fail-stop: the base class cancelled the owned renew timer;
+        drop the dangling reference so a restart can re-arm cleanly.
         Un-acked control frames die here too — the renewals of the next
         incarnation restore what they carried."""
-        super().crash()
         self._renew_handle = None
         self.links.reset()
 
-    def restart(self) -> None:
-        """Come back up; resume the renewal chain if maintenance was on."""
-        super().restart()
+    def _resume(self) -> None:
+        """Back up: resume the renewal chain if maintenance was on."""
         if self._maintenance_interval is not None and not self.offline:
             self._renew_handle = self.call_later(
                 self._maintenance_interval,

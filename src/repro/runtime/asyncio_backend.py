@@ -897,7 +897,8 @@ class TcpTransport:
         die with it — their next frame is dropped and counted.
 
         Idempotent: killing an already-crashed endpoint is a no-op.  A
-        second ``crash()`` would wipe nothing new, but overwriting
+        second ``crash()`` is one too (every process kind returns at
+        once when it is already down), but overwriting
         ``endpoint.teardown`` would orphan the first teardown task and
         let a later ``restore`` race the still-closing server socket.
         """

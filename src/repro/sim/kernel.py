@@ -341,25 +341,40 @@ class Process:
     def crash(self) -> None:
         """Take the process down (fail-stop).
 
-        The base implementation flips the network gate and cancels every
-        owned timer; stateful subclasses (brokers) override to also lose
-        their soft state, which is what the paper's §4.3
-        refresh-or-restore renewals rebuild.
+        Flips the network gate, cancels every owned timer and has the
+        subclass lose its soft state, which is what the paper's §4.3
+        refresh-or-restore renewals rebuild.  A no-op on a process that
+        is already down: a second kill, or the later of two overlapping
+        crash windows, must not move the link epochs a second time.
         """
+        if self.crashed:
+            return
         self.crashed = True
         for handle in self._owned_timers:
             handle.cancel()
         self._owned_timers.clear()
+        self._lose_soft_state()
+
+    def _lose_soft_state(self) -> None:
+        """What :meth:`crash` wipes beyond the owned timers."""
 
     def restart(self) -> None:
         """Bring the process back up after :meth:`crash`.
 
         Bumps the incarnation counter so any owned timer that escaped
         cancellation (or any raw timer guarded by incarnation) fires into
-        a closed door rather than the fresh state.
+        a closed door rather than the fresh state, then lets the
+        subclass pick up again.  A no-op on a live process (a second
+        bump would strand its own armed timers).
         """
+        if not self.crashed:
+            return
         self.crashed = False
         self.incarnation += 1
+        self._resume()
+
+    def _resume(self) -> None:
+        """What :meth:`restart` does once the process is up again."""
 
     def receive(self, message: Any, sender: "Process") -> None:
         """Handle a message delivered by the network."""

@@ -131,15 +131,13 @@ class FlowRegistrar(Process):
     # Crash lifecycle (the registrar itself is a process too)
     # ------------------------------------------------------------------
 
-    def crash(self) -> None:
+    def _lose_soft_state(self) -> None:
         """Fail-stop: un-acked installs die with the incarnation; the
         next one's renewals re-send every flow."""
-        super().crash()
         self._renew_handle = None
         self.links.reset()
 
-    def restart(self) -> None:
-        super().restart()
+    def _resume(self) -> None:
         if self._maintenance_interval is not None:
             self._renew_handle = self.call_later(
                 self._maintenance_interval, self._renew_task,

@@ -1,7 +1,7 @@
 """The engine under the overlay is observationally invisible.
 
 Whichever engine a broker matches with — and with the routing cache on
-or off, batched dispatch on or off — the system must change only how
+or off — the system must change only how
 much work matching takes, never what it delivers: same-seed runs produce
 byte-identical per-subscriber delivery traces (timestamps included) and
 identical LC/RLC/MR counter inputs, node for node.
@@ -240,11 +240,11 @@ def test_compiled_engine_batch_path_engages(monkeypatch):
     assert sum(c.compile_rebuilds for c in counters) > 0
 
 
-def test_compiled_engine_without_cache_or_batch_still_identical():
-    compiled, traces = run(13, engine="compiled", cache=False, batch=False)
+def test_compiled_engine_without_cache_still_identical():
+    compiled, traces = run(13, engine="compiled", cache=False)
     assert_indistinguishable({
         "compiled": (compiled, traces),
-        "index": run(13, engine="index", cache=False, batch=False),
+        "index": run(13, engine="index", cache=False),
     })
 
 

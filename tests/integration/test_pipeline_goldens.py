@@ -2,8 +2,8 @@
 
 ``test_byte_identity`` pins bytes and spans of the default run only.
 The admit→match→forward merge (DESIGN §10) also has to leave the
-unbatched, the managed and the finite-speed schedules alone, so each is
-pinned here as well: kernel steps, every broker's counters, per-link
+managed and the finite-speed schedules alone, so each is pinned here as
+well: kernel steps, every broker's counters, per-link
 bytes and the span dump, for one seed.  ``GOLDEN`` was recorded at the
 parent commit ``44e1c45`` with :func:`measure` below, one fresh
 interpreter per case.
@@ -58,7 +58,6 @@ MANAGED_FLOW = FlowConfig(
 
 CASES = {
     "default": dict(),
-    "unbatched": dict(batch=False),
     "managed": dict(
         flow=MANAGED_FLOW, service_rate=2000.0, service_batch=8, log=LogConfig()
     ),
@@ -79,20 +78,6 @@ GOLDEN = {'default': {'processed_events': 2666,
              'replay_events_sent': 0,
              'replay_dupes_discarded': 0,
              'drain_resumes': 0},
- 'unbatched': {'processed_events': 3108,
-               'counters': 'cc7b83ca37402ae0e303a296b6325e8471e5bf76a55b9e133f2ee2829c49a10d',
-               'total_bytes': 429548,
-               'links': '8a93c0c3ae1efbbe015ac4e8d7ae9dee1e9142ab25a738796fd65636fd8b8a4e',
-               'spans': '9536254ac077ca90ca7f2a8804ceed1f1251fd89cc5885ffb35c361f24108304',
-               'n_spans': 2118,
-               'delivered': 605,
-               'sheds': [],
-               'credit_gap_grants': 0,
-               'overload_transitions': 0,
-               'events_logged': 0,
-               'replay_events_sent': 0,
-               'replay_dupes_discarded': 0,
-               'drain_resumes': 0},
  'managed': {'processed_events': 3961,
              'counters': '268481e732ec14dfc37ec0b1cae43cdf1c32d80f47ddf74926fd277329d807ae',
              'total_bytes': 453470,
@@ -130,9 +115,6 @@ GOLDEN = {'default': {'processed_events': 2666,
 INDEX_WITH_CACHE = {
     'default': {
         'counters': 'd1f02db4847d51e825473f3b37a5e400821c4426db93d80ad764adfdaf537f3d',
-    },
-    'unbatched': {
-        'counters': 'fb4efebbfc0a692e5ba6b3908d8a3658dba83a0130f98d5820ce18432ca29b40',
     },
     'managed': {
         'counters': '3e99aec27b4b32905cf6247b78ea24d780eb4043428869dcdd8573d850010166',

@@ -49,10 +49,9 @@ def observe(monkeypatch, scenario, **options):
 
 
 @pytest.mark.parametrize("scenario", [run, run_churn], ids=["static", "churn"])
-@pytest.mark.parametrize("batch", [True, False], ids=["batched", "unbatched"])
 @pytest.mark.parametrize("engine", sorted(ENGINES))
-def test_tracing_moves_nothing_but_the_span_list(monkeypatch, engine, batch, scenario):
-    options = dict(ENGINES[engine], batch=batch)
+def test_tracing_moves_nothing_but_the_span_list(monkeypatch, engine, scenario):
+    options = ENGINES[engine]
     untraced, expected = observe(monkeypatch, scenario, **options)
     traced, observed = observe(monkeypatch, scenario, tracing=True, **options)
     assert len(untraced.tracer) == 0 and traced.tracer.kinds("hop")

@@ -9,8 +9,17 @@ import pytest
 
 from repro.core.engine import MultiStageEventSystem
 from repro.experiments.chaos import ChaosConfig, run_chaos
-from repro.overlay.channel import DEFAULT_RTO, ReliableReceiver, ReliableSender
-from repro.overlay.invariants import covering_violations, placement_violations
+from repro.overlay.channel import (
+    DEFAULT_RTO,
+    PeerLinks,
+    ReliableReceiver,
+    ReliableSender,
+)
+from repro.overlay.invariants import (
+    covering_violations,
+    placement_violations,
+    soft_state_violations,
+)
 from repro.overlay.messages import Ack, ChannelReset, Sequenced
 from repro.sim.kernel import Process, Simulator
 from repro.sim.network import FaultPlan
@@ -316,6 +325,47 @@ def test_chaos_crashed_registrar_stops_retransmitting():
     assert registrar.control_retransmits == 0
 
 
+@pytest.mark.parametrize("kind", ["subscriber", "publisher", "registrar"])
+def test_chaos_a_second_crash_of_a_dead_edge_process_wipes_nothing_new(monkeypatch, kind):
+    """``crash()`` on a process that is already down is a no-op for every
+    process kind: its links are reset once (a second reset would move
+    every sender one more epoch on), nothing is cancelled twice, and the
+    restart resumes what the first crash interrupted."""
+    system = make_system()
+    if kind == "subscriber":
+        process, _ = pinned_subscribe(system, "alice", 'class = "Quote" and price < 10')
+    elif kind == "publisher":
+        process = system.create_publisher("feed")
+    else:
+        system.advertise(TELEMETRY_EVENT_CLASS, schema=TELEMETRY_SCHEMA)
+        workload = TelemetryWorkload(
+            system.rngs.stream("telemetry"), n_regions=2, sensors_per_region=2
+        )
+        process = system.install_flows([workload.rollup_flow()])
+        system.drain()
+    if kind != "publisher":
+        process.start_maintenance()
+    resets, reset = [], PeerLinks.reset
+    monkeypatch.setattr(
+        PeerLinks, "reset", lambda links: (resets.append(links.owner), reset(links))
+    )
+
+    process.crash()
+    cancelled = system.sim.cancelled_pending
+    process.crash()
+    assert resets == [process]
+    assert system.sim.cancelled_pending == cancelled
+
+    process.restart()
+    incarnation = process.incarnation
+    process.restart()  # and a second restart finds a live process
+    assert process.incarnation == incarnation
+    if kind != "publisher":
+        assert process._renew_handle is not None  # maintenance resumed
+        process.stop_maintenance()
+    system.drain()
+
+
 def test_chaos_duplicated_control_frames_apply_once():
     """100% duplication on the uplink: duplicate frames are discarded and
     the routing state is exactly what a clean run produces."""
@@ -352,8 +402,9 @@ def test_chaos_broker_crash_recovery_rebuilds_tables():
     system.run_for(1.0)
 
     victim.crash()
-    assert len(victim.table) == 0
+    assert len(victim.table) == 0 and soft_state_violations(victim) == []
     system.run_for(2.0)
+    assert soft_state_violations(victim) == []  # nothing reaches it while down
     victim.restart()
     # ChannelReset -> children renew immediately: recovery well inside a
     # renewal period, not 3xTTL.
@@ -441,6 +492,7 @@ def test_chaos_experiment_gate_smoke():
     assert result.post_ratio == 1.0
     assert result.exactly_once
     assert result.converged
+    assert result.soft_state_violations == []  # seen down, and empty
     assert result.dropped_messages > 0
 
 

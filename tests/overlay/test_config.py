@@ -54,10 +54,10 @@ def parameters(callable_):
     return [name for name in inspect.signature(callable_).parameters if name != "self"]
 
 
-def test_facade_signature_is_sixteen_names():
+def test_facade_signature_is_fifteen_names():
     assert parameters(MultiStageEventSystem.__init__) == [
         "stage_sizes", "ttl", "seed", "engine", "link_latency",
-        "wildcard_routing", "compact", "cache", "batch", "aggregate",
+        "wildcard_routing", "compact", "cache", "aggregate",
         "tracing", "flow", "service_rate", "service_batch", "log", "runtime",
     ]  # fmt: skip
 
@@ -97,8 +97,8 @@ def test_the_gap_grant_is_not_an_option():
 def test_facade_broker_options_are_the_config_fields():
     facade = set(parameters(MultiStageEventSystem.__init__))
     assert facade - DEPLOYMENT == CONFIG_FIELDS - INTERNAL
-    assert len(CONFIG_FIELDS - INTERNAL) == 11
-    assert "reliable" not in CONFIG_FIELDS
+    assert len(CONFIG_FIELDS - INTERNAL) == 10
+    assert "reliable" not in CONFIG_FIELDS and "batch" not in CONFIG_FIELDS
 
 
 @pytest.mark.parametrize(
@@ -133,7 +133,7 @@ def test_scenario_and_baseline_defaults_agree_with_the_config():
     a default of their own would be a second opinion."""
     scenario = {field.name: field.default for field in dataclasses.fields(ScenarioConfig)}
     forwarded = (CONFIG_FIELDS - INTERNAL) & set(scenario)
-    assert {"engine", "cache", "batch", "aggregate", "compact"} <= forwarded
+    assert {"engine", "cache", "aggregate", "compact"} <= forwarded
     for name in forwarded:
         assert scenario[name] == getattr(BrokerConfig, name), name
     for baseline in (CentralServer, CentralizedSystem):
@@ -212,7 +212,7 @@ def test_config_pickles_with_its_nested_configs():
 
 def test_config_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
-        BrokerConfig().batch = False
+        BrokerConfig().aggregate = False
 
 
 @pytest.mark.parametrize(
@@ -232,7 +232,7 @@ def test_config_validates_in_post_init(options, message):
 
 def test_managed_means_flow_or_service_rate():
     assert not BrokerConfig().managed
-    assert not BrokerConfig(log=LogConfig(), batch=False).managed
+    assert not BrokerConfig(log=LogConfig()).managed
     assert BrokerConfig(flow=FlowConfig()).managed
     assert BrokerConfig(service_rate=10.0).managed
 

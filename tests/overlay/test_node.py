@@ -6,7 +6,11 @@ import pytest
 from repro.core.engine import MultiStageEventSystem
 from repro.events.base import PropertyEvent
 from repro.flow import FlowConfig
-from repro.overlay.invariants import covering_violations, placement_violations
+from repro.overlay.invariants import (
+    covering_violations,
+    placement_violations,
+    soft_state_violations,
+)
 from repro.overlay.messages import Ack, Renewal, Unsubscribe
 from repro.sim.network import FaultPlan
 
@@ -311,6 +315,91 @@ class TestFlushBeforeControl:
     )
     def test_managed_broker_leaves_them_to_the_service_loop(self, options):
         assert self._publish_unsubscribe_publish(**options) == 0
+
+
+class TestCrashLifecycle:
+    """A crash loses the soft state once, whoever asks how often, and the
+    restart picks up what was *meant* to run (DESIGN §8)."""
+
+    TTL = 2.0
+
+    def maintained(self, **options):
+        system = make_system(stage_sizes=(2, 1), ttl=self.TTL, **options)
+        alice = system.create_subscriber("alice")
+        got = []
+        sub = subscribe(
+            system,
+            alice,
+            'class = "Quote" and symbol = "A"',
+            handler=lambda event, metadata, subscription: got.append(event),
+        )
+        system.start_maintenance()
+        system.run_for(self.TTL / 4)
+        return system, alice.home_of(sub.subscription_id), got
+
+    def still_delivers(self, system, got):
+        """A subscription below the broker outlives 4×TTL of its lease."""
+        system.run_for(4 * self.TTL)
+        system.create_publisher().publish(Quote("A", 1), event_class="Quote")
+        system.run_for(self.TTL / 4)
+        return len(got) == 1
+
+    def test_a_broker_killed_twice_comes_back_maintained(self):
+        """Regression: the second ``crash()`` recomputed "was maintained"
+        from handles the first had already emptied, so the restarted
+        broker never renewed or purged again and its subtree went silent
+        after 3×TTL."""
+        system, home, got = self.maintained()
+        epochs = lambda: [s.epoch for s in home.links._senders.values()]
+
+        system.kill(home)
+        downed = epochs()
+        system.kill(home)
+        assert epochs() == downed  # nothing wiped a second time
+        system.restore(home)
+
+        assert sorted(home._maintenance_handles) == ["purge", "renew"]
+        assert self.still_delivers(system, got)
+
+    def test_of_two_overlapping_crash_windows_the_first_restart_wins(self):
+        system, home, got = self.maintained()
+        now = system.sim.now
+        plan = FaultPlan(seed=1)
+        plan.add_crash(home, at=now + 0.1, duration=0.3)
+        plan.add_crash(home, at=now + 0.2, duration=0.4)
+        system.network.install_faults(plan)
+        system.run_for(0.35)
+        assert home.crashed and soft_state_violations(home) == []
+        system.run_for(0.1)  # first restart...
+        incarnation = home.incarnation
+        assert not home.crashed
+        system.run_for(0.3)  # ...the second one finds a live broker
+        assert home.incarnation == incarnation
+        assert sorted(home._maintenance_handles) == ["purge", "renew"]
+        assert self.still_delivers(system, got)
+
+    def test_maintenance_stopped_while_down_stays_stopped(self):
+        system, home, _ = self.maintained()
+        system.kill(home)
+        home.stop_maintenance()
+        system.restore(home)
+        assert home._maintenance_handles == {}
+
+    @pytest.mark.parametrize("options", [dict(), dict(compact=True)], ids=["plain", "compact"])
+    def test_filters_held_does_not_survive_the_table_it_counts(self, options):
+        """Regression: ``crash()`` swapped in an empty table without
+        touching the gauge LC/RLC read, which kept the pre-crash count
+        until the next insert."""
+        system, home, _ = self.maintained(**options)
+        system.create_publisher().publish(Quote("A", 1), event_class="Quote")
+        system.run_for(0.1)  # compaction sizes the gauge on a match
+        assert home.counters.filters_held == 1
+
+        system.kill(home)
+
+        assert len(home.table) == 0 and home.counters.filters_held == 0
+        assert home.counters.max_filters_held == 1
+        assert soft_state_violations(home) == []
 
 
 class TestAckRouting:

@@ -28,6 +28,7 @@ from repro.filters.filter import Filter
 from repro.filters.operators import ALL, LT
 from repro.filters.parser import parse_filter
 from repro.overlay.config import BrokerConfig
+from repro.overlay.invariants import soft_state_violations
 from repro.overlay.messages import (
     Advertise,
     Renewal,
@@ -152,6 +153,9 @@ class _Harness:
             node.stop_maintenance()  # the purge re-armed itself
         else:
             node.crash()
+            if step[1]:
+                node.crash()  # a second kill of a dead broker: a no-op
+            assert soft_state_violations(node) == []
             node.restart()
 
     def check(self):
@@ -177,7 +181,7 @@ _step = st.one_of(
     st.tuples(st.just("subscribe"), _subscriber, st.integers(0, len(REQUESTS) - 1)),
     st.tuples(st.just("unsubscribe"), _subscriber, _form),
     st.tuples(st.just("expire"), st.sampled_from((TTL, 2 * TTL, 3 * TTL))),
-    st.tuples(st.just("crash")),
+    st.tuples(st.just("crash"), st.booleans()),
 )
 
 

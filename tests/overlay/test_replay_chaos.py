@@ -12,6 +12,7 @@ import pytest
 from repro.core.engine import MultiStageEventSystem
 from repro.flow import FlowConfig
 from repro.log import AuditSubscription, LogConfig, verify_exactly_once
+from repro.overlay.invariants import soft_state_violations
 from repro.sim.network import FaultPlan
 
 SCHEMA = ("class", "symbol", "price")
@@ -89,8 +90,9 @@ def run_crash_recovery(seed, loss_during_crash=0.0):
         system.network.install_faults(plan)
     publish_range(system, publisher, 15, 30)
     system.run_for(1.0)
-    # Nothing reached the subscriber through the dead broker.
+    # Nothing reached the subscriber through the dead broker, or it.
     assert len(got) == 15
+    assert soft_state_violations(mid) == []
 
     mid.restart()
     system.run_for(8.0)
@@ -155,6 +157,7 @@ def test_chaos_recovery_resumes_from_last_acked_offset():
     assert acked == 19
 
     mid.crash()
+    assert soft_state_violations(mid) == []
     publish_range(system, publisher, 20, 30)
     system.run_for(1.0)
     mid.restart()
@@ -181,7 +184,9 @@ def test_chaos_scheduled_crash_via_fault_plan():
     plan.add_crash(mid, at=0.2, duration=0.5)
     system.network.install_faults(plan)
 
-    publish_range(system, publisher, 0, 40, dt=0.02)
+    publish_range(system, publisher, 0, 20, dt=0.02)
+    assert mid.crashed and soft_state_violations(mid) == []
+    publish_range(system, publisher, 20, 40, dt=0.02)
     system.run_for(8.0)
 
     assert sorted(got) == [float(i) for i in range(40)]

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.engine import MultiStageEventSystem
 from repro.log.config import LogConfig
+from repro.overlay.invariants import soft_state_violations
 from repro.runtime.asyncio_backend import (
     AsyncioRuntime,
     CRASHED,
@@ -332,6 +333,7 @@ class TestEngineOnAsyncio:
             system.kill(home)
             assert system.run_until(lambda: home.crashed, timeout=5.0)
             assert home.log is None  # in-memory log died with the process
+            assert soft_state_violations(home) == []
 
             system.restore(home)
             assert system.run_until(

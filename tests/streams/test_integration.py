@@ -24,6 +24,7 @@ from repro.core.engine import MultiStageEventSystem
 from repro.filters.filter import Filter
 from repro.log import LogConfig, dropped_window_excusals
 from repro.metrics.report import aggregate_stream_counters, render_stream_summary
+from repro.overlay.invariants import soft_state_violations
 from repro.workloads.telemetry import (
     ROLLUP_EVENT_CLASS,
     TELEMETRY_EVENT_CLASS,
@@ -174,6 +175,7 @@ class TestCrashSemantics:
 
         # Soft state gone, loss announced, audit excusals derivable.
         assert victim.flows() == ()
+        assert soft_state_violations(victim) == []
         assert victim.counters.flow_windows_dropped > 0
         dropped_spans = system.tracer.kinds("window-dropped")
         assert len(dropped_spans) == victim.counters.flow_windows_dropped
@@ -241,14 +243,14 @@ class TestCrashSemantics:
         for reading in workload.readings_round()[:2]:
             publisher.publish(reading, event_class=TELEMETRY_EVENT_CLASS)
         system.run_for(0.2)
-        assert root._flows["region-rollup"].pending_windows()
+        assert root.flow_host.flows["region-rollup"].pending_windows()
 
         # Same name, different window size: a fresh machine, no carry-over.
         registrar.install(root, workload.rollup_flow(window=2 * WINDOW))
         system.drain()
         assert root.flows() == ("region-rollup",)
-        assert root._flows["region-rollup"].pending_windows() == []
-        assert root._flows["region-rollup"].spec.operator.size == 2 * WINDOW
+        assert root.flow_host.flows["region-rollup"].pending_windows() == []
+        assert root.flow_host.flows["region-rollup"].spec.operator.size == 2 * WINDOW
 
     def test_silent_flow_lease_expires(self):
         system, workload = build_system(ttl=2.0)
