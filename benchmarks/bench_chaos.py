@@ -11,7 +11,7 @@ seeds guard against a lucky schedule.
 import time
 
 from repro.experiments.chaos import ChaosConfig, render, run_chaos
-from repro.overlay.invariants import placement_violations
+from repro.overlay.invariants import credit_violations, placement_violations
 
 SEEDS = (7, 11, 23)
 
@@ -64,6 +64,9 @@ def test_chaos_gate(report):
         # ... and the crashed broker, seen down, held nothing a newly
         # built one would not hold.
         assert result.soft_state_violations == []
+        # ... and, on a flow-controlled system, no credited link parks
+        # events on credits or holds a window outside its capacity.
+        assert credit_violations(result.system) == []
         assert result.convergence_time <= config.ttl, (
             f"seed {config.seed}: convergence took "
             f"{result.convergence_time}s (> TTL {config.ttl}s)"

@@ -26,6 +26,7 @@ from repro.experiments.overload import (
     run_overload,
     run_point,
 )
+from repro.overlay.invariants import credit_violations
 
 CONFIG = OverloadConfig()
 SATURATION_MULTIPLIER = 10.0
@@ -57,6 +58,8 @@ def test_bounded_memory_gate(report):
         f"{point.final_queued} events still queued after the drain tail — "
         "the credit loop deadlocked"
     )
+    # ... and no link parks events on credits it could spend.
+    assert credit_violations(point.system) == []
 
 
 def test_no_shedding_below_saturation_gate(report):
@@ -83,6 +86,9 @@ def test_no_shedding_below_saturation_gate(report):
     assert controlled.good_deliveries == baseline.good_deliveries, (
         "flow control changed delivery outcomes below saturation"
     )
+    # Invisible also means conserved: after the tail every credit is
+    # back in its window.
+    assert credit_violations(controlled.system, quiescent=True) == []
 
 
 def test_goodput_under_overload_gate(report):

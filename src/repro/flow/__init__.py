@@ -11,12 +11,13 @@ to end, not just filtered.
 Four small, simulator-agnostic mechanisms compose into the overlay's
 overload story (wired up in ``overlay/`` and ``obs/``):
 
-- :class:`CreditWindow` — the sender half of credit-based per-link flow
-  control.  Receivers grant credits one-for-one as they *process*
-  events; grants ride the existing reliable control channel (so a grant
-  lost to the wire is retransmitted, never deadlocking the loop), and
-  senders block/queue locally when the window empties — backpressure
-  propagates hop-by-hop from a slow broker back to the publishers.
+- :class:`CreditWindow` — spend/grant bookkeeping of credit-based
+  per-link flow control; with a :class:`BoundedQueue` and the
+  ``DataFrame`` numbering it makes the one description of a credited
+  hop, :mod:`repro.flow.link` (:class:`LinkSender`,
+  :class:`LinkReceiver`), that publishers, brokers and replay all use —
+  backpressure propagates hop-by-hop from a slow broker back to the
+  publishers.
 - :class:`BoundedQueue` — a capacity-limited queue with pluggable
   shedding policies (``drop_tail``, ``drop_oldest``,
   ``priority_by_selectivity``).  Every shed is returned to the caller,
@@ -36,6 +37,7 @@ runs stay byte-identical across same-seed executions.
 
 from repro.flow.config import FlowConfig
 from repro.flow.credits import CreditWindow
+from repro.flow.link import LinkReceiver, LinkSender
 from repro.flow.overload import NORMAL, OVERLOADED, OverloadDetector
 from repro.flow.ratelimit import RateLimiter
 from repro.flow.shedding import POLICIES, BoundedQueue
@@ -44,6 +46,8 @@ __all__ = [
     "FlowConfig",
     "CreditWindow",
     "BoundedQueue",
+    "LinkSender",
+    "LinkReceiver",
     "POLICIES",
     "RateLimiter",
     "OverloadDetector",

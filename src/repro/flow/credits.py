@@ -1,16 +1,6 @@
-"""Sender-side credit window for one data link.
-
-The scheme is receiver-driven: a link starts with ``capacity`` credits;
-the sender spends one per event it puts on the wire and the receiver
-grants them back one-for-one as it *processes* (not merely receives)
-events, so the window bounds in-flight + receiver-queued events.  Grants
-travel on the reliable control channel, which makes the loop loss-proof:
-a grant dropped by the wire is retransmitted until acked.
-
-Crash handling is reset-to-full: a restarting peer announces a fresh
-incarnation (``ChannelReset`` or a new channel epoch) and both sides
-discard their window state — credits consumed by events that died with
-the crash are not leaked, they are forgotten with the incarnation.
+"""Sender-side credit window for one data link: the spend/grant
+bookkeeping :mod:`repro.flow.link` composes into a credited hop (the
+scheme, and why a crash resets a window to full, are described there).
 """
 
 

@@ -52,50 +52,51 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.overlay.node import BrokerNode
 
 
-class _CatchUpSession:
-    """One subscriber catching up: cursor walks ``[origin, fence)``."""
+class _Session:
+    """History being pumped toward ``peer``: cursor walks
+    ``[origin, fence)``."""
 
-    __slots__ = (
-        "subscription_id",
-        "subscriber",
-        "home",
-        "filter",
-        "event_class",
-        "cursor",
-        "fence",
-        "replayed",
-        "taps",
-        "done_sent",
-    )
+    __slots__ = ("peer", "cursor", "fence", "replayed")
 
-    def __init__(
-        self, request: CatchUpRequest, cursor: int, fence: int
-    ) -> None:
-        self.subscription_id = request.subscription_id
-        self.subscriber = request.subscriber
-        self.home = request.home
-        self.filter = request.filter
-        self.event_class = request.event_class
+    #: The ``mode`` of this kind of session's ``replay`` spans.
+    mode: str
+
+    def __init__(self, peer, cursor: int, fence: int) -> None:
+        self.peer = peer
         self.cursor = cursor
         self.fence = fence
         self.replayed = 0
+
+
+class _CatchUpSession(_Session):
+    """One subscriber catching up."""
+
+    __slots__ = (
+        "subscription_id", "home", "filter", "event_class", "taps", "done_sent"
+    )  # fmt: skip
+    mode = "history"
+
+    def __init__(self, request: CatchUpRequest, cursor: int, fence: int) -> None:
+        super().__init__(request.subscriber, cursor, fence)
+        self.subscription_id = request.subscription_id
+        self.home = request.home
+        self.filter = request.filter
+        self.event_class = request.event_class
         self.taps = 0
         self.done_sent = False
 
 
-class _RecoverySession:
-    """One restarted broker being re-driven: cursor walks ``[origin, fence)``."""
+class _RecoverySession(_Session):
+    """One restarted broker being re-driven."""
 
-    __slots__ = ("requester", "gate", "cursor", "fence", "replayed")
+    __slots__ = ("gate",)
+    mode = "recovery"
 
     def __init__(self, requester, gate, cursor: int, fence: int) -> None:
-        self.requester = requester
+        super().__init__(requester, cursor, fence)
         #: The root child whose subtree contains the requester — records
         #: are replayed iff the live table routes them toward this gate.
         self.gate = gate
-        self.cursor = cursor
-        self.fence = fence
-        self.replayed = 0
 
 
 class Replayer:
@@ -137,10 +138,9 @@ class Replayer:
         cursor = max(origin, log.start_offset)
         session = _CatchUpSession(request, cursor, log.next_offset)
         self._catchup[(request.subscriber.name, request.subscription_id)] = session
-        if self.node.flow is not None:
-            # Materialize the subscriber's credit window now so its
-            # grants are never "stale" at the root.
-            self.node._downlink_for(request.subscriber)
+        # Open the subscriber's credited link now (under flow control)
+        # so its grants are never "stale" at the root.
+        self.node.link_to(request.subscriber)
         self._session_span(
             "catch-up-start",
             peer=request.subscriber.name,
@@ -167,6 +167,9 @@ class Replayer:
         self._ensure_tick()
 
     def _gate_for(self, requester) -> Optional[object]:
+        """The child of this root whose subtree holds ``requester``
+        (``BrokerNode.root`` walked from the other end: the requester
+        may be a remote stand-in that only knows its ``parent``)."""
         node = requester
         while node is not None and node.parent is not self.node:
             node = node.parent
@@ -205,9 +208,9 @@ class Replayer:
             self.node.counters.catchup_taps += len(run)
             if self.node.tracer.enabled:
                 for message in run:
-                    self._replay_span(message, "tap", session.subscriber.name)
+                    self._replay_span(message, "tap", session.peer.name)
             self.node.links.send(
-                session.subscriber,
+                session.peer,
                 CatchUpBatch(session.subscription_id, tuple(run), history=False),
             )
 
@@ -247,14 +250,14 @@ class Replayer:
         self._check_switchovers()
         self._ensure_tick()
 
-    def _pump_catch_up(self, session: _CatchUpSession) -> None:
-        if session.cursor >= session.fence:
-            self._finish_history(session)
-            return
+    def _pump(self, session: _Session, wanted, wrap) -> None:
+        """Send the next ``replay_batch`` records of the session that
+        ``wanted(envelope)`` accepts, as one ``wrap(publishes)`` message
+        on the reliable link — under flow control one credit each from
+        the credited link toward the peer, stopping where they run out
+        (the peer's grants ``kick`` the pump again)."""
         log = self.node.log
-        window = None
-        if self.node.flow is not None:
-            window = self.node._downlink_for(session.subscriber).window
+        link = self.node.link_to(session.peer)
         budget = self.config.replay_batch
         run: List[Publish] = []
         while budget > 0 and session.cursor < session.fence:
@@ -262,12 +265,10 @@ class Replayer:
                 session.cursor = log.start_offset
                 continue
             record = log.record_at(session.cursor)
-            if record is None or not self._session_matches(
-                session, record.envelope
-            ):
+            if record is None or not wanted(record.envelope):
                 session.cursor += 1
                 continue
-            if window is not None and not window.take(1):
+            if link is not None and not link.take():
                 self.node.counters.credit_stalls += 1
                 break
             session.cursor += 1
@@ -278,10 +279,15 @@ class Replayer:
             self.node.counters.replay_events_sent += len(run)
             if self.node.tracer.enabled:
                 for message in run:
-                    self._replay_span(message, "history", session.subscriber.name)
-            self.node.links.send(
-                session.subscriber,
-                CatchUpBatch(session.subscription_id, tuple(run), history=True),
+                    self._replay_span(message, session.mode, session.peer.name)
+            self.node.links.send(session.peer, wrap(tuple(run)))
+
+    def _pump_catch_up(self, session: _CatchUpSession) -> None:
+        if session.cursor < session.fence:
+            self._pump(
+                session,
+                lambda envelope: self._session_matches(session, envelope),
+                lambda run: CatchUpBatch(session.subscription_id, run, history=True),
             )
         if session.cursor >= session.fence:
             self._finish_history(session)
@@ -292,13 +298,12 @@ class Replayer:
         session.done_sent = True
         self._session_span(
             "catch-up-done",
-            peer=session.subscriber.name,
+            peer=session.peer.name,
             sid=session.subscription_id,
             replayed=session.replayed,
         )
         self.node.links.send(
-            session.subscriber,
-            CatchUpDone(session.subscription_id, session.replayed),
+            session.peer, CatchUpDone(session.subscription_id, session.replayed)
         )
 
     def _check_switchovers(self) -> None:
@@ -308,14 +313,12 @@ class Replayer:
             del self._catchup[key]
             self._session_span(
                 "catch-up-live",
-                peer=session.subscriber.name,
+                peer=session.peer.name,
                 sid=session.subscription_id,
                 replayed=session.replayed,
                 taps=session.taps,
             )
-            self.node.links.send(
-                session.subscriber, CatchUpLive(session.subscription_id)
-            )
+            self.node.links.send(session.peer, CatchUpLive(session.subscription_id))
 
     def _path_live(self, session: _CatchUpSession) -> bool:
         """True when the normal overlay path covers the subscription at
@@ -332,7 +335,7 @@ class Replayer:
             return False
         # The home must route the subscription to the subscriber itself.
         form = weaken_filter(session.filter, association, node.stage)
-        if not self._routes(node, form, session.subscriber):
+        if not self._routes(node, form, session.peer):
             return False
         # Every broker above must route its stage's weakening downward.
         while node is not root:
@@ -353,46 +356,20 @@ class Replayer:
         return False
 
     def _pump_recovery(self, session: _RecoverySession) -> None:
-        log = self.node.log
         routed = [
             stored
             for stored, ids in self.node.table.entries()
             if any(d is session.gate for d in ids)
         ]
-        window = None
-        if self.node.flow is not None:
-            window = self.node._downlink_for(session.requester).window
-        budget = self.config.replay_batch
-        run: List[Publish] = []
-        while budget > 0 and session.cursor < session.fence:
-            if session.cursor < log.start_offset:
-                session.cursor = log.start_offset
-                continue
-            record = log.record_at(session.cursor)
-            if record is None or not any(
-                stored.matches(record.envelope.metadata) for stored in routed
-            ):
-                session.cursor += 1
-                continue
-            if window is not None and not window.take(1):
-                self.node.counters.credit_stalls += 1
-                break
-            session.cursor += 1
-            budget -= 1
-            run.append(Publish(record.envelope, record.offset))
-        if run:
-            session.replayed += len(run)
-            self.node.counters.replay_events_sent += len(run)
-            if self.node.tracer.enabled:
-                for message in run:
-                    self._replay_span(message, "recovery", session.requester.name)
-            self.node.links.send(session.requester, ReplayBatch(tuple(run)))
+        self._pump(
+            session,
+            lambda envelope: any(s.matches(envelope.metadata) for s in routed),
+            ReplayBatch,
+        )
         if session.cursor >= session.fence:
-            del self._recovery[session.requester.name]
+            del self._recovery[session.peer.name]
             self._session_span(
-                "recovery-done",
-                peer=session.requester.name,
-                replayed=session.replayed,
+                "recovery-done", peer=session.peer.name, replayed=session.replayed
             )
 
     # ------------------------------------------------------------------
@@ -403,16 +380,21 @@ class Replayer:
         # Replay spans share the original (publisher, seq) trace id, so
         # reconstruct_paths stitches a replayed delivery onto the
         # event's original publish/hop history.
-        self.node._span(
+        self._session_span(
             "replay",
-            ("peer", peer),
-            ("mode", mode),
-            ("offset", message.offset),
-            trace_id=message.envelope.event_id,
+            message.envelope.event_id,
+            peer=peer,
+            mode=mode,
+            offset=message.offset,
         )
 
-    def _session_span(self, kind: str, **details) -> None:
-        self.node._span(kind, *details.items())
+    def _session_span(
+        self, kind: str, trace_id: Optional[Tuple] = None, **details
+    ) -> None:
+        node = self.node
+        node.tracer.span(
+            node.sim.now, kind, node.name, node.stage, trace_id, tuple(details.items())
+        )
 
     def __repr__(self) -> str:
         return (

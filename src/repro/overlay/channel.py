@@ -341,24 +341,33 @@ class PeerLinks:
             channel.on_ack(ack)
 
     def on_frame(
-        self, frame: Sequenced, sender: Any, deliver: Callable[[Any], None]
-    ) -> Tuple[int, bool]:
+        self,
+        frame: Sequenced,
+        sender: Any,
+        deliver: Callable[[Any], None],
+        restarted: Optional[Callable[[], None]] = None,
+    ) -> int:
         """Take one frame from ``sender``: newly in-order payloads go
-        through ``deliver``, then the cumulative ack goes back.
+        through ``deliver``, then the cumulative ack goes back.  Returns
+        the duplicates discarded.
 
-        Returns ``(duplicates discarded, new epoch adopted)``.  The
-        second is True when a known peer opened a higher epoch — it
-        restarted and its ``ChannelReset`` never arrived."""
+        When a known peer opens a higher epoch — it restarted and its
+        ``ChannelReset`` never arrived — ``restarted`` hears of it
+        *before* the frame's payload, which the new incarnation sent, is
+        delivered."""
         receiver = self._receivers.get(sender.name)
         if receiver is None:
             receiver = self._receivers[sender.name] = ReliableReceiver(self.window)
-        dups_before, epoch_before = receiver.dups_discarded, receiver.epoch
+        dups_before = receiver.dups_discarded
+        if (
+            restarted is not None
+            and receiver.epoch is not None
+            and frame.epoch > receiver.epoch
+        ):
+            restarted()
         ack = receiver.on_frame(frame, deliver)
         self.network.send(self.owner, sender, ack)
-        return (
-            receiver.dups_discarded - dups_before,
-            epoch_before is not None and receiver.epoch != epoch_before,
-        )
+        return receiver.dups_discarded - dups_before
 
     def forget(self, peer: Any) -> Optional[int]:
         """``peer`` lost its state: drop what was heard from it, abandon

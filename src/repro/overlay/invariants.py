@@ -23,6 +23,11 @@ A third is about the crash itself: a broker that just crashed holds
 what a newly constructed one holds and nothing more
 (:func:`soft_state_violations`), apart from what DESIGN §8 lists as
 surviving.
+
+A fourth is credit conservation on the credited links (``flow.link``):
+no window outside ``0..capacity``, no link that parks events while it
+holds credits, no receiver ahead of what its sender numbered — and, at
+quiescence, every window full again (:func:`credit_violations`).
 """
 
 from dataclasses import dataclass, replace
@@ -171,3 +176,54 @@ def soft_state_violations(node: BrokerNode) -> List[str]:
     )
     held["replay sessions open"] = replayer is not None and replayer.active
     return [f"{node.name}: {what}" for what, wrong in held.items() if wrong]
+
+
+def credit_violations(system: Any, quiescent: bool = False) -> List[str]:
+    """Credit conservation over every credited link of ``system``: the
+    publishers' links to the root and every broker's links downstream.
+
+    At any instant: a window holds ``0..capacity`` credits; a link that
+    parks events holds no credit (head-of-line order: a grant releases
+    parked events before anything newer can spend it); and, between two
+    processes still in their first incarnation, a receiver expects no
+    frame number past what its sender has numbered — it never admitted
+    a frame that was not sent (a restart renumbers one end while frames
+    of the old numbering may still be in flight, so nothing is claimed
+    across one).  With ``quiescent`` — after a ``drain()``, no loss
+    window open — nothing is in flight either way, so every credit is
+    home: each window full, nothing parked, no replay session open.
+    """
+    senders = {}
+    for publisher in system.publishers:
+        if publisher.link is not None:
+            senders[publisher.name, publisher.root.name] = publisher, publisher.link
+    nodes = system.hierarchy.nodes()
+    for node in nodes:
+        for peer, link in node._downlinks.items():
+            senders[node.name, peer] = node, link
+    found = []
+    for (source, peer), (_, link) in senders.items():
+        window, label = link.window, f"{source}->{peer}"
+        if not 0 <= window.available <= window.capacity:
+            found.append(f"{label}: {window!r} is outside its capacity")
+        if link.blocked and window.available:
+            found.append(f"{label}: parks events while it holds credits ({link!r})")
+        if quiescent and (link.blocked or window.available != window.capacity):
+            found.append(f"{label}: credits not home at quiescence ({link!r})")
+    for node in nodes:
+        if node._receiver is None:
+            continue
+        for source, expected in node._receiver.expected.items():
+            if (source, node.name) not in senders:
+                continue
+            process, link = senders[source, node.name]
+            if process.incarnation or node.incarnation:
+                continue  # nothing is claimed across a restart
+            if expected > link.next_seq:
+                found.append(
+                    f"{source}->{node.name}: receiver expects frame {expected}, "
+                    f"sender has numbered {link.next_seq}"
+                )
+        if quiescent and node._replayer is not None and node._replayer.active:
+            found.append(f"{node.name}: replay sessions open at quiescence")
+    return found

@@ -21,7 +21,9 @@ Four components, each owning its soft state and one ``reset()``, do the
 rest (map in DESIGN §3): :class:`~repro.overlay.uplink.CoveringUplink`
 (what the parent is told, §4's covering-based aggregation),
 :class:`~repro.streams.host.FlowHost`, :class:`~repro.log.replay.
-Replayer` and :class:`~repro.overlay.channel.PeerLinks`.
+Replayer` and :class:`~repro.overlay.channel.PeerLinks`; how a credited
+hop behaves is :mod:`repro.flow.link`'s, one sender per downstream peer
+and one receiver.
 
 Event traffic takes one path whatever the :class:`~repro.overlay.config.
 BrokerConfig`: ``_admit`` → ``_drain`` → ``_process_batch`` →
@@ -41,7 +43,7 @@ from repro.filters.covering_index import CoveringIndex
 from repro.filters.engine import MatchEngine, make_engine
 from repro.filters.filter import Filter
 from repro.filters.standard import most_general_wildcard, wildcard_attributes
-from repro.flow import BoundedQueue, CreditWindow, OverloadDetector
+from repro.flow import BoundedQueue, LinkReceiver, LinkSender, OverloadDetector
 from repro.log.eventlog import EventLog
 from repro.metrics.counters import NodeCounters
 from repro.obs.tracing import EventTracer
@@ -78,19 +80,6 @@ from repro.streams.host import FlowHost
 
 #: Renew halfway through the TTL ("before the expiry of each TTL").
 RENEW_FRACTION = 0.5
-
-
-class _DownLink:
-    """Sender-side state of one credit-controlled link: the window the
-    peer grants back into, the events waiting for credits, and the
-    number of the next ``DataFrame`` event."""
-
-    __slots__ = ("window", "queue", "next_seq")
-
-    def __init__(self, window: CreditWindow, queue: BoundedQueue) -> None:
-        self.window = window
-        self.queue = queue
-        self.next_seq = 0
 
 
 class BrokerNode(Process):
@@ -226,7 +215,7 @@ class BrokerNode(Process):
         self._offline: Dict[str, Tuple[Process, bool]] = {}
         self._buffers: Dict[str, Deque[Publish]] = {}
         # ---- The data path: admit -> drain -> match -> forward (Fig. 6) -
-        #: Arrived events awaiting the drain, as ``(publish, source name,
+        #: Arrived events awaiting the drain, as ``(publish, source,
         #: arrival time)``; bounded only under flow control.
         self._inbound = BoundedQueue(
             self.flow.queue_capacity if self.flow is not None else None,
@@ -236,13 +225,12 @@ class BrokerNode(Process):
         self._drain_handle: Optional[Any] = None
         self._busy_until = 0.0
         self._drain_paused = False
-        #: Credit-controlled links by downstream peer name.
-        self._downlinks: Dict[str, _DownLink] = {}
-        #: Event sources (by name) we owe credit grants to.
-        self._event_sources: Dict[str, Process] = {}
-        #: Next expected per-link data sequence number, per sender name
-        #: (gap detection for the §10 credit-leak fix).
-        self._data_expected: Dict[str, int] = {}
+        #: Credited links by downstream peer name (``link_to`` opens them).
+        self._downlinks: Dict[str, LinkSender] = {}
+        #: The receiving end of the credited links into this broker.
+        self._receiver: Optional[LinkReceiver] = (
+            LinkReceiver(self.flow.link_window) if self.flow is not None else None
+        )
         if self.overload_detector is not None:
             self.overload_detector.reset()
         # An empty table holds no filter, compacted or not.
@@ -268,6 +256,14 @@ class BrokerNode(Process):
     # ------------------------------------------------------------------
     # Topology wiring (done by hierarchy builder / engine)
     # ------------------------------------------------------------------
+
+    @property
+    def root(self) -> "BrokerNode":
+        """The top of this broker's tree (itself, at the root)."""
+        node = self
+        while node.parent is not None:
+            node = node.parent
+        return node
 
     def attach_child(self, child: "BrokerNode") -> None:
         """Register a child broker (one stage below) and link it."""
@@ -303,17 +299,17 @@ class BrokerNode(Process):
         # serves its queued events first.
         self._flush_inbound()
         if isinstance(message, Sequenced):
-            dups, new_epoch = self.links.on_frame(
-                message, sender, lambda payload: self._apply_control(payload, sender)
+            # A peer that opens a new channel epoch without us seeing a
+            # ChannelReset (the reset was lost to the wire) restarted all
+            # the same: treat the epoch adoption as the reset, so its
+            # credit window comes back full instead of deadlocking on
+            # credits that died with the old incarnation.
+            self.counters.control_dups_discarded += self.links.on_frame(
+                message,
+                sender,
+                lambda payload: self._apply_control(payload, sender),
+                lambda: self._peer_restarted(sender),
             )
-            self.counters.control_dups_discarded += dups
-            if new_epoch:
-                # The peer opened a new channel epoch without us seeing a
-                # ChannelReset (the reset was lost to the wire): treat the
-                # epoch adoption as the reset, so its credit window comes
-                # back full instead of deadlocking on credits that died
-                # with the old incarnation.
-                self._reset_downlink(sender)
             return
         if isinstance(message, ChannelReset):
             self._on_channel_reset(message, sender)
@@ -569,14 +565,7 @@ class BrokerNode(Process):
         # Abandon in-flight frames (the peer forgot the channel anyway)
         # and open a fresh epoch toward it.
         epoch = self.links.forget(sender)
-        # The restarted peer restarts its data-frame numbering too.
-        self._data_expected.pop(sender.name, None)
-        if self._replayer is not None:
-            self._replayer.on_peer_reset(sender.name)
-        if self.flow is not None:
-            # The peer's incarnation died with whatever credits it held:
-            # reset-to-full (see flow.credits) rather than leak them.
-            self._reset_downlink(sender)
+        self._peer_restarted(sender)
         self._span(
             "channel-reset", ("peer", sender.name), ("incarnation", message.incarnation)
         )
@@ -584,6 +573,25 @@ class BrokerNode(Process):
             if epoch is not None:
                 self._span("epoch-reset", ("peer", sender.name), ("epoch", epoch))
             self.uplink.renew()
+
+    def _peer_restarted(self, peer: Process) -> None:
+        """``peer`` lost its state, however we learned of it (its
+        ``ChannelReset``, or a higher channel epoch when that was lost):
+        both ends of the credited links with it start over.  Its
+        data-frame numbering restarts, the replay it had asked for died
+        with the old incarnation, and its window comes back full
+        (reset-to-full, see ``flow.link``) with the events parked for the
+        dead incarnation shed."""
+        if self._receiver is not None:
+            self._receiver.forget(peer.name)
+        if self._replayer is not None:
+            self._replayer.on_peer_reset(peer.name)
+        link = self._downlinks.get(peer.name)
+        if link is not None:
+            parked = link.reset()
+            if parked:
+                self._shed_publishes(parked, "peer-reset", peer=peer.name)
+        self._maybe_resume_drain()
 
     def _lose_soft_state(self) -> None:
         """Fail-stop (``crash()``): lose all soft state, §4.3's failure
@@ -644,10 +652,7 @@ class BrokerNode(Process):
             # forget its receiver state too — otherwise every frame of
             # the fresh incarnation's epoch-0 channel reads as stale and
             # the replay request retransmits into the void forever.
-            root = self
-            while root.parent is not None:
-                root = root.parent
-            self.network.send(self, root, reset)
+            self.network.send(self, self.root, reset)
         if (
             self.log is not None
             and self.log_config.auto_recover
@@ -816,9 +821,11 @@ class BrokerNode(Process):
         in arrival order.
         """
         now = self.sim.now
-        source = sender.name
-        self._event_sources[source] = sender
         capacity = None
+        # Overload shedding: the queue-depth EWMA detector (fed by the
+        # sampler tick) shrinks the effective inbound capacity while
+        # OVERLOADED, turning sustained saturation into bounded-latency
+        # shedding instead of unbounded queueing.
         if (
             self.overload_detector is not None
             and self.overload_detector.overloaded
@@ -826,9 +833,9 @@ class BrokerNode(Process):
             capacity = max(
                 1, int(self.flow.queue_capacity * self.flow.overload_capacity_factor)
             )
-        shed_entries: List[Tuple[Publish, str, float]] = []
+        shed_entries: List[Tuple[Publish, Process, float]] = []
         for publish in publishes:
-            _, shed = self._inbound.offer((publish, source, now), capacity)
+            _, shed = self._inbound.offer((publish, sender, now), capacity)
             shed_entries.extend(shed)
         if shed_entries:
             self._shed_entries(shed_entries, "queue-overflow")
@@ -852,8 +859,7 @@ class BrokerNode(Process):
         the loop until grants arrive (head-of-line backpressure).
         """
         self._drain_handle = None
-        if self._outbound_blocked():
-            self._drain_paused = True
+        if self._pause_if_blocked():
             return
         if not self._inbound:
             return  # flushed since this wakeup was armed
@@ -866,18 +872,17 @@ class BrokerNode(Process):
             self._busy_until = self.sim.now + count / rate
         if self.flow is not None:
             self._grant_for_entries(entries)
-        if self._outbound_blocked():
-            self._drain_paused = True
+        if self._pause_if_blocked():
             return
         self._schedule_drain()
 
-    def _serve(self, count: int) -> List[Tuple[Publish, str, float]]:
+    def _serve(self, count: int) -> List[Tuple[Publish, Process, float]]:
         """Take the ``count`` oldest queued events through matching and
         forwarding; returns their queue entries."""
         entries = [self._inbound.popleft() for _ in range(count)]
         metas = None
         if self.tracer.enabled:
-            metas = tuple((source, arrived) for _, source, arrived in entries)
+            metas = tuple((source.name, arrived) for _, source, arrived in entries)
         self._process_batch(tuple(entry[0] for entry in entries), metas)
         return entries
 
@@ -973,11 +978,10 @@ class BrokerNode(Process):
         """The one exit for event traffic: put a run on the wire.
 
         Controlled downlinks, the second of the two policies: only when
-        ``flow`` is set and the peer is a broker does the link carry a
-        credit window, an outbound queue and ``DataFrame`` numbering.
-        There each event spends one credit, and credit-starved events
-        wait in the bounded outbound queue behind whatever already
-        waits (an empty ``run`` just releases what fresh credits cover).
+        ``flow`` is set and the peer is a broker is the link a credited
+        one (``flow.link``).  There each event spends one credit, and
+        credit-starved events wait in the bounded outbound queue behind
+        whatever already waits.
         """
         if self.flow is None or not getattr(destination, "is_broker", False):
             if len(run) == 1:
@@ -985,26 +989,12 @@ class BrokerNode(Process):
             else:
                 self.network.send(self, destination, PublishBatch(tuple(run)))
             return
-        link = self._downlink_for(destination)
-        window, queue = link.window, link.queue
-        sendable: List[Publish] = []
-        while queue and window.take(1):
-            sendable.append(queue.popleft())
-        for publish in run:
-            if not queue and window.take(1):
-                sendable.append(publish)
-                continue
-            self.counters.credit_stalls += 1
-            _, shed = queue.offer(publish)
-            if shed:
-                self._shed_publishes(shed, "outbound-overflow", peer=destination.name)
-        if sendable:
-            # Data frames carry a per-link sequence number so the child
-            # can detect (and re-credit) events a lossy link swallowed.
-            self.network.send(
-                self, destination, DataFrame(link.next_seq, tuple(sendable))
-            )
-            link.next_seq += len(sendable)
+        frame, shed, stalled = self.link_to(destination).offer(run)
+        self.counters.credit_stalls += stalled
+        if shed:
+            self._shed_publishes(shed, "outbound-overflow", peer=destination.name)
+        if frame is not None:
+            self.network.send(self, destination, frame)
 
     # ------------------------------------------------------------------
     # Durable event log, replay, and crash recovery (see repro.log)
@@ -1061,8 +1051,7 @@ class BrokerNode(Process):
                 # The sender spent window credits on the dropped events;
                 # they will never be processed, so return their credits
                 # here (processing grants back only for accepted ones).
-                self._event_sources[sender.name] = sender
-                self._grant_credits(sender.name, dropped)
+                self._grant_credits(sender, dropped)
         if fresh:
             self._admit(tuple(fresh), sender)
 
@@ -1072,9 +1061,7 @@ class BrokerNode(Process):
         table the replay is matched against)."""
         if self.crashed or incarnation != self.incarnation or self.log is None:
             return
-        root = self
-        while root.parent is not None:
-            root = root.parent
+        root = self.root
         if root is self:
             return
         from_offset = -1
@@ -1086,55 +1073,22 @@ class BrokerNode(Process):
         self.links.send(root, ReplayRequest(self, from_offset))
 
     # ------------------------------------------------------------------
-    # Gap-granting data frames (DESIGN §10 credit-leak fix)
+    # Flow control, backpressure, and overload protection: with ``flow``
+    # set, the credited links (repro.flow.link) upstream and downstream
+    # and overload shedding in ``_admit`` bound every queue in the system.
     # ------------------------------------------------------------------
 
     def _on_data_frame(self, frame: DataFrame, sender: Process) -> None:
-        """Admit a sequenced data frame, re-crediting any gap.
-
-        ``frame.seq`` numbers the first contained event on this link; a
-        jump past the expected number means a lossy link swallowed
-        frames whose events had spent sender-side credits.  Granting the
-        missing count back (capped at one window — the most that can be
-        in flight) stops the §10 permanent window shrink.  The first
-        frame from an unknown sender adopts its position silently: any
-        earlier losses are unknowable.
-        """
-        if self.flow is not None:
-            expected = self._data_expected.get(sender.name)
-            if expected is not None and frame.seq > expected:
-                missing = min(frame.seq - expected, self.flow.link_window)
+        """Admit a sequenced data frame, re-crediting any gap: granting
+        back what the link's receiving end finds missing before this
+        frame stops the §10 permanent window shrink."""
+        if self._receiver is not None:
+            missing = self._receiver.on_frame(sender.name, frame)
+            if missing:
                 self.counters.credit_gap_grants += missing
-                self._event_sources[sender.name] = sender
                 self._span("credit-gap", ("peer", sender.name), ("missing", missing))
-                self._grant_credits(sender.name, missing)
-            advance = frame.seq + len(frame.publishes)
-            if expected is None or advance > expected:
-                self._data_expected[sender.name] = advance
+                self._grant_credits(sender, missing)
         self._admit(frame.publishes, sender)
-
-    # ------------------------------------------------------------------
-    # Flow control, backpressure, and overload protection (see repro.flow)
-    # ------------------------------------------------------------------
-    #
-    # With ``flow`` set, three credit loops bound every queue in the
-    # system:
-    #
-    # - upstream grants: this node grants one credit per *processed* (or
-    #   shed) event back to the event's source, parent or publisher, over
-    #   the reliable link toward it — so a source's in-flight +
-    #   queued-here events never exceed its link window;
-    # - downstream spending: forwarding to a broker child spends one
-    #   credit from that child's window; when the window is empty the
-    #   events queue in a bounded per-link outbound queue, and a
-    #   non-empty outbound queue pauses the whole drain (head-of-line
-    #   backpressure: a slow stage-2 broker stalls its parent, the
-    #   parent's inbound fills, its grants dry up, and the stall
-    #   propagates hop-by-hop to the publishers);
-    # - overload shedding: the queue-depth EWMA detector (fed by the
-    #   sampler tick) shrinks the effective inbound capacity while
-    #   OVERLOADED, turning sustained saturation into bounded-latency
-    #   shedding instead of unbounded queueing.
 
     def queue_depth(self) -> int:
         """Events queued at this broker (inbound + outbound) — the
@@ -1149,44 +1103,45 @@ class BrokerNode(Process):
         is likely to reach.  Higher reach = kept longer."""
         return self.uplink.reach(publish.envelope.metadata)
 
-    def _outbound_blocked(self) -> bool:
-        return any(link.queue for link in self._downlinks.values())
+    def _pause_if_blocked(self) -> bool:
+        """Head-of-line backpressure: the whole drain stays paused while
+        any downlink holds parked events — a slow stage-2 broker stalls
+        its parent, the parent's inbound fills, its grants dry up, and
+        the stall propagates hop-by-hop to the publishers."""
+        self._drain_paused = any(link.blocked for link in self._downlinks.values())
+        return self._drain_paused
 
     def _maybe_resume_drain(self) -> None:
-        if self._drain_paused and not self._outbound_blocked():
-            self._drain_paused = False
+        if self._drain_paused and not self._pause_if_blocked():
             self._schedule_drain()
 
     # -- upstream credit grants ----------------------------------------
 
-    def _grant_for_entries(self, entries: Sequence[Tuple[Publish, str, float]]) -> None:
+    def _grant_for_entries(self, entries: Sequence[Tuple[Publish, Process, float]]) -> None:
         """Grant one credit per drained entry back to its source
-        (insertion-ordered grouping keeps grant emission deterministic)."""
-        per_source: Dict[str, int] = {}
+        (grouped in first-seen order: grant emission is deterministic)."""
+        owed: Dict[Process, int] = {}
         for _, source, _ in entries:
-            per_source[source] = per_source.get(source, 0) + 1
-        for source, count in per_source.items():
+            owed[source] = owed.get(source, 0) + 1
+        for source, count in owed.items():
             self._grant_credits(source, count)
 
-    def _grant_credits(self, source: str, count: int) -> None:
+    def _grant_credits(self, source: Process, count: int) -> None:
         self.counters.credits_granted += count
-        self._span("credit-grant", ("peer", source), ("credits", count))
-        target = self._event_sources.get(source)
-        if target is not None:
-            self.links.send(target, CreditGrant(count))
+        self._span("credit-grant", ("peer", source.name), ("credits", count))
+        self.links.send(source, CreditGrant(count))
 
     # -- downstream credit spending ------------------------------------
 
-    def _downlink_for(self, destination: Process) -> _DownLink:
-        link = self._downlinks.get(destination.name)
+    def link_to(self, peer: Process) -> Optional[LinkSender]:
+        """The credited link toward ``peer``, opened on first use
+        (``None`` without flow control: no link is ever built)."""
+        if self.flow is None:
+            return None
+        link = self._downlinks.get(peer.name)
         if link is None:
-            link = self._downlinks[destination.name] = _DownLink(
-                CreditWindow(self.flow.link_window),
-                BoundedQueue(
-                    self.flow.outbound_capacity,
-                    self.flow.policy,
-                    priority=self._shed_priority,
-                ),
+            link = self._downlinks[peer.name] = LinkSender(
+                self.flow, self.flow.outbound_capacity, self._shed_priority
             )
         return link
 
@@ -1194,38 +1149,25 @@ class BrokerNode(Process):
         link = self._downlinks.get(sender.name)
         if link is None:
             return  # stale grant for a link we no longer track
-        link.window.grant(message.credits)
-        if link.queue:
-            self._send_run(sender, ())  # release what the fresh credits cover
+        frame = link.granted(message.credits)
+        if frame is not None:
+            self.network.send(self, sender, frame)
         self._maybe_resume_drain()
         if self._replayer is not None:
             # A replay stalled on this window can resume immediately.
             self._replayer.kick()
 
-    def _reset_downlink(self, peer: Process) -> None:
-        """A downstream peer lost its state (ChannelReset or a new channel
-        epoch): its window comes back full, its data-frame numbering
-        restarts, and events queued for the dead incarnation are shed —
-        its wiped table would drop them anyway."""
-        link = self._downlinks.get(peer.name)
-        if link is not None:
-            link.window.reset()
-            link.next_seq = 0
-            if link.queue:
-                self._shed_publishes(link.queue.drain(), "peer-reset", peer=peer.name)
-        self._maybe_resume_drain()
-
     # -- shedding accounting -------------------------------------------
 
     def _shed_entries(
-        self, entries: Sequence[Tuple[Publish, str, float]], reason: str
+        self, entries: Sequence[Tuple[Publish, Process, float]], reason: str
     ) -> None:
         """Shed inbound entries: count, trace, and grant their credits
         back (the source paid one per entry; the slot is free again, and
         withholding the grant would leak the window shut)."""
         self.counters.on_shed(reason, len(entries))
         for publish, source, _ in entries:
-            self._shed_span(publish, reason, source)
+            self._shed_span(publish, reason, source.name)
         self._grant_for_entries(entries)
 
     def _shed_publishes(

@@ -7,28 +7,27 @@ covering meta-data and sealed into an opaque envelope — after this point
 no broker ever touches application code.
 
 With flow control on (a :class:`~repro.flow.FlowConfig`), the publisher
-is the *source end* of the overlay's backpressure chain: each publish
-spends one credit from a local window the root replenishes (one grant
-per event it processes), an optional token bucket caps the offered rate
-at the source, and credit-starved events wait in a bounded local queue
-whose overflow is shed observably.  ``publish`` then reports whether the
-event actually entered the system.
+is the *source end* of the overlay's backpressure chain: its hop to the
+root is a credited link like any broker's (:mod:`repro.flow.link`) —
+each publish spends one credit the root grants back per event it
+processes, and credit-starved events wait in a bounded local queue whose
+overflow is shed observably — and an optional token bucket caps the
+offered rate at the source.  ``publish`` then reports whether the event
+actually entered the system.
 """
 
-from collections import deque
 from typing import Any, Iterable, Optional
 
 from repro.core.advertisement import Advertisement
 from repro.events.hierarchy import TypeRegistry
 from repro.events.serialization import marshal
-from repro.flow import BoundedQueue, CreditWindow, FlowConfig, RateLimiter
+from repro.flow import FlowConfig, LinkSender, RateLimiter
 from repro.metrics.counters import NodeCounters
 from repro.obs.tracing import PUBLISHER_STAGE, EventTracer
 from repro.overlay.channel import PeerLinks
 from repro.overlay.messages import (
     Advertise,
     CreditGrant,
-    DataFrame,
     Publish,
     PublishBatch,
     Sequenced,
@@ -60,15 +59,13 @@ class PublisherRuntime(Process):
         self.events_published = 0
         #: Causal span tracer (shared system-wide when observability is on).
         self.tracer = tracer if tracer is not None else EventTracer(enabled=False)
-        #: Flow-control knobs (None = fire-and-forget legacy publishing).
-        self.flow = flow
-        #: Credits for the link to the root (replenished by root grants).
-        self._window: Optional[CreditWindow] = (
-            CreditWindow(flow.link_window) if flow is not None else None
-        )
-        #: Events waiting for credits (bounded; overflow sheds observably).
-        self._pending: Optional[BoundedQueue] = (
-            BoundedQueue(flow.publisher_queue_capacity, flow.policy)
+        #: The credited link to the root (None without flow control:
+        #: fire-and-forget publishing): the window its grants refill,
+        #: the events waiting for credits (bounded; overflow sheds
+        #: observably) and the data-frame numbering that lets the root
+        #: re-credit events a lossy wire swallowed (DESIGN §10).
+        self.link: Optional[LinkSender] = (
+            LinkSender(flow, flow.publisher_queue_capacity)
             if flow is not None
             else None
         )
@@ -87,10 +84,6 @@ class PublisherRuntime(Process):
         )
         #: The reliable link the root's credit grants arrive on.
         self.links = PeerLinks(self, network)
-        #: Next data-frame sequence number on the link to the root (flow
-        #: mode only): lets the root detect and re-credit events a lossy
-        #: wire swallowed (the DESIGN §10 credit-leak fix).
-        self._data_seq = 0
 
     def advertise(self, advertisement: Advertisement) -> None:
         """Disseminate an advertisement (schema + ``Gc``) into the overlay."""
@@ -106,16 +99,7 @@ class PublisherRuntime(Process):
         queued for sending, False when it was refused (rate limited, or
         shed from a full local queue) — always True without flow control.
         """
-        if self.rate_limiter is not None and not self.rate_limiter.allow(self.sim.now):
-            self.counters.rate_limited += 1
-            if self.tracer.enabled:
-                self.tracer.span(
-                    self.sim.now,
-                    "shed",
-                    self.name,
-                    PUBLISHER_STAGE,
-                    details=(("reason", "rate-limit"),),
-                )
+        if self._refused():
             return False
         return self._submit(self._marshal(event, event_class))
 
@@ -131,57 +115,60 @@ class PublisherRuntime(Process):
         number of events published (events refused by the rate limiter or
         shed from a full local queue do not count).
         """
-        accepted = 0
-        publishes = []
-        for event in events:
-            if self.rate_limiter is not None and not self.rate_limiter.allow(
-                self.sim.now
-            ):
-                self.counters.rate_limited += 1
-                continue
-            publishes.append(self._marshal(event, event_class))
-        if not publishes:
-            return 0
-        if self._window is None:
-            if len(publishes) == 1:
-                self.network.send(self, self.root, publishes[0])
-            else:
-                self.network.send(self, self.root, PublishBatch(tuple(publishes)))
-            return len(publishes)
-        for publish in publishes:
-            if self._submit(publish):
-                accepted += 1
-        return accepted
+        publishes = [
+            self._marshal(event, event_class)
+            for event in events
+            if not self._refused()
+        ]
+        if self.link is not None:
+            return sum(map(self._submit, publishes))
+        if len(publishes) == 1:
+            self.network.send(self, self.root, publishes[0])
+        elif publishes:
+            self.network.send(self, self.root, PublishBatch(tuple(publishes)))
+        return len(publishes)
+
+    def _refused(self) -> bool:
+        """The one rate-limit refusal: True, counted and leaving its
+        ``shed`` span, when the token bucket has nothing for an event
+        offered now."""
+        if self.rate_limiter is None or self.rate_limiter.allow(self.sim.now):
+            return False
+        self.counters.rate_limited += 1
+        self._shed_span("rate-limit")
+        return True
 
     def _submit(self, message: Publish) -> bool:
         """Send one marshalled event, spending a credit; queue locally
         when the window is empty; shed when the local queue overflows."""
-        if self._window is None:
+        if self.link is None:
             self.network.send(self, self.root, message)
             return True
-        if not self._pending and self._window.take(1):
-            self._send_data((message,))
-            return True
-        self.counters.credit_stalls += 1
-        accepted, shed = self._pending.offer(message)
+        frame, shed, stalled = self.link.offer((message,))
+        self.counters.credit_stalls += stalled
+        if frame is not None:
+            self.network.send(self, self.root, frame)
         if shed:
             self.counters.on_shed("publisher-overflow", len(shed))
-            if self.tracer.enabled:
-                for dropped in shed:
-                    self.tracer.span(
-                        self.sim.now,
-                        "shed",
-                        self.name,
-                        PUBLISHER_STAGE,
-                        trace_id=dropped.envelope.event_id,
-                        details=(("reason", "publisher-overflow"),),
-                    )
-        return accepted
+            for dropped in shed:
+                self._shed_span("publisher-overflow", dropped.envelope.event_id)
+        return not any(dropped is message for dropped in shed)
+
+    def _shed_span(self, reason: str, trace_id: Optional[tuple] = None) -> None:
+        if self.tracer.enabled:
+            self.tracer.span(
+                self.sim.now,
+                "shed",
+                self.name,
+                PUBLISHER_STAGE,
+                trace_id=trace_id,
+                details=(("reason", reason),),
+            )
 
     @property
     def pending_count(self) -> int:
         """Events queued locally waiting for credits."""
-        return len(self._pending) if self._pending is not None else 0
+        return len(self.link.queue) if self.link is not None else 0
 
     def _marshal(self, event: Any, event_class: Optional[str]) -> Publish:
         if event_class is None and self.types is not None:
@@ -223,26 +210,16 @@ class PublisherRuntime(Process):
             raise TypeError(
                 f"publisher {self.name} received unexpected framed {message!r}"
             )
-        if self._window is None:
+        if self.link is None:
             return
-        self._window.grant(message.credits)
-        sendable = deque()
-        while self._pending and self._window.take(1):
-            sendable.append(self._pending.popleft())
-        if sendable:
-            self._send_data(tuple(sendable))
-
-    def _send_data(self, publishes) -> None:
-        """Put a run of credit-backed events on the wire as one sequenced
-        data frame (the numbering is what makes lost-frame credit gaps
-        detectable at the root)."""
-        frame = DataFrame(self._data_seq, tuple(publishes))
-        self._data_seq += len(frame.publishes)
-        self.network.send(self, self.root, frame)
+        frame = self.link.granted(message.credits)
+        if frame is not None:
+            self.network.send(self, self.root, frame)
 
     def _lose_soft_state(self) -> None:
         """Fail-stop: the grant stream's position dies with the process;
-        the next incarnation adopts the first frame it hears."""
+        the next incarnation adopts the first frame it hears.  The
+        credited link is not reset (DESIGN §8 says what that means)."""
         self.links.reset()
 
     def __repr__(self) -> str:

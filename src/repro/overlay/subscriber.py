@@ -454,10 +454,9 @@ class SubscriberRuntime(Process):
         elif isinstance(message, Sequenced):
             # The root's reliable replay stream (catch-up batches and
             # session control).
-            dups, _ = self.links.on_frame(
+            self.counters.control_dups_discarded += self.links.on_frame(
                 message, sender, lambda payload: self._on_framed(payload, sender)
             )
-            self.counters.control_dups_discarded += dups
         else:
             raise TypeError(f"{self.name}: unexpected message {message!r}")
 

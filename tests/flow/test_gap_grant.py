@@ -12,8 +12,21 @@ receiver seeing frame N+k after N knows k events died on the wire and
 grants their credits back immediately.
 """
 
+import pytest
+
 from repro.core.engine import MultiStageEventSystem
+from repro.events.serialization import marshal
 from repro.flow import FlowConfig
+from repro.log.config import LogConfig
+from repro.overlay.invariants import credit_violations
+from repro.overlay.messages import (
+    ChannelReset,
+    CreditGrant,
+    DataFrame,
+    Publish,
+    ReplayRequest,
+    Sequenced,
+)
 from repro.sim.network import FaultPlan
 
 LINK_WINDOW = 8
@@ -71,7 +84,7 @@ def test_gap_grant_recovers_credits_lost_to_the_wire():
     assert root.counters.credit_gap_grants > 0
     # ...yet every lost event's credit came back: once the dust settles
     # the publisher's window is full again and nothing is stuck locally.
-    assert publisher._window.available == LINK_WINDOW
+    assert publisher.link.window.available == LINK_WINDOW
     assert publisher.pending_count == 0
     # Lost events are genuinely lost (data plane is best-effort), but the
     # link kept flowing: the surviving ~90% reached the subscriber.
@@ -101,4 +114,83 @@ def test_gap_grant_is_idle_on_a_clean_wire():
 
     assert system.root.counters.credit_gap_grants == 0
     assert got == list(range(100))
-    assert publisher._window.available == LINK_WINDOW
+    assert publisher.link.window.available == LINK_WINDOW
+    assert credit_violations(system, quiescent=True) == []
+
+
+def publishes(count, start=0):
+    return tuple(
+        Publish(marshal(Alert("db", n), "Alert", 0.0, ("injected", n)))
+        for n in range(start, start + count)
+    )
+
+
+def learn_of_restart(broker, peer, path):
+    if path == "channel-reset":
+        broker.receive(ChannelReset(peer.incarnation + 1), peer)
+    else:
+        # The reset was lost: the first the broker hears of the new
+        # incarnation is a reliable frame of a higher channel epoch.
+        broker.receive(Sequenced(1, 0, CreditGrant(0)), peer)
+
+
+@pytest.mark.parametrize("path", ["channel-reset", "epoch"])
+def test_a_peer_restart_is_one_path_however_it_is_learned(path):
+    """DESIGN §10 *Gap-granting*: a reset "clears both sides' numbering".
+
+    A broker learns that a peer restarted from its ``ChannelReset`` or,
+    when that was lost, from a reliable frame of a higher channel epoch.
+    The two used to disagree: the epoch path reset the credit window
+    toward the peer but kept expecting the dead incarnation's next data
+    frame (and kept its replay session), so the new incarnation's first
+    frames read as a gap and were granted credits nobody had spent.  On
+    a tree the epoch path is today reached only from peers that send no
+    data frames — children and replay requesters, never a data sender —
+    which is why no run showed it; by direct injection here the peer
+    does both, and both paths are now ``BrokerNode._peer_restarted``.
+    """
+    system = MultiStageEventSystem(
+        stage_sizes=(2, 1), seed=5, flow=FlowConfig(link_window=2), log=LogConfig()
+    )
+    system.advertise("Alert", schema=("class", "topic", "level"))
+    system.drain()
+    root = system.root
+    peer = root.broker_children[0]
+    # Both ends of the credited links with the peer hold something: two
+    # events parked toward it, three admitted from it, a replay session.
+    root.receive(Sequenced(0, 0, ReplayRequest(peer, -1)), peer)
+    link = root.link_to(peer)
+    link.offer(publishes(4))
+    root.receive(DataFrame(0, publishes(3, start=10)), peer)
+    assert (link.window.available, len(link.queue), link.next_seq) == (0, 2, 2)
+    assert root._receiver.expected[peer.name] == 3
+    assert root._replayer.active
+
+    learn_of_restart(root, peer, path)
+    root.receive(DataFrame(5, publishes(2, start=20)), peer)
+
+    # The new incarnation's position is adopted silently...
+    assert root.counters.credit_gap_grants == 0
+    assert root._receiver.expected[peer.name] == 7
+    # ...and the link state is the same, field by field, on both paths.
+    assert (link.window.available, len(link.queue), link.next_seq) == (2, 0, 0)
+    assert root.counters.sheds_by_reason == {"peer-reset": 2}
+    assert not root._replayer.active and not root._drain_paused
+    assert credit_violations(system) == []
+
+
+def test_a_replay_request_that_opens_the_new_epoch_keeps_its_session():
+    """The restart is learned *before* the frame that reveals it is
+    delivered: a ``ReplayRequest`` that is itself the first frame of the
+    new epoch (a recovering broker below stage 2, whose ``ChannelReset``
+    to the root was lost) ends the dead incarnation's session and then
+    starts its own — not the other way round."""
+    system = MultiStageEventSystem(
+        stage_sizes=(2, 1), seed=5, flow=FlowConfig(link_window=2), log=LogConfig()
+    )
+    root = system.root
+    peer = root.broker_children[0]
+    root.receive(Sequenced(0, 0, ReplayRequest(peer, -1)), peer)
+    first = root._replayer._recovery[peer.name]
+    root.receive(Sequenced(1, 0, ReplayRequest(peer, -1)), peer)
+    assert root._replayer._recovery[peer.name] is not first

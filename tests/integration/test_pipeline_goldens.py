@@ -39,6 +39,7 @@ import repro.core.subscription as subscription_module
 from repro.core.engine import MultiStageEventSystem
 from repro.flow import FlowConfig
 from repro.log.config import LogConfig
+from repro.overlay.invariants import credit_violations
 from repro.overlay.node import BrokerNode
 from repro.sim.network import FaultPlan
 from repro.sim.rng import RngRegistry
@@ -192,6 +193,9 @@ def measure(monkeypatch, case, **options):
     system.stop_sampling()
     system.stop_maintenance()
     system.drain()
+    # Credit conservation through every shed site, the gap grants and
+    # the crash + replay (vacuous in the two cases without flow).
+    assert credit_violations(system, quiescent=True) == []
 
     nodes = system.hierarchy.nodes()
     counters = [

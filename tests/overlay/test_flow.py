@@ -11,6 +11,7 @@ import pytest
 from repro.core.engine import MultiStageEventSystem
 from repro.flow import FlowConfig
 from repro.overlay.channel import ReliableReceiver, ReliableSender
+from repro.overlay.invariants import credit_violations
 from repro.overlay.messages import (
     Ack,
     Disconnect,
@@ -191,6 +192,7 @@ def test_flow_backpressure_propagates_to_publisher():
     # Offer 500 events/s against 100/s of service for one second.
     accepted_fn = _firehose(system, publisher, count=500, interval=0.002)
     peak = system.total_queue_depth()
+    assert credit_violations(system) == []  # mid-stall: parked => no credits
     system.run_for(3.0)  # drain tail
     accepted = accepted_fn()
 
@@ -211,6 +213,8 @@ def test_flow_backpressure_propagates_to_publisher():
     # Everything admitted was eventually delivered — the loop drained.
     assert len(got) == accepted
     assert system.total_queue_depth() == 0
+    # ... and every credit is home again.
+    assert credit_violations(system, quiescent=True) == []
 
 
 def test_flow_off_below_capacity_is_transparent():
@@ -227,6 +231,7 @@ def test_flow_off_below_capacity_is_transparent():
         system.run_for(1.0)
         results["on" if flow else "off"] = got
         assert system.total_events_shed() == 0
+        assert credit_violations(system, quiescent=True) == []
     assert results["on"] == results["off"] == list(range(20))
 
 
@@ -270,6 +275,7 @@ def test_flow_grants_ride_reliable_channels_through_loss():
     system.run_for(2.0)
     assert got[-10:] == list(range(1000, 1010))
     assert system.total_queue_depth() == 0
+    assert credit_violations(system) == []
 
 
 def test_flow_broker_crash_resets_credit_windows():
@@ -308,6 +314,8 @@ def test_flow_broker_crash_resets_credit_windows():
     assert got[-5:] == list(range(2000, 2005))
     assert victim.queue_depth() == 0
     system.stop_maintenance()
+    system.drain()
+    assert credit_violations(system, quiescent=True) == []
 
 
 def test_flow_sheds_are_traced_deterministically():

@@ -9,6 +9,7 @@ in-order exactly-once payloads per epoch.
 """
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import example, given, settings
 
 from repro.overlay.channel import (
@@ -80,17 +81,22 @@ def test_links_on_frame_delivers_acks_and_reports():
     sim, net, owner, links = make_links(window=4)
     a = Process(sim, "a")
     got = []
+
+    def restarted():
+        got.append("restarted")
+
     # A first frame mid-stream is adopted, not reported as a new epoch.
-    assert links.on_frame(Sequenced(3, 7, "p"), a, got.append) == (0, False)
-    assert links.on_frame(Sequenced(3, 7, "p"), a, got.append) == (1, False)
-    assert links.on_frame(Sequenced(3, 9, "r"), a, got.append) == (0, False)
-    assert links.on_frame(Sequenced(3, 8, "q"), a, got.append) == (0, False)
+    assert links.on_frame(Sequenced(3, 7, "p"), a, got.append, restarted) == 0
+    assert links.on_frame(Sequenced(3, 7, "p"), a, got.append, restarted) == 1
+    assert links.on_frame(Sequenced(3, 9, "r"), a, got.append, restarted) == 0
+    assert links.on_frame(Sequenced(3, 8, "q"), a, got.append, restarted) == 0
     assert got == ["p", "q", "r"]
-    # The peer opened a higher epoch: adopted and reported.
-    assert links.on_frame(Sequenced(4, 0, "s"), a, got.append) == (0, True)
+    # The peer opened a higher epoch: adopted, and reported before the
+    # payload its new incarnation sent is delivered.
+    assert links.on_frame(Sequenced(4, 0, "s"), a, got.append, restarted) == 0
     # A straggler of the dead epoch is acked at our position, not counted.
-    assert links.on_frame(Sequenced(3, 10, "t"), a, got.append) == (0, False)
-    assert got == ["p", "q", "r", "s"]
+    assert links.on_frame(Sequenced(3, 10, "t"), a, got.append, restarted) == 0
+    assert got == ["p", "q", "r", "restarted", "s"]
     # One ack per frame, to the framing peer, advertising the window.
     assert net.sent == [
         ("owner", "a", Ack(3, 7, 4)),
@@ -148,7 +154,7 @@ def test_links_forget_is_the_channel_reset_edge():
     # What was heard is forgotten: the next frame is adopted wherever
     # it stands, even in a lower epoch.
     got = []
-    assert links.on_frame(Sequenced(0, 0, "q"), a, got.append) == (0, False)
+    assert links.on_frame(Sequenced(0, 0, "q"), a, got.append, pytest.fail) == 0
     assert got == ["q"]
     links.send(a, "z")
     assert net.sent[-1] == ("owner", "a", Sequenced(1, 0, "z"))
@@ -220,13 +226,15 @@ class _PairsOwner:
         if sender.name in self.senders:
             self.senders[sender.name].on_ack(ack)
 
-    def on_frame(self, frame, sender, deliver):
+    def on_frame(self, frame, sender, deliver, restarted):
         receiver = self.receivers.setdefault(
             sender.name, ReliableReceiver(capacity=WINDOW)
         )
-        dups, epoch = receiver.dups_discarded, receiver.epoch
+        dups = receiver.dups_discarded
+        if receiver.epoch is not None and frame.epoch > receiver.epoch:
+            restarted()
         self.net.send(self.owner, sender, receiver.on_frame(frame, deliver))
-        return receiver.dups_discarded - dups, epoch not in (None, receiver.epoch)
+        return receiver.dups_discarded - dups
 
     def forget(self, peer):
         self.receivers.pop(peer.name, None)
@@ -346,8 +354,14 @@ class _World:
             if isinstance(message, Ack):
                 self.owner.on_ack(peer, message)
             else:
+                # A new epoch is reported in line with what is handed
+                # over, so the two worlds must agree on the order too.
                 deliver = self._deliverer("owner", name, message)
-                self.reports.append(self.owner.on_frame(message, peer, deliver))
+                self.reports.append(
+                    self.owner.on_frame(
+                        message, peer, deliver, lambda: deliver("new epoch")
+                    )
+                )
         elif isinstance(message, Ack):
             self.peer_senders[name].on_ack(message)
         else:

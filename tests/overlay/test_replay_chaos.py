@@ -12,7 +12,7 @@ import pytest
 from repro.core.engine import MultiStageEventSystem
 from repro.flow import FlowConfig
 from repro.log import AuditSubscription, LogConfig, verify_exactly_once
-from repro.overlay.invariants import soft_state_violations
+from repro.overlay.invariants import credit_violations, soft_state_violations
 from repro.sim.network import FaultPlan
 
 SCHEMA = ("class", "symbol", "price")
@@ -97,6 +97,8 @@ def run_crash_recovery(seed, loss_during_crash=0.0):
     mid.restart()
     system.run_for(8.0)
     recovered_at = system.sim.now
+    # Recovery replay spent credits like live traffic: all are home.
+    assert credit_violations(system, quiescent=not loss_during_crash) == []
     return system, subscriber, subscription, got, mid, (crash_at, recovered_at)
 
 
@@ -167,6 +169,7 @@ def test_chaos_recovery_resumes_from_last_acked_offset():
     # last acked (19) - rewind (4) -> replay starts at offset 16: the
     # root re-sent the 14 records from 16..29, nowhere near all 30.
     assert system.root.counters.replay_events_sent == 14
+    assert credit_violations(system, quiescent=True) == []
     # The rewound overlap (16..19) was already logged: deduped, not
     # re-delivered.
     assert mid.counters.replay_dupes_discarded == 4
@@ -190,6 +193,7 @@ def test_chaos_scheduled_crash_via_fault_plan():
     system.run_for(8.0)
 
     assert sorted(got) == [float(i) for i in range(40)]
+    assert credit_violations(system, quiescent=True) == []
     report = verify_exactly_once(
         system.root.log,
         system.tracer,
