@@ -78,7 +78,7 @@ def test_no_shedding_below_saturation_gate(report):
     )
     assert controlled.rate_limited == 0, (
         f"{controlled.rate_limited} publishes rate-limited below saturation "
-        "(no publisher_rate is configured)"
+        "(no rate_limit is configured)"
     )
     assert controlled.accepted == controlled.offered, (
         "publishes refused below saturation"

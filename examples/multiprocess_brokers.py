@@ -15,7 +15,7 @@ This example:
 - publishes quotes and shows them routed across process boundaries
   using the asyncio backend's length-prefixed frame format unchanged;
 - SIGKILLs the subscriber's home broker mid-run;
-- restores it: a *fresh process* recovers purely from the on-disk JSONL
+- restores it: a *fresh process* recovers purely from the on-disk
   event log and the §4.3 refresh-or-restore lease renewals, and
   delivery resumes.
 

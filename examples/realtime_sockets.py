@@ -8,7 +8,7 @@ real localhost TCP — ``runtime="asyncio"`` swaps the ``Executor`` and
 
 - a publisher feeds a 2-level broker hierarchy over length-prefixed
   binary frames on real sockets;
-- every broker persists its event log to JSONL segment files on disk;
+- every broker persists its event log to segment files on disk;
 - the subscriber's home broker is killed mid-run (socket torn down,
   soft state and in-memory log gone);
 - on restart the broker reloads its log from the on-disk segments,
@@ -80,7 +80,7 @@ def main() -> None:
     system.run_until(lambda: not home.crashed and home.log is not None, timeout=10.0)
     print(
         f"endpoint state: {endpoint.state} (same port: {endpoint.port}); "
-        f"log records recovered from JSONL: {len(home.log)}"
+        f"log records recovered from disk: {len(home.log)}"
     )
     system.run_until(lambda: len(home.table) > 0, timeout=10.0)
     print("subscription table rebuilt by lease renewal")

@@ -184,7 +184,7 @@ class MultiStageEventSystem:
             )
         if runtime == "asyncio" and log is not None and log.directory:
             # Real-runtime semantics: a broker's in-memory log dies with
-            # the crash; restart recovers it from the JSONL segments.
+            # the crash; restart recovers it from the segment files.
             # (Workers on "multiprocess" set this themselves from the
             # spec — there the property holds by construction.)
             for node in self.hierarchy.nodes():

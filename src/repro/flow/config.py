@@ -1,7 +1,6 @@
 """Configuration bundle for the flow-control subsystem."""
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.flow.shedding import POLICIES
 
@@ -33,10 +32,6 @@ class FlowConfig:
     policy: str = "drop_tail"
     #: Publisher-side local queue bound (events waiting for credits).
     publisher_queue_capacity: int = 256
-    #: Publisher token-bucket rate in events/s (``None`` = no limiter).
-    publisher_rate: Optional[float] = None
-    #: Publisher token-bucket burst size.
-    publisher_burst: float = 16.0
     #: Overload detector: EWMA smoothing factor for queue depth.
     ewma_alpha: float = 0.4
     #: Enter OVERLOADED when the EWMA exceeds this fraction of
@@ -66,10 +61,6 @@ class FlowConfig:
             raise ValueError(
                 "publisher_queue_capacity must be >= 1, got "
                 f"{self.publisher_queue_capacity}"
-            )
-        if self.publisher_rate is not None and self.publisher_rate <= 0:
-            raise ValueError(
-                f"publisher_rate must be positive, got {self.publisher_rate}"
             )
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")

@@ -1,7 +1,7 @@
 """Durable per-broker event logs, replay, and exactly-once auditing.
 
 - :mod:`repro.log.eventlog` — segmented append-only logs with offset and
-  ISO-timestamp seeks, in-sim or JSONL-file persisted;
+  ISO-timestamp seeks, in-sim or persisted as files of event records;
 - :mod:`repro.log.replay` — the root's replayer: catch-up subscribers
   and broker crash recovery;
 - :mod:`repro.log.audit` — the exactly-once verifier diffing delivery

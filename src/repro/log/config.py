@@ -17,7 +17,7 @@ class LogConfig:
 
     #: Records per log segment (seek granularity and truncation unit).
     segment_size: int = 256
-    #: Directory for real-file (JSONL) segment persistence; ``None`` =
+    #: Directory for real-file segment persistence; ``None`` =
     #: in-sim only.  All brokers share the directory (file names embed
     #: the broker name).
     directory: Optional[str] = None

@@ -15,9 +15,13 @@ Two persistence modes coexist:
   means surviving :meth:`~repro.overlay.node.BrokerNode.crash`, which
   wipes soft state but never the log;
 - **real files** (``directory`` set): each segment is additionally
-  written as a JSON-lines file (``<name>-<base offset>.jsonl``), the
-  format a future real-runtime backend would replay from;
-  :meth:`EventLog.load` reads a directory back into memory.
+  written as a file of binary entries (``<name>-<base offset>.seg``) —
+  what a broker *process* restarts from; :meth:`EventLog.load` reads a
+  directory back into memory.  An entry is the event as the socket
+  runtimes already carry it (:meth:`~repro.overlay.messages.Publish.
+  record`) behind a fixed head, so the log serialises nothing a frame
+  has not serialised and opens nothing a frame does not open (DESIGN
+  §11).
 
 Timestamps: the simulator clock is seconds since an arbitrary zero, so
 ISO-8601 replay points are anchored at a fixed epoch
@@ -26,16 +30,19 @@ clock — :func:`parse_point` maps either representation to simulated
 seconds deterministically.
 """
 
-import base64
-import json
 import os
+import pickle
+import struct
+import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Dict, Iterator, List, Optional, TextIO, Tuple, Union
+from typing import TYPE_CHECKING, BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.events.base import PropertyEvent
 from repro.events.serialization import Envelope
+
+if TYPE_CHECKING:  # pragma: no cover - repro.overlay imports this module
+    from repro.overlay.messages import Publish
 
 #: The ISO-8601 instant simulated time ``0.0`` maps to (UTC).  Chosen
 #: fixed — never "now" — so same-seed runs serialize identical logs.
@@ -89,70 +96,80 @@ class LogRecord:
         return self.envelope.event_id
 
     @property
-    def publisher(self) -> Optional[str]:
-        eid = self.envelope.event_id
-        return eid[0] if eid else None
-
-    @property
-    def publish_seq(self) -> Optional[int]:
-        eid = self.envelope.event_id
-        return eid[1] if eid else None
-
-    @property
     def event_class(self) -> Optional[str]:
         return self.envelope.event_class
 
-    def to_json(self) -> str:
-        """One deterministic JSON line (the on-disk segment format)."""
-        eid = self.envelope.event_id
-        return json.dumps(
-            {
-                "offset": self.offset,
-                "time": self.time,
-                "iso": format_point(self.time),
-                "publisher": eid[0] if eid else None,
-                "seq": eid[1] if eid else None,
-                "published_at": self.envelope.published_at,
-                "metadata": dict(self.envelope.metadata),
-                "payload": base64.b64encode(self.envelope.payload).decode("ascii"),
-                "source_offset": self.source_offset,
-            },
-            sort_keys=True,
-        )
 
-    @classmethod
-    def from_json(cls, line: str) -> "LogRecord":
-        raw = json.loads(line)
-        eid = None
-        if raw.get("publisher") is not None:
-            eid = (raw["publisher"], raw["seq"])
-        envelope = Envelope(
-            metadata=PropertyEvent(raw["metadata"]),
-            payload=base64.b64decode(raw["payload"]),
-            published_at=raw.get("published_at"),
-            event_id=eid,
-        )
-        return cls(
-            offset=raw["offset"],
-            time=raw["time"],
-            envelope=envelope,
-            source_offset=raw.get("source_offset"),
-        )
+# An on-disk entry:
+#
+#     8 bytes  local offset                         (signed, big-endian)
+#     8 bytes  append time                          (IEEE double)
+#     1 byte   flags
+#     4+4      body length, CRC-32 of the body
+#     4 bytes  CRC-32 of the 25 bytes above
+#     ...      the body: the event's record, the root's offset in it
+#
+# The head has a CRC of its own so that a reader can trust the length
+# before it has the body: an entry that runs past the end of the last
+# file is a torn tail, never a damaged length.
+_ENTRY = struct.Struct("!qdBII")
+_ENTRY_CRC = struct.Struct("!I")
+_BODY_AT = _ENTRY.size + _ENTRY_CRC.size
+#: ``flags`` bit: ``Publish.record()`` cannot carry the event exactly;
+#: the body is what a socket sends in its place, the event pickled whole.
+_PICKLED = 1
+_SUFFIX = ".seg"
+
+
+def _entry(offset: int, time: float, publish: "Publish") -> bytes:
+    """One on-disk entry; raises what serialising the event raises."""
+    body, flags = publish.record(), 0
+    if body is None:
+        body, flags = publish.pickled(), _PICKLED
+    head = _ENTRY.pack(offset, time, flags, len(body), zlib.crc32(body))
+    return b"".join((head, _ENTRY_CRC.pack(zlib.crc32(head)), body))
+
+
+def _read_entry(
+    data: bytes, start: int, event_class: type
+) -> Optional[Tuple[int, float, "Publish", int]]:
+    """Parse the entry at ``data[start:]`` into ``(offset, time, event,
+    position after it)``; ``None`` when ``data`` ends inside the entry.
+    Raises ``ValueError`` on an entry that is whole and damaged.
+    ``event_class`` is :class:`~repro.overlay.messages.Publish`, which
+    this module cannot import while ``repro.overlay`` imports it."""
+    body_at = start + _BODY_AT
+    if body_at > len(data):
+        return None
+    head = data[start : start + _ENTRY.size]
+    if zlib.crc32(head) != _ENTRY_CRC.unpack_from(data, start + _ENTRY.size)[0]:
+        raise ValueError("entry head fails its checksum")
+    offset, time, flags, length, body_crc = _ENTRY.unpack(head)
+    end = body_at + length
+    if end > len(data):
+        return None
+    if zlib.crc32(memoryview(data)[body_at:end]) != body_crc:
+        raise ValueError("entry body fails its checksum")
+    try:
+        if flags & _PICKLED:
+            publish, stop = pickle.loads(data[body_at:end]), end
+        else:
+            publish, stop = event_class.from_record(data, body_at)
+    except Exception as exc:  # struct, pickle, a class this side lacks
+        raise ValueError(f"undecodable entry body: {exc!r}") from exc
+    if type(publish) is not event_class or stop != end:
+        raise ValueError("entry body is not one event")
+    return offset, time, publish, end
 
 
 class _Segment:
     """``segment_size`` consecutive records starting at ``base_offset``."""
 
-    __slots__ = ("base_offset", "records", "_file")
+    __slots__ = ("base_offset", "records")
 
-    def __init__(self, base_offset: int, file: Optional[TextIO] = None):
+    def __init__(self, base_offset: int):
         self.base_offset = base_offset
         self.records: List[LogRecord] = []
-        self._file = file
-
-    @property
-    def next_offset(self) -> int:
-        return self.base_offset + len(self.records)
 
     @property
     def last_offset(self) -> int:
@@ -160,22 +177,8 @@ class _Segment:
         return self.base_offset + len(self.records) - 1
 
     @property
-    def first_time(self) -> float:
-        return self.records[0].time if self.records else float("inf")
-
-    @property
     def last_time(self) -> float:
         return self.records[-1].time if self.records else float("-inf")
-
-    def append(self, record: LogRecord) -> None:
-        self.records.append(record)
-        if self._file is not None:
-            self._file.write(record.to_json() + "\n")
-
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
 
 
 class EventLog:
@@ -201,14 +204,16 @@ class EventLog:
         self.segment_size = segment_size
         self.directory = directory
         self._segments: List[_Segment] = []
+        #: The tail segment's file while it is open for append.
+        self._file: Optional[BinaryIO] = None
         self._by_id: Dict[tuple, LogRecord] = {}
         self._next_offset = 0
         self._watermarks: Dict[str, int] = {}
         self._max_source_offset: Optional[int] = None
         #: Idempotent re-appends skipped (wire duplicates re-presented).
         self.duplicates_skipped = 0
-        #: Partial trailing JSONL records discarded by :meth:`load` (a
-        #: crash mid-append leaves at most one).
+        #: Partial trailing entries discarded by :meth:`load` (a crash
+        #: mid-append leaves at most one).
         self.truncated_records_discarded = 0
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
@@ -217,17 +222,17 @@ class EventLog:
     # Appending
     # ------------------------------------------------------------------
 
-    def append(
-        self,
-        envelope: Envelope,
-        time: float,
-        source_offset: Optional[int] = None,
-    ) -> LogRecord:
-        """Append one event; idempotent on ``envelope.event_id``.
+    def append(self, publish: "Publish", time: float) -> LogRecord:
+        """Append one event; idempotent on its ``event_id``.
 
-        Returns the (new or previously appended) record.  Compare
+        ``publish.offset`` is the offset the root gave the event
+        (``None`` at the root itself), kept as ``source_offset``.
+        Returns the (new or previously appended) record; compare
         :attr:`next_offset` around the call to tell the cases apart.
+        With a directory the entry is serialised, then written, then
+        booked: an append that raises has changed nothing.
         """
+        envelope = publish.envelope
         eid = envelope.event_id
         if eid is not None:
             existing = self._by_id.get(eid)
@@ -239,40 +244,51 @@ class EventLog:
                 f"append time {time} precedes log tail "
                 f"{self._segments[-1].last_time} (times must be monotone)"
             )
-        record = LogRecord(self._next_offset, time, envelope, source_offset)
-        segment = self._segments[-1] if self._segments else None
-        if segment is None or len(segment.records) >= self.segment_size:
-            if segment is not None:
-                segment.close()
-            segment = self._open_segment(self._next_offset)
-            self._segments.append(segment)
-        segment.append(record)
-        self._next_offset += 1
+        record = LogRecord(self._next_offset, time, envelope, publish.offset)
+        if self.directory is not None:
+            entry = _entry(record.offset, time, publish)
+            if self._tail_is_full():
+                self.close()
+                # Unbuffered: one write per entry, so a fail-stop
+                # (SIGKILL) loses at most the entry being written, which
+                # load() heals as a clean crash tail.
+                self._file = open(self._segment_path(record.offset), "wb", buffering=0)
+            if self._file is not None:
+                self._file.write(entry)
+        self._book(record)
+        return record
+
+    def _tail_is_full(self) -> bool:
+        return (
+            not self._segments
+            or len(self._segments[-1].records) >= self.segment_size
+        )
+
+    def _book(self, record: LogRecord) -> None:
+        """Take ``record`` (appended, or read back by :meth:`load`) into
+        the in-memory segments and indexes."""
+        if self._tail_is_full():
+            self._segments.append(_Segment(record.offset))
+        self._segments[-1].records.append(record)
+        self._next_offset = record.offset + 1
+        eid = record.envelope.event_id
         if eid is not None:
             self._by_id[eid] = record
             publisher, seq = eid
             known = self._watermarks.get(publisher)
             if known is None or seq > known:
                 self._watermarks[publisher] = seq
+        source_offset = record.source_offset
         if source_offset is not None and (
             self._max_source_offset is None
             or source_offset > self._max_source_offset
         ):
             self._max_source_offset = source_offset
-        return record
 
-    def _open_segment(self, base_offset: int) -> _Segment:
-        file = None
-        if self.directory is not None:
-            path = os.path.join(
-                self.directory, f"{self.name}-{base_offset:08d}.jsonl"
-            )
-            # Line-buffered: a fail-stop (SIGKILL) loses at most the
-            # partially written last line, which load() heals as a clean
-            # crash tail.  Block buffering would silently drop every
-            # record still sitting in the stdio buffer.
-            file = open(path, "w", encoding="utf-8", buffering=1)
-        return _Segment(base_offset, file)
+    def _segment_path(self, base_offset: int) -> str:
+        return os.path.join(
+            self.directory, f"{self.name}-{base_offset:08d}{_SUFFIX}"
+        )
 
     # ------------------------------------------------------------------
     # Reading / seeking
@@ -301,9 +317,6 @@ class EventLog:
         for segment in self._segments:
             yield from segment.records
 
-    def records(self) -> List[LogRecord]:
-        return list(self)
-
     def segments(self) -> List[Tuple[int, int]]:
         """``(base offset, record count)`` per retained segment."""
         return [(s.base_offset, len(s.records)) for s in self._segments]
@@ -323,7 +336,7 @@ class EventLog:
         if index < 0:
             return None
         segment = self._segments[index]
-        if offset >= segment.next_offset:
+        if offset > segment.last_offset:
             return None
         return segment
 
@@ -369,7 +382,6 @@ class EventLog:
         dropped = 0
         while self._segments and self._segments[0].last_offset < offset:
             segment = self._segments.pop(0)
-            segment.close()
             for record in segment.records:
                 dropped += 1
                 eid = record.event_id
@@ -382,10 +394,11 @@ class EventLog:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Close any open segment file (append after close reopens none —
+        """Close the open segment file (append after close reopens none —
         call only when done writing)."""
-        for segment in self._segments:
-            segment.close()
+        if self._file is not None:
+            self._file.close()
+            self._file = None
 
     @classmethod
     def load(
@@ -397,61 +410,61 @@ class EventLog:
     ) -> "EventLog":
         """Rebuild a log from a directory of segment files.
 
-        A crash mid-append can leave the *final* line of the *final*
-        segment file truncated; such a partial record is discarded (and
+        A crash mid-append can leave the *final* entry of the *final*
+        segment file cut short; such a torn entry is discarded (and
         counted in :attr:`truncated_records_discarded`) rather than
-        raised — losing the one un-fsynced record is exactly fail-stop
-        semantics.  Corruption anywhere else is not a clean crash tail
-        and still raises :class:`ValueError`.
+        raised — losing the one entry being written is exactly fail-stop
+        semantics.  Anything else that is not the log as written —
+        a failed checksum, stored offsets that do not run ``0, 1, 2,
+        ...`` across the files (a segment file is missing), a file other
+        than the last ending inside an entry — raises
+        :class:`ValueError`.
 
         With ``reopen=True`` the loaded log resumes file persistence in
-        ``directory``: the tail segment file is rewritten from the parsed
-        records (healing any discarded partial line) and kept open for
-        append, so a restarted broker continues the same on-disk log.
+        ``directory``: a torn entry is cut off the tail file, which is
+        kept open for append, so a restarted broker continues the same
+        on-disk log.
         """
+        from repro.overlay.messages import Publish
+
         log = cls(name, segment_size=segment_size, directory=None)
-        prefix = f"{name}-"
         files = sorted(
             f
             for f in os.listdir(directory)
-            if f.startswith(prefix) and f.endswith(".jsonl")
+            if f.startswith(f"{name}-") and f.endswith(_SUFFIX)
         )
-        for file_index, filename in enumerate(files):
-            with open(os.path.join(directory, filename), encoding="utf-8") as fh:
-                lines = [line.strip() for line in fh]
-            while lines and not lines[-1]:
-                lines.pop()
-            for line_index, line in enumerate(lines):
-                if not line:
-                    continue
+        position = 0
+        for filename in files:
+            with open(os.path.join(directory, filename), "rb") as fh:
+                data = fh.read()
+            position = 0
+            while position < len(data):
                 try:
-                    record = LogRecord.from_json(line)
-                except (ValueError, KeyError, TypeError) as exc:
-                    is_final_line = (
-                        file_index == len(files) - 1
-                        and line_index == len(lines) - 1
-                    )
-                    if is_final_line:
-                        log.truncated_records_discarded += 1
-                        break
+                    entry = _read_entry(data, position, Publish)
+                    if entry is None:
+                        if filename != files[-1]:
+                            raise ValueError("the file ends inside an entry")
+                    elif entry[0] != log._next_offset:
+                        raise ValueError(
+                            f"stored offset {entry[0]} where "
+                            f"{log._next_offset} is next"
+                        )
+                except ValueError as exc:
                     raise ValueError(
-                        f"corrupt record in {filename} line {line_index + 1}: "
-                        f"{exc}"
+                        f"corrupt entry in {filename} at byte {position}: {exc}"
                     ) from exc
-                log.append(record.envelope, record.time, record.source_offset)
+                if entry is None:  # the torn tail
+                    log.truncated_records_discarded += 1
+                    break
+                offset, time, publish, position = entry
+                log._book(LogRecord(offset, time, publish.envelope, publish.offset))
         if reopen:
             log.directory = directory
-            os.makedirs(directory, exist_ok=True)
-            if log._segments:
-                tail = log._segments[-1]
-                path = os.path.join(
-                    directory, f"{name}-{tail.base_offset:08d}.jsonl"
-                )
-                file = open(path, "w", encoding="utf-8", buffering=1)
-                for record in tail.records:
-                    file.write(record.to_json() + "\n")
-                file.flush()
-                tail._file = file
+            if not log._tail_is_full():
+                # ``position`` is where the last whole entry of the last
+                # file ends; appends go to the end of what is kept.
+                log._file = open(os.path.join(directory, files[-1]), "ab", buffering=0)
+                log._file.truncate(position)
         return log
 
     def __repr__(self) -> str:

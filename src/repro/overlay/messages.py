@@ -21,23 +21,52 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.streams.spec import FlowSpec
 
 
-# Wire sizes.  The simulated network prices a message at the length of
-# its ``repr`` (:mod:`repro.sim.network`).  Event-carrying messages
-# answer ``wire_size()`` with exactly that length without rendering it
-# on every hop: a :class:`Publish` remembers its own, and the messages
-# that carry a run of them add the run's sizes to the length of their
-# own dataclass punctuation.  Control messages have no ``wire_size``:
-# they embed processes, whose ``repr`` shows live counters, and so must
-# be rendered at every send.
+# The frame a socket runtime puts around a run of event records (the
+# codec is :mod:`repro.runtime.asyncio_backend`, DESIGN §13): a header,
+# the sender's name, the message's own few integers in a fixed layout,
+# the records, a CRC-32.  The layouts are here, beside the record's,
+# because the simulated network prices a data message at what that
+# frame costs (``wire_size()``, DESIGN §16) and must not restate them.
+#: Version, kind, byte length of the sender name, number of records.
+FRAME_HEAD = struct.Struct("!BBHI")
+FRAME_TRAILER = struct.Struct("<I")
+SEQUENCED_LAYOUT = struct.Struct("!qq")  # epoch, seq
+_NO_FIELDS = struct.Struct("!")
+_FRAME_FIXED = FRAME_HEAD.size + FRAME_TRAILER.size
 
 
-def _run_size(publishes: tuple) -> int:
-    """``len(repr(publishes))`` for a tuple of :class:`Publish`."""
-    count = len(publishes)
-    members = sum(map(Publish.wire_size, publishes))
-    if count == 1:
-        return members + len("(,)")
-    return members + len("()") + len(", ") * max(count - 1, 0)
+def _frame_size(layout: struct.Struct, run: tuple) -> int:
+    """Bytes of the frame that carries ``run`` behind the fields in
+    ``layout``, sender name aside.  An event with no record counts as
+    its pickle, which is how it would travel."""
+    size = _FRAME_FIXED + layout.size
+    for publish in run:
+        try:
+            size += len(publish._record)  # a forwarding hop's case
+        except AttributeError:
+            record = publish.record()
+            size += len(record if record is not None else publish.pickled())
+    return size
+
+
+class _Run:
+    """What the messages that carry a run of events share: the tuple is
+    ``publishes`` (the name the network tracer duck-types for per-event
+    drop/duplicate spans), and the message's other fields travel in a
+    frame as ``FRAME_FIELDS``, encoded by ``FRAME_LAYOUT`` (``q`` demands
+    an ``int`` and ``?`` a ``bool``)."""
+
+    FRAME_FIELDS: Tuple[str, ...] = ()
+    FRAME_LAYOUT = _NO_FIELDS
+
+    def __len__(self) -> int:
+        return len(self.publishes)
+
+    def wire_size(self) -> int:
+        """The simulated size: what this message's frame costs on a
+        socket, sender name aside (the records are remembered on the
+        events, so a forwarding hop adds lengths up)."""
+        return _frame_size(self.FRAME_LAYOUT, self.publishes)
 
 
 @dataclass(frozen=True)
@@ -164,14 +193,12 @@ class Sequenced:
     payload: object
 
     def wire_size(self) -> int:
-        """``len(repr(self))``, composed when the payload knows its own."""
+        """Around a run of events, that frame and the numbering in it;
+        around a control message, ``len(repr(self))``."""
         payload_size = getattr(self.payload, "wire_size", None)
         if payload_size is None:
             return len(repr(self))
-        return (
-            len(f"Sequenced(epoch={self.epoch!r}, seq={self.seq!r}, payload=)")
-            + payload_size()
-        )
+        return SEQUENCED_LAYOUT.size + payload_size()
 
 
 @dataclass(frozen=True)
@@ -275,25 +302,23 @@ class Publish:
     ``None`` means "not yet through a logging root" (publisher→root leg,
     or a system with no log configured).
 
-    A ``Publish`` is immutable and travels by reference, so what is
-    worked out about it once is remembered in the instance ``__dict__``,
-    not among the dataclass fields: its simulated size (``_wire_size``)
-    and its socket record (``_record``).  ``repr``, ``==``, ``hash``,
-    ``asdict`` and pickles do not see either.
+    A ``Publish`` is immutable and travels by reference, so its record
+    (``_record``) — the one serialisation of an event: what a socket
+    sends, what the log stores, what the simulator prices — is built
+    once and remembered on the instance, not among the dataclass fields:
+    ``repr``, ``==``, ``hash``, ``asdict`` and pickles do not see it.
     """
 
     envelope: Envelope
     offset: Optional[int] = None
 
+    #: Alone in a frame, an event is a run of one with no other field.
+    FRAME_FIELDS = ()
+    FRAME_LAYOUT = _NO_FIELDS
+
     def wire_size(self) -> int:
-        """``len(repr(self))``, rendered once per object: every hop and
-        every fan-out copy after the first reads the remembered length."""
-        try:
-            return self._wire_size
-        except AttributeError:
-            # Straight into __dict__: the dataclass is frozen.
-            size = self.__dict__["_wire_size"] = len(repr(self))
-            return size
+        """The simulated size of this event sent alone: its frame's."""
+        return _frame_size(self.FRAME_LAYOUT, (self,))
 
     def record(self) -> Optional[bytes]:
         """This event as one self-delimiting wire record, built once.
@@ -357,6 +382,12 @@ class Publish:
         object.__setattr__(self, "_record", record)
         return record
 
+    def pickled(self) -> bytes:
+        """What stands in for the record when :meth:`record` is ``None``:
+        the fields pickled whole, as a socket frame carries the event
+        then.  Raises for a value that no runtime could send."""
+        return pickle.dumps(self, pickle.HIGHEST_PROTOCOL)
+
     @classmethod
     def from_record(cls, buffer: bytes, start: int) -> Tuple["Publish", int]:
         """Parse the record at ``buffer[start:]``; returns the event and
@@ -407,7 +438,7 @@ class Publish:
 
 
 @dataclass(frozen=True)
-class PublishBatch:
+class PublishBatch(_Run):
     """A run of events coalesced onto one link (batched dispatch).
 
     A broker that processed a run of events in one wakeup forwards the
@@ -419,16 +450,9 @@ class PublishBatch:
 
     publishes: tuple  # Tuple[Publish, ...]
 
-    def __len__(self) -> int:
-        return len(self.publishes)
-
-    def wire_size(self) -> int:
-        """``len(repr(self))`` from the members' remembered sizes."""
-        return len("PublishBatch(publishes=)") + _run_size(self.publishes)
-
 
 @dataclass(frozen=True)
-class DataFrame:
+class DataFrame(_Run):
     """A run of events with a per-link data sequence number.
 
     With flow control on, every data send (publisher→root and
@@ -438,21 +462,14 @@ class DataFrame:
     events remain best-effort, exactly as before — but the numbering
     lets the receiver detect how many events a lossy link swallowed and
     return the credits those events consumed (the DESIGN §10 credit-leak
-    fix).  ``publishes`` keeps the attribute name the network tracer
-    duck-types for per-event drop/duplicate spans.
+    fix).
     """
 
     seq: int
     publishes: tuple  # Tuple[Publish, ...]
 
-    def __len__(self) -> int:
-        return len(self.publishes)
-
-    def wire_size(self) -> int:
-        """``len(repr(self))`` from the members' remembered sizes."""
-        return len(f"DataFrame(seq={self.seq!r}, publishes=)") + _run_size(
-            self.publishes
-        )
+    FRAME_FIELDS = ("seq",)
+    FRAME_LAYOUT = struct.Struct("!q")
 
 
 @dataclass(frozen=True)
@@ -479,7 +496,7 @@ class CatchUpRequest:
 
 
 @dataclass(frozen=True)
-class CatchUpBatch:
+class CatchUpBatch(_Run):
     """A run of replayed (``history=True``) or live-tapped events for one
     catch-up session, sent root→subscriber on the reliable channel."""
 
@@ -487,15 +504,8 @@ class CatchUpBatch:
     publishes: tuple  # Tuple[Publish, ...]
     history: bool = True
 
-    def __len__(self) -> int:
-        return len(self.publishes)
-
-    def wire_size(self) -> int:
-        """``len(repr(self))`` from the members' remembered sizes."""
-        return len(
-            f"CatchUpBatch(subscription_id={self.subscription_id!r}, "
-            f"publishes=, history={self.history!r})"
-        ) + _run_size(self.publishes)
+    FRAME_FIELDS = ("subscription_id", "history")
+    FRAME_LAYOUT = struct.Struct("!q?")
 
 
 @dataclass(frozen=True)
@@ -527,16 +537,9 @@ class ReplayRequest:
 
 
 @dataclass(frozen=True)
-class ReplayBatch:
+class ReplayBatch(_Run):
     """A run of recovery-replay events for a restarted broker.  The
     receiver deduplicates against its own log and feeds the remainder
     through normal event processing."""
 
     publishes: tuple  # Tuple[Publish, ...]
-
-    def __len__(self) -> int:
-        return len(self.publishes)
-
-    def wire_size(self) -> int:
-        """``len(repr(self))`` from the members' remembered sizes."""
-        return len("ReplayBatch(publishes=)") + _run_size(self.publishes)

@@ -141,7 +141,7 @@ class BrokerNode(Process):
         )
         #: Real-runtime crash semantics toggle: when True, :meth:`crash`
         #: closes and *drops* the in-memory log (it lived in the dead OS
-        #: process) and :meth:`restart` reloads it from the on-disk JSONL
+        #: process) and :meth:`restart` reloads it from the on-disk
         #: segments.  Set by the engine for asyncio-backend systems with
         #: ``LogConfig.directory``; the sim default keeps the in-memory
         #: log across crashes (its durability model).
@@ -630,7 +630,7 @@ class BrokerNode(Process):
             and self.log_config is not None
             and self.log_config.directory
         ):
-            # Crash-recover the durable log from its JSONL segments (the
+            # Crash-recover the durable log from its segment files (the
             # only copy under real-runtime semantics); reopen keeps the
             # tail segment appendable so this incarnation continues it.
             self.log = EventLog.load(
@@ -1013,9 +1013,7 @@ class BrokerNode(Process):
         changed = False
         for message in batch:
             before = log.next_offset
-            record = log.append(
-                message.envelope, self.sim.now, source_offset=message.offset
-            )
+            record = log.append(message, self.sim.now)
             if log.next_offset != before:
                 self.counters.events_logged += 1
             if self.parent is None and message.offset is None:

@@ -69,17 +69,10 @@ class PublisherRuntime(Process):
             if flow is not None
             else None
         )
-        effective_rate = rate_limit
-        effective_burst = burst
-        if flow is not None:
-            if effective_rate is None:
-                effective_rate = flow.publisher_rate
-            if effective_burst is None:
-                effective_burst = flow.publisher_burst
         #: Token bucket over simulated time (None = unlimited rate).
         self.rate_limiter: Optional[RateLimiter] = (
-            RateLimiter(effective_rate, effective_burst or 16.0, now=sim.now)
-            if effective_rate is not None
+            RateLimiter(rate_limit, burst or 16.0, now=sim.now)
+            if rate_limit is not None
             else None
         )
         #: The reliable link the root's credit grants arrive on.

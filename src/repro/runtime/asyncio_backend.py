@@ -48,7 +48,7 @@ Endpoint FSM (see DESIGN §13)::
 
 ``kill`` closes the endpoint's server and connections mid-flight (frames
 to it are dropped and counted, like the simulator's crash gate);
-``restore`` rebinds the same port, replays the broker's on-disk JSONL
+``restore`` rebinds the same port, replays the broker's on-disk segment
 log if configured, and lets the normal ChannelReset/renewal recovery
 machinery run over the reopened sockets.
 """
@@ -63,6 +63,9 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.tracing import EventTracer
 from repro.overlay.messages import (
+    FRAME_HEAD,
+    FRAME_TRAILER,
+    SEQUENCED_LAYOUT,
     CatchUpBatch,
     DataFrame,
     Publish,
@@ -94,14 +97,12 @@ STOPPED = "stopped"
 # Frame codec
 # ----------------------------------------------------------------------
 
-#: Version, kind, byte length of the sender name, number of records.
-_HEAD = struct.Struct("!BBHI")
-_SEQUENCED = struct.Struct("!qq")  # epoch, seq
-_NO_FIELDS = struct.Struct("!")
+# The header, trailer and per-message field layouts are declared beside
+# the messages (:mod:`repro.overlay.messages`): the simulator prices a
+# data message with them.
 #: A frame ends in the CRC-32 of everything before it, little-endian,
 #: which makes the CRC-32 of the *whole* frame this constant: the check
 #: is one pass over the bytes as they arrived, with nothing sliced off.
-_TRAILER = struct.Struct("<I")
 _CRC_RESIDUE = 0x2144DF1C
 
 #: ``kind`` of a frame whose body is the pickled message.
@@ -113,11 +114,10 @@ _IN_SEQUENCED = 0x80
 #: run of events, their fixed encoding)``; a single ``Publish`` is the
 #: run itself.  ``?`` demands a ``bool`` and ``q`` an ``int``.
 _RUN_KINDS = {
-    _PUBLISH: (Publish, (), _NO_FIELDS),
-    2: (PublishBatch, (), _NO_FIELDS),
-    3: (DataFrame, ("seq",), struct.Struct("!q")),
-    4: (ReplayBatch, (), _NO_FIELDS),
-    5: (CatchUpBatch, ("subscription_id", "history"), struct.Struct("!q?")),
+    kind: (cls, cls.FRAME_FIELDS, cls.FRAME_LAYOUT)
+    for kind, cls in enumerate(
+        (Publish, PublishBatch, DataFrame, ReplayBatch, CatchUpBatch), _PUBLISH
+    )
 }
 _KIND_OF = {
     cls: (kind, names, layout) for kind, (cls, names, layout) in _RUN_KINDS.items()
@@ -161,7 +161,7 @@ def _run_parts(message: Any) -> Optional[Tuple[int, int, List[bytes]]]:
     decided by the types of the values in it, never by a setting."""
     flag, parts = 0, []
     if type(message) is Sequenced:
-        numbering = _pack_fields(_SEQUENCED, (message.epoch, message.seq))
+        numbering = _pack_fields(SEQUENCED_LAYOUT, (message.epoch, message.seq))
         if numbering is None:
             return None
         flag, parts, message = _IN_SEQUENCED, [numbering], message.payload
@@ -204,9 +204,9 @@ def encode_frame(src_name: str, message: Any) -> bytes:
         run = _PICKLE, 0, [buffer.getvalue()]
     kind, count, parts = run
     name = src_name.encode("utf-8", "surrogatepass")
-    parts[:0] = _HEAD.pack(FRAME_VERSION, kind, len(name), count), name
+    parts[:0] = FRAME_HEAD.pack(FRAME_VERSION, kind, len(name), count), name
     body = b"".join(parts)
-    return body + _TRAILER.pack(zlib.crc32(body))
+    return body + FRAME_TRAILER.pack(zlib.crc32(body))
 
 
 def frame_sender(payload: bytes) -> Optional[str]:
@@ -214,8 +214,8 @@ def frame_sender(payload: bytes) -> Optional[str]:
     who to book a frame on when :func:`decode_frame` refused it.
     ``None`` when the header itself does not parse."""
     try:
-        version, _, name_size, _ = _HEAD.unpack_from(payload)
-        name = payload[_HEAD.size : _HEAD.size + name_size]
+        version, _, name_size, _ = FRAME_HEAD.unpack_from(payload)
+        name = payload[FRAME_HEAD.size : FRAME_HEAD.size + name_size]
         if version != FRAME_VERSION or len(name) != name_size:
             return None
         return name.decode("utf-8", "surrogatepass")
@@ -242,23 +242,23 @@ def decode_frame(
 
 
 def _decode(payload: bytes, resolve: Callable[[str], Process]) -> Tuple[str, Any]:
-    if len(payload) < _HEAD.size + _TRAILER.size:
+    if len(payload) < FRAME_HEAD.size + FRAME_TRAILER.size:
         raise ValueError(f"truncated frame ({len(payload)} bytes)")
-    version, kind, name_size, count = _HEAD.unpack_from(payload)
+    version, kind, name_size, count = FRAME_HEAD.unpack_from(payload)
     if version != FRAME_VERSION:
         raise ValueError(f"unsupported frame version {version!r}")
     if zlib.crc32(payload) != _CRC_RESIDUE:
         raise ValueError("frame checksum mismatch")
-    position = _HEAD.size + name_size
-    src_name = payload[_HEAD.size : position].decode("utf-8", "surrogatepass")
+    position = FRAME_HEAD.size + name_size
+    src_name = payload[FRAME_HEAD.size : position].decode("utf-8", "surrogatepass")
     if kind == _PICKLE:
         buffer = io.BytesIO(payload)
         buffer.seek(position)
         return src_name, _ProcessRefUnpickler(buffer, resolve).load()
     numbering = None
     if kind & _IN_SEQUENCED:
-        numbering = _SEQUENCED.unpack_from(payload, position)
-        position += _SEQUENCED.size
+        numbering = SEQUENCED_LAYOUT.unpack_from(payload, position)
+        position += SEQUENCED_LAYOUT.size
     cls, names, layout = _RUN_KINDS[kind & ~_IN_SEQUENCED]
     fields = layout.unpack_from(payload, position)
     position += layout.size
@@ -267,7 +267,7 @@ def _decode(payload: bytes, resolve: Callable[[str], Process]) -> Tuple[str, Any
     for _ in range(count):
         publish, position = from_record(payload, position)
         run.append(publish)
-    if position != len(payload) - _TRAILER.size:
+    if position != len(payload) - FRAME_TRAILER.size:
         raise ValueError("the records do not end where the frame does")
     if cls is Publish:
         (message,) = run

@@ -25,15 +25,15 @@ from repro.sim.kernel import Process, SimulationError, Simulator
 
 
 def _default_sizer(message: Any) -> int:
-    """Crude default message size model: ``repr`` length in bytes.
+    """Default message size model (DESIGN §16), never below 16 bytes.
 
-    The size of every message is the length of its ``repr``, and never
-    below 16.  Event-carrying messages answer ``wire_size()`` with that
-    length without rendering it (see :mod:`repro.overlay.messages`;
+    A message that carries events answers ``wire_size()`` with what its
+    frame costs on a socket, sender name aside, from the records
+    remembered on the events (see :mod:`repro.overlay.messages`;
     duck-typed so the sim layer stays free of overlay imports).
-    Anything else — a control message — is rendered at every send,
-    because it embeds processes whose ``repr`` shows counters that move
-    between sends.
+    Anything else — a control message — costs the length of its
+    ``repr``, rendered at every send because it embeds processes whose
+    ``repr`` shows counters that move between sends.
     """
     wire_size = getattr(message, "wire_size", None)
     size = wire_size() if wire_size is not None else len(repr(message))

@@ -29,7 +29,6 @@ class TestFlowConfig:
             ("control_window", -1),
             ("policy", "coin_flip"),
             ("publisher_queue_capacity", 0),
-            ("publisher_rate", 0.0),
             ("ewma_alpha", 1.5),
             ("overload_low", 0.9),  # >= overload_high
             ("overload_capacity_factor", 0.0),

@@ -1,11 +1,11 @@
 """Byte tables are unchanged by construction — and by measurement.
 
-The reflection plan and the composed wire sizes are pure optimisations:
+The reflection plan and the remembered records are pure optimisations:
 for one seed, ``run_bibliographic`` must book the same bytes on every
-link and emit the same spans as the commit before them (PR 12,
-``f196111``).  Checked two ways: against that commit's numbers, recorded
-from it with the script below, and against its size model and its
-reflection swapped back in (which holds on any interpreter).
+link and emit the same spans as recorded.  Checked two ways: against
+numbers recorded with the script below, and against the size model
+stated the slow way (every data message through ``encode_frame``) and
+the reference reflection swapped in (which holds on any interpreter).
 """
 
 import functools
@@ -23,13 +23,12 @@ from tests.overlay.test_wire_size import reference_size
 
 CONFIG = dict(seed=3, n_subscribers=60, n_events=120, stage_sizes=(6, 3, 1))
 
-#: Recorded at the parent commit, one fresh interpreter per run, from
-#: ``measure()`` below with the unpatched ``MultiStageEventSystem``
-#: given ``tracing=True``.
+#: Recorded one fresh interpreter per run, from ``measure()`` below with
+#: the unpatched ``MultiStageEventSystem`` given ``tracing=True``.
 PARENT = {
-    "total_bytes": 165683,
+    "total_bytes": 201874,
     "total_messages": 640,
-    "links": "ec1c08abfb63e35865d7128ee62e432edac0ff9f27e0ecff9f37167a9b1816e5",
+    "links": "3d2634ce174091e6b9669cc89456e2d4a2ef7b953eba590488183da27f435015",
     "spans": "20d5d5f5067f82a7e3c9f9aabf100455d291bfefce5ed1842aa4415e73100458",
     "n_spans": 756,
 }
@@ -39,7 +38,11 @@ PARENT = {
 #: (``cache``, ``probed``) and the control-plane records of the retired
 #: ``TraceRecorder`` joined the dump as spans (197 of them here:
 #: ``advertise``, ``route-covering``, ``subscriber-insert``, ``joined``;
-#: CHANGES.md, PR 19, has the field-level diff).  The bytes never moved.
+#: CHANGES.md, PR 19, has the field-level diff).  ``total_bytes`` and
+#: ``links`` were re-recorded once, when the size model became "a data
+#: message costs what its frame costs on a socket" (DESIGN §16: 165 683
+#: bytes under the ``repr`` model; messages per link unmoved; CHANGES.md,
+#: PR 24).
 
 
 def measure(monkeypatch, **scenario):

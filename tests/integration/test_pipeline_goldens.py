@@ -28,6 +28,13 @@ in place and renumbered.  Since no span detail depends on the engine
 any more, ``INDEX_WITH_CACHE`` — what a system that asks for the old
 default records — differs from ``GOLDEN`` in ``counters`` alone, which
 is what shows the schedule does not move with the engine.
+
+``total_bytes`` and ``links`` were re-recorded when the simulator
+started to price a data message at what its frame costs on a socket
+(DESIGN §16; per-link message counts unmoved, bytes × 1.23–1.29; the
+field-level diff and the ratio per message kind are in CHANGES.md,
+PR 24).  The other twelve fields did not move, nor did any of the
+fourteen when the on-disk log changed format in the same PR.
 """
 
 import hashlib
@@ -67,8 +74,8 @@ CASES = {
 
 GOLDEN = {'default': {'processed_events': 2666,
              'counters': 'a6e69454f32c588143ff1b635a03fdf0ed1af9085bbb492d95a3eb7fe6bb2180',
-             'total_bytes': 444660,
-             'links': '85602cd703ab3f9511504874eee16f6102baafb049b95df22a36b98e8a559111',
+             'total_bytes': 573203,
+             'links': '9714fdd03e5c2d1db564ecce91f7ac01bc8e42a4af738efd966806f6e7055c91',
              'spans': 'dcdc3ee8197c5277e2378de0ff80038d766f42fce63a609dd31ca3f9a689aa46',
              'n_spans': 2139,
              'delivered': 617,
@@ -81,8 +88,8 @@ GOLDEN = {'default': {'processed_events': 2666,
              'drain_resumes': 0},
  'managed': {'processed_events': 3961,
              'counters': '268481e732ec14dfc37ec0b1cae43cdf1c32d80f47ddf74926fd277329d807ae',
-             'total_bytes': 453470,
-             'links': 'db520fe7352d75e66dbec5688b474c9146d6ddc44a3b61b1766f51432b6666d9',
+             'total_bytes': 559215,
+             'links': 'c57734903fd59da2c94fc423d30963dc539e0a97a93af13e3ea99142716321bd',
              'spans': '26e9f3f51645dc9a0fdc10e6a3a38c7b486d5e5bd0b9bbe9c630f47098f32a70',
              'n_spans': 2417,
              'delivered': 486,
@@ -97,8 +104,8 @@ GOLDEN = {'default': {'processed_events': 2666,
              'drain_resumes': 38},
  'finite_speed': {'processed_events': 2871,
                   'counters': '5618ef4bbe61166f480cd52fb3607ebbd6f4a40e134110f42526d9d986c3439b',
-                  'total_bytes': 445854,
-                  'links': 'e9b39ede4daca42de693d7302226dd410f969ddc7ab9856ecf4720eb7196a522',
+                  'total_bytes': 576711,
+                  'links': '87ec21461bcf7bb8515539b848236d3d08e11772bb766bc906a7b7665503d510',
                   'spans': '00781b66e3ab5c922574ef0d5fb16b2610c9a3a8d1b947b3f72ca3bc86cd3965',
                   'n_spans': 2146,
                   'delivered': 628,

@@ -11,19 +11,22 @@ from repro.filters.filter import Filter
 from repro.filters.parser import parse_filter
 from repro.log import AuditSubscription, EventLog, verify_exactly_once
 from repro.obs.tracing import SUBSCRIBER_STAGE, EventTracer
+from repro.overlay.messages import Publish
 
 
 def build_log(count, symbol="Foo"):
     log = EventLog()
     for seq in range(count):
         log.append(
-            Envelope(
-                metadata=PropertyEvent(
-                    {"class": "Quote", "symbol": symbol, "price": float(seq)}
-                ),
-                payload=b"",
-                published_at=float(seq),
-                event_id=("p", seq),
+            Publish(
+                Envelope(
+                    metadata=PropertyEvent(
+                        {"class": "Quote", "symbol": symbol, "price": float(seq)}
+                    ),
+                    payload=b"",
+                    published_at=float(seq),
+                    event_id=("p", seq),
+                )
             ),
             time=float(seq),
         )

@@ -2,13 +2,16 @@
 
 Covers offset assignment, idempotent appends, time anchoring
 (ISO-8601 <-> simulated seconds), offset/timestamp seeks, segment-granular
-truncation, watermarks, and the JSONL file round-trip."""
+truncation, watermarks, and the segment-file round-trip."""
+
+import os
 
 import pytest
 
 from repro.events.base import PropertyEvent
 from repro.events.serialization import Envelope
-from repro.log import EPOCH_ISO, EventLog, LogRecord, format_point, parse_point
+from repro.log import EPOCH_ISO, EventLog, format_point, parse_point
+from repro.overlay.messages import Publish
 
 
 def envelope(seq, publisher="p", **metadata):
@@ -22,9 +25,13 @@ def envelope(seq, publisher="p", **metadata):
     )
 
 
+def publish(seq, publisher="p", offset=None, **metadata):
+    return Publish(envelope(seq, publisher, **metadata), offset)
+
+
 def fill(log, count, publisher="p", start=0, dt=1.0):
     for seq in range(start, start + count):
-        log.append(envelope(seq, publisher), time=seq * dt)
+        log.append(publish(seq, publisher), time=seq * dt)
 
 
 # ----------------------------------------------------------------------
@@ -69,8 +76,8 @@ def test_offsets_are_dense_and_segments_roll():
 
 def test_append_is_idempotent_on_event_id():
     log = EventLog(segment_size=4)
-    first = log.append(envelope(0), time=0.0)
-    again = log.append(envelope(0), time=5.0)
+    first = log.append(publish(0), time=0.0)
+    again = log.append(publish(0), time=5.0)
     assert again is first
     assert log.next_offset == 1
     assert log.duplicates_skipped == 1
@@ -78,24 +85,24 @@ def test_append_is_idempotent_on_event_id():
 
 def test_append_rejects_time_regression():
     log = EventLog()
-    log.append(envelope(0), time=5.0)
+    log.append(publish(0), time=5.0)
     with pytest.raises(ValueError):
-        log.append(envelope(1), time=4.0)
+        log.append(publish(1), time=4.0)
 
 
 def test_max_source_offset_tracks_highest_root_offset():
     log = EventLog()
     assert log.max_source_offset is None
-    log.append(envelope(0), time=0.0, source_offset=7)
-    log.append(envelope(1), time=1.0, source_offset=3)
+    log.append(publish(0, offset=7), time=0.0)
+    log.append(publish(1, offset=3), time=1.0)
     assert log.max_source_offset == 7
 
 
 def test_watermarks_per_publisher():
     log = EventLog()
-    log.append(envelope(0, "a"), time=0.0)
-    log.append(envelope(2, "a"), time=1.0)
-    log.append(envelope(5, "b"), time=2.0)
+    log.append(publish(0, "a"), time=0.0)
+    log.append(publish(2, "a"), time=1.0)
+    log.append(publish(5, "b"), time=2.0)
     assert log.watermarks() == {"a": 2, "b": 5}
 
 
@@ -107,8 +114,8 @@ def test_watermarks_per_publisher():
 def test_record_at_and_read_from():
     log = EventLog(segment_size=3)
     fill(log, 8)
-    assert log.record_at(0).publish_seq == 0
-    assert log.record_at(7).publish_seq == 7
+    assert log.record_at(0).event_id == ("p", 0)
+    assert log.record_at(7).event_id == ("p", 7)
     assert log.record_at(8) is None
     assert log.record_at(-1) is None
     assert [r.offset for r in log.read_from(5)] == [5, 6, 7]
@@ -129,7 +136,7 @@ def test_offset_for_time_bisects():
 
 def test_seen():
     log = EventLog()
-    log.append(envelope(0), time=0.0)
+    log.append(publish(0), time=0.0)
     assert log.seen(("p", 0))
     assert not log.seen(("p", 1))
 
@@ -162,7 +169,7 @@ def test_truncated_ids_forgotten_but_offsets_stable():
     assert not log.seen(("p", 0))
     # Re-presenting a truncated event appends afresh at a *new* offset
     # (the log never reuses offsets).
-    record = log.append(envelope(0), time=10.0)
+    record = log.append(publish(0), time=10.0)
     assert record.offset == 4
 
 
@@ -171,38 +178,30 @@ def test_truncated_ids_forgotten_but_offsets_stable():
 # ----------------------------------------------------------------------
 
 
-def test_jsonl_round_trip(tmp_path):
+def test_segment_files_round_trip(tmp_path):
     directory = str(tmp_path / "segments")
     log = EventLog("root", segment_size=3, directory=directory)
     fill(log, 7)
     log.append(
-        Envelope(
-            metadata=PropertyEvent({"class": "Quote", "unicode": "süb"}),
-            payload=b"\x00\xff binary",
-            published_at=None,
-            event_id=("q", 0),
+        Publish(
+            Envelope(
+                metadata=PropertyEvent({"class": "Quote", "unicode": "süb"}),
+                payload=b"\x00\xff binary",
+                published_at=None,
+                event_id=("q", 0),
+            ),
+            42,
         ),
         time=7.0,
-        source_offset=42,
     )
     log.close()
+    assert sorted(os.listdir(directory)) == [
+        "root-00000000.seg", "root-00000003.seg", "root-00000006.seg",
+    ]  # fmt: skip
 
     loaded = EventLog.load("root", directory, segment_size=3)
+    assert list(loaded) == list(log)
     assert loaded.next_offset == log.next_offset
     assert loaded.segments() == log.segments()
-    for original, reread in zip(log, loaded):
-        assert reread.offset == original.offset
-        assert reread.time == original.time
-        assert reread.event_id == original.event_id
-        assert reread.source_offset == original.source_offset
-        assert reread.envelope.payload == original.envelope.payload
-        assert dict(reread.envelope.metadata) == dict(original.envelope.metadata)
+    assert loaded.watermarks() == log.watermarks()
     assert loaded.max_source_offset == 42
-
-
-def test_record_json_is_deterministic():
-    record = LogRecord(3, 1.5, envelope(3), source_offset=3)
-    assert record.to_json() == record.to_json()
-    reread = LogRecord.from_json(record.to_json())
-    assert reread.event_id == record.event_id
-    assert reread.envelope.payload == record.envelope.payload

@@ -7,7 +7,10 @@ Pin the algebra the replayer and recovery lean on:
 - ``offset_for_time`` (segment-tail bisection + in-segment bisection)
   agrees with a naive linear scan for arbitrary non-decreasing times;
 - ``truncate_before`` lands on segment boundaries, never splits a
-  segment, and preserves every surviving record and offset.
+  segment, and preserves every surviving record and offset;
+- append -> close -> ``load`` is the identity, value for value and type
+  for type, over the events the frame codec's tests generate (the log
+  stores the codec's record of an event).
 """
 
 import hypothesis.strategies as st
@@ -16,6 +19,13 @@ from hypothesis import given, settings
 from repro.events.base import PropertyEvent
 from repro.events.serialization import Envelope
 from repro.log import EventLog
+from repro.overlay.messages import Publish
+from tests.runtime.test_frame_codec import (
+    canon,
+    odd_values,
+    plain_values,
+    publishes_of,
+)
 
 #: (segment size, non-decreasing append times) — the shape of any log.
 log_shapes = st.tuples(
@@ -32,11 +42,13 @@ def build(segment_size, times):
     log = EventLog(segment_size=segment_size)
     for seq, time in enumerate(times):
         log.append(
-            Envelope(
-                metadata=PropertyEvent({"class": "E", "seq": seq}),
-                payload=b"",
-                published_at=time,
-                event_id=("p", seq),
+            Publish(
+                Envelope(
+                    metadata=PropertyEvent({"class": "E", "seq": seq}),
+                    payload=b"",
+                    published_at=time,
+                    event_id=("p", seq),
+                )
             ),
             time=time,
         )
@@ -56,7 +68,7 @@ def test_append_seek_replay_round_trip(shape, offset):
         record = log.record_at(o)
         if 0 <= o < len(times):
             assert record is not None and record.offset == o
-            assert record.publish_seq == o
+            assert record.event_id == ("p", o)
         else:
             assert record is None
 
@@ -112,3 +124,44 @@ def test_segments_partition_the_offset_space(shape):
         assert 1 <= count <= segment_size
         expected_base = base + count
     assert expected_base == log.next_offset
+
+
+#: Events with an id the log can key on; values of every plain type and
+#: of types only the pickled fallback carries; any root offset.
+logged_publishes = publishes_of(
+    st.one_of(plain_values, odd_values),
+    st.one_of(st.none(), st.tuples(st.text(max_size=4), st.integers(0, 1 << 40))),
+    st.one_of(st.none(), st.floats(), st.sampled_from([-0.0, float("nan")])),
+    st.one_of(st.none(), st.integers(-1, 1 << 40), st.just(2**70)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.lists(
+        st.tuples(logged_publishes, st.floats(min_value=0.0, max_value=1e9)),
+        max_size=10,
+    ),
+    st.booleans(),
+)
+def test_append_close_load_is_the_identity(
+    tmp_path_factory, segment_size, appends, remembered
+):
+    directory = str(tmp_path_factory.mktemp("identity"))
+    log = EventLog("n", segment_size=segment_size, directory=directory)
+    for publish, time in sorted(appends, key=lambda pair: pair[1]):
+        if remembered:  # as at a broker the event reached over a link
+            publish.record()
+        log.append(publish, time)
+    log.close()
+    for reopen in (False, True):
+        loaded = EventLog.load("n", directory, segment_size, reopen=reopen)
+        loaded.close()
+        assert loaded.truncated_records_discarded == 0
+        assert loaded.segments() == log.segments()
+        assert loaded.watermarks() == log.watermarks()
+        assert loaded.max_source_offset == log.max_source_offset
+        assert [
+            canon((r.offset, r.time, r.source_offset, r.envelope)) for r in loaded
+        ] == [canon((r.offset, r.time, r.source_offset, r.envelope)) for r in log]

@@ -91,7 +91,7 @@ def test_a_broker_has_one_match_path():
 
 def test_the_gap_grant_is_not_an_option():
     fields = [field.name for field in dataclasses.fields(FlowConfig)]
-    assert "gap_grant" not in fields and len(fields) == 12
+    assert "gap_grant" not in fields and len(fields) == 10
 
 
 def test_facade_broker_options_are_the_config_fields():

@@ -1,11 +1,14 @@
-"""The size model's one invariant: ``size == max(16, len(repr(message)))``.
+"""The size model's one invariant (DESIGN §16): a data message costs on
+``sim`` what its frame costs on a socket, sender name aside; a control
+message costs the length of its ``repr``; nothing costs less than 16.
 
-The default sizer no longer renders event-carrying messages — a
-``Publish`` remembers its length and the batch kinds add their members'
-up — so every message kind in ``overlay/messages.py`` is priced both
-ways here and the two must agree, byte for byte.  The test is
-parametrised over the module's dataclasses, so a kind added there
-without a case in ``cases()`` fails under its own name.
+The default sizer never encodes a frame — a ``Publish`` remembers its
+record and the messages that carry a run add lengths up — so every
+message kind in ``overlay/messages.py`` is priced both ways here, by
+the sizer and by ``encode_frame``/``repr``, and the two must agree,
+byte for byte.  The test is parametrised over the module's
+dataclasses, so a kind added there without a case in ``cases()`` fails
+under its own name.
 """
 
 import copy
@@ -15,7 +18,6 @@ import pickle
 import pytest
 
 from repro.core.subscription import Subscription
-from repro.events.base import PropertyEvent
 from repro.events.serialization import marshal
 from repro.filters.parser import parse_filter
 from repro.overlay import messages
@@ -63,8 +65,21 @@ MESSAGE_KINDS = sorted(
 )
 
 
+#: The kinds the codec frames as a run of records (bare or inside one
+#: ``Sequenced``): the data plane.
+DATA_KINDS = (Publish, PublishBatch, DataFrame, ReplayBatch, CatchUpBatch)
+
+
+def is_data(message):
+    carried = message.payload if type(message) is Sequenced else message
+    return isinstance(carried, DATA_KINDS)
+
+
 def reference_size(message):
-    """The size model as it was: render the message, count the bytes."""
+    """The size model the slow way: encode the data message's frame (for
+    a sender with no name) or render the control message, and count."""
+    if is_data(message):
+        return max(16, len(encode_frame("", message)))
     return max(16, len(repr(message)))
 
 
@@ -146,7 +161,7 @@ def cases(kind):
             Sequenced(0, 0, CreditGrant(5)),
             Sequenced(1, 17, Unsubscribe(FILTER, node)),
             Sequenced(12, 345, Publish(publishes(1)[0].envelope, 3)),
-            Sequenced(0, 9, Sequenced(1, 2, ReplayBatch(publishes(2)))),
+            Sequenced(0, 9, ReplayBatch(publishes(2))),
         ]
         + [Sequenced(2, 30, CatchUpBatch(7, run)) for run in RUNS],
     }
@@ -155,11 +170,17 @@ def cases(kind):
 
 @pytest.mark.parametrize("kind", MESSAGE_KINDS, ids=lambda kind: kind.__name__)
 def test_size_is_the_length_of_the_repr(kind):
+    """...of the ``repr`` for a control message, of the frame for a data
+    message: ``reference_size`` either way."""
     for message in cases(kind):
         assert isinstance(message, kind)
         assert _default_sizer(message) == reference_size(message), message
-        # A second pricing reads remembered sizes: same answer.
+        # A second pricing reads remembered records: same answer.
         assert _default_sizer(message) == reference_size(message), message
+        if is_data(message):
+            frame = encode_frame("N2.1", message)
+            assert frame[1] & 0x7F, "the case travels as records, not pickled"
+            assert _default_sizer(message) == max(16, len(frame) - len("N2.1"))
 
 
 def test_small_and_foreign_messages_keep_the_floor_and_the_repr_path():
@@ -168,14 +189,17 @@ def test_small_and_foreign_messages_keep_the_floor_and_the_repr_path():
 
 
 def test_a_shared_publish_is_rendered_once_across_hops(monkeypatch):
-    rendered = []
-    render = PropertyEvent.__repr__
+    """Rendered into its record, that is: once, whatever carries it."""
 
-    def counting_render(self):
-        rendered.append(self)
-        return render(self)
+    class CountingPickle:
+        HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
+        dumped = []
 
-    monkeypatch.setattr(PropertyEvent, "__repr__", counting_render)
+        def dumps(self, value, protocol):
+            self.dumped.append(value)
+            return pickle.dumps(value, protocol)
+
+    monkeypatch.setattr(messages, "pickle", CountingPickle())
     publish = publishes(1)[0]
     for message in (
         publish,
@@ -184,7 +208,7 @@ def test_a_shared_publish_is_rendered_once_across_hops(monkeypatch):
         Sequenced(0, 1, ReplayBatch((publish,))),
     ):
         _default_sizer(message)
-    assert len(rendered) == 1
+    assert CountingPickle.dumped == [{"class": "Quote", "symbol": "S", "price": 0.0}]
 
 
 def test_control_message_is_priced_at_each_send():
@@ -213,9 +237,9 @@ def test_control_message_is_priced_at_each_send():
 
 def test_remembered_size_is_invisible_outside_sizing():
     fresh, sized = publishes(1)[0], publishes(1)[0]
+    assert _default_sizer(sized) == len(encode_frame("", publishes(1)[0]))
     frame = encode_frame("feed", PublishBatch((sized,)))
-    assert sized.wire_size() == len(repr(fresh))
-    # Both memos are taken now: the simulated size and the socket record.
+    # The one memo is taken now: pricing built the record the frame holds.
     assert sized.record() is sized.record() and sized.record() in frame
     _, arrived = decode_frame(frame, None)
     (parsed,) = arrived.publishes  # remembers the slice it was parsed from

@@ -39,6 +39,7 @@ from repro.overlay.messages import (
 )
 from repro.runtime.asyncio_backend import decode_frame, encode_frame
 from repro.sim.kernel import Process, Simulator
+from repro.sim.network import _default_sizer
 from repro.streams.spec import Aggregate, FlowSpec, WindowSpec
 
 from tests.overlay.test_wire_size import MESSAGE_KINDS
@@ -361,6 +362,35 @@ def test_forwarding_serialises_nothing(monkeypatch):
     _, logged = decode_frame(frame, resolve)
     assert [p.offset for p in logged.publishes] == [90, 91, 92, 93, 94]
     assert canon(logged.publishes[0].envelope) == canon(run[0].envelope)
+
+
+# ----------------------------------------------------------------------
+# The simulator prices a data message at what its frame costs here
+# ----------------------------------------------------------------------
+
+
+@given(
+    message=st.one_of([message_of(kind, st.none()) for kind in RUN_KINDS]),
+    numbering=st.one_of(st.none(), st.tuples(st.integers(0, 9), st.integers(0, 1 << 40))),
+    sender=sender_names,
+)
+def test_the_simulated_size_is_the_frame_length_sender_name_aside(
+    message, numbering, sender
+):
+    """DESIGN §16's one invariant, for every data message whose events
+    have a record (which is what decides that it travels as records);
+    an event that has none is priced at its pickle, which is the frame
+    of that event sent alone."""
+    if numbering is not None:
+        message = Sequenced(*numbering, message)
+    frame = encode_frame(sender, message)
+    if kind_of(frame) != PICKLED:
+        assert _default_sizer(message) == max(16, len(frame) - len(sender.encode()))
+    run = getattr(message, "payload", message)
+    for publish in (run,) if type(run) is Publish else run.publishes:
+        alone = encode_frame(sender, publish)
+        assert publish.wire_size() == len(alone) - len(sender.encode())
+        assert (publish.record() is None) == (kind_of(alone) == PICKLED)
 
 
 # ----------------------------------------------------------------------
