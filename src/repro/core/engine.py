@@ -131,20 +131,15 @@ class MultiStageEventSystem:
             self.network = Network(
                 self.sim, default_latency=link_latency, tracer=self.tracer
             )
-        elif runtime == "multiprocess":
-            from repro.runtime.multiprocess_backend import (
-                MultiprocessRuntime,
-                MultiprocessTransport,
-            )
-
-            self.sim = MultiprocessRuntime()
-            self.network = MultiprocessTransport(
-                self.sim, default_latency=link_latency, tracer=self.tracer
-            )
         else:
+            # One socket runtime; "multiprocess" only hosts the brokers
+            # in worker processes of their own.
             from repro.runtime.asyncio_backend import AsyncioRuntime, TcpTransport
+            from repro.runtime.multiprocess_backend import MultiprocessRuntime
 
-            self.sim = AsyncioRuntime()
+            self.sim = (
+                MultiprocessRuntime() if runtime == "multiprocess" else AsyncioRuntime()
+            )
             self.network = TcpTransport(
                 self.sim, default_latency=link_latency, tracer=self.tracer
             )
@@ -182,13 +177,6 @@ class MultiStageEventSystem:
                 link_latency=link_latency,
                 tracer=self.tracer,
             )
-        if runtime == "asyncio" and log is not None and log.directory:
-            # Real-runtime semantics: a broker's in-memory log dies with
-            # the crash; restart recovers it from the segment files.
-            # (Workers on "multiprocess" set this themselves from the
-            # spec — there the property holds by construction.)
-            for node in self.hierarchy.nodes():
-                node.recover_log_from_disk = True
         #: Per-stage time-series sampler (armed by :meth:`start_sampling`).
         self.sampler: Optional[StageSampler] = None
         self.ttl = ttl
@@ -215,9 +203,9 @@ class MultiStageEventSystem:
         return f"{prefix}-{self._names}"
 
     def _activate(self, process) -> None:
-        """Backends with remote participants (multiprocess) must bind a
-        local process's data server and announce its port to every
-        worker *before* the first frame referencing it crosses the wire;
+        """Where processes are hosted in other OS processes, a process
+        hosted here must be reachable (its server bound, its port
+        announced) *before* the first frame naming it crosses the wire;
         everywhere else this is a no-op."""
         activate = getattr(self.network, "activate", None)
         if activate is not None:

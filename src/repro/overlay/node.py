@@ -139,13 +139,6 @@ class BrokerNode(Process):
             if log_config is not None
             else None
         )
-        #: Real-runtime crash semantics toggle: when True, :meth:`crash`
-        #: closes and *drops* the in-memory log (it lived in the dead OS
-        #: process) and :meth:`restart` reloads it from the on-disk
-        #: segments.  Set by the engine for asyncio-backend systems with
-        #: ``LogConfig.directory``; the sim default keeps the in-memory
-        #: log across crashes (its durability model).
-        self.recover_log_from_disk = False
         #: Whether the TTL tasks run: the *intent*, set by
         #: ``start_maintenance``/``stop_maintenance``, which a restart
         #: re-arms from (the handles themselves die with the incarnation).
@@ -605,8 +598,9 @@ class BrokerNode(Process):
         and counters (measurement, not broker state) among them.
         """
         # The event log survives (it is what recovery replays against);
-        # under real-runtime semantics only its *files* do.
-        if self.recover_log_from_disk and self.log is not None:
+        # one with a directory survives as its files only, on every
+        # runtime, and restart() reloads them (DESIGN §8).
+        if self.log is not None and self.log_config.directory:
             self.log.close()
             self.log = None
         self._reset_soft_state()
@@ -625,14 +619,13 @@ class BrokerNode(Process):
         restore their filters within one renewal interval.
         """
         if (
-            self.recover_log_from_disk
-            and self.log is None
+            self.log is None
             and self.log_config is not None
             and self.log_config.directory
         ):
-            # Crash-recover the durable log from its segment files (the
-            # only copy under real-runtime semantics); reopen keeps the
-            # tail segment appendable so this incarnation continues it.
+            # Crash-recover the durable log from its segment files (its
+            # only copy once crashed); reopen keeps the tail segment
+            # appendable so this incarnation continues it.
             self.log = EventLog.load(
                 self.name,
                 self.log_config.directory,

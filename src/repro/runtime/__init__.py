@@ -10,10 +10,9 @@ Network`) satisfies them as-is; :mod:`repro.runtime.asyncio_backend`
 provides a second implementation running the same overlay/flow/log code
 on an asyncio event loop over real localhost TCP sockets.
 
-:mod:`repro.runtime.multiprocess_backend` goes one step further and
-puts every broker in its own OS process (spawned workers, the same
-frame codec on the wire, a control RPC for orchestration), making
-``kill`` a genuine SIGKILL.
+:mod:`repro.runtime.multiprocess_backend` runs the same transport with
+every broker hosted in an OS process of its own (spawned workers, a
+control RPC for orchestration), making ``kill`` a genuine SIGKILL.
 
 Backend classes are imported lazily so that importing the protocols
 never drags in the socket or multiprocessing machinery.
@@ -26,7 +25,6 @@ __all__ = [
     "Clock",
     "Executor",
     "MultiprocessRuntime",
-    "MultiprocessTransport",
     "TcpTransport",
     "Timer",
     "Transport",
@@ -38,7 +36,7 @@ def __getattr__(name: str):
         from repro.runtime import asyncio_backend
 
         return getattr(asyncio_backend, name)
-    if name in ("MultiprocessRuntime", "MultiprocessTransport"):
+    if name == "MultiprocessRuntime":
         from repro.runtime import multiprocess_backend
 
         return getattr(multiprocess_backend, name)

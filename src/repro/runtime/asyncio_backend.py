@@ -1,13 +1,21 @@
-"""Real-runtime backend: an asyncio executor and a TCP transport.
+"""The socket runtime: an asyncio executor and a TCP transport.
 
 This module is the second implementation of the :mod:`repro.runtime.base`
 protocols.  :class:`AsyncioRuntime` maps the simulator's timer surface
 onto an asyncio event loop (``schedule`` → ``call_at``, ``now`` → loop
 time since construction), and :class:`TcpTransport` replaces the
 simulated link model with real localhost TCP sockets: every registered
-process gets its own listening server and an FSM-tracked endpoint, and
-``send`` writes length-prefixed binary frames instead of scheduling a
-delivery event.
+process gets an FSM-tracked endpoint, and ``send`` writes
+length-prefixed binary frames instead of scheduling a delivery event.
+
+Placement is what the transport's registry holds: a real
+:class:`~repro.sim.kernel.Process` registered here is hosted in this OS
+process and listens on a server of its own; a :class:`RemoteProcess`
+stand-in is hosted in another OS process, at the port its directory
+entry gives.  ``runtime="asyncio"`` registers only real processes;
+``runtime="multiprocess"`` (:mod:`repro.runtime.multiprocess_backend`)
+runs this same transport in the driver and in every broker worker, each
+hosting its own share.
 
 Framing protocol (one frame per message, DESIGN §13)::
 
@@ -47,19 +55,21 @@ Endpoint FSM (see DESIGN §13)::
     (any) -> STOPPED
 
 ``kill`` closes the endpoint's server and connections mid-flight (frames
-to it are dropped and counted, like the simulator's crash gate);
-``restore`` rebinds the same port, replays the broker's on-disk segment
-log if configured, and lets the normal ChannelReset/renewal recovery
+to it are dropped and counted, like the simulator's crash gate), after
+a SIGKILL of the worker when the process is hosted elsewhere;
+``restore`` takes the same port back — rebinding it here, or spawning a
+fresh worker on it — and lets the normal ChannelReset/renewal recovery
 machinery run over the reopened sockets.
 """
 
 import asyncio
 import io
+import math
 import pickle
 import struct
 import zlib
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.obs.tracing import EventTracer
 from repro.overlay.messages import (
@@ -284,9 +294,11 @@ def _decode(payload: bytes, resolve: Callable[[str], Process]) -> Tuple[str, Any
 
 
 class AsyncioTimer:
-    """One-shot timer satisfying :class:`repro.runtime.base.Timer`."""
+    """A timer satisfying :class:`repro.runtime.base.Timer`: one-shot, or
+    with an ``interval`` recurring like :class:`repro.sim.kernel.
+    RecurringHandle` until cancelled."""
 
-    __slots__ = ("runtime", "time", "callback", "args", "cancelled", "_handle")
+    __slots__ = ("runtime", "time", "interval", "callback", "args", "cancelled", "_handle")
 
     def __init__(
         self,
@@ -294,9 +306,11 @@ class AsyncioTimer:
         time: float,
         callback: Callable[..., None],
         args: tuple,
+        interval: Optional[float] = None,
     ):
         self.runtime = runtime
         self.time = time
+        self.interval = interval
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -304,10 +318,17 @@ class AsyncioTimer:
         runtime._timers.add(self)
 
     def _fire(self) -> None:
-        self.runtime._timers.discard(self)
+        runtime = self.runtime
         if self.cancelled:
             return
-        self.runtime._processed += 1
+        if self.interval is None:
+            runtime._timers.discard(self)
+        else:
+            # Reschedule first, like the sim's RecurringHandle: the callback
+            # sees the next tick armed and may cancel to stop the chain.
+            self.time = runtime.now + self.interval
+            self._handle = runtime._loop.call_at(runtime._t0 + self.time, self._fire)
+        runtime._processed += 1
         self.callback(*self.args)
 
     def cancel(self) -> None:
@@ -317,52 +338,8 @@ class AsyncioTimer:
             self.runtime._timers.discard(self)
 
     def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "pending"
-        return f"AsyncioTimer(t={self.time!r}, {state})"
-
-
-class AsyncioRecurringTimer:
-    """Recurring timer mirroring :class:`repro.sim.kernel.RecurringHandle`."""
-
-    __slots__ = ("runtime", "interval", "callback", "args", "cancelled", "time", "_handle")
-
-    def __init__(
-        self,
-        runtime: "AsyncioRuntime",
-        interval: float,
-        callback: Callable[..., None],
-        args: tuple,
-    ):
-        self.runtime = runtime
-        self.interval = interval
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.time = runtime.now + interval
-        self._handle = runtime._loop.call_at(runtime._t0 + self.time, self._fire)
-        runtime._timers.add(self)
-
-    def _fire(self) -> None:
-        if self.cancelled:
-            return
-        # Reschedule first, like the sim's RecurringHandle: the callback
-        # sees the next tick armed and may cancel to stop the chain.
-        self.time = self.runtime.now + self.interval
-        self._handle = self.runtime._loop.call_at(
-            self.runtime._t0 + self.time, self._fire
-        )
-        self.runtime._processed += 1
-        self.callback(*self.args)
-
-    def cancel(self) -> None:
-        if not self.cancelled:
-            self.cancelled = True
-            self._handle.cancel()
-            self.runtime._timers.discard(self)
-
-    def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "armed"
-        return f"AsyncioRecurringTimer(every={self.interval!r}, {state})"
+        when = f"t={self.time!r}" if self.interval is None else f"every={self.interval!r}"
+        return f"AsyncioTimer({when}, {'cancelled' if self.cancelled else 'pending'})"
 
 
 # ----------------------------------------------------------------------
@@ -379,24 +356,31 @@ class AsyncioRuntime:
     popping its heap.  ``now`` is seconds since construction, so
     published_at stamps and log append times stay small positive floats
     on both backends.
+
+    ``run()`` with no deadline is the drain barrier (DESIGN §13): rounds
+    that ask every participant at once — this process, plus its workers
+    when it has any (:meth:`_round`) — whether it is quiet and how far
+    its frame and event counters have got.
     """
 
     #: ``run(until=None)`` gives up after this many wall seconds even if
     #: the system never goes quiet (retransmitting to a dead peer, say).
     idle_timeout = 30.0
-    #: The system counts as quiet when nothing is in flight and no timer
-    #: is due within this horizon (covers retransmit timers re-arming).
+    #: A participant is quiet when nothing it sent is in flight and no
+    #: one-shot timer of its is due within this horizon (covers
+    #: retransmit timers re-arming).
     idle_horizon = 0.05
-    _idle_poll = 0.01
-    _idle_settle = 3
 
     def __init__(self) -> None:
         self._loop = asyncio.new_event_loop()
         self._t0 = self._loop.time()
         self._processed = 0
+        #: Frames handed to the transport, ever (the barrier's frame counter).
+        self._sent = 0
         self._timers: set = set()
-        #: Frames sent but not yet dispatched or dropped (maintained by
-        #: the transport); the wire-occupancy half of the idle check.
+        #: Frames sent but not yet dispatched, written to another OS
+        #: process or dropped (maintained by the transport: the count of
+        #: its ``_wire`` entries).
         self._inflight = 0
         self._closed = False
 
@@ -436,12 +420,12 @@ class AsyncioRuntime:
 
     def every(
         self, interval: float, callback: Callable[..., None], *args: Any
-    ) -> AsyncioRecurringTimer:
+    ) -> AsyncioTimer:
         if interval <= 0:
             raise SimulationError(
                 f"recurring interval must be positive, got {interval}"
             )
-        return AsyncioRecurringTimer(self, interval, callback, args)
+        return AsyncioTimer(self, self.now + interval, callback, args, interval)
 
     # -- driving the loop ----------------------------------------------
 
@@ -459,12 +443,10 @@ class AsyncioRuntime:
         if self._closed:
             raise SimulationError("runtime is closed")
         before = self._processed
-        if until is not None:
-            remaining = until - self.now
-            if remaining > 0:
-                self._loop.run_until_complete(asyncio.sleep(remaining))
-        else:
-            self._loop.run_until_complete(self._drive_idle())
+        if until is None:
+            self._loop.run_until_complete(self._drain())
+        elif until > self.now:
+            self._loop.run_until_complete(asyncio.sleep(until - self.now))
         return self._processed - before
 
     def run_until(
@@ -487,23 +469,46 @@ class AsyncioRuntime:
                 return True
         return predicate()
 
-    async def _drive_idle(self) -> None:
+    async def _drain(self) -> None:
+        """Rounds until two in a row find every live participant quiet
+        and no participant's counters moved since the round before."""
         deadline = self.now + self.idle_timeout
-        settle = 0
-        while self.now < deadline:
-            await asyncio.sleep(self._idle_poll)
-            if self._inflight == 0 and not self._timer_due_within(self.idle_horizon):
-                settle += 1
-                if settle >= self._idle_settle:
-                    return
-            else:
-                settle = 0
+        last, still = None, 0
+        while still < 2 and self.now < deadline:
+            reports = await self._round()
+            counters = {
+                name: (report.get("sent"), report.get("processed"))
+                for name, report in reports.items()
+                if report["alive"]
+            }
+            quiet = all(reports[name].get("quiet") for name in counters)
+            still = still + 1 if quiet and counters == last else 0
+            last = counters
+            # Frames in flight here, or everything quiet: the next round
+            # at once (it yields to the loop).  A timer due soon: its time.
+            due = 0.0 if self._inflight else self._next_due() - self.now
+            await asyncio.sleep(due if 0 < due <= self.idle_horizon else 0)
 
-    def _timer_due_within(self, horizon: float) -> bool:
-        cutoff = self.now + horizon
-        return any(
-            not timer.cancelled and timer.time <= cutoff
-            for timer in self._timers
+    async def _round(self) -> Dict[str, Dict[str, Any]]:
+        """Every participant's report, asked at once: here, this process's."""
+        return {"": self._report()}
+
+    def _report(self) -> Dict[str, Any]:
+        """This process as a participant of the drain barrier."""
+        return {
+            "alive": True,
+            "quiet": self._inflight == 0
+            and self._next_due() > self.now + self.idle_horizon,
+            "sent": self._sent,
+            "processed": self._processed,
+        }
+
+    def _next_due(self) -> float:
+        """When the earliest one-shot timer is due (a recurring one never
+        lets the system go quiet, so it is no reason to wait)."""
+        return min(
+            (timer.time for timer in self._timers if timer.interval is None),
+            default=math.inf,
         )
 
     def close(self) -> None:
@@ -531,11 +536,47 @@ class AsyncioRuntime:
 # ----------------------------------------------------------------------
 
 
+class RemoteProcess(Process):
+    """A name-addressable stand-in for a process hosted elsewhere.
+
+    Subclassing :class:`Process` is load-bearing twice over: the frame
+    codec's ``persistent_id`` hook serializes any ``Process`` as a name
+    ref, and the transport registry returns one singleton per name, so
+    overlay identity checks (``sender is self.parent``, ``s.home is
+    sender``) hold across the wire.  Receiving locally is a bug by
+    construction — frames for a remote process go out a socket, never
+    through ``receive``.
+    """
+
+    is_broker = False
+
+    def receive(self, message: Any, sender: Optional[Process] = None) -> None:
+        raise SimulationError(
+            f"{self.name!r} is remote: frames for it must cross the wire, "
+            f"not be delivered in-process"
+        )
+
+
+class _Wire(deque):
+    """One directed pair's frames in flight, their sizes in send order.
+    The first ``written`` have been written toward a receiver hosted
+    here; they are a prefix because frames of a pair are written in
+    order."""
+
+    __slots__ = ("written",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.written = 0
+
+
 class _Endpoint:
     """One process's socket presence: server, connections, FSM state."""
 
     __slots__ = (
         "process",
+        "local",
+        "kills",
         "server",
         "port",
         "state",
@@ -548,6 +589,12 @@ class _Endpoint:
 
     def __init__(self, process: Process):
         self.process = process
+        #: Hosted in this OS process (its server is bound here) rather
+        #: than a stand-in for one hosted elsewhere.
+        self.local = not isinstance(process, RemoteProcess)
+        #: ``kill`` calls so far: a connection opened or accepted before
+        #: the latest one leads to, or from, a dead incarnation.
+        self.kills = 0
         self.server: Optional[asyncio.AbstractServer] = None
         self.port: Optional[int] = None
         self.state = INIT
@@ -594,22 +641,26 @@ class TcpTransport:
         self.tracer = tracer if tracer is not None else EventTracer(enabled=False)
         self._endpoints: Dict[str, _Endpoint] = {}
         self._by_name: Dict[str, Process] = {}
+        #: Names of the registered stand-ins: processes hosted elsewhere.
+        self._elsewhere: Set[str] = set()
         self._links: Dict[Tuple[str, str], Link] = {}
         self._pair_locks: Dict[Tuple[str, str], asyncio.Lock] = {}
-        #: In-flight frame sizes per directed pair — the canonical wire
+        #: In-flight frames per directed pair — the canonical wire
         #: occupancy registry.  Every frame that increments
         #: ``runtime._inflight`` pushes an entry here, and exactly one of
-        #: the three exits pops it: dispatch at the receiver, a failed
-        #: write, or the kill-teardown reconciliation (a frame written
+        #: four exits pops it: a failed write; a completed write to a
+        #: receiver hosted elsewhere (whose process books the arrival);
+        #: and, once written toward a receiver hosted here, its dispatch
+        #: there or the kill-teardown reconciliation (a frame written
         #: into a killed endpoint's socket buffer is never read, so
         #: without the teardown sweep the counter leaks and ``run()``
         #: burns its full idle timeout).
-        self._wire: Dict[Tuple[str, str], Deque[int]] = {}
+        self._wire: Dict[Tuple[str, str], _Wire] = {}
         #: Dispatch/codec failures (tests assert this stays empty).
         self.errors: List[str] = []
         self._closed = False
 
-    # -- registry ------------------------------------------------------
+    # -- registry: what is hosted here, and where the rest is ---------
 
     def register(self, process: Process) -> _Endpoint:
         """Make a process addressable (idempotent; names must be unique)."""
@@ -621,9 +672,28 @@ class TcpTransport:
         self._by_name[process.name] = process
         endpoint = self._endpoints.get(process.name)
         if endpoint is None:
-            endpoint = _Endpoint(process)
-            self._endpoints[process.name] = endpoint
+            endpoint = self._endpoints[process.name] = _Endpoint(process)
+            if not endpoint.local:
+                self._elsewhere.add(process.name)
         return endpoint
+
+    def place(self, process: Process, port: Optional[int]) -> None:
+        """A directory entry: the stand-in ``process`` is hosted elsewhere
+        and listens on ``port`` (``None`` while that is not known)."""
+        endpoint = self.register(process)
+        if port is not None:
+            endpoint.port = port
+
+    def activate(self, process: Process) -> None:
+        """Make a process hosted here reachable from the processes hosted
+        elsewhere before the first frame naming it leaves: bind its
+        server now and have the runtime announce its port.  With nothing
+        hosted elsewhere there is no one to tell, and a server binds on
+        first contact."""
+        endpoint = self.register(process)
+        if self._elsewhere:
+            self.runtime._loop.run_until_complete(self._ensure_server(endpoint))
+            self.runtime.announce_local(process.name, endpoint.port)
 
     def connect(self, a: Process, b: Process, latency: Optional[float] = None) -> None:
         """Declare a link: registers both ends (latency is the kernel's)."""
@@ -635,7 +705,13 @@ class TcpTransport:
     def lookup(self, name: str) -> Process:
         process = self._by_name.get(name)
         if process is None:
-            raise ValueError(f"unknown process reference {name!r}")
+            if not self._elsewhere:
+                raise ValueError(f"unknown process reference {name!r}")
+            # Where some processes are hosted elsewhere, a directory entry
+            # can trail the first frame naming its process: a portless
+            # stand-in now, its port with the next ``place``.
+            process = RemoteProcess(self.runtime, name)
+            self.register(process)
         return process
 
     def endpoint(self, process: Process) -> _Endpoint:
@@ -672,14 +748,14 @@ class TcpTransport:
             self.stats.record_drop(link, size)
             return
         self.stats.record_scheduled()
-        self.runtime._inflight += 1
+        runtime = self.runtime
+        runtime._inflight += 1
+        runtime._sent += 1
         wire = self._wire.get((src.name, dst.name))
         if wire is None:
-            wire = self._wire[(src.name, dst.name)] = deque()
+            wire = self._wire[(src.name, dst.name)] = _Wire()
         wire.append(size)
-        self.runtime._loop.create_task(
-            self._deliver(src.name, dst.name, payload, size)
-        )
+        runtime._loop.create_task(self._deliver(src.name, dst.name, payload, size))
 
     async def _deliver(
         self, src_name: str, dst_name: str, payload: bytes, size: int
@@ -697,38 +773,50 @@ class TcpTransport:
         if lock is None:
             lock = self._pair_locks[pair] = asyncio.Lock()
         frame = size.to_bytes(_HEADER_SIZE, "big") + payload
+        dst_ep = self._endpoints[dst_name]
+        wire, written = self._wire[pair], False
         try:
             async with lock:
-                # A cached connection can be a silently dead socket (the
-                # peer was killed and restarted since the last frame), so
-                # one failed write earns one reconnect.  Only a failure on
-                # a *fresh* connection is a genuine dead-peer drop.
+                # A cached connection to another OS process can be a
+                # silently dead socket (its worker was killed and
+                # restarted since the last frame), so one failed write
+                # earns one reconnect.  Only a failure on a *fresh*
+                # connection is a genuine dead-peer drop.
                 for attempt in (0, 1):
-                    writer = await self._writer_for(src_name, dst_name)
-                    try:
-                        writer.write(frame)
+                    kills = dst_ep.kills
+                    writer = await self._writer_for(src_name, dst_ep)
+                    if dst_ep.kills != kills:
+                        raise ConnectionRefusedError(f"{dst_name} was killed")
+                    writer.write(frame)
+                    if dst_ep.local:
+                        # Settled where it is read, or by the kill that
+                        # keeps it from being read.
+                        wire.written += 1
+                        written = True
                         await writer.drain()
-                        self._frame_written(src_name, dst_name, size)
                         return
+                    try:
+                        await writer.drain()
+                        break
                     except (ConnectionError, OSError):
                         self._invalidate_writer(src_name, dst_name)
                         if attempt:
                             raise
+            # Its receiver lives in another OS process and books the
+            # arrival there: a completed write is this process's last
+            # sight of the frame.
+            self._unwire(wire)
+            self.stats.record(self._links[pair], size)
         except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            self._drop_in_flight(src_name, dst_name, size)
             self._invalidate_writer(src_name, dst_name)
+            if not written:
+                self._unwire(wire)
+                self.stats.record_drop(self._links.get(pair), size)
         except asyncio.CancelledError:
-            self._drop_in_flight(src_name, dst_name, size)
+            if not written:
+                self._unwire(wire)
+                self.stats.record_drop(self._links.get(pair), size)
             raise
-
-    def _frame_written(self, src_name: str, dst_name: str, size: int) -> None:
-        """Hook: one frame fully handed to the kernel for ``dst``.
-
-        No-op here — in-process delivery settles at dispatch.  Subclasses
-        whose receivers live in *other processes* (the multiprocess
-        backend's remote endpoints) settle the frame at write success
-        instead, since the local loop will never see the dispatch.
-        """
 
     def _invalidate_writer(self, src_name: str, dst_name: str) -> None:
         src_ep = self._endpoints.get(src_name)
@@ -737,28 +825,35 @@ class TcpTransport:
             if stale is not None:
                 stale.close()
 
+    def _unwire(self, wire: _Wire) -> None:
+        """Settle the frame being written on the pair, the first of its
+        frames not written yet (the pair lock's holder)."""
+        del wire[wire.written]
+        self.stats.record_arrival()
+        self.runtime._inflight -= 1
+
     def _settle(self, src_name: str, dst_name: str) -> bool:
-        """Claim one in-flight frame on the pair: pop its wire entry and
-        decrement the occupancy counters.  Returns False when the frame
-        was already settled (the kill-teardown reconciliation got there
-        first), in which case the caller must not account it again."""
+        """Claim the frame being read here: the oldest written on the
+        pair.  Returns False when there is none — the frame came from
+        another OS process, or a kill booked it already — in which case
+        the caller must not account it again."""
         wire = self._wire.get((src_name, dst_name))
-        if not wire:
+        if wire is None or not wire.written:
             return False
         wire.popleft()
+        wire.written -= 1
         self.stats.record_arrival()
         self.runtime._inflight -= 1
         return True
 
-    def _drop_in_flight(self, src_name: str, dst_name: str, size: int) -> None:
-        if self._settle(src_name, dst_name):
-            self.stats.record_drop(self._links.get((src_name, dst_name)), size)
-
     async def _writer_for(
-        self, src_name: str, dst_name: str
+        self, src_name: str, dst_ep: _Endpoint
     ) -> asyncio.StreamWriter:
-        dst_ep = self._endpoints[dst_name]
-        await self._ensure_server(dst_ep)
+        if dst_ep.local:
+            await self._ensure_server(dst_ep)
+        dst_name = dst_ep.process.name
+        if dst_ep.state in (CRASHED, RECOVERING):
+            raise ConnectionRefusedError(f"{dst_name} is down")
         if dst_ep.port is None:
             raise ConnectionRefusedError(f"{dst_name} has no bound port")
         src_ep = self._endpoints[src_name]
@@ -771,7 +866,7 @@ class TcpTransport:
     # -- receiving -----------------------------------------------------
 
     async def _ensure_server(self, endpoint: _Endpoint) -> None:
-        """Bind the endpoint's listening server on first contact.
+        """Bind a hosted endpoint's listening server on first contact.
 
         Lazy binding happens only from INIT: every later rebinding is
         owned by :meth:`restore`, and racing it here would steal the
@@ -785,13 +880,33 @@ class TcpTransport:
             if endpoint.server is not None or endpoint.state != INIT:
                 return
             endpoint.transition(BINDING)
-            endpoint.server = await asyncio.start_server(
-                lambda reader, writer: self._serve_client(endpoint, reader, writer),
-                self.host,
-                endpoint.port or 0,
-            )
-            endpoint.port = endpoint.server.sockets[0].getsockname()[1]
-            endpoint.transition(LISTENING)
+            await self._listen(endpoint)
+
+    async def _listen(self, endpoint: _Endpoint) -> None:
+        """Start the endpoint's server on its port, or any port while it
+        has none.  A port given up a moment ago may still be in a
+        lingering close: back off briefly and try again.  A kill while
+        this binds wins: the server was for an incarnation now gone."""
+        kills, delay = endpoint.kills, 0.01
+        while True:
+            try:
+                server = await asyncio.start_server(
+                    lambda reader, writer: self._serve_client(endpoint, reader, writer),
+                    self.host,
+                    endpoint.port or 0,
+                )
+                break
+            except OSError:
+                if delay > 2.0:
+                    raise
+                await asyncio.sleep(delay)
+                delay *= 2
+        if endpoint.kills != kills:
+            server.close()
+            raise ConnectionRefusedError(f"{endpoint.process.name} was killed")
+        endpoint.server = server
+        endpoint.port = server.sockets[0].getsockname()[1]
+        endpoint.transition(LISTENING)
 
     async def _serve_client(
         self,
@@ -801,6 +916,7 @@ class TcpTransport:
     ) -> None:
         """Per-inbound-connection read loop: frame in, dispatch."""
         endpoint.inbound.append(writer)
+        kills = endpoint.kills
         try:
             while True:
                 header = await reader.readexactly(_HEADER_SIZE)
@@ -813,6 +929,10 @@ class TcpTransport:
                     )
                     break
                 payload = await reader.readexactly(size - _HEADER_SIZE)
+                if endpoint.kills != kills:
+                    # Left in the buffers of an incarnation since killed:
+                    # the kill booked whatever of it was this process's.
+                    break
                 self._dispatch(endpoint, payload, size)
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             pass
@@ -875,7 +995,7 @@ class TcpTransport:
                 (
                     src
                     for (src, dst), wire in self._wire.items()
-                    if dst == dst_name and wire
+                    if dst == dst_name and wire.written
                 ),
                 None,
             )
@@ -891,21 +1011,29 @@ class TcpTransport:
     def kill(self, process: Process) -> None:
         """Fail-stop the process *and* its socket presence.
 
-        ``process.crash()`` runs synchronously (soft state is wiped, the
-        on-disk log closed); the server teardown lands on the loop and
-        completes in the next driven round.  Peers' cached connections
-        die with it — their next frame is dropped and counted.
+        Hosted elsewhere, its OS process is SIGKILLed first and the call
+        returns once the OS reports it gone (the only kill-ack a
+        fail-stop crash can give).  Either way ``process.crash()`` runs
+        synchronously (soft state is wiped, a log directory closed), and
+        the socket teardown lands on the loop, completing in the next
+        driven round: peers' cached connections die with it, their next
+        frame is dropped and counted, and frames already written toward
+        the endpoint are settled as drops.
 
-        Idempotent: killing an already-crashed endpoint is a no-op.  A
-        second ``crash()`` is one too (every process kind returns at
-        once when it is already down), but overwriting
-        ``endpoint.teardown`` would orphan the first teardown task and
-        let a later ``restore`` race the still-closing server socket.
+        Idempotent: killing an endpoint whose process is down — crashed,
+        or recovering inside ``restore`` — is a no-op.  A second
+        ``crash()`` is one too (every process kind returns at once when
+        it is already down), but overwriting ``endpoint.teardown`` would
+        orphan the first teardown task and let a later ``restore`` race
+        the still-closing server socket.
         """
         endpoint = self._endpoints[process.name]
-        if endpoint.state == CRASHED:
+        if endpoint.state in (CRASHED, RECOVERING):
             return
+        if not endpoint.local:
+            self.runtime.kill_worker(process.name)
         process.crash()
+        endpoint.kills += 1
         endpoint.transition(CRASHED)
         endpoint.teardown = self.runtime._loop.create_task(
             self._teardown_endpoint(endpoint)
@@ -937,21 +1065,29 @@ class TcpTransport:
         self._reconcile_in_flight(endpoint.process.name)
 
     def _reconcile_in_flight(self, dst_name: str) -> None:
-        """Book every unsettled frame bound for ``dst_name`` as a drop."""
+        """Book every frame written toward ``dst_name`` and not read as a
+        drop (one not written yet is its writer's to settle)."""
         for (src, dst), wire in self._wire.items():
             if dst != dst_name:
                 continue
             link = self._links.get((src, dst))
-            while wire:
+            while wire.written:
                 size = wire.popleft()
+                wire.written -= 1
                 self.stats.record_arrival()
                 self.runtime._inflight -= 1
                 self.stats.record_drop(link, size)
 
     def restore(self, process: Process) -> None:
-        """Bring a killed process back: rebind the same port, then run
-        the normal restart recovery (ChannelReset, renewals, and — for
-        brokers configured for it — the on-disk log reload)."""
+        """Bring a killed process back on its old port, then run the
+        normal restart recovery (ChannelReset, renewals, a log directory
+        reloaded from its files — DESIGN §8).
+
+        Hosted here, its server is rebound; hosted elsewhere, a fresh OS
+        process is spawned on the port and recovers from the on-disk log
+        alone.  Called between runs, not from a loop callback: it drives
+        the loop until the port is taken again.
+        """
         endpoint = self._endpoints[process.name]
         if endpoint.state != CRASHED:
             raise SimulationError(
@@ -960,35 +1096,17 @@ class TcpTransport:
                 f"process would start a second server on its port"
             )
         endpoint.transition(RECOVERING)
-
-        async def _restore() -> None:
-            if endpoint.teardown is not None:
-                # The kill's socket teardown may still be in flight; the
-                # port cannot be rebound until the old server is closed.
-                await endpoint.teardown
-                endpoint.teardown = None
-            delay = 0.01
-            while True:
-                try:
-                    endpoint.server = await asyncio.start_server(
-                        lambda reader, writer: self._serve_client(
-                            endpoint, reader, writer
-                        ),
-                        self.host,
-                        endpoint.port or 0,
-                    )
-                    break
-                except OSError:
-                    # Lingering close on the old socket; back off briefly.
-                    if delay > 2.0:
-                        raise
-                    await asyncio.sleep(delay)
-                    delay *= 2
-            endpoint.port = endpoint.server.sockets[0].getsockname()[1]
+        loop = self.runtime._loop
+        if endpoint.teardown is not None:
+            # The port cannot be taken again until the old sockets close.
+            loop.run_until_complete(endpoint.teardown)
+            endpoint.teardown = None
+        if endpoint.local:
+            loop.run_until_complete(self._listen(endpoint))
+        else:
+            self.runtime.restore_worker(process.name)
             endpoint.transition(LISTENING)
-            process.restart()
-
-        self.runtime._loop.create_task(_restore())
+        process.restart()
 
     # -- teardown ------------------------------------------------------
 

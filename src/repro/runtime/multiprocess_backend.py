@@ -1,32 +1,19 @@
-"""Multi-process backend: every broker is its own OS process.
+"""Multi-process placement: every broker hosted in its own OS process.
 
-PR 8's asyncio backend put the whole overlay on one event loop in one
-process, so "crash" was still cooperative — ``kill`` ran ``crash()``
-in-process and the broker's Python objects (channel epochs, cached
-writers, the in-memory log) conveniently survived to help recovery
-along.  This backend removes the convenience: each broker runs in a
-child process spawned via :mod:`multiprocessing`, ``kill`` is a real
-``SIGKILL`` with no teardown of any kind, and restart is a *fresh
+The transport is the asyncio backend's one
+:class:`~repro.runtime.asyncio_backend.TcpTransport`, in the driver and
+in each worker alike; what differs is which processes an OS process
+hosts.  Each broker runs in a child process spawned via
+:mod:`multiprocessing` that hosts that broker and nothing else; the
+driver hosts the publishers and subscribers.  Every process hosted
+elsewhere is a :class:`~repro.runtime.asyncio_backend.RemoteProcess` /
+:class:`BrokerProxy` stand-in registered at the same name, at the port
+its directory entry gives; because the stand-ins are per-name
+singletons, identity checks in overlay code (``sender is self.parent``,
+``s.home is sender``) keep working across the wire.  ``kill`` is a real
+``SIGKILL`` with no teardown of any kind, and restore is a *fresh
 process* that recovers solely from the on-disk :class:`EventLog`
 segments and the paper's §4.3 refresh-or-restore renewals.
-
-Wire protocol
--------------
-
-The asyncio backend's, unchanged: length-prefixed binary frames
-(:func:`repro.runtime.asyncio_backend.encode_frame` — events as records
-a broker process forwards without re-serialising or opening them,
-everything else pickled), with ``Process`` references travelling as
-name refs.  Frames carry a source name but no destination — addressing
-is *which server socket the frame arrives at* — so the
-one-listening-server-per-process model maps directly onto processes:
-each worker binds one data server for its broker, and the driver binds
-one per local publisher/subscriber.  Name refs resolve
-against each process's local registry, where every non-local name is a
-:class:`RemoteProcess` / :class:`BrokerProxy` stand-in registered at
-the same name.  Because the stand-ins are per-name singletons, identity
-checks in overlay code (``sender is self.parent``, ``s.home is
-sender``) keep working across the wire.
 
 Control RPC
 -----------
@@ -38,60 +25,40 @@ startup and speaks newline-delimited JSON:
   "pid"}`` — the data port it bound, reported before any traffic flows.
 - **register**: driver -> worker directory updates (name, port, stage)
   as publishers/subscribers bind or workers restart.
-- **drain**: the worker awaits local idleness (nothing in flight, no
-  timer due) within a budget and reports it — the driver's drain
-  barrier.
 - **stats**: a snapshot (queue depth, log length, table size,
-  incarnation, ``NetworkStats``) that ``run_until`` predicates and the
-  metrics surface read on the driver.
-- **maintenance** / **ping** / **stop**: the obvious.
+  incarnation, ``NetworkStats``, and the drain barrier's quiet flag and
+  counters) — one round of the barrier, and what :meth:`BrokerProxy.stat`
+  reads.
+- **maintenance** / **stop**: the obvious.
 
 Kill and restore
 ----------------
 
 ``kill`` sends SIGKILL and *joins the process* — the kill-ack is the
 OS reporting it gone, not the victim acking anything.  ``restore``
-spawns a fresh worker with the same name, the same data port (peers'
-directories stay valid; their one-reconnect-per-dead-cached-writer
-logic reaches the rebound server), a frozen directory snapshot, and an
-incarnation base strictly above anything peers have seen.  The fresh
-worker builds its broker with *no* log, then drives ``crash()`` +
-``restart()``: ``restart`` reloads the log via ``EventLog.load(...,
-reopen=True)``, announces ``ChannelReset`` to its tree neighbours and
-the replay root, and schedules the replay request — the identical
-recovery path the simulator exercises, now with genuinely nothing left
-in memory to cheat with.
+spawns a fresh worker with the same name and data port (peers'
+directories stay valid), a frozen directory snapshot, and an
+incarnation base strictly above anything peers have seen; it builds
+its broker and drives ``crash()`` + ``restart()``: the recovery path
+the simulator exercises, from the log's files alone (DESIGN §8).
 """
 
 import asyncio
 import json
+import math
 import multiprocessing
 import os
-import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.metrics.counters import NodeCounters
 from repro.obs.tracing import EventTracer
 from repro.overlay.config import BrokerConfig
 from repro.overlay.hierarchy import Hierarchy, build_tree
 from repro.overlay.node import BrokerNode
-from repro.runtime.asyncio_backend import (
-    BINDING,
-    CRASHED,
-    INIT,
-    RECOVERING,
-    AsyncioRuntime,
-    TcpTransport,
-)
+from repro.runtime.asyncio_backend import AsyncioRuntime, RemoteProcess, TcpTransport
 from repro.sim.kernel import Process, SimulationError
 from repro.sim.rng import RngRegistry
-
-#: Endpoint FSM state for processes that live in *another* OS process:
-#: the local transport connects out to their port but never binds a
-#: server for them.  ``_ensure_server`` only binds from INIT/BINDING,
-#: so a REMOTE endpoint can never accidentally become local.
-REMOTE = "remote"
 
 _SPAWN = multiprocessing.get_context("spawn")
 
@@ -139,35 +106,16 @@ class WorkerSpec:
 
 
 # ----------------------------------------------------------------------
-# Remote stand-ins
+# The driver's stand-in for a broker
 # ----------------------------------------------------------------------
 
 
-class RemoteProcess(Process):
-    """A name-addressable stand-in for a process living elsewhere.
-
-    Subclassing :class:`Process` is load-bearing twice over: the frame
-    codec's ``persistent_id`` hook serializes any ``Process`` as a name
-    ref, and the transport registry returns one singleton per name, so
-    overlay identity checks hold across the wire.  Receiving locally is
-    a bug by construction — frames for a remote process go out a
-    socket, never through ``receive``.
-    """
-
-    is_broker = False
-
-    def receive(self, message: Any, sender: Optional[Process] = None) -> None:
-        raise SimulationError(
-            f"{self.name!r} is remote: frames for it must cross the wire, "
-            f"not be delivered in-process"
-        )
-
-
 class BrokerProxy(RemoteProcess):
-    """Remote stand-in for a broker: carries the topology facts local
-    code reads off a neighbour (``stage``, ``parent``,
+    """Stand-in for a broker hosted elsewhere: carries the topology
+    facts local code reads off a neighbour (``stage``, ``parent``,
     ``broker_children``, the ``is_broker`` duck-type marker) plus the
-    latest driver-side stats ``snapshot`` for predicates and metrics."""
+    worker's latest stats ``snapshot``, which :meth:`stat` fetches again
+    on read once it is older than the runtime's ``stats_interval``."""
 
     is_broker = True
 
@@ -179,6 +127,8 @@ class BrokerProxy(RemoteProcess):
         #: Latest worker-reported state (see ``_BrokerWorker._snapshot``);
         #: ``{"alive": False}`` when the worker is down.
         self.snapshot: Dict[str, Any] = {}
+        #: ``sim.now`` when ``snapshot`` was taken (-inf: fetch on read).
+        self.fetched_at = -math.inf
         self.counters = NodeCounters()
 
     def attach_child(self, child: Process) -> None:
@@ -186,110 +136,16 @@ class BrokerProxy(RemoteProcess):
         self.broker_children.append(child)
 
     def stat(self, key: str, default: Any = None) -> Any:
+        runtime = self.sim
+        if (
+            runtime.now - self.fetched_at >= runtime.stats_interval
+            and not runtime.loop.is_running()
+        ):
+            runtime.loop.run_until_complete(runtime._poll_workers([self.name]))
         return self.snapshot.get(key, default)
 
     def queue_depth(self) -> int:
-        return int(self.snapshot.get("queue_depth") or 0)
-
-
-# ----------------------------------------------------------------------
-# Transport (shared remote-routing behaviour + driver specialization)
-# ----------------------------------------------------------------------
-
-
-class _RemoteRoutingTransport(TcpTransport):
-    """TcpTransport that knows some endpoints live in other processes."""
-
-    def __init__(self, *args: Any, **kwargs: Any):
-        super().__init__(*args, **kwargs)
-        self._remote: Set[str] = set()
-
-    def register_remote(
-        self, process: Process, port: Optional[int] = None
-    ) -> Any:
-        """Register a process whose server socket belongs to another OS
-        process: record its port (when known) and pin the endpoint in
-        the REMOTE state so it is never lazily bound here."""
-        endpoint = self.register(process)
-        self._remote.add(process.name)
-        if port is not None:
-            endpoint.port = port
-        if endpoint.state in (INIT, BINDING):
-            endpoint.transition(REMOTE)
-        return endpoint
-
-    def set_remote_port(self, name: str, port: Optional[int]) -> None:
-        endpoint = self._endpoints.get(name)
-        if endpoint is not None:
-            endpoint.port = port
-
-    def _frame_written(self, src_name: str, dst_name: str, size: int) -> None:
-        """A frame fully written toward a remote endpoint will never be
-        dispatched by *this* loop — the receiving process accounts its
-        own arrival.  Settle it here (write success is this process's
-        last sight of the frame) so the local idle detector works."""
-        if dst_name not in self._remote:
-            return
-        if self._settle(src_name, dst_name):
-            link = self._links.get((src_name, dst_name))
-            if link is not None:
-                self.stats.record(link, size)
-
-
-class MultiprocessTransport(_RemoteRoutingTransport):
-    """Driver-side transport: local publishers/subscribers, remote
-    brokers, and kill/restore that operate on worker *processes*."""
-
-    def activate(self, process: Process) -> None:
-        """Bind ``process``'s data server now and announce its port to
-        every worker, synchronously — a local process must be reachable
-        before the first frame referencing it crosses the wire."""
-        endpoint = self.register(process)
-        if endpoint.state in (INIT, BINDING):
-            self.runtime._loop.run_until_complete(self._ensure_server(endpoint))
-        self.runtime.announce_local(process.name, endpoint.port)
-
-    def kill(self, process: Process) -> None:
-        """Fail-stop: SIGKILL for workers, PR 8 semantics otherwise.
-
-        For a worker the sequence is: SIGKILL + join (the kill-ack is
-        the OS reporting the pid gone), then the same endpoint teardown
-        as the in-process backend — cached writers die, in-flight
-        frames reconcile as drops.  Idempotent like the base edge.
-        """
-        if not self.runtime.owns_worker(process.name):
-            super().kill(process)
-            return
-        endpoint = self._endpoints[process.name]
-        if endpoint.state == CRASHED:
-            return
-        self.runtime.kill_worker(process.name)
-        process.crash()
-        endpoint.transition(CRASHED)
-        endpoint.teardown = self.runtime._loop.create_task(
-            self._teardown_endpoint(endpoint)
-        )
-
-    def restore(self, process: Process) -> None:
-        """Restart a SIGKILL'd worker as a fresh process on its old
-        port, recovering from the on-disk log alone."""
-        if not self.runtime.owns_worker(process.name):
-            super().restore(process)
-            return
-        endpoint = self._endpoints[process.name]
-        if endpoint.state != CRASHED:
-            raise SimulationError(
-                f"cannot restore {process.name!r}: endpoint state is "
-                f"{endpoint.state!r}, not {CRASHED!r} — restoring a live "
-                f"worker would fork a second broker process for its name"
-            )
-        if endpoint.teardown is not None:
-            self.runtime._loop.run_until_complete(endpoint.teardown)
-            endpoint.teardown = None
-        endpoint.transition(RECOVERING)
-        self.runtime.restore_worker(process.name)
-        endpoint.transition(REMOTE)
-        process.restart()
+        return int(self.stat("queue_depth") or 0)
 
 
 # ----------------------------------------------------------------------
@@ -346,14 +202,13 @@ class WorkerHierarchy(Hierarchy):
 
 
 class MultiprocessRuntime(AsyncioRuntime):
-    """Driver-side executor: an :class:`AsyncioRuntime` that also
-    orchestrates one OS process per broker over the control RPC.
+    """Driver-side executor: an :class:`AsyncioRuntime` whose placement
+    hosts every broker in a worker process of its own, orchestrated over
+    the control RPC.
 
-    Workers' loops run continuously in real time, so driving the driver
-    loop is all ``run``/``run_for`` need; ``run(until=None)`` adds a
-    drain *barrier* (local idle + every worker reporting idle, twice in
-    a row), and ``run_until`` refreshes worker stats snapshots between
-    polls so predicates can read worker-reported state off the proxies.
+    Workers' loops run continuously in real time, so driving the
+    driver's loop is all ``run``/``run_for``/``run_until`` need; the
+    drain barrier's rounds ask the workers as well (:meth:`_round`).
     """
 
     #: Worker spawn is a fresh interpreter + imports; generous.
@@ -361,7 +216,7 @@ class MultiprocessRuntime(AsyncioRuntime):
     #: How often the hello wait looks for a worker that died instead.
     hello_poll = 0.02
     control_timeout = 10.0
-    #: Minimum wall-clock gap between stats broadcasts in ``run_until``.
+    #: How old a proxy's snapshot may get before ``stat`` fetches anew.
     stats_interval = 0.1
 
     def __init__(self) -> None:
@@ -371,17 +226,14 @@ class MultiprocessRuntime(AsyncioRuntime):
         self._pending_hello: Dict[str, "asyncio.Future"] = {}
         self._control_server: Optional[asyncio.AbstractServer] = None
         self._control_port: Optional[int] = None
-        self._transport: Optional[MultiprocessTransport] = None
+        self._transport: Optional[TcpTransport] = None
         self._spec: Optional[SystemSpec] = None
         self._locals: Dict[str, Optional[int]] = {}
         self._maintained = False
-        self._last_stats = -1.0
 
     # -- launch --------------------------------------------------------
 
-    def launch(
-        self, transport: MultiprocessTransport, spec: SystemSpec
-    ) -> WorkerHierarchy:
+    def launch(self, transport: TcpTransport, spec: SystemSpec) -> WorkerHierarchy:
         """Spawn one worker per broker, collect bind-reports, broadcast
         the directory, and return the proxy hierarchy."""
         self._transport = transport
@@ -389,7 +241,7 @@ class MultiprocessRuntime(AsyncioRuntime):
 
         def member(name: str, stage: int) -> BrokerProxy:
             proxy = self._proxies[name] = BrokerProxy(self, name, stage)
-            transport.register_remote(proxy)
+            transport.register(proxy)
             return proxy
 
         nodes_by_stage = build_tree(spec.stage_sizes, member, transport.connect)
@@ -482,14 +334,13 @@ class MultiprocessRuntime(AsyncioRuntime):
                     handle.writer = writer
                     handle.port = hello.get("port")
                     handle.request_id = 0
-                    self._transport.set_remote_port(name, handle.port)
+                    proxy = self._proxies[name]
+                    proxy.fetched_at = -math.inf
+                    self._transport.place(proxy, handle.port)
 
         self._loop.run_until_complete(_collect())
 
     # -- control RPC ---------------------------------------------------
-
-    def owns_worker(self, name: str) -> bool:
-        return name in self._workers
 
     def worker(self, name: str) -> _WorkerHandle:
         return self._workers[name]
@@ -521,24 +372,25 @@ class MultiprocessRuntime(AsyncioRuntime):
                 (json.dumps(request) + "\n").encode(_ENCODING)
             )
             await handle.writer.drain()
-            line = await asyncio.wait_for(
-                handle.reader.readline(), timeout or self.control_timeout
-            )
-            if not line:
-                raise ConnectionError(f"control channel to {handle.name!r} closed")
-            return json.loads(line.decode(_ENCODING))
+            while True:
+                line = await asyncio.wait_for(
+                    handle.reader.readline(), timeout or self.control_timeout
+                )
+                if not line:
+                    raise ConnectionError(f"control channel to {handle.name!r} closed")
+                reply = json.loads(line.decode(_ENCODING))
+                # A reply to a request that timed out arrives late: skip it.
+                if reply.get("id") == handle.request_id:
+                    return reply
 
-    def broadcast(self, op: str, **kw: Any) -> Dict[str, Dict[str, Any]]:
+    def broadcast(self, op: str, **kw: Any) -> None:
         """Send ``op`` to every live worker; dead workers are skipped."""
-        replies: Dict[str, Dict[str, Any]] = {}
         for name, handle in self._workers.items():
-            if not handle.alive:
-                continue
-            try:
-                replies[name] = self.call(name, op, **kw)
-            except (ConnectionError, asyncio.TimeoutError, OSError):
-                continue
-        return replies
+            if handle.alive:
+                try:
+                    self.call(name, op, **kw)
+                except (ConnectionError, asyncio.TimeoutError, OSError):
+                    pass
 
     def _directory(self) -> List[Dict[str, Any]]:
         entries = [
@@ -565,6 +417,47 @@ class MultiprocessRuntime(AsyncioRuntime):
         self._maintained = on
         self.broadcast("maintenance", on=on)
 
+    # -- stats: the proxies' snapshots and the barrier's rounds --------
+
+    def poll_workers(self) -> Dict[str, Dict[str, Any]]:
+        """Fetch a stats snapshot from every worker onto its proxy."""
+        return self._loop.run_until_complete(self._poll_workers())
+
+    async def _poll_workers(
+        self, names: Optional[List[str]] = None
+    ) -> Dict[str, Dict[str, Any]]:
+        """The named workers' snapshots (every worker's by default),
+        asked at once, each put on its proxy.  A worker that does not
+        answer is alive and not quiet unless its OS process is gone:
+        only a dead worker may be left out of a drain."""
+
+        async def snapshot(handle: _WorkerHandle) -> Dict[str, Any]:
+            if handle.alive:
+                try:
+                    reply = await self._call_async(handle, "stats", 5.0)
+                    return dict(reply.get("stats") or {}, alive=True)
+                except (ConnectionError, asyncio.TimeoutError, OSError, ValueError):
+                    pass
+            process = handle.process
+            return {"alive": process is not None and process.is_alive()}
+
+        names = list(self._workers) if names is None else names
+        snapshots = await asyncio.gather(
+            *(snapshot(self._workers[name]) for name in names)
+        )
+        for name, taken in zip(names, snapshots):
+            proxy = self._proxies.get(name)
+            if proxy is not None:
+                proxy.snapshot, proxy.fetched_at = taken, self.now
+        return dict(zip(names, snapshots))
+
+    async def _round(self) -> Dict[str, Dict[str, Any]]:
+        """Every worker at once, then this process: a frame a worker
+        wrote here before it answered has had the round trip to land."""
+        reports = await self._poll_workers()
+        reports[""] = self._report()
+        return reports
+
     # -- kill / restore ------------------------------------------------
 
     def kill_worker(self, name: str) -> None:
@@ -583,9 +476,8 @@ class MultiprocessRuntime(AsyncioRuntime):
             handle.writer.close()
         handle.reader = None
         handle.writer = None
-        proxy = self._proxies.get(name)
-        if proxy is not None:
-            proxy.snapshot = {"alive": False}
+        proxy = self._proxies[name]
+        proxy.snapshot, proxy.fetched_at = {"alive": False}, self.now
 
     def restore_worker(self, name: str) -> None:
         """Spawn a fresh process for ``name`` on its old data port.
@@ -615,85 +507,6 @@ class MultiprocessRuntime(AsyncioRuntime):
             )
         )
         self._await_hellos([name])
-
-    # -- driving -------------------------------------------------------
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        """Timed runs drive the local loop (workers run continuously in
-        real time anyway); a drain (``until=None``) additionally
-        barriers on every worker reporting idle twice in a row."""
-        if until is not None or not self._workers:
-            return super().run(until=until, max_events=max_events)
-        before = self._processed
-        deadline = time.monotonic() + self.idle_timeout
-        quiet_rounds = 0
-        while quiet_rounds < 2 and time.monotonic() < deadline:
-            super().run()
-            local_idle = self._inflight == 0 and not self._timer_due_within(
-                self.idle_horizon
-            )
-            workers_idle = True
-            for name, handle in self._workers.items():
-                if not handle.alive:
-                    continue
-                try:
-                    reply = self.call(name, "drain", budget=1.0)
-                except (ConnectionError, asyncio.TimeoutError, OSError):
-                    continue
-                if not reply.get("idle"):
-                    workers_idle = False
-            quiet_rounds = (
-                quiet_rounds + 1 if (local_idle and workers_idle) else 0
-            )
-        return self._processed - before
-
-    def run_until(
-        self,
-        predicate: Any,
-        timeout: float,
-        poll: float = 0.02,
-    ) -> bool:
-        """Like the base, but worker stats snapshots refresh (throttled)
-        between polls so predicates can read worker-reported state."""
-        self.poll_workers()
-        if predicate():
-            return True
-        deadline = self.now + timeout
-        while self.now < deadline:
-            self._loop.run_until_complete(asyncio.sleep(poll))
-            self._maybe_poll_workers()
-            if predicate():
-                return True
-        self.poll_workers()
-        return predicate()
-
-    def _maybe_poll_workers(self) -> None:
-        if self.now - self._last_stats >= self.stats_interval:
-            self.poll_workers()
-
-    def poll_workers(self) -> Dict[str, Dict[str, Any]]:
-        """Fetch a stats snapshot from every worker onto its proxy."""
-        self._last_stats = self.now
-        snapshots: Dict[str, Dict[str, Any]] = {}
-        for name, handle in self._workers.items():
-            if not handle.alive:
-                snapshot: Dict[str, Any] = {"alive": False}
-            else:
-                try:
-                    reply = self.call(name, "stats", timeout=5.0)
-                    snapshot = reply.get("stats") or {}
-                    snapshot["alive"] = True
-                except (ConnectionError, asyncio.TimeoutError, OSError, ValueError):
-                    snapshot = {"alive": False}
-            proxy = self._proxies.get(name)
-            if proxy is not None:
-                proxy.snapshot = snapshot
-            snapshots[name] = snapshot
-        return snapshots
 
     # -- teardown ------------------------------------------------------
 
@@ -743,20 +556,6 @@ class MultiprocessRuntime(AsyncioRuntime):
 # ----------------------------------------------------------------------
 
 
-class _WorkerTransport(_RemoteRoutingTransport):
-    """Worker-side transport: exactly one local endpoint (the owned
-    broker); every other name resolves to a remote stand-in.  Lookup is
-    forgiving — a name arriving ahead of its directory entry gets a
-    portless stand-in that the next ``register`` broadcast fills in."""
-
-    def lookup(self, name: str) -> Process:
-        process = self._by_name.get(name)
-        if process is None:
-            process = RemoteProcess(self.runtime, name)
-            self.register_remote(process)
-        return process
-
-
 def _worker_main(spec: WorkerSpec) -> None:
     """Entry point of a broker worker process (spawn target)."""
     _BrokerWorker(spec).run()
@@ -769,7 +568,7 @@ class _BrokerWorker:
     def __init__(self, spec: WorkerSpec):
         self.spec = spec
         self.runtime: Optional[AsyncioRuntime] = None
-        self.transport: Optional[_WorkerTransport] = None
+        self.transport: Optional[TcpTransport] = None
         self.node: Optional[Any] = None
 
     def run(self) -> None:
@@ -777,39 +576,31 @@ class _BrokerWorker:
         try:
             self.runtime._loop.run_until_complete(self._main())
         finally:
-            node = self.node
-            if node is not None and getattr(node, "log", None) is not None:
-                try:
-                    node.log.close()
-                except Exception:
-                    pass
-            if self.transport is not None:
-                try:
-                    self.transport.close()
-                except Exception:
-                    pass
-            try:
-                self.runtime.close()
-            except Exception:
-                pass
+            for part in (getattr(self.node, "log", None), self.transport, self.runtime):
+                if part is not None:
+                    try:
+                        part.close()
+                    except Exception:
+                        pass
 
     async def _main(self) -> None:
         spec = self.spec
         system = spec.system
-        runtime = self.runtime
-        transport = self.transport = _WorkerTransport(runtime, host=system.host)
+        transport = self.transport = TcpTransport(self.runtime, host=system.host)
         self._build_tree()
         node = self.node
         for name, (port, stage) in spec.directory.items():
             self._register_entry({"name": name, "port": port, "stage": stage})
         endpoint = transport.register(node)
-        await self._bind_data_server(endpoint)
-        restoring = spec.incarnation_base > 0
-        if restoring:
-            # True fail-stop recovery: the broker starts with *nothing*
-            # in memory.  crash()+restart() runs the identical recovery
-            # path the simulator exercises — reload the on-disk log,
-            # ChannelReset the neighbours, schedule the replay request.
+        # A restored broker takes its old port back (peers' directories
+        # name it); the old socket may still be in a lingering close.
+        endpoint.port = spec.data_port or None
+        await transport._ensure_server(endpoint)
+        if spec.incarnation_base > 0:
+            # True fail-stop recovery: crash()+restart() drop what the
+            # construction built and run the identical recovery path the
+            # simulator exercises — reload the on-disk log, ChannelReset
+            # the neighbours, schedule the replay request.
             node.incarnation = spec.incarnation_base
             node.crash()
             node.restart()
@@ -823,60 +614,29 @@ class _BrokerWorker:
         await writer.drain()
         await self._control_loop(reader, writer)
 
-    def _build_node(self) -> BrokerNode:
-        spec = self.spec
-        system = spec.system
-        config = system.broker
-        restoring = spec.incarnation_base > 0
-        node = BrokerNode(
-            self.runtime,
-            self.transport,
-            spec.name,
-            spec.stage,
-            # On restore the fresh EventLog a normal construction would
-            # open must NOT clobber the on-disk segments we are about to
-            # recover from: build logless and let restart() reload.
-            replace(config, log=None) if restoring else config,
-            rng=RngRegistry(system.seed).stream(f"node/{spec.name}"),
-            tracer=EventTracer(enabled=False),
-        )
-        if config.log is not None and config.log.directory:
-            node.recover_log_from_disk = True
-            if restoring:
-                node.log_config = config.log
-        return node
-
     def _build_tree(self) -> None:
         """Rebuild the tree with this broker real and everyone else a
         proxy (same shape and child order as every other process: see
         :func:`~repro.overlay.hierarchy.build_tree`)."""
+        spec = self.spec
 
         def member(name: str, stage: int) -> Process:
-            if name == self.spec.name:
-                self.node = self._build_node()
-                return self.node
-            proxy = BrokerProxy(self.runtime, name, stage)
-            self.transport.register_remote(proxy)
-            return proxy
+            if name != spec.name:
+                proxy = BrokerProxy(self.runtime, name, stage)
+                self.transport.register(proxy)
+                return proxy
+            self.node = BrokerNode(
+                self.runtime,
+                self.transport,
+                name,
+                stage,
+                spec.system.broker,
+                rng=RngRegistry(spec.system.seed).stream(f"node/{name}"),
+                tracer=EventTracer(enabled=False),
+            )
+            return self.node
 
-        build_tree(self.spec.system.stage_sizes, member, self.transport.connect)
-
-    async def _bind_data_server(self, endpoint: Any) -> None:
-        """Bind the broker's data server; on restore the fixed old port
-        may still be in a lingering close, so back off and retry."""
-        endpoint.port = self.spec.data_port or None
-        delay = 0.02
-        while True:
-            try:
-                await self.transport._ensure_server(endpoint)
-                return
-            except OSError:
-                if delay > 2.0:
-                    raise
-                endpoint.server = None
-                endpoint.transition(INIT)
-                await asyncio.sleep(delay)
-                delay *= 2
+        build_tree(spec.system.stage_sizes, member, self.transport.connect)
 
     # -- control ops ---------------------------------------------------
 
@@ -893,7 +653,6 @@ class _BrokerWorker:
                 continue
             op = message.get("op")
             reply: Dict[str, Any] = {"id": message.get("id"), "ok": True}
-            stop = False
             try:
                 if op == "register":
                     for entry in message.get("procs", []):
@@ -903,38 +662,21 @@ class _BrokerWorker:
                         self.node.start_maintenance()
                     else:
                         self.node.stop_maintenance()
-                elif op == "drain":
-                    reply["idle"] = await self._await_idle(
-                        float(message.get("budget", 1.0))
-                    )
                 elif op == "stats":
                     reply["stats"] = self._snapshot()
-                elif op == "ping":
-                    reply["now"] = self.runtime.now
-                elif op == "stop":
-                    stop = True
-                else:
-                    reply = {
-                        "id": message.get("id"),
-                        "ok": False,
-                        "error": f"unknown op {op!r}",
-                    }
+                elif op != "stop":
+                    reply.update(ok=False, error=f"unknown op {op!r}")
             except Exception as exc:
-                reply = {
-                    "id": message.get("id"),
-                    "ok": False,
-                    "error": repr(exc),
-                }
+                reply.update(ok=False, error=repr(exc))
             writer.write((json.dumps(reply) + "\n").encode(_ENCODING))
             await writer.drain()
-            if stop:
+            if op == "stop":
                 return
 
     def _register_entry(self, entry: Dict[str, Any]) -> None:
         name = entry.get("name")
         if not name or name == self.spec.name:
             return
-        port = entry.get("port")
         stage = entry.get("stage")
         process = self.transport._by_name.get(name)
         if process is None:
@@ -943,52 +685,37 @@ class _BrokerWorker:
                 if stage
                 else RemoteProcess(self.runtime, name)
             )
-            self.transport.register_remote(process, port)
-        elif port is not None:
-            self.transport.set_remote_port(name, port)
-
-    async def _await_idle(self, budget: float) -> bool:
-        runtime = self.runtime
-        deadline = runtime.now + budget
-        settle = 0
-        while runtime.now < deadline:
-            await asyncio.sleep(runtime._idle_poll)
-            if runtime._inflight == 0 and not runtime._timer_due_within(
-                runtime.idle_horizon
-            ):
-                settle += 1
-                if settle >= runtime._idle_settle:
-                    return True
-            else:
-                settle = 0
-        return False
+        self.transport.place(process, entry.get("port"))
 
     def _snapshot(self) -> Dict[str, Any]:
         node = self.node
-        runtime = self.runtime
         stats = self.transport.stats
         log = getattr(node, "log", None)
-        return {
-            "name": node.name,
-            "stage": node.stage,
-            "pid": os.getpid(),
-            "now": runtime.now,
-            "processed": runtime.processed_events,
-            "inflight": runtime._inflight,
-            "crashed": node.crashed,
-            "incarnation": node.incarnation,
-            "queue_depth": node.queue_depth(),
-            "table_size": len(node.table),
-            "log_records": len(log) if log is not None else None,
-            "log_next_offset": log.next_offset if log is not None else None,
-            "events_shed": node.counters.events_shed,
-            "net": {
-                "total_messages": stats.total_messages,
-                "total_bytes": stats.total_bytes,
-                "dropped_messages": stats.dropped_messages,
-                "dropped_bytes": stats.dropped_bytes,
-                "in_flight": stats.in_flight,
-                "peak_in_flight": stats.peak_in_flight,
-            },
-            "errors": list(self.transport.errors),
-        }
+        # The drain barrier's part: quiet, frames sent, events processed.
+        snapshot = self.runtime._report()
+        snapshot.update(
+            {
+                "name": node.name,
+                "stage": node.stage,
+                "pid": os.getpid(),
+                "now": self.runtime.now,
+                "inflight": self.runtime._inflight,
+                "crashed": node.crashed,
+                "incarnation": node.incarnation,
+                "queue_depth": node.queue_depth(),
+                "table_size": len(node.table),
+                "log_records": len(log) if log is not None else None,
+                "log_next_offset": log.next_offset if log is not None else None,
+                "events_shed": node.counters.events_shed,
+                "net": {
+                    "total_messages": stats.total_messages,
+                    "total_bytes": stats.total_bytes,
+                    "dropped_messages": stats.dropped_messages,
+                    "dropped_bytes": stats.dropped_bytes,
+                    "in_flight": stats.in_flight,
+                    "peak_in_flight": stats.peak_in_flight,
+                },
+                "errors": list(self.transport.errors),
+            }
+        )
+        return snapshot

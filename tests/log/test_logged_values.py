@@ -47,10 +47,8 @@ def test_awkward_values_through_logging_brokers_and_a_restart(tmp_path):
     )
     system.advertise("Odd", schema=("kind",))
     system.drain()
+    # On every runtime a crash keeps a log directory's files only.
     leaf = system.hierarchy.stage1_nodes()[0]
-    for node in system.hierarchy.nodes():
-        # As on the socket runtimes: a crash keeps the files only.
-        node.recover_log_from_disk = True
     got = []
     subscriber = system.create_subscriber("sub")
     system.subscribe(

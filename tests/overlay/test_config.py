@@ -38,7 +38,7 @@ from repro.overlay.config import BrokerConfig
 from repro.overlay.hierarchy import build_hierarchy
 from repro.overlay.node import BrokerNode
 from repro.overlay.subscriber import SubscriberRuntime
-from repro.runtime.asyncio_backend import AsyncioRuntime
+from repro.runtime.asyncio_backend import AsyncioRuntime, TcpTransport
 from repro.runtime.multiprocess_backend import SystemSpec
 from repro.streams.registrar import FlowRegistrar
 
@@ -170,9 +170,7 @@ def test_a_multiprocess_worker_builds_the_default_engine_bare(monkeypatch):
     )
     worker.runtime = AsyncioRuntime()
     try:
-        worker.transport = multiprocess_backend._WorkerTransport(
-            worker.runtime, host=spec.host
-        )
+        worker.transport = TcpTransport(worker.runtime, host=spec.host)
         worker._build_tree()
         assert worker.node.config == BrokerConfig()
         assert type(worker.node.table) is CompiledMatchEngine

@@ -9,12 +9,16 @@ plus the §4.3 refresh-or-restore renewal chain.  The gates here:
   deliver the same per-subscriber event sets on the stocks workload;
 - fail-stop is real — the worker pid dies with ``kill`` and a restore
   produces a *different* pid;
-- SIGKILL recovery — the restarted worker reloads its JSONL log, the
-  renewals rebuild its table, deliveries resume, and the exactly-once
+- SIGKILL recovery — the restarted worker reloads its log segments,
+  the renewals rebuild its table, deliveries resume, and the exactly-once
   audit of the root log against the driver's delivery traces is CLEAN
-  outside the crash window.
+  outside the crash window;
+- the drain barrier — ``drain()`` returns only after the last hop of a
+  chain that crosses every worker, promptly after a SIGKILL with traffic
+  in flight, and never while a live worker does not answer.
 """
 
+import asyncio
 import os
 import time
 
@@ -24,11 +28,7 @@ from repro.core.engine import MultiStageEventSystem
 from repro.log.audit import AuditSubscription, verify_exactly_once
 from repro.log.config import LogConfig
 from repro.log.eventlog import EventLog
-from repro.runtime.multiprocess_backend import (
-    REMOTE,
-    BrokerProxy,
-    MultiprocessRuntime,
-)
+from repro.runtime.multiprocess_backend import BrokerProxy, MultiprocessRuntime
 from repro.sim.kernel import SimulationError
 
 from tests.runtime import frame_reference
@@ -94,8 +94,12 @@ def test_brokers_are_separate_os_processes():
         assert len(set(pids.values())) == len(pids)  # all distinct...
         assert os.getpid() not in pids.values()  # ...and none is the driver
         for node in system.hierarchy.nodes():
+            # Hosted elsewhere: a stand-in at the port its worker bound,
+            # with no server of its own in the driver.
             assert isinstance(node, BrokerProxy)
-            assert system.network.endpoint(node).state == REMOTE
+            endpoint = system.network.endpoint(node)
+            assert not endpoint.local and endpoint.server is None
+            assert endpoint.port == runtime.worker(node.name).port
 
 
 def test_sigkill_is_fail_stop_and_restore_respawns():
@@ -121,6 +125,88 @@ def test_restore_on_live_worker_raises():
         broker = system.hierarchy.nodes(1)[0]
         with pytest.raises(SimulationError, match="cannot restore"):
             system.restore(broker)
+
+
+# ---------------------------------------------------------------------------
+# The drain barrier across worker processes
+
+
+class Ball:
+    def __init__(self, hop):
+        self._hop = hop
+
+    def get_hop(self):
+        return self._hop
+
+
+def test_drain_waits_for_the_last_hop_of_a_ping_pong_chain():
+    """One publish sets off a chain: every delivery, in the driver,
+    publishes the next ball through all three brokers — each in its own
+    process — back to the driver.  A single ``drain()`` must see it end."""
+    hops = 12
+    with make_system(stage_sizes=(1, 1, 1)) as system:
+        system.register_type(Ball)
+        system.advertise("Ball", schema=("class", "hop"))
+        publisher = system.create_publisher("pitcher")
+        subscriber = system.create_subscriber("catcher")
+        caught = []
+
+        def catch(event, metadata, subscription):
+            caught.append(event.get_hop())
+            if event.get_hop() < hops:
+                publisher.publish(Ball(event.get_hop() + 1))
+
+        system.subscribe(subscriber, 'class = "Ball"', handler=catch)
+        assert system.run_until(subscriber.all_joined, timeout=20.0)
+        system.drain()
+        for round_ in range(3):
+            del caught[:]
+            publisher.publish(Ball(0))
+            system.drain()
+            assert caught == list(range(hops + 1)), f"round {round_}"
+
+
+def test_drain_after_a_sigkill_with_traffic_in_flight_is_prompt():
+    with make_system() as system:
+        publisher = system.create_publisher("feed")
+        subscriber = system.create_subscriber("watcher")
+        system.subscribe(subscriber, 'class = "Stock"', handler=lambda *a: None)
+        assert system.run_until(subscriber.all_joined, timeout=20.0)
+        system.drain()
+        home = subscriber._homes()[0]
+        for i in range(200):
+            publisher.publish(Stock("Foo", float(i)))
+        system.kill(home)
+        started = time.monotonic()
+        system.drain()
+        assert time.monotonic() - started < 5.0  # idle_timeout is 30 s
+        assert home.stat("alive") is False
+
+
+def test_a_live_worker_that_does_not_answer_is_not_quiet(monkeypatch):
+    """Only a worker whose OS process is gone may be left out of a
+    drain: one that times out is waited for, up to ``idle_timeout``."""
+    with make_system() as system:
+        runtime = system.sim
+        system.drain()
+        started = time.monotonic()
+        system.drain()
+        assert time.monotonic() - started < 1.0  # quiet: a few rounds
+
+        silent = system.hierarchy.nodes(1)[0].name
+        call = MultiprocessRuntime._call_async
+
+        async def timing_out(self, handle, op, timeout=None, **kw):
+            if handle.name == silent and op == "stats":
+                raise asyncio.TimeoutError(f"{silent} did not answer")
+            return await call(self, handle, op, timeout, **kw)
+
+        monkeypatch.setattr(MultiprocessRuntime, "_call_async", timing_out)
+        runtime.idle_timeout = 1.0
+        started = time.monotonic()
+        system.drain()
+        assert time.monotonic() - started >= runtime.idle_timeout
+        assert runtime.worker(silent).process.is_alive()
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,15 @@ These tests pin the fixed behaviour: prompt settling after a kill with
 frames in flight, drop accounting that matches the swallowed frames
 exactly, one-shot FSM edges, and the documented endpoint history across
 kill -> restore -> kill.
+
+Three more came from the frame-accounting state machine
+(``test_transport_machine.py``): the kill's sweep booked frames that had
+not been written yet as drops, and they were then delivered to the
+restored incarnation too; a kill while an endpoint's first server was
+still binding was undone by the bind completing (LISTENING, a live
+server, on a killed process); and a kill landing inside ``restore``,
+while the process is still down, crashed the endpoint again under the
+restore — it is a no-op now, like a second ``crash()``.
 """
 
 import time
@@ -205,3 +214,54 @@ class TestEndpointHistory:
             SERVING,
             CRASHED,
         ]
+
+
+class TestKillRaces:
+    def test_a_frame_not_yet_written_at_a_kill_is_booked_once(self, fabric):
+        runtime, transport = fabric
+        a, b = Sink(runtime, "a"), Sink(runtime, "b")
+        transport.connect(a, b)
+        transport.kill(b)
+        transport.restore(b)
+        runtime.run()  # b listens; a has no connection to it yet
+        for i in range(3):
+            transport.send(a, b, i)
+        transport.kill(b)
+        transport.restore(b)
+        runtime.run()
+        stats = transport.stats
+        assert stats.total_messages + stats.dropped_messages == 3
+        assert stats.total_messages == len(b.received)
+        assert runtime._inflight == 0
+
+    def test_a_kill_while_the_first_server_binds_wins(self, fabric):
+        runtime, transport = fabric
+        a, b = Sink(runtime, "a"), Sink(runtime, "b")
+        transport.connect(a, b)
+        transport.send(a, b, "first contact")  # binds b's server
+        runtime.defer(transport.kill, b)  # in the loop round the bind starts
+        assert runtime.run_until(lambda: b.crashed, timeout=5.0)
+        runtime.run()
+        endpoint = transport.endpoint(b)
+        assert endpoint.history == [INIT, BINDING, CRASHED]
+        assert endpoint.server is None
+        assert transport.stats.dropped_messages == 1
+        transport.restore(b)
+        transport.send(a, b, "after")
+        assert runtime.run_until(lambda: b.received, timeout=5.0)
+
+    def test_a_kill_while_restoring_is_a_no_op(self, fabric):
+        """The process is still down inside ``restore``: like a second
+        ``crash()``, a kill that lands there changes nothing."""
+        runtime, transport = fabric
+        a, b = Sink(runtime, "a"), Sink(runtime, "b")
+        transport.connect(a, b)
+        _establish(runtime, transport, a, b)
+        transport.kill(b)
+        runtime.defer(transport.kill, b)  # fires while restore drives the loop
+        transport.restore(b)
+        endpoint = transport.endpoint(b)
+        assert endpoint.history[-3:] == [CRASHED, RECOVERING, LISTENING]
+        assert not b.crashed and endpoint.kills == 1
+        transport.send(a, b, "after")
+        assert runtime.run_until(lambda: len(b.received) == 2, timeout=5.0)
