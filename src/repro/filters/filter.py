@@ -14,8 +14,9 @@ which the weakening machinery in :mod:`repro.core.stages` relies on.
 
 from typing import Any, Iterable, List, Mapping, Optional, Tuple
 
+from repro.events.base import PropertyEvent
 from repro.filters.constraints import AttributeConstraint, conjunction_implies
-from repro.filters.operators import ALL
+from repro.filters.operators import ALL, EQ
 
 
 def _properties_of(event: Any) -> Mapping[str, Any]:
@@ -83,12 +84,34 @@ class Filter:
         return self.matches_nothing
 
     def matches(self, event: Any) -> bool:
-        """Definition 1: True iff the event satisfies every constraint."""
+        """Definition 1: True iff the event satisfies every constraint.
+
+        :meth:`AttributeConstraint.matches` is the definition; this is the
+        same evaluation with the calls taken out, because it runs once per
+        filter per copy at stage 0: a ``PropertyEvent`` (exactly that
+        class — a subclass may redefine lookup) is read through its own
+        dict, and an equality between two values of one type is compared
+        here.  Every other case, an absent attribute included, is the
+        operator's own ``evaluate``.
+        """
         if self.matches_nothing:
             return False
-        properties = _properties_of(event)
+        if type(event) is PropertyEvent:
+            properties = event._properties
+        else:
+            properties = _properties_of(event)
         for constraint in self.constraints:
-            if not constraint.matches(properties):
+            attribute = constraint.attribute
+            operator = constraint.operator
+            operand = constraint.operand
+            if attribute in properties:
+                value = properties[attribute]
+                if operator is EQ and type(value) is type(operand):
+                    if not value == operand:
+                        return False
+                elif not operator.evaluate(value, operand, True):
+                    return False
+            elif not operator.evaluate(None, operand, False):
                 return False
         return True
 

@@ -928,14 +928,19 @@ class BrokerNode(Process):
         )
         runs: Dict[int, List[Publish]] = {}
         run_order: List[Process] = []
+        offline = self._offline
         for position, (message, matches) in enumerate(zip(batch, all_matches)):
-            destinations: List[Process] = []
-            seen = set()
-            for _, ids in matches:
-                for destination in ids:
-                    if id(destination) not in seen:
-                        seen.add(id(destination))
-                        destinations.append(destination)
+            if len(matches) == 1:
+                # One filter's ids are distinct already.
+                destinations: Sequence[Process] = matches[0][1]
+            else:
+                destinations = []
+                seen = set()
+                for _, ids in matches:
+                    for destination in ids:
+                        if id(destination) not in seen:
+                            seen.add(id(destination))
+                            destinations.append(destination)
             self.counters.on_event(bool(matches), forwarded_to=len(destinations))
             if metas is not None:
                 src, arrived = metas[position]
@@ -948,10 +953,8 @@ class BrokerNode(Process):
                     trace_id=message.envelope.event_id,
                 )
             for destination in destinations:
-                offline = self._offline.get(destination.name)
-                if offline is not None:
-                    _, durable = offline
-                    if durable:
+                if offline and destination.name in offline:
+                    if offline[destination.name][1]:  # durable
                         self._buffer_durable(destination, message)
                     continue
                 run = runs.get(id(destination))

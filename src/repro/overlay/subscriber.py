@@ -51,8 +51,10 @@ _UNOPENED = object()
 #: A home holding more states than this is matched by one engine call
 #: per envelope; at or below it the ``Filter.matches`` scan is cheaper.
 #: A measured break-even (DESIGN §16, ``stage0_break_even.json``), not
-#: an option: the engine's fixed cost per match is about four scans.
-STAGE0_SCAN_MAX = 4
+#: an option: at 8 states the scan takes 0.67-0.70x the engine's time on
+#: what a home actually sends and 0.98-1.03x (even, within noise) on
+#: unfiltered traffic; at 12 it is behind there, 1.16-1.22x.
+STAGE0_SCAN_MAX = 8
 
 
 @dataclass(eq=False)
@@ -550,12 +552,15 @@ class SubscriberRuntime(Process):
             self.delivery_latencies.append(self.sim.now - envelope.published_at)
         event_id = envelope.event_id
         event = _UNOPENED
+        catch_up = self._catch_up
         for state in matched:
             subscription = state.subscription
             # Around the catch-up handover one event can arrive on the
             # replay stream and from the home; first copy in wins, later
             # ones are discarded (exactly-once).
-            dedup = session or self._catch_up.get(subscription.subscription_id)
+            dedup = session
+            if dedup is None and catch_up:
+                dedup = catch_up.get(subscription.subscription_id)
             if dedup is not None and event_id is not None:
                 if not dedup.remember(event_id):
                     dedup.dupes += 1

@@ -4,7 +4,12 @@ The kernel maintains a priority queue of scheduled callbacks ordered by
 (simulated time, sequence number).  The sequence number makes execution
 order deterministic when several events share a timestamp: events fire in
 the order they were scheduled, which is the property the reproducibility
-guarantees of the experiment harness rely on.
+guarantees of the experiment harness rely on.  Heap entries are
+``(time, seq, handle)`` tuples: ``seq`` is unique, so two entries are
+always told apart before the handles would be compared, and ordering
+stays inside the interpreter's tuple comparison.  NaN is refused as a
+time, a delay and an interval: it compares false with everything, so it
+would break both the heap order and the clock.
 
 Typical use::
 
@@ -13,9 +18,9 @@ Typical use::
     sim.run(until=100.0)
 """
 
-import heapq
 import itertools
-from typing import Any, Callable, List, Optional
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class SimulationError(Exception):
@@ -57,9 +62,6 @@ class EventHandle:
             if self.sim is not None:
                 self.sim._note_cancelled()
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         return f"EventHandle(t={self.time!r}, seq={self.seq}, {state})"
@@ -78,7 +80,7 @@ class Simulator:
     COMPACT_MIN_CANCELLED = 64
 
     def __init__(self) -> None:
-        self._queue: List[EventHandle] = []
+        self._queue: List[Tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._processed = 0
@@ -117,15 +119,17 @@ class Simulator:
         Compacting rebuilds the heap from the live entries only.  The heap
         order on (time, seq) is a strict total order (seq is unique), so a
         rebuild pops in exactly the same sequence as the original heap —
-        compaction is invisible to deterministic replay.
+        compaction is invisible to deterministic replay.  The queue is
+        rebuilt in place: :meth:`run` holds it across callbacks.
         """
         self._cancelled_pending += 1
+        queue = self._queue
         if (
             self._cancelled_pending >= self.COMPACT_MIN_CANCELLED
-            and self._cancelled_pending * 2 >= len(self._queue)
+            and self._cancelled_pending * 2 >= len(queue)
         ):
-            self._queue = [h for h in self._queue if not h.cancelled]
-            heapq.heapify(self._queue)
+            queue[:] = [entry for entry in queue if not entry[2].cancelled]
+            heapify(queue)
             self._cancelled_pending = 0
             self._compactions += 1
 
@@ -136,8 +140,8 @@ class Simulator:
         is allowed and runs after all events already scheduled for the
         current instant.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if not delay >= 0:  # also refuses NaN
+            raise SimulationError(f"delay must be a non-negative number, got {delay}")
         return self.schedule_at(self._now + delay, callback, *args)
 
     def defer(self, callback: Callable[..., None], *args: Any) -> EventHandle:
@@ -152,12 +156,13 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
-        if time < self._now:
+        if not time >= self._now:  # also refuses NaN
             raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self._now}"
+                f"cannot schedule at t={time}: not a time at or after t={self._now}"
             )
-        handle = EventHandle(time, next(self._seq), callback, args, sim=self)
-        heapq.heappush(self._queue, handle)
+        seq = next(self._seq)
+        handle = EventHandle(time, seq, callback, args, self)
+        heappush(self._queue, (time, seq, handle))
         return handle
 
     def every(
@@ -172,7 +177,7 @@ class Simulator:
         a recurring event keeps the queue non-empty forever: drive a
         sampled simulation with ``run(until=...)``, not a bare ``run()``.
         """
-        if interval <= 0:
+        if not interval > 0:  # also refuses NaN
             raise SimulationError(f"recurring interval must be positive, got {interval}")
         return RecurringHandle(self, interval, callback, args)
 
@@ -182,13 +187,14 @@ class Simulator:
         Returns ``True`` if an event was executed, ``False`` if the queue
         was empty (cancelled entries are drained silently).
         """
-        while self._queue:
-            handle = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            time, _, handle = heappop(queue)
             if handle.cancelled:
                 if self._cancelled_pending > 0:
                     self._cancelled_pending -= 1
                 continue
-            self._now = handle.time
+            self._now = time
             self._processed += 1
             handle.callback(*handle.args)
             return True
@@ -205,17 +211,18 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         executed = 0
+        queue = self._queue
         try:
-            while self._queue:
+            while queue:
                 if max_events is not None and executed >= max_events:
                     break
-                head = self._queue[0]
-                if head.cancelled:
-                    heapq.heappop(self._queue)
+                time, _, handle = queue[0]
+                if handle.cancelled:
+                    heappop(queue)
                     if self._cancelled_pending > 0:
                         self._cancelled_pending -= 1
                     continue
-                if until is not None and head.time > until:
+                if until is not None and time > until:
                     self._now = until
                     break
                 if self.step():

@@ -377,7 +377,42 @@ class Network:
         deterministic tie-breaking and the fixed per-link latency —
         unless an active fault window adds jitter, in which case copies
         may reorder (that is the point).
+
+        A send over a live link with no fault plan, no partition anywhere
+        and both ends up takes the fast path: one link lookup, the size,
+        the counters and one scheduled delivery.  Every other case — a
+        missing link (disconnected, or connected lazily on first use), a
+        partition, a crashed end, an installed plan — goes through
+        :meth:`_send_checked`, and both paths book a delivered send alike.
         """
+        link = self._links.get((id(src), id(dst)))
+        if (
+            link is None
+            or self.faults is not None
+            or self._partitioned
+            or src.crashed
+            or dst.crashed
+        ):
+            self._send_checked(src, dst, message)
+            return
+        size = self.sizer(message)
+        link.messages += 1
+        link.bytes += size
+        self.stats.record(link, size)
+        self.stats.record_scheduled()
+        sim = self.sim
+        sim.schedule_at(sim.now + link.latency, self._deliver, link, message)
+
+    def _send_checked(self, src: Process, dst: Process, message: Any) -> None:
+        """:meth:`send` with every gate: disconnection, partition, crash,
+        lazy connection and the fault plan's roll.
+
+        With no fault outcome, the tail below (link and stats counters,
+        one scheduled delivery at ``link.latency``) must book exactly
+        what :meth:`send`'s fast path books; change the two together.
+        ``test_fast_and_checked_paths_book_alike`` in
+        ``tests/sim/test_send_fast_path.py`` runs every scenario through
+        both and compares the ledgers."""
         pair = frozenset((id(src), id(dst)))
         if pair in self._disconnected:
             raise SimulationError(

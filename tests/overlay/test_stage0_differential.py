@@ -2,16 +2,16 @@
 
 A production :class:`SubscriberRuntime` and the reference of
 ``stage0_reference.py`` are given the same generated subscription set —
-one to three homes holding up to sixteen states between them, so a home
-lands on either side of ``STAGE0_SCAN_MAX`` (scan or engine); filters
-the engine indexes and filters it keeps as residuals (``!=``, prefix, a
-two-constraint interval), the same filter on several states of a home;
-disjunction groups, pure/stateless/stateful residual closures,
-handler-less states — and the same interleaving of live copies, history
-and tap batches (event ids overlapping across streams), catch-up starts,
-unsubscriptions, rejoins, accepted-At messages that move a state to
-another home (a home crosses the break-even up and down mid-run) and
-clock ticks.  They must make the same handler calls in the same order,
+one to three homes holding up to ``STAGE0_SCAN_MAX + 8`` states between
+them, so a home lands on either side of ``STAGE0_SCAN_MAX`` (scan or
+engine); filters the engine indexes and filters it keeps as residuals
+(``!=``, prefix, a two-constraint interval), the same filter on several
+states of a home; disjunction groups, pure/stateless/stateful residual
+closures, handler-less states — and the same interleaving of live
+copies, history and tap batches (event ids overlapping across streams),
+catch-up starts, unsubscriptions, rejoins, accepted-At messages that
+move a state to another home (a home crosses the break-even up and down
+mid-run) and clock ticks.  They must make the same handler calls in the same order,
 call each residual the same number of times, book the same counters
 (``filter_evaluations`` among them: ``len(states)`` per live envelope,
 whichever way it was matched) and latency samples, put the same frames
@@ -96,7 +96,7 @@ class _Side:
         self.tracer = EventTracer(enabled=True)
         self.root = Process(self.sim, "root")
         # Home indices are drawn over all of HOMES and folded onto the
-        # ``homes`` a run uses: with one home, sixteen states share it.
+        # ``homes`` a run uses: with one home, every state shares it.
         self.homes = [Process(self.sim, f"h{i}") for i in range(homes)] * HOMES
         self.runtime = runtime_class(
             self.sim,
@@ -203,7 +203,9 @@ _spec = st.tuples(
     st.sampled_from((None, None, "even", "stateful")),
     st.booleans(),
 )
-_sid = st.integers(1, 17)  # 17 is never a subscription: stale streams
+#: Enough states for one home to pass the break-even by a few.
+MAX_SPECS = STAGE0_SCAN_MAX + 8
+_sid = st.integers(1, MAX_SPECS + 1)  # the last is never a subscription: stale streams
 _home = st.integers(0, HOMES - 1)
 _step = st.one_of(
     st.tuples(st.just("live"), _home, _events),
@@ -223,7 +225,10 @@ _step = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, HOMES),
-    st.lists(_spec, min_size=1, max_size=16),
+    st.one_of(  # half the runs have more states than one home scans
+        st.lists(_spec, min_size=1, max_size=STAGE0_SCAN_MAX),
+        st.lists(_spec, min_size=STAGE0_SCAN_MAX + 1, max_size=MAX_SPECS),
+    ),
     st.lists(_step, max_size=30),
     st.booleans(),
 )
@@ -260,10 +265,12 @@ def _check_homes(runtime):
 
 def test_an_unsubscription_between_two_envelopes_of_a_batch_is_seen_by_the_second():
     """One ``PublishBatch``, two envelopes: the first one's handler
-    unsubscribes a sibling — and with it takes the home from six states
-    (engine) to four (scan) — so the second envelope is checked against
-    four filters and the sibling hears only the first."""
-    specs = [(0, 'n >= 0', None, None, True)] * 6
+    unsubscribes two siblings — and with them takes the home from two
+    states past the break-even (engine) to the break-even (scan) — so the
+    second envelope is checked against ``STAGE0_SCAN_MAX`` filters and
+    the siblings hear only the first."""
+    full, left = STAGE0_SCAN_MAX + 2, STAGE0_SCAN_MAX
+    specs = [(0, 'n >= 0', None, None, True)] * full
     sides = [
         _Side(runtime_class, specs, flow=False)
         for runtime_class in (SubscriberRuntime, ReferenceSubscriberRuntime)
@@ -273,17 +280,19 @@ def test_an_unsubscription_between_two_envelopes_of_a_batch_is_seen_by_the_secon
 
         def handler(event, metadata, subscription, side=side, runtime=runtime):
             side._handler(event, metadata, subscription)
-            runtime.unsubscribe(5)
-            runtime.unsubscribe(6)
+            for sid in range(left + 1, full + 1):
+                runtime.unsubscribe(sid)
 
         runtime._states[1].handler = handler
-        side.step(("live", 0, [("a", 1, 0, True), ("a", 2, 1, True)]))
     new, old = sides
-    assert new.observed(range(1, 7)) == old.observed(range(1, 7))
+    assert new.runtime._by_home[new.homes[0]].engine is not None
+    for side in sides:
+        side.step(("live", 0, [("a", 1, 0, True), ("a", 2, 1, True)]))
+    assert new.observed(range(1, full + 1)) == old.observed(range(1, full + 1))
     assert [(sid, n) for sid, _, n, _ in new.calls] == (
-        [(sid, 1) for sid in range(1, 7)] + [(sid, 2) for sid in range(1, 5)]
+        [(sid, 1) for sid in range(1, full + 1)] + [(sid, 2) for sid in range(1, left + 1)]
     )
-    assert new.runtime.counters.filter_evaluations == 6 + 4
+    assert new.runtime.counters.filter_evaluations == full + left
     assert new.runtime._by_home[new.homes[0]].engine is None
 
 

@@ -32,12 +32,12 @@ def _count_filter_matches(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("states", [1, 3, 4, 5, 50, 500])
+@pytest.mark.parametrize("states", [1, 3, 4, 5, 8, 9, 50, 500])
 def test_filter_matches_calls_per_live_envelope(monkeypatch, states):
     """Nothing but ``_deliver`` runs between the counter's installation
     and its reading (no broker, no replay), and the engine's residuals
     are ``AttributeConstraint.matches``: every counted call is a scan."""
-    assert STAGE0_SCAN_MAX == 4
+    assert STAGE0_SCAN_MAX == 8
     specs = [(0, FILTERS[i % len(FILTERS)], None, None, True) for i in range(states)]
     new = _Side(SubscriberRuntime, specs, flow=False)
     old = _Side(ReferenceSubscriberRuntime, specs, flow=False)

@@ -98,15 +98,13 @@ class TestIncarnationGuard:
         fired = []
         handle = proc.call_later(1.0, fired.append, "stale")
         proc.crash()
-        # Simulate a lost cancellation: resurrect the raw handle.
-        handle.cancelled = False
-        sim._queue.append(handle)
-        import heapq
-
-        heapq.heapify(sim._queue)
+        assert handle.cancelled
+        # Simulate a lost cancellation: the handle's closure is armed
+        # again, at its own time, through the public scheduler.
+        sim.schedule_at(handle.time, handle.callback, *handle.args)
         proc.restart()
-        sim.run()
-        assert fired == []
+        assert sim.run() == 1  # the resurrected closure did run ...
+        assert fired == []  # ... into a closed door
 
     def test_timer_scheduled_after_restart_fires(self):
         sim = Simulator()

@@ -66,6 +66,34 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(5.0, lambda: None)
 
+    def test_nan_delay_rejected(self):
+        # NaN compares false with everything: accepted, it moved the clock
+        # to NaN, after which schedule_at took any time, past ones too.
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+        sim.run()
+        assert sim.now == 0.0
+        with pytest.raises(SimulationError):
+            sim.schedule_at(-1.0, lambda: None)
+
+    def test_nan_time_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
+    def test_nan_interval_rejected(self):
+        # every(nan) used to be armed, and run(until=...) could never
+        # pass its first tick.
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.every(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+        sim.run(until=5.0)
+        assert sim.now == 5.0
+
     def test_callbacks_receive_args(self):
         sim = Simulator()
         rec = Recorder()
