@@ -14,6 +14,9 @@ index (the results land in ``benchmarks/results/``).
 matches — a subscriber runtime's stage 0 — as a scan of the home's
 filters and as one engine call, over 1…50 states per home: the
 break-even ``STAGE0_SCAN_MAX`` is read off it (DESIGN §16).
+``test_probe_order_does_not_follow_insertion_order`` gates that the
+compiled engine's cost does not depend on which attribute a table
+happened to register first (DESIGN §12).
 """
 
 import json
@@ -24,12 +27,15 @@ import time
 import pytest
 
 from repro.core.subscription import Subscription
+from repro.events.base import PropertyEvent
 from repro.events.serialization import marshal
 from repro.experiments.common import ScenarioConfig
 from repro.filters.compiled import CompiledMatchEngine
+from repro.filters.constraints import AttributeConstraint
 from repro.filters.engine import DEFAULT_ENGINE, CachedMatchEngine
 from repro.filters.filter import Filter, _properties_of
 from repro.filters.index import CountingIndex
+from repro.filters.operators import EQ
 from repro.filters.table import FilterTable
 from repro.metrics.counters import CacheStats
 from repro.overlay import subscriber
@@ -217,6 +223,74 @@ def test_compiled_speedup_sweep(report):
             f"compiled engine must be >=10x the counting index at {size} "
             f"filters, got {speedup:.1f}x"
         )
+
+
+#: The ``sim_match_10k`` leaf table's attributes and domain sizes:
+#: every filter shares the one ``class``, ``symbol`` nearly tells them
+#: apart.
+QUOTE_DOMAINS = (("class", 1), ("region", 4), ("sector", 10), ("symbol", 5000))
+
+
+def test_probe_order_does_not_follow_insertion_order():
+    """Gate: matching costs the same whichever attribute was registered
+    first.
+
+    A 5 000-filter, four-attribute equality table shaped like a
+    ``sim_match_10k`` leaf is built twice — each filter spelled ``class``
+    first, then ``symbol`` first — and the same events are matched
+    against both.  Were attributes probed in registration order, the
+    first table would probe ``class`` (which clears nothing) first and
+    ``symbol`` last: 4 probes per event against 1.75, and 2.1x the
+    second's cost.  The engine picks its own order, so the two costs
+    must be within 1.15x.  The row goes to
+    ``benchmarks/results/probe_order.json``.
+    """
+    rng = random.Random(27)
+    rows = [
+        [(name, f"{name}-{rng.randrange(size)}") for name, size in QUOTE_DOMAINS]
+        for _ in range(5000)
+    ]
+    events = [
+        PropertyEvent({name: f"{name}-{rng.randrange(size)}" for name, size in QUOTE_DOMAINS})
+        for _ in range(2000)
+    ]
+    repeats = 7
+    cost_us, probes, delivered = {}, {}, {}
+    for first in ("class", "symbol"):
+        engine = CompiledMatchEngine()
+        for position, row in enumerate(rows):
+            pairs = row if first == "class" else row[::-1]
+            engine.insert(Filter(AttributeConstraint(a, EQ, v) for a, v in pairs), position)
+        engine.match_batch(events[:2])  # compile
+        before = engine.evaluations
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            results = engine.match_batch(events)
+            best = min(best, time.perf_counter() - start)
+        cost_us[first] = round(best / len(events) * 1e6, 3)
+        probes[first] = round((engine.evaluations - before) / repeats / len(events), 3)
+        delivered[first] = [sorted(i for _, ids in result for i in ids) for result in results]
+    assert delivered["class"] == delivered["symbol"]
+    ratio = round(max(cost_us.values()) / min(cost_us.values()), 3)
+    row = {
+        "benchmark": "probe_order",
+        "unit": "us per event through CompiledMatchEngine.match_batch, best of repeats",
+        "filters": len(rows),
+        "events": len(events),
+        "repeats": repeats,
+        "attributes": [name for name, _ in QUOTE_DOMAINS],
+        "class_first_us": cost_us["class"],
+        "symbol_first_us": cost_us["symbol"],
+        "class_first_probes": probes["class"],
+        "symbol_first_probes": probes["symbol"],
+        "slower_over_faster": ratio,
+    }
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    with open(os.path.join(RESULTS_DIR, "probe_order.json"), "w") as out:
+        json.dump(row, out, indent=1)
+        out.write("\n")
+    assert ratio <= 1.15, f"matching cost must not follow registration order: {row}"
 
 
 @pytest.mark.parametrize("engine_name", ["table", "index", "compiled"])

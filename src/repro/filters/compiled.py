@@ -26,24 +26,31 @@ Python bookkeeping:
   DESIGN §12.);
 - **conjunction satisfaction** is attribute-granular: ``C[a]`` is the
   bitmap of slots whose filter has an indexed constraint group on
-  attribute ``a``, ``S[a]`` the slots whose group is satisfied by the
-  event's value.  A slot matches the indexed tiers iff no attribute
-  clears it: ``acc &= ~(C[a] & ~S[a])`` for present attributes and
-  ``acc &= ~C[a]`` for absent ones — the bitmap-intersection equivalent
+  attribute ``a``, ``F[a] = live & ~C[a]`` the live slots it leaves
+  free, ``S[a]`` the slots whose group is satisfied by the event's
+  value.  A slot matches the indexed tiers iff no attribute clears it:
+  ``acc = (acc & S[a]) | (acc & F[a])`` for present attributes and
+  ``acc &= F[a]`` for absent ones — the bitmap-intersection equivalent
   of the counting algorithm's per-handle required-count check, with the
-  popcount bookkeeping replaced by word-parallel masking;
+  popcount bookkeeping replaced by word-parallel masking.  Every operand
+  is non-negative, so once ``acc`` is sparse each step is as short as
+  ``acc``; and attributes are probed most-selective first (the one
+  expected to clear the most slots), so ``acc`` gets sparse, and
+  usually empty, after the first probe;
 - **residual** predicates (``NE``/``PREFIX``/``CONTAINS``, multi-
   constraint groups on one attribute, boolean, unhashable or NaN
   operands) are evaluated interpretively, but only on the candidates
   that survived every indexed tier.
 
 Mutations never rebuild eagerly: they update cheap per-attribute source
-structures (operand lists, slot sets) and mark the attribute *dirty*;
-the next match recompiles only the dirty attributes' bitmaps (bulk bit
-assembly goes through a ``bytearray`` so a full attribute rebuild is
-O(n/8) bytes plus one ``int.from_bytes``).  Control-plane churn
-(insert / remove / lease expiry) therefore costs amortized O(affected
-attributes), not a full table recompile.
+structures (operand lists, slot sets, the bucket-size sums the probe
+order is computed from) and mark the attribute *dirty*; the next match
+recompiles only the dirty attributes' bitmaps (bulk bit assembly goes
+through a ``bytearray`` so a full attribute rebuild is O(n/8) bytes
+plus one ``int.from_bytes``), refreshes every free mask and re-sorts
+the attributes.  Control-plane churn (insert / remove / lease expiry)
+therefore costs amortized O(affected attributes), not a full table
+recompile.
 
 Semantics are bit-for-bit identical to :class:`CountingIndex` /
 :class:`FilterTable` (the differential hypothesis suite in
@@ -59,6 +66,7 @@ Python bitmap tier stands alone and remains the default.
 import bisect
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.events.base import PropertyEvent
 from repro.filters.constraints import AttributeConstraint
 from repro.filters.engine import MatchEngine, is_nan, value_key
 from repro.filters.filter import Filter
@@ -81,6 +89,15 @@ def _hashable(value: Any) -> bool:
     except TypeError:
         return False
     return True
+
+
+def _properties_of(event: Any) -> Any:
+    """The mapping an event is matched on: an exact ``PropertyEvent``'s
+    own dict (the rule ``Filter.matches`` follows: a subclass may
+    redefine lookup), else its ``properties``, else the event itself."""
+    if type(event) is PropertyEvent:
+        return event._properties
+    return getattr(event, "properties", event)
 
 
 def _family_of(value: Any) -> Optional[str]:
@@ -211,10 +228,14 @@ class _CompiledAttribute:
     __slots__ = (
         "eq_slots",
         "eq_bitmaps",
+        "eq_total",
+        "eq_square",
         "exists_slots",
         "exists_bitmap",
         "tiers",
+        "tier_total",
         "constrained",
+        "free",
         "dirty",
     )
 
@@ -226,29 +247,56 @@ class _CompiledAttribute:
         #: source of truth; bitmaps are compiled from it).
         self.eq_slots: Dict[Any, Dict[int, None]] = {}
         self.eq_bitmaps: Dict[Any, int] = {}
+        #: Σ|bucket| and Σ|bucket|² over ``eq_slots``, kept by
+        #: insert/remove for :meth:`clears`.
+        self.eq_total = 0
+        self.eq_square = 0
         self.exists_slots: Dict[int, None] = {}
         self.exists_bitmap = 0
         #: (tier key, family) -> _RangeTier.
         self.tiers: Dict[Tuple[str, str], _RangeTier] = {}
+        #: Slots held by the range tiers, summed.
+        self.tier_total = 0
         #: Bitmap of slots with an indexed group on this attribute (C[a]).
         self.constrained = 0
+        #: Live slots without one (F[a] = live & ~C[a]); the engine
+        #: refreshes it whenever its live set changes.
+        self.free = 0
         self.dirty = True
 
     def is_empty(self) -> bool:
-        return not (self.eq_slots or self.exists_slots or any(
-            tier.slots for tier in self.tiers.values()
-        ))
+        return not (self.eq_total or self.exists_slots or self.tier_total)
+
+    def clears(self) -> float:
+        """Slots a probe of a present value is expected to clear.
+
+        Every slot holds at most one indexed group here, so
+        ``popcount(C[a])`` is the three totals, and the expected
+        survivors are every ``exists`` slot, half the range-tier slots,
+        and for equality the bucket of a value drawn as often as the
+        stored operands are, ``Σ|bucket|² / Σ|bucket|``; the ``exists``
+        slots cancel out.  An attribute every slot shares one operand of
+        clears nothing; one with a bucket per slot clears all but one.
+        """
+        cleared = self.tier_total / 2
+        if self.eq_total:
+            cleared += self.eq_total - self.eq_square / self.eq_total
+        return cleared
 
     # -- mutation side (cheap; bitmaps rebuilt lazily) -------------------
 
     def insert(self, constraint: AttributeConstraint, slot: int) -> None:
         op = constraint.operator
         if op is EQ:
-            self.eq_slots.setdefault(value_key(constraint.operand), {})[slot] = None
+            slots = self.eq_slots.setdefault(value_key(constraint.operand), {})
+            self.eq_square += 2 * len(slots) + 1
+            self.eq_total += 1
+            slots[slot] = None
         elif op is EXISTS:
             self.exists_slots[slot] = None
         else:
             self._tier_for(constraint).insert(constraint.operand, slot)
+            self.tier_total += 1
         self.dirty = True
 
     def remove(self, constraint: AttributeConstraint, slot: int) -> None:
@@ -256,14 +304,16 @@ class _CompiledAttribute:
         if op is EQ:
             key = value_key(constraint.operand)
             slots = self.eq_slots.get(key)
-            if slots is not None:
-                slots.pop(slot, None)
+            if slots is not None and slot in slots:
+                del slots[slot]
+                self.eq_square -= 2 * len(slots) + 1
+                self.eq_total -= 1
                 if not slots:
                     del self.eq_slots[key]
         elif op is EXISTS:
             self.exists_slots.pop(slot, None)
-        else:
-            self._tier_for(constraint).remove(constraint.operand, slot)
+        elif self._tier_for(constraint).remove(constraint.operand, slot):
+            self.tier_total -= 1
         self.dirty = True
 
     def _tier_for(self, constraint: AttributeConstraint) -> _RangeTier:
@@ -300,8 +350,23 @@ class _CompiledAttribute:
     # -- the hot path ----------------------------------------------------
 
     def satisfied_by(self, value: Any) -> int:
-        """Bitmap of slots whose indexed group is satisfied by ``value``."""
+        """Bitmap of slots whose indexed group is satisfied by ``value``.
+
+        An exact ``str``, ``int`` or ``float`` — nearly every value — is
+        hashable, keyed ``(False, value)`` by :func:`value_key` and of the
+        family its type names (a NaN of none), so it is looked up without
+        those three calls; anything else takes them.
+        """
         satisfied = self.exists_bitmap
+        kind = type(value)
+        if kind is str or kind is int or kind is float:
+            bucket = self.eq_bitmaps.get((False, value))
+            if bucket is not None:
+                satisfied |= bucket
+            if self.tiers and value == value:
+                family = "str" if kind is str else "num"
+                satisfied |= self._ranges_satisfied(family, value)
+            return satisfied
         if _hashable(value):
             bucket = self.eq_bitmaps.get(value_key(value))
             if bucket is not None:
@@ -392,12 +457,18 @@ class CompiledMatchEngine(MatchEngine):
         self._next_slot = 0
         #: Bitmap of live slots (the all-candidates starting mask).
         self._live = 0
+        #: Set when ``_live`` changed since the last match: dirty
+        #: attributes, the free masks and the order are refreshed first.
+        self._stale = False
+        #: ``(attribute, compiled)`` pairs in probe order.
+        self._order: List[Tuple[str, _CompiledAttribute]] = []
         #: Bitmap of slots with at least one residual constraint group.
         self._residual_mask = 0
         #: slot -> tuple of residual constraints (absence-aware eval).
         self._residuals: Dict[int, Tuple[AttributeConstraint, ...]] = {}
         #: Constraint probes performed (LC bookkeeping: one per present
-        #: indexed attribute probed + one per residual predicate run).
+        #: indexed attribute probed while candidates it constrains
+        #: remain + one per residual predicate run).
         self.evaluations = 0
         #: Dirty-attribute recompiles performed (metrics counter feed).
         self.rebuilds = 0
@@ -452,6 +523,7 @@ class CompiledMatchEngine(MatchEngine):
             self._slot_of[handle] = slot
             self._handle_at[slot] = handle
             self._live |= 1 << slot
+            self._stale = True
             self._register(filter_, slot)
         ids = self._ids[handle]
         if destination not in ids:
@@ -521,6 +593,7 @@ class CompiledMatchEngine(MatchEngine):
             del self._residuals[slot]
             self._residual_mask &= ~(1 << slot)
         self._live &= ~(1 << slot)
+        self._stale = True
         self._free_slots.append(slot)
         del self._filters[filter_]
         del self._by_handle[handle]
@@ -531,12 +604,28 @@ class CompiledMatchEngine(MatchEngine):
     # ------------------------------------------------------------------
 
     def _recompile_dirty(self) -> None:
-        """Rebuild only the attributes mutated since the last match."""
+        """Catch the compiled side up with the mutations since the last
+        match: rebuild only the attributes they touched, give every
+        attribute the free mask of the new live set, and re-sort the
+        probe order (a handful of attributes; only an attribute that
+        recompiled, appeared or went can move in it)."""
+        if not self._stale:
+            return
+        self._stale = False
         size = self._next_slot
+        live = self._live
         for index in self._attributes.values():
             if index.dirty:
                 index.recompile(size)
                 self.rebuilds += 1
+            index.free = live & ~index.constrained
+        self._order = self._probe_order()
+
+    def _probe_order(self) -> List[Tuple[str, _CompiledAttribute]]:
+        """The attributes, the one a probe is expected to clear most
+        slots of first (:meth:`_CompiledAttribute.clears`); ties keep
+        insertion order (``sorted`` is stable)."""
+        return sorted(self._attributes.items(), key=lambda item: -item[1].clears())
 
     # ------------------------------------------------------------------
     # Matching
@@ -546,8 +635,7 @@ class CompiledMatchEngine(MatchEngine):
         if not self._filters:
             return []
         self._recompile_dirty()
-        properties = getattr(event, "properties", event)
-        return self._materialize(self._match_bitmap(properties))
+        return self._materialize(self._match_bitmap(_properties_of(event)))
 
     def match_batch(
         self, events: Sequence[Any]
@@ -563,7 +651,7 @@ class CompiledMatchEngine(MatchEngine):
         if not self._filters:
             return [[] for _ in events]
         self._recompile_dirty()
-        properties = [getattr(event, "properties", event) for event in events]
+        properties = [_properties_of(event) for event in events]
         hints = None
         if self.use_numpy and len(properties) > 1:
             hints = self._numpy_hints(properties)
@@ -580,23 +668,22 @@ class CompiledMatchEngine(MatchEngine):
     ) -> int:
         acc = self._live
         probes = 0
-        for attribute, index in self._attributes.items():
-            constrained = index.constrained
-            if not acc & constrained:
+        for attribute, index in self._order:
+            if not acc & index.constrained:
                 continue
             if attribute in properties:
                 probes += 1
                 value = properties[attribute]
-                if hints is not None:
+                if hints is None:
+                    satisfied = index.satisfied_by(value)
+                else:
                     satisfied = self._satisfied_with_hints(
                         index, attribute, value, hints, position
                     )
-                else:
-                    satisfied = index.satisfied_by(value)
-                acc &= ~(constrained & ~satisfied)
+                acc = (acc & satisfied) | (acc & index.free)
             else:
                 # Absent attribute: every non-ALL constraint on it fails.
-                acc &= ~constrained
+                acc &= index.free
             if not acc:
                 break
         self.evaluations += probes

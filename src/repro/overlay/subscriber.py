@@ -51,10 +51,11 @@ _UNOPENED = object()
 #: A home holding more states than this is matched by one engine call
 #: per envelope; at or below it the ``Filter.matches`` scan is cheaper.
 #: A measured break-even (DESIGN §16, ``stage0_break_even.json``), not
-#: an option: at 8 states the scan takes 0.67-0.70x the engine's time on
-#: what a home actually sends and 0.98-1.03x (even, within noise) on
-#: unfiltered traffic; at 12 it is behind there, 1.16-1.22x.
-STAGE0_SCAN_MAX = 8
+#: an option: at 4 states the scan takes 0.62-0.70x the engine's time on
+#: what a home actually sends and 0.96-1.23x (even, within noise) on
+#: unfiltered traffic; from 5 on it is behind there (1.04-1.14x at 5,
+#: 1.37-1.51x at 8).
+STAGE0_SCAN_MAX = 4
 
 
 @dataclass(eq=False)

@@ -40,6 +40,13 @@ def _default_sizer(message: Any) -> int:
     return max(16, size)
 
 
+def _check_latency(latency: float) -> None:
+    """Refuse a latency no delivery could be scheduled at (NaN, or
+    before the send), where it is configured, not at the first send."""
+    if not latency >= 0:
+        raise SimulationError(f"link latency must be >= 0, got {latency}")
+
+
 class Link:
     """A directed link between two processes with fixed latency."""
 
@@ -277,6 +284,8 @@ class Network:
         faults: Optional[FaultPlan] = None,
         tracer: Optional[EventTracer] = None,
     ):
+        if default_latency is not None:
+            _check_latency(default_latency)
         self.sim = sim
         self.default_latency = default_latency
         self.sizer = sizer
@@ -345,8 +354,7 @@ class Network:
 
     def connect(self, a: Process, b: Process, latency: float = 0.001) -> None:
         """Create a bidirectional link between ``a`` and ``b``."""
-        if latency < 0:
-            raise SimulationError(f"negative latency {latency}")
+        _check_latency(latency)
         self._register_name(a)
         self._register_name(b)
         self._disconnected.discard(frozenset((id(a), id(b))))

@@ -37,7 +37,7 @@ def test_filter_matches_calls_per_live_envelope(monkeypatch, states):
     """Nothing but ``_deliver`` runs between the counter's installation
     and its reading (no broker, no replay), and the engine's residuals
     are ``AttributeConstraint.matches``: every counted call is a scan."""
-    assert STAGE0_SCAN_MAX == 8
+    assert STAGE0_SCAN_MAX == 4
     specs = [(0, FILTERS[i % len(FILTERS)], None, None, True) for i in range(states)]
     new = _Side(SubscriberRuntime, specs, flow=False)
     old = _Side(ReferenceSubscriberRuntime, specs, flow=False)

@@ -63,6 +63,29 @@ def test_negative_latency_rejected(sim, net):
         net.connect(a, b, latency=-1.0)
 
 
+def test_nan_latency_rejected_at_connect(sim, net):
+    """Not accepted and left to fail inside whichever process sends
+    first (``cannot schedule at t=nan``)."""
+    a, b = Sink(sim, "a"), Sink(sim, "b")
+    with pytest.raises(SimulationError, match="latency"):
+        net.connect(a, b, latency=float("nan"))
+    assert net.link(a, b) is None
+
+
+@pytest.mark.parametrize("latency", [float("nan"), -1.0], ids=["nan", "negative"])
+def test_bad_default_latency_rejected_at_construction(sim, latency):
+    """Not at the first lazy connect, which a send makes."""
+    with pytest.raises(SimulationError, match="latency"):
+        Network(sim, default_latency=latency)
+
+
+def test_facade_rejects_nan_link_latency():
+    from repro.core.engine import MultiStageEventSystem
+
+    with pytest.raises(SimulationError, match="latency"):
+        MultiStageEventSystem(stage_sizes=(2, 1), link_latency=float("nan"))
+
+
 def test_per_link_fifo_ordering(sim, net):
     a, b = Sink(sim, "a"), Sink(sim, "b")
     net.connect(a, b, latency=0.5)
