@@ -55,12 +55,10 @@ GENERATOR = SubscriptionGenerator(
 ENGINES = {
     "table": FilterTable,
     "index": CountingIndex,
-    "compiled": lambda: CompiledMatchEngine(use_numpy=False),
+    "compiled": CompiledMatchEngine,
     "cached-table": lambda: CachedMatchEngine(FilterTable()),
     "cached-index": lambda: CachedMatchEngine(CountingIndex()),
-    "cached-compiled": lambda: CachedMatchEngine(
-        CompiledMatchEngine(use_numpy=False)
-    ),
+    "cached-compiled": lambda: CachedMatchEngine(CompiledMatchEngine()),
 }
 
 
@@ -169,60 +167,63 @@ def test_cache_speedup_on_repetitive_workload(report):
     )
 
 
-def test_compiled_speedup_sweep(report):
+def test_compiled_speedup_sweep():
     """Acceptance gate: compiled bitmap matching >=10x the counting index
     at 10^4- and 10^5-filter tables (§5-scale subscription populations).
 
     Events run through ``match_batch`` on the compiled engine — the shape
     broker dispatch uses — and through per-event ``match`` on the
     counting index (its only shape).  Every event's match list must be
-    identical between engines before any timing is trusted.
+    identical between engines before any timing is trusted.  The rows go
+    to ``benchmarks/results/compiled_speedup.json``.
     """
-    numpy_engine = CompiledMatchEngine()
-    variants = [("compiled", lambda: CompiledMatchEngine(use_numpy=False))]
-    if numpy_engine.use_numpy:
-        variants.append(("compiled+numpy", CompiledMatchEngine))
-
-    report()
-    report("=== Compiled bitmap engine vs counting index (table-size sweep) ===")
     gate_sizes = {10_000, 100_000}
-    gated_speedups = {}
+    rows = []
     for size, event_count in ((1_000, 100), (10_000, 50), (100_000, 20)):
         population = build_population(size)
         events = build_events(event_count)
 
         index = CountingIndex()
+        engine = CompiledMatchEngine()
         for position, filter_ in enumerate(population):
             index.insert(filter_, position)
+            engine.insert(filter_, position)
         index.match(events[0])  # warm
         index_start = time.perf_counter()
         expected = [index.match(event) for event in events]
         index_time = time.perf_counter() - index_start
 
-        row = [
-            f"{size:>7} filters, {event_count:>3} events: "
-            f"index {index_time * 1e3:8.2f} ms"
-        ]
-        for name, factory in variants:
-            engine = factory()
-            for position, filter_ in enumerate(population):
-                engine.insert(filter_, position)
-            engine.match_batch(events[:2])  # warm: compile + float cache
-            compiled_start = time.perf_counter()
-            results = engine.match_batch(events)
-            compiled_time = time.perf_counter() - compiled_start
-            assert results == expected, f"{name} diverged at {size} filters"
-            speedup = index_time / compiled_time
-            row.append(f"{name} {compiled_time * 1e3:7.2f} ms ({speedup:6.1f}x)")
-            if size in gate_sizes and name == "compiled":
-                gated_speedups[size] = speedup
-        report("  " + ", ".join(row))
-
-    for size, speedup in sorted(gated_speedups.items()):
-        assert speedup >= 10.0, (
-            f"compiled engine must be >=10x the counting index at {size} "
-            f"filters, got {speedup:.1f}x"
+        engine.match_batch(events[:2])  # warm: compile
+        compiled_start = time.perf_counter()
+        results = engine.match_batch(events)
+        compiled_time = time.perf_counter() - compiled_start
+        assert results == expected, f"compiled diverged at {size} filters"
+        rows.append(
+            {
+                "filters": size,
+                "events": event_count,
+                "index_ms": round(index_time * 1e3, 3),
+                "compiled_ms": round(compiled_time * 1e3, 3),
+                "speedup": round(index_time / compiled_time, 1),
+            }
         )
+    result = {
+        "benchmark": "compiled_speedup",
+        "unit": "ms per run: CountingIndex.match per event, "
+        "CompiledMatchEngine.match_batch over the run",
+        "gate": ">=10x at 10^4 and 10^5 filters",
+        "rows": rows,
+    }
+    os.makedirs(RESULTS_DIR, exist_ok=True)
+    with open(os.path.join(RESULTS_DIR, "compiled_speedup.json"), "w") as out:
+        json.dump(result, out, indent=1)
+        out.write("\n")
+    for row in rows:
+        if row["filters"] in gate_sizes:
+            assert row["speedup"] >= 10.0, (
+                f"compiled engine must be >=10x the counting index at "
+                f"{row['filters']} filters, got {row['speedup']}x"
+            )
 
 
 #: The ``sim_match_10k`` leaf table's attributes and domain sizes:

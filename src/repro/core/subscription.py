@@ -67,9 +67,9 @@ class LeaseTable:
     """Renewal timestamps for ``(filter, id)`` pairs held by a node."""
 
     def __init__(self, ttl: float, expiry_factor: float = DEFAULT_EXPIRY_FACTOR):
-        if ttl <= 0:
+        if not ttl > 0:  # NaN fails every comparison
             raise ValueError(f"TTL must be positive, got {ttl}")
-        if expiry_factor < 1:
+        if not expiry_factor >= 1:
             raise ValueError(f"expiry factor must be >= 1, got {expiry_factor}")
         self.ttl = ttl
         self.expiry_factor = expiry_factor

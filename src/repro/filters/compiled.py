@@ -57,10 +57,6 @@ Semantics are bit-for-bit identical to :class:`CountingIndex` /
 ``tests/filters/test_differential.py`` arbitrates), including the
 bool-vs-number equality discrimination of :func:`value_key` and the
 operand-family separation of :func:`values_comparable`.
-
-An optional numpy fast path (extra ``perf = ["numpy"]``) vectorizes the
-range-tier bisects across a whole :meth:`match_batch` call; the pure-
-Python bitmap tier stands alone and remains the default.
 """
 
 import bisect
@@ -71,11 +67,6 @@ from repro.filters.constraints import AttributeConstraint
 from repro.filters.engine import MatchEngine, is_nan, value_key
 from repro.filters.filter import Filter
 from repro.filters.operators import ALL, EQ, EXISTS, GE, GT, LE, LT
-
-try:  # pragma: no cover - exercised via the numpy-path tests when present
-    import numpy as _numpy
-except ImportError:  # pragma: no cover
-    _numpy = None
 
 #: Block size of the cumulative range-tier bitmaps: memory is
 #: ``n / _BLOCK`` full-width bitmaps per tier, query cost is one block
@@ -149,17 +140,13 @@ class _RangeTier:
     ``cumulative[boundary block] | partial-block bits``.
     """
 
-    __slots__ = ("operands", "slots", "cumulative", "reverse", "float_cache")
+    __slots__ = ("operands", "slots", "cumulative", "reverse")
 
     def __init__(self, reverse: bool) -> None:
         self.operands: List[Any] = []
         self.slots: List[int] = []
         self.cumulative: List[int] = []
         self.reverse = reverse
-        #: Lazily built numpy float64 copy of ``operands`` for the
-        #: vectorized batch path: ``None`` = not built yet, ``False`` =
-        #: operands don't round-trip exactly through float (ineligible).
-        self.float_cache: Any = None
 
     def insert(self, operand: Any, slot: int) -> None:
         position = bisect.bisect_right(self.operands, operand)
@@ -179,7 +166,6 @@ class _RangeTier:
 
     def recompile(self) -> None:
         """Rebuild the block-cumulative bitmaps from the sorted arrays."""
-        self.float_cache = None
         slots = self.slots
         n = len(slots)
         blocks = (n + _BLOCK - 1) // _BLOCK
@@ -434,15 +420,9 @@ class CompiledMatchEngine(MatchEngine):
     Match results — entries, ordering, destination tuples — are
     identical to :class:`CountingIndex`; only the evaluation strategy
     (and therefore the ``evaluations`` work accounting) differs.
-
-    ``use_numpy=None`` (default) auto-detects numpy and uses it to
-    vectorize :meth:`match_batch` range bisects; ``False`` forces the
-    pure-Python path (the two are result-identical — numpy only
-    computes bisect positions, and only over operand runs that
-    round-trip exactly through ``float``).
     """
 
-    def __init__(self, use_numpy: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._attributes: Dict[str, _CompiledAttribute] = {}
         self._filters: Dict[Filter, int] = {}
         self._by_handle: Dict[int, Filter] = {}
@@ -474,11 +454,6 @@ class CompiledMatchEngine(MatchEngine):
         self.rebuilds = 0
         #: Residual predicates evaluated on surviving candidates.
         self.residual_evaluations = 0
-        if use_numpy is None:
-            use_numpy = _numpy is not None
-        if use_numpy and _numpy is None:
-            raise ValueError("use_numpy=True but numpy is not importable")
-        self.use_numpy = bool(use_numpy)
 
     # ------------------------------------------------------------------
     # Introspection (MatchEngine surface)
@@ -640,32 +615,17 @@ class CompiledMatchEngine(MatchEngine):
     def match_batch(
         self, events: Sequence[Any]
     ) -> List[List[Tuple[Filter, Tuple[Hashable, ...]]]]:
-        """Match a whole run of events in one pass over the structures.
-
-        Dirty attributes recompile once for the run; with numpy present
-        the range-tier bisect positions for all events are computed in a
-        single vectorized ``searchsorted`` per tier.  A one-event run
-        skips that pass: building the arrays costs more than the one
-        bisect per tier it would save.
-        """
+        """Match a whole run of events: dirty attributes recompile once
+        for the run, then each event goes through the per-event kernel."""
         if not self._filters:
             return [[] for _ in events]
         self._recompile_dirty()
-        properties = [_properties_of(event) for event in events]
-        hints = None
-        if self.use_numpy and len(properties) > 1:
-            hints = self._numpy_hints(properties)
         return [
-            self._materialize(self._match_bitmap(props, hints, position))
-            for position, props in enumerate(properties)
+            self._materialize(self._match_bitmap(_properties_of(event)))
+            for event in events
         ]
 
-    def _match_bitmap(
-        self,
-        properties: Any,
-        hints: Optional[Dict[Tuple[str, str, str], Any]] = None,
-        position: int = 0,
-    ) -> int:
+    def _match_bitmap(self, properties: Any) -> int:
         acc = self._live
         probes = 0
         for attribute, index in self._order:
@@ -673,13 +633,7 @@ class CompiledMatchEngine(MatchEngine):
                 continue
             if attribute in properties:
                 probes += 1
-                value = properties[attribute]
-                if hints is None:
-                    satisfied = index.satisfied_by(value)
-                else:
-                    satisfied = self._satisfied_with_hints(
-                        index, attribute, value, hints, position
-                    )
+                satisfied = index.satisfied_by(properties[attribute])
                 acc = (acc & satisfied) | (acc & index.free)
             else:
                 # Absent attribute: every non-ALL constraint on it fails.
@@ -721,91 +675,9 @@ class CompiledMatchEngine(MatchEngine):
             (self._by_handle[handle], tuple(self._ids[handle])) for handle in matched
         ]
 
-    # ------------------------------------------------------------------
-    # Optional numpy fast path (vectorized batch bisects)
-    # ------------------------------------------------------------------
-
-    def _numpy_hints(
-        self, properties: Sequence[Any]
-    ) -> Optional[Dict[Tuple[str, str, str], Any]]:
-        """Precompute per-tier bisect positions for the whole batch.
-
-        Only numeric tiers whose operands (and the batch's probe values)
-        round-trip exactly through ``float`` are vectorized; anything
-        else silently falls back to the per-event pure-Python bisect, so
-        the fast path can never change a match result.
-        """
-        hints: Dict[Tuple[str, str, str], Any] = {}
-        for attribute, index in self._attributes.items():
-            for (key, family), tier in index.tiers.items():
-                if family != "num" or len(tier.operands) < _BLOCK:
-                    continue
-                if tier.float_cache is None:
-                    if all(_exact_float(op) for op in tier.operands):
-                        tier.float_cache = _numpy.asarray(tier.operands, dtype=float)
-                    else:
-                        tier.float_cache = False
-                if tier.float_cache is False:
-                    continue
-                values = []
-                for props in properties:
-                    value = props.get(attribute) if hasattr(props, "get") else None
-                    if (
-                        value is not None
-                        and _family_of(value) == "num"
-                        and _exact_float(value)
-                    ):
-                        values.append(float(value))
-                    else:
-                        values.append(_numpy.nan)
-                side = "right" if key in ("lt", "ge") else "left"
-                positions = _numpy.searchsorted(
-                    tier.float_cache, _numpy.asarray(values), side=side
-                )
-                hints[(attribute, key, family)] = (positions, values)
-        return hints or None
-
-    def _satisfied_with_hints(
-        self,
-        index: _CompiledAttribute,
-        attribute: str,
-        value: Any,
-        hints: Dict[Tuple[str, str, str], Any],
-        position: int,
-    ) -> int:
-        satisfied = index.exists_bitmap
-        if _hashable(value):
-            bucket = index.eq_bitmaps.get(value_key(value))
-            if bucket is not None:
-                satisfied |= bucket
-        if index.tiers:
-            family = _family_of(value)
-            if family is not None:
-                for (key, tier_family), tier in index.tiers.items():
-                    if tier_family != family:
-                        continue
-                    hint = hints.get((attribute, key, tier_family))
-                    if hint is not None and hint[1][position] == hint[1][position]:
-                        boundary = int(hint[0][position])
-                    elif key in ("lt", "ge"):
-                        boundary = bisect.bisect_right(tier.operands, value)
-                    else:
-                        boundary = bisect.bisect_left(tier.operands, value)
-                    satisfied |= tier.satisfied_from(boundary)
-        return satisfied
-
     def __repr__(self) -> str:
         return (
             f"CompiledMatchEngine({len(self)} filters, "
             f"{len(self._attributes)} attributes, {self.rebuilds} rebuilds)"
         )
 
-
-def _exact_float(value: Any) -> bool:
-    """True when ``float(value)`` represents ``value`` exactly."""
-    if isinstance(value, float):
-        return True  # NaN has no family: it never gets this far
-    try:
-        return float(value) == value
-    except OverflowError:
-        return False

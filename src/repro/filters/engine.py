@@ -133,8 +133,8 @@ class MatchEngine(ABC):
         The default simply loops — which preserves the per-event
         memoization of :class:`CachedMatchEngine` — while engines with a
         real batch mode (:class:`~repro.filters.compiled.
-        CompiledMatchEngine`) override it to amortize recompilation and
-        vectorize lookups across the whole run.
+        CompiledMatchEngine`) override it to recompile once for the
+        whole run.
         """
         return [self.match(event) for event in events]
 

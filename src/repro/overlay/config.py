@@ -68,14 +68,15 @@ class BrokerConfig:
     offline_buffer_limit: int = 1000
 
     def __post_init__(self) -> None:
-        if self.ttl <= 0:
+        # ``not x > 0`` rather than ``x <= 0``: NaN fails every comparison.
+        if not self.ttl > 0:
             raise ValueError(f"TTL must be positive, got {self.ttl}")
-        if self.expiry_factor < 1:
+        if not self.expiry_factor >= 1:
             raise ValueError(
                 f"expiry factor must be >= 1, got {self.expiry_factor}"
             )
         engine_class(self.engine)  # raises for a name the map lacks
-        if self.service_rate is not None and self.service_rate <= 0:
+        if self.service_rate is not None and not self.service_rate > 0:
             raise ValueError(
                 f"service_rate must be positive, got {self.service_rate}"
             )

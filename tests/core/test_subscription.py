@@ -48,6 +48,12 @@ class TestLeaseTable:
             LeaseTable(ttl=0)
         with pytest.raises(ValueError):
             LeaseTable(ttl=10, expiry_factor=0.5)
+        # NaN passed ``<= 0`` / ``< 1``: a NaN expiry factor left every
+        # lease dead yet none expired.
+        with pytest.raises(ValueError):
+            LeaseTable(ttl=float("nan"))
+        with pytest.raises(ValueError):
+            LeaseTable(ttl=10, expiry_factor=float("nan"))
 
     def test_touch_makes_pair_live(self):
         leases = LeaseTable(ttl=10)

@@ -5,15 +5,18 @@ The differential state machine (``test_differential.py``) holds
 mutation interleavings; the tests here pin down the engine-specific
 machinery that a black-box differential can't see — dirty-attribute
 recompile granularity, slot recycling, residual-tier classification,
-the batch entry point, and the numpy fast path's exact-equivalence
-guarantee.
+the batch entry point, and the range tiers' awkward values across block
+edges.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from repro.filters.compiled import _BLOCK, CompiledMatchEngine, _numpy
+from repro.filters.compiled import _BLOCK, CompiledMatchEngine
 from repro.filters.constraints import AttributeConstraint
 from repro.filters.engine import CachedMatchEngine
 from repro.filters.filter import Filter
@@ -38,7 +41,7 @@ def eq(attr, operand):
 
 
 def build(pairs):
-    engine = CompiledMatchEngine(use_numpy=False)
+    engine = CompiledMatchEngine()
     for filter_, destination in pairs:
         engine.insert(filter_, destination)
     return engine
@@ -90,7 +93,7 @@ class TestMatchingBasics:
         assert engine.match({"x": 3}) == [(top, ("d1",)), (wildcards, ("d2",))]
 
     def test_rejects_bottom(self):
-        engine = CompiledMatchEngine(use_numpy=False)
+        engine = CompiledMatchEngine()
         with pytest.raises(ValueError):
             engine.insert(Filter.bottom(), "d1")
 
@@ -217,7 +220,7 @@ class TestIncrementalRecompile:
         assert engine.rebuilds == before + 1
 
     def test_slot_recycling_keeps_results_correct(self):
-        engine = CompiledMatchEngine(use_numpy=False)
+        engine = CompiledMatchEngine()
         rng = random.Random(5)
         index = CountingIndex()
         live = []
@@ -266,11 +269,11 @@ class TestBatch:
         ]
 
     def test_match_batch_on_empty_engine(self):
-        engine = CompiledMatchEngine(use_numpy=False)
+        engine = CompiledMatchEngine()
         assert engine.match_batch([{"a": 1}, {}]) == [[], []]
 
     def test_cached_wrapper_batch_preserves_memo_accounting(self):
-        inner = CompiledMatchEngine(use_numpy=False)
+        inner = CompiledMatchEngine()
         cached = CachedMatchEngine(inner)
         for value in range(20):
             cached.insert(eq("a", value), "d")
@@ -291,27 +294,35 @@ class TestBatch:
         assert engine.rebuilds == 1  # one compile for the whole run
 
 
-@pytest.mark.skipif(_numpy is None, reason="numpy not installed")
-class TestNumpyFastPath:
+class TestRangeTierEdges:
+    """The values a sorted range tier finds awkward, across block edges.
+
+    A tier of ``_BLOCK`` or more operands answers from its cumulative
+    block bitmaps plus a partial block, so the table here spans eight
+    blocks and the probes land in prefix and suffix blocks alike.
+    """
+
     @staticmethod
-    def three_subjects(table):
-        """The numpy tier, the pure tier and the Figure-6 oracle."""
-        subjects = (
-            CompiledMatchEngine(use_numpy=True),
-            CompiledMatchEngine(use_numpy=False),
-            FilterTable(),
-        )
+    def engine_and_oracle(table):
+        subjects = (CompiledMatchEngine(), FilterTable())
         for filter_, destination in table:
             for subject in subjects:
                 subject.insert(filter_, destination)
         return subjects
 
-    def test_numpy_and_pure_python_agree(self, monkeypatch):
+    @staticmethod
+    def assert_matches_oracle(engine, oracle, events):
+        expected = [oracle.match(event) for event in events]
+        assert engine.match_batch(events) == expected
+        for event, matches in zip(events, expected):
+            assert engine.match_batch([event]) == [matches]
+            assert engine.match(event) == matches
+        return expected
+
+    def test_block_crossing_probes_match_the_oracle(self):
         rng = random.Random(21)
         operators = [LT, LE, GT, GE, EQ]
         table = []
-        # Eight blocks over five operators: every range tier is past the
-        # _BLOCK operands below which the numpy hints are not built.
         for position in range(8 * _BLOCK):
             op = operators[position % len(operators)]
             operand = rng.choice(
@@ -320,7 +331,11 @@ class TestNumpyFastPath:
             table.append(
                 (Filter([AttributeConstraint("v", op, operand)]), f"d{position}")
             )
-        with_numpy, without, oracle = self.three_subjects(table)
+        engine, oracle = self.engine_and_oracle(table)
+        assert all(
+            len(tier.operands) > _BLOCK
+            for tier in engine._attributes["v"].tiers.values()
+        )
         events = [
             {"v": rng.choice([rng.randrange(110), round(rng.uniform(0, 110), 3)])}
             for _ in range(60)
@@ -331,43 +346,36 @@ class TestNumpyFastPath:
                 -0.0, 2**63 + 1,
             )
         ] + [{}]  # fmt: skip
-        expected = [oracle.match(event) for event in events]
+        expected = self.assert_matches_oracle(engine, oracle, events)
         assert any(expected) and not expected[62]  # the NaN probe
-        assert with_numpy._numpy_hints(events)  # the fast path is taken
-        assert with_numpy.match_batch(events) == expected
-        assert without.match_batch(events) == expected
-        # A one-event run is the plain match: the hint arrays would cost
-        # more than the one bisect per tier they save, so none are built.
-        monkeypatch.setattr(
-            with_numpy, "_numpy_hints", lambda properties: pytest.fail("hints built")
-        )
-        for event, matches in zip(events, expected):
-            assert with_numpy.match_batch([event]) == [matches]
-            assert with_numpy.match(event) == matches
 
-    def test_inexact_operands_fall_back(self):
+    def test_operands_past_float_precision_match_the_oracle(self):
         huge = 2**63 + 1  # not exactly representable as float64
         table = [
             (Filter([AttributeConstraint("v", GE, huge + offset)]), f"d{offset}")
             for offset in range(_BLOCK + 4)
         ]
-        with_numpy, without, oracle = self.three_subjects(table)
+        engine, oracle = self.engine_and_oracle(table)
         events = [{"v": huge + offset} for offset in range(-1, _BLOCK + 5)]
-        expected = [oracle.match(event) for event in events]
-        assert with_numpy.match_batch(events) == expected
-        assert without.match_batch(events) == expected
+        expected = self.assert_matches_oracle(engine, oracle, events)
+        # Each step of one past 2**63 adds exactly one matched filter.
+        assert [len(matches) for matches in expected] == list(range(_BLOCK + 5)) + [
+            _BLOCK + 4
+        ]
 
-    def test_default_autodetects(self):
-        assert CompiledMatchEngine().use_numpy is True
 
-
-def test_use_numpy_without_numpy_raises(monkeypatch):
-    import repro.filters.compiled as compiled_module
-
-    monkeypatch.setattr(compiled_module, "_numpy", None)
-    assert CompiledMatchEngine().use_numpy is False
-    with pytest.raises(ValueError):
-        CompiledMatchEngine(use_numpy=True)
+def test_repro_does_not_import_numpy():
+    """The engine and every runtime module load without numpy."""
+    code = (
+        "import sys\n"
+        "import repro.core.engine, repro.runtime.multiprocess_backend\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_evaluations_counter_moves():

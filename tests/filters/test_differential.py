@@ -5,8 +5,7 @@ A hypothesis state machine drives random interleavings of ``insert`` /
 
 - the Figure-6 :class:`FilterTable` (the paper's algorithm — the oracle),
 - a plain :class:`CountingIndex`,
-- :class:`CompiledMatchEngine` (pure-Python bitmaps, and the numpy batch
-  path when numpy is importable),
+- :class:`CompiledMatchEngine` (the pure-Python bitmap kernel),
 - :class:`CachedMatchEngine` wrapping each of the above,
 
 and asserts after every step that all engines return identical *ordered*
@@ -23,7 +22,7 @@ import hypothesis.strategies as st
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.filters.compiled import CompiledMatchEngine, _numpy
+from repro.filters.compiled import CompiledMatchEngine
 from repro.filters.constraints import AttributeConstraint
 from repro.filters.engine import CachedMatchEngine
 from repro.filters.filter import Filter
@@ -51,8 +50,8 @@ DESTINATIONS = ["n1", "n2", "n3"]
 #: own, since drawn once in twenty-five it met no ordering filter in 60
 #: examples and the engines it breaks passed), both infinities, a
 #: negative zero (equal to 0 under ``=``, hashed like it) and an integer
-#: past 2**63 that no float64 holds exactly (the numpy tier must step
-#: aside for it).
+#: past 2**63 that no float64 holds exactly (a float conversion
+#: anywhere on the range path would round it onto its neighbours).
 values = st.one_of(
     st.integers(min_value=-3, max_value=3),
     st.sampled_from([0.5, 1.5]),
@@ -94,13 +93,11 @@ class EngineDifferential(RuleBasedStateMachine):
         self.oracle = FilterTable()
         self.others = [
             CountingIndex(),
-            CompiledMatchEngine(use_numpy=False),
+            CompiledMatchEngine(),
             CachedMatchEngine(FilterTable()),
             CachedMatchEngine(CountingIndex()),
-            CachedMatchEngine(CompiledMatchEngine(use_numpy=False)),
+            CachedMatchEngine(CompiledMatchEngine()),
         ]
-        if _numpy is not None:
-            self.others.append(CompiledMatchEngine(use_numpy=True))
         #: (filter, destination) pairs currently stored, for removals that
         #: actually hit (pure misses exercise nothing after the first one).
         self.live = []

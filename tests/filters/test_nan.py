@@ -11,7 +11,7 @@ differential state machine draws NaN as well, ``test_differential.py``).
 
 import pytest
 
-from repro.filters.compiled import CompiledMatchEngine, _numpy
+from repro.filters.compiled import CompiledMatchEngine
 from repro.filters.constraints import AttributeConstraint
 from repro.filters.engine import CachedMatchEngine
 from repro.filters.filter import Filter
@@ -19,15 +19,41 @@ from repro.filters.index import CountingIndex
 from repro.filters.operators import EQ, EXISTS, GE, GT, LE, LT, NE
 from repro.filters.table import FilterTable
 
+try:
+    import numpy
+except ImportError:  # pragma: no cover - numpy is no dependency of repro
+    numpy = None
+
 NAN = float("nan")
+
+
+class NumpyScalarEvents(CompiledMatchEngine):
+    """The compiled engine, seeing every float property as a
+    ``numpy.float64``: a float subclass, so the kernel's exact-type
+    shortcut passes it to the general path, which must answer as the
+    oracle does for the plain float."""
+
+    @staticmethod
+    def _converted(event):
+        return {
+            name: numpy.float64(value) if type(value) is float else value
+            for name, value in event.items()
+        }
+
+    def match(self, event):
+        return super().match(self._converted(event))
+
+    def match_batch(self, events):
+        return super().match_batch([self._converted(event) for event in events])
+
 
 ENGINES = {
     "index": CountingIndex,
-    "compiled": lambda: CompiledMatchEngine(use_numpy=False),
-    "cached-compiled": lambda: CachedMatchEngine(CompiledMatchEngine(use_numpy=False)),
+    "compiled": CompiledMatchEngine,
+    "cached-compiled": lambda: CachedMatchEngine(CompiledMatchEngine()),
 }
-if _numpy is not None:
-    ENGINES["compiled-numpy"] = lambda: CompiledMatchEngine(use_numpy=True)
+if numpy is not None:
+    ENGINES["compiled-numpy"] = NumpyScalarEvents
 
 BOUNDS = [(LT, 5.0), (LE, 5.0), (GT, 5.0), (GE, 5.0)]
 

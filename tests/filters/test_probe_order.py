@@ -20,7 +20,7 @@ from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.events.base import PropertyEvent
-from repro.filters.compiled import CompiledMatchEngine, _numpy
+from repro.filters.compiled import CompiledMatchEngine
 from repro.filters.constraints import AttributeConstraint
 from repro.filters.filter import Filter
 from repro.filters.operators import ALL, EQ, EXISTS, GE, GT, LE, LT, NE, PREFIX
@@ -71,8 +71,8 @@ class ReversedOrder(CompiledMatchEngine):
 
 
 class ShuffledOrder(CompiledMatchEngine):
-    def __init__(self, seed, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self, seed):
+        super().__init__()
         self._rng = random.Random(seed)
 
     def _probe_order(self):
@@ -86,12 +86,10 @@ class ProbeOrderMachine(RuleBasedStateMachine):
         super().__init__()
         self.oracle = FilterTable()
         self.engines = [
-            CompiledMatchEngine(use_numpy=False),
-            ReversedOrder(use_numpy=False),
-            ShuffledOrder(0, use_numpy=False),
+            CompiledMatchEngine(),
+            ReversedOrder(),
+            ShuffledOrder(0),
         ]
-        if _numpy is not None:
-            self.engines.append(CompiledMatchEngine(use_numpy=True))
         self.live = []
 
     def _all(self):
@@ -154,7 +152,7 @@ TestProbeOrder = ProbeOrderMachine.TestCase
 def test_filter_inserted_after_a_match_rides_through_compiled_attributes():
     """The free masks follow the live set: a filter registered after a
     match constrains none of the attributes compiled by then."""
-    engine = CompiledMatchEngine(use_numpy=False)
+    engine = CompiledMatchEngine()
     engine.insert(Filter([AttributeConstraint("symbol", EQ, "x")]), "first")
     assert engine.match({"symbol": "y"}) == []
     # Neither recompiles an attribute: only the live set moves.
@@ -179,7 +177,7 @@ def test_filter_inserted_after_a_match_rides_through_compiled_attributes():
 def test_most_selective_attribute_is_probed_first():
     """Registered first, an attribute every filter shares is probed last:
     one probe of the per-filter attribute settles a non-matching event."""
-    engine = CompiledMatchEngine(use_numpy=False)
+    engine = CompiledMatchEngine()
     for symbol in range(50):
         engine.insert(
             Filter([

@@ -221,6 +221,12 @@ def test_config_is_frozen():
         (dict(service_batch=0), "service_batch must be >= 1"),
         (dict(ttl=0.0), "TTL must be positive"),
         (dict(expiry_factor=0.5), "expiry factor must be >= 1"),
+        # NaN fails ``<= 0`` and ``< 1`` alike: a bound written that way
+        # let a NaN TTL fail only at start_maintenance, and a NaN service
+        # rate run the broker infinitely fast.
+        (dict(ttl=float("nan")), "TTL must be positive"),
+        (dict(expiry_factor=float("nan")), "expiry factor must be >= 1"),
+        (dict(service_rate=float("nan")), "service_rate must be positive"),
     ],
 )
 def test_config_validates_in_post_init(options, message):
