@@ -30,6 +30,10 @@ def next_group_id() -> int:
 
 #: The paper purges filters "at the end of each 3x(TTL) periods".
 DEFAULT_EXPIRY_FACTOR = 3.0
+#: Renew halfway through the TTL ("before the expiry of each TTL"): the
+#: cadence of every lease holder's renew task (brokers, subscribers,
+#: flow registrars).
+RENEW_FRACTION = 0.5
 
 
 @dataclass

@@ -40,37 +40,21 @@ class FlowConfig:
     #: ...and return to NORMAL when it falls below this fraction
     #: (hysteresis: ``overload_low < overload_high``).
     overload_low: float = 0.25
-    #: Effective inbound capacity fraction while OVERLOADED (shedding
-    #: mode: admit less, recover faster).
-    overload_capacity_factor: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.queue_capacity < 1:
-            raise ValueError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
-        if self.outbound_capacity < 1:
-            raise ValueError(
-                f"outbound_capacity must be >= 1, got {self.outbound_capacity}"
-            )
-        if self.link_window < 1:
-            raise ValueError(f"link_window must be >= 1, got {self.link_window}")
-        if self.control_window < 1:
-            raise ValueError(f"control_window must be >= 1, got {self.control_window}")
+        # Counts are ints, not bools: a NaN bound compares false with
+        # every length and an infinite one never binds.
+        for name in ("queue_capacity", "outbound_capacity", "link_window",
+                     "control_window", "publisher_queue_capacity"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be >= 1 (an int), got {value!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown shedding policy {self.policy!r}; have {POLICIES}")
-        if self.publisher_queue_capacity < 1:
-            raise ValueError(
-                "publisher_queue_capacity must be >= 1, got "
-                f"{self.publisher_queue_capacity}"
-            )
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError(f"ewma_alpha must be in (0, 1], got {self.ewma_alpha}")
         if not 0.0 <= self.overload_low < self.overload_high:
             raise ValueError(
                 "need 0 <= overload_low < overload_high, got "
                 f"low={self.overload_low} high={self.overload_high}"
-            )
-        if not 0.0 < self.overload_capacity_factor <= 1.0:
-            raise ValueError(
-                "overload_capacity_factor must be in (0, 1], got "
-                f"{self.overload_capacity_factor}"
             )

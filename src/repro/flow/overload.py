@@ -9,9 +9,9 @@ weighted moving average and runs a two-state machine over it:
 
 The high/low watermarks (``low < high``) give hysteresis so the state
 does not flap at the threshold.  While OVERLOADED the broker switches to
-shedding mode (its effective inbound capacity shrinks, see
-:class:`~repro.flow.config.FlowConfig.overload_capacity_factor`), which
-drains the backlog faster and keeps admitted-event latency bounded.
+shedding mode (its effective inbound capacity shrinks to
+:data:`OVERLOAD_CAPACITY_FACTOR` of ``queue_capacity``), which drains the
+backlog faster and keeps admitted-event latency bounded.
 
 Observation rides the existing :class:`~repro.obs.sampling.StageSampler`
 tick — no extra timers — via the broker's public ``queue_depth()``
@@ -23,6 +23,10 @@ from typing import Callable, Optional
 
 NORMAL = "normal"
 OVERLOADED = "overloaded"
+
+#: Effective inbound capacity fraction while OVERLOADED (shedding mode:
+#: admit less, recover faster).
+OVERLOAD_CAPACITY_FACTOR = 0.5
 
 #: ``on_transition(new_state, simulated_time, ewma)``.
 TransitionHook = Callable[[str, float, float], None]

@@ -27,29 +27,20 @@ class LogConfig:
     #: Events replayed per pump tick (the rate is enforced as
     #: ``replay_batch`` events every ``replay_batch / replay_rate``).
     replay_batch: int = 16
-    #: Delay between a broker's restart and its replay request — long
-    #: enough for the children's ChannelReset-triggered renewals to
-    #: rebuild the routing table the replay is matched against.
-    recovery_delay: float = 0.5
     #: Replay starts this many offsets before the last acked (logged)
     #: root offset, covering events that were in flight around the
     #: crash; the recovering broker's own log deduplicates the overlap.
     recovery_rewind: int = 64
-    #: Whether a restarted broker automatically requests recovery replay.
-    auto_recover: bool = True
 
     def __post_init__(self) -> None:
-        if self.segment_size < 1:
-            raise ValueError(f"segment_size must be >= 1, got {self.segment_size}")
-        if self.replay_rate <= 0:
+        # Counts are ints, not bools; ``not x > 0`` refuses a NaN rate.
+        for name, least in (
+            ("segment_size", 1),
+            ("replay_batch", 1),
+            ("recovery_rewind", 0),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be >= {least} (an int), got {value!r}")
+        if not self.replay_rate > 0:
             raise ValueError(f"replay_rate must be positive, got {self.replay_rate}")
-        if self.replay_batch < 1:
-            raise ValueError(f"replay_batch must be >= 1, got {self.replay_batch}")
-        if self.recovery_delay < 0:
-            raise ValueError(
-                f"recovery_delay must be >= 0, got {self.recovery_delay}"
-            )
-        if self.recovery_rewind < 0:
-            raise ValueError(
-                f"recovery_rewind must be >= 0, got {self.recovery_rewind}"
-            )

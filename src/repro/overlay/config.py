@@ -63,12 +63,10 @@ class BrokerConfig:
     log: Optional[LogConfig] = None
     #: Silent TTLs after which a lease is purged ("3xTTL").
     expiry_factor: float = DEFAULT_EXPIRY_FACTOR
-    #: Events buffered per offline durable subscriber before the oldest
-    #: is shed.
-    offline_buffer_limit: int = 1000
 
     def __post_init__(self) -> None:
-        # ``not x > 0`` rather than ``x <= 0``: NaN fails every comparison.
+        # ``not x > 0`` rather than ``x <= 0``: NaN fails every comparison;
+        # a count is an int, not a bool.
         if not self.ttl > 0:
             raise ValueError(f"TTL must be positive, got {self.ttl}")
         if not self.expiry_factor >= 1:
@@ -80,8 +78,9 @@ class BrokerConfig:
             raise ValueError(
                 f"service_rate must be positive, got {self.service_rate}"
             )
-        if self.service_batch < 1:
-            raise ValueError(f"service_batch must be >= 1, got {self.service_batch}")
+        batch = self.service_batch
+        if isinstance(batch, bool) or not isinstance(batch, int) or batch < 1:
+            raise ValueError(f"service_batch must be >= 1 (an int), got {batch!r}")
 
     @property
     def managed(self) -> bool:

@@ -136,7 +136,7 @@ def placement_violations(hierarchy: Hierarchy) -> List[PlacementViolation]:
 _KEPT = frozenset(
     "sim name network stage config ttl expiry_factor offline_buffer_limit "
     "flow log_config parent broker_children rng tracer crashed incarnation "
-    "advertisements counters log _maintained "
+    "advertisements counters log maintaining "
     "links uplink flow_host _replayer overload_detector".split()
 )
 

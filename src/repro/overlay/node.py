@@ -33,17 +33,17 @@ one site (DESIGN §10): *flush-before-control* (``_flush_inbound``) and
 """
 
 import random
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.advertisement import AdvertisementRegistry
-from repro.core.subscription import LeaseTable
+from repro.core.subscription import RENEW_FRACTION, LeaseTable
 from repro.core.weakening import merge_covering, weaken_filter
 from repro.filters.covering_index import CoveringIndex
 from repro.filters.engine import MatchEngine, make_engine
 from repro.filters.filter import Filter
 from repro.filters.standard import most_general_wildcard, wildcard_attributes
 from repro.flow import BoundedQueue, LinkReceiver, LinkSender, OverloadDetector
+from repro.flow.overload import OVERLOAD_CAPACITY_FACTOR
 from repro.log.eventlog import EventLog
 from repro.metrics.counters import NodeCounters
 from repro.obs.tracing import EventTracer
@@ -75,11 +75,17 @@ from repro.overlay.messages import (
 )
 from repro.overlay.uplink import CoveringUplink
 from repro.runtime.base import Executor, Transport
-from repro.sim.kernel import Process
+from repro.sim.kernel import PeriodicTask, Process
 from repro.streams.host import FlowHost
 
-#: Renew halfway through the TTL ("before the expiry of each TTL").
-RENEW_FRACTION = 0.5
+
+#: Events buffered per offline durable subscriber before the oldest is
+#: shed (``offline_buffer_limit`` on a node, which tests may lower).
+OFFLINE_BUFFER_LIMIT = 1000
+#: Delay between a logging broker's restart and its recovery replay
+#: request: long enough for the children's ChannelReset-triggered
+#: renewals to rebuild the routing table the replay is matched against.
+RECOVERY_DELAY = 0.5
 
 
 class BrokerNode(Process):
@@ -115,7 +121,7 @@ class BrokerNode(Process):
         self.stage = stage
         self.ttl = config.ttl
         self.expiry_factor = config.expiry_factor
-        self.offline_buffer_limit = config.offline_buffer_limit
+        self.offline_buffer_limit = OFFLINE_BUFFER_LIMIT
         #: Flow-control knobs (None = unbounded queue, no credit windows).
         self.flow = config.flow
         #: Log knobs (None = no log).
@@ -139,10 +145,6 @@ class BrokerNode(Process):
             if log_config is not None
             else None
         )
-        #: Whether the TTL tasks run: the *intent*, set by
-        #: ``start_maintenance``/``stop_maintenance``, which a restart
-        #: re-arms from (the handles themselves die with the incarnation).
-        self._maintained = False
         # ---- Components: each owns its soft state and one reset() -------
         #: Every reliable control link of this broker: the uplink (order-
         #: sensitive req-Insert / Withdraw / Renewal traffic and grants
@@ -194,7 +196,6 @@ class BrokerNode(Process):
         # Compacted match engine, rebuilt lazily after table changes.
         self._compacted: Optional[MatchEngine] = None
         self._compacted_dirty = True
-        self._maintenance_handles: Dict[str, Any] = {}
         #: The highest ChannelReset incarnation seen per peer *name* —
         #: the stable process identity on this network.  Keying by id()
         #: would let a recycled object id silently inherit a dead peer's
@@ -206,7 +207,7 @@ class BrokerNode(Process):
         # recycled object id must not inherit a dead subscriber's offline
         # flag or durable buffer across a crash/reconnect cycle.
         self._offline: Dict[str, Tuple[Process, bool]] = {}
-        self._buffers: Dict[str, Deque[Publish]] = {}
+        self._buffers: Dict[str, BoundedQueue] = {}
         # ---- The data path: admit -> drain -> match -> forward (Fig. 6) -
         #: Arrived events awaiting the drain, as ``(publish, source,
         #: arrival time)``; bounded only under flow control.
@@ -646,50 +647,26 @@ class BrokerNode(Process):
             # the fresh incarnation's epoch-0 channel reads as stale and
             # the replay request retransmits into the void forever.
             self.network.send(self, self.root, reset)
-        if (
-            self.log is not None
-            and self.log_config.auto_recover
-            and self.parent is not None
-        ):
+        if self.log is not None and self.parent is not None:
             # Let the children's reset-triggered renewals rebuild the
             # routing table first, then ask the root to re-drive what
             # was missed while down.
-            self.call_later(
-                self.log_config.recovery_delay, self._request_replay, self.incarnation
-            )
-        if self._maintained:
-            self.start_maintenance()
+            self.call_later(RECOVERY_DELAY, self._request_replay, self.incarnation)
 
     # ------------------------------------------------------------------
     # TTL maintenance (§4.3)
     # ------------------------------------------------------------------
 
-    def start_maintenance(self) -> None:
-        """Begin the periodic renewal and purge tasks."""
-        self.stop_maintenance()
-        self._maintained = True
-        renew_interval = self.ttl * RENEW_FRACTION
-        self._maintenance_handles["renew"] = self.call_later(
-            renew_interval, self._renew_task, renew_interval
-        )
-        self._maintenance_handles["purge"] = self.call_later(
-            self.ttl, self._purge_task, self.ttl
+    def _maintenance_tasks(self) -> Tuple[PeriodicTask, ...]:
+        """EXTEND THE VALIDITY OF FILTERS (renew own filters at the
+        parent) every half-TTL and REMOVE INVALID FILTERS every TTL; the
+        ``Process`` base arms, re-arms and cancels both."""
+        return (
+            ("renew", self.ttl * RENEW_FRACTION, self.uplink.renew),
+            ("purge", self.ttl, self._purge_task),
         )
 
-    def stop_maintenance(self) -> None:
-        self._maintained = False
-        for handle in self._maintenance_handles.values():
-            handle.cancel()
-        self._maintenance_handles.clear()
-
-    def _renew_task(self, interval: float) -> None:
-        """EXTEND THE VALIDITY OF FILTERS: renew own filters at the parent."""
-        self.uplink.renew()
-        self._maintenance_handles["renew"] = self.call_later(
-            interval, self._renew_task, interval
-        )
-
-    def _purge_task(self, interval: float) -> None:
+    def _purge_task(self) -> None:
         """REMOVE INVALID FILTERS: drop pairs silent for 3xTTL."""
         # The purge mutates the table outside the message path: like a
         # control message, it lets an unmanaged broker serve its queued
@@ -716,9 +693,6 @@ class BrokerNode(Process):
         # the expiry window) is dropped with its pending state.
         self.flow_host.expire(self.sim.now - self.ttl * self.expiry_factor)
         self._table_changed()
-        self._maintenance_handles["purge"] = self.call_later(
-            interval, self._purge_task, interval
-        )
 
     def flows(self) -> Tuple[str, ...]:
         """Names of the currently installed flows (introspection)."""
@@ -730,8 +704,10 @@ class BrokerNode(Process):
 
     def _on_disconnect(self, message: Disconnect, sender: Process) -> None:
         self._offline[sender.name] = (sender, message.durable)
-        if message.durable:
-            self._buffers.setdefault(sender.name, deque())
+        if message.durable and sender.name not in self._buffers:
+            self._buffers[sender.name] = BoundedQueue(
+                self.offline_buffer_limit, "drop_oldest"
+            )
         if self.tracer.enabled:
             self._span(
                 "disconnect", ("subscriber", sender.name), ("durable", message.durable)
@@ -750,11 +726,9 @@ class BrokerNode(Process):
     def _buffer_durable(self, destination: Process, message: Publish) -> None:
         """Buffer one event for an offline durable subscriber, shedding
         the oldest buffered event (observably — counter + span) when the
-        buffer is over its limit."""
-        buffer = self._buffers[destination.name]
-        buffer.append(message)
-        if len(buffer) > self.offline_buffer_limit:
-            dropped = buffer.popleft()
+        buffer is full."""
+        _, shed = self._buffers[destination.name].offer(message)
+        for dropped in shed:
             self.counters.on_shed("offline-buffer")
             drops = self.counters.offline_drops
             drops[destination.name] = drops.get(destination.name, 0) + 1
@@ -823,9 +797,7 @@ class BrokerNode(Process):
             self.overload_detector is not None
             and self.overload_detector.overloaded
         ):
-            capacity = max(
-                1, int(self.flow.queue_capacity * self.flow.overload_capacity_factor)
-            )
+            capacity = max(1, int(self.flow.queue_capacity * OVERLOAD_CAPACITY_FACTOR))
         shed_entries: List[Tuple[Publish, Process, float]] = []
         for publish in publishes:
             _, shed = self._inbound.offer((publish, sender, now), capacity)
@@ -1051,7 +1023,7 @@ class BrokerNode(Process):
 
     def _request_replay(self, incarnation: int) -> None:
         """Ask the root to re-drive events missed while down (scheduled
-        ``recovery_delay`` after restart, once renewals rebuilt the
+        ``RECOVERY_DELAY`` after restart, once renewals rebuilt the
         table the replay is matched against)."""
         if self.crashed or incarnation != self.incarnation or self.log is None:
             return

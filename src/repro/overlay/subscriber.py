@@ -13,7 +13,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.subscription import Subscription
+from repro.core.subscription import RENEW_FRACTION, Subscription
 from repro.events.serialization import Envelope, unmarshal
 from repro.filters.engine import DEFAULT_ENGINE, MatchEngine, make_engine
 from repro.filters.filter import Filter
@@ -40,7 +40,7 @@ from repro.overlay.messages import (
     Unsubscribe,
 )
 from repro.runtime.base import Executor, Transport
-from repro.sim.kernel import Process
+from repro.sim.kernel import PeriodicTask, Process
 
 #: The handler signature: (typed event object, meta-data, subscription).
 Handler = Callable[[Any, Any, Subscription], None]
@@ -181,8 +181,7 @@ class SubscriberRuntime(Process):
         # and ``_detach`` at every change of a state's ``active`` or
         # ``home``; a home with no such state has no entry.
         self._by_home: Dict[Process, _Home] = {}
-        self._renew_handle = None
-        self._maintenance_interval: Optional[float] = None
+        #: Gone offline (``disconnect``): renewals pause until ``reconnect``.
         self.offline = False
         # Disjunction-group delivery dedup: (group, event_id) pairs seen,
         # bounded LRU (branches of one OR can arrive over several paths).
@@ -338,21 +337,9 @@ class SubscriberRuntime(Process):
     # ------------------------------------------------------------------
 
     def _lose_soft_state(self) -> None:
-        """Fail-stop: the base class cancelled the owned renew timer;
-        drop the dangling reference so a restart can re-arm cleanly.
-        Un-acked control frames die here too — the renewals of the next
-        incarnation restore what they carried."""
-        self._renew_handle = None
+        """Fail-stop: un-acked control frames die with the incarnation —
+        the renewals of the next one restore what they carried."""
         self.links.reset()
-
-    def _resume(self) -> None:
-        """Back up: resume the renewal chain if maintenance was on."""
-        if self._maintenance_interval is not None and not self.offline:
-            self._renew_handle = self.call_later(
-                self._maintenance_interval,
-                self._renew_task,
-                self._maintenance_interval,
-            )
 
     # ------------------------------------------------------------------
     # Disconnection (durable subscriptions, §2.1)
@@ -375,9 +362,7 @@ class SubscriberRuntime(Process):
         self.offline = True
         for home in self._homes():
             self.network.send(self, home, Disconnect(durable=durable))
-        if self._renew_handle is not None:
-            self._renew_handle.cancel()
-            self._renew_handle = None
+        self._sync_maintenance()
 
     def rejoin(self, subscription_id: int) -> None:
         """Re-run the Figure-5 join for a subscription from scratch.
@@ -402,12 +387,7 @@ class SubscriberRuntime(Process):
         self.offline = False
         for home in self._homes():
             self.network.send(self, home, Reconnect())
-        if self._maintenance_interval is not None and self._renew_handle is None:
-            self._renew_handle = self.call_later(
-                self._maintenance_interval,
-                self._renew_task,
-                self._maintenance_interval,
-            )
+        self._sync_maintenance()
 
     # ------------------------------------------------------------------
     # Message handling
@@ -651,22 +631,13 @@ class SubscriberRuntime(Process):
     # Renewal task (§4.3)
     # ------------------------------------------------------------------
 
-    def start_maintenance(self) -> None:
-        self.stop_maintenance()
-        interval = self.ttl * 0.5
-        self._maintenance_interval = interval
-        if not self.offline:
-            self._renew_handle = self.call_later(
-                interval, self._renew_task, interval
-            )
+    def _maintenance_tasks(self) -> Tuple[PeriodicTask, ...]:
+        return (("renew", self.ttl * RENEW_FRACTION, self._renew_task),)
 
-    def stop_maintenance(self) -> None:
-        if self._renew_handle is not None:
-            self._renew_handle.cancel()
-            self._renew_handle = None
-        self._maintenance_interval = None
+    def _maintenance_paused(self) -> bool:
+        return self.offline
 
-    def _renew_task(self, interval: float) -> None:
+    def _renew_task(self) -> None:
         for home in self._homes():
             items = dict.fromkeys(
                 (state.stored_filter, state.subscription.event_class)
@@ -675,7 +646,6 @@ class SubscriberRuntime(Process):
             )
             if items:
                 self.links.send(home, Renewal(tuple(items)))
-        self._renew_handle = self.call_later(interval, self._renew_task, interval)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -20,7 +20,12 @@ Typical use::
 
 import itertools
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+
+#: One periodic soft-state task of a :class:`Process`: ``(name,
+#: interval, body)``.
+PeriodicTask = Tuple[str, float, Callable[[], None]]
 
 
 class SimulationError(Exception):
@@ -285,12 +290,20 @@ class Process:
 
     Timers whose work belongs to the *current incarnation* of the process
     should be armed through :meth:`call_later` / :meth:`call_at` /
-    :meth:`call_soon` / :meth:`call_every` rather than raw executor
-    scheduling: owned timers are cancelled by :meth:`crash` and
-    additionally guarded by the incarnation counter, so a stale pre-crash
-    timer can never fire into the restarted incarnation's fresh state
-    (the same bug class as the epoch-guarded retransmit timers in
-    overlay/channel.py).
+    :meth:`call_soon` rather than raw executor scheduling: owned timers
+    are cancelled by :meth:`crash` and additionally guarded by the
+    incarnation counter, so a stale pre-crash timer can never fire into
+    the restarted incarnation's fresh state (the same bug class as the
+    epoch-guarded retransmit timers in overlay/channel.py).
+
+    Periodic soft-state work (§4.3 renew and purge) is declared in
+    :meth:`_maintenance_tasks`; this class runs each task as one owned
+    :meth:`call_later` chain, re-armed after its body.  Whether
+    maintenance is on (:attr:`maintaining`) survives a crash, the armed
+    chains do not, and :meth:`restart` re-arms them after
+    :meth:`_resume`.  A subclass that must pause them (a subscriber gone
+    offline) overrides :meth:`_maintenance_paused` and calls
+    :meth:`_sync_maintenance` when its answer changes.
     """
 
     def __init__(self, sim: Simulator, name: str):
@@ -303,6 +316,12 @@ class Process:
         #: older incarnation refuse to run.
         self.incarnation = 0
         self._owned_timers: set = set()
+        #: Whether the periodic tasks run: the intent, which a crash
+        #: keeps and a restart re-arms from.
+        self.maintaining = False
+        #: The armed chain of each periodic task, by name (dies with the
+        #: incarnation).
+        self._periodic: Dict[str, EventHandle] = {}
 
     def call_at(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule owned work at an absolute time (see class docstring)."""
@@ -330,20 +349,46 @@ class Process:
         """Defer owned work to the current instant (after queued events)."""
         return self.call_at(self.sim.now, callback, *args)
 
-    def call_every(
-        self, interval: float, callback: Callable[..., None], *args: Any
-    ) -> "RecurringHandle":
-        """Arm an owned recurring timer; cancelled on :meth:`crash`."""
-        incarnation = self.incarnation
+    def _maintenance_tasks(self) -> Tuple[PeriodicTask, ...]:
+        """The periodic tasks as ``(name, interval, body)``, in the order
+        they are armed; a process declares none by default."""
+        return ()
 
-        def _tick() -> None:
-            if self.crashed or self.incarnation != incarnation:
-                return
-            callback(*args)
+    def _maintenance_paused(self) -> bool:
+        """True while the tasks stay disarmed although maintenance is on."""
+        return False
 
-        handle = self.sim.every(interval, _tick)
-        self._owned_timers.add(handle)
-        return handle
+    def start_maintenance(self) -> None:
+        """Run every periodic task, the first time one interval from now."""
+        self.stop_maintenance()
+        self.maintaining = True
+        self._sync_maintenance()
+
+    def stop_maintenance(self) -> None:
+        self.maintaining = False
+        self._sync_maintenance()
+
+    def armed_tasks(self) -> Tuple[str, ...]:
+        """The names of the periodic tasks armed now, in arming order."""
+        return tuple(self._periodic)
+
+    def _sync_maintenance(self) -> None:
+        """Arm each declared task that should run and is not armed, or
+        cancel them all when none should (off, crashed or paused)."""
+        periodic = self._periodic
+        if not self.maintaining or self.crashed or self._maintenance_paused():
+            for handle in periodic.values():
+                handle.cancel()
+            periodic.clear()
+            return
+        for name, interval, body in self._maintenance_tasks():
+            if name not in periodic:
+                periodic[name] = self.call_later(interval, self._run_task, name, body)
+
+    def _run_task(self, name: str, body: Callable[[], None]) -> None:
+        del self._periodic[name]
+        body()
+        self._sync_maintenance()
 
     def crash(self) -> None:
         """Take the process down (fail-stop).
@@ -360,6 +405,7 @@ class Process:
         for handle in self._owned_timers:
             handle.cancel()
         self._owned_timers.clear()
+        self._periodic.clear()
         self._lose_soft_state()
 
     def _lose_soft_state(self) -> None:
@@ -370,15 +416,18 @@ class Process:
 
         Bumps the incarnation counter so any owned timer that escaped
         cancellation (or any raw timer guarded by incarnation) fires into
-        a closed door rather than the fresh state, then lets the
-        subclass pick up again.  A no-op on a live process (a second
-        bump would strand its own armed timers).
+        a closed door rather than the fresh state, lets the subclass pick
+        up again, and then re-arms the periodic tasks if maintenance is
+        on — after :meth:`_resume`, so what it schedules comes first.  A
+        no-op on a live process (a second bump would strand its own
+        armed timers).
         """
         if not self.crashed:
             return
         self.crashed = False
         self.incarnation += 1
         self._resume()
+        self._sync_maintenance()
 
     def _resume(self) -> None:
         """What :meth:`restart` does once the process is up again."""

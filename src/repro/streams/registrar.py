@@ -16,16 +16,13 @@ it sees — so renewals alone heal any crash.
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.subscription import RENEW_FRACTION
 from repro.obs.tracing import SUBSCRIBER_STAGE, EventTracer
 from repro.overlay.channel import PeerLinks
 from repro.overlay.messages import Ack, ChannelReset, FlowInstall, FlowRemove
 from repro.runtime.base import Executor, Transport
-from repro.sim.kernel import Process
+from repro.sim.kernel import PeriodicTask, Process
 from repro.streams.spec import FlowSpec
-
-#: Renew each flow lease when this fraction of the TTL has elapsed
-#: (matches the subscriber-side renewal cadence).
-RENEW_FRACTION = 0.5
 
 
 class FlowRegistrar(Process):
@@ -49,8 +46,6 @@ class FlowRegistrar(Process):
         self._installed: Dict[str, Tuple[Process, Dict[str, FlowSpec]]] = {}
         #: One reliable link per hosting broker.
         self.links = PeerLinks(self, network, control_window, self._on_retransmit)
-        self._renew_handle = None
-        self._maintenance_interval: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Install / remove
@@ -101,19 +96,10 @@ class FlowRegistrar(Process):
     # Lease renewal (refresh-or-restore)
     # ------------------------------------------------------------------
 
-    def start_maintenance(self) -> None:
-        self.stop_maintenance()
-        interval = self.ttl * RENEW_FRACTION
-        self._maintenance_interval = interval
-        self._renew_handle = self.call_later(interval, self._renew_task, interval)
+    def _maintenance_tasks(self) -> Tuple[PeriodicTask, ...]:
+        return (("renew", self.ttl * RENEW_FRACTION, self._renew_task),)
 
-    def stop_maintenance(self) -> None:
-        if self._renew_handle is not None:
-            self._renew_handle.cancel()
-            self._renew_handle = None
-        self._maintenance_interval = None
-
-    def _renew_task(self, interval: float) -> None:
+    def _renew_task(self) -> None:
         for broker, specs in self._installed.values():
             for spec in specs.values():
                 self.links.send(broker, FlowInstall(spec))
@@ -125,7 +111,6 @@ class FlowRegistrar(Process):
                 SUBSCRIBER_STAGE,
                 details=(("flows", sum(len(s) for _, s in self._installed.values())),),
             )
-        self._renew_handle = self.call_later(interval, self._renew_task, interval)
 
     # ------------------------------------------------------------------
     # Crash lifecycle (the registrar itself is a process too)
@@ -134,12 +119,4 @@ class FlowRegistrar(Process):
     def _lose_soft_state(self) -> None:
         """Fail-stop: un-acked installs die with the incarnation; the
         next one's renewals re-send every flow."""
-        self._renew_handle = None
         self.links.reset()
-
-    def _resume(self) -> None:
-        if self._maintenance_interval is not None:
-            self._renew_handle = self.call_later(
-                self._maintenance_interval, self._renew_task,
-                self._maintenance_interval,
-            )

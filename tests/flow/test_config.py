@@ -31,7 +31,13 @@ class TestFlowConfig:
             ("publisher_queue_capacity", 0),
             ("ewma_alpha", 1.5),
             ("overload_low", 0.9),  # >= overload_high
-            ("overload_capacity_factor", 0.0),
+            # Counts are ints: NaN makes every offer shed and every take
+            # fail, an infinite bound never binds.
+            ("queue_capacity", float("nan")),
+            ("link_window", float("nan")),
+            ("control_window", 2.5),
+            ("outbound_capacity", float("inf")),
+            ("publisher_queue_capacity", True),
         ],
     )
     def test_bad_values_rejected(self, field, value):

@@ -13,6 +13,7 @@ of the covering subscription.
 """
 
 from repro.core.engine import MultiStageEventSystem
+from repro.core.subscription import RENEW_FRACTION
 from repro.filters.constraints import AttributeConstraint
 from repro.filters.filter import Filter
 from repro.filters.operators import LT
@@ -202,12 +203,11 @@ def test_renewals_piggyback_only_propagated_forms():
 
     home.network.send = spy
     try:
-        home._renew_task(home.ttl)
+        home.start_maintenance()  # the first renewal is due at half-TTL
+        system.run_for(home.ttl * RENEW_FRACTION)
     finally:
         home.network.send = original_send
-        for handle in home._maintenance_handles.values():
-            handle.cancel()
-        home._maintenance_handles.clear()
+        home.stop_maintenance()
 
     # Renewals ride the reliable channel: unwrap the Sequenced frames.
     payloads = [getattr(m, "payload", m) for m in sent]

@@ -361,7 +361,7 @@ def test_chaos_a_second_crash_of_a_dead_edge_process_wipes_nothing_new(monkeypat
     process.restart()  # and a second restart finds a live process
     assert process.incarnation == incarnation
     if kind != "publisher":
-        assert process._renew_handle is not None  # maintenance resumed
+        assert process.armed_tasks() == ("renew",)  # maintenance resumed
         process.stop_maintenance()
     system.drain()
 

@@ -45,7 +45,7 @@ from repro.streams.registrar import FlowRegistrar
 #: What shapes the deployment rather than a broker.
 DEPLOYMENT = {"stage_sizes", "seed", "link_latency", "tracing", "runtime"}
 #: Config fields the facade does not expose (constants of every caller).
-INTERNAL = {"expiry_factor", "offline_buffer_limit"}
+INTERNAL = {"expiry_factor"}
 
 CONFIG_FIELDS = {field.name for field in dataclasses.fields(BrokerConfig)}
 
@@ -91,7 +91,20 @@ def test_a_broker_has_one_match_path():
 
 def test_the_gap_grant_is_not_an_option():
     fields = [field.name for field in dataclasses.fields(FlowConfig)]
-    assert "gap_grant" not in fields and len(fields) == 10
+    assert "gap_grant" not in fields and len(fields) == 9
+
+
+def test_options_nothing_set_are_constants():
+    """``auto_recover``, ``recovery_delay``, ``overload_capacity_factor``
+    and ``offline_buffer_limit`` had no caller: five log values, nine
+    flow values, eleven broker values."""
+    log = [field.name for field in dataclasses.fields(LogConfig)]
+    flow = [field.name for field in dataclasses.fields(FlowConfig)]
+    assert len(log) == 5 and len(flow) == 9 and len(CONFIG_FIELDS) == 11
+    for name in ("auto_recover", "recovery_delay"):
+        assert name not in log
+    assert "overload_capacity_factor" not in flow
+    assert "offline_buffer_limit" not in CONFIG_FIELDS
 
 
 def test_facade_broker_options_are_the_config_fields():
@@ -227,11 +240,30 @@ def test_config_is_frozen():
         (dict(ttl=float("nan")), "TTL must be positive"),
         (dict(expiry_factor=float("nan")), "expiry factor must be >= 1"),
         (dict(service_rate=float("nan")), "service_rate must be positive"),
+        (dict(service_batch=float("nan")), "service_batch must be >= 1"),
+        (dict(service_batch=2.5), "service_batch must be >= 1"),
     ],
 )
 def test_config_validates_in_post_init(options, message):
     with pytest.raises(ValueError, match=message):
         BrokerConfig(**options)
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (dict(segment_size=0), "segment_size must be >= 1"),
+        (dict(segment_size=float("nan")), "segment_size must be >= 1"),
+        (dict(replay_rate=0.0), "replay_rate must be positive"),
+        (dict(replay_rate=float("nan")), "replay_rate must be positive"),
+        (dict(replay_batch=2.5), "replay_batch must be >= 1"),
+        (dict(recovery_rewind=-1), "recovery_rewind must be >= 0"),
+        (dict(recovery_rewind=float("nan")), "recovery_rewind must be >= 0"),
+    ],
+)
+def test_log_config_validates_in_post_init(options, message):
+    with pytest.raises(ValueError, match=message):
+        LogConfig(**options)
 
 
 def test_managed_means_flow_or_service_rate():

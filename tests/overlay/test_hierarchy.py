@@ -86,9 +86,9 @@ def test_network_links_created():
 def test_maintenance_start_stop():
     hierarchy = build([2, 1])
     hierarchy.start_maintenance()
-    assert all(n._maintenance_handles for n in hierarchy.nodes())
+    assert all(n.armed_tasks() == ("renew", "purge") for n in hierarchy.nodes())
     hierarchy.stop_maintenance()
-    assert all(not n._maintenance_handles for n in hierarchy.nodes())
+    assert all(n.armed_tasks() == () for n in hierarchy.nodes())
 
 
 def test_attach_child_stage_mismatch_rejected():

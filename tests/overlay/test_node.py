@@ -358,7 +358,7 @@ class TestCrashLifecycle:
         assert epochs() == downed  # nothing wiped a second time
         system.restore(home)
 
-        assert sorted(home._maintenance_handles) == ["purge", "renew"]
+        assert home.armed_tasks() == ("renew", "purge")
         assert self.still_delivers(system, got)
 
     def test_of_two_overlapping_crash_windows_the_first_restart_wins(self):
@@ -375,7 +375,7 @@ class TestCrashLifecycle:
         assert not home.crashed
         system.run_for(0.3)  # ...the second one finds a live broker
         assert home.incarnation == incarnation
-        assert sorted(home._maintenance_handles) == ["purge", "renew"]
+        assert home.armed_tasks() == ("renew", "purge")
         assert self.still_delivers(system, got)
 
     def test_maintenance_stopped_while_down_stays_stopped(self):
@@ -383,7 +383,7 @@ class TestCrashLifecycle:
         system.kill(home)
         home.stop_maintenance()
         system.restore(home)
-        assert home._maintenance_handles == {}
+        assert home.armed_tasks() == () and not home.maintaining
 
     @pytest.mark.parametrize("options", [dict(), dict(compact=True)], ids=["plain", "compact"])
     def test_filters_held_does_not_survive_the_table_it_counts(self, options):

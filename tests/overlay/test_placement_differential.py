@@ -149,8 +149,7 @@ class _Harness:
         elif kind == "expire":
             # Everything not renewed for 3 x TTL goes at the next purge.
             self.sim.run(until=self.sim.now + step[1])
-            node._purge_task(TTL)
-            node.stop_maintenance()  # the purge re-armed itself
+            node._purge_task()
         else:
             node.crash()
             if step[1]:

@@ -23,6 +23,17 @@ class Sink(Process):
         self.received.append(message)
 
 
+class Ticker(Sink):
+    """A process declaring one periodic task, ``tick``, every second."""
+
+    def __init__(self, sim):
+        super().__init__(sim, "ticker")
+        self.ticks = []
+
+    def _maintenance_tasks(self):
+        return (("tick", 1.0, lambda: self.ticks.append(self.sim.now)),)
+
+
 class TestOwnedTimerCancellation:
     def test_crash_cancels_pending_call_later(self):
         sim = Simulator()
@@ -43,16 +54,19 @@ class TestOwnedTimerCancellation:
         sim.run()
         assert fired == []
 
-    def test_crash_stops_call_every(self):
+    def test_crash_stops_the_periodic_tasks(self):
         sim = Simulator()
-        proc = Sink(sim)
-        ticks = []
-        proc.call_every(1.0, lambda: ticks.append(sim.now))
+        proc = Ticker(sim)
+        proc.start_maintenance()
         sim.run(until=3.5)
-        assert len(ticks) == 3
+        assert proc.ticks == [1.0, 2.0, 3.0]
         proc.crash()
         sim.run(until=10.0)
-        assert len(ticks) == 3
+        assert proc.ticks == [1.0, 2.0, 3.0]
+        assert proc.armed_tasks() == () and proc.maintaining
+        proc.restart()  # re-armed from the restart instant
+        sim.run(until=12.5)
+        assert proc.ticks == [1.0, 2.0, 3.0, 11.0, 12.0]
 
     def test_timers_of_other_processes_survive_a_crash(self):
         sim = Simulator()
