@@ -6,7 +6,8 @@ paper's overlay nodes evaluate and weaken.  This package provides:
 - :mod:`~repro.filters.operators` — the constraint operators (=, !=, <,
   <=, >, >=, exists, prefix, contains, and the ``ALL`` wildcard) together
   with a sound *implication* relation between constraints, the building
-  block of filter covering (Definition 2);
+  block of filter covering (Definition 2), and the value rules every
+  index keys and sorts operands by;
 - :mod:`~repro.filters.constraints` — :class:`AttributeConstraint`;
 - :mod:`~repro.filters.filter` — conjunctive :class:`Filter` with
   ``matches`` (Definition 1), ``covers`` (Definition 2) and the
@@ -19,8 +20,9 @@ paper's overlay nodes evaluate and weaken.  This package provides:
 - :mod:`~repro.filters.index` — a counting-based matching index (an
   opt-in ablation);
 - :mod:`~repro.filters.engine` — the shared :class:`MatchEngine`
-  interface every engine implements, the engine name map and its
-  default, plus :class:`CachedMatchEngine`, an opt-in fingerprint-keyed
+  interface every engine implements (with the filter→destination table
+  the indexed engines inherit), the engine name map and its default,
+  plus :class:`CachedMatchEngine`, an opt-in fingerprint-keyed
   routing-decision cache;
 - :mod:`~repro.filters.covering_index` — :class:`CoveringIndex`, a
   candidate-pruned subsumption structure the broker control plane uses

@@ -16,7 +16,7 @@ Python bookkeeping:
   ``value_key(operand)`` to a bitmap of the slots satisfied by that
   value;
 - **ordering** constraints (``<``, ``<=``, ``>``, ``>=``) become, per
-  attribute / operator / operand family, sorted operand arrays with
+  attribute / operator / operand family, sorted operand runs with
   precomputed block-cumulative prefix (or suffix) bitmaps: one bisect
   plus one block lookup plus at most ``_BLOCK - 1`` single-bit unions
   yields the whole satisfied-slot set.  (Per-position cumulative
@@ -54,9 +54,13 @@ recompile.
 
 Semantics are bit-for-bit identical to :class:`CountingIndex` /
 :class:`FilterTable` (the differential hypothesis suite in
-``tests/filters/test_differential.py`` arbitrates), including the
-bool-vs-number equality discrimination of :func:`value_key` and the
-operand-family separation of :func:`values_comparable`.
+``tests/filters/test_differential.py`` arbitrates).  The value rules —
+which operands share a bucket, which go in a sorted run and in which —
+are :mod:`repro.filters.operators`' ``value_key``, ``operand_family``,
+``hashable`` and ``is_nan``, and a range tier is its ``SortedRun``; the
+filter→destination table is the one
+:class:`~repro.filters.engine.MatchEngine` keeps, and this engine gives
+a filter its slot in :meth:`CompiledMatchEngine._register`.
 """
 
 import bisect
@@ -64,22 +68,27 @@ from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tupl
 
 from repro.events.base import PropertyEvent
 from repro.filters.constraints import AttributeConstraint
-from repro.filters.engine import MatchEngine, is_nan, value_key
+from repro.filters.engine import MatchEngine
 from repro.filters.filter import Filter
-from repro.filters.operators import ALL, EQ, EXISTS, GE, GT, LE, LT
+from repro.filters.operators import (
+    ALL,
+    EQ,
+    EXISTS,
+    GE,
+    GT,
+    LE,
+    LT,
+    SortedRun,
+    hashable,
+    is_nan,
+    operand_family,
+    value_key,
+)
 
 #: Block size of the cumulative range-tier bitmaps: memory is
 #: ``n / _BLOCK`` full-width bitmaps per tier, query cost is one block
 #: lookup plus at most ``_BLOCK - 1`` single-bit unions.
 _BLOCK = 32
-
-
-def _hashable(value: Any) -> bool:
-    try:
-        hash(value)
-    except TypeError:
-        return False
-    return True
 
 
 def _properties_of(event: Any) -> Any:
@@ -89,28 +98,6 @@ def _properties_of(event: Any) -> Any:
     if type(event) is PropertyEvent:
         return event._properties
     return getattr(event, "properties", event)
-
-
-def _family_of(value: Any) -> Optional[str]:
-    """Operand family for the range tier (None = not range-indexable).
-
-    Mirrors :func:`~repro.filters.operators.values_comparable`: booleans
-    are excluded from the numeric family, so a boolean operand (or probe
-    value) never touches the sorted arrays.  Neither does NaN, which
-    that function calls comparable but which has no place in a sorted
-    array: as an operand it would sit wherever the bisect left it and
-    shift the boundary of every later probe, as a value it satisfies no
-    ordering constraint.
-    """
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, float):
-        return "num" if value == value else None
-    if isinstance(value, int):
-        return "num"
-    if isinstance(value, str):
-        return "str"
-    return None
 
 
 def _bitmap_of(slots: Sequence[int], size: int) -> int:
@@ -129,8 +116,9 @@ def _bitmap_of(slots: Sequence[int], size: int) -> int:
     return int.from_bytes(raw, "little")
 
 
-class _RangeTier:
-    """Sorted operands + block-cumulative bitmaps for one (op, family).
+class _RangeTier(SortedRun):
+    """The sorted ``(operand, slot)`` run of one (op, family) plus its
+    block-cumulative bitmaps.
 
     ``cumulative[k]`` is the OR of the slot bits of the first
     ``k * _BLOCK`` sorted entries (``reverse=False``, the prefix form
@@ -140,33 +128,16 @@ class _RangeTier:
     ``cumulative[boundary block] | partial-block bits``.
     """
 
-    __slots__ = ("operands", "slots", "cumulative", "reverse")
+    __slots__ = ("cumulative", "reverse")
 
     def __init__(self, reverse: bool) -> None:
-        self.operands: List[Any] = []
-        self.slots: List[int] = []
+        super().__init__()
         self.cumulative: List[int] = []
         self.reverse = reverse
 
-    def insert(self, operand: Any, slot: int) -> None:
-        position = bisect.bisect_right(self.operands, operand)
-        self.operands.insert(position, operand)
-        self.slots.insert(position, slot)
-
-    def remove(self, operand: Any, slot: int) -> bool:
-        position = bisect.bisect_left(self.operands, operand)
-        end = len(self.operands)
-        while position < end and self.operands[position] == operand:
-            if self.slots[position] == slot:
-                del self.operands[position]
-                del self.slots[position]
-                return True
-            position += 1
-        return False
-
     def recompile(self) -> None:
-        """Rebuild the block-cumulative bitmaps from the sorted arrays."""
-        slots = self.slots
+        """Rebuild the block-cumulative bitmaps from the sorted run."""
+        slots = self.ids
         n = len(slots)
         blocks = (n + _BLOCK - 1) // _BLOCK
         self.cumulative = cumulative = [0] * (blocks + 1)
@@ -189,7 +160,7 @@ class _RangeTier:
         For the prefix form the run is ``[0, boundary)``; for the suffix
         form it is ``[boundary, n)``.  ``boundary`` comes from a bisect.
         """
-        slots = self.slots
+        slots = self.ids
         if self.reverse:
             if boundary >= len(slots):
                 return 0
@@ -303,7 +274,7 @@ class _CompiledAttribute:
         self.dirty = True
 
     def _tier_for(self, constraint: AttributeConstraint) -> _RangeTier:
-        family = _family_of(constraint.operand)
+        family = operand_family(constraint.operand)
         assert family is not None, "caller guarantees range-indexability"
         for op, key, reverse in self._TIER_OPS:
             if constraint.operator is op:
@@ -325,11 +296,11 @@ class _CompiledAttribute:
         constrained = self.exists_bitmap
         for bitmap in self.eq_bitmaps.values():
             constrained |= bitmap
-        for key in [k for k, tier in self.tiers.items() if not tier.slots]:
+        for key in [k for k, tier in self.tiers.items() if not tier.ids]:
             del self.tiers[key]
         for tier in self.tiers.values():
             tier.recompile()
-            constrained |= _bitmap_of(tier.slots, size)
+            constrained |= _bitmap_of(tier.ids, size)
         self.constrained = constrained
         self.dirty = False
 
@@ -339,26 +310,27 @@ class _CompiledAttribute:
         """Bitmap of slots whose indexed group is satisfied by ``value``.
 
         An exact ``str``, ``int`` or ``float`` — nearly every value — is
-        hashable, keyed ``(False, value)`` by :func:`value_key` and of the
-        family its type names (a NaN of none), so it is looked up without
-        those three calls; anything else takes them.
+        hashable, keyed ``(family, value)`` by :func:`value_key` with the
+        family its type names, which is also its :func:`operand_family`
+        (a NaN's is none), so it is looked up without those three calls;
+        anything else takes them.
         """
         satisfied = self.exists_bitmap
         kind = type(value)
         if kind is str or kind is int or kind is float:
-            bucket = self.eq_bitmaps.get((False, value))
+            family = "str" if kind is str else "num"
+            bucket = self.eq_bitmaps.get((family, value))
             if bucket is not None:
                 satisfied |= bucket
             if self.tiers and value == value:
-                family = "str" if kind is str else "num"
                 satisfied |= self._ranges_satisfied(family, value)
             return satisfied
-        if _hashable(value):
+        if hashable(value):
             bucket = self.eq_bitmaps.get(value_key(value))
             if bucket is not None:
                 satisfied |= bucket
         if self.tiers:
-            family = _family_of(value)
+            family = operand_family(value)
             if family is not None:
                 satisfied |= self._ranges_satisfied(family, value)
         return satisfied
@@ -406,12 +378,23 @@ def _indexable_group(
     op = constraint.operator
     if op is EQ:
         operand = constraint.operand
-        return constraint if _hashable(operand) and not is_nan(operand) else None
+        return constraint if hashable(operand) and not is_nan(operand) else None
     if op is EXISTS:
         return constraint
-    if op in (LT, LE, GT, GE) and _family_of(constraint.operand) is not None:
+    if op in (LT, LE, GT, GE) and operand_family(constraint.operand) is not None:
         return constraint
     return None
+
+
+def _groups(
+    filter_: Filter,
+) -> Iterator[Tuple[str, Tuple[AttributeConstraint, ...], Optional[AttributeConstraint]]]:
+    """``(attribute, non-ALL constraints, the indexable one or None)``
+    for every attribute ``filter_`` constrains."""
+    for attribute, group in filter_.constraints_by_attribute().items():
+        countable = tuple(c for c in group if c.operator is not ALL)
+        if countable:
+            yield attribute, countable, _indexable_group(countable)
 
 
 class CompiledMatchEngine(MatchEngine):
@@ -423,17 +406,13 @@ class CompiledMatchEngine(MatchEngine):
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self._attributes: Dict[str, _CompiledAttribute] = {}
-        self._filters: Dict[Filter, int] = {}
-        self._by_handle: Dict[int, Filter] = {}
-        self._ids: Dict[int, Dict[Hashable, None]] = {}
-        self._dests: Dict[Hashable, Dict[int, None]] = {}
         #: handle -> slot (bit position); slots are recycled on removal
         #: so bitmaps stay dense, handles stay monotonic for ordering.
         self._slot_of: Dict[int, int] = {}
         self._handle_at: Dict[int, int] = {}
         self._free_slots: List[int] = []
-        self._next_handle = 0
         self._next_slot = 0
         #: Bitmap of live slots (the all-candidates starting mask).
         self._live = 0
@@ -456,88 +435,19 @@ class CompiledMatchEngine(MatchEngine):
         self.residual_evaluations = 0
 
     # ------------------------------------------------------------------
-    # Introspection (MatchEngine surface)
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._filters)
-
-    def __contains__(self, filter_: Filter) -> bool:
-        return filter_ in self._filters
-
-    def filters(self) -> Iterator[Filter]:
-        return iter(self._filters)
-
-    def entries(self) -> Iterator[Tuple[Filter, Tuple[Hashable, ...]]]:
-        for filter_, handle in self._filters.items():
-            yield filter_, tuple(self._ids[handle])
-
-    def destinations_for(self, filter_: Filter) -> Tuple[Hashable, ...]:
-        handle = self._filters.get(filter_)
-        if handle is None:
-            return ()
-        return tuple(self._ids[handle])
-
-    # ------------------------------------------------------------------
     # Mutation (updates source structures, marks attributes dirty)
     # ------------------------------------------------------------------
 
-    def insert(self, filter_: Filter, destination: Hashable) -> None:
-        if filter_.matches_nothing:
-            raise ValueError("cannot index fF (matches nothing)")
-        handle = self._filters.get(filter_)
-        if handle is None:
-            handle = self._next_handle
-            self._next_handle += 1
-            slot = self._free_slots.pop() if self._free_slots else self._next_slot
-            if slot == self._next_slot:
-                self._next_slot += 1
-            self._filters[filter_] = handle
-            self._by_handle[handle] = filter_
-            self._ids[handle] = {}
-            self._slot_of[handle] = slot
-            self._handle_at[slot] = handle
-            self._live |= 1 << slot
-            self._stale = True
-            self._register(filter_, slot)
-        ids = self._ids[handle]
-        if destination not in ids:
-            ids[destination] = None
-            self._dests.setdefault(destination, {})[handle] = None
-
-    def remove(self, filter_: Filter, destination: Hashable) -> bool:
-        handle = self._filters.get(filter_)
-        if handle is None:
-            return False
-        ids = self._ids[handle]
-        if destination not in ids:
-            return False
-        del ids[destination]
-        handles = self._dests[destination]
-        handles.pop(handle, None)
-        if not handles:
-            del self._dests[destination]
-        if not ids:
-            self._unregister(filter_, handle)
-        return True
-
-    def remove_destination(self, destination: Hashable) -> int:
-        handles = self._dests.get(destination)
-        if not handles:
-            return 0
-        removed = 0
-        for handle in sorted(handles):
-            if self.remove(self._by_handle[handle], destination):
-                removed += 1
-        return removed
-
-    def _register(self, filter_: Filter, slot: int) -> None:
+    def _register(self, filter_: Filter, handle: int) -> None:
+        slot = self._free_slots.pop() if self._free_slots else self._next_slot
+        if slot == self._next_slot:
+            self._next_slot += 1
+        self._slot_of[handle] = slot
+        self._handle_at[slot] = handle
+        self._live |= 1 << slot
+        self._stale = True
         residuals: List[AttributeConstraint] = []
-        for attribute, group in filter_.constraints_by_attribute().items():
-            countable = tuple(c for c in group if c.operator is not ALL)
-            if not countable:
-                continue
-            indexed = _indexable_group(countable)
+        for attribute, countable, indexed in _groups(filter_):
             if indexed is None:
                 residuals.extend(countable)
                 continue
@@ -552,15 +462,9 @@ class CompiledMatchEngine(MatchEngine):
     def _unregister(self, filter_: Filter, handle: int) -> None:
         slot = self._slot_of.pop(handle)
         del self._handle_at[slot]
-        for attribute, group in filter_.constraints_by_attribute().items():
-            countable = tuple(c for c in group if c.operator is not ALL)
-            if not countable:
-                continue
-            indexed = _indexable_group(countable)
-            if indexed is None:
-                continue
+        for attribute, _, indexed in _groups(filter_):
             index = self._attributes.get(attribute)
-            if index is not None:
+            if indexed is not None and index is not None:
                 index.remove(indexed, slot)
                 if index.is_empty():
                     del self._attributes[attribute]
@@ -570,9 +474,6 @@ class CompiledMatchEngine(MatchEngine):
         self._live &= ~(1 << slot)
         self._stale = True
         self._free_slots.append(slot)
-        del self._filters[filter_]
-        del self._by_handle[handle]
-        del self._ids[handle]
 
     # ------------------------------------------------------------------
     # Compilation

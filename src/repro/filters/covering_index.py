@@ -22,10 +22,14 @@ candidate set first, using the structure of the covering relation itself:
    superset, for ``covers_of``) relation with the query's shape.
 2. **Per-attribute candidate pruning.**  Within a group, one attribute's
    constraints are classified into equality buckets (hash lookup),
-   ordering bounds (sorted operand arrays, bisected), and an "other"
+   ordering bounds (sorted operand runs, bisected), and an "other"
    catch-all.  Single-constraint implications only hold along known
    operand orderings — e.g. ``a < x`` can imply ``a < u`` only when
    ``x <= u`` — so a bisect yields a complete candidate superset.
+   Buckets and runs follow the value rules of
+   :mod:`repro.filters.operators`: a bucket is keyed by ``value_key``
+   (whose equality is exactly ``=``), and a run, that module's
+   ``SortedRun``, holds one ``operand_family``.
    Anything unclassifiable (multi-constraint conjunctions, ``NE``,
    ``PREFIX``, ``EXISTS``, non-orderable operands) conservatively stays a
    candidate, preserving completeness relative to ``Filter.covers``.
@@ -43,30 +47,20 @@ import bisect
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.filters.constraints import AttributeConstraint
-from repro.filters.engine import is_nan, value_key
 from repro.filters.filter import Filter
-from repro.filters.operators import ALL, EQ, GE, GT, LE, LT
-
-
-def _hashable(value: Any) -> bool:
-    try:
-        hash(value)
-    except TypeError:
-        return False
-    return True
-
-
-def _orderable(value: Any) -> bool:
-    """Values the sorted-bound arrays may hold: bisection needs a total
-    order within the family, and booleans are excluded from the numeric
-    family by :func:`~repro.filters.operators.values_comparable`."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, (int, float, str))
-
-
-def _family(value: Any) -> str:
-    return "str" if isinstance(value, str) else "num"
+from repro.filters.operators import (
+    ALL,
+    EQ,
+    GE,
+    GT,
+    LE,
+    LT,
+    SortedRun,
+    hashable,
+    is_nan,
+    operand_family,
+    value_key,
+)
 
 
 def filter_shape(filter_: Filter) -> FrozenSet[str]:
@@ -85,63 +79,44 @@ def _classify(constraints: Tuple[AttributeConstraint, ...]) -> Tuple[str, Any]:
 
     Only a *single* constraint with a well-behaved operand is prunable;
     everything else (conjunctions, ``NE``/``PREFIX``/``CONTAINS``/
-    ``EXISTS``, unhashable or unorderable operands) falls into the
+    ``EXISTS``, unhashable operands, bounds outside an
+    :func:`~repro.filters.operators.operand_family`) falls into the
     ``other`` catch-all, which every query keeps as a candidate.  So
-    does a NaN operand: it equals nothing, itself included, so a bisect
-    over an array holding one lands anywhere and ``_Sorted.remove``
-    cannot find it (or, past it, a different operand) again.
+    does a NaN operand: it equals nothing, itself included, so no bucket
+    or sorted run can find it again.
     """
     if len(constraints) != 1:
         return (_OTHER, None)
     constraint = constraints[0]
     operator, operand = constraint.operator, constraint.operand
-    if is_nan(operand):
-        return (_OTHER, None)
-    if operator is EQ and _hashable(operand):
+    if operator is EQ and hashable(operand) and not is_nan(operand):
         return (_EQ, operand)
-    if (operator is LT or operator is LE) and _orderable(operand):
-        return (_UP, operand)
-    if (operator is GT or operator is GE) and _orderable(operand):
-        return (_LO, operand)
+    if operand_family(operand) is not None:
+        if operator is LT or operator is LE:
+            return (_UP, operand)
+        if operator is GT or operator is GE:
+            return (_LO, operand)
     return (_OTHER, None)
 
 
-class _Sorted:
-    """Parallel sorted (operand, handle) arrays for one operand family."""
+class _Sorted(SortedRun):
+    """The sorted ``(operand, handle)`` run of one operand family."""
 
-    __slots__ = ("values", "handles")
-
-    def __init__(self) -> None:
-        self.values: List[Any] = []
-        self.handles: List[int] = []
-
-    def add(self, value: Any, handle: int) -> None:
-        position = bisect.bisect_right(self.values, value)
-        self.values.insert(position, value)
-        self.handles.insert(position, handle)
-
-    def remove(self, value: Any, handle: int) -> None:
-        left = bisect.bisect_left(self.values, value)
-        right = bisect.bisect_right(self.values, value)
-        for position in range(left, right):
-            if self.handles[position] == handle:
-                del self.values[position]
-                del self.handles[position]
-                return
+    __slots__ = ()
 
     def count_le(self, value: Any) -> int:
-        return bisect.bisect_right(self.values, value)
+        return bisect.bisect_right(self.operands, value)
 
     def count_ge(self, value: Any) -> int:
-        return len(self.values) - bisect.bisect_left(self.values, value)
+        return len(self.operands) - bisect.bisect_left(self.operands, value)
 
     def le(self, value: Any) -> List[int]:
         """Handles whose operand is ``<= value`` (boundary included: the
         verification pass sorts out strict-vs-inclusive implications)."""
-        return self.handles[: bisect.bisect_right(self.values, value)]
+        return self.ids[: bisect.bisect_right(self.operands, value)]
 
     def ge(self, value: Any) -> List[int]:
-        return self.handles[bisect.bisect_left(self.values, value):]
+        return self.ids[bisect.bisect_left(self.operands, value):]
 
 
 class _Slot:
@@ -161,25 +136,25 @@ class _Slot:
         #: Conservative catch-all: always candidates.
         self.other: Set[int] = set()
 
+    def _runs(self, tag: str) -> Dict[str, _Sorted]:
+        if tag is _EQ:
+            return self.eq_sorted
+        return self.up_sorted if tag is _UP else self.lo_sorted
+
     def add(self, tag: str, operand: Any, handle: int) -> None:
+        if tag is _OTHER:
+            self.other.add(handle)
+            return
         if tag is _EQ:
             self.eq_buckets.setdefault(value_key(operand), set()).add(handle)
-            if _orderable(operand):
-                self.eq_sorted.setdefault(_family(operand), _Sorted()).add(
-                    operand, handle
-                )
-        elif tag is _UP:
-            self.up_sorted.setdefault(_family(operand), _Sorted()).add(
-                operand, handle
-            )
-        elif tag is _LO:
-            self.lo_sorted.setdefault(_family(operand), _Sorted()).add(
-                operand, handle
-            )
-        else:
-            self.other.add(handle)
+        family = operand_family(operand)
+        if family is not None:
+            self._runs(tag).setdefault(family, _Sorted()).insert(operand, handle)
 
     def discard(self, tag: str, operand: Any, handle: int) -> None:
+        if tag is _OTHER:
+            self.other.discard(handle)
+            return
         if tag is _EQ:
             key = value_key(operand)
             bucket = self.eq_buckets.get(key)
@@ -187,104 +162,60 @@ class _Slot:
                 bucket.discard(handle)
                 if not bucket:
                     del self.eq_buckets[key]
-            if _orderable(operand):
-                sorted_ = self.eq_sorted.get(_family(operand))
-                if sorted_ is not None:
-                    sorted_.remove(operand, handle)
+        run = self._runs(tag).get(operand_family(operand))
+        if run is not None:
+            run.remove(operand, handle)
+
+    def _bounds(
+        self, covering: bool, tag: str, operand: Any
+    ) -> List[Tuple[_Sorted, bool]]:
+        """The sorted runs a query bisects, each with whether it keeps
+        the operands ``>= operand`` (else ``<=``).
+
+        ``covering`` (``covered_by(f)``: stored g with g.covers(f)): the
+        premise is f's single constraint, the conclusion the stored one,
+        so a stored upper bound needs operand >= v (or >= u), a stored
+        lower bound the mirror image.  Otherwise (``covers_of(f)``: the
+        premise is the stored constraint) only equalities can imply
+        ``= v``, and bounds and equalities below u can imply ``< u`` /
+        ``<= u``.  The equality bucket and "other" are added by the
+        caller.
+        """
+        if tag is _EQ:
+            wanted = ((self.up_sorted, True), (self.lo_sorted, False)) if covering else ()
         elif tag is _UP:
-            sorted_ = self.up_sorted.get(_family(operand))
-            if sorted_ is not None:
-                sorted_.remove(operand, handle)
-        elif tag is _LO:
-            sorted_ = self.lo_sorted.get(_family(operand))
-            if sorted_ is not None:
-                sorted_.remove(operand, handle)
+            wanted = (
+                ((self.up_sorted, True),)
+                if covering
+                else ((self.up_sorted, False), (self.eq_sorted, False))
+            )
         else:
-            self.other.discard(handle)
+            wanted = (
+                ((self.lo_sorted, False),)
+                if covering
+                else ((self.lo_sorted, True), (self.eq_sorted, True))
+            )
+        family = operand_family(operand)
+        return [(runs[family], at_least) for runs, at_least in wanted if family in runs]
 
-    # -- covered_by(f): stored g with g.covers(f); premise is f's single
-    # constraint, conclusion is the stored one.  A stored ``= w`` needs
-    # w == v; a stored upper bound needs operand >= v (or >= u); a stored
-    # lower bound the mirror image.  "other" always survives.
-
-    def count_covering(self, tag: str, operand: Any) -> int:
+    def count(self, covering: bool, tag: str, operand: Any) -> int:
+        """``len(candidates(...))`` without building the set: a handle
+        sits in one bucket or run per attribute, so they are disjoint."""
         count = len(self.other)
         if tag is _EQ:
             count += len(self.eq_buckets.get(value_key(operand), ()))
-            if _orderable(operand):
-                family = _family(operand)
-                if family in self.up_sorted:
-                    count += self.up_sorted[family].count_ge(operand)
-                if family in self.lo_sorted:
-                    count += self.lo_sorted[family].count_le(operand)
-        elif tag is _UP:
-            family = _family(operand)
-            if family in self.up_sorted:
-                count += self.up_sorted[family].count_ge(operand)
-        elif tag is _LO:
-            family = _family(operand)
-            if family in self.lo_sorted:
-                count += self.lo_sorted[family].count_le(operand)
+        for run, at_least in self._bounds(covering, tag, operand):
+            count += run.count_ge(operand) if at_least else run.count_le(operand)
         return count
 
-    def covering_candidates(self, tag: str, operand: Any) -> Set[int]:
+    def candidates(self, covering: bool, tag: str, operand: Any) -> Set[int]:
+        """Handles that may stand in the queried relation; "other"
+        always survives."""
         candidates = set(self.other)
         if tag is _EQ:
             candidates.update(self.eq_buckets.get(value_key(operand), ()))
-            if _orderable(operand):
-                family = _family(operand)
-                if family in self.up_sorted:
-                    candidates.update(self.up_sorted[family].ge(operand))
-                if family in self.lo_sorted:
-                    candidates.update(self.lo_sorted[family].le(operand))
-        elif tag is _UP:
-            family = _family(operand)
-            if family in self.up_sorted:
-                candidates.update(self.up_sorted[family].ge(operand))
-        elif tag is _LO:
-            family = _family(operand)
-            if family in self.lo_sorted:
-                candidates.update(self.lo_sorted[family].le(operand))
-        return candidates
-
-    # -- covers_of(f): stored g with f.covers(g); premise is the stored
-    # constraint, conclusion is f's.  Only equalities can imply ``= v``;
-    # bounds and equalities below u can imply ``< u`` / ``<= u``.
-
-    def count_covered(self, tag: str, operand: Any) -> int:
-        count = len(self.other)
-        if tag is _EQ:
-            count += len(self.eq_buckets.get(value_key(operand), ()))
-        elif tag is _UP:
-            family = _family(operand)
-            if family in self.up_sorted:
-                count += self.up_sorted[family].count_le(operand)
-            if family in self.eq_sorted:
-                count += self.eq_sorted[family].count_le(operand)
-        elif tag is _LO:
-            family = _family(operand)
-            if family in self.lo_sorted:
-                count += self.lo_sorted[family].count_ge(operand)
-            if family in self.eq_sorted:
-                count += self.eq_sorted[family].count_ge(operand)
-        return count
-
-    def covered_candidates(self, tag: str, operand: Any) -> Set[int]:
-        candidates = set(self.other)
-        if tag is _EQ:
-            candidates.update(self.eq_buckets.get(value_key(operand), ()))
-        elif tag is _UP:
-            family = _family(operand)
-            if family in self.up_sorted:
-                candidates.update(self.up_sorted[family].le(operand))
-            if family in self.eq_sorted:
-                candidates.update(self.eq_sorted[family].le(operand))
-        elif tag is _LO:
-            family = _family(operand)
-            if family in self.lo_sorted:
-                candidates.update(self.lo_sorted[family].ge(operand))
-            if family in self.eq_sorted:
-                candidates.update(self.eq_sorted[family].ge(operand))
+        for run, at_least in self._bounds(covering, tag, operand):
+            candidates.update(run.ge(operand) if at_least else run.le(operand))
         return candidates
 
 
@@ -471,14 +402,14 @@ class CoveringIndex:
                     key=lambda a: (
                         len(group.members)
                         if classes[a][0] is _OTHER
-                        else group.slots[a].count_covering(*classes[a])
+                        else group.slots[a].count(True, *classes[a])
                     ),
                 )
                 if classes[best_attribute][0] is _OTHER:
                     candidates = set(group.members)
                 else:
-                    candidates = group.slots[best_attribute].covering_candidates(
-                        *classes[best_attribute]
+                    candidates = group.slots[best_attribute].candidates(
+                        True, *classes[best_attribute]
                     )
             for handle in candidates:
                 self.covers_checks += 1
@@ -509,14 +440,14 @@ class CoveringIndex:
                     key=lambda a: (
                         len(group.members)
                         if classes[a][0] is _OTHER
-                        else group.slots[a].count_covered(*classes[a])
+                        else group.slots[a].count(False, *classes[a])
                     ),
                 )
                 if classes[best_attribute][0] is _OTHER:
                     candidates = set(group.members)
                 else:
-                    candidates = group.slots[best_attribute].covered_candidates(
-                        *classes[best_attribute]
+                    candidates = group.slots[best_attribute].candidates(
+                        False, *classes[best_attribute]
                     )
             for handle in candidates:
                 self.covers_checks += 1

@@ -39,10 +39,11 @@ Soundness rests on two facts:
    engine) — flushes the memo and the relevant-attribute set, so a stale
    decision can never survive a table change.
 
-Values are keyed with the same bool-vs-number discrimination the indexed
-engines use for their equality buckets: ``1 == 1.0`` may share a decision
-(every engine treats them identically under every operator) but ``True``
-may not.
+Values are keyed with :func:`~repro.filters.operators.value_key`, the
+key the indexed engines' equality buckets use, whose equality is exactly
+``=``: ``1`` and ``1.0`` may share a decision (every engine treats them
+identically under every operator), but ``True`` and ``Decimal(1)`` may
+not.
 """
 
 from abc import ABC, abstractmethod
@@ -63,7 +64,7 @@ from typing import (
 )
 
 from repro.filters.filter import Filter
-from repro.filters.operators import ALL
+from repro.filters.operators import ALL, value_key
 from repro.metrics.counters import CacheStats
 
 
@@ -75,6 +76,17 @@ class MatchEngine(ABC):
     each ``match_batch`` call).  The counters below are part of the
     surface too, so that a broker reads them off whatever engine it
     holds instead of probing for its class.
+
+    The two indexed engines, :class:`~repro.filters.index.CountingIndex`
+    and :class:`~repro.filters.compiled.CompiledMatchEngine`, inherit
+    the filter→destination table below: a distinct filter gets a
+    monotonic *handle* (the insertion order every match result follows),
+    is indexed by the engine's :meth:`_register` when its first
+    destination arrives and dropped by :meth:`_unregister` when its last
+    one goes.  :class:`~repro.filters.table.FilterTable` overrides all of
+    it with its own bookkeeping: it is the oracle the indexed engines are
+    tested against, so it shares no code with them.
+    :class:`CachedMatchEngine` delegates to the engine it wraps.
     """
 
     #: Dirty-structure recompiles performed (engines that compile).
@@ -82,41 +94,100 @@ class MatchEngine(ABC):
     #: Residual predicates evaluated on candidates the compiled tiers kept.
     residual_evaluations = 0
 
-    @abstractmethod
+    def __init__(self) -> None:
+        self._filters: Dict[Filter, int] = {}
+        self._by_handle: Dict[int, Filter] = {}
+        #: handle -> insertion-ordered destination set.
+        self._ids: Dict[int, Dict[Hashable, None]] = {}
+        #: Reverse map: destination -> handles it appears under, so
+        #: ``remove_destination`` (disconnect / lease-expiry churn) walks
+        #: only that destination's filters instead of the whole table.
+        self._dests: Dict[Hashable, Dict[int, None]] = {}
+        self._next_handle = 0
+
+    def _register(self, filter_: Filter, handle: int) -> None:
+        """Index a filter that just got its first destination."""
+        raise NotImplementedError
+
+    def _unregister(self, filter_: Filter, handle: int) -> None:
+        """Drop a filter whose last destination just went."""
+        raise NotImplementedError
+
     def insert(self, filter_: Filter, destination: Hashable) -> None:
         """Associate ``destination`` with ``filter_``."""
+        if filter_.matches_nothing:
+            raise ValueError("cannot index fF (matches nothing)")
+        handle = self._filters.get(filter_)
+        if handle is None:
+            handle = self._next_handle
+            self._next_handle += 1
+            self._filters[filter_] = handle
+            self._by_handle[handle] = filter_
+            self._ids[handle] = {}
+            self._register(filter_, handle)
+        ids = self._ids[handle]
+        if destination not in ids:
+            ids[destination] = None
+            self._dests.setdefault(destination, {})[handle] = None
 
-    @abstractmethod
     def remove(self, filter_: Filter, destination: Hashable) -> bool:
         """Drop one (filter, destination) pair; True when it existed."""
+        handle = self._filters.get(filter_)
+        if handle is None:
+            return False
+        ids = self._ids[handle]
+        if destination not in ids:
+            return False
+        del ids[destination]
+        handles = self._dests[destination]
+        del handles[handle]
+        if not handles:
+            del self._dests[destination]
+        if not ids:
+            self._unregister(filter_, handle)
+            del self._filters[filter_]
+            del self._by_handle[handle]
+            del self._ids[handle]
+        return True
 
-    @abstractmethod
     def remove_destination(self, destination: Hashable) -> int:
         """Drop ``destination`` everywhere; returns entries affected."""
+        handles = self._dests.get(destination)
+        if not handles:
+            return 0
+        removed = 0
+        for handle in sorted(handles):
+            if self.remove(self._by_handle[handle], destination):
+                removed += 1
+        return removed
 
     @abstractmethod
     def match(self, event: Any) -> List[Tuple[Filter, Tuple[Hashable, ...]]]:
         """Matching ``(filter, ids)`` entries in filter insertion order."""
 
-    @abstractmethod
     def destinations_for(self, filter_: Filter) -> Tuple[Hashable, ...]:
         """The ids currently associated with exactly this filter."""
+        handle = self._filters.get(filter_)
+        if handle is None:
+            return ()
+        return tuple(self._ids[handle])
 
-    @abstractmethod
     def filters(self) -> Iterator[Filter]:
         """Iterate the distinct stored filters."""
+        return iter(self._filters)
 
-    @abstractmethod
     def entries(self) -> Iterator[Tuple[Filter, Tuple[Hashable, ...]]]:
         """Iterate ``(filter, ids)`` pairs."""
+        for filter_, handle in self._filters.items():
+            yield filter_, tuple(self._ids[handle])
 
-    @abstractmethod
     def __len__(self) -> int:
         """Number of distinct filters held."""
+        return len(self._filters)
 
-    @abstractmethod
     def __contains__(self, filter_: Filter) -> bool:
         """Whether this exact filter is stored."""
+        return filter_ in self._filters
 
     def destinations(self, event: Any) -> Set[Hashable]:
         """Union of ids over all filters matching ``event``."""
@@ -141,23 +212,6 @@ class MatchEngine(ABC):
     def cached_decisions(self) -> int:
         """Routing decisions currently memoized (none without a cache)."""
         return 0
-
-
-def value_key(value: Any) -> Any:
-    """Canonical key separating bools from numbers (1 != True for matching)."""
-    return (type(value) is bool, value)
-
-
-def is_nan(value: Any) -> bool:
-    """Whether ``value`` is a float NaN.
-
-    NaN compares false with everything, itself included, so it has no
-    position in a sorted operand tier (a bisect over it lands anywhere)
-    and no equality bucket (a dict finds it by identity, ``=`` never
-    holds).  The indexed engines keep a NaN operand on their interpreted
-    path and let a NaN value satisfy no indexed constraint but ``exists``.
-    """
-    return isinstance(value, float) and value != value
 
 
 def event_fingerprint(

@@ -19,6 +19,12 @@ matching is proportional to the number of *satisfied* constraints rather
 than the number of filters.  Selected with ``engine="index"``; the
 default is :class:`repro.filters.compiled.CompiledMatchEngine`, which
 replaces the per-constraint bookkeeping with per-attribute bitmaps.
+
+Equality buckets are keyed, and sorted runs filled, by the value rules
+of :mod:`repro.filters.operators` (``value_key``, ``operand_family``,
+``hashable``, ``is_nan``); the filter→destination table is the one
+:class:`~repro.filters.engine.MatchEngine` keeps, and this engine only
+indexes a filter in :meth:`CountingIndex._register`.
 """
 
 import bisect
@@ -26,58 +32,42 @@ from collections import defaultdict
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.filters.constraints import AttributeConstraint
-from repro.filters.engine import MatchEngine, is_nan, value_key
+from repro.filters.engine import MatchEngine
 from repro.filters.filter import Filter
-from repro.filters.operators import ALL, EQ, EXISTS, GE, GT, LE, LT, values_comparable
+from repro.filters.operators import (
+    ALL,
+    EQ,
+    EXISTS,
+    GE,
+    GT,
+    LE,
+    LT,
+    SortedRun,
+    hashable,
+    is_nan,
+    operand_family,
+    value_key,
+    values_comparable,
+)
 
 
-class _SortedOperands:
-    """Parallel sorted arrays of (operand, handle) for one ordering operator."""
+class _SortedOperands(SortedRun):
+    """The sorted ``(operand, handle)`` run of one ordering operator."""
 
-    __slots__ = ("operands", "handles")
-
-    def __init__(self) -> None:
-        self.operands: List[Any] = []
-        self.handles: List[int] = []
-
-    def insert(self, operand: Any, handle: int) -> bool:
-        """Insert keeping sort order; False when the operand family differs
-        from what the array already holds (caller falls back to linear)."""
-        if self.operands and not values_comparable(self.operands[0], operand):
-            return False
-        position = bisect.bisect_right(self.operands, operand)
-        self.operands.insert(position, operand)
-        self.handles.insert(position, handle)
-        return True
-
-    def remove(self, operand: Any, handle: int) -> bool:
-        # One bisect to the start of the operand's run, then an
-        # early-exit scan bounded by the run itself: O(log n + run)
-        # instead of a second full bisect plus an unconditional
-        # whole-run walk — the run is usually tiny even in huge tables.
-        operands = self.operands
-        position = bisect.bisect_left(operands, operand)
-        end = len(operands)
-        while position < end and operands[position] == operand:
-            if self.handles[position] == handle:
-                del operands[position]
-                del self.handles[position]
-                return True
-            position += 1
-        return False
+    __slots__ = ()
 
     def satisfied_lt(self, value: Any) -> List[int]:
         """Handles of ``attr < operand`` constraints satisfied by ``value``."""
-        return self.handles[bisect.bisect_right(self.operands, value):]
+        return self.ids[bisect.bisect_right(self.operands, value):]
 
     def satisfied_le(self, value: Any) -> List[int]:
-        return self.handles[bisect.bisect_left(self.operands, value):]
+        return self.ids[bisect.bisect_left(self.operands, value):]
 
     def satisfied_gt(self, value: Any) -> List[int]:
-        return self.handles[: bisect.bisect_left(self.operands, value)]
+        return self.ids[: bisect.bisect_left(self.operands, value)]
 
     def satisfied_ge(self, value: Any) -> List[int]:
-        return self.handles[: bisect.bisect_right(self.operands, value)]
+        return self.ids[: bisect.bisect_right(self.operands, value)]
 
     def comparable_with(self, value: Any) -> bool:
         return not self.operands or values_comparable(self.operands[0], value)
@@ -96,48 +86,50 @@ class _AttributeIndex:
         self.ge = _SortedOperands()
         self.exists: List[int] = []
         #: Fallback for NE/PREFIX/CONTAINS and operands no bucket or
-        #: sorted array can hold (family-mismatched, boolean, NaN).
+        #: sorted run can hold (family-mismatched, boolean, NaN).
         self.linear: List[Tuple[AttributeConstraint, int]] = []
 
     def _sorted_for(self, constraint: AttributeConstraint) -> Optional[_SortedOperands]:
-        """The sorted array an ordering constraint belongs in, if any."""
-        if isinstance(constraint.operand, bool) or is_nan(constraint.operand):
+        """The sorted run an ordering constraint belongs in, if any: the
+        operator's, when the operand is of the family it holds (the
+        first operand's fixes it)."""
+        operand = constraint.operand
+        if operand_family(operand) is None:
             return None
-        return {LT: self.lt, LE: self.le, GT: self.gt, GE: self.ge}.get(
+        run = {LT: self.lt, LE: self.le, GT: self.gt, GE: self.ge}.get(
             constraint.operator
         )
+        return run if run is not None and run.comparable_with(operand) else None
 
     def insert(self, constraint: AttributeConstraint, handle: int) -> None:
-        op = constraint.operator
-        if op is EQ and _eq_indexable(constraint.operand):
-            self.eq.setdefault(_eq_key(constraint.operand), []).append(handle)
+        op, operand = constraint.operator, constraint.operand
+        if op is EQ and hashable(operand) and not is_nan(operand):
+            self.eq.setdefault(value_key(operand), []).append(handle)
             return
         if op is EXISTS:
             self.exists.append(handle)
             return
         sorted_for = self._sorted_for(constraint)
-        if sorted_for is not None and sorted_for.insert(constraint.operand, handle):
+        if sorted_for is not None:
+            sorted_for.insert(operand, handle)
             return
         self.linear.append((constraint, handle))
 
     def remove(self, constraint: AttributeConstraint, handle: int) -> None:
-        op = constraint.operator
-        if op is EQ and _eq_indexable(constraint.operand):
-            handles = self.eq.get(_eq_key(constraint.operand))
+        op, operand = constraint.operator, constraint.operand
+        if op is EQ and hashable(operand) and not is_nan(operand):
+            key = value_key(operand)
+            handles = self.eq.get(key)
             if handles and handle in handles:
                 handles.remove(handle)
                 if not handles:
-                    del self.eq[_eq_key(constraint.operand)]
+                    del self.eq[key]
                 return
         if op is EXISTS and handle in self.exists:
             self.exists.remove(handle)
             return
         sorted_for = self._sorted_for(constraint)
-        if (
-            sorted_for is not None
-            and sorted_for.comparable_with(constraint.operand)
-            and sorted_for.remove(constraint.operand, handle)
-        ):
+        if sorted_for is not None and sorted_for.remove(operand, handle):
             return
         for position, (existing, existing_handle) in enumerate(self.linear):
             if existing == constraint and existing_handle == handle:
@@ -156,13 +148,13 @@ class _AttributeIndex:
         probes = len(self.exists)
         for handle in self.exists:
             counts[handle] += 1
-        if _hashable(value):
-            for handle in self.eq.get(_eq_key(value), ()):  # equality probe
+        if hashable(value):
+            for handle in self.eq.get(value_key(value), ()):  # equality probe
                 counts[handle] += 1
                 probes += 1
         # A NaN value satisfies no ordering constraint, and a bisect
-        # with it would harvest half the array.
-        if not isinstance(value, bool) and not is_nan(value):
+        # with it would harvest half the run.
+        if operand_family(value) is not None:
             for structure, probe in (
                 (self.lt, _SortedOperands.satisfied_lt),
                 (self.le, _SortedOperands.satisfied_le),
@@ -191,26 +183,6 @@ class _AttributeIndex:
         )
 
 
-def _hashable(value: Any) -> bool:
-    try:
-        hash(value)
-    except TypeError:
-        return False
-    return True
-
-
-def _eq_indexable(operand: Any) -> bool:
-    """Whether ``= operand`` may live in the hash buckets: ``= nan``
-    holds for no value, but a bucket would be found by the same NaN
-    object through dict identity."""
-    return _hashable(operand) and not is_nan(operand)
-
-
-#: Key that separates bools from numbers (1 != True for matching); the
-#: same canonicalization the routing cache fingerprints values with.
-_eq_key = value_key
-
-
 class CountingIndex(MatchEngine):
     """Drop-in alternative to :class:`~repro.filters.table.FilterTable`.
 
@@ -220,91 +192,25 @@ class CountingIndex(MatchEngine):
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self._attributes: Dict[str, _AttributeIndex] = {}
-        self._filters: Dict[Filter, int] = {}
-        self._by_handle: Dict[int, Filter] = {}
-        #: handle -> insertion-ordered destination set.
-        self._ids: Dict[int, Dict[Hashable, None]] = {}
-        #: Reverse map: destination -> handles it appears under, so
-        #: ``remove_destination`` (disconnect / lease-expiry churn) walks
-        #: only that destination's filters instead of the whole index.
-        self._dests: Dict[Hashable, Set[int]] = {}
         self._required: Dict[int, int] = {}
         #: Filters with zero countable constraints (fT / all-wildcard).
         self._always: Set[int] = set()
-        self._next_handle = 0
         #: Scratch counter dict reused across ``match`` calls.
         self._counts: Dict[int, int] = defaultdict(int)
         self.evaluations = 0
 
-    def __len__(self) -> int:
-        return len(self._filters)
-
-    def __contains__(self, filter_: Filter) -> bool:
-        return filter_ in self._filters
-
-    def filters(self):
-        return iter(self._filters)
-
-    def entries(self):
-        for filter_, handle in self._filters.items():
-            yield filter_, tuple(self._ids[handle])
-
-    def destinations_for(self, filter_: Filter) -> Tuple[Hashable, ...]:
-        handle = self._filters.get(filter_)
-        if handle is None:
-            return ()
-        return tuple(self._ids[handle])
-
-    def insert(self, filter_: Filter, destination: Hashable) -> None:
-        if filter_.matches_nothing:
-            raise ValueError("cannot index fF (matches nothing)")
-        handle = self._filters.get(filter_)
-        if handle is None:
-            handle = self._next_handle
-            self._next_handle += 1
-            self._filters[filter_] = handle
-            self._by_handle[handle] = filter_
-            self._ids[handle] = {}
-            countable = [c for c in filter_.constraints if c.operator is not ALL]
-            self._required[handle] = len(countable)
-            if not countable:
-                self._always.add(handle)
-            for constraint in countable:
-                index = self._attributes.get(constraint.attribute)
-                if index is None:
-                    index = self._attributes[constraint.attribute] = _AttributeIndex()
-                index.insert(constraint, handle)
-        ids = self._ids[handle]
-        if destination not in ids:
-            ids[destination] = None
-            self._dests.setdefault(destination, set()).add(handle)
-
-    def remove(self, filter_: Filter, destination: Hashable) -> bool:
-        handle = self._filters.get(filter_)
-        if handle is None:
-            return False
-        ids = self._ids[handle]
-        if destination not in ids:
-            return False
-        del ids[destination]
-        handles = self._dests[destination]
-        handles.discard(handle)
-        if not handles:
-            del self._dests[destination]
-        if not ids:
-            self._unregister(filter_, handle)
-        return True
-
-    def remove_destination(self, destination: Hashable) -> int:
-        handles = self._dests.get(destination)
-        if not handles:
-            return 0
-        removed = 0
-        for handle in sorted(handles):
-            if self.remove(self._by_handle[handle], destination):
-                removed += 1
-        return removed
+    def _register(self, filter_: Filter, handle: int) -> None:
+        countable = [c for c in filter_.constraints if c.operator is not ALL]
+        self._required[handle] = len(countable)
+        if not countable:
+            self._always.add(handle)
+        for constraint in countable:
+            index = self._attributes.get(constraint.attribute)
+            if index is None:
+                index = self._attributes[constraint.attribute] = _AttributeIndex()
+            index.insert(constraint, handle)
 
     def _unregister(self, filter_: Filter, handle: int) -> None:
         for constraint in filter_.constraints:
@@ -316,9 +222,6 @@ class CountingIndex(MatchEngine):
                 if index.is_empty():
                     del self._attributes[constraint.attribute]
         self._always.discard(handle)
-        del self._filters[filter_]
-        del self._by_handle[handle]
-        del self._ids[handle]
         del self._required[handle]
 
     def match(self, event: Any) -> List[Tuple[Filter, Tuple[Hashable, ...]]]:

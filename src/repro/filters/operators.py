@@ -20,9 +20,17 @@ Implication is deliberately *sound but not complete*: a ``True`` answer is
 a proof, a ``False`` answer may mean "cannot prove".  Completeness is not
 needed — Proposition 1 only requires that filters used for pre-filtering
 really cover the originals.
+
+This module is also the one home of the value rules every index over
+constraints keys and orders by (DESIGN §12): which values are equal
+(:func:`value_key`), which can be ordered (:func:`values_comparable`,
+:func:`operand_family`), which can be hashed (:func:`hashable`), how NaN
+is treated (:func:`is_nan`), and the sorted ``(operand, id)`` run the
+indexed structures bisect (:class:`SortedRun`).
 """
 
-from typing import Any, Dict
+import bisect
+from typing import Any, Dict, Hashable, List, Optional
 
 
 def values_comparable(a: Any, b: Any) -> bool:
@@ -36,6 +44,99 @@ def values_comparable(a: Any, b: Any) -> bool:
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         return True
     return isinstance(a, str) and isinstance(b, str)
+
+
+def value_key(value: Any) -> Any:
+    """The key whose equality is exactly ``=`` (:meth:`_Eq.evaluate`).
+
+    Values of one comparable family are keyed by the family and compare
+    with ``==`` (``1`` and ``1.0`` share a key, ``True`` has its own);
+    any other value is keyed by its type, so ``Decimal(1)``,
+    ``Fraction(1)`` and ``complex(1, 0)`` never share a key with ``1``.
+    An equality bucket, the routing cache and the covering index all
+    key by it.  NaN, unequal to itself, is the one value ``=`` and key
+    equality disagree on; see :func:`is_nan`.
+    """
+    if isinstance(value, bool):
+        return ("bool", value)
+    if isinstance(value, (int, float)):
+        return ("num", value)
+    if isinstance(value, str):
+        return ("str", value)
+    return (type(value), value)
+
+
+def hashable(value: Any) -> bool:
+    """Whether ``value`` can key a dict (an equality bucket)."""
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def is_nan(value: Any) -> bool:
+    """Whether a hashable ``value`` is unequal to itself: a NaN.
+
+    NaN compares false with everything, itself included, so it has no
+    position in a sorted run (a bisect over it lands anywhere) and no
+    equality bucket (a dict finds it by identity, ``=`` never holds).
+    The indexed structures keep a NaN operand on their interpreted path
+    and let a NaN value satisfy no indexed constraint but ``exists``.
+    """
+    return value != value
+
+
+def operand_family(value: Any) -> Optional[str]:
+    """The family a sorted run of ``value`` holds: ``"num"`` or ``"str"``.
+
+    ``None`` — not sortable — for a boolean (outside the numeric family,
+    as in :func:`values_comparable`), a NaN and anything else.  Two
+    values of one family are comparable; a run holds one family only.
+    """
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, float):
+        return "num" if value == value else None
+    if isinstance(value, int):
+        return "num"
+    if isinstance(value, str):
+        return "str"
+    return None
+
+
+class SortedRun:
+    """Parallel ``operands`` (sorted, one :func:`operand_family`) and
+    ``ids``; equal operands keep insertion order.  Subclasses add their
+    own queries over the run."""
+
+    __slots__ = ("operands", "ids")
+
+    def __init__(self) -> None:
+        self.operands: List[Any] = []
+        self.ids: List[Hashable] = []
+
+    def insert(self, operand: Any, id_: Hashable) -> None:
+        position = bisect.bisect_right(self.operands, operand)
+        self.operands.insert(position, operand)
+        self.ids.insert(position, id_)
+
+    def remove(self, operand: Any, id_: Hashable) -> bool:
+        """Drop one ``(operand, id_)`` pair; True when it was held.
+
+        One bisect to the start of the operand's run, then a scan
+        bounded by the run itself: O(log n + run).
+        """
+        operands = self.operands
+        position = bisect.bisect_left(operands, operand)
+        end = len(operands)
+        while position < end and operands[position] == operand:
+            if self.ids[position] == id_:
+                del operands[position]
+                del self.ids[position]
+                return True
+            position += 1
+        return False
 
 
 class Operator:

@@ -7,6 +7,9 @@ property test drives random pools through inserts *and* removals and
 compares all three query surfaces against the naive answer.
 """
 
+from decimal import Decimal
+from fractions import Fraction
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -34,11 +37,15 @@ NAN = float("nan")
 
 # NaN has no place in a sorted tier or a bucket, the infinities sit at the
 # ends of one, and -0.0 == 0 shares a bucket with it under another repr.
+# Decimal(1), Fraction(1, 2) and complex(1, 0) equal an int or a float
+# under == and hash like it, but no constraint on one implies a
+# constraint on the other: they share no bucket and enter no run.
 values = st.one_of(
     st.integers(min_value=-5, max_value=5),
     st.sampled_from([0.5, 1.5, 2.5, NAN, float("inf"), float("-inf"), -0.0]),
     st.sampled_from(["", "v", "va", "vab", "w"]),
     st.booleans(),
+    st.sampled_from([Decimal(1), Fraction(1, 2), complex(1, 0)]),
 )
 
 nullary_ops = st.sampled_from([EXISTS, ALL])

@@ -18,6 +18,9 @@ driven through the same machine so the batched entry point (including the
 cached wrapper's miss-dedup batching) is held to the same oracle.
 """
 
+from decimal import Decimal
+from fractions import Fraction
+
 import hypothesis.strategies as st
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -52,6 +55,11 @@ DESTINATIONS = ["n1", "n2", "n3"]
 #: negative zero (equal to 0 under ``=``, hashed like it) and an integer
 #: past 2**63 that no float64 holds exactly (a float conversion
 #: anywhere on the range path would round it onto its neighbours).
+#: Numbers outside the int/float family ride along too, each in a
+#: branch with the int or float it equals under ``==`` and hashes like
+#: (an equality key that let them share a bucket or a memo entry
+#: matched one for the other): ``=`` never holds between the two, and
+#: no ordering constraint holds for the outsider.
 values = st.one_of(
     st.integers(min_value=-3, max_value=3),
     st.sampled_from([0.5, 1.5]),
@@ -59,6 +67,8 @@ values = st.one_of(
     st.sampled_from([float("inf"), float("-inf"), -0.0, 2**63 + 1]),
     st.sampled_from(["", "v", "va", "w"]),
     st.booleans(),
+    st.sampled_from([1, Decimal(1), complex(1, 0)]),
+    st.sampled_from([0.5, Fraction(1, 2)]),
 )
 
 @st.composite

@@ -1,10 +1,14 @@
 """Unit tests for the counting index, with FilterTable as the oracle."""
 
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
+from repro.filters.compiled import CompiledMatchEngine
 from repro.filters.constraints import AttributeConstraint
+from repro.filters.engine import CachedMatchEngine
 from repro.filters.filter import Filter
 from repro.filters.index import CountingIndex
 from repro.filters.operators import ALL, CONTAINS, EQ, EXISTS, GE, GT, LE, LT, NE, PREFIX
@@ -177,6 +181,27 @@ def test_cached_engine_hits_cost_zero_probes():
     assert after_miss > 0
     engine.match(event)  # cache hit: no probes
     assert engine.evaluations == after_miss
+
+
+@pytest.mark.parametrize(
+    "inner", [FilterTable, CountingIndex, CompiledMatchEngine],
+    ids=lambda cls: cls.__name__,
+)
+@pytest.mark.parametrize("foreign", [Decimal(1), Fraction(1), complex(1, 0)], ids=repr)
+@pytest.mark.parametrize("foreign_first", [True, False])
+def test_the_routing_cache_keys_equality_as_the_oracle_does(inner, foreign, foreign_first):
+    """``1`` and ``Decimal(1)`` compare equal and hash alike, but only
+    one of them satisfies ``x = 1``: a fingerprint that let them share a
+    memo entry answered whichever came second with the first one's
+    decision."""
+    engine = CachedMatchEngine(inner())
+    engine.insert(parse_filter("x = 1"), "d")
+    events = [{"x": foreign}, {"x": 1}]
+    if not foreign_first:
+        events.reverse()
+    answers = {repr(event["x"]): bool(engine.match(event)) for event in events}
+    assert answers == {repr(foreign): False, "1": True}
+    assert engine.cached_decisions() == 2
 
 
 def _random_filter(rng: random.Random) -> Filter:

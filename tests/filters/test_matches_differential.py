@@ -3,12 +3,16 @@
 ``Filter.matches`` evaluates constraints inline (it runs once per filter
 per copy at stage 0); ``AttributeConstraint.matches`` is the spelled-out
 definition.  Generated filters and events hold them equal: values that
-compare oddly (NaN, ``True`` beside ``1``, ``1`` beside ``1.0``,
-``bytes``, ``None``), missing attributes, every operator group, and the
+compare oddly (NaN, ``True`` beside ``1``, ``1`` beside ``1.0`` and
+``Decimal(1)``, ``bytes``, ``None``), missing attributes, every operator
+group, and the
 four shapes an event arrives in — a ``PropertyEvent``, a plain dict, an
 object exposing ``.properties`` and a ``PropertyEvent`` subclass that
 redefines lookup (which must not be read through its dict).
 """
+
+from decimal import Decimal
+from fractions import Fraction
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -39,6 +43,7 @@ values = st.one_of(
     st.sampled_from(["", "v", "va", "w"]),
     st.sampled_from([b"", b"v"]),
     st.none(),
+    st.sampled_from([Decimal(1), Fraction(1, 2), complex(1, 0)]),
 )
 
 

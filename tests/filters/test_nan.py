@@ -9,6 +9,8 @@ held here to the :class:`FilterTable` oracle on exactly those cases (the
 differential state machine draws NaN as well, ``test_differential.py``).
 """
 
+from decimal import Decimal
+
 import pytest
 
 from repro.filters.compiled import CompiledMatchEngine
@@ -25,6 +27,9 @@ except ImportError:  # pragma: no cover - numpy is no dependency of repro
     numpy = None
 
 NAN = float("nan")
+#: A NaN of another type equals nothing either, and a bucket keyed by one
+#: was found by the very same object through dict identity.
+OTHER_NANS = [("decimal-nan", Decimal("NaN")), ("complex-nan", complex(NAN, 0))]
 
 
 class NumpyScalarEvents(CompiledMatchEngine):
@@ -79,10 +84,15 @@ def make(request):
 
 @pytest.mark.parametrize(
     "extra",
-    [(LT, NAN), (LE, NAN), (GT, NAN), (GE, NAN), (EQ, NAN), (NE, NAN)],
+    [(LT, NAN), (LE, NAN), (GT, NAN), (GE, NAN), (EQ, NAN), (NE, NAN)]
+    + [pytest.param((EQ, nan), id=f"={name}") for name, nan in OTHER_NANS],
     ids=lambda extra: f"{extra[0].symbol}nan",
 )
-@pytest.mark.parametrize("value", [3.0, 5.0, 7.0, NAN, float("inf"), -0.0, "3"])
+@pytest.mark.parametrize(
+    "value",
+    [3.0, 5.0, 7.0, NAN, float("inf"), -0.0, "3"]
+    + [pytest.param(nan, id=name) for name, nan in OTHER_NANS],
+)
 def test_a_nan_operand_moves_no_other_filter(make, extra, value):
     constraints = BOUNDS + [extra, (EXISTS, None)]
     oracle = load(FilterTable(), constraints)

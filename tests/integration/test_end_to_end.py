@@ -7,6 +7,8 @@ the workloads tested (no event that should arrive is lost).
 """
 
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.filters.constraints import AttributeConstraint
 from repro.filters.engine import DEFAULT_ENGINE, engine_classes
 from repro.filters.filter import Filter
 from repro.filters.operators import EQ, LT
+from repro.overlay.subscriber import STAGE0_SCAN_MAX
 from repro.sim.rng import RngRegistry
 from repro.workloads.bibliographic import BIB_EVENT_CLASS, BibliographicWorkload
 
@@ -293,6 +296,52 @@ class TestNanOperand:
         publisher.publish(Quote("x", float("nan")), event_class="Quote")
         system.drain()
         assert got == {"a": [3.0], "b": []}
+
+
+class Q:
+    def __init__(self, sym, x):
+        self._sym = sym
+        self._x = x
+
+    def get_sym(self):
+        return self._sym
+
+    def get_x(self):
+        return self._x
+
+
+class TestEqualityAcrossTypes:
+    """``x = 1`` does not hold for ``Decimal(1)``, ``Fraction(1)`` or
+    ``complex(1, 0)``: ``=`` reaches across types only inside a
+    comparable family (``1 = 1.0``).  Stage 0 scans ``Filter.matches`` at a
+    home of up to ``STAGE0_SCAN_MAX`` subscriptions and matches with the
+    default engine above it; the engine used to say such a value was
+    equal to 1, so a subscriber holding five subscriptions received the
+    event and one holding a single subscription did not."""
+
+    @pytest.mark.parametrize("subscriptions", [1, STAGE0_SCAN_MAX + 1])
+    @pytest.mark.parametrize(
+        "value", [Decimal(1), Fraction(1), complex(1, 0)], ids=repr
+    )
+    def test_delivery_does_not_depend_on_the_size_of_the_home(
+        self, subscriptions, value
+    ):
+        system = MultiStageEventSystem(stage_sizes=(2, 1), seed=0)
+        system.register_type(Q)
+        system.advertise("Q", schema=("class", "sym", "x"))
+        subscriber = system.create_subscriber("s")
+        got = []
+        for _ in range(subscriptions):
+            system.subscribe(
+                subscriber, 'class = "Q" and x = 1',
+                handler=lambda e, m, s: got.append(e.get_x()),
+            )
+        system.drain()
+        publisher = system.create_publisher("p")
+        publisher.publish(Q("a", value))
+        publisher.publish(Q("a", 1))
+        system.drain()
+        assert got == [1] * subscriptions
 
 
 class Alpha:
