@@ -188,17 +188,19 @@ def test_incremental_maximal_under_churn(report):
 
 def test_placement_lookup_sweep():
     """Figure-5b placement as the table scan and as the index fold, at a
-    root holding 40, 400 and 4 000 routed forms (the set-up of
+    root holding 0, 4, 40, 400 and 4 000 routed forms (the set-up of
     ``tests/overlay/test_placement_count.py``: ``sim_match_10k``'s root
-    is the 40-form row).  Both sides answer the same requests at the
-    same node and must name the same child.  The only gate: the index
-    wins by >= 10x at 4 000 forms.  The rows are the artifact
+    is the 40-form row, an empty root what any request costs before
+    forms arrive).  Both sides answer the same requests at the same node
+    and must name the same child.  The gates: the index wins by >= 10x
+    at 4 000 forms, and verifies at most 2 forms per request in every
+    row.  The rows are the artifact
     (``benchmarks/results/placement_lookup.json``).
     """
     repeats = 5
     rows = []
     for shape in SHAPES:
-        for size in SIZES:
+        for size in (0, 4) + SIZES:
             root, _, requests = loaded_root(shape, size, random.Random(size))
             sides = {
                 "scan": lambda request: strongest_covering_child(root, request),
@@ -234,6 +236,7 @@ def test_placement_lookup_sweep():
         )
         out.write("\n")
     for row in rows:
+        assert row["index_covers_checks_per_request"] <= 2, row
         if row["forms"] == 4000:
             assert row["scan_over_index"] >= 10.0, (
                 f"index placement must be >=10x the table scan at 4000 forms, got {row}"

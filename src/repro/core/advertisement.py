@@ -17,6 +17,7 @@ bibliographic simulation (§5.2) simply omit it.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.stages import AttributeStageAssociation
@@ -25,6 +26,15 @@ from repro.filters.constraints import AttributeConstraint
 from repro.filters.filter import Filter
 from repro.filters.operators import EQ
 from repro.filters.standard import standardize
+
+
+@lru_cache(maxsize=1024)
+def _class_constraint(event_class: str) -> AttributeConstraint:
+    """``class = event_class``: one immutable constraint per advertised
+    class, which every subscription standardized against it shares.
+    Sharing only saves objects, so the cache may be bounded: a class
+    evicted from it gets a fresh, equal constraint."""
+    return AttributeConstraint(CLASS_ATTRIBUTE, EQ, event_class)
 
 
 @dataclass(frozen=True)
@@ -81,7 +91,7 @@ class Advertisement:
 
     def class_filter(self) -> Filter:
         """The pure type filter for this class (Example 5's ``i1``)."""
-        return Filter([AttributeConstraint(CLASS_ATTRIBUTE, EQ, self.event_class)])
+        return Filter([_class_constraint(self.event_class)])
 
     def standardize(self, filter_: Filter) -> Filter:
         """Standard subscription format for this class (Section 4.4).
@@ -97,7 +107,7 @@ class Advertisement:
         constraints = []
         for constraint in standard.constraints:
             if constraint.attribute == CLASS_ATTRIBUTE and constraint.is_wildcard:
-                constraint = AttributeConstraint(CLASS_ATTRIBUTE, EQ, self.event_class)
+                constraint = _class_constraint(self.event_class)
             constraints.append(constraint)
         return Filter(constraints)
 

@@ -33,10 +33,16 @@ candidate set first, using the structure of the covering relation itself:
    Anything unclassifiable (multi-constraint conjunctions, ``NE``,
    ``PREFIX``, ``EXISTS``, non-orderable operands) conservatively stays a
    candidate, preserving completeness relative to ``Filter.covers``.
+   A query reads the postings of every attribute it can prune on and
+   keeps their intersection: the smallest posting first, then each
+   next one filtering the survivors.
 3. **Verification.**  Surviving candidates get the full pairwise
    ``covers`` check (counted in :attr:`CoveringIndex.covers_checks`), so
    the result is *exactly* the pairwise answer — the pruning is a pure
-   speedup, never a semantic change.
+   speedup, never a semantic change.  The query filter is grouped by
+   attribute and classified once per query, and a ``covered_by``
+   verifies every candidate against that one grouping
+   (:meth:`~repro.filters.filter.Filter.covers_grouped`).
 
 The index also maintains the *maximal* filters (those not strictly
 covered by another stored filter) incrementally: each insert/remove
@@ -44,7 +50,18 @@ updates a strict-cover adjacency, so :meth:`maximal` is a read.
 """
 
 import bisect
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Collection,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.filters.constraints import AttributeConstraint
 from repro.filters.filter import Filter
@@ -122,7 +139,7 @@ class _Sorted(SortedRun):
 class _Slot:
     """Candidate postings for one attribute within one shape group."""
 
-    __slots__ = ("eq_buckets", "eq_sorted", "up_sorted", "lo_sorted", "other")
+    __slots__ = ("eq_buckets", "eq_sorted", "up_sorted", "lo_sorted", "other", "entries")
 
     def __init__(self) -> None:
         #: value_key -> handles with a single ``= value`` constraint.
@@ -135,6 +152,8 @@ class _Slot:
         self.lo_sorted: Dict[str, _Sorted] = {}
         #: Conservative catch-all: always candidates.
         self.other: Set[int] = set()
+        #: handle -> its ``(tag, operand)``: where it is posted.
+        self.entries: Dict[int, Tuple[str, Any]] = {}
 
     def _runs(self, tag: str) -> Dict[str, _Sorted]:
         if tag is _EQ:
@@ -142,6 +161,7 @@ class _Slot:
         return self.up_sorted if tag is _UP else self.lo_sorted
 
     def add(self, tag: str, operand: Any, handle: int) -> None:
+        self.entries[handle] = (tag, operand)
         if tag is _OTHER:
             self.other.add(handle)
             return
@@ -151,7 +171,8 @@ class _Slot:
         if family is not None:
             self._runs(tag).setdefault(family, _Sorted()).insert(operand, handle)
 
-    def discard(self, tag: str, operand: Any, handle: int) -> None:
+    def discard(self, handle: int) -> None:
+        tag, operand = self.entries.pop(handle)
         if tag is _OTHER:
             self.other.discard(handle)
             return
@@ -166,10 +187,8 @@ class _Slot:
         if run is not None:
             run.remove(operand, handle)
 
-    def _bounds(
-        self, covering: bool, tag: str, operand: Any
-    ) -> List[Tuple[_Sorted, bool]]:
-        """The sorted runs a query bisects, each with whether it keeps
+    def _wanted(self, covering: bool, tag: str) -> Tuple[Tuple[Dict[str, _Sorted], bool], ...]:
+        """The run families a query reads, each with whether it keeps
         the operands ``>= operand`` (else ``<=``).
 
         ``covering`` (``covered_by(f)``: stored g with g.covers(f)): the
@@ -182,41 +201,85 @@ class _Slot:
         caller.
         """
         if tag is _EQ:
-            wanted = ((self.up_sorted, True), (self.lo_sorted, False)) if covering else ()
-        elif tag is _UP:
-            wanted = (
+            return ((self.up_sorted, True), (self.lo_sorted, False)) if covering else ()
+        if tag is _UP:
+            return (
                 ((self.up_sorted, True),)
                 if covering
                 else ((self.up_sorted, False), (self.eq_sorted, False))
             )
-        else:
-            wanted = (
-                ((self.lo_sorted, False),)
-                if covering
-                else ((self.lo_sorted, True), (self.eq_sorted, True))
-            )
-        family = operand_family(operand)
-        return [(runs[family], at_least) for runs, at_least in wanted if family in runs]
+        return (
+            ((self.lo_sorted, False),)
+            if covering
+            else ((self.lo_sorted, True), (self.eq_sorted, True))
+        )
 
-    def count(self, covering: bool, tag: str, operand: Any) -> int:
-        """``len(candidates(...))`` without building the set: a handle
-        sits in one bucket or run per attribute, so they are disjoint."""
-        count = len(self.other)
-        if tag is _EQ:
-            count += len(self.eq_buckets.get(value_key(operand), ()))
-        for run, at_least in self._bounds(covering, tag, operand):
-            count += run.count_ge(operand) if at_least else run.count_le(operand)
-        return count
+    def posting(
+        self, covering: bool, tag: str, operand: Any
+    ) -> Tuple[int, Collection[int], List[Tuple[_Sorted, bool]]]:
+        """What a query reads here: how many handles it keeps (a handle
+        sits in one bucket or run per attribute, so they are disjoint),
+        the equality bucket, and the sorted runs it bisects, each with
+        whether it keeps the operands ``>= operand`` (see
+        :meth:`_wanted`).  "Other" is always kept besides."""
+        bucket = self.eq_buckets.get(value_key(operand), ()) if tag is _EQ else ()
+        count = len(self.other) + len(bucket)
+        bounds = []
+        wanted = [pair for pair in self._wanted(covering, tag) if pair[0]]
+        if wanted:
+            family = operand_family(operand)
+            for runs, at_least in wanted:
+                run = runs.get(family)
+                if run is not None:
+                    bounds.append((run, at_least))
+                    count += run.count_ge(operand) if at_least else run.count_le(operand)
+        return count, bucket, bounds
 
-    def candidates(self, covering: bool, tag: str, operand: Any) -> Set[int]:
-        """Handles that may stand in the queried relation; "other"
-        always survives."""
+    def candidates(
+        self, bucket: Collection[int], bounds: List[Tuple[_Sorted, bool]], operand: Any
+    ) -> Set[int]:
+        """The handles of a :meth:`posting`."""
         candidates = set(self.other)
-        if tag is _EQ:
-            candidates.update(self.eq_buckets.get(value_key(operand), ()))
-        for run, at_least in self._bounds(covering, tag, operand):
+        candidates.update(bucket)
+        for run, at_least in bounds:
             candidates.update(run.ge(operand) if at_least else run.le(operand))
         return candidates
+
+    def intersect(
+        self,
+        candidates: Set[int],
+        bucket: Collection[int],
+        bounds: List[Tuple[_Sorted, bool]],
+        operand: Any,
+    ) -> Set[int]:
+        """The ``candidates`` that a :meth:`posting` holds too: a set
+        intersection where it reads no sorted run (an equality against
+        equality postings), else each handle's run position read off its
+        entry instead of slicing the runs."""
+        other = self.other
+        if bounds:
+            return {
+                h
+                for h in candidates
+                if h in other or h in bucket or self._within(h, bounds, operand)
+            }
+        if other:
+            return {h for h in candidates if h in other or h in bucket}
+        return candidates.intersection(bucket)
+
+    def _within(
+        self, handle: int, bounds: List[Tuple[_Sorted, bool]], operand: Any
+    ) -> bool:
+        """Whether ``handle`` lies in the part of ``bounds`` a
+        :meth:`posting` reads."""
+        tag, held = self.entries[handle]
+        if tag is _OTHER:
+            return False
+        run = self._runs(tag).get(operand_family(held))
+        for bound, at_least in bounds:
+            if bound is run:
+                return held >= operand if at_least else held <= operand
+        return False
 
 
 class _Group:
@@ -231,12 +294,29 @@ class _Group:
         self.slots: Dict[str, _Slot] = {attribute: _Slot() for attribute in shape}
 
 
-def _nonall_on(filter_: Filter, attribute: str) -> Tuple[AttributeConstraint, ...]:
-    return tuple(
-        c
-        for c in filter_.constraints
-        if c.attribute == attribute and c.operator is not ALL
-    )
+#: A filter's constraints by attribute (filter order within each), and
+#: its classification on each attribute of its shape among them.
+_Query = Tuple[Dict[str, List[AttributeConstraint]], Dict[str, Tuple[str, Any]]]
+
+
+def _query(filter_: Filter, attributes: Optional[Dict[str, int]] = None) -> _Query:
+    """Group and classify a satisfiable filter once, on ``attributes``
+    only (every attribute of its own when ``None``)."""
+    by_attribute: Dict[str, List[AttributeConstraint]] = {}
+    for constraint in filter_.constraints:
+        attribute = constraint.attribute
+        if attributes is None or attribute in attributes:
+            held = by_attribute.get(attribute)
+            if held is None:
+                by_attribute[attribute] = [constraint]
+            else:
+                held.append(constraint)
+    classes = {}
+    for attribute, held in by_attribute.items():
+        shaped = [c for c in held if c.operator is not ALL]
+        if shaped:
+            classes[attribute] = _classify(shaped)
+    return by_attribute, classes
 
 
 class CoveringIndex:
@@ -253,6 +333,9 @@ class CoveringIndex:
         self._handles: Dict[Filter, int] = {}
         self._by_handle: Dict[int, Filter] = {}
         self._groups: Dict[FrozenSet[str], _Group] = {}
+        #: attribute -> how many shape groups use it: all a
+        #: ``covered_by`` request is grouped on.
+        self._used: Dict[str, int] = {}
         #: Handle of the stored ``fF``, if any (at most one: filters are
         #: deduplicated by equality and every ``fF`` compares equal).
         self._bottom: Optional[int] = None
@@ -321,23 +404,26 @@ class CoveringIndex:
         """Index ``filter_``; False when already present."""
         if filter_ in self._handles:
             return False
-        covering = self._covered_by_handles(filter_)
-        covered = self._covers_of_handles(filter_)
+        query = None if filter_.matches_nothing else _query(filter_)
+        covering = self._covered_by_handles(filter_, query)
+        covered = self._covers_of_handles(filter_, query)
 
         handle = self._next_handle
         self._next_handle += 1
         self._handles[filter_] = handle
         self._by_handle[handle] = filter_
-        if filter_.matches_nothing:
+        if query is None:
             self._bottom = handle
         else:
-            shape = filter_shape(filter_)
+            classes = query[1]
+            shape = frozenset(classes)
             group = self._groups.get(shape)
             if group is None:
                 group = self._groups[shape] = _Group(shape)
+                for attribute in shape:
+                    self._used[attribute] = self._used.get(attribute, 0) + 1
             group.members[handle] = None
-            for attribute in shape:
-                tag, operand = _classify(_nonall_on(filter_, attribute))
+            for attribute, (tag, operand) in classes.items():
                 group.slots[attribute].add(tag, operand, handle)
 
         mutual = covering & covered
@@ -361,11 +447,14 @@ class CoveringIndex:
             shape = filter_shape(filter_)
             group = self._groups[shape]
             del group.members[handle]
-            for attribute in shape:
-                tag, operand = _classify(_nonall_on(filter_, attribute))
-                group.slots[attribute].discard(tag, operand, handle)
+            for slot in group.slots.values():
+                slot.discard(handle)
             if not group.members:
                 del self._groups[shape]
+                for attribute in shape:
+                    self._used[attribute] -= 1
+                    if not self._used[attribute]:
+                        del self._used[attribute]
         for other in self._scovers.pop(handle):
             self._scovered_by[other].discard(handle)
         for other in self._scovered_by.pop(handle):
@@ -376,84 +465,82 @@ class CoveringIndex:
     # Pruned candidate enumeration + verification
     # ------------------------------------------------------------------
 
-    def _covered_by_handles(self, filter_: Filter) -> Set[int]:
+    def _covered_by_handles(self, filter_: Filter, query: Optional[_Query] = None) -> Set[int]:
+        """``query`` is the filter's own (:meth:`add` has it); else it is
+        grouped here, on the attributes the stored shapes use: a group
+        can only cover it where its shape lies inside the request's, and
+        verifying a stored filter reads the request's constraints on
+        that filter's shape."""
         if filter_.matches_nothing:
             # Everything covers fF — no verification needed.
             return set(self._by_handle)
-        shape = filter_shape(filter_)
-        classes = {
-            attribute: _classify(_nonall_on(filter_, attribute))
-            for attribute in shape
-        }
         result: Set[int] = set()
+        if not self._groups:
+            return result
+        by_attribute, classes = query if query is not None else _query(filter_, self._used)
+        by_handle = self._by_handle
         for group_shape, group in self._groups.items():
-            if not group_shape <= shape:
+            if not group_shape <= classes.keys():
                 continue
-            if not group_shape:
-                # ALL-only filters cover every satisfiable filter.
-                candidates: Set[int] = set(group.members)
-            else:
-                # A query attribute classified "other" (multi-constraint
-                # conjunction, NE, ...) can imply anything — e.g. an
-                # interval proof from two bounds — so the whole group
-                # stays candidate there.
-                best_attribute = min(
-                    group_shape,
-                    key=lambda a: (
-                        len(group.members)
-                        if classes[a][0] is _OTHER
-                        else group.slots[a].count(True, *classes[a])
-                    ),
-                )
-                if classes[best_attribute][0] is _OTHER:
-                    candidates = set(group.members)
-                else:
-                    candidates = group.slots[best_attribute].candidates(
-                        True, *classes[best_attribute]
-                    )
-            for handle in candidates:
+            for handle in self._candidates(group, True, classes, group_shape):
                 self.covers_checks += 1
-                if self._by_handle[handle].covers(filter_):
+                if by_handle[handle].covers_grouped(by_attribute):
                     result.add(handle)
         return result
 
-    def _covers_of_handles(self, filter_: Filter) -> Set[int]:
+    def _covers_of_handles(self, filter_: Filter, query: Optional[_Query] = None) -> Set[int]:
         result: Set[int] = set()
         if self._bottom is not None:
             # Every filter covers fF.
             result.add(self._bottom)
-        if filter_.matches_nothing:
+        if filter_.matches_nothing or not self._groups:
             return result
-        shape = filter_shape(filter_)
-        classes = {
-            attribute: _classify(_nonall_on(filter_, attribute))
-            for attribute in shape
-        }
+        classes = (query if query is not None else _query(filter_))[1]
+        shape = classes.keys()
         for group_shape, group in self._groups.items():
             if not shape <= group_shape:
                 continue
-            if not shape:
-                candidates: Set[int] = set(group.members)
-            else:
-                best_attribute = min(
-                    shape,
-                    key=lambda a: (
-                        len(group.members)
-                        if classes[a][0] is _OTHER
-                        else group.slots[a].count(False, *classes[a])
-                    ),
-                )
-                if classes[best_attribute][0] is _OTHER:
-                    candidates = set(group.members)
-                else:
-                    candidates = group.slots[best_attribute].candidates(
-                        False, *classes[best_attribute]
-                    )
-            for handle in candidates:
+            for handle in self._candidates(group, False, classes, shape):
                 self.covers_checks += 1
                 if filter_.covers(self._by_handle[handle]):
                     result.add(handle)
         return result
+
+    @staticmethod
+    def _candidates(
+        group: _Group,
+        covering: bool,
+        classes: Dict[str, Tuple[str, Any]],
+        attributes: Iterable[str],
+    ) -> Iterable[int]:
+        """The members of ``group`` that every attribute's postings hold.
+
+        The attributes a request classified "other" (a multi-constraint
+        conjunction, ``NE``, ...) prune nothing: such a premise can
+        imply anything — e.g. an interval proof from two bounds.  The
+        rest are ranked by posting size; the smallest posting is read,
+        and each next one only filters the survivors
+        (:meth:`_Slot.intersect`), until one holds the whole group.
+        """
+        members = group.members
+        postings = []
+        for attribute in attributes:
+            tag, operand = classes[attribute]
+            if tag is not _OTHER:
+                slot = group.slots[attribute]
+                postings.append((*slot.posting(covering, tag, operand), slot, operand))
+        if not postings:
+            return members
+        postings.sort(key=lambda posting: posting[0])
+        count, bucket, bounds, slot, operand = postings[0]
+        if count >= len(members):
+            return members
+        candidates = slot.candidates(bucket, bounds, operand)
+        for count, bucket, bounds, slot, operand in postings[1:]:
+            if not candidates or count >= len(members):
+                break
+            candidates = slot.intersect(candidates, bucket, bounds, operand)
+        return candidates
 
     def __repr__(self) -> str:
         return (

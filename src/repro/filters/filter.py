@@ -12,7 +12,7 @@ which the weakening machinery in :mod:`repro.core.stages` relies on.
   (Definition 3).
 """
 
-from typing import Any, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.events.base import PropertyEvent
 from repro.filters.constraints import AttributeConstraint, conjunction_implies
@@ -125,15 +125,36 @@ class Filter:
         """
         if other.matches_nothing:
             return True
+        return self.covers_grouped(other.constraints_by_attribute())
+
+    def covers_grouped(
+        self, by_attribute: Mapping[str, Sequence[AttributeConstraint]]
+    ) -> bool:
+        """:meth:`covers` of a satisfiable filter given as its
+        constraints by attribute (filter order within each), at least on
+        this filter's attributes: a caller that verifies many filters
+        against one groups it once.
+
+        One premise ``x = a`` against ``x = b`` with ``a`` and ``b`` of
+        one type is decided here: the implication holds exactly when
+        ``a == b``, which is what :func:`conjunction_implies` finds too
+        (the single-constraint step, then the interval's equality).
+        """
         if self.matches_nothing:
             return False
-        by_attr = other.constraints_by_attribute()
         for constraint in self.constraints:
-            if constraint.operator is ALL:
+            operator = constraint.operator
+            if operator is ALL:
                 continue
-            if not conjunction_implies(
-                by_attr.get(constraint.attribute, ()), constraint
-            ):
+            premises = by_attribute.get(constraint.attribute, ())
+            if operator is EQ and len(premises) == 1:
+                premise = premises[0]
+                operand = constraint.operand
+                if premise.operator is EQ and type(premise.operand) is type(operand):
+                    if premise.operand == operand:
+                        continue
+                    return False
+            if not conjunction_implies(premises, constraint):
                 return False
         return True
 

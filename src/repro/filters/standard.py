@@ -8,11 +8,20 @@ format so that filter weakening can operate purely positionally on the
 attribute-stage association ``Gc``.
 """
 
+from functools import lru_cache
 from typing import List, Sequence
 
 from repro.filters.constraints import AttributeConstraint
 from repro.filters.filter import Filter
 from repro.filters.operators import ALL
+
+
+@lru_cache(maxsize=1024)
+def _wildcard(attribute: str) -> AttributeConstraint:
+    """``(attribute, ALL)``: immutable, so one per attribute name serves
+    every standardized filter (bounded: an evicted name gets a fresh,
+    equal constraint)."""
+    return AttributeConstraint(attribute, ALL)
 
 
 def standardize(filter_: Filter, schema: Sequence[str], strict: bool = True) -> Filter:
@@ -45,7 +54,7 @@ def standardize(filter_: Filter, schema: Sequence[str], strict: bool = True) -> 
         if constraints:
             ordered.extend(constraints)
         else:
-            ordered.append(AttributeConstraint(attribute, ALL))
+            ordered.append(_wildcard(attribute))
     ordered.extend(extras)
     return Filter(ordered)
 

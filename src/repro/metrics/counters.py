@@ -6,7 +6,7 @@ simulation likewise counts, "at each node, the number of filters, the
 number of received events and the number of matched events" (§5.3).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 
@@ -44,7 +44,12 @@ class CacheStats:
 
 @dataclass
 class NodeCounters:
-    """Counters for one filtering location."""
+    """Counters for one filtering location.
+
+    The fields are plain numbers.  What most locations never touch — the
+    routing-cache stats and the two breakdown tables — is made on first
+    use, so that a subscriber runtime's counters stay one object.
+    """
 
     #: Events received for filtering ("# of event received" in LC).
     events_received: int = 0
@@ -63,8 +68,6 @@ class NodeCounters:
     max_filters_held: int = 0
     #: Control-plane messages processed (subscriptions, renewals, ...).
     control_messages: int = 0
-    #: Routing-decision cache stats (shared with the node's match engines).
-    cache: CacheStats = field(default_factory=CacheStats)
     #: Dispatch wakeups that processed at least one event.
     batches: int = 0
     #: Events processed across all batches (= events_received for brokers).
@@ -89,9 +92,6 @@ class NodeCounters:
     control_dups_discarded: int = 0
     #: Events shed by any bounded queue this node owns (total).
     events_shed: int = 0
-    #: ``events_shed`` broken down by reason ("queue-overflow",
-    #: "outbound-overflow", "offline-buffer", "peer-reset", ...).
-    sheds_by_reason: Dict[str, int] = field(default_factory=dict)
     #: Flow-control credits granted to upstream senders.
     credits_granted: int = 0
     #: Sends that found the link credit window exhausted.
@@ -100,8 +100,6 @@ class NodeCounters:
     rate_limited: int = 0
     #: Overload-detector state transitions (either direction).
     overload_transitions: int = 0
-    #: Durable offline-buffer drops per subscriber name.
-    offline_drops: Dict[str, int] = field(default_factory=dict)
     #: Events appended to this node's durable event log (new records
     #: only; idempotent re-appends of wire duplicates excluded).
     events_logged: int = 0
@@ -143,6 +141,34 @@ class NodeCounters:
     #: schedule hashes are taken over its keys.
     subscriptions_refused: int = 0
 
+    # Not fields: ``None`` until the properties below make them.
+    _cache = None
+    _sheds_by_reason = None
+    _offline_drops = None
+
+    @property
+    def cache(self) -> CacheStats:
+        """Routing-decision cache stats (shared with the node's match
+        engines)."""
+        if self._cache is None:
+            self._cache = CacheStats()
+        return self._cache
+
+    @property
+    def sheds_by_reason(self) -> Dict[str, int]:
+        """``events_shed`` broken down by reason ("queue-overflow",
+        "outbound-overflow", "offline-buffer", "peer-reset", ...)."""
+        if self._sheds_by_reason is None:
+            self._sheds_by_reason = {}
+        return self._sheds_by_reason
+
+    @property
+    def offline_drops(self) -> Dict[str, int]:
+        """Durable offline-buffer drops per subscriber name."""
+        if self._offline_drops is None:
+            self._offline_drops = {}
+        return self._offline_drops
+
     def on_event(self, matched: bool, forwarded_to: int, evaluations: int = 0) -> None:
         """Record one filtered event (a broker books ``evaluations`` per
         served run instead, as the engine's delta)."""
@@ -171,6 +197,7 @@ class NodeCounters:
 
     def snapshot(self) -> Dict[str, int]:
         """Plain-dict copy for reports."""
+        cache = self._cache if self._cache is not None else CacheStats()
         return {
             "events_received": self.events_received,
             "events_matched": self.events_matched,
@@ -180,9 +207,9 @@ class NodeCounters:
             "filters_held": self.filters_held,
             "max_filters_held": self.max_filters_held,
             "control_messages": self.control_messages,
-            "cache_hits": self.cache.hits,
-            "cache_misses": self.cache.misses,
-            "cache_invalidations": self.cache.invalidations,
+            "cache_hits": cache.hits,
+            "cache_misses": cache.misses,
+            "cache_invalidations": cache.invalidations,
             "batches": self.batches,
             "batched_events": self.batched_events,
             "max_batch_size": self.max_batch_size,

@@ -6,6 +6,7 @@ equivalent of a node id); names match the paper's vocabulary:
 renewal messages, advertisements, and event publication.
 """
 
+import dataclasses
 import pickle
 import struct
 from dataclasses import dataclass
@@ -69,15 +70,112 @@ class _Run:
         return _frame_size(self.FRAME_LAYOUT, self.publishes)
 
 
+# A control message is priced by a field model (DESIGN §16), from its
+# fields and nothing else: nothing is rendered, encoded or pickled per
+# send.  A kind's fixed head is the frame's header and CRC plus its
+# fixed-width fields (``struct`` codes as in ``FRAME_LAYOUT``); text is
+# a 2-byte length and its UTF-8 bytes; a process reference is its
+# name's text; a filter is a 2-byte constraint count and a flags byte,
+# then per constraint the attribute's text, an operator byte and the
+# operand; any other field value is a type byte and its body.
+_SHORT = struct.calcsize("!H")
+_COUNT = struct.calcsize("!I")
+_FILTER_HEAD = struct.calcsize("!HB")
+_OPERATOR = struct.calcsize("!B")
+_TYPE = struct.calcsize("!B")
+_WORD = struct.calcsize("!q")
+
+
+def _head(layout: str = "!") -> int:
+    """The fixed head of a control kind whose fixed-width fields pack as
+    ``layout``."""
+    return _FRAME_FIXED + struct.calcsize(layout)
+
+
+def _text_size(text: str) -> int:
+    if text.isascii():
+        return _SHORT + len(text)
+    return _SHORT + len(text.encode("utf-8", "surrogatepass"))
+
+
+def _process_size(process: "Process") -> int:
+    """A process reference travels as its name."""
+    return _text_size(process.name)
+
+
+def _filter_size(filter_: Filter) -> int:
+    size = _FILTER_HEAD
+    for constraint in filter_.constraints:
+        size += (
+            _text_size(constraint.attribute)
+            + _OPERATOR
+            + _value_size(constraint.operand)
+        )
+    return size
+
+
+def _value_size(value: Any) -> int:
+    """A field value of no fixed type: a type byte, then ``None`` and a
+    boolean nothing more, a number one 8-byte word, text and bytes their
+    length and contents, a tuple or list a count and its items, a filter
+    its constraints, a dataclass its fields in order; anything else
+    counts as one word."""
+    kind = type(value)
+    if kind is str:
+        return _TYPE + _text_size(value)
+    if kind is int or kind is float:
+        return _TYPE + _WORD
+    if value is None:
+        return _TYPE
+    if kind is bool:
+        return _TYPE + 1
+    if kind is bytes:
+        return _TYPE + _COUNT + len(value)
+    if kind is tuple or kind is list:
+        return _TYPE + _COUNT + sum(map(_value_size, value))
+    if kind is Filter:
+        return _TYPE + _filter_size(value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return _TYPE + sum(
+            _value_size(getattr(value, field.name))
+            for field in dataclasses.fields(value)
+        )
+    return _TYPE + _WORD
+
+
+class _Control:
+    """What every control message shares: ``wire_size()`` is the field
+    model's (above), ``HEAD`` alone for a kind with only fixed-width
+    fields; a kind with others adds their prices."""
+
+    HEAD = _head()
+
+    def wire_size(self) -> int:
+        return self.HEAD
+
+
 @dataclass(frozen=True)
-class Advertise:
+class Advertise(_Control):
     """Advertisement dissemination: flooded from the root to all nodes."""
 
     advertisement: Advertisement
 
+    def wire_size(self) -> int:
+        """The class name, the schema, then each stage's prefix length."""
+        advertisement = self.advertisement
+        association = advertisement.association
+        return (
+            self.HEAD
+            + _text_size(advertisement.event_class)
+            + _COUNT
+            + sum(map(_text_size, association.schema))
+            + _COUNT
+            + _SHORT * association.num_stages
+        )
+
 
 @dataclass(frozen=True)
-class SubscriptionRequest:
+class SubscriptionRequest(_Control):
     """``Subscription(fsub)`` of Figure 5: a subscriber looking for a home.
 
     ``filter`` is already in standard subscription format (Section 4.4);
@@ -90,17 +188,32 @@ class SubscriptionRequest:
     subscriber: "Process"
     subscription_id: int
 
+    HEAD = _head("!q")  # subscription_id
+
+    def wire_size(self) -> int:
+        return (
+            self.HEAD
+            + _filter_size(self.filter)
+            + _text_size(self.event_class)
+            + _process_size(self.subscriber)
+        )
+
 
 @dataclass(frozen=True)
-class JoinAt:
+class JoinAt(_Control):
     """``join-At(id)``: retry the subscription request at ``node``."""
 
     node: "Process"
     subscription_id: int
 
+    HEAD = _head("!q")  # subscription_id
+
+    def wire_size(self) -> int:
+        return self.HEAD + _process_size(self.node)
+
 
 @dataclass(frozen=True)
-class AcceptedAt:
+class AcceptedAt(_Control):
     """``accepted-At(node)``: the subscription now lives at ``node``."""
 
     node: "Process"
@@ -108,18 +221,31 @@ class AcceptedAt:
     #: The weakened filter the node stored (returned for observability).
     stored_filter: Filter
 
+    HEAD = _head("!q")  # subscription_id
+
+    def wire_size(self) -> int:
+        return self.HEAD + _process_size(self.node) + _filter_size(self.stored_filter)
+
 
 @dataclass(frozen=True)
-class ReqInsert:
+class ReqInsert(_Control):
     """``req-Insert(fc, idc)``: child asks parent to route ``fc`` to it."""
 
     filter: Filter
     event_class: str
     child: "Process"
 
+    def wire_size(self) -> int:
+        return (
+            self.HEAD
+            + _filter_size(self.filter)
+            + _text_size(self.event_class)
+            + _process_size(self.child)
+        )
+
 
 @dataclass(frozen=True)
-class Withdraw:
+class Withdraw(_Control):
     """Child retracts a previously ``req-Insert``-ed filter at its parent.
 
     Emitted by covering-based aggregation when a propagated filter
@@ -135,9 +261,11 @@ class Withdraw:
     event_class: str
     child: "Process"
 
+    wire_size = ReqInsert.wire_size
+
 
 @dataclass(frozen=True)
-class Renewal:
+class Renewal(_Control):
     """Lease renewal (§4.3): refresh the sender's filters at the receiver.
 
     ``items`` lists ``(filter, event_class)`` pairs — the weakened filters
@@ -148,17 +276,28 @@ class Renewal:
 
     items: tuple  # Tuple[Tuple[Filter, str], ...]
 
+    HEAD = _head("!I")  # the number of items
+
+    def wire_size(self) -> int:
+        return self.HEAD + sum(
+            _filter_size(filter_) + _text_size(event_class)
+            for filter_, event_class in self.items
+        )
+
 
 @dataclass(frozen=True)
-class Unsubscribe:
+class Unsubscribe(_Control):
     """Optional explicit unsubscription (§4.3 allows combining with TTL)."""
 
     filter: Filter
     subscriber: "Process"
 
+    def wire_size(self) -> int:
+        return self.HEAD + _filter_size(self.filter) + _process_size(self.subscriber)
+
 
 @dataclass(frozen=True)
-class Disconnect:
+class Disconnect(_Control):
     """A subscriber going offline gracefully (§2.1 durable subscriptions).
 
     With ``durable=True`` the node buffers matching events for replay on
@@ -168,9 +307,11 @@ class Disconnect:
 
     durable: bool = True
 
+    HEAD = _head("!?")
+
 
 @dataclass(frozen=True)
-class Reconnect:
+class Reconnect(_Control):
     """A disconnected subscriber returning: flush any buffered events."""
 
 
@@ -193,16 +334,12 @@ class Sequenced:
     payload: object
 
     def wire_size(self) -> int:
-        """Around a run of events, that frame and the numbering in it;
-        around a control message, ``len(repr(self))``."""
-        payload_size = getattr(self.payload, "wire_size", None)
-        if payload_size is None:
-            return len(repr(self))
-        return SEQUENCED_LAYOUT.size + payload_size()
+        """The payload's price and the numbering around it."""
+        return SEQUENCED_LAYOUT.size + self.payload.wire_size()
 
 
 @dataclass(frozen=True)
-class Ack:
+class Ack(_Control):
     """Cumulative acknowledgement: every frame of ``epoch`` up to and
     including ``seq`` arrived (``seq`` -1 acks an empty prefix, i.e. it
     only reports the receiver's current epoch).
@@ -219,9 +356,14 @@ class Ack:
     seq: int
     credits: Optional[int] = None
 
+    HEAD = _head("!qq")  # epoch, seq
+
+    def wire_size(self) -> int:
+        return self.HEAD + _value_size(self.credits)
+
 
 @dataclass(frozen=True)
-class ChannelReset:
+class ChannelReset(_Control):
     """A restarted broker announcing a fresh incarnation to a neighbour.
 
     The receiver discards any channel state it kept for the sender (both
@@ -233,9 +375,11 @@ class ChannelReset:
 
     incarnation: int
 
+    HEAD = _head("!q")
+
 
 @dataclass(frozen=True)
-class FlowInstall:
+class FlowInstall(_Control):
     """Install-or-renew one information flow at the receiving broker.
 
     Sent (reliably) by a :class:`~repro.streams.registrar.FlowRegistrar`.
@@ -248,16 +392,22 @@ class FlowInstall:
 
     spec: "FlowSpec"
 
+    def wire_size(self) -> int:
+        return self.HEAD + _value_size(self.spec)
+
 
 @dataclass(frozen=True)
-class FlowRemove:
+class FlowRemove(_Control):
     """Tear one flow down by name, discarding its pending state."""
 
     flow: str
 
+    def wire_size(self) -> int:
+        return self.HEAD + _text_size(self.flow)
+
 
 @dataclass(frozen=True)
-class CreditGrant:
+class CreditGrant(_Control):
     """Receiver-to-sender flow-control grant for one data link.
 
     Grants ``credits`` more event sends on the link (the receiver issues
@@ -270,6 +420,8 @@ class CreditGrant:
     """
 
     credits: int
+
+    HEAD = _head("!q")
 
 
 # The event record: one event as the socket runtimes put it on the wire
@@ -473,7 +625,7 @@ class DataFrame(_Run):
 
 
 @dataclass(frozen=True)
-class CatchUpRequest:
+class CatchUpRequest(_Control):
     """A late subscriber asking the root to replay history (catch-up).
 
     Sent on the subscriber's reliable control channel to the root after
@@ -494,6 +646,19 @@ class CatchUpRequest:
     from_offset: Optional[int] = None
     from_time: Optional[object] = None  # float seconds or ISO-8601 str
 
+    HEAD = _head("!q")  # subscription_id
+
+    def wire_size(self) -> int:
+        return (
+            self.HEAD
+            + _filter_size(self.filter)
+            + _text_size(self.event_class)
+            + _process_size(self.subscriber)
+            + _process_size(self.home)
+            + _value_size(self.from_offset)
+            + _value_size(self.from_time)
+        )
+
 
 @dataclass(frozen=True)
 class CatchUpBatch(_Run):
@@ -509,31 +674,40 @@ class CatchUpBatch(_Run):
 
 
 @dataclass(frozen=True)
-class CatchUpDone:
+class CatchUpDone(_Control):
     """History drained: every log record up to the session's fence has
     been offered.  Live taps continue until :class:`CatchUpLive`."""
 
     subscription_id: int
     replayed: int
 
+    HEAD = _head("!qq")
+
 
 @dataclass(frozen=True)
-class CatchUpLive:
+class CatchUpLive(_Control):
     """Switchover complete: the normal overlay path now covers the
     subscription end-to-end, the root stops tapping, and subsequent
     events arrive only via the subscriber's home broker."""
 
     subscription_id: int
 
+    HEAD = _head("!q")
+
 
 @dataclass(frozen=True)
-class ReplayRequest:
+class ReplayRequest(_Control):
     """A restarted broker asking the root to re-drive events it may have
     missed while down, starting after root offset ``from_offset``
     (exclusive; ``-1`` replays from the log's start)."""
 
     child: "Process"
     from_offset: int
+
+    HEAD = _head("!q")  # from_offset
+
+    def wire_size(self) -> int:
+        return self.HEAD + _process_size(self.child)
 
 
 @dataclass(frozen=True)

@@ -77,22 +77,27 @@ class _SubscriptionState:
         return self.order < other.order
 
 
-class _Home:
+class _Home(List[_SubscriptionState]):
     """The active, joined states homed at one node, in ``_states``
-    order, and the engine matching them while they outnumber
-    :data:`STAGE0_SCAN_MAX` (original filters, subscription ids as
-    destinations; ``None`` at or below it)."""
+    order — the list itself, one object per home — and the engine
+    matching them while they outnumber :data:`STAGE0_SCAN_MAX`
+    (original filters, subscription ids as destinations; ``None`` at or
+    below it)."""
 
-    __slots__ = ("states", "engine")
+    __slots__ = ("engine",)
 
-    def __init__(self, states: Sequence[_SubscriptionState]) -> None:
-        self.states = states
+    def __init__(self, states: Sequence[_SubscriptionState] = ()) -> None:
+        super().__init__(states)
         self.engine: Optional[MatchEngine] = None
+
+    @property
+    def states(self) -> "_Home":
+        return self
 
 
 #: What an envelope from a node no subscription is homed at is checked
 #: against: nothing.
-_NO_HOME = _Home(())
+_NO_HOME = _Home()
 
 
 class _CatchUpSession:
@@ -160,20 +165,16 @@ class SubscriberRuntime(Process):
         self.ttl = ttl
         #: Flow-control knobs: bounds the control links' send windows.
         self.flow = flow
-        #: One reliable link per home node (order matters between a
-        #: Renewal restoring a filter and an Unsubscribe removing it) and
-        #: one with the root (catch-up requests out, replay stream in).
-        self.links = PeerLinks(
-            self,
-            network,
-            flow.control_window if flow is not None else None,
-            self._on_retransmit,
-        )
+        # What most subscribers never use is made on first use: the
+        # reliable links (``links``), the latency series
+        # (``delivery_latencies``) and the group dedup
+        # (``_delivered_groups``).
+        self._links: Optional[PeerLinks] = None
+        self._latencies: Optional[List[float]] = None
+        self._groups_seen: "Optional[OrderedDict[Tuple, None]]" = None
         #: Causal span tracer (shared system-wide when observability is on).
         self.tracer = tracer if tracer is not None else EventTracer(enabled=False)
         self.counters = NodeCounters()
-        #: Publish-to-delivery latencies (simulated time), §5-style metric.
-        self.delivery_latencies: List[float] = []
         self._states: Dict[int, _SubscriptionState] = {}
         #: Number of active states (the ``filters_held`` gauge).
         self._active = 0
@@ -183,14 +184,42 @@ class SubscriberRuntime(Process):
         self._by_home: Dict[Process, _Home] = {}
         #: Gone offline (``disconnect``): renewals pause until ``reconnect``.
         self.offline = False
-        # Disjunction-group delivery dedup: (group, event_id) pairs seen,
-        # bounded LRU (branches of one OR can arrive over several paths).
-        self._delivered_groups: "OrderedDict[Tuple, None]" = OrderedDict()
         self._delivered_groups_limit = 4096
         # Catch-up replay (see repro.log.replay): per-subscription
         # sessions, kept after switchover — their seen-sets are the
         # handover dedup.
         self._catch_up: Dict[int, _CatchUpSession] = {}
+
+    @property
+    def links(self) -> PeerLinks:
+        """One reliable link per home node (order matters between a
+        Renewal restoring a filter and an Unsubscribe removing it) and
+        one with the root (catch-up requests out, replay stream in)."""
+        if self._links is None:
+            flow = self.flow
+            self._links = PeerLinks(
+                self,
+                self.network,
+                flow.control_window if flow is not None else None,
+                self._on_retransmit,
+            )
+        return self._links
+
+    @property
+    def delivery_latencies(self) -> List[float]:
+        """Publish-to-delivery latencies (simulated time), §5-style metric."""
+        if self._latencies is None:
+            self._latencies = []
+        return self._latencies
+
+    @property
+    def _delivered_groups(self) -> "OrderedDict[Tuple, None]":
+        """Disjunction-group delivery dedup: (group, event_id) pairs
+        seen, a bounded LRU (branches of one OR can arrive over several
+        paths)."""
+        if self._groups_seen is None:
+            self._groups_seen = OrderedDict()
+        return self._groups_seen
 
     # ------------------------------------------------------------------
     # Subscribing (Figure 5a)
@@ -321,7 +350,7 @@ class SubscriberRuntime(Process):
     @property
     def control_idle(self) -> bool:
         """True when every reliable control frame has been acknowledged."""
-        return self.links.idle
+        return self._links is None or self._links.idle
 
     def _send_request(self, state: _SubscriptionState, node: Process) -> None:
         request = SubscriptionRequest(
@@ -400,7 +429,7 @@ class SubscriberRuntime(Process):
         # even when one subscriber attaches at several points of the tree.
         if isinstance(message, Publish):
             home = self._by_home.get(sender, _NO_HOME)
-            self._deliver(message.envelope, sender, home.states, home.engine)
+            self._deliver(message.envelope, sender, home, home.engine)
         elif isinstance(message, PublishBatch):
             # A coalesced run from the home node: deliver in batch order,
             # which is exactly the unbatched per-destination send order.
@@ -409,7 +438,7 @@ class SubscriberRuntime(Process):
             by_home = self._by_home
             for publish in message.publishes:
                 home = by_home.get(sender, _NO_HOME)
-                self._deliver(publish.envelope, sender, home.states, home.engine)
+                self._deliver(publish.envelope, sender, home, home.engine)
         elif isinstance(message, JoinAt):
             self.counters.control_messages += 1
             state = self._states.get(message.subscription_id)
@@ -549,11 +578,12 @@ class SubscriberRuntime(Process):
                     continue
             if subscription.group is not None and event_id is not None:
                 key = (subscription.group, event_id)
-                if key in self._delivered_groups:
+                seen = self._delivered_groups
+                if key in seen:
                     continue  # another branch already delivered this event
-                self._delivered_groups[key] = None
-                if len(self._delivered_groups) > self._delivered_groups_limit:
-                    self._delivered_groups.popitem(last=False)
+                seen[key] = None
+                if len(seen) > self._delivered_groups_limit:
+                    seen.popitem(last=False)
             # Event safety: the payload is opened at most once, at the
             # edge, and only for a copy someone looks at.
             closure = subscription.closure
@@ -595,7 +625,7 @@ class SubscriberRuntime(Process):
         """An active state found its home: O(1) engine mutations."""
         home = self._by_home.get(state.home)
         if home is None:
-            home = self._by_home[state.home] = _Home([])
+            home = self._by_home[state.home] = _Home()
         states = home.states
         insort(states, state)
         if home.engine is not None:

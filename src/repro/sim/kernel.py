@@ -315,7 +315,9 @@ class Process:
         #: Bumped by :meth:`restart`; owned-timer callbacks armed under an
         #: older incarnation refuse to run.
         self.incarnation = 0
-        self._owned_timers: set = set()
+        #: Armed owned timers; made by the first one (most subscribers
+        #: never arm any).
+        self._owned_timers: Optional[set] = None
         #: Whether the periodic tasks run: the intent, which a crash
         #: keeps and a restart re-arms from.
         self.maintaining = False
@@ -329,13 +331,16 @@ class Process:
         handle_box: list = []
 
         def _fire() -> None:
-            self._owned_timers.discard(handle_box[0])
+            if self._owned_timers is not None:  # None: a crash came since
+                self._owned_timers.discard(handle_box[0])
             if self.crashed or self.incarnation != incarnation:
                 return
             callback(*args)
 
         handle = self.sim.schedule_at(time, _fire)
         handle_box.append(handle)
+        if self._owned_timers is None:
+            self._owned_timers = set()
         self._owned_timers.add(handle)
         return handle
 
@@ -402,9 +407,9 @@ class Process:
         if self.crashed:
             return
         self.crashed = True
-        for handle in self._owned_timers:
+        for handle in self._owned_timers or ():
             handle.cancel()
-        self._owned_timers.clear()
+        self._owned_timers = None
         self._periodic.clear()
         self._lose_soft_state()
 

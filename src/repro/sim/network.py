@@ -27,13 +27,13 @@ from repro.sim.kernel import Process, SimulationError, Simulator
 def _default_sizer(message: Any) -> int:
     """Default message size model (DESIGN §16), never below 16 bytes.
 
-    A message that carries events answers ``wire_size()`` with what its
-    frame costs on a socket, sender name aside, from the records
-    remembered on the events (see :mod:`repro.overlay.messages`;
-    duck-typed so the sim layer stays free of overlay imports).
-    Anything else — a control message — costs the length of its
-    ``repr``, rendered at every send because it embeds processes whose
-    ``repr`` shows counters that move between sends.
+    Every message kind of :mod:`repro.overlay.messages` answers
+    ``wire_size()`` (duck-typed, so the sim layer stays free of overlay
+    imports): one that carries events with what its frame costs on a
+    socket, sender name aside, from the records remembered on the
+    events; a control message from its fields alone.  Only an object
+    that is none of those kinds (a test's string, say) costs the length
+    of its ``repr``.
     """
     wire_size = getattr(message, "wire_size", None)
     size = wire_size() if wire_size is not None else len(repr(message))

@@ -14,7 +14,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.filters.constraints import AttributeConstraint
+from repro.filters.constraints import AttributeConstraint, conjunction_implies
 from repro.filters.covering_index import CoveringIndex, filter_shape
 from repro.filters.filter import Filter
 from repro.filters.operators import (
@@ -69,6 +69,38 @@ def constraints(draw, attribute=None):
 filters = st.lists(constraints(), min_size=0, max_size=4).map(Filter)
 
 
+def reference_covers(coverer, covered):
+    """Definition 2 as ``Filter.covers`` states it without shortcuts:
+    each of ``coverer``'s constraints implied by ``covered``'s
+    constraints on its attribute."""
+    if covered.matches_nothing:
+        return True
+    if coverer.matches_nothing:
+        return False
+    return all(
+        conjunction_implies(covered.constraints_on(c.attribute), c)
+        for c in coverer.constraints
+        if c.operator is not ALL
+    )
+
+
+@given(filters, filters, values, values)
+@settings(max_examples=300, deadline=None)
+def test_covers_and_its_equality_shortcut_are_the_definition(f, g, v, w):
+    """``Filter.covers`` (through ``covers_grouped``, which decides a lone
+    ``x = v`` premise against ``x = w`` itself) against the definition,
+    on generated filters and on lone equalities of any two values: one
+    type or two, equal under ``==`` or not."""
+    x = Filter([AttributeConstraint("a", EQ, v)])
+    y = Filter([AttributeConstraint("a", EQ, w)])
+    for coverer, covered in ((f, g), (g, f), (x, y), (y, x), (x, g), (g, x)):
+        expected = reference_covers(coverer, covered)
+        assert coverer.covers(covered) == expected
+        if not covered.matches_nothing:
+            grouped = covered.constraints_by_attribute()
+            assert coverer.covers_grouped(grouped) == expected
+
+
 def naive_covered_by(pool, probe):
     return [g for g in pool if g.covers(probe)]
 
@@ -114,14 +146,23 @@ def test_queries_agree_with_naive_pairwise(pool, removals, probes):
     check_against_naive(pool, removals, probes)
 
 
-# The same differential where the sorted tiers are dense: one attribute,
-# one bound or equality per filter, operands from a handful of floats.
-# The pool above rarely puts a NaN *between* two operands of one tier and
-# then removes a neighbour, which is what it takes to strand a handle.
-bounds = st.builds(
-    lambda operator, operand: Filter([AttributeConstraint("a", operator, operand)]),
-    st.sampled_from([EQ, LT, LE, GT, GE]),
-    st.sampled_from([NAN, float("inf"), float("-inf"), -0.0, 0, 0.5, 1.0, 2.0, 3.0]),
+# The same differential where the sorted tiers are dense: one bound or
+# equality per attribute on one attribute or two, operands from a handful
+# of floats.  The pool above rarely puts a NaN *between* two operands of
+# one tier and then removes a neighbour, which is what it takes to strand
+# a handle; nor does it often make a query intersect a second posting
+# that is read off sorted runs.
+def _bound(attribute):
+    return st.builds(
+        lambda operator, operand: AttributeConstraint(attribute, operator, operand),
+        st.sampled_from([EQ, LT, LE, GT, GE]),
+        st.sampled_from([NAN, float("inf"), float("-inf"), -0.0, 0, 0.5, 1.0, 2.0, 3.0]),
+    )
+
+
+bounds = st.one_of(
+    st.builds(lambda c: Filter([c]), _bound("a")),
+    st.builds(lambda c, d: Filter([c, d]), _bound("a"), _bound("b")),
 )
 
 

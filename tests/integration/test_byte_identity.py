@@ -26,9 +26,9 @@ CONFIG = dict(seed=3, n_subscribers=60, n_events=120, stage_sizes=(6, 3, 1))
 #: Recorded one fresh interpreter per run, from ``measure()`` below with
 #: the unpatched ``MultiStageEventSystem`` given ``tracing=True``.
 PARENT = {
-    "total_bytes": 201874,
+    "total_bytes": 167624,
     "total_messages": 640,
-    "links": "3d2634ce174091e6b9669cc89456e2d4a2ef7b953eba590488183da27f435015",
+    "links": "539f565d1d1aa010de214389af8b00908b12d6f73ee64ae73c8586362e888abb",
     "spans": "20d5d5f5067f82a7e3c9f9aabf100455d291bfefce5ed1842aa4415e73100458",
     "n_spans": 756,
 }
@@ -39,17 +39,19 @@ PARENT = {
 #: ``TraceRecorder`` joined the dump as spans (197 of them here:
 #: ``advertise``, ``route-covering``, ``subscriber-insert``, ``joined``;
 #: CHANGES.md, PR 19, has the field-level diff).  ``total_bytes`` and
-#: ``links`` were re-recorded once, when the size model became "a data
-#: message costs what its frame costs on a socket" (DESIGN §16: 165 683
-#: bytes under the ``repr`` model; messages per link unmoved; CHANGES.md,
-#: PR 24).
+#: ``links`` were re-recorded twice, with messages per link unmoved both
+#: times: when the size model became "a data message costs what its
+#: frame costs on a socket" (DESIGN §16: 165 683 bytes under the
+#: ``repr`` model, 201 874 after; CHANGES.md, PR 24), and when control
+#: messages came to be priced from their fields instead of their
+#: ``repr`` (DESIGN §16: data-kind bytes unmoved, every control kind
+#: cheaper; the per-kind diff is in CHANGES.md, PR 32).
 
 
 def measure(monkeypatch, **scenario):
     """One traced same-seed run, summarised as the parent's record was."""
-    # Subscription ids are drawn from a process-wide counter and are
-    # rendered into control messages: start it where a fresh
-    # interpreter would.
+    # Subscription ids are drawn from a process-wide counter: start it
+    # where a fresh interpreter would.
     monkeypatch.setattr(subscription_module, "_subscription_ids", itertools.count(1))
     monkeypatch.setattr(
         common,

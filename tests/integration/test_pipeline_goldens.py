@@ -41,6 +41,12 @@ to probe the most selective attribute first (DESIGN §12): fewer probes
 are made, so ``filter_evaluations`` fell on three brokers per case and
 no other counter moved (the field-level diff is in CHANGES.md, with
 the probe order).  The other thirteen fields did not move.
+
+``total_bytes`` and ``links`` were re-recorded once more when control
+messages came to be priced from their fields instead of their ``repr``
+(DESIGN §16): per-link message counts and every data kind's bytes
+unmoved, every control kind's bytes moved (the per-kind diff is in
+CHANGES.md, PR 32).  The other twelve fields did not move.
 """
 
 import hashlib
@@ -80,8 +86,8 @@ CASES = {
 
 GOLDEN = {'default': {'processed_events': 2666,
              'counters': '53d11f4d992ce5a81fad9cb36c6fa8023e5eaf09f97452e2c28d24e69591c031',
-             'total_bytes': 573203,
-             'links': '9714fdd03e5c2d1db564ecce91f7ac01bc8e42a4af738efd966806f6e7055c91',
+             'total_bytes': 540504,
+             'links': '947f13037af24180ecb99d89288f81555070b882094c92330a16a5a0c2eedc1c',
              'spans': 'dcdc3ee8197c5277e2378de0ff80038d766f42fce63a609dd31ca3f9a689aa46',
              'n_spans': 2139,
              'delivered': 617,
@@ -94,8 +100,8 @@ GOLDEN = {'default': {'processed_events': 2666,
              'drain_resumes': 0},
  'managed': {'processed_events': 3961,
              'counters': '4c73a3980e8da909d3d741cf2ce74d546ddec98f90a41a8689c052e48eebcb1e',
-             'total_bytes': 559215,
-             'links': 'c57734903fd59da2c94fc423d30963dc539e0a97a93af13e3ea99142716321bd',
+             'total_bytes': 520903,
+             'links': 'd05fa4beb892fbd4f5d47e7e78c74f5af6e137dab07f6ee9cba7ac14083f2eaa',
              'spans': '26e9f3f51645dc9a0fdc10e6a3a38c7b486d5e5bd0b9bbe9c630f47098f32a70',
              'n_spans': 2417,
              'delivered': 486,
@@ -110,8 +116,8 @@ GOLDEN = {'default': {'processed_events': 2666,
              'drain_resumes': 38},
  'finite_speed': {'processed_events': 2871,
                   'counters': 'aca30a92857d7fbc76fbfeb6e97586645f8dfb3e5725cbf2fee32d9b742cb8d7',
-                  'total_bytes': 576711,
-                  'links': '87ec21461bcf7bb8515539b848236d3d08e11772bb766bc906a7b7665503d510',
+                  'total_bytes': 544012,
+                  'links': 'b54ed1d399d8246fc700a4027ad6821ea24d0aacb6c91c50e9a62c05dfac6562',
                   'spans': '00781b66e3ab5c922574ef0d5fb16b2610c9a3a8d1b947b3f72ca3bc86cd3965',
                   'n_spans': 2146,
                   'delivered': 628,
@@ -140,8 +146,8 @@ INDEX_WITH_CACHE = {
 
 def measure(monkeypatch, case, **options):
     """One traced same-seed run of ``case``, summarised."""
-    # Subscription ids come from a process-wide counter and are rendered
-    # into control messages: start it where a fresh interpreter would.
+    # Subscription ids come from a process-wide counter: start it where
+    # a fresh interpreter would.
     monkeypatch.setattr(subscription_module, "_subscription_ids", itertools.count(1))
     resumes = []
     maybe_resume = BrokerNode._maybe_resume_drain

@@ -26,8 +26,8 @@ ENGINES = {
 
 
 def observe(monkeypatch, scenario, **options):
-    # Subscription ids come from a process-wide counter and are rendered
-    # into control messages, whose bytes are compared below.
+    # Subscription ids come from a process-wide counter: both runs
+    # start it at the same id.
     monkeypatch.setattr(subscription_module, "_subscription_ids", itertools.count(1))
     system, traces = scenario(5, **options)[:2]
     return system, {
