@@ -13,17 +13,28 @@ Brokers route the envelope by its meta-data and forward the payload
 untouched; :func:`unmarshal` runs only at the edge, delivering the
 original typed object to matching subscribers ("end-to-end" event
 safety, Section 3.4).
+
+A :class:`PropertyEvent` is its own meta-data (Example 1's name-value
+tuple), so it travels with an **empty payload**: the meta-data *is* the
+event, and :func:`unmarshal` hands it back as is.  A pickle is never
+empty, so that one rule holds wherever an envelope is, in the simulator,
+in a socket record (a payload of length 0) and in the event log.  A
+subclass of :class:`PropertyEvent` travels as a plain one over the same
+properties: its own methods are application code, which no broker runs.
 """
 
 import pickle
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
 from repro.events.base import PropertyEvent
 from repro.events.typed import to_property_event
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class Envelope:
     """A routable event: filtering meta-data plus opaque payload.
 
@@ -36,27 +47,43 @@ class Envelope:
     arrive over different paths.
     """
 
+    __slots__ = ("metadata", "payload", "published_at", "event_id")
+
     metadata: PropertyEvent
-    payload: bytes = field(repr=False)
-    published_at: Optional[float] = None
-    event_id: Optional[tuple] = None
+    payload: bytes
+    published_at: Optional[float]
+    event_id: Optional[tuple]
+
+    def __init__(
+        self,
+        metadata: PropertyEvent,
+        payload: bytes,
+        published_at: Optional[float] = None,
+        event_id: Optional[tuple] = None,
+    ):
+        _set(self, "metadata", metadata)
+        _set(self, "payload", payload)
+        _set(self, "published_at", published_at)
+        _set(self, "event_id", event_id)
+
+    def __repr__(self) -> str:  # the payload is opaque: never rendered
+        return (
+            f"Envelope(metadata={self.metadata!r}, "
+            f"published_at={self.published_at!r}, event_id={self.event_id!r})"
+        )
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """The fields as a dict, in order: the pickle a dict-backed
+        envelope made, byte for byte."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        for name, value in state.items():
+            _set(self, name, value)
 
     @property
     def event_class(self) -> Optional[str]:
         return self.metadata.event_class
-
-    def weakened(self, attributes) -> "Envelope":
-        """Envelope with meta-data restricted to ``attributes``.
-
-        The payload travels unchanged: weakening only ever touches the
-        covering representation, never the encapsulated object.
-        """
-        return Envelope(
-            self.metadata.restricted_to(attributes),
-            self.payload,
-            self.published_at,
-            self.event_id,
-        )
 
     def __len__(self) -> int:
         """Approximate wire size in bytes (payload + crude metadata cost)."""
@@ -72,8 +99,13 @@ def marshal(
     """Publisher-side transformation: object -> envelope.
 
     Reflection extracts the meta-data (Proposition 2's covering event);
-    pickling captures the full object for end-to-end delivery.
+    pickling captures the full object for end-to-end delivery.  A
+    :class:`PropertyEvent` is its own meta-data and is not pickled.
     """
+    if isinstance(event, PropertyEvent):
+        if type(event) is not PropertyEvent:
+            event = PropertyEvent(event._properties)
+        return Envelope(event, b"", published_at, event_id)
     return Envelope(
         metadata=to_property_event(event, class_name=class_name),
         payload=pickle.dumps(event),
@@ -83,9 +115,13 @@ def marshal(
 
 
 def unmarshal(envelope: Envelope) -> Any:
-    """Subscriber-side: recover the original typed event object.
+    """Subscriber-side: recover the original typed event object (the
+    meta-data itself when the payload is empty).
 
     Must only be called by the subscriber runtime; broker code has no
     business importing this function.
     """
-    return pickle.loads(envelope.payload)
+    payload = envelope.payload
+    if not payload:
+        return envelope.metadata
+    return pickle.loads(payload)

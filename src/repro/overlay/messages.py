@@ -38,15 +38,13 @@ _FRAME_FIXED = FRAME_HEAD.size + FRAME_TRAILER.size
 
 def _frame_size(layout: struct.Struct, run: tuple) -> int:
     """Bytes of the frame that carries ``run`` behind the fields in
-    ``layout``, sender name aside.  An event with no record counts as
-    its pickle, which is how it would travel."""
+    ``layout``, sender name aside: lengths added up, since every event
+    has its record from birth.  An event with no record counts as its
+    pickle, which is how it would travel."""
     size = _FRAME_FIXED + layout.size
     for publish in run:
-        try:
-            size += len(publish._record)  # a forwarding hop's case
-        except AttributeError:
-            record = publish.record()
-            size += len(record if record is not None else publish.pickled())
+        record = publish._record
+        size += len(record) if record is not None else len(publish.pickled())
     return size
 
 
@@ -65,8 +63,8 @@ class _Run:
 
     def wire_size(self) -> int:
         """The simulated size: what this message's frame costs on a
-        socket, sender name aside (the records are remembered on the
-        events, so a forwarding hop adds lengths up)."""
+        socket, sender name aside (the records are built with the
+        events, so every hop adds lengths up)."""
         return _frame_size(self.FRAME_LAYOUT, self.publishes)
 
 
@@ -434,7 +432,8 @@ class CreditGrant(_Control):
 #     2+4+4    byte lengths of the three parts that follow
 #     ...      event_id publisher name, UTF-8
 #     ...      the property set: C pickle of the plain ``{name: value}`` dict
-#     ...      the payload, raw: no broker opens it (section 2.2)
+#     ...      the payload, raw: no broker opens it (section 2.2); empty
+#              for a ``PropertyEvent``, whose property set is the event
 _RECORD = struct.Struct("!BqdqHII")
 _RECORD_STAMP = struct.Struct("!Bq")  # the head a root re-stamps
 _HAS_OFFSET, _HAS_PUBLISHED_AT, _HAS_EVENT_ID = 1, 2, 4
@@ -443,7 +442,59 @@ _HAS_OFFSET, _HAS_PUBLISHED_AT, _HAS_EVENT_ID = 1, 2, 4
 _PLAIN_VALUES = frozenset((str, int, float, bool, bytes, type(None)))
 
 
-@dataclass(frozen=True)
+def _build_record(envelope: Envelope, offset: Optional[int]) -> Optional[bytes]:
+    """The record of the event ``envelope`` carries with root offset
+    ``offset``, or ``None`` when the record cannot carry it *exactly*
+    (an event id that is not ``(str, int)``, a property value outside
+    the plain types, an integer beyond 64 bits)."""
+    if type(envelope) is not Envelope:
+        return None
+    metadata, payload = envelope.metadata, envelope.payload
+    published_at, event_id = envelope.published_at, envelope.event_id
+    flags, publisher, seq = 0, b"", 0
+    if offset is not None:
+        flags |= _HAS_OFFSET
+    if published_at is not None:
+        flags |= _HAS_PUBLISHED_AT
+    if event_id is not None:
+        if type(event_id) is not tuple or len(event_id) != 2:
+            return None
+        name, seq = event_id
+        if type(name) is not str:
+            return None
+        flags |= _HAS_EVENT_ID
+        publisher = name.encode("utf-8", "surrogatepass")
+    if (
+        type(metadata) is not PropertyEvent
+        or type(payload) is not bytes
+        or type(offset) not in (int, type(None))
+        or type(published_at) not in (float, type(None))
+        or type(seq) is not int
+    ):
+        return None
+    plain = metadata._properties
+    if not _PLAIN_VALUES.issuperset(map(type, plain.values())):
+        return None
+    properties = pickle.dumps(plain, pickle.HIGHEST_PROTOCOL)
+    try:
+        head = _RECORD.pack(
+            flags,
+            0 if offset is None else offset,
+            0.0 if published_at is None else published_at,  # keeps -0.0
+            seq,
+            len(publisher),
+            len(properties),
+            len(payload),
+        )
+    except struct.error:  # an integer or a length beyond its field
+        return None
+    return b"".join((head, publisher, properties, payload))
+
+
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class Publish:
     """An event on its way down the hierarchy (or into a subscriber).
 
@@ -455,84 +506,61 @@ class Publish:
     or a system with no log configured).
 
     A ``Publish`` is immutable and travels by reference, so its record
-    (``_record``) — the one serialisation of an event: what a socket
-    sends, what the log stores, what the simulator prices — is built
-    once and remembered on the instance, not among the dataclass fields:
-    ``repr``, ``==``, ``hash``, ``asdict`` and pickles do not see it.
+    — the one serialisation of an event: what a socket sends, what the
+    log stores, what the simulator prices — is built with it, once (for
+    a published event, in the publisher's ``_marshal``), and kept beside
+    the dataclass fields: ``repr``, ``==``, ``hash``, ``asdict`` and
+    pickles do not see it.  A decoded event keeps the slice it was
+    parsed from, and a stamped one its record with the head rewritten.
     """
 
+    __slots__ = ("envelope", "offset", "_record")
+
     envelope: Envelope
-    offset: Optional[int] = None
+    offset: Optional[int]
 
     #: Alone in a frame, an event is a run of one with no other field.
     FRAME_FIELDS = ()
     FRAME_LAYOUT = _NO_FIELDS
+
+    def __init__(self, envelope: Envelope, offset: Optional[int] = None):
+        _set(self, "envelope", envelope)
+        _set(self, "offset", offset)
+        _set(self, "_record", _build_record(envelope, offset))
+
+    @classmethod
+    def _with_record(
+        cls, envelope: Envelope, offset: Optional[int], record: Optional[bytes]
+    ) -> "Publish":
+        """Internal constructor: the record for these fields is already
+        known (a parsed slice, a re-stamped head) and is not rebuilt."""
+        publish = object.__new__(cls)
+        _set(publish, "envelope", envelope)
+        _set(publish, "offset", offset)
+        _set(publish, "_record", record)
+        return publish
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """The fields alone: the record never reaches a pickle (worker
+        hand-off, pickled frames), which stays byte-identical."""
+        return {"envelope": self.envelope, "offset": self.offset}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__init__(state["envelope"], state["offset"])
 
     def wire_size(self) -> int:
         """The simulated size of this event sent alone: its frame's."""
         return _frame_size(self.FRAME_LAYOUT, (self,))
 
     def record(self) -> Optional[bytes]:
-        """This event as one self-delimiting wire record, built once.
+        """This event as one self-delimiting wire record.
 
         A broker forwarding a decoded ``Publish`` to k children and to
         the next stage hands out the very bytes it parsed.  ``None``
-        when the record cannot carry the event *exactly* (an event id
-        that is not ``(str, int)``, a property value outside the plain
-        types, an integer beyond 64 bits): such a message travels
-        pickled whole instead.
+        when the record cannot carry the event exactly: such a message
+        travels pickled whole instead.
         """
-        try:
-            return self._record
-        except AttributeError:
-            pass
-        envelope, offset = self.envelope, self.offset
-        if type(envelope) is not Envelope:
-            return None
-        metadata, payload = envelope.metadata, envelope.payload
-        published_at, event_id = envelope.published_at, envelope.event_id
-        flags, publisher, seq = 0, b"", 0
-        if offset is not None:
-            flags |= _HAS_OFFSET
-        if published_at is not None:
-            flags |= _HAS_PUBLISHED_AT
-        if event_id is not None:
-            if type(event_id) is not tuple or len(event_id) != 2:
-                return None
-            name, seq = event_id
-            if type(name) is not str:
-                return None
-            flags |= _HAS_EVENT_ID
-            publisher = name.encode("utf-8", "surrogatepass")
-        if (
-            type(metadata) is not PropertyEvent
-            or type(payload) is not bytes
-            or type(offset) not in (int, type(None))
-            or type(published_at) not in (float, type(None))
-            or type(seq) is not int
-        ):
-            return None
-        plain = metadata._properties
-        if not _PLAIN_VALUES.issuperset(map(type, plain.values())):
-            return None
-        properties = pickle.dumps(plain, pickle.HIGHEST_PROTOCOL)
-        try:
-            head = _RECORD.pack(
-                flags,
-                0 if offset is None else offset,
-                0.0 if published_at is None else published_at,  # keeps -0.0
-                seq,
-                len(publisher),
-                len(properties),
-                len(payload),
-            )
-        except struct.error:  # an integer or a length beyond its field
-            return None
-        record = b"".join((head, publisher, properties, payload))
-        # The dataclass is frozen; and not through ``__dict__``, which
-        # would make every event on a socket run materialise one.
-        object.__setattr__(self, "_record", record)
-        return record
+        return self._record
 
     def pickled(self) -> bytes:
         """What stands in for the record when :meth:`record` is ``None``:
@@ -543,9 +571,8 @@ class Publish:
     @classmethod
     def from_record(cls, buffer: bytes, start: int) -> Tuple["Publish", int]:
         """Parse the record at ``buffer[start:]``; returns the event and
-        the position after it.  The parsed slice is remembered, so the
-        next ``record()`` re-serialises nothing.  The payload is sliced
-        out, never opened."""
+        the position after it.  The event keeps the parsed slice as its
+        record.  The payload is sliced out, never opened."""
         flags, offset, published_at, seq, n_publisher, n_properties, n_payload = (
             _RECORD.unpack_from(buffer, start)
         )
@@ -558,35 +585,26 @@ class Publish:
         if flags & _HAS_EVENT_ID:
             name = buffer[start + _RECORD.size : properties_at]
             event_id = (name.decode("utf-8", "surrogatepass"), seq)
-        publish = cls(
-            Envelope(
-                PropertyEvent._owning(pickle.loads(buffer[properties_at:payload_at])),
-                buffer[payload_at:end],
-                published_at if flags & _HAS_PUBLISHED_AT else None,
-                event_id,
-            ),
-            offset if flags & _HAS_OFFSET else None,
+        envelope = Envelope(
+            PropertyEvent._owning(pickle.loads(buffer[properties_at:payload_at])),
+            buffer[payload_at:end],
+            published_at if flags & _HAS_PUBLISHED_AT else None,
+            event_id,
         )
-        object.__setattr__(publish, "_record", buffer[start:end])
-        return publish, end
+        offset = offset if flags & _HAS_OFFSET else None
+        return cls._with_record(envelope, offset, buffer[start:end]), end
 
     def stamped(self, offset: int) -> "Publish":
         """This event with the root's log offset set.  The offset is a
-        fixed field at the head of the record, so a remembered record is
-        carried over with its head rewritten, not rebuilt."""
-        stamped = Publish(self.envelope, offset)
-        record = getattr(self, "_record", None)
-        if record is not None:
-            head = _RECORD_STAMP.pack(record[0] | _HAS_OFFSET, offset)
-            object.__setattr__(
-                stamped, "_record", head + record[_RECORD_STAMP.size :]
-            )
-        return stamped
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """The fields alone: nothing remembered reaches a pickle
-        (worker hand-off, pickled frames), which stays byte-identical."""
-        return {"envelope": self.envelope, "offset": self.offset}
+        fixed field at the head of the record, so the record is carried
+        over with its head rewritten, not rebuilt."""
+        record = self._record
+        if record is None:
+            return Publish(self.envelope, offset)
+        head = _RECORD_STAMP.pack(record[0] | _HAS_OFFSET, offset)
+        return Publish._with_record(
+            self.envelope, offset, head + record[_RECORD_STAMP.size :]
+        )
 
 
 @dataclass(frozen=True)

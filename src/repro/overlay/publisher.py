@@ -3,8 +3,10 @@
 Publishers attach to the root ("published events are first forwarded to
 the top most stage", §4).  Publishing performs the paper's event
 transformation exactly once: the typed object is reflected into its
-covering meta-data and sealed into an opaque envelope — after this point
-no broker ever touches application code.
+covering meta-data and sealed into an opaque envelope (a
+``PropertyEvent`` is its own meta-data and carries no payload), and the
+envelope's wire record is built — after this point no broker ever
+touches application code, and nothing re-serialises the event.
 
 With flow control on (a :class:`~repro.flow.FlowConfig`), the publisher
 is the *source end* of the overlay's backpressure chain: its hop to the
@@ -186,6 +188,8 @@ class PublisherRuntime(Process):
                     ("to", self.root.name),
                 ),
             )
+        # The event's one serialisation: every hop, socket and log after
+        # this one reuses the record built here.
         return Publish(envelope)
 
     def receive(self, message: Any, sender: Process) -> None:

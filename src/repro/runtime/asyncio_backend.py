@@ -34,9 +34,10 @@ message's few integer fields, fixed-width, and then one self-delimiting
 *record* per event (:meth:`repro.overlay.messages.Publish.record`: root
 offset, ``published_at`` and ``(publisher, seq)`` as fixed fields, the
 property set, and the payload as a raw length-prefixed slice that no
-broker opens).  A record is built once per ``Publish`` object and
-remembered on it, and decoding remembers the slice it parsed, so a
-broker forwarding an event to k children encodes with a ``bytes.join``.
+broker opens; empty for a ``PropertyEvent``, whose property set is the
+event).  A record is built with its ``Publish`` object, once, at
+publish, and decoding keeps the slice it parsed, so a broker
+forwarding an event to k children encodes with a ``bytes.join``.
 Every other message, and a data-plane message holding a value the
 record format cannot carry exactly, is ``kind`` 0: the body is the
 message pickled.  Control messages carry direct
@@ -187,15 +188,11 @@ def _run_parts(message: Any) -> Optional[Tuple[int, int, List[bytes]]]:
     run = (message,) if kind == _PUBLISH else message.publishes
     if type(run) is not tuple:
         return None
-    try:
-        # A forwarding broker's case: every record is remembered.
-        parts += [publish._record for publish in run]
-    except AttributeError:
-        for publish in run:
-            record = publish.record() if type(publish) is Publish else None
-            if record is None:
-                return None
-            parts.append(record)
+    for publish in run:  # every event has its record from birth
+        record = publish._record if type(publish) is Publish else None
+        if record is None:
+            return None
+        parts.append(record)
     return flag | kind, len(run), parts
 
 
@@ -203,9 +200,10 @@ def encode_frame(src_name: str, message: Any) -> bytes:
     """One message as a frame payload (without the length prefix).
 
     A run of events is a header and the events' records joined: a
-    record is built once per ``Publish`` and remembered on it, so a
-    forwarding broker re-serialises nothing.  Everything else is the
-    message pickled (``Process`` references as names), as raw bytes.
+    record is built with its ``Publish`` (a decoded one keeps the slice
+    it was parsed from), so no broker re-serialises anything.
+    Everything else is the message pickled (``Process`` references as
+    names), as raw bytes.
     """
     run = _run_parts(message)
     if run is None:

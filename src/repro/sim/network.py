@@ -30,8 +30,8 @@ def _default_sizer(message: Any) -> int:
     Every message kind of :mod:`repro.overlay.messages` answers
     ``wire_size()`` (duck-typed, so the sim layer stays free of overlay
     imports): one that carries events with what its frame costs on a
-    socket, sender name aside, from the records remembered on the
-    events; a control message from its fields alone.  Only an object
+    socket, sender name aside, from the records the events carry; a
+    control message from its fields alone.  Only an object
     that is none of those kinds (a test's string, say) costs the length
     of its ``repr``.
     """

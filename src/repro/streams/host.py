@@ -11,11 +11,10 @@ replay.Replayer`'s do.
 """
 
 import math
-import pickle
 from typing import TYPE_CHECKING, Any, Dict, List, Sequence
 
 from repro.events.base import CLASS_ATTRIBUTE, PropertyEvent
-from repro.events.serialization import Envelope
+from repro.events.serialization import marshal
 from repro.overlay.messages import FlowInstall, Publish
 from repro.streams.operators import Emission, FlowRuntime
 from repro.streams.spec import CollapseSpec
@@ -210,11 +209,10 @@ class FlowHost:
             self.seqs[spec.name] = seq + 1
             props = dict(emission.properties)
             props[CLASS_ATTRIBUTE] = spec.output_class
-            envelope = Envelope(
-                PropertyEvent(props),
-                pickle.dumps(props),
-                published_at=now,
-                event_id=(namespace, seq),
+            # A PropertyEvent, marshalled like any published one: its
+            # meta-data is the event, and it travels with no payload.
+            envelope = marshal(
+                PropertyEvent(props), published_at=now, event_id=(namespace, seq)
             )
             publishes.append(Publish(envelope))
             counters.events_published += 1

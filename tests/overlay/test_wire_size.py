@@ -2,7 +2,7 @@
 ``sim`` what its frame costs on a socket, sender name aside; a control
 message costs its fields in the field model; nothing costs less than 16.
 
-The default sizer never encodes anything: a ``Publish`` remembers its
+The default sizer never encodes anything: a ``Publish`` carries its
 record, the messages that carry a run add lengths up, and a control
 message adds up the prices of its fields.  So every message kind in
 ``overlay/messages.py`` is priced both ways here, by the sizer and the
@@ -24,6 +24,7 @@ import pytest
 from repro.core.advertisement import Advertisement
 from repro.core.stages import AttributeStageAssociation
 from repro.core.subscription import Subscription
+from repro.events.base import PropertyEvent
 from repro.events.serialization import marshal
 from repro.filters.constraints import AttributeConstraint
 from repro.filters.filter import Filter
@@ -392,24 +393,31 @@ def test_pricing_a_control_message_renders_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("rendered on the send path")
 
+    # Built first: a ``Publish`` in a case pickles its properties into
+    # its record as it is made, which is not pricing.
+    controls = [
+        message
+        for kind in MESSAGE_KINDS
+        for message in cases(kind)
+        if not is_data(message)
+    ]
     for kind in (Process, Filter, AttributeConstraint, Advertisement, AttributeStageAssociation):
         monkeypatch.setattr(kind, "__repr__", refuse)
         monkeypatch.setattr(kind, "__str__", refuse)
     monkeypatch.setattr(messages, "pickle", None)
-    for kind in MESSAGE_KINDS:
-        for message in cases(kind):
-            if not is_data(message):
-                _default_sizer(message)
+    for message in controls:
+        _default_sizer(message)
 
 
 def test_remembered_size_is_invisible_outside_sizing():
     fresh, sized = publishes(1)[0], publishes(1)[0]
     assert _default_sizer(sized) == len(encode_frame("", publishes(1)[0]))
     frame = encode_frame("feed", PublishBatch((sized,)))
-    # The one memo is taken now: pricing built the record the frame holds.
+    # Built with the event: the record the frame holds, the same bytes
+    # object however often it is asked for.
     assert sized.record() is sized.record() and sized.record() in frame
     _, arrived = decode_frame(frame, None)
-    (parsed,) = arrived.publishes  # remembers the slice it was parsed from
+    (parsed,) = arrived.publishes  # keeps the slice it was parsed from
     assert parsed.record() == sized.record()
 
     for remembering in (sized, parsed):
@@ -418,13 +426,31 @@ def test_remembered_size_is_invisible_outside_sizing():
         assert dataclasses.asdict(remembering) == dataclasses.asdict(fresh)
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.dumps(remembering, protocol) == pickle.dumps(fresh, protocol)
-        # Socket frames: the same bytes before and after the memos were taken.
+        # Socket frames: the same bytes before and after sizing.
         assert encode_frame("feed", PublishBatch((remembering,))) == frame
         for copied in (
             pickle.loads(pickle.dumps(remembering)),
             copy.copy(remembering),
             dataclasses.replace(remembering),
         ):
-            assert copied == remembering and vars(copied) == vars(fresh)
-    # A changed field is a different event: nothing remembered follows it.
-    assert vars(dataclasses.replace(sized, offset=4)) == vars(Publish(fresh.envelope, 4))
+            assert copied == remembering and copied.record() == fresh.record()
+    # A changed field is a different event: its record is its own.
+    changed = dataclasses.replace(sized, offset=4)
+    assert changed.record() == Publish(fresh.envelope, 4).record() != fresh.record()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sized._record = b""
+
+
+def test_a_property_event_record_is_head_publisher_and_properties():
+    """A ``PropertyEvent`` is its own meta-data: its record carries the
+    property set and a payload of 0 bytes, and the size model agrees."""
+    event = PropertyEvent({"class": "Quote", "symbol": "S", "price": 1.5})
+    publish = Publish(marshal(event, published_at=0.5, event_id=("feed", 7)))
+    properties = pickle.dumps(dict(event), pickle.HIGHEST_PROTOCOL)
+    head = messages._RECORD.pack(6, 0, 0.5, 7, len(b"feed"), len(properties), 0)
+    assert publish.record() == head + b"feed" + properties
+    assert _default_sizer(publish) == reference_size(publish)
+    _, arrived = decode_frame(encode_frame("", publish), None)
+    assert arrived == publish and arrived.envelope.payload == b""
+
+
