@@ -12,12 +12,10 @@ Four small, simulator-agnostic mechanisms compose into the overlay's
 overload story (wired up in ``overlay/`` and ``obs/``):
 
 - :class:`CreditWindow` — spend/grant bookkeeping of credit-based
-  per-link flow control; with a :class:`BoundedQueue` and the
-  ``DataFrame`` numbering it makes the one description of a credited
-  hop, :mod:`repro.flow.link` (:class:`LinkSender`,
-  :class:`LinkReceiver`), that publishers, brokers and replay all use —
-  backpressure propagates hop-by-hop from a slow broker back to the
-  publishers.
+  per-link flow control; with a :class:`BoundedQueue` and the epoch-
+  stamped ``DataFrame`` numbering it makes the one description of a
+  credited hop, :mod:`repro.flow.link`, that publishers, brokers and
+  replay all use.
 - :class:`BoundedQueue` — a capacity-limited queue with pluggable
   shedding policies (``drop_tail``, ``drop_oldest``,
   ``priority_by_selectivity``).  Every shed is returned to the caller,

@@ -1,13 +1,11 @@
 """Sender-side credit window for one data link: the spend/grant
-bookkeeping :mod:`repro.flow.link` composes into a credited hop (the
-scheme, and why a crash resets a window to full, are described there).
-"""
+bookkeeping :mod:`repro.flow.link` composes into a credited hop."""
 
 
 class CreditWindow:
     """Spend/grant bookkeeping for the sending side of one link."""
 
-    __slots__ = ("capacity", "available", "stalls")
+    __slots__ = ("capacity", "available", "stalls", "surplus")
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -16,6 +14,8 @@ class CreditWindow:
         self.available = capacity
         #: Times ``take`` failed (the sender had to queue locally).
         self.stalls = 0
+        #: Credits granted past capacity and dropped by the cap.
+        self.surplus = 0
 
     def take(self, n: int = 1) -> bool:
         """Spend ``n`` credits; False (and no change) when short."""
@@ -26,12 +26,12 @@ class CreditWindow:
         return False
 
     def grant(self, n: int) -> None:
-        """Receiver granted ``n`` credits back (capped at capacity: the
-        receiver only grants for events this window paid for, so the cap
-        can bind only across an incarnation mismatch — where full is the
-        correct, deadlock-free answer)."""
+        """Receiver granted ``n`` credits back, capped at capacity — a
+        safety bound that a correct peer never reaches, so what it drops
+        is kept in ``surplus`` for the invariants to report."""
         if n < 0:
             raise ValueError(f"cannot grant negative credits ({n})")
+        self.surplus += max(0, self.available + n - self.capacity)
         self.available = min(self.capacity, self.available + n)
 
     def reset(self) -> None:

@@ -1,21 +1,22 @@
 """One credit-controlled hop: the only description of how it behaves.
 
 Publisher→root, broker→broker child and root→replay requester are the
-same kind of edge (DESIGN §10).  The scheme is receiver-driven: a link
-starts with ``link_window`` credits; the sending end spends one per
-event it puts on the wire, and parks events in a bounded per-link queue
-when the window is empty; the receiving end grants credits back
-one-for-one as it *processes* (or sheds, not merely receives) events,
-so a source's in-flight + queued-there events never exceed the window.
-Grants travel on the reliable control channel, which makes the loop
-loss-proof: a grant dropped by the wire is retransmitted until acked.
-Data frames are best-effort but numbered, so the receiving end can
-re-credit what a lossy wire swallowed.  Crash handling is
-reset-to-full: a restarting peer announces a fresh incarnation
-(``ChannelReset`` or a new channel epoch) and both ends discard their
-state — credits consumed by events that died with the crash are not
-leaked, they are forgotten with the incarnation.  Owners keep what is
-theirs: counters, ``shed`` spans, the wire, the link the grants ride.
+same kind of edge (DESIGN §10).  A link starts with ``link_window``
+credits; the sending end spends one per event it puts on the wire and
+parks events in a bounded queue when the window is empty; the receiving
+end grants credits back one-for-one as it *processes* (or sheds, not
+merely receives) events, so a source's in-flight + queued-there events
+never exceed the window.  Grants ride the reliable control channel, so
+a grant lost to the wire is retransmitted.  Data frames are best-effort
+but numbered, so the receiving end re-credits what the wire swallowed.
+
+A link has incarnations, told apart as the reliable channel tells its
+own apart: a frame carries its link's ``epoch``, a grant echoes the
+epoch of the frames it pays for, and the receiving end applies
+:func:`incarnation` to every frame.  When a peer loses its state the
+sending end resets to a full window under a higher epoch: credits spent
+on events that died with the crash are forgotten with the incarnation,
+and a late grant for them is ignored.
 
 Two rules hold after every call (``overlay.invariants.credit_violations``
 checks them on live systems): ``0 <= available <= capacity``, and
@@ -35,12 +36,34 @@ from repro.flow.shedding import BoundedQueue
 DataFrame = None
 
 
+def incarnation(
+    epoch: Optional[int], expected: int, frame: Any, restarted: Optional[Callable] = None
+) -> Optional[int]:
+    """The one incarnation rule of every link, reliable or credited: the
+    number ``frame`` continues from at a receiver that heard its sender
+    at ``epoch`` and expects ``expected`` next.  No state (``epoch`` is
+    ``None``): adopt the frame's position, anything earlier being
+    unknowable.  A higher epoch: the sender numbers afresh from 0, and
+    ``restarted`` hears of it before the frame is admitted.  A lower
+    epoch: ``None``, drop the frame of a dead incarnation."""
+    if epoch is None:
+        return frame.seq
+    if frame.epoch == epoch:
+        return expected
+    if frame.epoch < epoch:
+        return None
+    if restarted is not None:
+        restarted()
+    return 0
+
+
 class LinkSender:
     """The sending end of one credited link: the window the peer grants
     back into, the events waiting for credits (``capacity`` of them;
-    ``flow.policy`` sheds past it), the next ``DataFrame`` number."""
+    ``flow.policy`` sheds past it), the next ``DataFrame`` number and the
+    link's epoch."""
 
-    __slots__ = ("window", "queue", "next_seq")
+    __slots__ = ("window", "queue", "next_seq", "epoch")
 
     def __init__(
         self,
@@ -51,6 +74,7 @@ class LinkSender:
         self.window = CreditWindow(flow.link_window)
         self.queue = BoundedQueue(capacity, flow.policy, priority=priority)
         self.next_seq = 0
+        self.epoch = 0
 
     def offer(self, run: Sequence[Any]) -> Tuple[Optional[Any], List[Any], int]:
         """Spend one credit per event of ``run``; returns ``(frame, shed,
@@ -61,18 +85,19 @@ class LinkSender:
         window, queue = self.window, self.queue
         sendable: List[Any] = []
         shed: List[Any] = []
-        stalled = 0
         for publish in run:
             if not queue and window.take(1):
                 sendable.append(publish)
                 continue
-            stalled += 1
             shed.extend(queue.offer(publish)[1])
-        return self._frame(sendable), shed, stalled
+        return self._frame(sendable), shed, len(run) - len(sendable)
 
-    def granted(self, credits: int) -> Optional[Any]:
-        """The peer granted ``credits`` back: the frame of parked events
-        they release (``None`` when nothing was parked)."""
+    def granted(self, epoch: int, credits: int) -> Optional[Any]:
+        """The peer granted ``credits`` back for frames of ``epoch``: the
+        frame of parked events they release (``None`` when nothing was
+        parked).  A grant for another epoch's frames changes nothing."""
+        if epoch != self.epoch:
+            return None
         window, queue = self.window, self.queue
         window.grant(credits)
         released: List[Any] = []
@@ -93,8 +118,12 @@ class LinkSender:
     def reset(self) -> List[Any]:
         """The peer lost its state: the credits it held died with its
         incarnation, so the window comes back full rather than leak them
-        shut, the numbering restarts, and the parked events are returned
-        to be shed — the peer's wiped table would drop them anyway."""
+        shut, the numbering restarts under a higher epoch, and the parked
+        events are returned to be shed — the peer's wiped table would
+        drop them anyway.  A link with nothing numbered or spent since
+        its last reset keeps its epoch: a restart heard twice is one."""
+        if self.next_seq or self.window.available < self.window.capacity:
+            self.epoch += 1
         self.window.reset()
         self.next_seq = 0
         return self.queue.drain()
@@ -105,48 +134,42 @@ class LinkSender:
             return None
         if DataFrame is None:
             from repro.overlay.messages import DataFrame
-        frame = DataFrame(self.next_seq, tuple(events))
+        frame = DataFrame(self.epoch, self.next_seq, tuple(events))
         self.next_seq += len(events)
         return frame
 
     def __repr__(self) -> str:
-        parked = len(self.queue)
-        return f"LinkSender({self.window!r}, parked {parked}, seq {self.next_seq})"
+        return (
+            f"LinkSender({self.window!r}, parked {len(self.queue)}, "
+            f"epoch {self.epoch}, seq {self.next_seq})"
+        )
 
 
 class LinkReceiver:
-    """The receiving end of every credited link into one broker: the
-    next expected data-frame number per source name."""
+    """The receiving end of every credited link into one broker: per
+    source name, the epoch heard and the next expected frame number."""
 
     __slots__ = ("link_window", "expected")
 
     def __init__(self, link_window: int) -> None:
         self.link_window = link_window
-        self.expected: Dict[str, int] = {}
+        self.expected: Dict[str, Tuple[int, int]] = {}
 
-    def on_frame(self, source: str, frame: Any) -> int:
+    def on_frame(
+        self, source: str, frame: Any, restarted: Optional[Callable[[], None]] = None
+    ) -> Optional[int]:
         """Account one arriving frame; returns the credits to grant back
-        for the gap before it.
-
-        ``frame.seq`` numbers the first contained event on this link; a
-        jump past the expected number means a lossy link swallowed
-        frames whose events had spent sender-side credits.  The missing
-        count is capped at one window — the most that can be in flight.
-        The first frame from an unknown source adopts its position
-        silently: any earlier losses are unknowable.
-        """
-        expected = self.expected.get(source)
-        missing = 0
-        if expected is not None and frame.seq > expected:
-            missing = min(frame.seq - expected, self.link_window)
-        advance = frame.seq + len(frame.publishes)
-        if expected is None or advance > expected:
-            self.expected[source] = advance
-        return missing
-
-    def forget(self, source: str) -> None:
-        """``source`` restarted: so does its numbering."""
-        self.expected.pop(source, None)
+        for the gap before it — frames the wire swallowed, capped at one
+        window, the most that can be in flight — or ``None``: admit and
+        grant nothing, for a dead incarnation's frame (:func:`incarnation`)
+        or one already accounted for (a duplicate, or a late frame whose
+        gap was granted back)."""
+        epoch, expected = self.expected.get(source, (None, 0))
+        start = incarnation(epoch, expected, frame, restarted)
+        if start is None or frame.seq < start:
+            return None
+        self.expected[source] = (frame.epoch, frame.seq + len(frame.publishes))
+        return min(frame.seq - start, self.link_window)
 
     def __len__(self) -> int:
         return len(self.expected)

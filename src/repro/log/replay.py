@@ -34,6 +34,7 @@ routed (matched against the live table entries toward that subtree) as
 own surviving log and feeds the remainder through normal processing.
 """
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.weakening import weaken_filter
@@ -252,10 +253,10 @@ class Replayer:
 
     def _pump(self, session: _Session, wanted, wrap) -> None:
         """Send the next ``replay_batch`` records of the session that
-        ``wanted(envelope)`` accepts, as one ``wrap(publishes)`` message
-        on the reliable link — under flow control one credit each from
-        the credited link toward the peer, stopping where they run out
-        (the peer's grants ``kick`` the pump again)."""
+        ``wanted(envelope)`` accepts, as one ``wrap(publishes, epoch=)`` on
+        the reliable link — under flow control one credit each from the
+        credited link toward the peer, stopping where they run out (the
+        peer's grants, which echo the epoch, ``kick`` the pump again)."""
         log = self.node.log
         link = self.node.link_to(session.peer)
         budget = self.config.replay_batch
@@ -280,14 +281,15 @@ class Replayer:
             if self.node.tracer.enabled:
                 for message in run:
                     self._replay_span(message, session.mode, session.peer.name)
-            self.node.links.send(session.peer, wrap(tuple(run)))
+            epoch = link.epoch if link is not None else 0
+            self.node.links.send(session.peer, wrap(tuple(run), epoch=epoch))
 
     def _pump_catch_up(self, session: _CatchUpSession) -> None:
         if session.cursor < session.fence:
             self._pump(
                 session,
                 lambda envelope: self._session_matches(session, envelope),
-                lambda run: CatchUpBatch(session.subscription_id, run, history=True),
+                partial(CatchUpBatch, session.subscription_id),
             )
         if session.cursor >= session.fence:
             self._finish_history(session)

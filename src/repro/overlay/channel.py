@@ -1,25 +1,17 @@
 """Reliable, ordered control channel between overlay neighbours.
 
-PR 2's covering aggregation made the control plane order-sensitive: a
+Covering aggregation makes the control plane order-sensitive: a
 ``Withdraw`` must land after its replacement ``ReqInsert`` or the parent
-transiently stops covering the child's filters.  A lossy or jittery link
-(see ``sim.network.FaultPlan``) can drop or reorder exactly those
-messages, so order-sensitive control traffic travels through this
-channel: per-neighbour sequence numbers, cumulative acks, duplicate
-discard, in-order delivery, and retransmission with capped exponential
-backoff.
-
-The channel is an *ordering and latency* mechanism, not the sole
-correctness mechanism — the paper's §4.3 refresh-or-restore renewals
-remain the eventual safety net (a renewal re-installs anything a broker
-is missing).  The channel guarantees the renewals have a consistent,
-promptly-converging state to refresh.
+transiently stops covering the child's filters, and a lossy or jittery
+link (``sim.network.FaultPlan``) drops or reorders exactly those.  So
+order-sensitive control traffic travels here: per-neighbour sequence
+numbers, cumulative acks, duplicate discard, in-order delivery, and
+retransmission with capped exponential backoff.  It is an *ordering and
+latency* mechanism: the paper's §4.3 renewals remain the safety net.
 
 Epochs handle crash/restart: a sender that loses its state restarts at
-``seq`` 0 under a higher ``epoch``; receivers treat a higher epoch as a
-fresh channel (expected seq 0) and drop stale-epoch frames.  Receivers
-with no state adopt the first frame they see, which tolerates receivers
-that themselves lost state.
+``seq`` 0 under a higher ``epoch``; the receiver applies to every frame
+:func:`repro.flow.link.incarnation`, as every credited data link does.
 
 A process never holds a sender or receiver itself: :class:`PeerLinks`
 owns them all, and is the one place the crash edge, the ``ChannelReset``
@@ -30,6 +22,7 @@ from collections import OrderedDict, deque
 from functools import partial
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
+from repro.flow.link import incarnation
 from repro.overlay.messages import Ack, Sequenced
 from repro.runtime.base import Executor, Transport
 
@@ -52,25 +45,14 @@ class ReliableSender:
     observed in detail via ``observer`` (the frames themselves, for
     tracing).
 
-    The timer callback is **epoch-guarded**: it remembers the epoch it
-    was armed in and does nothing if the channel has since been reset.
-    Cancellation alone is not enough — a timer that already escaped
-    cancellation (popped from the simulator queue in the same instant as
-    the reset, or its handle clobbered by a bug elsewhere) would
-    otherwise retransmit and recount frames from the dead epoch and
-    null out the live epoch's timer reference, leaving two concurrent
-    retransmit loops.
+    The timer callback is **epoch-guarded** (see ``_on_timeout``).
 
     **Bounded send window**: with ``window`` set, at most that many
     frames are outstanding (unacked) at once; further sends queue as
-    raw payloads in ``pending`` and frame up as acks open the window —
-    the outstanding-frame set, previously the one unbounded queue of
-    the control plane, becomes a hard bound and backpressure lands on
-    the local ``pending`` queue instead of the wire.  Receivers with a
-    configured capacity additionally advertise their free buffer space
-    on every ack (``Ack.credits``), and the sender caps its effective
-    window to the advertisement — credit flow control piggybacked on
-    the acks that flow anyway.
+    raw payloads in ``pending`` and frame up as acks open the window, so
+    backpressure lands on ``pending`` instead of the wire.  Receivers
+    with a configured capacity advertise their free buffer space on
+    every ack (``Ack.credits``), and the sender caps its window to it.
     """
 
     __slots__ = (
@@ -195,9 +177,10 @@ class ReliableSender:
 
     def _on_timeout(self, armed_epoch: int) -> None:
         if armed_epoch != self.epoch:
-            # Stale timer from before a reset: the frames it was guarding
-            # died with their epoch.  Touch nothing — especially not
-            # ``_timer``, which may reference the live epoch's timer.
+            # A timer from before a reset that escaped cancellation (popped
+            # in the reset's instant): its frames died with their epoch.
+            # Touch nothing — ``_timer`` may be the live epoch's timer, and
+            # resending would recount dead frames beside a second loop.
             return
         self._timer = None
         if not self.unacked:
@@ -236,25 +219,19 @@ class ReliableReceiver:
             credits = max(0, self.capacity - len(self.buffer))
         return Ack(self.epoch, self.expected - 1, credits)
 
-    def on_frame(self, frame: Sequenced, deliver: Callable[[Any], None]) -> Ack:
-        """Process one frame: deliver any newly in-order payloads through
-        ``deliver`` and return the cumulative :class:`Ack` to send back."""
-        if self.epoch is None:
-            # No state for this peer (fresh receiver, or receiver restart
-            # with a sender mid-stream): adopt the frame's position.  Any
-            # earlier frames are unknowable; the sender's periodic renewal
-            # refreshes whatever they carried.
-            self.epoch = frame.epoch
-            self.expected = frame.seq
-        elif frame.epoch > self.epoch:
-            # Sender restarted: fresh channel.
-            self.epoch = frame.epoch
-            self.expected = 0
-            self.buffer.clear()
-        elif frame.epoch < self.epoch:
-            # Stale incarnation still in flight; ack our position so a
-            # confused sender stops retransmitting into the void.
+    def on_frame(
+        self, frame: Sequenced, deliver: Callable, restarted: Optional[Callable] = None
+    ) -> Ack:
+        """Process one frame under :func:`incarnation` (``restarted``
+        hears of a higher epoch): deliver any newly in-order payloads
+        through ``deliver`` and return the cumulative :class:`Ack` to
+        send back — our position, for a dead incarnation's frame."""
+        start = incarnation(self.epoch, self.expected, frame, restarted)
+        if start is None:
             return self._ack()
+        if frame.epoch != self.epoch:
+            self.epoch, self.expected = frame.epoch, start
+            self.buffer.clear()
         if frame.seq < self.expected or frame.seq in self.buffer:
             self.dups_discarded += 1
         else:
@@ -293,8 +270,7 @@ class PeerLinks:
     its state (``ChannelReset``), and :meth:`reset`, the owner lost its
     own (crash).  Both keep the sender *objects* and reset them, so
     epochs rise monotonically (a fresh object would reuse epoch 0 and be
-    dropped as stale by a peer that kept its receiver), and both leave
-    no retransmit timer armed.
+    dropped as stale by a peer that kept its receiver).
 
     ``window`` bounds each sender's outstanding frames and is the
     reorder capacity each receiver advertises (``None``: unbounded,
@@ -302,7 +278,9 @@ class PeerLinks:
     hears every timeout resend.
     """
 
-    __slots__ = ("owner", "network", "window", "on_retransmit", "_senders", "_receivers")
+    __slots__ = (
+        "owner", "network", "window", "on_retransmit", "_senders", "_receivers", "peers"
+    )
 
     def __init__(
         self,
@@ -318,6 +296,8 @@ class PeerLinks:
         self.on_retransmit = on_retransmit
         self._senders: Dict[str, ReliableSender] = {}
         self._receivers: Dict[str, ReliableReceiver] = {}
+        #: Every process the owner ever sent to, by name: a crash keeps them.
+        self.peers: Dict[str, Any] = {}
 
     def send(self, peer: Any, payload: Any) -> None:
         """Send one payload to ``peer`` in order, retransmitted until
@@ -331,6 +311,7 @@ class PeerLinks:
                 observer=partial(hook, peer.name) if hook is not None else None,
                 window=self.window,
             )
+            self.peers[peer.name] = peer
         sender.send(payload)
 
     def on_ack(self, sender: Any, ack: Ack) -> None:
@@ -349,23 +330,13 @@ class PeerLinks:
     ) -> int:
         """Take one frame from ``sender``: newly in-order payloads go
         through ``deliver``, then the cumulative ack goes back.  Returns
-        the duplicates discarded.
-
-        When a known peer opens a higher epoch — it restarted and its
-        ``ChannelReset`` never arrived — ``restarted`` hears of it
-        *before* the frame's payload, which the new incarnation sent, is
-        delivered."""
+        the duplicates discarded.  ``restarted`` hears of a known peer's
+        higher epoch before the new incarnation's payload is delivered."""
         receiver = self._receivers.get(sender.name)
         if receiver is None:
             receiver = self._receivers[sender.name] = ReliableReceiver(self.window)
         dups_before = receiver.dups_discarded
-        if (
-            restarted is not None
-            and receiver.epoch is not None
-            and frame.epoch > receiver.epoch
-        ):
-            restarted()
-        ack = receiver.on_frame(frame, deliver)
+        ack = receiver.on_frame(frame, deliver, restarted)
         self.network.send(self.owner, sender, ack)
         return receiver.dups_discarded - dups_before
 

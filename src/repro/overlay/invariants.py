@@ -182,30 +182,31 @@ def credit_violations(system: Any, quiescent: bool = False) -> List[str]:
     """Credit conservation over every credited link of ``system``: the
     publishers' links to the root and every broker's links downstream.
 
-    At any instant: a window holds ``0..capacity`` credits; a link that
-    parks events holds no credit (head-of-line order: a grant releases
-    parked events before anything newer can spend it); and, between two
-    processes still in their first incarnation, a receiver expects no
-    frame number past what its sender has numbered — it never admitted
-    a frame that was not sent (a restart renumbers one end while frames
-    of the old numbering may still be in flight, so nothing is claimed
-    across one).  With ``quiescent`` — after a ``drain()``, no loss
-    window open — nothing is in flight either way, so every credit is
-    home: each window full, nothing parked, no replay session open.
+    At any instant: a window holds ``0..capacity`` credits and was never
+    granted past its capacity (a grant pays only for events its window
+    spent); a link that parks events holds no credit (head-of-line
+    order: a grant releases parked events before anything newer can
+    spend it); and a receiver has heard no frame its sender did not
+    send — no later epoch, nor in the same epoch a number past what the
+    sender has numbered.  With ``quiescent`` — after a ``drain()``, no
+    loss window open — nothing is in flight either way, so every credit
+    is home: each window full, nothing parked, no replay session open.
     """
     senders = {}
     for publisher in system.publishers:
         if publisher.link is not None:
-            senders[publisher.name, publisher.root.name] = publisher, publisher.link
+            senders[publisher.name, publisher.root.name] = publisher.link
     nodes = system.hierarchy.nodes()
     for node in nodes:
         for peer, link in node._downlinks.items():
-            senders[node.name, peer] = node, link
+            senders[node.name, peer] = link
     found = []
-    for (source, peer), (_, link) in senders.items():
+    for (source, peer), link in senders.items():
         window, label = link.window, f"{source}->{peer}"
         if not 0 <= window.available <= window.capacity:
             found.append(f"{label}: {window!r} is outside its capacity")
+        if window.surplus:
+            found.append(f"{label}: granted {window.surplus} credits past capacity")
         if link.blocked and window.available:
             found.append(f"{label}: parks events while it holds credits ({link!r})")
         if quiescent and (link.blocked or window.available != window.capacity):
@@ -213,16 +214,12 @@ def credit_violations(system: Any, quiescent: bool = False) -> List[str]:
     for node in nodes:
         if node._receiver is None:
             continue
-        for source, expected in node._receiver.expected.items():
-            if (source, node.name) not in senders:
-                continue
-            process, link = senders[source, node.name]
-            if process.incarnation or node.incarnation:
-                continue  # nothing is claimed across a restart
-            if expected > link.next_seq:
+        for source, heard in node._receiver.expected.items():
+            link = senders.get((source, node.name))
+            if link is not None and heard > (link.epoch, link.next_seq):
                 found.append(
-                    f"{source}->{node.name}: receiver expects frame {expected}, "
-                    f"sender has numbered {link.next_seq}"
+                    f"{source}->{node.name}: receiver expects frame {heard[1]} "
+                    f"of epoch {heard[0]}, sender is at {link!r}"
                 )
         if quiescent and node._replayer is not None and node._replayer.active:
             found.append(f"{node.name}: replay sessions open at quiescence")

@@ -320,11 +320,9 @@ class Sequenced:
     Control messages whose loss or reordering would corrupt routing state
     (``ReqInsert``/``Withdraw``/``Renewal``/``Unsubscribe``) travel inside
     ``Sequenced`` frames.  ``epoch`` identifies one incarnation of the
-    sender's channel: a sender that loses its state (broker restart)
-    starts a new epoch at ``seq`` 0 rather than colliding with the
-    receiver's memory of the old numbering.  Receivers deliver payloads in
-    ``seq`` order within an epoch, discard duplicates, and acknowledge
-    cumulatively.
+    sender's channel, told apart as a credited data link's are
+    (:func:`repro.flow.link.incarnation`); within one, payloads are
+    delivered in ``seq`` order, deduplicated and acked cumulatively.
     """
 
     epoch: int
@@ -406,20 +404,16 @@ class FlowRemove(_Control):
 
 @dataclass(frozen=True)
 class CreditGrant(_Control):
-    """Receiver-to-sender flow-control grant for one data link.
+    """Receiver-to-sender grant of ``credits`` more event sends on one
+    data link, issued one-for-one as the receiver *processes* events that
+    came under the link's ``epoch``; a sender whose link has moved to
+    another epoch ignores it.  Grants ride the reliable control channel,
+    so a grant lost to the wire is retransmitted (DESIGN §10)."""
 
-    Grants ``credits`` more event sends on the link (the receiver issues
-    them one-for-one as it *processes* events, so the link window bounds
-    in-flight + receiver-queued events).  Grants travel on the reliable
-    control channel — a child's grants to its parent ride the existing
-    uplink sender, a root's grants to a publisher ride a dedicated
-    per-publisher channel — so a grant lost to the wire is retransmitted
-    rather than deadlocking the credit loop.
-    """
-
+    epoch: int
     credits: int
 
-    HEAD = _head("!q")
+    HEAD = _head("!qq")  # epoch, credits
 
 
 # The event record: one event as the socket runtimes put it on the wire
@@ -623,23 +617,20 @@ class PublishBatch(_Run):
 
 @dataclass(frozen=True)
 class DataFrame(_Run):
-    """A run of events with a per-link data sequence number.
+    """A run of events on one credited link (publisher→root and
+    broker→broker, with flow control on): ``epoch`` is the link's
+    incarnation and ``seq`` the number of the *first* event in it.  Not
+    retransmitted — events stay best-effort — but the numbering lets the
+    receiver return the credits of events a lossy link swallowed, and the
+    epoch tells a restarted sender's frames from a dead one's (DESIGN §10,
+    :func:`repro.flow.link.incarnation`)."""
 
-    With flow control on, every data send (publisher→root and
-    broker→broker) is framed: ``seq`` is the link-local sequence number
-    of the *first* contained event and the run covers ``seq ..
-    seq + len(publishes) - 1``.  Data frames are *not* retransmitted —
-    events remain best-effort, exactly as before — but the numbering
-    lets the receiver detect how many events a lossy link swallowed and
-    return the credits those events consumed (the DESIGN §10 credit-leak
-    fix).
-    """
-
+    epoch: int
     seq: int
     publishes: tuple  # Tuple[Publish, ...]
 
-    FRAME_FIELDS = ("seq",)
-    FRAME_LAYOUT = struct.Struct("!q")
+    FRAME_FIELDS = ("epoch", "seq")
+    FRAME_LAYOUT = struct.Struct("!qq")
 
 
 @dataclass(frozen=True)
@@ -681,14 +672,16 @@ class CatchUpRequest(_Control):
 @dataclass(frozen=True)
 class CatchUpBatch(_Run):
     """A run of replayed (``history=True``) or live-tapped events for one
-    catch-up session, sent root→subscriber on the reliable channel."""
+    catch-up session, sent root→subscriber on the reliable channel; the
+    subscriber's grant for a history run echoes ``epoch``."""
 
     subscription_id: int
     publishes: tuple  # Tuple[Publish, ...]
     history: bool = True
+    epoch: int = 0
 
-    FRAME_FIELDS = ("subscription_id", "history")
-    FRAME_LAYOUT = struct.Struct("!q?")
+    FRAME_FIELDS = ("subscription_id", "history", "epoch")
+    FRAME_LAYOUT = struct.Struct("!q?q")
 
 
 @dataclass(frozen=True)
@@ -730,8 +723,12 @@ class ReplayRequest(_Control):
 
 @dataclass(frozen=True)
 class ReplayBatch(_Run):
-    """A run of recovery-replay events for a restarted broker.  The
-    receiver deduplicates against its own log and feeds the remainder
-    through normal event processing."""
+    """A run of recovery-replay events for a restarted broker, which
+    deduplicates it against its own log, processes the rest normally and
+    grants for it under ``epoch``."""
 
     publishes: tuple  # Tuple[Publish, ...]
+    epoch: int = 0
+
+    FRAME_FIELDS = ("epoch",)
+    FRAME_LAYOUT = struct.Struct("!q")

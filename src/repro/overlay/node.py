@@ -86,6 +86,8 @@ OFFLINE_BUFFER_LIMIT = 1000
 #: request: long enough for the children's ChannelReset-triggered
 #: renewals to rebuild the routing table the replay is matched against.
 RECOVERY_DELAY = 0.5
+#: An inbound queue entry: ``(publish, source, arrival time, link epoch)``.
+Entry = Tuple[Publish, Process, float, int]
 
 
 class BrokerNode(Process):
@@ -196,10 +198,9 @@ class BrokerNode(Process):
         # Compacted match engine, rebuilt lazily after table changes.
         self._compacted: Optional[MatchEngine] = None
         self._compacted_dirty = True
-        #: The highest ChannelReset incarnation seen per peer *name* —
-        #: the stable process identity on this network.  Keying by id()
-        #: would let a recycled object id silently inherit a dead peer's
-        #: history and discard its legitimate resets.
+        #: The highest ChannelReset incarnation seen per peer *name*, the
+        #: stable identity: by id(), a recycled object id would inherit a
+        #: dead peer's history and discard its legitimate resets.
         self._peer_incarnations: Dict[str, int] = {}
         # Durable-subscription state (§2.1): offline destinations and the
         # events buffered for the durable ones.  Keyed by the destination
@@ -209,8 +210,8 @@ class BrokerNode(Process):
         self._offline: Dict[str, Tuple[Process, bool]] = {}
         self._buffers: Dict[str, BoundedQueue] = {}
         # ---- The data path: admit -> drain -> match -> forward (Fig. 6) -
-        #: Arrived events awaiting the drain, as ``(publish, source,
-        #: arrival time)``; bounded only under flow control.
+        #: Arrived events awaiting the drain (``Entry``); bounded only
+        #: under flow control.
         self._inbound = BoundedQueue(
             self.flow.queue_capacity if self.flow is not None else None,
             self.flow.policy if self.flow is not None else "drop_tail",
@@ -275,10 +276,10 @@ class BrokerNode(Process):
 
     def receive(self, message: Any, sender: Process) -> None:
         if isinstance(message, Publish):
-            self._admit((message,), sender)
+            self._admit((message,), sender, 0)
             return
         if isinstance(message, PublishBatch):
-            self._admit(message.publishes, sender)
+            self._admit(message.publishes, sender, 0)
             return
         if isinstance(message, DataFrame):
             self._on_data_frame(message, sender)
@@ -293,11 +294,8 @@ class BrokerNode(Process):
         # serves its queued events first.
         self._flush_inbound()
         if isinstance(message, Sequenced):
-            # A peer that opens a new channel epoch without us seeing a
-            # ChannelReset (the reset was lost to the wire) restarted all
-            # the same: treat the epoch adoption as the reset, so its
-            # credit window comes back full instead of deadlocking on
-            # credits that died with the old incarnation.
+            # A peer that opens a higher channel epoch restarted, whether
+            # or not its ChannelReset arrived.
             self.counters.control_dups_discarded += self.links.on_frame(
                 message,
                 sender,
@@ -550,8 +548,7 @@ class BrokerNode(Process):
         return self.links.idle
 
     def _on_channel_reset(self, message: ChannelReset, sender: Process) -> None:
-        """A neighbour restarted: drop its channel state; if it is our
-        parent, refresh everything we had installed there right away."""
+        """A neighbour restarted: drop its channel state, take the edge."""
         known = self._peer_incarnations.get(sender.name)
         if known is not None and known >= message.incarnation:
             return  # duplicate / stale reset
@@ -563,21 +560,14 @@ class BrokerNode(Process):
         self._span(
             "channel-reset", ("peer", sender.name), ("incarnation", message.incarnation)
         )
-        if sender is self.parent:
-            if epoch is not None:
-                self._span("epoch-reset", ("peer", sender.name), ("epoch", epoch))
-            self.uplink.renew()
+        if sender is self.parent and epoch is not None:
+            self._span("epoch-reset", ("peer", sender.name), ("epoch", epoch))
 
     def _peer_restarted(self, peer: Process) -> None:
-        """``peer`` lost its state, however we learned of it (its
-        ``ChannelReset``, or a higher channel epoch when that was lost):
-        both ends of the credited links with it start over.  Its
-        data-frame numbering restarts, the replay it had asked for died
-        with the old incarnation, and its window comes back full
-        (reset-to-full, see ``flow.link``) with the events parked for the
-        dead incarnation shed."""
-        if self._receiver is not None:
-            self._receiver.forget(peer.name)
+        """The one restart edge: ``peer`` lost its state, learned from its
+        ``ChannelReset`` or a higher control or data epoch.  Its replay
+        ends, our link toward it comes back full with the events parked
+        there shed (``flow.link``), and a parent is renewed at once."""
         if self._replayer is not None:
             self._replayer.on_peer_reset(peer.name)
         link = self._downlinks.get(peer.name)
@@ -586,6 +576,8 @@ class BrokerNode(Process):
             if parked:
                 self._shed_publishes(parked, "peer-reset", peer=peer.name)
         self._maybe_resume_drain()
+        if peer is self.parent:
+            self.uplink.renew()
 
     def _lose_soft_state(self) -> None:
         """Fail-stop (``crash()``): lose all soft state, §4.3's failure
@@ -612,12 +604,12 @@ class BrokerNode(Process):
     def _resume(self) -> None:
         """Back up (``restart()``): rebuild from the neighbours' renewals.
 
-        Tree neighbours get a :class:`ChannelReset`: broker children
-        respond with an immediate full renewal (refresh-or-restore
-        re-inserts every propagated form), which is what rebuilds this
-        node's table without waiting out a renewal period.  Attached
-        subscribers are unknown after the wipe — their periodic renewals
-        restore their filters within one renewal interval.
+        Tree neighbours and the publishers it granted credits to get a
+        :class:`ChannelReset`: broker children respond with an immediate
+        full renewal, which rebuilds this node's table without waiting
+        out a renewal period, and a publisher's window comes back full.
+        Attached subscribers are unknown after the wipe — their periodic
+        renewals restore their filters within one renewal interval.
         """
         if (
             self.log is None
@@ -638,6 +630,10 @@ class BrokerNode(Process):
             self.network.send(self, self.parent, reset)
         for child in self.broker_children:
             self.network.send(self, child, reset)
+        for peer in self.links.peers.values():
+            if not getattr(peer, "is_broker", False):
+                # A publisher holding a credited link into us (§10).
+                self.network.send(self, peer, reset)
         if self.parent is not None and self.parent.parent is not None:
             # The recovery replay below rides a reliable channel straight
             # to the root (a non-tree neighbour when the tree is deeper
@@ -779,8 +775,9 @@ class BrokerNode(Process):
     # Event filtering and forwarding (Figure 6, batched)
     # ------------------------------------------------------------------
 
-    def _admit(self, publishes: Sequence[Publish], sender: Process) -> None:
-        """The one entry for event traffic: queue a run of arrivals.
+    def _admit(self, publishes: Sequence[Publish], sender: Process, epoch: int) -> None:
+        """The one entry for event traffic: queue a run of arrivals that
+        came on ``sender``'s link at ``epoch`` (0 off a credited link).
 
         They wait in the inbound queue — bounded, and shedding, only
         under flow control — for a drain wakeup at the end of the
@@ -798,9 +795,9 @@ class BrokerNode(Process):
             and self.overload_detector.overloaded
         ):
             capacity = max(1, int(self.flow.queue_capacity * OVERLOAD_CAPACITY_FACTOR))
-        shed_entries: List[Tuple[Publish, Process, float]] = []
+        shed_entries: List[Entry] = []
         for publish in publishes:
-            _, shed = self._inbound.offer((publish, sender, now), capacity)
+            _, shed = self._inbound.offer((publish, sender, now, epoch), capacity)
             shed_entries.extend(shed)
         if shed_entries:
             self._shed_entries(shed_entries, "queue-overflow")
@@ -841,13 +838,13 @@ class BrokerNode(Process):
             return
         self._schedule_drain()
 
-    def _serve(self, count: int) -> List[Tuple[Publish, Process, float]]:
+    def _serve(self, count: int) -> List[Entry]:
         """Take the ``count`` oldest queued events through matching and
         forwarding; returns their queue entries."""
         entries = [self._inbound.popleft() for _ in range(count)]
         metas = None
         if self.tracer.enabled:
-            metas = tuple((source.name, arrived) for _, source, arrived in entries)
+            metas = tuple((entry[1].name, entry[2]) for entry in entries)
         self._process_batch(tuple(entry[0] for entry in entries), metas)
         return entries
 
@@ -1017,9 +1014,9 @@ class BrokerNode(Process):
                 # The sender spent window credits on the dropped events;
                 # they will never be processed, so return their credits
                 # here (processing grants back only for accepted ones).
-                self._grant_credits(sender, dropped)
+                self._grant_credits(sender, message.epoch, dropped)
         if fresh:
-            self._admit(tuple(fresh), sender)
+            self._admit(tuple(fresh), sender, message.epoch)
 
     def _request_replay(self, incarnation: int) -> None:
         """Ask the root to re-drive events missed while down (scheduled
@@ -1045,16 +1042,19 @@ class BrokerNode(Process):
     # ------------------------------------------------------------------
 
     def _on_data_frame(self, frame: DataFrame, sender: Process) -> None:
-        """Admit a sequenced data frame, re-crediting any gap: granting
-        back what the link's receiving end finds missing before this
-        frame stops the §10 permanent window shrink."""
-        if self._receiver is not None:
-            missing = self._receiver.on_frame(sender.name, frame)
-            if missing:
-                self.counters.credit_gap_grants += missing
-                self._span("credit-gap", ("peer", sender.name), ("missing", missing))
-                self._grant_credits(sender, missing)
-        self._admit(frame.publishes, sender)
+        """Admit a data frame under the link's incarnation rule (a higher
+        epoch is the sender's restart; a dead one's frame is dropped),
+        granting back first any gap the receiving end finds before it."""
+        missing = self._receiver.on_frame(
+            sender.name, frame, lambda: self._peer_restarted(sender)
+        )
+        if missing is None:
+            return
+        if missing:
+            self.counters.credit_gap_grants += missing
+            self._span("credit-gap", ("peer", sender.name), ("missing", missing))
+            self._grant_credits(sender, frame.epoch, missing)
+        self._admit(frame.publishes, sender, frame.epoch)
 
     def queue_depth(self) -> int:
         """Events queued at this broker (inbound + outbound) — the
@@ -1083,19 +1083,20 @@ class BrokerNode(Process):
 
     # -- upstream credit grants ----------------------------------------
 
-    def _grant_for_entries(self, entries: Sequence[Tuple[Publish, Process, float]]) -> None:
-        """Grant one credit per drained entry back to its source
-        (grouped in first-seen order: grant emission is deterministic)."""
-        owed: Dict[Process, int] = {}
-        for _, source, _ in entries:
-            owed[source] = owed.get(source, 0) + 1
-        for source, count in owed.items():
-            self._grant_credits(source, count)
+    def _grant_for_entries(self, entries: Sequence[Entry]) -> None:
+        """Grant one credit per drained entry back to its source, for the
+        epoch it came under (grouped in first-seen order: grant emission
+        is deterministic)."""
+        owed: Dict[Tuple[Process, int], int] = {}
+        for _, source, _, epoch in entries:
+            owed[source, epoch] = owed.get((source, epoch), 0) + 1
+        for (source, epoch), count in owed.items():
+            self._grant_credits(source, epoch, count)
 
-    def _grant_credits(self, source: Process, count: int) -> None:
+    def _grant_credits(self, source: Process, epoch: int, count: int) -> None:
         self.counters.credits_granted += count
         self._span("credit-grant", ("peer", source.name), ("credits", count))
-        self.links.send(source, CreditGrant(count))
+        self.links.send(source, CreditGrant(epoch, count))
 
     # -- downstream credit spending ------------------------------------
 
@@ -1109,13 +1110,15 @@ class BrokerNode(Process):
             link = self._downlinks[peer.name] = LinkSender(
                 self.flow, self.flow.outbound_capacity, self._shed_priority
             )
+            # Above every epoch an earlier incarnation's links used.
+            link.epoch = self.incarnation << 32
         return link
 
     def _on_credit_grant(self, message: CreditGrant, sender: Process) -> None:
         link = self._downlinks.get(sender.name)
         if link is None:
             return  # stale grant for a link we no longer track
-        frame = link.granted(message.credits)
+        frame = link.granted(message.epoch, message.credits)
         if frame is not None:
             self.network.send(self, sender, frame)
         self._maybe_resume_drain()
@@ -1125,14 +1128,12 @@ class BrokerNode(Process):
 
     # -- shedding accounting -------------------------------------------
 
-    def _shed_entries(
-        self, entries: Sequence[Tuple[Publish, Process, float]], reason: str
-    ) -> None:
+    def _shed_entries(self, entries: Sequence[Entry], reason: str) -> None:
         """Shed inbound entries: count, trace, and grant their credits
         back (the source paid one per entry; the slot is free again, and
         withholding the grant would leak the window shut)."""
         self.counters.on_shed(reason, len(entries))
-        for publish, source, _ in entries:
+        for publish, source, _, _ in entries:
             self._shed_span(publish, reason, source.name)
         self._grant_for_entries(entries)
 

@@ -18,7 +18,7 @@ offered rate at the source.  ``publish`` then reports whether the event
 actually entered the system.
 """
 
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, List, Optional
 
 from repro.core.advertisement import Advertisement
 from repro.events.hierarchy import TypeRegistry
@@ -29,6 +29,7 @@ from repro.obs.tracing import PUBLISHER_STAGE, EventTracer
 from repro.overlay.channel import PeerLinks
 from repro.overlay.messages import (
     Advertise,
+    ChannelReset,
     CreditGrant,
     Publish,
     PublishBatch,
@@ -143,11 +144,15 @@ class PublisherRuntime(Process):
         self.counters.credit_stalls += stalled
         if frame is not None:
             self.network.send(self, self.root, frame)
-        if shed:
-            self.counters.on_shed("publisher-overflow", len(shed))
-            for dropped in shed:
-                self._shed_span("publisher-overflow", dropped.envelope.event_id)
+        self._shed("publisher-overflow", shed)
         return not any(dropped is message for dropped in shed)
+
+    def _shed(self, reason: str, publishes: List[Publish]) -> None:
+        """Count events shed here for ``reason``, each with its span."""
+        if publishes:
+            self.counters.on_shed(reason, len(publishes))
+        for dropped in publishes:
+            self._shed_span(reason, dropped.envelope.event_id)
 
     def _shed_span(self, reason: str, trace_id: Optional[tuple] = None) -> None:
         if self.tracer.enabled:
@@ -198,9 +203,13 @@ class PublisherRuntime(Process):
         # Handled regardless of this publisher's own flow flag: absorbing
         # an unexpected grant is harmless, crashing on one is not.
         if isinstance(message, Sequenced):
-            self.links.on_frame(message, sender, self._apply_grant)
-            return
-        raise TypeError(f"publisher {self.name} received unexpected {message!r}")
+            restarted = self._root_restarted
+            self.links.on_frame(message, sender, self._apply_grant, restarted)
+        elif isinstance(message, ChannelReset):
+            self.links.forget(sender)
+            self._root_restarted()
+        else:
+            raise TypeError(f"publisher {self.name} received unexpected {message!r}")
 
     def _apply_grant(self, message: Any) -> None:
         if not isinstance(message, CreditGrant):
@@ -209,9 +218,16 @@ class PublisherRuntime(Process):
             )
         if self.link is None:
             return
-        frame = self.link.granted(message.credits)
+        frame = self.link.granted(message.epoch, message.credits)
         if frame is not None:
             self.network.send(self, self.root, frame)
+
+    def _root_restarted(self) -> None:
+        """The root restarted (its ``ChannelReset``, or a higher channel
+        epoch): the link starts over as ``BrokerNode._peer_restarted``
+        has it, full under a new epoch, its parked events shed."""
+        if self.link is not None:
+            self._shed("peer-reset", self.link.reset())
 
     def _lose_soft_state(self) -> None:
         """Fail-stop: the grant stream's position dies with the process;

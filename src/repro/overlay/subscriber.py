@@ -28,6 +28,7 @@ from repro.overlay.messages import (
     CatchUpDone,
     CatchUpLive,
     CatchUpRequest,
+    ChannelReset,
     CreditGrant,
     Disconnect,
     JoinAt,
@@ -469,6 +470,9 @@ class SubscriberRuntime(Process):
             self.counters.control_dups_discarded += self.links.on_frame(
                 message, sender, lambda payload: self._on_framed(payload, sender)
             )
+        elif isinstance(message, ChannelReset):
+            # The root restarted: its replay stream died with it.
+            self.links.forget(sender)
         else:
             raise TypeError(f"{self.name}: unexpected message {message!r}")
 
@@ -502,7 +506,7 @@ class SubscriberRuntime(Process):
             # One credit per consumed history event, back on the control
             # channel: the replay rate composes with PR 5's credit
             # windows exactly like live traffic does.
-            self.links.send(sender, CreditGrant(len(message.publishes)))
+            self.links.send(sender, CreditGrant(message.epoch, len(message.publishes)))
 
     # ------------------------------------------------------------------
     # Perfect filtering and delivery (stage 0)

@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.subscription import RENEW_FRACTION
 from repro.obs.tracing import SUBSCRIBER_STAGE, EventTracer
 from repro.overlay.channel import PeerLinks
-from repro.overlay.messages import Ack, ChannelReset, FlowInstall, FlowRemove
+from repro.overlay.messages import Ack, FlowInstall, FlowRemove
 from repro.runtime.base import Executor, Transport
 from repro.sim.kernel import PeriodicTask, Process
 from repro.streams.spec import FlowSpec
@@ -79,16 +79,6 @@ class FlowRegistrar(Process):
     def receive(self, message: Any, sender: Process) -> None:
         if isinstance(message, Ack):
             self.links.on_ack(sender, message)
-        elif isinstance(message, ChannelReset):
-            # A broker announcing a fresh incarnation: abandon in-flight
-            # frames and push the full flow set immediately rather than
-            # waiting out the renewal interval.
-            self.links.forget(sender)
-            entry = self._installed.get(sender.name)
-            if entry is not None:
-                broker, specs = entry
-                for spec in specs.values():
-                    self.links.send(broker, FlowInstall(spec))
         else:
             raise TypeError(f"{self.name}: unexpected message {message!r}")
 

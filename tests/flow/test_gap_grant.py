@@ -125,29 +125,35 @@ def publishes(count, start=0):
     )
 
 
+#: The data-link epoch of a broker's first restarted incarnation.
+REBORN = 1 << 32
+
+
 def learn_of_restart(broker, peer, path):
     if path == "channel-reset":
         broker.receive(ChannelReset(peer.incarnation + 1), peer)
-    else:
+    elif path == "epoch":
         # The reset was lost: the first the broker hears of the new
         # incarnation is a reliable frame of a higher channel epoch.
-        broker.receive(Sequenced(1, 0, CreditGrant(0)), peer)
+        broker.receive(Sequenced(1, 0, CreditGrant(0, 0)), peer)
+    else:
+        # ...or the new incarnation's first data frame.
+        broker.receive(DataFrame(REBORN, 0, publishes(2, start=20)), peer)
 
 
-@pytest.mark.parametrize("path", ["channel-reset", "epoch"])
+@pytest.mark.parametrize("path", ["channel-reset", "epoch", "data-epoch"])
 def test_a_peer_restart_is_one_path_however_it_is_learned(path):
-    """DESIGN §10 *Gap-granting*: a reset "clears both sides' numbering".
+    """DESIGN §10 *Recovery*: one restart edge.
 
     A broker learns that a peer restarted from its ``ChannelReset`` or,
-    when that was lost, from a reliable frame of a higher channel epoch.
-    The two used to disagree: the epoch path reset the credit window
-    toward the peer but kept expecting the dead incarnation's next data
-    frame (and kept its replay session), so the new incarnation's first
-    frames read as a gap and were granted credits nobody had spent.  On
-    a tree the epoch path is today reached only from peers that send no
-    data frames — children and replay requesters, never a data sender —
-    which is why no run showed it; by direct injection here the peer
-    does both, and both paths are now ``BrokerNode._peer_restarted``.
+    when that was lost, from a frame of a higher epoch — a reliable one
+    or a data frame.  Every way reaches ``BrokerNode._peer_restarted``
+    once: the link toward the peer comes back full under one new epoch,
+    the dead incarnation's replay session ends, and the new
+    incarnation's data frames are numbered from 0, with no gap granted
+    and no second restart heard.  On a tree no peer both sends data
+    frames to a broker and receives them from it; by direct injection
+    here the peer does both.
     """
     system = MultiStageEventSystem(
         stage_sizes=(2, 1), seed=5, flow=FlowConfig(link_window=2), log=LogConfig()
@@ -161,19 +167,24 @@ def test_a_peer_restart_is_one_path_however_it_is_learned(path):
     root.receive(Sequenced(0, 0, ReplayRequest(peer, -1)), peer)
     link = root.link_to(peer)
     link.offer(publishes(4))
-    root.receive(DataFrame(0, publishes(3, start=10)), peer)
+    root.receive(DataFrame(0, 0, publishes(3, start=10)), peer)
     assert (link.window.available, len(link.queue), link.next_seq) == (0, 2, 2)
-    assert root._receiver.expected[peer.name] == 3
+    assert root._receiver.expected[peer.name] == (0, 3)
     assert root._replayer.active
 
     learn_of_restart(root, peer, path)
-    root.receive(DataFrame(5, publishes(2, start=20)), peer)
+    if path != "data-epoch":
+        root.receive(DataFrame(REBORN, 0, publishes(2, start=20)), peer)
+    root.receive(DataFrame(REBORN, 2, publishes(1, start=30)), peer)
+    # A late frame of the dead incarnation is dropped, ungranted.
+    root.receive(DataFrame(0, 3, publishes(1, start=40)), peer)
 
-    # The new incarnation's position is adopted silently...
+    # The new incarnation is numbered from 0...
     assert root.counters.credit_gap_grants == 0
-    assert root._receiver.expected[peer.name] == 7
-    # ...and the link state is the same, field by field, on both paths.
+    assert root._receiver.expected[peer.name] == (REBORN, 3)
+    # ...and the link state is the same, field by field, on every path.
     assert (link.window.available, len(link.queue), link.next_seq) == (2, 0, 0)
+    assert link.epoch == 1 and link.window.surplus == 0
     assert root.counters.sheds_by_reason == {"peer-reset": 2}
     assert not root._replayer.active and not root._drain_paused
     assert credit_violations(system) == []

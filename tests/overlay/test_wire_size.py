@@ -168,7 +168,7 @@ CONTROL_FIELDS = {
     ChannelReset: ("!q", ("incarnation",), lambda m: b""),
     FlowInstall: ("!", (), lambda m: pack_value(m.spec)),
     FlowRemove: ("!", (), lambda m: pack_text(m.flow)),
-    CreditGrant: ("!q", ("credits",), lambda m: b""),
+    CreditGrant: ("!qq", ("epoch", "credits"), lambda m: b""),
     CatchUpRequest: (
         "!q",
         ("subscription_id",),
@@ -289,7 +289,7 @@ def cases(kind):
         ChannelReset: [ChannelReset(2)],
         FlowInstall: [FlowInstall(spec)],
         FlowRemove: [FlowRemove("rollup")],
-        CreditGrant: [CreditGrant(1), CreditGrant(128)],
+        CreditGrant: [CreditGrant(0, 1), CreditGrant(1 << 32, 128)],
         CatchUpRequest: [
             CatchUpRequest(7, FILTER, "Quote", node, node),
             CatchUpRequest(7, FILTER, "Quote", node, node, 40, "2002-07-02T00:00:00"),
@@ -299,15 +299,19 @@ def cases(kind):
         ReplayRequest: [ReplayRequest(node, -1)],
         Publish: list(publishes(2)) + list(publishes(2, offset=9)),
         PublishBatch: [PublishBatch(run) for run in RUNS],
-        DataFrame: [DataFrame(seq, run) for run in RUNS for seq in (0, 1000)],
+        DataFrame: [
+            DataFrame(epoch, seq, run)
+            for run in RUNS
+            for epoch, seq in ((0, 0), (1 << 32, 1000))
+        ],
         CatchUpBatch: [
             CatchUpBatch(sid, run, history)
             for run in RUNS
             for sid, history in ((7, True), (12345, False))
         ],
-        ReplayBatch: [ReplayBatch(run) for run in RUNS],
+        ReplayBatch: [ReplayBatch(run, epoch) for run in RUNS for epoch in (0, 9)],
         Sequenced: [
-            Sequenced(0, 0, CreditGrant(5)),
+            Sequenced(0, 0, CreditGrant(3, 5)),
             Sequenced(1, 17, Unsubscribe(FILTER, node)),
             Sequenced(1, 18, Renewal(((AWKWARD, "Quote"),))),
             Sequenced(12, 345, Publish(publishes(1)[0].envelope, 3)),
@@ -356,7 +360,7 @@ def test_a_shared_publish_is_rendered_once_across_hops(monkeypatch):
     for message in (
         publish,
         PublishBatch((publish,)),
-        DataFrame(4, (publish,)),
+        DataFrame(0, 4, (publish,)),
         Sequenced(0, 1, ReplayBatch((publish,))),
     ):
         _default_sizer(message)

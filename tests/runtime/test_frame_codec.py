@@ -270,14 +270,16 @@ def test_the_data_plane_travels_as_records_and_everything_else_pickled():
         (publish, PUBLISH),
         (PublishBatch(run), BATCH),
         (PublishBatch(()), BATCH),
-        (DataFrame(41, run), DATA),
+        (DataFrame(3, 41, run), DATA),
+        (ReplayBatch(run, 4), REPLAY),
         (ReplayBatch(run), REPLAY),
         (CatchUpBatch(7, run, history=False), CATCH_UP),
+        (CatchUpBatch(7, run, True, 5), CATCH_UP),
         (Sequenced(2, 30, CatchUpBatch(7, run)), CATCH_UP | IN_SEQUENCED),
         (Sequenced(0, 1, publish), PUBLISH | IN_SEQUENCED),
         (Sequenced(0, 1, Sequenced(0, 2, publish)), PICKLED),
         (messages.Ack(3, 12, credits=64), PICKLED),
-        (messages.CreditGrant(5), PICKLED),
+        (messages.CreditGrant(2, 5), PICKLED),
         ({"reply_to": PROCESSES["N1.1"]}, PICKLED),
     ):
         frame, decoded = round_trip("N2.1", message)
@@ -308,7 +310,7 @@ def test_what_a_record_cannot_carry_exactly_falls_back_by_the_type_of_the_value(
         frame, decoded = round_trip("N1.1", message)
         assert kind_of(frame) == PICKLED
         assert canon(decoded) == canon(message)
-    for message in (Publish(_event(PLAIN), 2**63), DataFrame(2**63, ())):
+    for message in (Publish(_event(PLAIN), 2**63), DataFrame(0, 2**63, ())):
         frame, decoded = round_trip("N1.1", message)
         assert kind_of(frame) == PICKLED
         assert canon(decoded) == canon(message)
@@ -334,17 +336,17 @@ def test_a_subset_and_a_restamped_offset_reencode_from_the_parsed_bytes(run, dat
         assert publish.record() in frame  # the very bytes that arrived
 
     stamped = tuple(publish.stamped(offset) for publish in arrived.publishes)
-    _, logged = round_trip("N3.1", DataFrame(5, stamped))
+    _, logged = round_trip("N3.1", DataFrame(1, 5, stamped))
     expected = tuple(Publish(publish.envelope, offset) for publish in run)
-    assert canon(logged) == canon(DataFrame(5, expected))
-    assert encode_frame("N3.1", DataFrame(5, stamped)) == encode_frame(
-        "N3.1", DataFrame(5, expected)
+    assert canon(logged) == canon(DataFrame(1, 5, expected))
+    assert encode_frame("N3.1", DataFrame(1, 5, stamped)) == encode_frame(
+        "N3.1", DataFrame(1, 5, expected)
     )
 
 
 def test_forwarding_serialises_nothing(monkeypatch):
     run = tuple(Publish(_event(PLAIN, event_id=("feed", i)), None) for i in range(5))
-    _, arrived = round_trip("feed", DataFrame(0, run))
+    _, arrived = round_trip("feed", DataFrame(0, 0, run))
 
     class NoPickle:
         HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -357,7 +359,7 @@ def test_forwarding_serialises_nothing(monkeypatch):
     for child in children:
         encode_frame("N3.1", PublishBatch(child))
     root = tuple(p.stamped(90 + i) for i, p in enumerate(arrived.publishes))
-    frame = encode_frame("N3.1", DataFrame(7, root))
+    frame = encode_frame("N3.1", DataFrame(0, 7, root))
     monkeypatch.undo()
     _, logged = decode_frame(frame, resolve)
     assert [p.offset for p in logged.publishes] == [90, 91, 92, 93, 94]

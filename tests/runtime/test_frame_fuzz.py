@@ -54,7 +54,7 @@ FRAMES = {
     "publish": encode_frame("feed", RUN[0]),
     "batch": encode_frame("N3.1", PublishBatch(RUN)),
     "empty-batch": encode_frame("N3.1", PublishBatch(())),
-    "data-frame": encode_frame("N2.1", DataFrame(17, RUN[:2])),
+    "data-frame": encode_frame("N2.1", DataFrame(2, 17, RUN[:2])),
     "sequenced-catch-up": encode_frame("N3.1", Sequenced(1, 4, CatchUpBatch(9, RUN))),
     "pickled-control": encode_frame("abonné", Ack(3, 12, credits=64)),
     "pickled-object": encode_frame("a", {"symbol": "Foo", "price": 9.0}),
