@@ -244,6 +244,8 @@ class MultiStageEventSystem:
         )
         self._activate(subscriber)
         self.subscribers.append(subscriber)
+        if self._maintenance_started:
+            subscriber.start_maintenance()
         return subscriber
 
     # ------------------------------------------------------------------
@@ -628,7 +630,8 @@ class MultiStageEventSystem:
         self.close()
 
     def start_maintenance(self) -> None:
-        """Start TTL renewal/purge tasks on every node and subscriber."""
+        """Start TTL renewal/purge tasks on every node and subscriber;
+        subscribers and flow registrars made later start theirs."""
         self._maintenance_started = True
         self.hierarchy.start_maintenance()
         for subscriber in self.subscribers:

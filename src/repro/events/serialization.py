@@ -100,10 +100,13 @@ def marshal(
 
     Reflection extracts the meta-data (Proposition 2's covering event);
     pickling captures the full object for end-to-end delivery.  A
-    :class:`PropertyEvent` is its own meta-data and is not pickled.
+    :class:`PropertyEvent` is its own meta-data and is not pickled;
+    ``class_name``, when given, is its ``class`` attribute.
     """
     if isinstance(event, PropertyEvent):
-        if type(event) is not PropertyEvent:
+        if class_name is not None:
+            event = to_property_event(event, class_name)
+        elif type(event) is not PropertyEvent:
             event = PropertyEvent(event._properties)
         return Envelope(event, b"", published_at, event_id)
     return Envelope(

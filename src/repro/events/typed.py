@@ -183,10 +183,14 @@ def to_property_event(
     The result carries the reserved ``class`` attribute (the event's type
     name, or ``class_name`` when given — the registry passes the
     registered name) plus every reflected attribute.  This is the event
-    transformation of Section 3.3 applied at the publisher boundary.
+    transformation of Section 3.3 applied at the publisher boundary.  A
+    :class:`PropertyEvent` is its own representation: it comes back as
+    it is, or with ``class`` set to ``class_name`` when one is given.
     """
     if isinstance(event, PropertyEvent):
-        return event
+        if class_name is None:
+            return event
+        return PropertyEvent(event._properties, **{CLASS_ATTRIBUTE: class_name})
     properties = reflect_attributes(event)
     properties[CLASS_ATTRIBUTE] = class_name or type(event).__name__
     return PropertyEvent(properties)

@@ -33,13 +33,55 @@ from repro.experiments import (
     replay,
     rlc_table,
     scalability,
-    tracing,
 )
 from repro.experiments.multiclass import MulticlassConfig
 from repro.experiments.multiclass import run as run_multiclass
 from repro.experiments.common import ScenarioConfig
 
 QUICK = ScenarioConfig(stage_sizes=(20, 5, 1), n_subscribers=200, n_events=200)
+QUICK_MULTICLASS = MulticlassConfig(stage_sizes=(10, 3, 1), n_subscribers=100, n_events=200)
+
+#: Name -> (banner, runner of (quick, event_id)), in the order they run.
+EXPERIMENTS = {
+    "rlc": ("Paper §5.3: RLC table", lambda q, e: rlc_table.run(QUICK if q else None)),
+    "figure7": (
+        "Paper Figure 7: matching rate per node",
+        lambda q, e: figure7.run(QUICK if q else None),
+    ),
+    "comparison": (
+        "Architecture comparison (§2.1)",
+        lambda q, e: comparison.run(QUICK if q else None),
+    ),
+    "ablations": (
+        "Ablations (§3.2, §4.2, §4.4)",
+        lambda q, e: ablations.run(QUICK if q else None),
+    ),
+    "scalability": (
+        "Scalability sweep (§5.3 claim)",
+        lambda q, e: scalability.run(QUICK if q else None),
+    ),
+    "multiclass": (
+        "Multi-class comparison (§3.4 degeneration)",
+        lambda q, e: run_multiclass(QUICK_MULTICLASS if q else None),
+    ),
+    "chaos": ("Chaos sweep: faults, crash/restart, convergence", lambda q, e: chaos.run()),
+    "tracing": (
+        "Observability: causal tracing + per-stage sampling",
+        lambda q, e: chaos.run_traced(event_id=e),
+    ),
+    "overload": (
+        "Overload sweep: flow control, backpressure, shedding",
+        lambda q, e: overload.run(),
+    ),
+    "replay": (
+        "Replay sweep: durable log, catch-up, crash recovery, audit",
+        lambda q, e: replay.run(),
+    ),
+    "flows": (
+        "Information flows: rollup vs flow-free twin, subtree crash",
+        lambda q, e: flows.run(),
+    ),
+}
 
 
 def main(argv) -> int:
@@ -53,86 +95,19 @@ def main(argv) -> int:
                 print(f"bad --event (want PUBLISHER/SEQ): {arg}", file=sys.stderr)
                 return 2
             event_id = (publisher, int(sequence))
-    all_experiments = {
-        "rlc", "figure7", "comparison", "ablations", "scalability", "multiclass",
-        "chaos", "tracing", "overload", "replay", "flows",
-    }
-    wanted = set(args) or all_experiments
-    unknown = wanted - all_experiments
+    wanted = set(args) or set(EXPERIMENTS)
+    unknown = wanted - set(EXPERIMENTS)
     if unknown:
         print(f"unknown experiments: {sorted(unknown)}", file=sys.stderr)
         print(__doc__, file=sys.stderr)
         return 2
-
-    if "rlc" in wanted:
-        print("=" * 72)
-        print("Paper §5.3: RLC table")
-        print("=" * 72)
-        rlc_table.run(QUICK if quick else None)
-        print()
-    if "figure7" in wanted:
-        print("=" * 72)
-        print("Paper Figure 7: matching rate per node")
-        print("=" * 72)
-        figure7.run(QUICK if quick else None)
-        print()
-    if "comparison" in wanted:
-        print("=" * 72)
-        print("Architecture comparison (§2.1)")
-        print("=" * 72)
-        comparison.run(QUICK if quick else None)
-        print()
-    if "ablations" in wanted:
-        print("=" * 72)
-        print("Ablations (§3.2, §4.2, §4.4)")
-        print("=" * 72)
-        ablations.run(QUICK if quick else None)
-        print()
-    if "scalability" in wanted:
-        print("=" * 72)
-        print("Scalability sweep (§5.3 claim)")
-        print("=" * 72)
-        scalability.run(QUICK if quick else None)
-        print()
-    if "multiclass" in wanted:
-        print("=" * 72)
-        print("Multi-class comparison (§3.4 degeneration)")
-        print("=" * 72)
-        run_multiclass(
-            MulticlassConfig(stage_sizes=(10, 3, 1), n_subscribers=100,
-                             n_events=200)
-            if quick else None
-        )
-        print()
-    if "chaos" in wanted:
-        print("=" * 72)
-        print("Chaos sweep: faults, crash/restart, convergence")
-        print("=" * 72)
-        chaos.run()
-        print()
-    if "tracing" in wanted:
-        print("=" * 72)
-        print("Observability: causal tracing + per-stage sampling")
-        print("=" * 72)
-        tracing.run(event_id=event_id)
-        print()
-    if "overload" in wanted:
-        print("=" * 72)
-        print("Overload sweep: flow control, backpressure, shedding")
-        print("=" * 72)
-        overload.run()
-        print()
-    if "replay" in wanted:
-        print("=" * 72)
-        print("Replay sweep: durable log, catch-up, crash recovery, audit")
-        print("=" * 72)
-        replay.run()
-        print()
-    if "flows" in wanted:
-        print("=" * 72)
-        print("Information flows: rollup vs flow-free twin, subtree crash")
-        print("=" * 72)
-        flows.run()
+    for name, (banner, runner) in EXPERIMENTS.items():
+        if name in wanted:
+            print("=" * 72)
+            print(banner)
+            print("=" * 72)
+            runner(quick, event_id)
+            print()
     return 0
 
 

@@ -1,31 +1,23 @@
-"""Chaos sweep: delivery and convergence under injected faults.
+"""Chaos sweep: delivery and convergence under injected faults (§4.3).
 
-The paper's §4.3 soft state (TTL leases, refresh-or-restore renewals,
-3×TTL purge) is a *fault tolerance* mechanism, but the other experiments
-never exercise it: links are perfect and brokers immortal.  This sweep
-runs a quote workload through a seeded :class:`~repro.sim.network.FaultPlan`
-— a window of per-link loss, duplication, and latency jitter containing
-one broker crash/restart — and measures
-
-- **delivery ratio** per phase (before / during / after the fault
-  window) against ground truth computed from the subscriptions,
-- **exactly-once**: no subscriber sees a duplicate delivery of an event
-  published outside the fault window,
-- **convergence time**: how long after the window closes until the
-  covering invariant holds at every broker and all reliable-channel
-  frames are acknowledged,
-- the reliability counters (control retransmits, duplicate frames
-  discarded) and the network's drop/duplication accounting.
-
-The headline claim mirrors the paper's: events published outside fault
-windows are delivered exactly once to every matching subscriber, with
-the control plane reconverging within a bounded time after heal.
+A quote workload runs through a window of per-link loss, duplication
+and jitter with one broker crash/restart inside it.  The run is a fixed
+schedule of :mod:`repro.experiments.scenario` steps — subscribe, clean
+traffic, the fault window, settle, clean traffic — scored by that
+module's oracle: the delivery ratio per phase, the most copies of one
+delivery outside the window, the time from window close to a hole-free,
+acknowledged control plane, and the reliability and network counters.
+The claim mirrors the paper's: events published outside fault windows
+reach every matching subscriber exactly once, and the control plane
+reconverges within a bound.  :func:`run_traced` is the same run with
+the observability layer on, and its trace report.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import List, Optional, Tuple
 
 from repro.core.engine import MultiStageEventSystem
+from repro.experiments.scenario import SYMBOLS, Scenario
 from repro.metrics.report import (
     render_fault_alignment,
     render_hottest_brokers,
@@ -34,45 +26,13 @@ from repro.metrics.report import (
     render_series,
     render_stage_latency_histograms,
     render_table,
+    render_trace_path,
 )
-from repro.overlay.invariants import covering_violations, soft_state_violations
-from repro.sim.network import FaultPlan
+from repro.overlay.invariants import covering_violations
 from repro.sim.rng import RngRegistry
 
-CHAOS_EVENT_CLASS = "Quote"
-SCHEMA = ("class", "symbol", "price")
-SYMBOLS = tuple(f"SYM{i}" for i in range(8))
-
-
-class Quote:
-    """Minimal quote event; ``uid`` rides in the opaque payload only
-    (no getter, so reflection keeps it out of the routing meta-data)."""
-
-    def __init__(self, symbol: str, price: int, uid: int):
-        self._symbol = symbol
-        self._price = price
-        self.uid = uid
-
-    def get_symbol(self) -> str:
-        return self._symbol
-
-    def get_price(self) -> int:
-        return self._price
-
-
-@dataclass(frozen=True)
-class _SubscriptionSpec:
-    """Ground truth for one subscription: symbol (None = wildcard) and
-    exclusive price bound."""
-
-    subscriber: str
-    symbol: Optional[str]
-    bound: int
-
-    def matches(self, symbol: str, price: int) -> bool:
-        if self.symbol is not None and self.symbol != symbol:
-            return False
-        return price < self.bound
+#: The publisher every chaos event comes from (``--event=chaos-feed/12``).
+CHAOS_PUBLISHER = "chaos-feed"
 
 
 @dataclass
@@ -133,6 +93,8 @@ class ChaosResult:
     fault_window: Tuple[float, float] = (0.0, 0.0)
     crash_window: Tuple[float, float] = (0.0, 0.0)
     system: MultiStageEventSystem = field(default=None, repr=False)
+    #: The run's record, for :func:`repro.experiments.scenario.check`.
+    scenario: Scenario = field(default=None, repr=False)
 
     @property
     def tracer(self):
@@ -152,182 +114,100 @@ class ChaosResult:
         return self.pre_max_copies <= 1 and self.post_max_copies <= 1
 
 
-def _build_system(config: ChaosConfig):
-    system = MultiStageEventSystem(
+def _schedule(config: ChaosConfig, victim: str, rng, event_rng) -> List[List[Tuple]]:
+    """The run's phases: subscriptions (each joined before the next;
+    every ``wildcard_every``-th without a symbol), clean traffic, the
+    fault window with ``victim`` killed ``crash_after`` seconds in, and
+    clean traffic again."""
+    subscribe = []
+    for index in range(config.n_subscribers):
+        text = f"price < {rng.randrange(3, 10)}"
+        if not (config.wildcard_every and index % config.wildcard_every == 0):
+            text = f'symbol = "{rng.choice(SYMBOLS)}" and {text}'
+        subscribe += [("subscribe", f"chaos-sub-{index}", f'class = "Quote" and {text}'), ("run", 0.1)]
+
+    def publish() -> Tuple:
+        event = {"symbol": event_rng.choice(SYMBOLS), "price": event_rng.randrange(0, 12)}
+        return ("publish", [event], CHAOS_PUBLISHER)
+
+    def clean() -> List[Tuple]:
+        return [step for _ in range(config.events_per_phase) for step in (publish(), ("run", 0.05))]
+
+    pre = clean() + [("run", 1.0)]
+    window = ("window", config.window_duration, config.loss, config.duplicate, config.jitter, 0.5)
+    during, elapsed, kill = [window, ("run", 0.5)], 0.0, ("kill", victim, config.crash_duration)
+    step = config.window_duration / max(1, config.events_per_phase)
+    for _ in range(config.events_per_phase):
+        during.append(publish())
+        if kill and elapsed + step > config.crash_after:
+            during += [("run", config.crash_after - elapsed), kill]
+            during.append(("run", elapsed + step - config.crash_after))
+            kill = None
+        else:
+            during.append(("run", step))
+        elapsed += step
+    return [subscribe, pre, during, clean() + [("run", 1.0)]]
+
+
+def run_chaos(config: Optional[ChaosConfig] = None) -> ChaosResult:
+    """Run the pre → fault → heal → post schedule and measure."""
+    config = config or ChaosConfig()
+    scenario = Scenario(
         stage_sizes=config.stage_sizes,
         ttl=config.ttl,
         seed=config.seed,
         aggregate=config.aggregate,
         tracing=config.tracing,
     )
-    system.advertise(CHAOS_EVENT_CLASS, schema=SCHEMA)
-    system.drain()
-
+    system = scenario.system
+    result = ChaosResult(config=config, system=system, scenario=scenario)
     rngs = RngRegistry(config.seed)
-    sub_rng = rngs.stream("chaos/subscriptions")
-    specs: List[_SubscriptionSpec] = []
-    deliveries: Dict[str, List[int]] = {}
+    victim = system.hierarchy.nodes(config.crash_stage)[0]
+    subscribe, pre_steps, during_steps, post_steps = _schedule(
+        config, victim.name, rngs.stream("chaos/subscriptions"), rngs.stream("chaos/events")
+    )
 
-    def recorder(name: str):
-        log = deliveries.setdefault(name, [])
+    def phase(steps) -> range:
+        first = len(scenario.events)
+        scenario.apply(steps)
+        return range(first, len(scenario.events))
 
-        def handler(event, metadata, subscription):
-            log.append(event.uid)
-
-        return handler
-
-    for index in range(config.n_subscribers):
-        subscriber = system.create_subscriber(f"chaos-sub-{index}")
-        bound = sub_rng.randrange(3, 10)
-        if config.wildcard_every and index % config.wildcard_every == 0:
-            symbol = None
-            text = f'class = "{CHAOS_EVENT_CLASS}" and price < {bound}'
-        else:
-            symbol = sub_rng.choice(SYMBOLS)
-            text = (
-                f'class = "{CHAOS_EVENT_CLASS}" and symbol = "{symbol}" '
-                f"and price < {bound}"
-            )
-        specs.append(_SubscriptionSpec(subscriber.name, symbol, bound))
-        system.subscribe(
-            subscriber,
-            text,
-            event_class=CHAOS_EVENT_CLASS,
-            handler=recorder(subscriber.name),
-        )
-        system.drain()
-    return system, specs, deliveries, rngs
-
-
-def run_chaos(config: Optional[ChaosConfig] = None) -> ChaosResult:
-    """Run the pre → fault → heal → post pipeline and measure."""
-    config = config or ChaosConfig()
-    system, specs, deliveries, rngs = _build_system(config)
-    result = ChaosResult(config=config, system=system)
-    event_rng = rngs.stream("chaos/events")
-    publisher = system.create_publisher("chaos-feed")
-    uids = iter(range(1_000_000))
-    events: Dict[int, Tuple[str, int]] = {}
-
-    def publish_one() -> int:
-        uid = next(uids)
-        symbol = event_rng.choice(SYMBOLS)
-        price = event_rng.randrange(0, 12)
-        events[uid] = (symbol, price)
-        publisher.publish(Quote(symbol, price, uid), event_class=CHAOS_EVENT_CLASS)
-        return uid
-
-    system.start_maintenance()
+    scenario.apply(subscribe)
+    scenario.start()
     if config.tracing:
         system.start_sampling(config.sample_interval)
-    system.run_for(1.0)
-
-    # Phase 1: clean traffic, no faults anywhere near the wire.
-    pre_uids = []
-    for _ in range(config.events_per_phase):
-        pre_uids.append(publish_one())
-        system.run_for(0.05)
-    system.run_for(1.0)
-
-    # Phase 2: the fault window — lossy, duplicating, jittery links plus
-    # one stage-``crash_stage`` broker crash/restart in the middle.
+    scenario.run(1.0)
+    pre = phase(pre_steps)
     window_start = system.sim.now + 0.5
-    window_end = window_start + config.window_duration
-    plan = FaultPlan(seed=config.seed)
-    plan.add_window(
-        window_start,
-        window_end,
-        loss=config.loss,
-        duplicate=config.duplicate,
-        jitter=config.jitter,
-    )
-    victims = system.hierarchy.nodes(config.crash_stage)
-    victim = victims[0]
-    crash_at = window_start + config.crash_after
-    plan.add_crash(victim, crash_at, config.crash_duration)
+    window_end, crash_at = window_start + config.window_duration, window_start + config.crash_after
     result.fault_window = (window_start, window_end)
     result.crash_window = (crash_at, crash_at + config.crash_duration)
-    system.network.install_faults(plan)
-    system.run_for(0.5)
-
-    during_uids = []
-    step = config.window_duration / max(1, config.events_per_phase)
-    for _ in range(config.events_per_phase):
-        during_uids.append(publish_one())
-        system.run_for(step)
-        if victim.crashed:
-            result.soft_state_violations = (
-                result.soft_state_violations or []
-            ) + soft_state_violations(victim)
+    during = phase(during_steps)
+    if victim.name in scenario.seen_down:
+        result.soft_state_violations = scenario.soft_state
     if system.sim.now < window_end:
-        system.run_for(window_end - system.sim.now)
-
-    # Phase 3: heal; step until the covering invariant holds everywhere
-    # and every reliable-channel frame is acknowledged.
+        scenario.run(window_end - system.sim.now)
     heal_time = system.sim.now
-    deadline = heal_time + config.max_convergence
-    converged_at = None
-    while system.sim.now < deadline:
-        system.run_for(0.5)
-        if covering_violations(system.hierarchy, system.sim.now):
-            continue
-        if not all(n.uplink_idle for n in system.hierarchy.nodes()):
-            continue
-        if not all(s.control_idle for s in system.subscribers):
-            continue
-        converged_at = system.sim.now
-        break
+    converged_at = scenario.settle(heal_time + config.max_convergence)
     result.convergence_time = (
-        (converged_at - heal_time) if converged_at is not None
-        else config.max_convergence
+        converged_at - heal_time if converged_at is not None else config.max_convergence
     )
-    result.violations_after = len(
-        covering_violations(system.hierarchy, system.sim.now)
-    )
+    result.violations_after = len(covering_violations(system.hierarchy, system.sim.now))
+    post = phase(post_steps)
 
-    # Phase 4: clean traffic again over the recovered overlay.
-    post_uids = []
-    for _ in range(config.events_per_phase):
-        post_uids.append(publish_one())
-        system.run_for(0.05)
-    system.run_for(1.0)
-
-    # Score against ground truth.
-    total_delivered = sum(len(log) for log in deliveries.values())
-    if total_delivered == 0:
+    if not scenario.log:
         # An all-zero run would still "pass" ratio gates whose expected
         # count is zero (and used to render as zero latency); a chaos run
         # that delivers nothing is broken, not lucky — say so loudly.
         raise RuntimeError(
             "chaos run delivered zero events across all phases — the "
             "workload, subscriptions, or overlay wiring is broken "
-            f"(published {len(events)} events to {len(specs)} subscriptions)"
+            f"(published {len(scenario.events)} events to "
+            f"{len(scenario.live)} subscriptions)"
         )
-    counts: Dict[Tuple[str, int], int] = {}
-    for name, log in deliveries.items():
-        for uid in log:
-            counts[(name, uid)] = counts.get((name, uid), 0) + 1
-
-    def score(uid_list) -> Tuple[float, int]:
-        expected = delivered = 0
-        max_copies = 0
-        for uid in uid_list:
-            symbol, price = events[uid]
-            for spec in specs:
-                if not spec.matches(symbol, price):
-                    continue
-                expected += 1
-                copies = counts.get((spec.subscriber, uid), 0)
-                if copies:
-                    delivered += 1
-                if copies > max_copies:
-                    max_copies = copies
-        ratio = delivered / expected if expected else 1.0
-        return ratio, max_copies
-
-    result.pre_ratio, result.pre_max_copies = score(pre_uids)
-    result.during_ratio, _ = score(during_uids)
-    result.post_ratio, result.post_max_copies = score(post_uids)
+    result.pre_ratio, result.pre_max_copies = scenario.score(pre)
+    result.during_ratio, _ = scenario.score(during)
+    result.post_ratio, result.post_max_copies = scenario.score(post)
 
     all_counters = [n.counters for n in system.hierarchy.nodes()] + [
         s.counters for s in system.subscribers
@@ -417,6 +297,27 @@ def run(config: Optional[ChaosConfig] = None) -> ChaosResult:
         f"\nexactly-once outside faults: {result.exactly_once}; "
         f"converged: {result.converged}"
     )
+    return result
+
+
+def run_traced(
+    config: Optional[ChaosConfig] = None,
+    event_id: Optional[Tuple[str, int]] = None,
+) -> ChaosResult:
+    """The chaos run with causal tracing and per-stage sampling on, and
+    the full trace report; ``event_id`` (``--event=chaos-feed/12`` on
+    the command line) also reconstructs that event's path."""
+    result = run_chaos(replace(config or ChaosConfig(), tracing=True))
+    print(render(result))
+    broken = result.tracer.incomplete_deliveries()
+    print(
+        f"\nspans recorded: {len(result.tracer)}; "
+        f"events traced: {len(result.tracer.event_ids())}; "
+        f"broken delivery paths: {len(broken)}"
+    )
+    if event_id is not None:
+        print()
+        print(render_trace_path(result.tracer, event_id))
     return result
 
 

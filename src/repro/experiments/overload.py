@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import MultiStageEventSystem
+from repro.experiments.scenario import SCHEMA, SYMBOLS, Quote
 from repro.flow import FlowConfig
 from repro.metrics.report import (
     render_flow_summary,
@@ -38,24 +39,6 @@ from repro.metrics.report import (
 from repro.sim.rng import RngRegistry
 
 OVERLOAD_EVENT_CLASS = "Load"
-SCHEMA = ("class", "symbol", "price")
-SYMBOLS = tuple(f"SYM{i}" for i in range(8))
-
-
-class Load:
-    """Minimal event for the sweep; ``uid`` stays out of routing
-    meta-data (no getter)."""
-
-    def __init__(self, symbol: str, price: int, uid: int):
-        self._symbol = symbol
-        self._price = price
-        self.uid = uid
-
-    def get_symbol(self) -> str:
-        return self._symbol
-
-    def get_price(self) -> int:
-        return self._price
 
 
 @dataclass(frozen=True)
@@ -189,7 +172,7 @@ def run_point(
         symbol = event_rng.choice(SYMBOLS)
         price = event_rng.randrange(0, 12)
         if publisher.publish(
-            Load(symbol, price, uid), event_class=OVERLOAD_EVENT_CLASS
+            Quote(symbol, price, uid), event_class=OVERLOAD_EVENT_CLASS
         ):
             point.accepted += 1
 

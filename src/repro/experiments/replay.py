@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.engine import MultiStageEventSystem
+from repro.experiments.scenario import EVENT_CLASS, SCHEMA, Quote
 from repro.flow import FlowConfig
 from repro.log import (
     AuditReport,
@@ -34,21 +35,6 @@ from repro.log import (
     verify_exactly_once,
 )
 from repro.metrics.report import render_table
-
-REPLAY_EVENT_CLASS = "Quote"
-SCHEMA = ("class", "symbol", "price")
-
-
-class Quote:
-    def __init__(self, symbol: str, price: float):
-        self._symbol = symbol
-        self._price = price
-
-    def get_symbol(self) -> str:
-        return self._symbol
-
-    def get_price(self) -> float:
-        return self._price
 
 
 @dataclass
@@ -128,7 +114,7 @@ def run_replay(config: Optional[ReplayConfig] = None) -> ReplayResult:
         flow=flow,
         log=log,
     )
-    system.advertise(REPLAY_EVENT_CLASS, schema=SCHEMA)
+    system.advertise(EVENT_CLASS, schema=SCHEMA)
     system.drain()
     result = ReplayResult(config=config, system=system)
     publisher = system.create_publisher("replay-feed")
@@ -142,7 +128,7 @@ def run_replay(config: Optional[ReplayConfig] = None) -> ReplayResult:
         subscription = system.subscribe(
             subscriber,
             'symbol = "Foo"',
-            event_class=REPLAY_EVENT_CLASS,
+            event_class=EVENT_CLASS,
             handler=lambda e, m, s: log_.append(m["price"]),
             at_node=home,
         )[0]
@@ -156,7 +142,7 @@ def run_replay(config: Optional[ReplayConfig] = None) -> ReplayResult:
 
     # History phase.
     for i in range(config.history_events):
-        publisher.publish(Quote("Foo", float(i)), event_class=REPLAY_EVENT_CLASS)
+        publisher.publish(Quote("Foo", float(i)), event_class=EVENT_CLASS)
         system.run_for(config.publish_dt)
     system.run_for(0.5)
 
@@ -225,7 +211,7 @@ def run_replay(config: Optional[ReplayConfig] = None) -> ReplayResult:
     for i in range(config.live_events):
         publisher.publish(
             Quote("Foo", float(config.history_events + i)),
-            event_class=REPLAY_EVENT_CLASS,
+            event_class=EVENT_CLASS,
         )
         system.run_for(config.publish_dt)
     system.run_for(6.0)

@@ -65,6 +65,9 @@ class _SubscriptionState:
     handler: Optional[Handler]
     #: Position in the runtime's ``_states``: the order handlers run in.
     order: int
+    #: Where the join's request goes: the root, or the ``at_node`` the
+    #: subscription was pinned to.
+    entry: Process
     home: Optional[Process] = None
     stored_filter: Optional[Filter] = None
     active: bool = True
@@ -252,11 +255,12 @@ class SubscriberRuntime(Process):
             subscription,
             handler,
             len(self._states) if replaced is None else replaced.order,
+            at_node if at_node is not None else self.root,
         )
         self._states[subscription.subscription_id] = state
         self._active += 1
         self.counters.set_filters_held(self._active)
-        self._send_request(state, at_node if at_node is not None else self.root)
+        self._send_request(state, state.entry)
         return subscription.subscription_id
 
     def unsubscribe(self, subscription_id: int, explicit: bool = True) -> None:
@@ -275,7 +279,11 @@ class SubscriberRuntime(Process):
         if state.joined:
             self._detach(state)
         if explicit and state.joined and state.stored_filter is not None:
-            self.links.send(state.home, Unsubscribe(state.stored_filter, self))
+            # The home stores one entry per (filter, subscriber): another
+            # active state it placed under the same filter still needs it.
+            home = self._by_home.get(state.home, _NO_HOME)
+            if all(other.stored_filter != state.stored_filter for other in home):
+                self.links.send(state.home, Unsubscribe(state.stored_filter, self))
 
     # ------------------------------------------------------------------
     # Catch-up replay (late joiners; see repro.log.replay)
@@ -407,6 +415,7 @@ class SubscriberRuntime(Process):
             raise KeyError(f"no active subscription {subscription_id}")
         if state.joined:
             self._detach(state)
+        state.entry = self.root
         state.home = None
         state.stored_filter = None
         state.join_hops = 0
@@ -672,6 +681,13 @@ class SubscriberRuntime(Process):
         return self.offline
 
     def _renew_task(self) -> None:
+        # A join travels unacknowledged: one whose request, JoinAt or
+        # AcceptedAt was lost is refreshed here, like a lease, from where
+        # it started.  A join that was merely slow ends in a second
+        # AcceptedAt.
+        for state in self._active_states():
+            if not state.joined:
+                self._send_request(state, state.entry)
         for home in self._homes():
             items = dict.fromkeys(
                 (state.stored_filter, state.subscription.event_class)

@@ -56,6 +56,25 @@ def test_publish_subscribe_round_trip():
     assert got == [9.0]
 
 
+def test_a_subscriber_made_after_start_maintenance_renews():
+    """Maintenance started before a subscriber exists covers it too: its
+    subscription outlives three TTLs instead of decaying unrenewed."""
+    system = make_system(ttl=2.0)
+    system.start_maintenance()
+    publisher = system.create_publisher()
+    subscriber = system.create_subscriber()
+    assert subscriber.armed_tasks() == ("renew",)
+    got = []
+    system.subscribe(
+        subscriber, 'class = "Stock" and price < 10.0',
+        handler=lambda e, m, s: got.append(e.get_price()),
+    )
+    system.run_for(11.0)
+    publisher.publish(Stock("Foo", 9.0))
+    system.run_for(1.0)
+    assert got == [9.0]
+
+
 def test_table_engine_behaves_identically():
     for engine in engine_classes():
         system = make_system(engine=engine)

@@ -51,10 +51,29 @@ def test_unmarshal_round_trips_the_object():
 
 def test_property_event_marshals_as_its_own_metadata():
     event = PropertyEvent(a=1, b=2)
-    envelope = marshal(event, class_name="Ignored", published_at=1.5, event_id=("p", 4))
+    envelope = marshal(event, published_at=1.5, event_id=("p", 4))
     assert envelope.metadata is event and envelope.payload == b""
     assert (envelope.published_at, envelope.event_id) == (1.5, ("p", 4))
     assert unmarshal(envelope) is event
+
+
+def test_a_property_event_published_with_an_event_class_carries_it():
+    """``event_class`` overrides the meta-data type name of a
+    ``PropertyEvent`` too: it used to be dropped, so the event carried no
+    ``class`` and matched no subscription to the class."""
+    envelope = marshal(PropertyEvent({"class": "Old", "a": 1}), class_name="X")
+    assert envelope.metadata == PropertyEvent({"class": "X", "a": 1})
+    assert envelope.payload == b""
+
+    system = MultiStageEventSystem(stage_sizes=(2, 1), seed=0)
+    system.advertise("X", schema=("class", "a"))
+    subscriber = system.create_subscriber("alice")
+    seen = []
+    system.subscribe(subscriber, "a = 1", "X", lambda e, m, s: seen.append(dict(m)))
+    system.drain()
+    system.create_publisher("feed").publish(PropertyEvent(a=1), event_class="X")
+    system.drain()
+    assert seen == [{"a": 1, "class": "X"}]
 
 
 def test_a_property_event_subclass_travels_as_a_plain_one():

@@ -7,8 +7,8 @@ All test names carry the ``chaos`` marker-by-name so CI can run
 
 import pytest
 
-from repro.core.engine import MultiStageEventSystem
 from repro.experiments.chaos import ChaosConfig, run_chaos
+from repro.experiments.scenario import Scenario
 from repro.overlay.channel import (
     DEFAULT_RTO,
     PeerLinks,
@@ -29,51 +29,37 @@ from repro.workloads.telemetry import (
     TelemetryWorkload,
 )
 
+
 SCHEMA = ("class", "price", "symbol")
 #: Stage 1 keeps the full schema, stage 2 keeps (class, price), the root
 #: keeps class only (same layout as the aggregation tests).
 PREFIXES = (3, 3, 2, 1)
 
 
-class Quote:
-    def __init__(self, symbol, price):
-        self._symbol = symbol
-        self._price = price
-
-    def get_symbol(self):
-        return self._symbol
-
-    def get_price(self):
-        return self._price
-
-
-def make_system(**kwargs):
-    defaults = dict(stage_sizes=(4, 2, 1), seed=5, ttl=10.0)
-    defaults.update(kwargs)
-    system = MultiStageEventSystem(**defaults)
-    system.advertise("Quote", schema=SCHEMA, stage_prefixes=PREFIXES)
-    system.drain()
-    return system
-
-
-def pinned_subscribe(system, name, text, traces=None, drain=True):
-    """Subscribe at the first stage-1 node, recording deliveries."""
-    subscriber = system.create_subscriber(name)
-    handler = None
-    if traces is not None:
-        log = traces.setdefault(name, [])
-
-        def handler(event, metadata, subscription):
-            properties = getattr(metadata, "properties", metadata)
-            log.append((properties["symbol"], properties["price"]))
-
-    home = system.hierarchy.stage1_nodes()[0]
-    system.subscribe(
-        subscriber, text, event_class="Quote", handler=handler, at_node=home
+def make_scenario(**kwargs):
+    """The harness over a (4, 2, 1) tree; its system is ``.system``."""
+    return Scenario(
+        SCHEMA, PREFIXES, **{"stage_sizes": (4, 2, 1), "seed": 5, "ttl": 10.0, **kwargs}
     )
+
+
+def pinned(scenario, name, text, drain=True):
+    """``name`` subscribes at the first stage-1 node, which is returned."""
+    home = scenario.system.hierarchy.stage1_nodes()[0]
+    scenario.subscribe(name, text, home.name)
     if drain:
-        system.drain()
-    return subscriber, home
+        scenario.system.drain()
+    return scenario.process(name), home
+
+
+def traces(scenario):
+    """(symbol, price) of every delivery, by subscriber, in order."""
+    names = {sid: subscriber.name for subscriber, sid in scenario.keys}
+    found = {}
+    for sid, uid in scenario.log:
+        metadata = scenario.events[uid].metadata
+        found.setdefault(names[sid], []).append((metadata["symbol"], metadata["price"]))
+    return found
 
 
 # ----------------------------------------------------------------------
@@ -194,8 +180,9 @@ def test_chaos_peer_channel_state_keyed_by_stable_name():
     recycled id could inherit its incarnation and silently discard the
     new peer's legitimate ChannelReset.  Channel history must follow the
     stable process *name* (unique per network), not the object."""
-    system = make_system()
-    pinned_subscribe(system, "alice", 'class = "Quote" and price < 10')
+    scenario = make_scenario()
+    system = scenario.system
+    pinned(scenario, "alice", 'class = "Quote" and price < 10')
     home = system.hierarchy.stage1_nodes()[0]
     parent = home.parent
     # The reliable control traffic above left receiver state at the
@@ -242,24 +229,23 @@ def test_chaos_sender_reset_opens_new_epoch():
 def test_chaos_lost_reqinsert_is_retransmitted():
     """Total loss on the uplink during the join: the reliable channel
     must deliver the req-Insert once the window closes."""
-    system = make_system()
+    scenario = make_scenario()
+    system = scenario.system
     home = system.hierarchy.stage1_nodes()[0]
     plan = FaultPlan(seed=1)
     plan.add_window(0.0, 0.5, loss=1.0, links=[(home, home.parent)])
     system.network.install_faults(plan)
 
-    pinned_subscribe(system, "alice", 'class = "Quote" and price < 10')
+    pinned(scenario, "alice", 'class = "Quote" and price < 10')
 
     assert home.counters.control_retransmits > 0
     assert covering_violations(system.hierarchy, system.sim.now) == []
     assert placement_violations(system.hierarchy) == []
     # And the filter actually routes: a matching event arrives.
-    traces = {}
-    pinned_subscribe(system, "bob", 'class = "Quote" and price < 10', traces)
-    publisher = system.create_publisher("feed")
-    publisher.publish(Quote("X", 5), event_class="Quote")
+    pinned(scenario, "bob", 'class = "Quote" and price < 10')
+    scenario.publish([{"symbol": "X", "price": 5}])
     system.drain()
-    assert traces["bob"] == [("X", 5)]
+    assert traces(scenario)["bob"] == [("X", 5)]
 
 
 def _assert_quiet_after_crash(system):
@@ -275,8 +261,9 @@ def test_chaos_crashed_subscriber_stops_retransmitting():
     subscriber that died with an un-acked control frame kept
     retransmitting it into its own crash gate, backing off to one frame
     every 2 s, forever — ``drain()`` never returned."""
-    system = make_system()
-    alice, home = pinned_subscribe(system, "alice", 'class = "Quote" and price < 10')
+    scenario = make_scenario()
+    system = scenario.system
+    alice, home = pinned(scenario, "alice", 'class = "Quote" and price < 10')
     alice.unsubscribe(alice.subscriptions()[0].subscription_id)
     assert not alice.control_idle  # one frame on the wire, un-acked...
     alice.crash()  # ...when the process dies
@@ -303,7 +290,8 @@ def test_chaos_crashed_subscriber_stops_retransmitting():
 def test_chaos_crashed_registrar_stops_retransmitting():
     """Regression: the same endless chain from a ``FlowRegistrar`` that
     died with an un-acked ``FlowInstall``."""
-    system = make_system()
+    scenario = make_scenario()
+    system = scenario.system
     workload = TelemetryWorkload(
         system.rngs.stream("telemetry"), n_regions=2, sensors_per_region=2
     )
@@ -331,9 +319,10 @@ def test_chaos_a_second_crash_of_a_dead_edge_process_wipes_nothing_new(monkeypat
     process kind: its links are reset once (a second reset would move
     every sender one more epoch on), nothing is cancelled twice, and the
     restart resumes what the first crash interrupted."""
-    system = make_system()
+    scenario = make_scenario()
+    system = scenario.system
     if kind == "subscriber":
-        process, _ = pinned_subscribe(system, "alice", 'class = "Quote" and price < 10')
+        process, _ = pinned(scenario, "alice", 'class = "Quote" and price < 10')
     elif kind == "publisher":
         process = system.create_publisher("feed")
     else:
@@ -369,13 +358,14 @@ def test_chaos_a_second_crash_of_a_dead_edge_process_wipes_nothing_new(monkeypat
 def test_chaos_duplicated_control_frames_apply_once():
     """100% duplication on the uplink: duplicate frames are discarded and
     the routing state is exactly what a clean run produces."""
-    system = make_system()
+    scenario = make_scenario()
+    system = scenario.system
     home = system.hierarchy.stage1_nodes()[0]
     plan = FaultPlan(seed=2)
     plan.add_window(0.0, 5.0, duplicate=1.0, links=[(home, home.parent)])
     system.network.install_faults(plan)
 
-    pinned_subscribe(system, "alice", 'class = "Quote" and price < 10')
+    pinned(scenario, "alice", 'class = "Quote" and price < 10')
 
     assert home.parent.counters.control_dups_discarded > 0
     routed = [
@@ -391,32 +381,29 @@ def test_chaos_duplicated_control_frames_apply_once():
 def test_chaos_broker_crash_recovery_rebuilds_tables():
     """A crashed stage-2 broker loses all soft state; children's
     refresh-or-restore renewals (kicked by ChannelReset) rebuild it."""
-    traces = {}
-    system = make_system()
-    _, home = pinned_subscribe(
-        system, "alice", 'class = "Quote" and price < 10', traces
-    )
+    scenario = make_scenario()
+    system = scenario.system
+    _, home = pinned(scenario, "alice", 'class = "Quote" and price < 10')
     victim = home.parent
     assert victim.stage == 2
-    system.start_maintenance()
-    system.run_for(1.0)
+    scenario.start()
+    scenario.run(1.0)
 
     victim.crash()
     assert len(victim.table) == 0 and soft_state_violations(victim) == []
-    system.run_for(2.0)
+    scenario.run(2.0)
     assert soft_state_violations(victim) == []  # nothing reaches it while down
     victim.restart()
     # ChannelReset -> children renew immediately: recovery well inside a
     # renewal period, not 3xTTL.
-    system.run_for(1.0)
+    scenario.run(1.0)
 
     assert len(victim.table) > 0
     assert covering_violations(system.hierarchy, system.sim.now) == []
     assert placement_violations(system.hierarchy) == []
-    publisher = system.create_publisher("feed")
-    publisher.publish(Quote("X", 5), event_class="Quote")
-    system.run_for(1.0)
-    assert traces["alice"] == [("X", 5)]
+    scenario.publish([{"symbol": "X", "price": 5}])
+    scenario.run(1.0)
+    assert traces(scenario)["alice"] == [("X", 5)]
     system.stop_maintenance()
 
 
@@ -436,38 +423,37 @@ def test_chaos_partition_publish_heal_differential():
     ]
 
     def run(partitioned):
-        system = make_system(aggregate=True)
-        traces = {}
+        scenario = make_scenario(aggregate=True)
+        system = scenario.system
         home = None
         for name, text in subscriptions:
-            _, home = pinned_subscribe(system, name, text, traces)
-        publisher = system.create_publisher("feed")
-        system.start_maintenance()
-        system.run_for(1.0)
+            _, home = pinned(scenario, name, text)
+        scenario.start()
+        scenario.run(1.0)
 
         def publish_all():
             for symbol, price in events:
-                publisher.publish(Quote(symbol, price), event_class="Quote")
-                system.run_for(0.1)
+                scenario.apply([("publish", [{"symbol": symbol, "price": price}]), ("run", 0.1)])
 
         publish_all()  # pre phase, both runs identical
         if partitioned:
-            system.network.partition(home, home.parent)
+            scenario.partition(home.name, home.parent.name)
         publish_all()  # during phase, lost in the partitioned run
-        system.run_for(35.0)  # > 3xTTL: the parent purges the home's forms
+        scenario.run(35.0)  # > 3xTTL: the parent purges the home's forms
         if partitioned:
             assert covering_violations(system.hierarchy, system.sim.now) != []
-            system.network.heal(home, home.parent)
-        system.run_for(30.0)  # renewals restore + re-propagate
-        marks = {name: len(t) for name, t in traces.items()}
+            scenario.heal(home.name, home.parent.name)
+        scenario.run(30.0)  # renewals restore + re-propagate
+        marks = {name: len(t) for name, t in traces(scenario).items()}
         publish_all()  # post phase, both runs identical again
-        system.run_for(1.0)
+        scenario.run(1.0)
         system.stop_maintenance()
-        post = {name: tuple(t[marks[name]:]) for name, t in traces.items()}
-        return system, home, traces, post
+        delivered = traces(scenario)
+        post = {name: tuple(t[marks[name]:]) for name, t in delivered.items()}
+        return system, home, delivered, post
 
     _, _, _, clean_post = run(partitioned=False)
-    system, home, traces, healed_post = run(partitioned=True)
+    system, home, _, healed_post = run(partitioned=True)
 
     # Post-heal delivery traces match the fault-free run exactly.
     assert healed_post == clean_post
