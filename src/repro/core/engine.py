@@ -182,6 +182,8 @@ class MultiStageEventSystem:
         self.ttl = ttl
         self.types = TypeRegistry()
         self.advertisements = AdvertisementRegistry()
+        if runtime == "multiprocess":
+            self.sim.advertisements = self.advertisements  # a restore re-reads them
         self.publishers: List[PublisherRuntime] = []
         self.subscribers: List[SubscriberRuntime] = []
         self.flow_registrars: List[FlowRegistrar] = []
@@ -227,9 +229,12 @@ class MultiStageEventSystem:
             flow=self.flow,
             rate_limit=rate_limit,
             burst=burst,
+            ttl=self.ttl,
         )
         self._activate(publisher)
         self.publishers.append(publisher)
+        if self._maintenance_started:
+            publisher.start_maintenance()
         return publisher
 
     def create_subscriber(self, name: Optional[str] = None) -> SubscriberRuntime:
@@ -630,22 +635,18 @@ class MultiStageEventSystem:
         self.close()
 
     def start_maintenance(self) -> None:
-        """Start TTL renewal/purge tasks on every node and subscriber;
-        subscribers and flow registrars made later start theirs."""
+        """Start TTL renewal/purge tasks on every node, subscriber and
+        publisher; those made later start theirs."""
         self._maintenance_started = True
         self.hierarchy.start_maintenance()
-        for subscriber in self.subscribers:
-            subscriber.start_maintenance()
-        for registrar in self.flow_registrars:
-            registrar.start_maintenance()
+        for process in (*self.subscribers, *self.flow_registrars, *self.publishers):
+            process.start_maintenance()
 
     def stop_maintenance(self) -> None:
         self._maintenance_started = False
         self.hierarchy.stop_maintenance()
-        for subscriber in self.subscribers:
-            subscriber.stop_maintenance()
-        for registrar in self.flow_registrars:
-            registrar.stop_maintenance()
+        for process in (*self.subscribers, *self.flow_registrars, *self.publishers):
+            process.stop_maintenance()
 
     # ------------------------------------------------------------------
     # Observability

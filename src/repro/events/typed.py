@@ -17,7 +17,7 @@ behaviour is "only applied locally" (residual predicates, see
 import inspect
 import weakref
 from types import FunctionType, MethodType
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.events.base import CLASS_ATTRIBUTE, PropertyEvent
 
@@ -194,8 +194,3 @@ def to_property_event(
     properties = reflect_attributes(event)
     properties[CLASS_ATTRIBUTE] = class_name or type(event).__name__
     return PropertyEvent(properties)
-
-
-def event_type_of(event: Any) -> Type:
-    """The Python class of a typed event (helper for the registry)."""
-    return type(event)

@@ -1,40 +1,30 @@
-"""Replay sweep: durable logs, catch-up subscribers, crash recovery,
-and the exactly-once audit (DESIGN §11).
-
-One seeded run exercises the whole replay surface:
-
-- a **history phase** publishes a quote stream that lands in every
-  broker's append-only log (the root's log is the ground truth);
-- three **catch-up subscribers** then join late — one from offset 0,
-  one from a mid-stream offset, one from an ISO-8601 timestamp — drain
-  history at the configured replay rate (credit-paced when flow control
-  is on), and switch to live delivery;
-- a **live phase** publishes more traffic, with a stage-2 broker
-  crash/restart in the middle: the restarted broker replays the tail it
-  missed from the root's log (offset-addressed recovery);
-- finally the **audit** (:func:`repro.log.audit.verify_exactly_once`)
-  diffs every subscriber's delivery trace against the root log and
-  must find zero gaps and zero duplicates outside the crash window.
-
-The rendered report — catch-up convergence, per-session replay stats,
-recovery counters, and the audit verdict — is the artifact CI's
-``replay-gates`` job archives.
+"""Replay sweep: durable logs, catch-up subscribers and crash recovery
+(DESIGN §11), as one fixed schedule of :mod:`repro.experiments.scenario`
+steps: a veteran subscriber; a history phase into every broker's log;
+three late subscribers catching up — from offset 0, a mid-stream offset
+and an ISO-8601 time — at the configured replay rate (credit-paced with
+flow control on) until they go live; and a live phase with the
+veteran's stage-2 broker killed in the middle, which replays what it
+missed from the root's log.  The harness's oracle scores it: ``check``
+finds nothing, and every (subscription, event) pair it owes was
+delivered, crash window included.  The rendered report is the artifact
+CI's ``replay-gates`` job archives.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.engine import MultiStageEventSystem
-from repro.experiments.scenario import EVENT_CLASS, SCHEMA, Quote
+from repro.experiments.scenario import Scenario, check
 from repro.flow import FlowConfig
-from repro.log import (
-    AuditReport,
-    AuditSubscription,
-    LogConfig,
-    format_point,
-    verify_exactly_once,
-)
+from repro.log import LogConfig, format_point
 from repro.metrics.report import render_table
+
+#: Every subscriber's filter, and the publisher every event comes from.
+TEXT = 'symbol = "Foo"'
+PUBLISHER = "replay-feed"
+#: Simulated seconds a pinned subscription is given to join up to the root.
+JOIN = 0.5
 
 
 @dataclass
@@ -77,19 +67,42 @@ class CatchUpOutcome:
 
 
 @dataclass
+class Verdict:
+    """The pairs the oracle owes over every event, how many were
+    delivered, and what :func:`~repro.experiments.scenario.check` found."""
+
+    expected: int
+    delivered: int
+    violations: List[str]
+
+    @property
+    def clean(self) -> bool:
+        return not self.violations
+
+    def render(self) -> str:
+        verdict = "CLEAN" if self.clean else "VIOLATED"
+        head = f"exactly-once check: {self.delivered}/{self.expected} owed delivered, {verdict}"
+        return "\n".join([head] + [f"  {violation}" for violation in self.violations])
+
+
+@dataclass
 class ReplayResult:
     """Measurements from one replay run."""
 
     config: ReplayConfig
     catch_ups: List[CatchUpOutcome] = field(default_factory=list)
-    audit: Optional[AuditReport] = None
-    crash_window: Tuple[float, float] = (0.0, 0.0)
-    log_records: int = 0
-    log_segments: int = 0
-    replay_events_sent: int = 0
-    replay_dupes_discarded: int = 0
-    catchup_taps: int = 0
+    audit: Optional[Verdict] = None
     system: MultiStageEventSystem = field(default=None, repr=False)
+    scenario: Scenario = field(default=None, repr=False)
+
+    def total(self, counter: str) -> int:
+        """``counter`` summed over every broker and subscriber."""
+        processes = (*self.system.hierarchy.nodes(), *self.system.subscribers)
+        return sum(getattr(p.counters, counter) for p in processes)
+
+    @property
+    def replay_events_sent(self) -> int:
+        return self.total("replay_events_sent")
 
     @property
     def converged(self) -> bool:
@@ -100,140 +113,77 @@ class ReplayResult:
         return self.audit is not None and self.audit.clean
 
 
+def _quotes(config: ReplayConfig, first: int, count: int) -> List[Tuple]:
+    """``count`` quotes of prices ``first``, ``first + 1``, … one every
+    ``publish_dt``."""
+    run = ("run", config.publish_dt)
+    return [
+        step
+        for price in range(first, first + count)
+        for step in (("publish", [{"symbol": "Foo", "price": float(price)}], PUBLISHER), run)
+    ]
+
+
 def run_replay(config: Optional[ReplayConfig] = None) -> ReplayResult:
+    """Run the veteran → history → catch-ups → live-with-a-crash
+    schedule and score it."""
     config = config or ReplayConfig()
-    flow = FlowConfig(link_window=config.link_window)
-    log = LogConfig(
-        replay_rate=config.replay_rate, replay_batch=config.replay_batch
-    )
-    system = MultiStageEventSystem(
+    scenario = Scenario(
         stage_sizes=config.stage_sizes,
         seed=config.seed,
         ttl=config.ttl,
-        tracing=True,
-        flow=flow,
-        log=log,
+        flow=FlowConfig(link_window=config.link_window),
+        log=LogConfig(replay_rate=config.replay_rate, replay_batch=config.replay_batch),
     )
-    system.advertise(EVENT_CLASS, schema=SCHEMA)
-    system.drain()
-    result = ReplayResult(config=config, system=system)
-    publisher = system.create_publisher("replay-feed")
-    deliveries: Dict[str, List[float]] = {}
-    audited: List[AuditSubscription] = []
-
-    def attach(name: str):
-        subscriber = system.create_subscriber(name)
-        log_ = deliveries.setdefault(name, [])
-        home = system.hierarchy.stage1_nodes()[0]
-        subscription = system.subscribe(
-            subscriber,
-            'symbol = "Foo"',
-            event_class=EVENT_CLASS,
-            handler=lambda e, m, s: log_.append(m["price"]),
-            at_node=home,
-        )[0]
-        system.drain()
-        return subscriber, subscription
-
-    # A veteran subscriber watches from the start (the differential
-    # baseline and the recovery-path witness).
-    veteran, veteran_sub = attach("replay-veteran")
-    audited.append(AuditSubscription(veteran.name, veteran_sub.filter))
-
-    # History phase.
-    for i in range(config.history_events):
-        publisher.publish(Quote("Foo", float(i)), event_class=EVENT_CLASS)
-        system.run_for(config.publish_dt)
-    system.run_for(0.5)
+    system = scenario.system
+    result = ReplayResult(config=config, system=system, scenario=scenario)
+    home = system.hierarchy.stage1_nodes()[0]
+    scenario.apply([("subscribe", "replay-veteran", TEXT, home.name), ("run", JOIN)])
+    scenario.apply(_quotes(config, 0, config.history_events) + [("run", 0.5)])
 
     # Late joiners: offset 0, a mid-stream offset, and an ISO timestamp.
     root_log = system.root.log
-    mid_time = root_log.record_at(config.mid_offset).time
+    mid_time = format_point(root_log.record_at(config.mid_offset).time)
+    suffix = config.history_events - config.mid_offset
     origins = [
-        ("replay-from-start", dict(from_offset=0), config.history_events),
-        (
-            "replay-from-offset",
-            dict(from_offset=config.mid_offset),
-            config.history_events - config.mid_offset,
-        ),
-        (
-            "replay-from-time",
-            dict(from_time=format_point(mid_time)),
-            config.history_events - config.mid_offset,
-        ),
+        ("replay-from-start", (0, None), "from_offset=0", config.history_events),
+        ("replay-from-offset", (config.mid_offset, None), f"from_offset={config.mid_offset}", suffix),
+        ("replay-from-time", (None, mid_time), f"from_time={mid_time}", suffix),
     ]
-    sessions = []
-    for name, kwargs, expected in origins:
-        subscriber, subscription = attach(name)
-        sid = subscription.subscription_id
-        started = system.sim.now
-        subscriber.catch_up(sid, **kwargs)
-        origin = next(iter(kwargs.items()))
-        outcome = CatchUpOutcome(
-            subscriber=name,
-            origin=f"{origin[0]}={origin[1]}",
-            expected_history=expected,
-        )
-        result.catch_ups.append(outcome)
-        sessions.append((subscriber, subscription, sid, started, outcome))
-        audited.append(
-            AuditSubscription(
-                subscriber.name,
-                subscription.filter,
-                from_offset=kwargs.get("from_offset", 0),
-                from_time=(
-                    mid_time if "from_time" in kwargs else 0.0
-                ),
-            )
-        )
+    for name, _, origin, expected in origins:
+        scenario.subscribe(name, TEXT, home.name)
+        result.catch_ups.append(CatchUpOutcome(name, origin, expected))
+    scenario.run(JOIN)
+    started = system.sim.now
+    # Keys 1, 2 and 3: the veteran's is 0.
+    scenario.apply([("catch_up", key, *at) for key, (_, at, _, _) in enumerate(origins, 1)])
+    sessions = scenario.keys[1:]
 
     # Drain every session to live.
-    waited = 0.0
-    while waited < config.max_convergence and not all(
-        s.catch_up_live(sid) for s, _, sid, _, _ in sessions
+    while system.sim.now - started < config.max_convergence and not all(
+        subscriber.catch_up_live(sid) for subscriber, sid in sessions
     ):
-        system.run_for(0.25)
-        waited += 0.25
-    for subscriber, _, sid, started, outcome in sessions:
+        scenario.run(0.25)
+    for (subscriber, sid), outcome in zip(sessions, result.catch_ups):
         outcome.live = subscriber.catch_up_live(sid)
         outcome.convergence_time = (
-            (system.sim.now - started) if outcome.live else config.max_convergence
+            system.sim.now - started if outcome.live else config.max_convergence
         )
 
-    # Live phase with a crash/restart in the middle.
-    victim = system.hierarchy.stage1_nodes()[0].parent
-    crash_at = system.sim.now + config.crash_after
-    heal_at = crash_at + config.crash_duration
+    # Live phase with the veteran's stage-2 broker killed in the middle.
+    live = _quotes(config, config.history_events, config.live_events) + [("run", 6.0)]
     if config.crash_duration:
-        system.sim.schedule_at(crash_at, victim.crash)
-        system.sim.schedule_at(heal_at, victim.restart)
-        result.crash_window = (crash_at, heal_at + 6.0)
-    for i in range(config.live_events):
-        publisher.publish(
-            Quote("Foo", float(config.history_events + i)),
-            event_class=EVENT_CLASS,
-        )
-        system.run_for(config.publish_dt)
-    system.run_for(6.0)
-
-    for subscriber, _, sid, _, outcome in sessions:
+        kill = ("kill", home.parent.name, config.crash_duration)
+        live.insert(2 * round(config.crash_after / config.publish_dt), kill)
+    scenario.apply(live)
+    for (subscriber, sid), outcome in zip(sessions, result.catch_ups):
         stats = subscriber.catch_up_stats(sid)
         outcome.history_delivered = stats["history_delivered"]
         outcome.tap_delivered = stats["tap_delivered"]
         outcome.dupes_discarded = stats["dupes_discarded"]
-
-    result.log_records = len(root_log)
-    result.log_segments = len(root_log.segments())
-    nodes = system.hierarchy.nodes()
-    result.replay_events_sent = sum(n.counters.replay_events_sent for n in nodes)
-    result.replay_dupes_discarded = sum(
-        n.counters.replay_dupes_discarded for n in nodes
-    ) + sum(s.counters.replay_dupes_discarded for s in system.subscribers)
-    result.catchup_taps = sum(n.counters.catchup_taps for n in nodes)
-    windows = [result.crash_window] if config.crash_duration else []
-    result.audit = verify_exactly_once(
-        root_log, system.tracer, audited, fault_windows=windows
-    )
+    violations = check(scenario)
+    owed, delivered, _ = scenario.tally(range(len(scenario.events)))
+    result.audit = Verdict(owed, delivered, violations)
     return result
 
 
@@ -244,43 +194,33 @@ def render(result: ReplayResult) -> str:
         f"live events, replay rate {config.replay_rate}/s, crash "
         f"{config.crash_duration}s (seed {config.seed})"
     )
-    rows = []
-    for outcome in result.catch_ups:
-        rows.append(
-            [
-                outcome.subscriber,
-                outcome.origin,
-                f"{outcome.history_delivered}/{outcome.expected_history}",
-                outcome.tap_delivered,
-                outcome.dupes_discarded,
-                f"{outcome.convergence_time:.2f}s"
-                + ("" if outcome.live else " (never live!)"),
-            ]
-        )
-    sessions = render_table(
-        ["Catch-up", "Origin", "History", "Taps", "Dupes dropped", "To live"],
-        rows,
-    )
-    totals = render_table(
-        ["Metric", "Value"],
+    rows = [
         [
-            ["root log records", result.log_records],
-            ["root log segments", result.log_segments],
-            ["replay events sent (all brokers)", result.replay_events_sent],
-            ["replay dupes discarded", result.replay_dupes_discarded],
-            ["catch-up live taps", result.catchup_taps],
-        ],
-    )
-    return "\n\n".join([title, sessions, totals, result.audit.render()])
+            outcome.subscriber,
+            outcome.origin,
+            f"{outcome.history_delivered}/{outcome.expected_history}",
+            outcome.tap_delivered,
+            outcome.dupes_discarded,
+            f"{outcome.convergence_time:.2f}s" + ("" if outcome.live else " (never live!)"),
+        ]
+        for outcome in result.catch_ups
+    ]
+    headers = ["Catch-up", "Origin", "History", "Taps", "Dupes dropped", "To live"]
+    root_log = result.system.root.log
+    totals = [
+        ["root log records / segments", f"{len(root_log)} / {len(root_log.segments())}"],
+        ["replay events sent (all brokers)", result.replay_events_sent],
+        ["replay dupes discarded", result.total("replay_dupes_discarded")],
+        ["catch-up live taps", result.total("catchup_taps")],
+    ]
+    tables = [render_table(headers, rows), render_table(["Metric", "Value"], totals)]
+    return "\n\n".join([title, *tables, result.audit.render()])
 
 
 def run(config: Optional[ReplayConfig] = None) -> ReplayResult:
     result = run_replay(config)
     print(render(result))
-    print(
-        f"\ncatch-ups converged: {result.converged}; "
-        f"audit clean: {result.clean}"
-    )
+    print(f"\ncatch-ups converged: {result.converged}; audit clean: {result.clean}")
     return result
 
 

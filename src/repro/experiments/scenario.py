@@ -3,7 +3,9 @@
 A :class:`Scenario` is a simulated :class:`MultiStageEventSystem` with
 the harness's event class advertised.  Its step methods are the one
 vocabulary — ``subscribe`` (filter *text*, so the parser and
-``standardize`` run), ``unsubscribe``, ``publish`` (a burst), ``kill``,
+``standardize`` run), ``unsubscribe``, ``publish`` (a burst),
+``catch_up`` (history from the root's log), ``disconnect`` and
+``reconnect`` (a subscriber going offline, durably or not), ``kill``,
 ``restore``, ``partition``, ``heal``, ``window`` (loss, duplication and
 jitter through the network's :class:`~repro.sim.network.FaultPlan`) and
 ``run`` — and a schedule is a list of ``(step, *arguments)`` tuples.
@@ -11,8 +13,9 @@ Processes are named; a subscriber or publisher is made on first use.
 
 :func:`check` judges a run against the oracle — ``Filter.matches`` over
 each event's reflected meta-data, no broker involved — and the overlay
-invariants.  :func:`draw_schedule` draws a schedule from a seed; the
-chaos sweep is a fixed one.
+invariants; what a subscription is owed is DESIGN §11's rule.
+:func:`draw_schedule` draws a schedule from a seed; the chaos and
+replay sweeps are fixed ones.
 """
 
 import random
@@ -66,14 +69,16 @@ class Quote:
 
 class Published:
     """One published event: when, its meta-data, the subscriptions the
-    oracle matched it to, and whether :func:`check` judges it — only if
-    it was published with no fault open on a settled overlay and had
-    :data:`SLACK` seconds before the next step other than a run."""
+    oracle owes it to, whether :func:`check` judges it — only if it was
+    published with no fault open on a settled overlay and had
+    :data:`SLACK` seconds before the next step other than a run — and
+    its event id."""
 
-    __slots__ = ("at", "metadata", "expected", "judged")
+    __slots__ = ("at", "metadata", "expected", "judged", "event_id")
 
-    def __init__(self, at: float, metadata: PropertyEvent, expected, judged: bool):
-        self.at, self.metadata, self.expected, self.judged = at, metadata, expected, judged
+    def __init__(self, at, metadata: PropertyEvent, expected, judged: bool, event_id):
+        self.at, self.metadata, self.expected = at, metadata, expected
+        self.judged, self.event_id = judged, event_id
 
 
 class Scenario:
@@ -81,7 +86,8 @@ class Scenario:
     ``schema`` and ``stage_prefixes`` are the advertisement's
     (``None``: the uniform association); other keywords are the
     facade's.  An exception a step's run meets — a receive that raised —
-    propagates out of the step."""
+    propagates out of the step.  A subscriber subscribes and catches up
+    online, and catches up once joined."""
 
     def __init__(
         self,
@@ -96,9 +102,17 @@ class Scenario:
         self.brokers = {node.name: node for node in self.system.hierarchy.nodes()}
         self.edge: Dict[str, Any] = {}
         #: ``keys[k]``: (subscriber, subscription id) of the k-th subscribe;
-        #: ``live``: the active ones' parsed filters, by subscription id.
+        #: ``live``: the parsed filters of those owed events, by id;
+        #: ``away``: those of a subscriber offline not durably, by name;
+        #: ``held``: [offline since, back at or None] of one offline
+        #: durably; ``history``: the uids only a catch-up owes, by id;
+        #: ``began``: the uid of the first event published after it, by id.
         self.keys: List[Tuple[Any, int]] = []
         self.live: Dict[int, Any] = {}
+        self.away: Dict[str, Dict[int, Any]] = {}
+        self.held: Dict[str, List[Optional[float]]] = {}
+        self.history: Dict[int, List[int]] = {}
+        self.began: Dict[int, int] = {}
         self.events: List[Published] = []
         #: (subscription id, uid) of every delivery, in arrival order.
         self.log: List[Tuple[int, int]] = []
@@ -140,17 +154,25 @@ class Scenario:
         )
         self.keys.append((self.process(subscriber), subscription.subscription_id))
         self.live[subscription.subscription_id] = parse_filter(text)
+        self.began[subscription.subscription_id] = len(self.events)
 
     def unsubscribe(self, key: int) -> None:
-        """End the subscription of the ``key``-th :meth:`subscribe`."""
+        """End the subscription of the ``key``-th :meth:`subscribe`, and
+        the history of a catch-up not yet live still owed to it."""
         self._disturb()
         subscriber, subscription_id = self.keys[key]
+        if not subscriber.catch_up_live(subscription_id):
+            delivered = {uid for sid, uid in self.log if sid == subscription_id}
+            for uid in set(self.history.pop(subscription_id, ())) - delivered:
+                self.events[uid].expected -= {subscription_id}
         subscriber.unsubscribe(subscription_id)
         self.live.pop(subscription_id, None)
+        self.away.get(subscriber.name, {}).pop(subscription_id, None)
 
     def publish(self, events: Sequence[dict], publisher: str = "feed", typed: bool = True) -> None:
         """One event per mapping: a :class:`Quote` of its ``symbol`` and
-        ``price`` when ``typed``, else a :class:`PropertyEvent` of it."""
+        ``price`` when ``typed``, else a :class:`PropertyEvent` of it.
+        An event the publisher refuses (flow control) is owed to no one."""
         publisher = self.process(publisher, self.system.create_publisher)
         judged = not self.fault_open() and not self.holes()
         for attributes in events:
@@ -161,8 +183,52 @@ class Scenario:
                 event = PropertyEvent(attributes, uid=uid)
             metadata = to_property_event(event, EVENT_CLASS)
             expected = frozenset(s for s, f in self.live.items() if f.matches(metadata))
-            self.events.append(Published(self.system.sim.now, metadata, expected, judged))
-            publisher.publish(event, event_class=EVENT_CLASS)
+            event_id = (publisher.name, publisher.events_published)
+            self.events.append(Published(self.system.sim.now, metadata, expected, judged, event_id))
+            if not publisher.publish(event, event_class=EVENT_CLASS):
+                self.events[uid].expected = frozenset()
+
+    def catch_up(self, key: int, from_offset: Optional[int] = None, from_time: Any = None) -> None:
+        """History for the ``key``-th subscription from a root-log offset
+        or a time (neither: all the log holds): it is owed every matching
+        event the root has logged from there on before it began."""
+        self._disturb()
+        subscriber, sid = self.keys[key]
+        subscriber.catch_up(sid, from_offset, from_time)
+        log = self.system.root.log
+        if from_offset is None:
+            from_offset = log.start_offset if from_time is None else log.offset_for_time(from_time)
+        logged = {record.event_id for record in log.read_from(from_offset)}
+        history = self.history.setdefault(sid, [])
+        for uid, published in enumerate(self.events[: self.began[sid]]):
+            if published.event_id in logged and self.live[sid].matches(published.metadata):
+                history.append(uid)
+                published.expected |= {sid}
+
+    def disconnect(self, subscriber: str, durable: bool = True) -> None:
+        """Offline: durably, its homes hold what it is owed until
+        :meth:`reconnect`; otherwise it is owed nothing until then."""
+        self._disturb()
+        process = self.process(subscriber)
+        process.disconnect(durable)
+        if durable:
+            self.held[subscriber] = [self.system.sim.now, None]
+        else:
+            mine = [sid for p, sid in self.keys if p is process and sid in self.live]
+            self.away[subscriber] = {sid: self.live.pop(sid) for sid in mine}
+
+    def reconnect(self, subscriber: str) -> None:
+        """Back online: what the homes held is on its way :data:`SLACK`
+        more seconds, or lost with a lease a home no longer holds; leases
+        lapsed meanwhile come back with the renewals, as after a fault."""
+        self.process(subscriber).reconnect()
+        held = self.held.get(subscriber)
+        if held is None or self.holes():
+            self._disturb()
+        if held is not None:
+            held[1] = self.system.sim.now
+        self.live.update(self.away.pop(subscriber, {}))
+        self.fault_until = max(self.fault_until, self.system.sim.now)
 
     def kill(self, name: str, duration: Optional[float] = None) -> None:
         """Fail-stop; back after ``duration`` when one is given (the
@@ -213,11 +279,19 @@ class Scenario:
 
     def _disturb(self) -> None:
         """Events still in flight when something happens are not judged."""
-        now = self.system.sim.now
         for published in reversed(self.events):
-            if now - published.at >= SLACK:
+            if not self._in_flight(published):
                 break
             published.judged = False
+
+    def _in_flight(self, published: Published) -> bool:
+        """Sent less than :data:`SLACK` ago, or held for a durable
+        subscriber offline or back less than :data:`SLACK` ago."""
+        now = self.system.sim.now
+        return now - published.at < SLACK or any(
+            published.at >= since and (back is None or now - back < SLACK)
+            for since, back in self.held.values()
+        )
 
     def fault_open(self) -> bool:
         return (
@@ -271,12 +345,17 @@ class Scenario:
                 self.run(ACK_SLICE)
 
     def score(self, uids: Sequence[int]) -> Tuple[float, int]:
-        """Delivered / expected (subscription, event) pairs over
-        ``uids``, and the most copies any one arrived in."""
+        """Delivered / owed over ``uids`` (see :meth:`tally`), and the
+        most copies any one pair arrived in."""
+        owed, delivered, most = self.tally(uids)
+        return (delivered / owed if owed else 1.0), most
+
+    def tally(self, uids: Sequence[int]) -> Tuple[int, int, int]:
+        """The (subscription, event) pairs the oracle owes over ``uids``,
+        how many were delivered, and the most copies any one arrived in."""
         copies = Counter(self.log)
         pairs = [copies[sid, uid] for uid in uids for sid in self.events[uid].expected]
-        delivered = sum(1 for n in pairs if n)
-        return (delivered / len(pairs) if pairs else 1.0), max(pairs, default=0)
+        return len(pairs), sum(1 for n in pairs if n), max(pairs, default=0)
 
 
 def check(scenario: Scenario) -> List[str]:
@@ -289,7 +368,8 @@ def check(scenario: Scenario) -> List[str]:
       lease, no covering hole is open and every control frame is acked
       (time runs on while that bound has not passed and they do not);
     - placement and credit violations;
-    - exactly-once against the oracle for every judged event.
+    - exactly-once against the oracle for every judged event that is
+      no longer in flight.
     """
     system = scenario.system
     found = list(dict.fromkeys(scenario.soft_state))
@@ -305,7 +385,7 @@ def check(scenario: Scenario) -> List[str]:
     for sid, uid in copies:
         reached.setdefault(uid, set()).add(sid)
     for uid, published in enumerate(scenario.events):
-        if not published.judged or system.sim.now - published.at < SLACK:
+        if not published.judged or scenario._in_flight(published):
             continue
         for sid in sorted(published.expected | reached.get(uid, set())):
             wanted = int(sid in published.expected)

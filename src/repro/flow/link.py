@@ -63,7 +63,7 @@ class LinkSender:
     ``flow.policy`` sheds past it), the next ``DataFrame`` number and the
     link's epoch."""
 
-    __slots__ = ("window", "queue", "next_seq", "epoch")
+    __slots__ = ("window", "queue", "next_seq", "epoch", "_still")
 
     def __init__(
         self,
@@ -75,6 +75,7 @@ class LinkSender:
         self.queue = BoundedQueue(capacity, flow.policy, priority=priority)
         self.next_seq = 0
         self.epoch = 0
+        self._still: Optional[Tuple[int, int, int]] = None  # at the last probe
 
     def offer(self, run: Sequence[Any]) -> Tuple[Optional[Any], List[Any], int]:
         """Spend one credit per event of ``run``; returns ``(frame, shed,
@@ -104,6 +105,18 @@ class LinkSender:
         while queue and window.take(1):
             released.append(queue.popleft())
         return self._frame(released)
+
+    def probe(self) -> Optional[Any]:
+        """An empty frame numbered next when credits are out and nothing
+        was sent or granted since the last call (else ``None``): it shows
+        the peer the gap of frames lost at the tail of the traffic."""
+        global DataFrame
+        still, self._still = self._still, (self.epoch, self.next_seq, self.window.available)
+        if still != self._still or self.window.available == self.window.capacity:
+            return None
+        if DataFrame is None:
+            from repro.overlay.messages import DataFrame
+        return DataFrame(self.epoch, self.next_seq, ())
 
     def take(self) -> bool:
         """Spend one credit for an event that travels outside the data
@@ -163,8 +176,11 @@ class LinkReceiver:
         window, the most that can be in flight — or ``None``: admit and
         grant nothing, for a dead incarnation's frame (:func:`incarnation`)
         or one already accounted for (a duplicate, or a late frame whose
-        gap was granted back)."""
-        epoch, expected = self.expected.get(source, (None, 0))
+        gap was granted back).  A source not heard is heard from the
+        start of the frame's epoch: a sender that heard a grant from this
+        end's previous incarnation hears this one at a higher channel
+        epoch, resets first, and takes the gap grant as another epoch's."""
+        epoch, expected = self.expected.get(source, (frame.epoch, 0))
         start = incarnation(epoch, expected, frame, restarted)
         if start is None or frame.seq < start:
             return None

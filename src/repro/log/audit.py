@@ -1,34 +1,26 @@
-"""Audit-grade exactly-once verification: delivery traces vs. the log.
+"""Exactly-once verification of delivery traces against the root's log.
 
-The verifier cross-checks two independent artifacts:
-
-- the **root's event log** — the ground truth of what entered the
-  system (every publisher attaches to the root, so every admitted event
-  is a record with an offset and a time);
-- the **delivery trace** — the causal tracer's ``deliver`` spans, each
-  carrying the original ``(publisher, seq)`` trace id and a
-  ``delivered`` count emitted at the subscriber edge.
-
-For each audited subscription it derives the *expected* delivery set
-(log records matching the subscription's filter from its start point)
-and diffs it against the *observed* copies: zero copies is a **gap**,
-more than one is a **duplicate**.  Findings are classified against the
-run's fault windows — an event published (or delivered) while faults
-were injected may legitimately be lost or duplicated; the system's
-guarantee, and what :attr:`AuditReport.clean` asserts, is exactly-once
-*outside* fault windows.
-
-Restriction: copies are counted per ``deliver`` span with ``delivered
->= 1``, i.e. per envelope arrival that delivered something — so each
-audited subscriber must hold exactly one subscription matching the
-audited filter (the harness's subscribers do).
+The scenario harness (:mod:`repro.experiments.scenario`) judges whatever
+its steps can express against its own oracle, the replay sweep
+included.  This verifier serves what they cannot: derived events of
+in-broker flows (:mod:`repro.experiments.flows`) and a run on a socket
+runtime audited from the root's on-disk log after the fact.  Every
+record of the root's log (every admitted event) that matches an audited
+subscription's filter is expected — an audited subscription was there
+before the first record — and the tracer's ``deliver`` spans that
+delivered something are the observed copies: none is a **gap**, more
+than one a **duplicate**.  A finding whose publish or delivery time
+falls inside a declared fault window is excused; the guarantee, what
+:attr:`AuditReport.clean` asserts, is exactly-once *outside* them.
+Copies are counted per span, so each audited subscriber holds exactly
+one subscription matching its audited filter.
 """
 
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.filters.filter import Filter
-from repro.log.eventlog import EventLog, format_point
+from repro.log.eventlog import EventLog
 from repro.obs.tracing import EventTracer
 
 
@@ -39,12 +31,6 @@ class AuditSubscription:
 
     subscriber: str
     filter: Filter
-    event_class: Optional[str] = None
-    #: First log offset the subscription is entitled to (a catch-up
-    #: subscriber from offset N expects nothing before N).
-    from_offset: int = 0
-    #: ...and/or the earliest publish time it is entitled to.
-    from_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -71,14 +57,12 @@ class AuditFinding:
 
 @dataclass
 class AuditReport:
-    """The verifier's verdict plus enough detail to render an artifact."""
+    """The verifier's verdict: expected deliveries, how many were
+    observed, and every gap and duplicate."""
 
-    subscriptions: int
-    records: int
-    expected: int
-    delivered: int
+    expected: int = 0
+    delivered: int = 0
     findings: List[AuditFinding] = field(default_factory=list)
-    fault_windows: Tuple[Tuple[float, float], ...] = ()
 
     @property
     def gaps(self) -> List[AuditFinding]:
@@ -104,36 +88,14 @@ class AuditReport:
         return not self.violations
 
     def render(self) -> str:
-        """Human-readable report (the CI artifact)."""
-        lines = [
-            "exactly-once audit",
-            "==================",
-            f"subscriptions audited : {self.subscriptions}",
-            f"log records           : {self.records}",
-            f"expected deliveries   : {self.expected}",
-            f"observed deliveries   : {self.delivered}",
-            f"fault windows         : "
-            + (
-                ", ".join(
-                    f"[{format_point(a)} .. {format_point(b)}]"
-                    for a, b in self.fault_windows
-                )
-                or "none"
-            ),
-            f"gaps                  : {len(self.gaps)}"
-            f" ({sum(1 for f in self.gaps if not f.in_fault_window)} outside windows)",
-            f"duplicates            : {len(self.duplicates)}"
-            f" ({sum(1 for f in self.duplicates if not f.in_fault_window)}"
-            " outside windows)",
-            f"verdict               : {'CLEAN' if self.clean else 'VIOLATED'}",
-        ]
-        if self.findings:
-            lines.append("")
-            lines.append("findings")
-            lines.append("--------")
-            for finding in self.findings:
-                lines.append(f"  {finding}")
-        return "\n".join(lines)
+        """The verdict and every finding (the CI artifact)."""
+        head = (
+            f"exactly-once audit: {self.delivered}/{self.expected} expected deliveries "
+            f"observed, {len(self.gaps)} gaps, {len(self.duplicates)} duplicates, "
+            f"{len(self.violations)} outside fault windows: "
+            + ("CLEAN" if self.clean else "VIOLATED")
+        )
+        return "\n".join([head] + [f"  {finding}" for finding in self.findings])
 
 
 def verify_exactly_once(
@@ -142,13 +104,8 @@ def verify_exactly_once(
     subscriptions: Sequence[AuditSubscription],
     fault_windows: Iterable[Tuple[float, float]] = (),
 ) -> AuditReport:
-    """Diff delivery traces against the log (see module docstring).
-
-    ``fault_windows`` is an iterable of ``(start, end)`` simulated-time
-    intervals during which faults (loss/duplication/crashes) were
-    injected; a finding is *excused* when the event's publish time or
-    any of its observed delivery times falls inside one.
-    """
+    """Diff delivery traces against the log (see the module docstring);
+    ``fault_windows`` are ``(start, end)`` simulated-time intervals."""
     windows = tuple(fault_windows)
 
     def in_windows(t: Optional[float]) -> bool:
@@ -161,13 +118,7 @@ def verify_exactly_once(
             continue
         copies.setdefault((span.node, span.trace_id), []).append(span.time)
 
-    report = AuditReport(
-        subscriptions=len(subscriptions),
-        records=len(log),
-        expected=0,
-        delivered=0,
-        fault_windows=windows,
-    )
+    report = AuditReport()
     for record in log:
         publish_time = (
             record.envelope.published_at
@@ -175,16 +126,6 @@ def verify_exactly_once(
             else record.time
         )
         for subscription in subscriptions:
-            if record.offset < subscription.from_offset:
-                continue
-            if publish_time < subscription.from_time:
-                continue
-            if (
-                subscription.event_class is not None
-                and record.event_class is not None
-                and record.event_class != subscription.event_class
-            ):
-                continue
             if not subscription.filter.matches(record.envelope.metadata):
                 continue
             report.expected += 1
@@ -213,20 +154,13 @@ def verify_exactly_once(
 def dropped_window_excusals(
     tracer: EventTracer, slack: float = 0.0
 ) -> Tuple[Tuple[float, float], ...]:
-    """Fault windows for operator state lost to crashes (DESIGN §15).
-
-    In-broker information flows are soft state: a crash discards every
-    open window, and the derived events those windows would have emitted
-    are *legitimately* absent from downstream deliveries.  Each such
-    loss is announced by a ``window-dropped`` span carrying the window's
-    start and the drop time; this helper turns those spans into
-    ``(window_start, drop_time + slack)`` intervals to pass as extra
-    ``fault_windows`` to :func:`verify_exactly_once` — the recorded
-    audit-excusal rule: **a derived-event gap is excused iff its input
-    window was explicitly dropped by a crash**.  Raw (non-derived)
-    events are unaffected: their publish times predate the window spans
-    only when they actually fed the dropped window.
-    """
+    """Fault windows for operator state lost to crashes (DESIGN §15): a
+    crash discards every open flow window, announced by a
+    ``window-dropped`` span, and the derived events it would have
+    emitted are legitimately absent.  Each span becomes a
+    ``(window_start, drop_time + slack)`` interval to pass to
+    :func:`verify_exactly_once`: a derived-event gap is excused iff its
+    input window was dropped by a crash."""
     intervals: List[Tuple[float, float]] = []
     for span in tracer.kinds("window-dropped"):
         start = span.detail("window_start")

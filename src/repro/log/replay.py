@@ -70,15 +70,16 @@ class _Session:
 
 
 class _CatchUpSession(_Session):
-    """One subscriber catching up."""
+    """One subscriber catching up; ``renewed``: when it last asked."""
 
     __slots__ = (
-        "subscription_id", "home", "filter", "event_class", "taps", "done_sent"
+        "subscription_id", "home", "filter", "event_class", "taps", "done_sent", "renewed"
     )  # fmt: skip
     mode = "history"
 
-    def __init__(self, request: CatchUpRequest, cursor: int, fence: int) -> None:
+    def __init__(self, request: CatchUpRequest, cursor: int, fence: int, now: float) -> None:
         super().__init__(request.subscriber, cursor, fence)
+        self.renewed = now
         self.subscription_id = request.subscription_id
         self.home = request.home
         self.filter = request.filter
@@ -129,6 +130,12 @@ class Replayer:
         return bool(self._catchup)
 
     def start_catch_up(self, request: CatchUpRequest) -> None:
+        """Open a session, or renew the open one (asked again each
+        renewal period until live)."""
+        open_ = self._catchup.get((request.subscriber.name, request.subscription_id))
+        if open_ is not None:
+            open_.renewed = self.node.sim.now
+            return
         log = self.node.log
         if request.from_offset is not None:
             origin = request.from_offset
@@ -137,7 +144,7 @@ class Replayer:
         else:
             origin = log.start_offset
         cursor = max(origin, log.start_offset)
-        session = _CatchUpSession(request, cursor, log.next_offset)
+        session = _CatchUpSession(request, cursor, log.next_offset, self.node.sim.now)
         self._catchup[(request.subscriber.name, request.subscription_id)] = session
         # Open the subscriber's credited link now (under flow control)
         # so its grants are never "stale" at the root.
@@ -175,6 +182,11 @@ class Replayer:
         while node is not None and node.parent is not self.node:
             node = node.parent
         return node
+
+    def expire(self, before: float) -> None:
+        """Drop the catch-up sessions nobody asked for since ``before``."""
+        for key in [k for k, s in self._catchup.items() if s.renewed < before]:
+            del self._catchup[key]
 
     def on_peer_reset(self, peer_name: str) -> None:
         """A neighbour announced a new incarnation: its in-flight replay

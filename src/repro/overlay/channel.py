@@ -279,7 +279,8 @@ class PeerLinks:
     """
 
     __slots__ = (
-        "owner", "network", "window", "on_retransmit", "_senders", "_receivers", "peers"
+        "owner", "network", "window", "on_retransmit", "_senders", "_receivers", "peers",
+        "_new", "_new_by_default",
     )
 
     def __init__(
@@ -296,8 +297,16 @@ class PeerLinks:
         self.on_retransmit = on_retransmit
         self._senders: Dict[str, ReliableSender] = {}
         self._receivers: Dict[str, ReliableReceiver] = {}
-        #: Every process the owner ever sent to, by name: a crash keeps them.
+        #: Every process the owner ever sent to or heard a frame from, by
+        #: name: a crash keeps them (a restart resets them all).
         self.peers: Dict[str, Any] = {}
+        # Whether a peer's next first frame starts its epoch's numbering
+        # (wait for frame 0) or may continue one a lost receiver acked
+        # (adopt it).  A peer never heard is new only while the owner
+        # remembers every peer it heard: a crash loses that, as a real
+        # fail-stop does, and a forgotten peer is new again.
+        self._new: Dict[str, bool] = {}
+        self._new_by_default = True
 
     def send(self, peer: Any, payload: Any) -> None:
         """Send one payload to ``peer`` in order, retransmitted until
@@ -335,16 +344,23 @@ class PeerLinks:
         receiver = self._receivers.get(sender.name)
         if receiver is None:
             receiver = self._receivers[sender.name] = ReliableReceiver(self.window)
+            if self._new.get(sender.name, self._new_by_default):
+                # None of its frames acked yet: wait from the epoch's first.
+                receiver.epoch = frame.epoch
+            self._new[sender.name] = False
+            self.peers[sender.name] = sender
         dups_before = receiver.dups_discarded
         ack = receiver.on_frame(frame, deliver, restarted)
         self.network.send(self.owner, sender, ack)
         return receiver.dups_discarded - dups_before
 
     def forget(self, peer: Any) -> Optional[int]:
-        """``peer`` lost its state: drop what was heard from it, abandon
-        what is in flight toward it and open a fresh epoch.  Returns the
-        new epoch, or ``None`` when nothing was ever sent to it."""
+        """``peer`` lost its state: drop what was heard from it (its next
+        incarnation's frames are waited for from the first), abandon what
+        is in flight toward it and open a fresh epoch.  Returns the new
+        epoch, or ``None`` when nothing was ever sent to it."""
         self._receivers.pop(peer.name, None)
+        self._new[peer.name] = True
         sender = self._senders.get(peer.name)
         if sender is None:
             return None
@@ -352,9 +368,12 @@ class PeerLinks:
         return sender.epoch
 
     def reset(self) -> None:
-        """The owner crashed: every receiver is gone, every sender
-        abandons its frames and timer and moves to its next epoch."""
+        """The owner crashed: every receiver is gone, and with it what
+        was heard from whom; every sender abandons its frames and timer
+        and moves to its next epoch."""
         self._receivers.clear()
+        self._new.clear()
+        self._new_by_default = False
         for sender in self._senders.values():
             sender.reset()
 

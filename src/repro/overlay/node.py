@@ -604,12 +604,12 @@ class BrokerNode(Process):
     def _resume(self) -> None:
         """Back up (``restart()``): rebuild from the neighbours' renewals.
 
-        Tree neighbours and the publishers it granted credits to get a
-        :class:`ChannelReset`: broker children respond with an immediate
-        full renewal, which rebuilds this node's table without waiting
-        out a renewal period, and a publisher's window comes back full.
-        Attached subscribers are unknown after the wipe — their periodic
-        renewals restore their filters within one renewal interval.
+        Its tree neighbours and every peer of its reliable links get a
+        :class:`ChannelReset`: children and subscribers homed here renew
+        at once, rebuilding the table without waiting out a renewal
+        period, and a publisher's window comes back full.  A fresh OS
+        process (the multiprocess runtime's restore) knows only the tree;
+        a subscriber it does not know is adopted at its next renewal.
         """
         if (
             self.log is None
@@ -626,14 +626,7 @@ class BrokerNode(Process):
                 reopen=True,
             )
         reset = ChannelReset(self.incarnation)
-        if self.parent is not None:
-            self.network.send(self, self.parent, reset)
-        for child in self.broker_children:
-            self.network.send(self, child, reset)
-        for peer in self.links.peers.values():
-            if not getattr(peer, "is_broker", False):
-                # A publisher holding a credited link into us (§10).
-                self.network.send(self, peer, reset)
+        told = {p.name: p for p in (self.parent, *self.broker_children) if p is not None}
         if self.parent is not None and self.parent.parent is not None:
             # The recovery replay below rides a reliable channel straight
             # to the root (a non-tree neighbour when the tree is deeper
@@ -642,7 +635,10 @@ class BrokerNode(Process):
             # forget its receiver state too — otherwise every frame of
             # the fresh incarnation's epoch-0 channel reads as stale and
             # the replay request retransmits into the void forever.
-            self.network.send(self, self.root, reset)
+            told[self.root.name] = self.root
+        told.update(self.links.peers)
+        for peer in told.values():
+            self.network.send(self, peer, reset)
         if self.log is not None and self.parent is not None:
             # Let the children's reset-triggered renewals rebuild the
             # routing table first, then ask the root to re-drive what
@@ -658,9 +654,17 @@ class BrokerNode(Process):
         parent) every half-TTL and REMOVE INVALID FILTERS every TTL; the
         ``Process`` base arms, re-arms and cancels both."""
         return (
-            ("renew", self.ttl * RENEW_FRACTION, self.uplink.renew),
+            ("renew", self.ttl * RENEW_FRACTION, self._renew_task),
             ("purge", self.ttl, self._purge_task),
         )
+
+    def _renew_task(self) -> None:
+        """Renew at the parent; probe each stalled link to a broker."""
+        self.uplink.renew()
+        for name, link in self._downlinks.items():
+            peer, frame = self.links.peers.get(name), link.probe()
+            if frame is not None and getattr(peer, "is_broker", False):
+                self.network.send(self, peer, frame)
 
     def _purge_task(self) -> None:
         """REMOVE INVALID FILTERS: drop pairs silent for 3xTTL."""
@@ -684,6 +688,9 @@ class BrokerNode(Process):
             if destination_name not in live_names:
                 del self._offline[destination_name]
                 self._buffers.pop(destination_name, None)
+        # So do catch-up sessions no subscriber asks for any more.
+        if self._replayer is not None:
+            self._replayer.expire(self.sim.now - self.ttl * self.expiry_factor)
         # Flow leases decay on the same clock as filter leases: a flow
         # whose registrar fell silent (crashed, removed, partitioned past
         # the expiry window) is dropped with its pending state.

@@ -18,9 +18,10 @@ offered rate at the source.  ``publish`` then reports whether the event
 actually entered the system.
 """
 
-from typing import Any, Iterable, List, Optional
+from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.core.advertisement import Advertisement
+from repro.core.subscription import RENEW_FRACTION
 from repro.events.hierarchy import TypeRegistry
 from repro.events.serialization import marshal
 from repro.flow import FlowConfig, LinkSender, RateLimiter
@@ -36,7 +37,7 @@ from repro.overlay.messages import (
     Sequenced,
 )
 from repro.runtime.base import Executor, Transport
-from repro.sim.kernel import Process
+from repro.sim.kernel import PeriodicTask, Process
 
 
 class PublisherRuntime(Process):
@@ -53,10 +54,12 @@ class PublisherRuntime(Process):
         flow: Optional[FlowConfig] = None,
         rate_limit: Optional[float] = None,
         burst: Optional[float] = None,
+        ttl: float = 60.0,
     ):
         super().__init__(sim, name)
         self.network = network
         self.root = root
+        self.ttl = ttl
         self.types = types
         self.counters = NodeCounters()
         self.events_published = 0
@@ -224,10 +227,20 @@ class PublisherRuntime(Process):
 
     def _root_restarted(self) -> None:
         """The root restarted (its ``ChannelReset``, or a higher channel
-        epoch): the link starts over as ``BrokerNode._peer_restarted``
-        has it, full under a new epoch, its parked events shed."""
+        epoch): the link starts over, full under a new epoch, and what
+        waited for credits goes to the new incarnation."""
         if self.link is not None:
-            self._shed("peer-reset", self.link.reset())
+            for message in self.link.reset():
+                self._submit(message)
+
+    def _maintenance_tasks(self) -> Tuple[PeriodicTask, ...]:
+        return () if self.link is None else (("probe", self.ttl * RENEW_FRACTION, self._probe),)
+
+    def _probe(self) -> None:
+        """Show a root that lost our last frames, or heard none, the gap."""
+        frame = self.link.probe()
+        if frame is not None:
+            self.network.send(self, self.root, frame)
 
     def _lose_soft_state(self) -> None:
         """Fail-stop: the grant stream's position dies with the process;

@@ -8,6 +8,7 @@ event safety are enforced end-to-end here, while everything upstream saw
 only weakened filters and meta-data.
 """
 
+import math
 from bisect import bisect_left, insort
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -68,6 +69,12 @@ class _SubscriptionState:
     #: Where the join's request goes: the root, or the ``at_node`` the
     #: subscription was pinned to.
     entry: Process
+    #: When the subscription was made (what it is owed starts there).
+    since: float
+    #: The earliest publish time of an event the live path carried to it
+    #: (or when it went offline not durably): a history copy of a later
+    #: event is the live path's to deliver, or not owed.
+    live_from: float = math.inf
     home: Optional[Process] = None
     stored_filter: Optional[Filter] = None
     active: bool = True
@@ -118,7 +125,7 @@ class _CatchUpSession:
 
     __slots__ = (
         "subscription_id",
-        "history_done",
+        "request",
         "live",
         "history_delivered",
         "tap_delivered",
@@ -127,10 +134,10 @@ class _CatchUpSession:
         "_seen_limit",
     )
 
-    def __init__(self, subscription_id: int, seen_limit: int = 65536) -> None:
-        self.subscription_id = subscription_id
-        #: The root drained every record up to the session fence.
-        self.history_done = False
+    def __init__(self, request: CatchUpRequest, seen_limit: int = 65536) -> None:
+        self.subscription_id = request.subscription_id
+        #: What the root is asked, again each renewal period until live.
+        self.request = request
         #: Switchover announced: the overlay path now serves this alone.
         self.live = False
         self.history_delivered = 0
@@ -186,8 +193,10 @@ class SubscriberRuntime(Process):
         # and ``_detach`` at every change of a state's ``active`` or
         # ``home``; a home with no such state has no entry.
         self._by_home: Dict[Process, _Home] = {}
-        #: Gone offline (``disconnect``): renewals pause until ``reconnect``.
+        #: Gone offline (``disconnect``, telling the homes in ``_told``):
+        #: renewals pause until ``reconnect``.
         self.offline = False
+        self._told: Tuple[Process, ...] = ()
         self._delivered_groups_limit = 4096
         # Catch-up replay (see repro.log.replay): per-subscription
         # sessions, kept after switchover — their seen-sets are the
@@ -256,6 +265,7 @@ class SubscriberRuntime(Process):
             handler,
             len(self._states) if replaced is None else replaced.order,
             at_node if at_node is not None else self.root,
+            self.sim.now,
         )
         self._states[subscription.subscription_id] = state
         self._active += 1
@@ -305,6 +315,10 @@ class SubscriberRuntime(Process):
         in from the request onward, and once the normal overlay path
         covers the subscription the root hands over
         (:meth:`catch_up_live` turns True) — no gap, no duplicate.
+        History stops where the live path began to carry: what was
+        published during the join comes from history, what the live path
+        delivered does not come again, and what was published during a
+        non-durable absence is not owed.
         """
         state = self._states.get(subscription_id)
         if state is None or not state.active:
@@ -313,24 +327,13 @@ class SubscriberRuntime(Process):
             raise RuntimeError(
                 f"subscription {subscription_id} must be joined before catch-up"
             )
-        self._catch_up[subscription_id] = _CatchUpSession(subscription_id)
-        self.links.send(
-            self.root,
-            CatchUpRequest(
-                subscription_id,
-                state.subscription.filter,
-                state.subscription.event_class,
-                self,
-                state.home,
-                from_offset,
-                from_time,
-            ),
-        )
-
-    def catch_up_history_done(self, subscription_id: int) -> bool:
-        """True when the root has drained this session's history."""
-        session = self._catch_up.get(subscription_id)
-        return session is not None and session.history_done
+        subscription = state.subscription
+        request = CatchUpRequest(
+            subscription_id, subscription.filter, subscription.event_class, self,
+            state.home, from_offset, from_time,
+        )  # fmt: skip
+        self._catch_up[subscription_id] = _CatchUpSession(request)
+        self.links.send(self.root, request)
 
     def catch_up_live(self, subscription_id: int) -> bool:
         """True when the switchover to normal live delivery completed."""
@@ -398,8 +401,13 @@ class SubscriberRuntime(Process):
         the subscriptions, exactly the paper's soft-state semantics.
         """
         self.offline = True
-        for home in self._homes():
-            self.network.send(self, home, Disconnect(durable=durable))
+        if not durable:
+            # What the homes drop from now on is owed to no one.
+            for state in self._active_states():
+                state.live_from = min(state.live_from, self.sim.now)
+        self._told = tuple(self._homes())
+        for home in self._told:
+            self.links.send(home, Disconnect(durable=durable))
         self._sync_maintenance()
 
     def rejoin(self, subscription_id: int) -> None:
@@ -424,8 +432,11 @@ class SubscriberRuntime(Process):
     def reconnect(self) -> None:
         """Come back online: homes flush buffers, renewals resume."""
         self.offline = False
-        for home in self._homes():
-            self.network.send(self, home, Reconnect())
+        # Reliably, to every home told of the absence (also one whose
+        # subscriptions ended meanwhile): else it holds everything back.
+        for home in dict.fromkeys((*self._told, *self._homes())):
+            self.links.send(home, Reconnect())
+        self._told = ()
         self._sync_maintenance()
 
     # ------------------------------------------------------------------
@@ -480,8 +491,13 @@ class SubscriberRuntime(Process):
                 message, sender, lambda payload: self._on_framed(payload, sender)
             )
         elif isinstance(message, ChannelReset):
-            # The root restarted: its replay stream died with it.
+            # The peer restarted: the root's replay stream died with it;
+            # a home holds none of our filters, nor knows we are online
+            # (whatever stale frame of ours it heard since).
             self.links.forget(sender)
+            if sender in self._by_home and not self.offline:
+                self.links.send(sender, Reconnect())
+                self._renew(sender)
         else:
             raise TypeError(f"{self.name}: unexpected message {message!r}")
 
@@ -490,15 +506,11 @@ class SubscriberRuntime(Process):
             self._on_catch_up_batch(payload, sender)
             return
         self.counters.control_messages += 1
-        if isinstance(payload, CatchUpDone):
-            session = self._catch_up.get(payload.subscription_id)
-            if session is not None:
-                session.history_done = True
-        elif isinstance(payload, CatchUpLive):
+        if isinstance(payload, CatchUpLive):
             session = self._catch_up.get(payload.subscription_id)
             if session is not None:
                 session.live = True
-        else:
+        elif not isinstance(payload, CatchUpDone):  # history drained: nothing to do
             raise TypeError(f"{self.name}: unexpected framed {payload!r}")
 
     def _on_catch_up_batch(self, message: CatchUpBatch, sender: Process) -> None:
@@ -538,7 +550,11 @@ class SubscriberRuntime(Process):
         at ``sender``: by one ``engine.match`` when the home keeps an
         engine over them, by a scan when it holds too few to (either way
         the event was checked against ``len(states)`` filters, which is
-        what ``filter_evaluations`` books).  A replayed copy arrives on
+        what ``filter_evaluations`` books).  A live copy of an event older
+        than the subscription (a recovery replay re-drives the log
+        through today's tables) and a history copy of one published
+        since the live path began to carry (``live_from``) are discarded
+        as replay duplicates.  A replayed copy arrives on
         ``session``'s stream for its one subscription, as history or
         (``history=False``) a live tap; it never enters the
         delivery-latency series — a historical event's publish-to-now
@@ -570,13 +586,23 @@ class SubscriberRuntime(Process):
         )
         tracing = self.tracer.enabled
         delivered_before = counters.events_delivered if tracing else 0
-        live = session is None and envelope.published_at is not None
+        published_at = envelope.published_at
+        live = session is None and published_at is not None
+        history_copy = history and published_at is not None
         if matched and live:
-            self.delivery_latencies.append(self.sim.now - envelope.published_at)
+            self.delivery_latencies.append(self.sim.now - published_at)
         event_id = envelope.event_id
         event = _UNOPENED
         catch_up = self._catch_up
         for state in matched:
+            if live and published_at < state.live_from:
+                if published_at < state.since:
+                    counters.replay_dupes_discarded += 1
+                    continue
+                state.live_from = published_at
+            elif history_copy and published_at >= state.live_from:
+                counters.replay_dupes_discarded += 1
+                continue
             subscription = state.subscription
             # Around the catch-up handover one event can arrive on the
             # replay stream and from the home; first copy in wins, later
@@ -622,7 +648,7 @@ class SubscriberRuntime(Process):
                 ("src", sender.name),
                 ("matched", bool(matched)),
                 ("delivered", counters.events_delivered - delivered_before),
-                ("latency", self.sim.now - envelope.published_at if live else None),
+                ("latency", self.sim.now - published_at if live else None),
             )
             if session is not None:
                 details += (("replay", "history" if history else "tap"),)
@@ -688,14 +714,22 @@ class SubscriberRuntime(Process):
         for state in self._active_states():
             if not state.joined:
                 self._send_request(state, state.entry)
+        # A catch-up is soft state at the root: asked for until live.
+        for session in self._catch_up.values():
+            if not session.live and self._states[session.subscription_id].active:
+                self.links.send(self.root, session.request)
         for home in self._homes():
-            items = dict.fromkeys(
-                (state.stored_filter, state.subscription.event_class)
-                for state in self._by_home[home].states
-                if state.stored_filter is not None
-            )
-            if items:
-                self.links.send(home, Renewal(tuple(items)))
+            self._renew(home)
+
+    def _renew(self, home: Process) -> None:
+        """Renew every filter of the states homed at ``home``."""
+        items = dict.fromkeys(
+            (state.stored_filter, state.subscription.event_class)
+            for state in self._by_home[home].states
+            if state.stored_filter is not None
+        )
+        if items:
+            self.links.send(home, Renewal(tuple(items)))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -51,6 +51,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.advertisement import AdvertisementRegistry
 from repro.metrics.counters import NodeCounters
 from repro.obs.tracing import EventTracer
 from repro.overlay.config import BrokerConfig
@@ -103,6 +104,9 @@ class WorkerSpec:
         default_factory=dict
     )
     maintain: bool = False
+    #: What was advertised before a restore: a broker keeps its
+    #: advertisements through a crash (DESIGN §8), a fresh process too.
+    advertisements: Tuple[Any, ...] = ()
 
 
 # ----------------------------------------------------------------------
@@ -230,6 +234,8 @@ class MultiprocessRuntime(AsyncioRuntime):
         self._spec: Optional[SystemSpec] = None
         self._locals: Dict[str, Optional[int]] = {}
         self._maintained = False
+        #: The facade's advertisements (its registry, once it set it).
+        self.advertisements = AdvertisementRegistry()
 
     # -- launch --------------------------------------------------------
 
@@ -504,6 +510,7 @@ class MultiprocessRuntime(AsyncioRuntime):
                     for entry in self._directory()
                 },
                 maintain=self._maintained,
+                advertisements=tuple(map(self.advertisements.get, self.advertisements.classes())),
             )
         )
         self._await_hellos([name])
@@ -602,6 +609,8 @@ class _BrokerWorker:
             # simulator exercises — reload the on-disk log, ChannelReset
             # the neighbours, schedule the replay request.
             node.incarnation = spec.incarnation_base
+            for advertisement in spec.advertisements:
+                node.advertisements.add(advertisement)
             node.crash()
             node.restart()
         if spec.maintain:

@@ -210,10 +210,14 @@ class Simulator:
         ``max_events`` have executed.
 
         Events scheduled exactly at ``until`` still run (the bound is
-        inclusive).  Returns the number of events executed by this call.
+        inclusive); an ``until`` before now, or NaN, is refused, as
+        :meth:`schedule_at` refuses such a time.  Returns the number of
+        events executed by this call.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        if until is not None and not until >= self._now:  # also refuses NaN
+            raise SimulationError(f"cannot run until t={until}: it is t={self._now}")
         self._running = True
         executed = 0
         queue = self._queue
@@ -233,7 +237,7 @@ class Simulator:
                 if self.step():
                     executed += 1
             else:
-                if until is not None and until > self._now:
+                if until is not None:
                     self._now = until
         finally:
             self._running = False

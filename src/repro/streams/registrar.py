@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.subscription import RENEW_FRACTION
 from repro.obs.tracing import SUBSCRIBER_STAGE, EventTracer
 from repro.overlay.channel import PeerLinks
-from repro.overlay.messages import Ack, FlowInstall, FlowRemove
+from repro.overlay.messages import Ack, ChannelReset, FlowInstall, FlowRemove
 from repro.runtime.base import Executor, Transport
 from repro.sim.kernel import PeriodicTask, Process
 from repro.streams.spec import FlowSpec
@@ -79,6 +79,10 @@ class FlowRegistrar(Process):
     def receive(self, message: Any, sender: Process) -> None:
         if isinstance(message, Ack):
             self.links.on_ack(sender, message)
+        elif isinstance(message, ChannelReset):  # restarted without our flows
+            self.links.forget(sender)
+            for spec in self._installed.get(sender.name, (None, {}))[1].values():
+                self.links.send(sender, FlowInstall(spec))
         else:
             raise TypeError(f"{self.name}: unexpected message {message!r}")
 

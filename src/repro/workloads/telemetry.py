@@ -28,18 +28,6 @@ TELEMETRY_SCHEMA: Tuple[str, ...] = (CLASS_ATTRIBUTE, "region", "sensor", "readi
 TELEMETRY_EVENT_CLASS = "Telemetry"
 ROLLUP_EVENT_CLASS = "TelemetryRollup"
 
-#: Schema of the derived per-region rollup events (window emission
-#: attributes, generality-ordered), matching
-#: :meth:`repro.streams.spec.FlowSpec.output_schema`.
-ROLLUP_SCHEMA: Tuple[str, ...] = (
-    CLASS_ATTRIBUTE,
-    "region",
-    "avg_reading",
-    "window_start",
-    "window_end",
-    "n",
-)
-
 
 class Telemetry:
     """One sensor reading (accessor convention, like :class:`Stock`)."""
@@ -97,12 +85,6 @@ class TelemetryWorkload:
 
     def advertisement(self, stages: int = 3) -> Advertisement:
         return Advertisement(TELEMETRY_EVENT_CLASS, self.association(stages))
-
-    def rollup_association(self, stages: int = 3) -> AttributeStageAssociation:
-        return AttributeStageAssociation.uniform(ROLLUP_SCHEMA, stages)
-
-    def rollup_advertisement(self, stages: int = 3) -> Advertisement:
-        return Advertisement(ROLLUP_EVENT_CLASS, self.rollup_association(stages))
 
     # -- event stream ------------------------------------------------
 

@@ -11,6 +11,7 @@ converged three TTLs after the heal.
 import pytest
 
 from repro.experiments.scenario import Scenario, check, draw_schedule
+from repro.log import LogConfig
 
 TEXT = 'symbol = "SYM1" and price < 10'
 QUOTE = {"symbol": "SYM1", "price": 3}
@@ -146,11 +147,55 @@ def test_a_subscription_leaves_the_oracle_when_it_ends():
     assert check(scenario) == []
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 8, 163])
-def test_a_drawn_schedule_passes_check(seed):
+def test_recovery_replay_does_not_deliver_an_event_older_than_the_subscription():
+    """Shrunk from drawn seed 52 with a log: a broker restarted with an
+    empty log asks the root for everything, and the root re-drives every
+    record its table now routes that way — also one published before
+    the subscription it reaches existed.  Stage 0 drops that copy."""
+    scenario = Scenario(stage_sizes=(2, 2, 1), ttl=5.0, seed=1, log=LogConfig())
+    scenario.start()
+    scenario.apply(
+        [
+            ("publish", [{"symbol": "SYM0", "price": 2}]),
+            ("run", 1.0),
+            ("subscribe", "alice", 'symbol = "SYM0" and price < 3', "N1.1"),
+            ("run", 1.0),
+            ("kill", "N2.1"),
+            ("run", 1.0),
+            ("restore", "N2.1"),
+            ("run", 20.0),
+        ]
+    )
+    assert check(scenario) == [] and scenario.log == []
+    assert scenario.process("alice").counters.replay_dupes_discarded == 1
+
+
+def test_a_restarted_home_resets_its_subscribers_at_once():
+    """A home that restarts tells every peer of its reliable links,
+    subscribers included, and a subscriber renews what is homed there at
+    once: the home was without the lease for up to a renewal period."""
+    scenario = Scenario(stage_sizes=(2, 2, 1), ttl=5.0, seed=1)
+    scenario.start()
+    # The first renewal (half a TTL in) opens the subscriber's link.
+    scenario.apply([("subscribe", "alice", 'symbol = "SYM1"', "N1.1"), ("run", 3.0)])
+    scenario.apply([("kill", "N1.1"), ("restore", "N1.1"), ("run", 0.1)])
+    assert scenario.holes() == []
+    scenario.apply([("publish", [{"symbol": "SYM1", "price": 1}]), ("run", 1.0)])
+    assert scenario.score([0]) == (1.0, 1)
+    assert check(scenario) == []
+
+
+@pytest.mark.parametrize(
+    "seed, system",
+    [pytest.param(seed, {}, id=str(seed)) for seed in (0, 1, 2, 8, 163)]
+    + [pytest.param(seed, {"log": LogConfig()}, id=f"{seed}-log") for seed in (0, 39, 40, 52)],
+)
+def test_a_drawn_schedule_passes_check(seed, system):
     """Seeds 8 and 163 found the shared-entry unsubscribe above: an
-    event missed, and a home without the lease three TTLs on."""
-    scenario = Scenario(stage_sizes=(2, 2, 1), ttl=5.0, seed=seed)
+    event missed, and a home without the lease three TTLs on.  With a
+    log, seeds 39, 40 and 52 found the recovery replay that delivered
+    events older than their subscription."""
+    scenario = Scenario(stage_sizes=(2, 2, 1), ttl=5.0, seed=seed, **system)
     scenario.start()
     scenario.apply(draw_schedule(scenario, seed) + [("run", 1.0)])
     assert check(scenario) == []

@@ -48,7 +48,6 @@ class LinkMachine(RuleBasedStateMachine):
         self.incarnations = 0  # the sending process's restarts
         self.heard = None  # the receiver's (epoch, next number)
         self.lost = Counter()  # per epoch: lost since the last frame that arrived
-        self.leaked = Counter()  # per epoch: lost before a receiver's first frame
         self.last_wired = -1
 
     def put_on_wire(self, frame, events):
@@ -93,10 +92,12 @@ class LinkMachine(RuleBasedStateMachine):
             assert missing is None and notices == []
             return
         if self.heard is None:
-            # The first frame adopts its position: earlier losses are
-            # unknowable, and their credits are gone for this epoch.
-            assert missing == 0 and notices == []
-            self.leaked[epoch] += self.lost[epoch]
+            # The first frame is heard from its epoch's start: the frames
+            # before it were lost, or died with a restarted receiver in
+            # an epoch the sender has left (whose grants it ignores).
+            assert missing == min(frame.seq, WINDOW) and notices == []
+            if epoch == self.epoch:
+                assert missing == self.lost[epoch]
         else:
             fresh = epoch > self.heard[0]
             start = 0 if fresh else self.heard[1]
@@ -171,7 +172,6 @@ class LinkMachine(RuleBasedStateMachine):
             + sum(1 for _, held in self.held if held == epoch)
             + sum(credits for granted, credits in self.grants if granted == epoch)
             + self.lost[epoch]
-            + self.leaked[epoch]
         )
         window = self.sender.window
         assert window.available + away == WINDOW
@@ -261,7 +261,8 @@ def test_a_reset_with_nothing_out_keeps_the_epoch():
 
 def test_a_gap_is_granted_back_capped_at_one_window():
     receiver = LinkReceiver(4)
-    assert receiver.on_frame("p", DataFrame(0, 7, ("x",))) == 0  # adopted silently
+    # Heard from the epoch's start: frames 0..6 were lost, one window's worth.
+    assert receiver.on_frame("p", DataFrame(0, 7, ("x",))) == 4
     assert receiver.on_frame("p", DataFrame(0, 10, ("y", "z"))) == 2
     assert receiver.on_frame("p", DataFrame(0, 100, ("w",))) == 4
     assert receiver.on_frame("p", DataFrame(0, 50, ("late",))) is None  # accounted for
@@ -271,7 +272,7 @@ def test_a_gap_is_granted_back_capped_at_one_window():
 def test_one_rule_for_every_epoch():
     receiver, notices = LinkReceiver(4), []
     heard = lambda: notices.append("restarted")  # noqa: E731
-    assert receiver.on_frame("p", DataFrame(5, 3, ("x",)), heard) == 0
+    assert receiver.on_frame("p", DataFrame(5, 3, ("x",)), heard) == 3
     # A higher epoch numbers from 0: the sender restarted, and the two
     # frames before this one were lost.
     assert receiver.on_frame("p", DataFrame(6, 2, ("y",)), heard) == 2

@@ -4,7 +4,10 @@ These are ``SubscriberRuntime._on_publish`` (live copies from a home
 node) and ``SubscriberRuntime._deliver_catch_up`` (history and tap
 copies on a catch-up session's stream) exactly as they were when they
 were two loops, hung on a subclass whose ``_deliver`` only picks the
-loop.  ``test_stage0_differential.py`` requires the production runtime
+loop, plus the rule both came to share: a live copy of an event older
+than the subscription, and a history copy of one published since the
+live path first carried one to it, are discarded as replay duplicates.
+``test_stage0_differential.py`` requires the production runtime
 to make the same handler calls in the same order, book the same
 counters and emit the same spans on every generated input.
 """
@@ -63,7 +66,10 @@ class ReferenceSubscriberRuntime(SubscriberRuntime):
         self.counters.on_event(matched=matched, forwarded_to=0, evaluations=1)
         tracing = self.tracer.enabled
         delivered_before = self.counters.events_delivered if tracing else 0
-        if matched:
+        published_at = envelope.published_at
+        if matched and history and published_at is not None and published_at >= state.live_from:
+            self.counters.replay_dupes_discarded += 1
+        elif matched:
             if envelope.event_id is not None and not session.remember(
                 envelope.event_id
             ):
@@ -144,6 +150,12 @@ class ReferenceSubscriberRuntime(SubscriberRuntime):
             # Event safety: the payload is opened exactly once, at the edge.
             event = unmarshal(envelope)
             for state in matched_states:
+                published_at = envelope.published_at
+                if published_at is not None and published_at < state.since:
+                    self.counters.replay_dupes_discarded += 1
+                    continue
+                if published_at is not None:
+                    state.live_from = min(state.live_from, published_at)
                 subscription = state.subscription
                 session = self._catch_up.get(subscription.subscription_id)
                 if session is not None and envelope.event_id is not None:

@@ -1,82 +1,82 @@
 """Catch-up subscribers: late joiners drain history, then go live.
 
-The headline differential (the ISSUE's satellite 3): a subscriber that
-joins *late* and catches up from offset 0 must, after switchover, show
-a post-switchover delivery trace byte-identical to a subscriber that
-was there from the start — across seeds, with and without wire faults
-during the history it replays.  Plus targeted tests for replay origins
-(offset, ISO timestamp), flow-credit pacing of history, handover
-dedup, and the exactly-once audit over a whole catch-up run.
+The headline differential: a subscriber that joins *late* and catches
+up from offset 0 must, after switchover, show a post-switchover
+delivery trace byte-identical to a subscriber that was there from the
+start — across seeds, with and without wire faults during the history
+it replays.  Plus targeted tests for replay origins (offset, ISO
+timestamp), flow-credit pacing of history, handover dedup, and the
+harness's exactly-once check over a whole catch-up run.  Every run is a
+schedule of :mod:`repro.experiments.scenario` steps.
 """
 
 import pytest
 
-from repro.core.engine import MultiStageEventSystem
+from repro.experiments.scenario import Scenario, check
 from repro.flow import FlowConfig
-from repro.log import AuditSubscription, LogConfig, format_point, verify_exactly_once
-from repro.sim.network import FaultPlan
+from repro.log import LogConfig, format_point
 
-SCHEMA = ("class", "symbol", "price")
-
-
-class Quote:
-    def __init__(self, symbol, price):
-        self._symbol = symbol
-        self._price = price
-
-    def get_symbol(self):
-        return self._symbol
-
-    def get_price(self):
-        return self._price
+TEXT = 'symbol = "Foo"'
+#: The stage-1 broker every subscription here is pinned to.
+HOME = "N1.1"
 
 
-def make_system(seed, **kwargs):
-    defaults = dict(
-        stage_sizes=(4, 2, 1),
-        seed=seed,
-        ttl=30.0,
-        tracing=True,
-        flow=FlowConfig(),
-        log=LogConfig(),
+def make_scenario(seed, **system):
+    return Scenario(
+        **{
+            "stage_sizes": (4, 2, 1),
+            "seed": seed,
+            "ttl": 30.0,
+            "flow": FlowConfig(),
+            "log": LogConfig(),
+            **system,
+        }
     )
-    defaults.update(kwargs)
-    system = MultiStageEventSystem(**defaults)
-    system.advertise("Quote", schema=SCHEMA)
-    system.drain()
-    return system
 
 
-def add_subscriber(system, name, text='symbol = "Foo"'):
-    """Subscribe ``name`` at the first stage-1 node; returns
-    (subscriber, subscription, ordered deliveries)."""
-    subscriber = system.create_subscriber(name)
-    got = []
-    home = system.hierarchy.stage1_nodes()[0]
-    subscriptions = system.subscribe(
-        subscriber,
-        text,
-        event_class="Quote",
-        handler=lambda e, m, s: got.append((m["symbol"], m["price"])),
-        at_node=home,
-    )
-    system.drain()
-    return subscriber, subscriptions[0], got
+def join(name):
+    """Subscribe ``name`` at :data:`HOME`, and give the join time."""
+    return [("subscribe", name, TEXT, HOME), ("run", 0.5)]
 
 
-def publish_range(system, publisher, start, stop, dt=0.01):
-    for i in range(start, stop):
-        publisher.publish(Quote("Foo", float(i)), event_class="Quote")
-        system.run_for(dt)
+def quotes(start, stop, dt=0.01):
+    return [
+        step
+        for price in range(start, stop)
+        for step in (("publish", [{"symbol": "Foo", "price": float(price)}], "quotes"), ("run", dt))
+    ]
 
 
-def drain_catch_up(system, subscriber, sid, budget=30.0):
+def got(scenario, key):
+    """The ``key``-th subscription's deliveries, in arrival order."""
+    sid = scenario.keys[key][1]
+    return [
+        (scenario.events[uid].metadata["symbol"], scenario.events[uid].metadata["price"])
+        for delivered, uid in scenario.log
+        if delivered == sid
+    ]
+
+
+def prices(scenario, key):
+    return [price for _, price in got(scenario, key)]
+
+
+def drain_catch_up(scenario, key, budget=30.0):
     """Run until the catch-up session has switched to live."""
+    subscriber, sid = scenario.keys[key]
     elapsed = 0.0
     while not subscriber.catch_up_live(sid) and elapsed < budget:
-        system.run_for(0.25)
+        scenario.run(0.25)
         elapsed += 0.25
     assert subscriber.catch_up_live(sid), "catch-up never reached live"
+
+
+def late_catch_up(scenario, name, **origin):
+    """A late joiner asks for history from ``origin``; returns its key."""
+    scenario.apply(join(name))
+    key = len(scenario.keys) - 1
+    scenario.catch_up(key, **origin)
+    return key
 
 
 # ----------------------------------------------------------------------
@@ -85,42 +85,28 @@ def drain_catch_up(system, subscriber, sid, budget=30.0):
 
 
 def run_differential(seed, faults):
-    system = make_system(seed)
-    publisher = system.create_publisher("quotes")
-    veteran, veteran_sub, veteran_got = add_subscriber(system, f"veteran-{seed}")
-
+    scenario = make_scenario(seed)
+    scenario.apply(join(f"veteran-{seed}"))
     if faults:
-        plan = FaultPlan(seed)
         # Loss and duplication across the event's whole downstream path
         # while the history the late joiner will replay is published.
-        plan.add_window(0.05, 0.15, loss=0.2, duplicate=0.2)
-        system.network.install_faults(plan)
+        scenario.window(0.1, loss=0.2, duplicate=0.2, start=0.05)
+    # Retransmissions settle; the fault window is long over.
+    scenario.apply(quotes(0, 20) + [("run", 1.0)])
 
-    publish_range(system, publisher, 0, 20)
-    system.run_for(1.0)  # retransmissions settle; fault window long over
+    late = late_catch_up(scenario, f"late-{seed}", from_offset=0)
+    drain_catch_up(scenario, late)
+    switchover_len = len(got(scenario, late))
 
-    late, late_sub, late_got = add_subscriber(system, f"late-{seed}")
-    sid = late_sub.subscription_id
-    late.catch_up(sid, from_offset=0)
-    drain_catch_up(system, late, sid)
-    switchover_len = len(late_got)
-
-    publish_range(system, publisher, 20, 40)
-    system.run_for(1.0)
-    return system, (veteran, veteran_sub, veteran_got), (
-        late,
-        late_sub,
-        late_got,
-        switchover_len,
-    )
+    scenario.apply(quotes(20, 40) + [("run", 1.0)])
+    return scenario, late, switchover_len
 
 
 @pytest.mark.parametrize("seed", [7, 11, 23])
 @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faulty"])
 def test_catch_up_differential_post_switchover_traces_identical(seed, faults):
-    system, veteran_side, late_side = run_differential(seed, faults)
-    _, _, veteran_got = veteran_side
-    late, late_sub, late_got, switchover_len = late_side
+    scenario, late, switchover_len = run_differential(seed, faults)
+    veteran_got, late_got = got(scenario, 0), got(scenario, late)
 
     # Post-switchover: both subscribers saw the live phase byte-for-byte
     # identically (same events, same order, no gap, no duplicate).
@@ -135,7 +121,7 @@ def test_catch_up_differential_post_switchover_traces_identical(seed, faults):
     history = late_got[:switchover_len]
     logged = [
         r.envelope.metadata["price"]
-        for r in system.root.log.read_from(0)
+        for r in scenario.system.root.log.read_from(0)
         if r.envelope.metadata["price"] < 20.0
     ]
     assert [d[1] for d in history] == logged
@@ -145,20 +131,11 @@ def test_catch_up_differential_post_switchover_traces_identical(seed, faults):
 
 @pytest.mark.parametrize("seed", [7, 11, 23])
 def test_catch_up_run_audits_exactly_once(seed):
-    system, veteran_side, late_side = run_differential(seed, faults=False)
-    veteran, veteran_sub, _ = veteran_side
-    late, late_sub, _, _ = late_side
-    report = verify_exactly_once(
-        system.root.log,
-        system.tracer,
-        [
-            AuditSubscription(veteran.name, veteran_sub.filter),
-            AuditSubscription(late.name, late_sub.filter),
-        ],
-    )
-    assert report.clean, report.render()
-    assert report.expected == 80  # 40 events x 2 subscribers
-    assert report.delivered == 80
+    scenario, _, _ = run_differential(seed, faults=False)
+    assert check(scenario) == []
+    # 40 events x 2 subscribers owed, every one delivered exactly once.
+    assert sum(len(event.expected) for event in scenario.events) == 80
+    assert scenario.score(range(len(scenario.events))) == (1.0, 1)
 
 
 # ----------------------------------------------------------------------
@@ -167,45 +144,35 @@ def test_catch_up_run_audits_exactly_once(seed):
 
 
 def test_catch_up_from_mid_offset_gets_only_the_suffix():
-    system = make_system(5)
-    publisher = system.create_publisher("quotes")
-    publish_range(system, publisher, 0, 12)
-    system.drain()
+    scenario = make_scenario(5)
+    scenario.apply(quotes(0, 12) + [("run", 1.0)])
 
-    late, sub, got = add_subscriber(system, "late")
-    sid = sub.subscription_id
-    late.catch_up(sid, from_offset=7)
-    drain_catch_up(system, late, sid)
-    assert [d[1] for d in got] == [float(i) for i in range(7, 12)]
-    stats = late.catch_up_stats(sid)
+    late = late_catch_up(scenario, "late", from_offset=7)
+    drain_catch_up(scenario, late)
+    assert prices(scenario, late) == [float(i) for i in range(7, 12)]
+    subscriber, sid = scenario.keys[late]
+    stats = subscriber.catch_up_stats(sid)
     assert stats["history_delivered"] == 5
 
 
 def test_catch_up_from_iso_timestamp():
-    system = make_system(5)
-    publisher = system.create_publisher("quotes")
-    publish_range(system, publisher, 0, 6, dt=1.0)  # one event per second
-    system.drain()
+    scenario = make_scenario(5)
+    scenario.apply(quotes(0, 6, dt=1.0) + [("run", 1.0)])  # one event per second
 
-    cut = system.root.log.record_at(3).time
-    late, sub, got = add_subscriber(system, "late")
-    sid = sub.subscription_id
-    late.catch_up(sid, from_time=format_point(cut))
-    drain_catch_up(system, late, sid)
-    assert [d[1] for d in got] == [3.0, 4.0, 5.0]
+    cut = scenario.system.root.log.record_at(3).time
+    late = late_catch_up(scenario, "late", from_time=format_point(cut))
+    drain_catch_up(scenario, late)
+    assert prices(scenario, late) == [3.0, 4.0, 5.0]
 
 
 def test_catch_up_with_empty_history_goes_live_immediately():
-    system = make_system(5)
-    publisher = system.create_publisher("quotes")
-    late, sub, got = add_subscriber(system, "late")
-    sid = sub.subscription_id
-    late.catch_up(sid, from_offset=0)
-    drain_catch_up(system, late, sid)
-    assert late.catch_up_stats(sid)["history_delivered"] == 0
-    publish_range(system, publisher, 0, 5)
-    system.run_for(0.5)
-    assert [d[1] for d in got] == [float(i) for i in range(5)]
+    scenario = make_scenario(5)
+    late = late_catch_up(scenario, "late", from_offset=0)
+    drain_catch_up(scenario, late)
+    subscriber, sid = scenario.keys[late]
+    assert subscriber.catch_up_stats(sid)["history_delivered"] == 0
+    scenario.apply(quotes(0, 5) + [("run", 0.5)])
+    assert prices(scenario, late) == [float(i) for i in range(5)]
 
 
 # ----------------------------------------------------------------------
@@ -214,20 +181,15 @@ def test_catch_up_with_empty_history_goes_live_immediately():
 
 
 def test_history_replay_respects_replay_rate():
-    system = make_system(
-        5, log=LogConfig(replay_rate=50.0, replay_batch=5)
-    )
-    publisher = system.create_publisher("quotes")
-    publish_range(system, publisher, 0, 60, dt=0.001)
-    system.drain()
+    scenario = make_scenario(5, log=LogConfig(replay_rate=50.0, replay_batch=5))
+    scenario.apply(quotes(0, 60, dt=0.001) + [("run", 1.0)])
 
-    late, sub, got = add_subscriber(system, "late")
-    sid = sub.subscription_id
-    start = system.sim.now
-    late.catch_up(sid, from_offset=0)
-    drain_catch_up(system, late, sid)
-    elapsed = system.sim.now - start
-    assert len(got) == 60
+    scenario.apply(join("late"))
+    start = scenario.system.sim.now
+    scenario.catch_up(0, from_offset=0)
+    drain_catch_up(scenario, 0)
+    elapsed = scenario.system.sim.now - start
+    assert len(got(scenario, 0)) == 60
     # 60 records at 50/s cannot complete faster than ~1.1s of simulated
     # time (first batch fires after one inter-batch interval).
     assert elapsed >= 1.0
@@ -237,20 +199,16 @@ def test_history_replay_is_bounded_by_link_credits():
     """With a tiny downlink window and a huge nominal rate, pacing is
     credit-driven: the replayer can never have more than ``link_window``
     unacknowledged history events outstanding."""
-    system = make_system(
+    scenario = make_scenario(
         5,
         flow=FlowConfig(link_window=4),
         log=LogConfig(replay_rate=1e6, replay_batch=64),
     )
-    publisher = system.create_publisher("quotes")
-    publish_range(system, publisher, 0, 40, dt=0.001)
-    system.drain()
+    scenario.apply(quotes(0, 40, dt=0.001) + [("run", 1.0)])
 
-    late, sub, got = add_subscriber(system, "late")
-    sid = sub.subscription_id
-    late.catch_up(sid, from_offset=0)
-    drain_catch_up(system, late, sid)
-    assert len(got) == 40
+    late = late_catch_up(scenario, "late", from_offset=0)
+    drain_catch_up(scenario, late)
+    assert len(got(scenario, late)) == 40
     # The 64-wide batches had to be squeezed through a 4-credit window:
     # the root recorded stalls while pumping history.
-    assert system.root.counters.credit_stalls > 0
+    assert scenario.system.root.counters.credit_stalls > 0

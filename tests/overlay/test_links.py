@@ -85,7 +85,9 @@ def test_links_on_frame_delivers_acks_and_reports():
     def restarted():
         got.append("restarted")
 
-    # A first frame mid-stream is adopted, not reported as a new epoch.
+    # After a crash the owner no longer knows whose frames it acked: a
+    # first frame mid-stream is adopted, not reported as a new epoch.
+    links.reset()
     assert links.on_frame(Sequenced(3, 7, "p"), a, got.append, restarted) == 0
     assert links.on_frame(Sequenced(3, 7, "p"), a, got.append, restarted) == 1
     assert links.on_frame(Sequenced(3, 9, "r"), a, got.append, restarted) == 0
@@ -106,6 +108,24 @@ def test_links_on_frame_delivers_acks_and_reports():
         ("owner", "a", Ack(4, 0, 4)),
         ("owner", "a", Ack(4, 0, 4)),
     ]
+
+
+def test_links_wait_for_a_peer_never_heard_from_its_first_frame():
+    """An owner that never crashed and never heard a peer acked none of
+    its frames, so the peer still holds them all: a later one waits for them instead of
+    acking them away (a root's first credit grant, lost on the wire,
+    was never retransmitted)."""
+    sim, net, owner, links = make_links(window=4)
+    a, got = Process(sim, "a"), []
+    links.on_frame(Sequenced(0, 1, "q"), a, got.append)
+    assert got == [] and net.sent[-1] == ("owner", "a", Ack(0, -1, 3))
+    links.on_frame(Sequenced(0, 0, "p"), a, got.append)
+    assert got == ["p", "q"]
+    # A peer forgotten (it restarted) is new again, also after a crash.
+    links.reset()
+    links.forget(a)
+    links.on_frame(Sequenced(1, 1, "s"), a, got.append)
+    assert got == ["p", "q"]
 
 
 def test_links_without_a_window_advertise_nothing():
@@ -212,6 +232,9 @@ class _PairsOwner:
     def __init__(self, owner, net):
         self.owner, self.net = owner, net
         self.senders, self.receivers = {}, {}
+        #: A peer's next first frame starts its numbering when it was
+        #: forgotten, or never heard before the owner's first crash.
+        self.heard, self.forgotten, self.crashed = set(), set(), False
 
     def send(self, peer, payload):
         if peer.name not in self.senders:
@@ -227,9 +250,14 @@ class _PairsOwner:
             self.senders[sender.name].on_ack(ack)
 
     def on_frame(self, frame, sender, deliver, restarted):
-        receiver = self.receivers.setdefault(
-            sender.name, ReliableReceiver(capacity=WINDOW)
-        )
+        receiver = self.receivers.get(sender.name)
+        if receiver is None:
+            receiver = self.receivers[sender.name] = ReliableReceiver(capacity=WINDOW)
+            name = sender.name
+            if name in self.forgotten or not (self.crashed or name in self.heard):
+                receiver.epoch = frame.epoch  # wait from the epoch's first frame
+            self.heard.add(name)
+            self.forgotten.discard(name)
         dups = receiver.dups_discarded
         if receiver.epoch is not None and frame.epoch > receiver.epoch:
             restarted()
@@ -238,6 +266,7 @@ class _PairsOwner:
 
     def forget(self, peer):
         self.receivers.pop(peer.name, None)
+        self.forgotten.add(peer.name)
         if peer.name not in self.senders:
             return None
         self.senders[peer.name].reset()
@@ -245,6 +274,9 @@ class _PairsOwner:
 
     def reset(self):
         self.receivers.clear()
+        self.heard.clear()
+        self.forgotten.clear()
+        self.crashed = True
         for sender in self.senders.values():
             sender.reset()
 

@@ -131,12 +131,12 @@ class _Side:
         )
 
     def _publish(self, event):
-        kind, n, seq, stamped = event
+        kind, n, seq, published_at = event
         return Publish(
             marshal(
                 Tick(kind, n),
                 class_name="Tick",
-                published_at=0.25 if stamped else None,
+                published_at=published_at,
                 event_id=("feed", seq) if seq is not None else None,
             )
         )
@@ -193,7 +193,9 @@ _event = st.tuples(
     st.sampled_from("ab"),
     st.integers(0, 5),
     st.one_of(st.none(), st.integers(0, 4)),  # few ids: streams overlap
-    st.booleans(),
+    # Published when: unknown, after the subscriptions (twice, so that
+    # history can fall before the live path's first copy), before them.
+    st.sampled_from([None, 0.25, 0.5, -1.0]),
 )
 _events = st.lists(_event, min_size=1, max_size=4)
 _spec = st.tuples(
@@ -287,7 +289,7 @@ def test_an_unsubscription_between_two_envelopes_of_a_batch_is_seen_by_the_secon
     new, old = sides
     assert new.runtime._by_home[new.homes[0]].engine is not None
     for side in sides:
-        side.step(("live", 0, [("a", 1, 0, True), ("a", 2, 1, True)]))
+        side.step(("live", 0, [("a", 1, 0, 0.25), ("a", 2, 1, 0.25)]))
     assert new.observed(range(1, full + 1)) == old.observed(range(1, full + 1))
     assert [(sid, n) for sid, _, n, _ in new.calls] == (
         [(sid, 1) for sid in range(1, full + 1)] + [(sid, 2) for sid in range(1, left + 1)]
@@ -313,7 +315,9 @@ def test_stage0_opens_the_payload_only_for_a_copy_someone_looks_at(monkeypatch):
         (1, 'n >= 0', 1, None, False),  # a branch of group 1, no handler
     ]
     side = _Side(SubscriberRuntime, specs, flow=False)
-    event, other = ("a", 2, 0, True), ("a", 2, 1, True)
+    event, other = ("a", 2, 0, 0.25), ("a", 2, 1, 0.25)
+    # Older than the subscriptions: only history owes it.
+    old = ("a", 2, 2, -1.0)
     side.step(("live", 0, [event]))
     assert opened == [1] and len(side.calls) == 2  # two readers, one open
     side.step(("live", 1, [event]))
@@ -322,8 +326,8 @@ def test_stage0_opens_the_payload_only_for_a_copy_someone_looks_at(monkeypatch):
     assert opened == [1]  # delivered, but to a state that reads meta-data only
     assert side.runtime.counters.events_delivered == 3
     side.step(("catch_up", 2))
-    side.step(("replay", 2, True, [event]))
+    side.step(("replay", 2, True, [old]))
     assert opened == [1, 1]  # the residual needs the object
-    side.step(("replay", 2, False, [event]))
+    side.step(("replay", 2, False, [old]))
     assert opened == [1, 1]  # the session had it: discarded unopened
     assert side.runtime.counters.replay_dupes_discarded == 1

@@ -254,6 +254,38 @@ def test_worker_that_cannot_start_fails_the_launch_at_once(tmp_path, monkeypatch
 # SIGKILL recovery + exactly-once audit
 
 
+def test_a_restored_home_rebuilds_from_a_subscriber_that_renewed_before_the_kill():
+    """The fresh process of a restore knows no subscriber, and the
+    subscriber's link to it is frames past its first: the restored home
+    adopts that numbering instead of waiting for frames the dead process
+    acknowledged, so the next renewal rebuilds its table."""
+    with make_system(ttl=1.0) as system:
+        publisher = system.create_publisher("feed")
+        subscriber = system.create_subscriber("watcher")
+        home = system.hierarchy.stage1_nodes()[0]
+        got = []
+        system.subscribe(
+            subscriber, 'class = "Stock"', handler=lambda e, m, s: got.append(e.get_price()),
+            at_node=home,
+        )  # fmt: skip
+        assert system.run_until(lambda: subscriber._homes() == [home], timeout=20.0)
+        system.start_maintenance()
+        # Half a TTL on the subscriber renews at its home: its link is
+        # past an acknowledged frame 0 when the home dies.
+        def renewed():
+            link = subscriber.links._senders.get(home.name)
+            return link is not None and link.next_seq >= 1 and link.idle
+
+        assert system.run_until(renewed, timeout=20.0)
+        system.kill(home)
+        system.restore(home)
+        assert system.run_until(
+            lambda: (home.stat("table_size") or 0) > 0, timeout=15.0
+        ), f"table never rebuilt: {home.snapshot}"
+        publisher.publish(Stock("Foo", 1.0))
+        assert system.run_until(lambda: 1.0 in got, timeout=15.0)
+
+
 def test_sigkill_recovery_with_clean_audit(tmp_path):
     directory = str(tmp_path / "segments")
     config = LogConfig(directory=directory, segment_size=8)

@@ -156,6 +156,26 @@ class TestRunBounds:
         sim.run(until=7.0)
         assert sim.now == 7.0
 
+    def test_run_until_a_past_time_is_refused(self):
+        """The clock used to move back to a past ``until``."""
+        sim = Simulator()
+        sim.run(until=3.0)
+        with pytest.raises(SimulationError):
+            sim.run(until=2.0)
+        assert sim.now == 3.0
+        sim.run(until=3.0)  # now itself is no move at all
+        assert sim.now == 3.0
+
+    def test_run_until_nan_is_refused(self):
+        """``run(until=nan)`` used to run every event and never end
+        with a recurring one armed."""
+        sim = Simulator()
+        out = []
+        sim.schedule(1.0, out.append, "x")
+        with pytest.raises(SimulationError):
+            sim.run(until=float("nan"))
+        assert out == [] and sim.now == 0.0
+
     def test_remaining_events_run_on_next_call(self):
         sim = Simulator()
         out = []
