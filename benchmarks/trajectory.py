@@ -127,8 +127,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="+", help="commit-ish, or . for the working tree")
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
-    parser.add_argument("--pairs", type=int, default=5, help="seeds per tree")
-    parser.add_argument("--seconds", type=float, default=6.0)
+    parser.add_argument("--pairs", type=int, default=10, help="seeds per tree")
+    parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_e2e.json")
     parser.add_argument("--workdir", type=Path, default=None)
     args = parser.parse_args(argv)

@@ -183,7 +183,9 @@ class MultiStageEventSystem:
         self.types = TypeRegistry()
         self.advertisements = AdvertisementRegistry()
         if runtime == "multiprocess":
-            self.sim.advertisements = self.advertisements  # a restore re-reads them
+            # What a restore in a fresh process re-reads.
+            self.sim.advertisements = self.advertisements
+            self.sim.edges_at = self._edges_at
         self.publishers: List[PublisherRuntime] = []
         self.subscribers: List[SubscriberRuntime] = []
         self.flow_registrars: List[FlowRegistrar] = []
@@ -292,6 +294,14 @@ class MultiStageEventSystem:
         if self._maintenance_started:
             registrar.start_maintenance()
         return registrar
+
+    def _edges_at(self, broker: str) -> Tuple[str, ...]:
+        """The edge processes homed at, rooted at or hosting flows at the
+        broker named ``broker``: those its restart tells beside the tree."""
+        rooted = [p for p in (*self.publishers, *self.subscribers) if p.root.name == broker]
+        homed = [s for s in self.subscribers if broker in {h.name for h in s._homes()}]
+        hosting = [r for r in self.flow_registrars if broker in r._installed]
+        return tuple(dict.fromkeys(p.name for p in (*rooted, *homed, *hosting)))
 
     def _broker_named(self, name: Optional[str]):
         if name is None:

@@ -43,17 +43,22 @@ def incarnation(
     number ``frame`` continues from at a receiver that heard its sender
     at ``epoch`` and expects ``expected`` next.  No state (``epoch`` is
     ``None``): adopt the frame's position, anything earlier being
-    unknowable.  A higher epoch: the sender numbers afresh from 0, and
-    ``restarted`` hears of it before the frame is admitted.  A lower
-    epoch: ``None``, drop the frame of a dead incarnation."""
+    unknowable.  A higher epoch: the sender numbers afresh from 0.  A
+    lower epoch: ``None``, drop the frame of a dead incarnation.
+
+    A process opens its epochs at ``incarnation << 32``, so the high
+    bits of an epoch are the sender's incarnation: only when they rise
+    did the sender restart, and ``restarted(incarnation)`` hears of it
+    before the frame is admitted.  A rise below them is the sender
+    starting its link afresh because it heard that *we* restarted."""
     if epoch is None:
         return frame.seq
     if frame.epoch == epoch:
         return expected
     if frame.epoch < epoch:
         return None
-    if restarted is not None:
-        restarted()
+    if restarted is not None and frame.epoch >> 32 > epoch >> 32:
+        restarted(frame.epoch >> 32)
     return 0
 
 
@@ -70,11 +75,12 @@ class LinkSender:
         flow: FlowConfig,
         capacity: int,
         priority: Optional[Callable[[Any], float]] = None,
+        epoch: int = 0,
     ) -> None:
         self.window = CreditWindow(flow.link_window)
         self.queue = BoundedQueue(capacity, flow.policy, priority=priority)
         self.next_seq = 0
-        self.epoch = 0
+        self.epoch = epoch
         self._still: Optional[Tuple[int, int, int]] = None  # at the last probe
 
     def offer(self, run: Sequence[Any]) -> Tuple[Optional[Any], List[Any], int]:
@@ -169,7 +175,7 @@ class LinkReceiver:
         self.expected: Dict[str, Tuple[int, int]] = {}
 
     def on_frame(
-        self, source: str, frame: Any, restarted: Optional[Callable[[], None]] = None
+        self, source: str, frame: Any, restarted: Optional[Callable[[int], None]] = None
     ) -> Optional[int]:
         """Account one arriving frame; returns the credits to grant back
         for the gap before it — frames the wire swallowed, capped at one

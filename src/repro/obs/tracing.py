@@ -17,9 +17,10 @@ the event's path appends a :class:`Span` to the shared
 
 Control-plane occurrences record spans with ``trace_id=None``:
 ``retransmit`` (reliable-channel timeout resends, with the payload kinds
-— ReqInsert/Withdraw/Renewal — being retried), ``epoch-reset`` /
-``channel-reset`` (sender/receiver sides of a channel incarnation bump),
-and wire-level ``drop`` / ``dup`` spans from the fault injector.
+— ReqInsert/Withdraw/Renewal — being retried), ``channel-reset`` (a
+broker took a peer's restart) and ``serving`` (a restarted broker's
+``resuming`` ended), and wire-level ``drop`` / ``dup`` spans from the
+fault injector.
 
 So do the routing decisions of Figure 5 and §4.3, at the broker that
 took them (at the subscriber for ``joined``):

@@ -9,21 +9,23 @@ numbers, cumulative acks, duplicate discard, in-order delivery, and
 retransmission with capped exponential backoff.  It is an *ordering and
 latency* mechanism: the paper's §4.3 renewals remain the safety net.
 
-Epochs handle crash/restart: a sender that loses its state restarts at
-``seq`` 0 under a higher ``epoch``; the receiver applies to every frame
-:func:`repro.flow.link.incarnation`, as every credited data link does.
+Epochs handle crash/restart: a process opens its channels at epoch
+``incarnation << 32``, ``seq`` 0, and one that starts a channel afresh
+moves it to the next epoch; the receiver applies to every frame
+:func:`repro.flow.link.incarnation`, as every credited data link does,
+so the first frame of a restarted sender reads as the restart it is.
 
 A process never holds a sender or receiver itself: :class:`PeerLinks`
-owns them all, and is the one place the crash edge, the ``ChannelReset``
-edge and the routing of acks to channels are decided.
+owns them all, and is the one place the crash edge, the restart edge
+and the routing of acks to channels are decided.
 """
 
 from collections import OrderedDict, deque
 from functools import partial
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.flow.link import incarnation
-from repro.overlay.messages import Ack, Sequenced
+from repro.overlay.messages import Ack, ChannelReset, Sequenced
 from repro.runtime.base import Executor, Transport
 
 #: Initial retransmission timeout.  Links default to 1 ms latency, so
@@ -145,12 +147,12 @@ class ReliableSender:
         while self.pending and not self._window_full():
             self._transmit(self.pending.popleft())
 
-    def reset(self) -> None:
-        """Start a fresh incarnation of the channel (sender lost state or
-        was told the receiver did).  Unacked and pending frames are
-        abandoned — the caller follows up with a full state refresh
-        (renewal)."""
-        self.epoch += 1
+    def reset(self, epoch: Optional[int] = None) -> None:
+        """Start the channel afresh at ``epoch`` (default: the next one),
+        because the sender lost its state or heard the receiver did.
+        Unacked and pending frames are abandoned — the caller follows up
+        with a full state refresh (renewal)."""
+        self.epoch = self.epoch + 1 if epoch is None else epoch
         self.next_seq = 0
         self.unacked.clear()
         self.pending.clear()
@@ -261,16 +263,21 @@ class PeerLinks:
     The name is the stable process identity on a network; an ``id()``
     key would let a recycled object id inherit a dead peer's state.
     Toward each peer there is at most one :class:`ReliableSender`,
-    opened by the first :meth:`send`, and from each peer at most one
+    opened by the first :meth:`send` of each incarnation of the owner at
+    epoch ``owner.incarnation << 32``, and from each peer at most one
     :class:`ReliableReceiver`, opened by its first frame — so all the
     owner says to one peer is one ordered stream, and an ``Ack`` only
-    ever reaches the channel of the peer that sent it.
+    ever reaches the channel of the peer that sent it.  A new receiver
+    waits from the first frame of that frame's epoch, lest frames lost
+    on the wire be acked away unheard — a peer the restarted owner told
+    (:meth:`tell`) starts its link afresh.  Only after the owner's crash,
+    for a peer it did not tell, it adopts the frame's position: the dead
+    incarnation may have acked the earlier frames, and nobody would send
+    them again.
 
-    Two edges end a link's incarnation: :meth:`forget`, one peer lost
-    its state (``ChannelReset``), and :meth:`reset`, the owner lost its
-    own (crash).  Both keep the sender *objects* and reset them, so
-    epochs rise monotonically (a fresh object would reuse epoch 0 and be
-    dropped as stale by a peer that kept its receiver).
+    Two edges end a link's incarnation: :meth:`restart`, one peer lost
+    its state (taken once per incarnation, however many ways the owner
+    hears of it), and :meth:`reset`, the owner lost its own (crash).
 
     ``window`` bounds each sender's outstanding frames and is the
     reorder capacity each receiver advertises (``None``: unbounded,
@@ -280,7 +287,7 @@ class PeerLinks:
 
     __slots__ = (
         "owner", "network", "window", "on_retransmit", "_senders", "_receivers", "peers",
-        "_new", "_new_by_default",
+        "_incarnations", "_told",
     )
 
     def __init__(
@@ -298,29 +305,33 @@ class PeerLinks:
         self._senders: Dict[str, ReliableSender] = {}
         self._receivers: Dict[str, ReliableReceiver] = {}
         #: Every process the owner ever sent to or heard a frame from, by
-        #: name: a crash keeps them (a restart resets them all).
+        #: name (the object last seen under it, which frames go to): the
+        #: peers a restart tells (a crash keeps them, and a fresh process
+        #: of a restore is given them).
         self.peers: Dict[str, Any] = {}
-        # Whether a peer's next first frame starts its epoch's numbering
-        # (wait for frame 0) or may continue one a lost receiver acked
-        # (adopt it).  A peer never heard is new only while the owner
-        # remembers every peer it heard: a crash loses that, as a real
-        # fail-stop does, and a forgotten peer is new again.
-        self._new: Dict[str, bool] = {}
-        self._new_by_default = True
+        # The incarnation each peer was last heard to restart into.
+        self._incarnations: Dict[str, int] = {}
+        # Since the owner's last crash, the peers its restart told (None:
+        # it never crashed).
+        self._told: Optional[Set[str]] = None
 
     def send(self, peer: Any, payload: Any) -> None:
         """Send one payload to ``peer`` in order, retransmitted until
         acked, behind everything already sent to it."""
-        sender = self._senders.get(peer.name)
+        name = peer.name
+        self.peers[name] = peer
+        sender = self._senders.get(name)
+        opened = self.owner.incarnation << 32
         if sender is None:
-            owner, network, hook = self.owner, self.network, self.on_retransmit
-            sender = self._senders[peer.name] = ReliableSender(
-                owner.sim,
-                lambda frame: network.send(owner, peer, frame),
-                observer=partial(hook, peer.name) if hook is not None else None,
+            hook = self.on_retransmit
+            sender = self._senders[name] = ReliableSender(
+                self.owner.sim,
+                lambda frame: self.network.send(self.owner, self.peers[name], frame),
+                observer=partial(hook, name) if hook is not None else None,
                 window=self.window,
             )
-            self.peers[peer.name] = peer
+        if sender.epoch < opened:
+            sender.reset(opened)  # first word of a new incarnation
         sender.send(payload)
 
     def on_ack(self, sender: Any, ack: Ack) -> None:
@@ -335,45 +346,67 @@ class PeerLinks:
         frame: Sequenced,
         sender: Any,
         deliver: Callable[[Any], None],
-        restarted: Optional[Callable[[], None]] = None,
+        restarted: Optional[Callable[[Any], None]] = None,
     ) -> int:
         """Take one frame from ``sender``: newly in-order payloads go
         through ``deliver``, then the cumulative ack goes back.  Returns
-        the duplicates discarded.  ``restarted`` hears of a known peer's
-        higher epoch before the new incarnation's payload is delivered."""
+        the duplicates discarded.  The sender's restart goes to
+        :meth:`restart` with ``restarted``, heard from a frame of a
+        higher incarnation (before its payload) or from its
+        ``ChannelReset``, which is not delivered but answered, behind
+        what ``restarted`` re-sent."""
         receiver = self._receivers.get(sender.name)
         if receiver is None:
             receiver = self._receivers[sender.name] = ReliableReceiver(self.window)
-            if self._new.get(sender.name, self._new_by_default):
-                # None of its frames acked yet: wait from the epoch's first.
-                receiver.epoch = frame.epoch
-            self._new[sender.name] = False
-            self.peers[sender.name] = sender
+            if self._told is None or sender.name in self._told:
+                receiver.epoch = frame.epoch  # none of its frames acked yet
+        self.peers[sender.name] = sender
+
+        def take(payload: Any) -> None:
+            if type(payload) is ChannelReset and not payload.answer:
+                self.restart(sender, payload.incarnation, restarted)
+                self.send(sender, ChannelReset(payload.incarnation, answer=True))
+            else:
+                deliver(payload)
+
         dups_before = receiver.dups_discarded
-        ack = receiver.on_frame(frame, deliver, restarted)
+        ack = receiver.on_frame(
+            frame, take, lambda born: self.restart(sender, born, restarted)
+        )
         self.network.send(self.owner, sender, ack)
         return receiver.dups_discarded - dups_before
 
-    def forget(self, peer: Any) -> Optional[int]:
-        """``peer`` lost its state: drop what was heard from it (its next
-        incarnation's frames are waited for from the first), abandon what
-        is in flight toward it and open a fresh epoch.  Returns the new
-        epoch, or ``None`` when nothing was ever sent to it."""
-        self._receivers.pop(peer.name, None)
-        self._new[peer.name] = True
+    def tell(self, peer: Any, incarnation: int) -> None:
+        """Announce the owner's restart into ``incarnation`` to ``peer``:
+        its ``ChannelReset``, retransmitted until heard and then
+        answered."""
+        if self._told is not None:
+            self._told.add(peer.name)
+        self.send(peer, ChannelReset(incarnation))
+
+    def restart(
+        self, peer: Any, incarnation: int, rebuild: Optional[Callable] = None
+    ) -> None:
+        """``peer`` restarted into ``incarnation``, however the owner
+        heard it — once per incarnation: what is in flight toward it is
+        abandoned and its link opens a fresh epoch, and ``rebuild(peer)``
+        re-sends what the owner owes it."""
+        if self._incarnations.get(peer.name, -1) >= incarnation:
+            return
+        self._incarnations[peer.name] = incarnation
         sender = self._senders.get(peer.name)
-        if sender is None:
-            return None
-        sender.reset()
-        return sender.epoch
+        if sender is not None:
+            sender.reset()
+        if rebuild is not None:
+            rebuild(peer)
 
     def reset(self) -> None:
         """The owner crashed: every receiver is gone, and with it what
         was heard from whom; every sender abandons its frames and timer
-        and moves to its next epoch."""
+        (the next incarnation reopens it above every epoch it used)."""
         self._receivers.clear()
-        self._new.clear()
-        self._new_by_default = False
+        self._incarnations.clear()
+        self._told = set()
         for sender in self._senders.values():
             sender.reset()
 

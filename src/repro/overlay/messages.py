@@ -360,18 +360,23 @@ class Ack(_Control):
 
 @dataclass(frozen=True)
 class ChannelReset(_Control):
-    """A restarted broker announcing a fresh incarnation to a neighbour.
+    """A restarted broker announcing its ``incarnation`` to a neighbour,
+    or (``answer``) the neighbour's answer to it.
 
-    The receiver discards any channel state it kept for the sender (both
-    directions) and, if it is a child of the sender, immediately renews
-    all its propagated filters — the refresh-or-restore path (§4.3) that
-    rebuilds the restarted parent's table without waiting a full renewal
-    period.  ``incarnation`` makes redundant resets idempotent.
+    Both ride the reliable channel.  The announcement is the first frame
+    of the restarted broker's new epoch toward each neighbour, so it is
+    retransmitted until heard.  The neighbour re-sends what it owes that
+    broker — a child its propagated filters, a subscriber its renewal
+    (§4.3 refresh-or-restore, without waiting a renewal period) — and
+    then answers with the same ``incarnation``, behind that state on its
+    own ordered link.  An answer never reads as an announcement, so two
+    neighbours at the same incarnation never echo each other.
     """
 
     incarnation: int
+    answer: bool = False
 
-    HEAD = _head("!q")
+    HEAD = _head("!q?")
 
 
 @dataclass(frozen=True)

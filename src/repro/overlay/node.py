@@ -82,10 +82,6 @@ from repro.streams.host import FlowHost
 #: Events buffered per offline durable subscriber before the oldest is
 #: shed (``offline_buffer_limit`` on a node, which tests may lower).
 OFFLINE_BUFFER_LIMIT = 1000
-#: Delay between a logging broker's restart and its recovery replay
-#: request: long enough for the children's ChannelReset-triggered
-#: renewals to rebuild the routing table the replay is matched against.
-RECOVERY_DELAY = 0.5
 #: An inbound queue entry: ``(publish, source, arrival time, link epoch)``.
 Entry = Tuple[Publish, Process, float, int]
 
@@ -198,10 +194,10 @@ class BrokerNode(Process):
         # Compacted match engine, rebuilt lazily after table changes.
         self._compacted: Optional[MatchEngine] = None
         self._compacted_dirty = True
-        #: The highest ChannelReset incarnation seen per peer *name*, the
-        #: stable identity: by id(), a recycled object id would inherit a
-        #: dead peer's history and discard its legitimate resets.
-        self._peer_incarnations: Dict[str, int] = {}
+        #: The neighbours told of this incarnation that have not answered
+        #: yet, by name, while the broker is ``resuming`` (``_resume``);
+        #: ``None`` once it is ``serving``.
+        self._awaiting: Optional[Dict[str, Process]] = None
         # Durable-subscription state (§2.1): offline destinations and the
         # events buffered for the durable ones.  Keyed by the destination
         # *name* — the stable identity on this network — not id(): a
@@ -294,17 +290,14 @@ class BrokerNode(Process):
         # serves its queued events first.
         self._flush_inbound()
         if isinstance(message, Sequenced):
-            # A peer that opens a higher channel epoch restarted, whether
-            # or not its ChannelReset arrived.
+            # A peer whose channel shows a higher incarnation restarted,
+            # whether or not its ChannelReset arrived yet.
             self.counters.control_dups_discarded += self.links.on_frame(
                 message,
                 sender,
                 lambda payload: self._apply_control(payload, sender),
-                lambda: self._peer_restarted(sender),
+                self._peer_restarted,
             )
-            return
-        if isinstance(message, ChannelReset):
-            self._on_channel_reset(message, sender)
             return
         self._apply_control(message, sender)
 
@@ -341,6 +334,11 @@ class BrokerNode(Process):
             self.flow_host.install(message, sender)
         elif isinstance(message, FlowRemove):
             self.flow_host.remove(message.flow, reason="removed")
+        elif isinstance(message, ChannelReset):  # an answer (PeerLinks takes a reset)
+            if message.incarnation == self.incarnation and self._awaiting:
+                self._awaiting.pop(sender.name, None)
+                if not self._awaiting:  # the last answer ends ``resuming``
+                    self._begin_serving()
         else:
             raise TypeError(f"{self.name}: unexpected message {message!r}")
 
@@ -547,27 +545,14 @@ class BrokerNode(Process):
         (convergence probes: a quiesced control plane)."""
         return self.links.idle
 
-    def _on_channel_reset(self, message: ChannelReset, sender: Process) -> None:
-        """A neighbour restarted: drop its channel state, take the edge."""
-        known = self._peer_incarnations.get(sender.name)
-        if known is not None and known >= message.incarnation:
-            return  # duplicate / stale reset
-        self._peer_incarnations[sender.name] = message.incarnation
-        # Abandon in-flight frames (the peer forgot the channel anyway)
-        # and open a fresh epoch toward it.
-        epoch = self.links.forget(sender)
-        self._peer_restarted(sender)
-        self._span(
-            "channel-reset", ("peer", sender.name), ("incarnation", message.incarnation)
-        )
-        if sender is self.parent and epoch is not None:
-            self._span("epoch-reset", ("peer", sender.name), ("epoch", epoch))
-
     def _peer_restarted(self, peer: Process) -> None:
-        """The one restart edge: ``peer`` lost its state, learned from its
-        ``ChannelReset`` or a higher control or data epoch.  Its replay
-        ends, our link toward it comes back full with the events parked
-        there shed (``flow.link``), and a parent is renewed at once."""
+        """What a broker owes a restarted ``peer`` (``links.restart``
+        takes the edge once, however it was heard; its reset is answered
+        after this): its replay ends, our link toward it comes back full with
+        the events parked there shed (``flow.link``), a parent is renewed
+        at once, and one that lost our own unanswered reset is told
+        again."""
+        self._span("channel-reset", ("peer", peer.name))
         if self._replayer is not None:
             self._replayer.on_peer_reset(peer.name)
         link = self._downlinks.get(peer.name)
@@ -578,6 +563,33 @@ class BrokerNode(Process):
         self._maybe_resume_drain()
         if peer is self.parent:
             self.uplink.renew()
+        if peer.name in (self._awaiting or ()):
+            self.links.tell(peer, self.incarnation)
+
+    @property
+    def state(self) -> str:
+        """``"resuming"`` while told neighbours have not all answered
+        the restart, else ``"serving"``."""
+        return "serving" if self._awaiting is None else "resuming"
+
+    def _begin_serving(self) -> None:
+        """``resuming`` -> ``serving``, at the last answer or one TTL
+        after the restart (a neighbour still silent is down, and its
+        lease, not this broker, waits for it — §4.3): the table holds
+        what the answered neighbours renewed, so a logging broker below
+        the root asks it to re-drive, against that table, what was
+        missed while down (from just before the last root offset its
+        own log holds)."""
+        if self._awaiting is None:
+            return
+        self._awaiting = None
+        self._span("serving", ("incarnation", self.incarnation))
+        if self.log is not None and self.parent is not None:
+            last, rewind = self.log.max_source_offset, self.log_config.recovery_rewind
+            offset = -1 if last is None else max(-1, last - rewind)
+            root = self.root
+            self._span("replay-request", ("root", root.name), ("from_offset", offset))
+            self.links.send(root, ReplayRequest(self, offset))
 
     def _lose_soft_state(self) -> None:
         """Fail-stop (``crash()``): lose all soft state, §4.3's failure
@@ -604,12 +616,13 @@ class BrokerNode(Process):
     def _resume(self) -> None:
         """Back up (``restart()``): rebuild from the neighbours' renewals.
 
-        Its tree neighbours and every peer of its reliable links get a
-        :class:`ChannelReset`: children and subscribers homed here renew
-        at once, rebuilding the table without waiting out a renewal
-        period, and a publisher's window comes back full.  A fresh OS
-        process (the multiprocess runtime's restore) knows only the tree;
-        a subscriber it does not know is adopted at its next renewal.
+        Its tree neighbours and every peer of its reliable links (a
+        fresh OS process of a restore is given them) are told, by a
+        :class:`ChannelReset` on each link: children and subscribers
+        homed here renew at once, rebuilding the table without waiting
+        out a renewal period, and a publisher's window comes back full.
+        The broker is ``resuming`` until each has answered, or one TTL
+        has passed; then ``serving``.
         """
         if (
             self.log is None
@@ -625,25 +638,12 @@ class BrokerNode(Process):
                 segment_size=self.log_config.segment_size,
                 reopen=True,
             )
-        reset = ChannelReset(self.incarnation)
         told = {p.name: p for p in (self.parent, *self.broker_children) if p is not None}
-        if self.parent is not None and self.parent.parent is not None:
-            # The recovery replay below rides a reliable channel straight
-            # to the root (a non-tree neighbour when the tree is deeper
-            # than two stages).  A true fail-stop loses that channel's
-            # epoch counter with the process, so the root must be told to
-            # forget its receiver state too — otherwise every frame of
-            # the fresh incarnation's epoch-0 channel reads as stale and
-            # the replay request retransmits into the void forever.
-            told[self.root.name] = self.root
         told.update(self.links.peers)
+        self._awaiting = told
         for peer in told.values():
-            self.network.send(self, peer, reset)
-        if self.log is not None and self.parent is not None:
-            # Let the children's reset-triggered renewals rebuild the
-            # routing table first, then ask the root to re-drive what
-            # was missed while down.
-            self.call_later(RECOVERY_DELAY, self._request_replay, self.incarnation)
+            self.links.tell(peer, self.incarnation)
+        self.call_later(self.ttl if told else 0.0, self._begin_serving)
 
     # ------------------------------------------------------------------
     # TTL maintenance (§4.3)
@@ -659,8 +659,13 @@ class BrokerNode(Process):
         )
 
     def _renew_task(self) -> None:
-        """Renew at the parent; probe each stalled link to a broker."""
+        """Renew at the parent; tell again each neighbour that has not
+        answered the restart (a peer that crashed since, and adopted the
+        position of a later frame, acked the reset away unheard); probe
+        each stalled link to a broker."""
         self.uplink.renew()
+        for peer in (self._awaiting or {}).values():
+            self.links.tell(peer, self.incarnation)
         for name, link in self._downlinks.items():
             peer, frame = self.links.peers.get(name), link.probe()
             if frame is not None and getattr(peer, "is_broker", False):
@@ -1025,23 +1030,6 @@ class BrokerNode(Process):
         if fresh:
             self._admit(tuple(fresh), sender, message.epoch)
 
-    def _request_replay(self, incarnation: int) -> None:
-        """Ask the root to re-drive events missed while down (scheduled
-        ``RECOVERY_DELAY`` after restart, once renewals rebuilt the
-        table the replay is matched against)."""
-        if self.crashed or incarnation != self.incarnation or self.log is None:
-            return
-        root = self.root
-        if root is self:
-            return
-        from_offset = -1
-        if self.log.max_source_offset is not None:
-            from_offset = max(
-                -1, self.log.max_source_offset - self.log_config.recovery_rewind
-            )
-        self._span("replay-request", ("root", root.name), ("from_offset", from_offset))
-        self.links.send(root, ReplayRequest(self, from_offset))
-
     # ------------------------------------------------------------------
     # Flow control, backpressure, and overload protection: with ``flow``
     # set, the credited links (repro.flow.link) upstream and downstream
@@ -1053,7 +1041,9 @@ class BrokerNode(Process):
         epoch is the sender's restart; a dead one's frame is dropped),
         granting back first any gap the receiving end finds before it."""
         missing = self._receiver.on_frame(
-            sender.name, frame, lambda: self._peer_restarted(sender)
+            sender.name,
+            frame,
+            lambda born: self.links.restart(sender, born, self._peer_restarted),
         )
         if missing is None:
             return
@@ -1115,10 +1105,9 @@ class BrokerNode(Process):
         link = self._downlinks.get(peer.name)
         if link is None:
             link = self._downlinks[peer.name] = LinkSender(
-                self.flow, self.flow.outbound_capacity, self._shed_priority
+                self.flow, self.flow.outbound_capacity, self._shed_priority,
+                epoch=self.incarnation << 32,  # above every earlier incarnation's
             )
-            # Above every epoch an earlier incarnation's links used.
-            link.epoch = self.incarnation << 32
         return link
 
     def _on_credit_grant(self, message: CreditGrant, sender: Process) -> None:

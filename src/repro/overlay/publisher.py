@@ -29,8 +29,8 @@ from repro.metrics.counters import NodeCounters
 from repro.obs.tracing import PUBLISHER_STAGE, EventTracer
 from repro.overlay.channel import PeerLinks
 from repro.overlay.messages import (
+    Ack,
     Advertise,
-    ChannelReset,
     CreditGrant,
     Publish,
     PublishBatch,
@@ -81,7 +81,8 @@ class PublisherRuntime(Process):
             if rate_limit is not None
             else None
         )
-        #: The reliable link the root's credit grants arrive on.
+        #: The reliable link with the root: its credit grants and resets
+        #: in, our answers out.
         self.links = PeerLinks(self, network)
 
     def advertise(self, advertisement: Advertisement) -> None:
@@ -206,11 +207,9 @@ class PublisherRuntime(Process):
         # Handled regardless of this publisher's own flow flag: absorbing
         # an unexpected grant is harmless, crashing on one is not.
         if isinstance(message, Sequenced):
-            restarted = self._root_restarted
-            self.links.on_frame(message, sender, self._apply_grant, restarted)
-        elif isinstance(message, ChannelReset):
-            self.links.forget(sender)
-            self._root_restarted()
+            self.links.on_frame(message, sender, self._apply_grant, self._root_restarted)
+        elif isinstance(message, Ack):
+            self.links.on_ack(sender, message)
         else:
             raise TypeError(f"publisher {self.name} received unexpected {message!r}")
 
@@ -225,10 +224,10 @@ class PublisherRuntime(Process):
         if frame is not None:
             self.network.send(self, self.root, frame)
 
-    def _root_restarted(self) -> None:
-        """The root restarted (its ``ChannelReset``, or a higher channel
-        epoch): the link starts over, full under a new epoch, and what
-        waited for credits goes to the new incarnation."""
+    def _root_restarted(self, root: Process) -> None:
+        """The root restarted (``links.restart``; answered after this): the
+        link starts over, full under a new epoch, and what waited for
+        credits goes to the new incarnation."""
         if self.link is not None:
             for message in self.link.reset():
                 self._submit(message)

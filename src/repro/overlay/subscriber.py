@@ -29,7 +29,6 @@ from repro.overlay.messages import (
     CatchUpDone,
     CatchUpLive,
     CatchUpRequest,
-    ChannelReset,
     CreditGrant,
     Disconnect,
     JoinAt,
@@ -486,18 +485,13 @@ class SubscriberRuntime(Process):
             self.links.on_ack(sender, message)
         elif isinstance(message, Sequenced):
             # The root's reliable replay stream (catch-up batches and
-            # session control).
+            # session control), and a restarted broker's ChannelReset.
             self.counters.control_dups_discarded += self.links.on_frame(
-                message, sender, lambda payload: self._on_framed(payload, sender)
+                message,
+                sender,
+                lambda payload: self._on_framed(payload, sender),
+                self._peer_restarted,
             )
-        elif isinstance(message, ChannelReset):
-            # The peer restarted: the root's replay stream died with it;
-            # a home holds none of our filters, nor knows we are online
-            # (whatever stale frame of ours it heard since).
-            self.links.forget(sender)
-            if sender in self._by_home and not self.offline:
-                self.links.send(sender, Reconnect())
-                self._renew(sender)
         else:
             raise TypeError(f"{self.name}: unexpected message {message!r}")
 
@@ -512,6 +506,14 @@ class SubscriberRuntime(Process):
                 session.live = True
         elif not isinstance(payload, CatchUpDone):  # history drained: nothing to do
             raise TypeError(f"{self.name}: unexpected framed {payload!r}")
+
+    def _peer_restarted(self, peer: Process) -> None:
+        """What a subscriber owes a restarted home (``links.restart``;
+        answered after this): it holds none of our filters, nor knows we
+        are online."""
+        if peer in self._by_home and not self.offline:
+            self.links.send(peer, Reconnect())
+            self._renew(peer)
 
     def _on_catch_up_batch(self, message: CatchUpBatch, sender: Process) -> None:
         session = self._catch_up.get(message.subscription_id)

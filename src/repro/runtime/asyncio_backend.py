@@ -59,8 +59,7 @@ Endpoint FSM (see DESIGN §13)::
 to it are dropped and counted, like the simulator's crash gate), after
 a SIGKILL of the worker when the process is hosted elsewhere;
 ``restore`` takes the same port back — rebinding it here, or spawning a
-fresh worker on it — and lets the normal ChannelReset/renewal recovery
-machinery run over the reopened sockets.
+fresh worker on it — and the process restarts as on the simulator.
 """
 
 import asyncio
@@ -1077,9 +1076,8 @@ class TcpTransport:
                 self.stats.record_drop(link, size)
 
     def restore(self, process: Process) -> None:
-        """Bring a killed process back on its old port, then run the
-        normal restart recovery (ChannelReset, renewals, a log directory
-        reloaded from its files — DESIGN §8).
+        """Bring a killed process back on its old port and restart it
+        (DESIGN §8, §11 *Crash recovery*).
 
         Hosted here, its server is rebound; hosted elsewhere, a fresh OS
         process is spawned on the port and recovers from the on-disk log

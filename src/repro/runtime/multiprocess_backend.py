@@ -36,11 +36,9 @@ Kill and restore
 
 ``kill`` sends SIGKILL and *joins the process* — the kill-ack is the
 OS reporting it gone, not the victim acking anything.  ``restore``
-spawns a fresh worker with the same name and data port (peers'
-directories stay valid), a frozen directory snapshot, and an
-incarnation base strictly above anything peers have seen; it builds
-its broker and drives ``crash()`` + ``restart()``: the recovery path
-the simulator exercises, from the log's files alone (DESIGN §8).
+spawns, on the same name and data port, a fresh worker that builds its
+broker as the next incarnation and drives ``crash()`` + ``restart()``:
+the simulator's recovery path, from the log's files alone (DESIGN §8).
 """
 
 import asyncio
@@ -49,7 +47,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.advertisement import AdvertisementRegistry
 from repro.metrics.counters import NodeCounters
@@ -94,11 +92,9 @@ class WorkerSpec:
     #: 0 = bind an ephemeral port (fresh launch); a fixed port on
     #: restore so peers' cached directories stay valid.
     data_port: int = 0
-    #: 0 = fresh broker.  > 0 = restore: the broker starts at this
-    #: incarnation and immediately runs crash()+restart(), recovering
-    #: from the on-disk log.  The driver picks a base strictly above
-    #: every incarnation peers may have recorded for this name.
-    incarnation_base: int = 0
+    #: 0 = fresh broker; > 0 = restore: crash()+restart() bring the
+    #: broker up as this incarnation, from the on-disk log.
+    incarnation: int = 0
     #: name -> (port, stage or None) for every already-bound process.
     directory: Dict[str, Tuple[Optional[int], Optional[int]]] = field(
         default_factory=dict
@@ -107,6 +103,8 @@ class WorkerSpec:
     #: What was advertised before a restore: a broker keeps its
     #: advertisements through a crash (DESIGN §8), a fresh process too.
     advertisements: Tuple[Any, ...] = ()
+    #: The edge processes tied to the broker, which a restore tells too.
+    peers: Tuple[str, ...] = ()
 
 
 # ----------------------------------------------------------------------
@@ -234,8 +232,9 @@ class MultiprocessRuntime(AsyncioRuntime):
         self._spec: Optional[SystemSpec] = None
         self._locals: Dict[str, Optional[int]] = {}
         self._maintained = False
-        #: The facade's advertisements (its registry, once it set it).
+        #: What the facade gives a restore: its advertisements and edges.
         self.advertisements = AdvertisementRegistry()
+        self.edges_at: Callable[[str], Tuple[str, ...]] = lambda name: ()
 
     # -- launch --------------------------------------------------------
 
@@ -486,13 +485,8 @@ class MultiprocessRuntime(AsyncioRuntime):
         proxy.snapshot, proxy.fetched_at = {"alive": False}, self.now
 
     def restore_worker(self, name: str) -> None:
-        """Spawn a fresh process for ``name`` on its old data port.
-
-        The incarnation base rises by 2 per restart: peers recorded at
-        most ``base + 1`` from the previous incarnation's ChannelReset,
-        and the fresh worker announces ``base' + 1 = base + 3``, so its
-        resets are never mistaken for stale duplicates.
-        """
+        """Spawn a fresh process for ``name`` on its old data port, as
+        its next incarnation."""
         handle = self._workers[name]
         if handle.process is not None and handle.process.is_alive():
             raise SimulationError(f"worker {name!r} is still alive")
@@ -504,13 +498,14 @@ class MultiprocessRuntime(AsyncioRuntime):
                 system=self._spec,
                 control_port=self._control_port,
                 data_port=handle.port or 0,
-                incarnation_base=handle.restarts * 2,
+                incarnation=handle.restarts,
                 directory={
                     entry["name"]: (entry["port"], entry["stage"])
                     for entry in self._directory()
                 },
                 maintain=self._maintained,
                 advertisements=tuple(map(self.advertisements.get, self.advertisements.classes())),
+                peers=self.edges_at(name),
             )
         )
         self._await_hellos([name])
@@ -603,16 +598,19 @@ class _BrokerWorker:
         # name it); the old socket may still be in a lingering close.
         endpoint.port = spec.data_port or None
         await transport._ensure_server(endpoint)
-        if spec.incarnation_base > 0:
-            # True fail-stop recovery: crash()+restart() drop what the
-            # construction built and run the identical recovery path the
-            # simulator exercises — reload the on-disk log, ChannelReset
-            # the neighbours, schedule the replay request.
-            node.incarnation = spec.incarnation_base
+        if spec.incarnation:  # the simulator's recovery path
+            node.incarnation = spec.incarnation - 1
             for advertisement in spec.advertisements:
                 node.advertisements.add(advertisement)
+            node.links.peers.update((name, transport._by_name[name]) for name in spec.peers)
             node.crash()
             node.restart()
+            # Run the fresh clock on past the reloaded log (timers keep their instants).
+            runtime, tail = self.runtime, max((r.time for r in node.log or ()), default=0.0)
+            behind = max(0.0, tail - runtime.now)
+            runtime._t0 -= behind
+            for timer in runtime._timers:
+                timer.time += behind
         if spec.maintain:
             node.start_maintenance()
         reader, writer = await asyncio.open_connection(

@@ -8,18 +8,18 @@ holds the authoritative flow graph and periodically re-sends
 (one link per hosting broker).  The broker treats an
 install of an already-identical spec as a pure lease renewal
 (refresh-or-restore, Figure 6): a healthy broker just refreshes the
-lease clock, a restarted one re-creates the machine from scratch.  The
-channel itself needs no epoch gymnastics — a freshly restarted broker's
-:class:`~repro.overlay.channel.ReliableReceiver` adopts the first frame
-it sees — so renewals alone heal any crash.
+lease clock, a restarted one re-creates the machine from scratch.  A
+restarted broker's ``ChannelReset`` re-installs its flows at once, ahead
+of the answer that ends its ``resuming``.
 """
 
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.subscription import RENEW_FRACTION
 from repro.obs.tracing import SUBSCRIBER_STAGE, EventTracer
 from repro.overlay.channel import PeerLinks
-from repro.overlay.messages import Ack, ChannelReset, FlowInstall, FlowRemove
+from repro.overlay.messages import Ack, FlowInstall, FlowRemove, Sequenced
 from repro.runtime.base import Executor, Transport
 from repro.sim.kernel import PeriodicTask, Process
 from repro.streams.spec import FlowSpec
@@ -79,12 +79,18 @@ class FlowRegistrar(Process):
     def receive(self, message: Any, sender: Process) -> None:
         if isinstance(message, Ack):
             self.links.on_ack(sender, message)
-        elif isinstance(message, ChannelReset):  # restarted without our flows
-            self.links.forget(sender)
-            for spec in self._installed.get(sender.name, (None, {}))[1].values():
-                self.links.send(sender, FlowInstall(spec))
+        elif isinstance(message, Sequenced):  # a restarted broker's reset
+            anything_else = partial(self.receive, sender=sender)  # is unexpected
+            self.links.on_frame(message, sender, anything_else, self._reinstall)
         else:
             raise TypeError(f"{self.name}: unexpected message {message!r}")
+
+    def _reinstall(self, broker: Process) -> None:
+        """Install every flow at ``broker`` again: its renewal, and what
+        it is owed after it restarted without them (``links.restart``;
+        answered after this)."""
+        for spec in self._installed.get(broker.name, (None, {}))[1].values():
+            self.links.send(broker, FlowInstall(spec))
 
     # ------------------------------------------------------------------
     # Lease renewal (refresh-or-restore)
@@ -94,9 +100,8 @@ class FlowRegistrar(Process):
         return (("renew", self.ttl * RENEW_FRACTION, self._renew_task),)
 
     def _renew_task(self) -> None:
-        for broker, specs in self._installed.values():
-            for spec in specs.values():
-                self.links.send(broker, FlowInstall(spec))
+        for broker, _ in self._installed.values():
+            self._reinstall(broker)
         if self.tracer.enabled and self._installed:
             self.tracer.span(
                 self.sim.now,

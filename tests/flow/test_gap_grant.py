@@ -125,17 +125,18 @@ def publishes(count, start=0):
     )
 
 
-#: The data-link epoch of a broker's first restarted incarnation.
+#: The epoch a broker's first restarted incarnation opens its links at.
 REBORN = 1 << 32
 
 
 def learn_of_restart(broker, peer, path):
     if path == "channel-reset":
-        broker.receive(ChannelReset(peer.incarnation + 1), peer)
+        # As the wire carries it: the first frame of the new incarnation.
+        broker.receive(Sequenced(REBORN, 0, ChannelReset(1)), peer)
     elif path == "epoch":
-        # The reset was lost: the first the broker hears of the new
-        # incarnation is a reliable frame of a higher channel epoch.
-        broker.receive(Sequenced(1, 0, CreditGrant(0, 0)), peer)
+        # The reset is late: the first the broker hears of the new
+        # incarnation is a later reliable frame of its channel.
+        broker.receive(Sequenced(REBORN, 1, CreditGrant(0, 0)), peer)
     else:
         # ...or the new incarnation's first data frame.
         broker.receive(DataFrame(REBORN, 0, publishes(2, start=20)), peer)
@@ -193,8 +194,8 @@ def test_a_peer_restart_is_one_path_however_it_is_learned(path):
 def test_a_replay_request_that_opens_the_new_epoch_keeps_its_session():
     """The restart is learned *before* the frame that reveals it is
     delivered: a ``ReplayRequest`` that is itself the first frame of the
-    new epoch (a recovering broker below stage 2, whose ``ChannelReset``
-    to the root was lost) ends the dead incarnation's session and then
+    new epoch (a recovering broker below stage 2, which tells the root of
+    its restart only by this frame) ends the dead incarnation's session and then
     starts its own — not the other way round."""
     system = MultiStageEventSystem(
         stage_sizes=(2, 1), seed=5, flow=FlowConfig(link_window=2), log=LogConfig()
@@ -203,5 +204,5 @@ def test_a_replay_request_that_opens_the_new_epoch_keeps_its_session():
     peer = root.broker_children[0]
     root.receive(Sequenced(0, 0, ReplayRequest(peer, -1)), peer)
     first = root._replayer._recovery[peer.name]
-    root.receive(Sequenced(1, 0, ReplayRequest(peer, -1)), peer)
+    root.receive(Sequenced(REBORN, 0, ReplayRequest(peer, -1)), peer)
     assert root._replayer._recovery[peer.name] is not first

@@ -86,7 +86,7 @@ class LinkMachine(RuleBasedStateMachine):
             self.lost[epoch] += len(frame)
             return
         notices = []
-        missing = self.receiver.on_frame(SOURCE, frame, lambda: notices.append(epoch))
+        missing = self.receiver.on_frame(SOURCE, frame, lambda born: notices.append(epoch))
         if self.heard is not None and epoch < self.heard[0]:
             # A dead incarnation's frame: admitted nowhere, granted never.
             assert missing is None and notices == []
@@ -101,7 +101,9 @@ class LinkMachine(RuleBasedStateMachine):
         else:
             fresh = epoch > self.heard[0]
             start = 0 if fresh else self.heard[1]
-            assert notices == ([epoch] if fresh else [])
+            # Only a higher incarnation (the high bits) is a restart.
+            restarted = epoch >> 32 > self.heard[0] >> 32
+            assert notices == ([epoch] if restarted else [])
             assert missing == self.lost[epoch] == frame.seq - start <= WINDOW
         self.lost[epoch] = 0
         self.heard = (epoch, frame.seq + len(frame))
@@ -271,12 +273,16 @@ def test_a_gap_is_granted_back_capped_at_one_window():
 
 def test_one_rule_for_every_epoch():
     receiver, notices = LinkReceiver(4), []
-    heard = lambda: notices.append("restarted")  # noqa: E731
+    heard = notices.append
     assert receiver.on_frame("p", DataFrame(5, 3, ("x",)), heard) == 3
-    # A higher epoch numbers from 0: the sender restarted, and the two
-    # frames before this one were lost.
+    # A higher epoch numbers from 0, and the two frames before this one
+    # were lost; the sender reset its link (it heard of our restart) but
+    # did not restart itself: its incarnation, the high bits, is the same.
     assert receiver.on_frame("p", DataFrame(6, 2, ("y",)), heard) == 2
-    assert notices == ["restarted"] and receiver.expected == {"p": (6, 3)}
+    assert notices == [] and receiver.expected == {"p": (6, 3)}
+    # Its next incarnation numbers from 0 too, and is the restart.
+    assert receiver.on_frame("p", DataFrame(1 << 32, 1, ("z",)), heard) == 1
+    assert notices == [1] and receiver.expected == {"p": (1 << 32, 2)}
     # A lower one is a dead incarnation's frame.
-    assert receiver.on_frame("p", DataFrame(5, 4, ("z",)), heard) is None
-    assert notices == ["restarted"] and receiver.expected == {"p": (6, 3)}
+    assert receiver.on_frame("p", DataFrame(6, 4, ("w",)), heard) is None
+    assert notices == [1] and receiver.expected == {"p": (1 << 32, 2)}

@@ -165,6 +165,26 @@ def test_a_root_restart_unblocks_a_publisher_whose_window_was_empty():
     assert credit_violations(system, quiescent=True) == []
 
 
+def test_a_restored_publisher_hears_the_grants_its_dead_incarnation_did_not():
+    """The publisher dies after it heard a grant, with four events out
+    and two parked; the root grants the four back while it is down.  Its
+    restart tells the root nothing, so the root's grants go on where the
+    dead incarnation acked them: the restored publisher adopts that
+    numbering, and its parked events go out (waiting for the frames the
+    dead incarnation had already acked, it would stall for good)."""
+    system, publisher, seen = managed_publisher()
+    for value in range(1, 7):
+        assert publisher.publish(Tick(value))
+    system.kill(publisher)
+    system.run_for(1.0)
+    system.restore(publisher)
+    system.run_for(60.0)
+
+    assert seen == list(range(7))
+    assert (publisher.link.window.available, len(publisher.link.queue)) == (4, 0)
+    assert credit_violations(system, quiescent=True) == []
+
+
 def test_a_child_learns_of_a_restarted_parent_from_its_first_data_frame():
     """ROADMAP suspect 2: the restarted root's ``ChannelReset`` to one
     child is lost, and with no maintenance running nothing else would

@@ -63,6 +63,25 @@ publisher came to take part in maintenance (a probe of its credited
 link every half-TTL, DESIGN §10): its three publishers' ticks add 33
 kernel steps; none of them found a stalled link, so nothing was sent
 and the other thirteen fields did not move.
+
+All three cases were re-recorded once more when a restart became one
+protocol (DESIGN §8 *Crash recovery*): the victim's three resets
+(``ChannelReset``) ride the reliable channel, each neighbour answers on
+its own link, and the victim asks for its recovery replay at the last
+answer rather than a fixed 0.5 s after the restart.  In the two cases
+without a log that is three acks for the resets, three answers and their
+acks, and the timer that would end ``resuming`` after one TTL
+(``processed_events`` +10; ``total_bytes`` +336 and ``links`` on the six
+links of the victim; its ``control_messages`` +3 in ``counters``); the
+``epoch-reset`` span is gone, a ``serving`` span is new and
+``channel-reset`` lost its ``incarnation`` detail (``spans``,
+``n_spans`` −1).  In the ``managed`` case the replay, asked for 0.5 s
+earlier, starts below the live traffic the victim logged meanwhile
+(``from_offset`` 9, not 201): it re-drives 40 events instead of 38, 25
+of them duplicates instead of 32, and ``delivered`` rises from 486 to
+501, with ``events_logged``, the ``outbound-overflow`` sheds (+1) and
+``drain_resumes`` (+1) moving with it.  ``delivered`` fell in no case.
+The field-level diff is in CHANGES.md.
 """
 
 import hashlib
@@ -100,12 +119,12 @@ CASES = {
     "finite_speed": dict(service_rate=2000.0, service_batch=8),
 }
 
-GOLDEN = {'default': {'processed_events': 2666,
-             'counters': '53d11f4d992ce5a81fad9cb36c6fa8023e5eaf09f97452e2c28d24e69591c031',
-             'total_bytes': 540504,
-             'links': '947f13037af24180ecb99d89288f81555070b882094c92330a16a5a0c2eedc1c',
-             'spans': 'dcdc3ee8197c5277e2378de0ff80038d766f42fce63a609dd31ca3f9a689aa46',
-             'n_spans': 2139,
+GOLDEN = {'default': {'processed_events': 2676,
+             'counters': '429ea0b3cc85e7038edc4499c188df08890840e44cba5abda3c681724a4b6cd1',
+             'total_bytes': 540840,
+             'links': 'a0cb54d7b2cc3bd403df1e644c526a79ed38142a714deaabdbf0e54463df2ca2',
+             'spans': '8eee8bbb4d27d461d6a662e8bea6d4fc5706cda2c612efadd0de1fb2e0a92a56',
+             'n_spans': 2138,
              'delivered': 617,
              'sheds': [],
              'credit_gap_grants': 0,
@@ -114,28 +133,28 @@ GOLDEN = {'default': {'processed_events': 2666,
              'replay_events_sent': 0,
              'replay_dupes_discarded': 0,
              'drain_resumes': 0},
- 'managed': {'processed_events': 3998,
-             'counters': '7f7bd74d59cfd0c7fb956314940681616d86480fb119bd0239d59b2762cc4e6c',
-             'total_bytes': 530097,
-             'links': '685fd4e732f71c919da45829ff2f5a97634f7dbe7b4972e423e99373600ac43a',
-             'spans': '26e9f3f51645dc9a0fdc10e6a3a38c7b486d5e5bd0b9bbe9c630f47098f32a70',
-             'n_spans': 2417,
-             'delivered': 486,
-             'sheds': [('outbound-overflow', 33),
+ 'managed': {'processed_events': 4053,
+             'counters': '53be583fc9738740b12b67944aacb24ee8242eada2b9f04f057dd6758b91260a',
+             'total_bytes': 537553,
+             'links': 'f6049afc92de0a32ef4a608272e6278990d05c25cd099fe1b49333bd54bb12e1',
+             'spans': 'a4b47c359a55dcf5af648ce4d23769a8da6ed4b028ccdf3b54449ed4c4e22255',
+             'n_spans': 2459,
+             'delivered': 501,
+             'sheds': [('outbound-overflow', 34),
                        ('peer-reset', 1),
                        ('queue-overflow', 92)],
              'credit_gap_grants': 2,
              'overload_transitions': 2,
-             'events_logged': 730,
-             'replay_events_sent': 38,
-             'replay_dupes_discarded': 32,
-             'drain_resumes': 38},
- 'finite_speed': {'processed_events': 2871,
-                  'counters': 'aca30a92857d7fbc76fbfeb6e97586645f8dfb3e5725cbf2fee32d9b742cb8d7',
-                  'total_bytes': 544012,
-                  'links': 'b54ed1d399d8246fc700a4027ad6821ea24d0aacb6c91c50e9a62c05dfac6562',
-                  'spans': '00781b66e3ab5c922574ef0d5fb16b2610c9a3a8d1b947b3f72ca3bc86cd3965',
-                  'n_spans': 2146,
+             'events_logged': 744,
+             'replay_events_sent': 40,
+             'replay_dupes_discarded': 25,
+             'drain_resumes': 39},
+ 'finite_speed': {'processed_events': 2881,
+                  'counters': '06a55e7ac9dc2de6a75d4bd2d9ae66733070251bd4631f49d103c0ee13504dcd',
+                  'total_bytes': 544348,
+                  'links': '66e1eb2a614cb94afae196e7707d26d58b7c67f06aa174ae798a8584fc720e19',
+                  'spans': '3c449d326efb38839a57731b1908f07f986cbcee02fa4d33d7f68af7f8d880ab',
+                  'n_spans': 2145,
                   'delivered': 628,
                   'sheds': [],
                   'credit_gap_grants': 0,
@@ -150,13 +169,13 @@ GOLDEN = {'default': {'processed_events': 2666,
 #: (what a system got by default at ``44e1c45``).
 INDEX_WITH_CACHE = {
     'default': {
-        'counters': 'd1f02db4847d51e825473f3b37a5e400821c4426db93d80ad764adfdaf537f3d',
+        'counters': '5bf369b7699f800366ff2f9fefb93b42ed76c4faf816cd7820151a5a33c3d265',
     },
     'managed': {
-        'counters': '958caaefd20d983ebfd3d4de44cb2abfa03f641f05c52fa20431ce86ee7d189b',
+        'counters': 'd2352e9810ab6112723fd61595893dc69164a4381030aced87c7bb4d66381301',
     },
     'finite_speed': {
-        'counters': '907b1dc6faa719d49fcf6a8d5a0e96eff60266002d91d6f591f9127c06842681',
+        'counters': '142ed56d0af8e287273071f25db77241136312d11979cad2a036a5fbc27a6605',
     },
 }
 

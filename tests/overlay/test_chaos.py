@@ -8,7 +8,8 @@ All test names carry the ``chaos`` marker-by-name so CI can run
 import pytest
 
 from repro.experiments.chaos import ChaosConfig, run_chaos
-from repro.experiments.scenario import Scenario
+from repro.experiments.scenario import Scenario, check
+from repro.flow import FlowConfig
 from repro.overlay.channel import (
     DEFAULT_RTO,
     PeerLinks,
@@ -175,11 +176,13 @@ def test_chaos_stale_timer_from_dead_epoch_is_inert():
 
 
 def test_chaos_peer_channel_state_keyed_by_stable_name():
-    """Regression: ``_peer_incarnations`` / the receivers used to key by
+    """Regression: the restart history and the receivers used to key by
     ``id(sender)``; after the old peer object was garbage-collected a
     recycled id could inherit its incarnation and silently discard the
     new peer's legitimate ChannelReset.  Channel history must follow the
-    stable process *name* (unique per network), not the object."""
+    stable process *name* (unique per network), not the object.  Each
+    reset arrives as the wire carries it: the first frame of the
+    restarted peer's channel, at epoch ``incarnation << 32``."""
     scenario = make_scenario()
     system = scenario.system
     pinned(scenario, "alice", 'class = "Quote" and price < 10')
@@ -188,20 +191,25 @@ def test_chaos_peer_channel_state_keyed_by_stable_name():
     # The reliable control traffic above left receiver state at the
     # parent, keyed by the child's name.
     assert home.name in parent.links._receivers
-    # A reset from the child is recorded under its name and drops the
-    # channel state.
-    parent.receive(ChannelReset(1), home)
-    assert parent._peer_incarnations[home.name] == 1
-    assert home.name not in parent.links._receivers
+    # A reset from the child is recorded under its name and moves the
+    # channel to the new incarnation.
+    parent.receive(Sequenced(1 << 32, 0, ChannelReset(1)), home)
+    assert parent.links._incarnations[home.name] == 1
+    assert parent.links._receivers[home.name].epoch == 1 << 32
     # The same identity re-announcing through a *different* object (the
     # restarted process, old object gone): a duplicate of incarnation 1
-    # is recognized as stale and ignored...
+    # is recognized and ignored, and so is a dead incarnation's frame...
+    system.network.forget(home)
     reborn = Process(system.sim, home.name)
-    parent.receive(ChannelReset(1), reborn)
-    assert parent._peer_incarnations[home.name] == 1
+    dups = parent.counters.control_dups_discarded
+    parent.receive(Sequenced(1 << 32, 0, ChannelReset(1)), reborn)
+    assert parent.counters.control_dups_discarded == dups + 1
+    parent.receive(Sequenced(0, 7, ChannelReset(0)), reborn)
+    assert parent.links._incarnations[home.name] == 1
     # ...while a newer incarnation from it applies.
-    parent.receive(ChannelReset(2), reborn)
-    assert parent._peer_incarnations[home.name] == 2
+    parent.receive(Sequenced(2 << 32, 0, ChannelReset(2)), reborn)
+    assert parent.links._incarnations[home.name] == 2
+    assert parent.links._receivers[home.name].epoch == 2 << 32
 
 
 def test_chaos_sender_reset_opens_new_epoch():
@@ -271,8 +279,9 @@ def test_chaos_crashed_subscriber_stops_retransmitting():
     assert alice.counters.control_retransmits == 0
     assert alice.control_idle
 
-    # The next incarnation's first control send opens a higher epoch,
-    # which the home — still holding the old epoch's position — accepts.
+    # The next incarnation's first control send opens its epochs at
+    # ``1 << 32``, which the home — still holding the old epoch's
+    # position — accepts as the restart it is.
     alice.restart()
     (subscription,) = system.subscribe(
         alice, 'class = "Quote" and price < 20', event_class="Quote", at_node=home
@@ -281,7 +290,7 @@ def test_chaos_crashed_subscriber_stops_retransmitting():
     assert any(alice in ids for _, ids in home.table.entries())
     alice.unsubscribe(subscription.subscription_id)
     system.drain()
-    assert home.links._receivers[alice.name].epoch == 1
+    assert home.links._receivers[alice.name].epoch == 1 << 32
     assert not any(alice in ids for _, ids in home.table.entries())
     assert alice.control_idle
     assert alice.counters.control_retransmits == 0
@@ -307,10 +316,35 @@ def test_chaos_crashed_registrar_stops_retransmitting():
     registrar.restart()
     registrar.remove(system.root, spec.name)
     system.drain()
-    assert system.root.links._receivers[registrar.name].epoch == 1
+    assert system.root.links._receivers[registrar.name].epoch == 1 << 32
     assert system.root.flows() == ()
     assert registrar.links.idle
     assert registrar.control_retransmits == 0
+
+
+@pytest.mark.parametrize("flow", [None, FlowConfig()], ids=["plain", "flow"])
+def test_chaos_a_reset_lost_with_maintenance_off_is_retried(flow):
+    """A restarted stage-2 broker's ``ChannelReset`` is lost to a 10 ms
+    window of total loss, and with maintenance off no renewal would ever
+    come: it rides the reliable channel, so it is retransmitted until
+    the child hears it and renews, and the next event is delivered.
+    Sent fire-and-forget, the overlay never converged."""
+    scenario = make_scenario(**({} if flow is None else {"flow": flow}))
+    scenario.apply(
+        [
+            ("subscribe", "alice", 'class = "Quote" and price < 10', "N1.1"),
+            ("run", 1.0),
+            ("kill", "N2.1"),
+            ("window", 0.01, 1.0),
+            ("restore", "N2.1"),
+            ("run", 0.5),
+            ("publish", [{"symbol": "X", "price": 5}]),
+            ("run", 1.0),
+        ]
+    )
+    assert check(scenario) == []
+    assert traces(scenario) == {"alice": [("X", 5)]}
+    assert scenario.brokers["N2.1"].state == "serving"
 
 
 @pytest.mark.parametrize("kind", ["subscriber", "publisher", "registrar"])

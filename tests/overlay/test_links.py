@@ -19,7 +19,7 @@ from repro.overlay.channel import (
     ReliableSender,
     retransmit_details,
 )
-from repro.overlay.messages import Ack, Sequenced
+from repro.overlay.messages import Ack, ChannelReset, Sequenced
 from repro.sim.kernel import Process, Simulator
 
 
@@ -82,50 +82,79 @@ def test_links_on_frame_delivers_acks_and_reports():
     a = Process(sim, "a")
     got = []
 
-    def restarted():
-        got.append("restarted")
+    def restarted(peer):
+        got.append(("restarted", peer.name))
 
-    # After a crash the owner no longer knows whose frames it acked: a
-    # first frame mid-stream is adopted, not reported as a new epoch.
-    links.reset()
-    assert links.on_frame(Sequenced(3, 7, "p"), a, got.append, restarted) == 0
-    assert links.on_frame(Sequenced(3, 7, "p"), a, got.append, restarted) == 1
-    assert links.on_frame(Sequenced(3, 9, "r"), a, got.append, restarted) == 0
-    assert links.on_frame(Sequenced(3, 8, "q"), a, got.append, restarted) == 0
+    assert links.on_frame(Sequenced(3, 0, "p"), a, got.append, restarted) == 0
+    assert links.on_frame(Sequenced(3, 0, "p"), a, got.append, restarted) == 1
+    assert links.on_frame(Sequenced(3, 2, "r"), a, got.append, restarted) == 0
+    assert links.on_frame(Sequenced(3, 1, "q"), a, got.append, restarted) == 0
     assert got == ["p", "q", "r"]
-    # The peer opened a higher epoch: adopted, and reported before the
-    # payload its new incarnation sent is delivered.
+    # A higher epoch of the same incarnation: the peer started its link
+    # afresh (it heard that we restarted), numbered from 0 — no restart
+    # of its own.
     assert links.on_frame(Sequenced(4, 0, "s"), a, got.append, restarted) == 0
-    # A straggler of the dead epoch is acked at our position, not counted.
-    assert links.on_frame(Sequenced(3, 10, "t"), a, got.append, restarted) == 0
-    assert got == ["p", "q", "r", "restarted", "s"]
+    # Its next incarnation: taken before the payload it sent.
+    assert links.on_frame(Sequenced(1 << 32, 0, "t"), a, got.append, restarted) == 0
+    # A straggler of a dead epoch is acked at our position, not counted.
+    assert links.on_frame(Sequenced(4, 1, "u"), a, got.append, restarted) == 0
+    assert got == ["p", "q", "r", "s", ("restarted", "a"), "t"]
     # One ack per frame, to the framing peer, advertising the window.
     assert net.sent == [
-        ("owner", "a", Ack(3, 7, 4)),
-        ("owner", "a", Ack(3, 7, 4)),
-        ("owner", "a", Ack(3, 7, 3)),
-        ("owner", "a", Ack(3, 9, 4)),
+        ("owner", "a", Ack(3, 0, 4)),
+        ("owner", "a", Ack(3, 0, 4)),
+        ("owner", "a", Ack(3, 0, 3)),
+        ("owner", "a", Ack(3, 2, 4)),
         ("owner", "a", Ack(4, 0, 4)),
-        ("owner", "a", Ack(4, 0, 4)),
+        ("owner", "a", Ack(1 << 32, 0, 4)),
+        ("owner", "a", Ack(1 << 32, 0, 4)),
     ]
 
 
 def test_links_wait_for_a_peer_never_heard_from_its_first_frame():
     """An owner that never crashed and never heard a peer acked none of
-    its frames, so the peer still holds them all: a later one waits for them instead of
-    acking them away (a root's first credit grant, lost on the wire,
-    was never retransmitted)."""
+    its frames, so the peer still holds them all: a later one waits for
+    them instead of acking them away (a root's first credit grant, lost
+    on the wire, was never retransmitted).  After a crash the owner no
+    longer knows whose frames it acked: a first frame mid-stream is
+    adopted (a publisher's restart tells the root nothing, and the root's
+    grants go on where the dead incarnation acked them), unless the
+    restarted owner told that peer."""
     sim, net, owner, links = make_links(window=4)
     a, got = Process(sim, "a"), []
     links.on_frame(Sequenced(0, 1, "q"), a, got.append)
     assert got == [] and net.sent[-1] == ("owner", "a", Ack(0, -1, 3))
     links.on_frame(Sequenced(0, 0, "p"), a, got.append)
     assert got == ["p", "q"]
-    # A peer forgotten (it restarted) is new again, also after a crash.
     links.reset()
-    links.forget(a)
-    links.on_frame(Sequenced(1, 1, "s"), a, got.append)
-    assert got == ["p", "q"]
+    links.on_frame(Sequenced(0, 5, "s"), a, got.append)
+    assert got == ["p", "q", "s"] and net.sent[-1] == ("owner", "a", Ack(0, 5, 3 + 1))
+    # A peer the restart told starts its link toward the owner afresh,
+    # and is waited for from the first frame again.
+    b = Process(sim, "b")
+    links.tell(b, 1)
+    assert net.sent[-1] == ("owner", "b", Sequenced(0, 0, ChannelReset(1)))
+    links.on_frame(Sequenced(7, 1, "t"), b, got.append)
+    assert got == ["p", "q", "s"]
+
+
+def test_links_take_and_answer_a_reset():
+    """A ``ChannelReset`` announcing a restart is taken, not delivered,
+    and answered behind what the rebuild re-sent — also when a frame of
+    the new incarnation told of the restart first; an answer to the
+    owner's own reset is delivered like any payload."""
+    sim, net, owner, links = make_links()
+    b, got = Process(sim, "b"), []
+    links.on_frame(Sequenced(0, 0, "o"), b, got.append)
+    rebuild = lambda peer: links.send(peer, "renewal")  # noqa: E731
+    frames = (ChannelReset(1), ChannelReset(0, answer=True), "p")
+    for seq in (2, 0, 1):  # the restart is heard first at seq 2
+        links.on_frame(Sequenced(1 << 32, seq, frames[seq]), b, got.append, rebuild)
+    assert got == ["o", ChannelReset(0, answer=True), "p"]
+    assert [m.payload for _, _, m in net.sent if isinstance(m, Sequenced)] == [
+        "renewal",
+        ChannelReset(1, answer=True),
+    ]
 
 
 def test_links_without_a_window_advertise_nothing():
@@ -161,23 +190,36 @@ def test_links_retransmit_hook_names_the_peer():
     assert len(net.sent) == 2
 
 
-def test_links_forget_is_the_channel_reset_edge():
+def test_links_restart_is_the_channel_reset_edge():
+    """However the owner hears of a peer's restart — a frame of its new
+    incarnation on either kind of link, or its ``ChannelReset`` — it is
+    one restart, keyed by the peer's name: what was in flight toward it
+    is abandoned under a fresh epoch and the owner rebuilds it; what
+    was heard from it stays."""
     sim, net, owner, links = make_links()
-    a, b = Process(sim, "a"), Process(sim, "b")
-    assert links.forget(a) is None  # nothing sent, nothing heard
+    a, b, rebuilt = Process(sim, "a"), Process(sim, "b"), []
+    links.restart(a, 1)  # nothing sent before: nothing to abandon
+    assert net.sent == [] and "a" not in links._senders
     links.send(a, "x")
     links.send(b, "y")
-    links.on_frame(Sequenced(2, 5, "p"), a, lambda payload: None)
-    assert links.forget(a) == 1
-    assert links._senders["a"].idle and not links._senders["b"].idle
-    assert "a" not in links._receivers
-    # What was heard is forgotten: the next frame is adopted wherever
-    # it stands, even in a lower epoch.
-    got = []
-    assert links.on_frame(Sequenced(0, 0, "q"), a, got.append, pytest.fail) == 0
-    assert got == ["q"]
+    links.on_frame(Sequenced(2, 0, "p"), a, lambda payload: None)
+    links.restart(a, 2, rebuilt.append)
+    assert rebuilt == [a] and links._senders["a"].idle
+    assert not links._senders["b"].idle
     links.send(a, "z")
     assert net.sent[-1] == ("owner", "a", Sequenced(1, 0, "z"))
+    links.restart(Process(sim, "a"), 2, rebuilt.append)  # the same name
+    links.restart(a, 1, rebuilt.append)  # a dead incarnation's news
+    assert rebuilt == [a]
+    # A duplicate is discarded, a dead epoch's frame dropped, and
+    # neither is a restart.
+    got = []
+    assert links.on_frame(Sequenced(2, 0, "p"), a, got.append, pytest.fail) == 1
+    assert links.on_frame(Sequenced(1, 0, "q"), a, got.append, pytest.fail) == 0
+    assert got == []
+    links.reset()  # the owner crashed: what it heard is gone
+    links.restart(a, 2, rebuilt.append)
+    assert rebuilt == [a, a]
 
 
 def test_links_reset_is_the_crash_edge():
@@ -199,6 +241,11 @@ def test_links_reset_is_the_crash_edge():
     sent = len(net.sent)
     sim.run()
     assert len(net.sent) == sent and sim.pending_events == 0
+    # The restarted owner's first word reopens the link at its
+    # incarnation, above every epoch the dead one used.
+    owner.incarnation += 1
+    links.send(peers[0], "again")
+    assert net.sent[-1] == ("owner", "a", Sequenced(1 << 32, 0, "again"))
 
 
 def test_links_idle_follows_every_sender():
@@ -231,18 +278,19 @@ class _PairsOwner:
 
     def __init__(self, owner, net):
         self.owner, self.net = owner, net
-        self.senders, self.receivers = {}, {}
-        #: A peer's next first frame starts its numbering when it was
-        #: forgotten, or never heard before the owner's first crash.
-        self.heard, self.forgotten, self.crashed = set(), set(), False
+        self.senders, self.receivers, self.heard = {}, {}, {}
+        self.crashed = False  # nobody is told in the model
 
     def send(self, peer, payload):
+        opened = self.owner.incarnation << 32
         if peer.name not in self.senders:
             self.senders[peer.name] = ReliableSender(
                 self.owner.sim,
                 lambda frame: self.net.send(self.owner, peer, frame),
                 window=WINDOW,
             )
+        if self.senders[peer.name].epoch < opened:
+            self.senders[peer.name].reset(opened)
         self.senders[peer.name].send(payload)
 
     def on_ack(self, sender, ack):
@@ -253,29 +301,24 @@ class _PairsOwner:
         receiver = self.receivers.get(sender.name)
         if receiver is None:
             receiver = self.receivers[sender.name] = ReliableReceiver(capacity=WINDOW)
-            name = sender.name
-            if name in self.forgotten or not (self.crashed or name in self.heard):
+            if not self.crashed:
                 receiver.epoch = frame.epoch  # wait from the epoch's first frame
-            self.heard.add(name)
-            self.forgotten.discard(name)
         dups = receiver.dups_discarded
-        if receiver.epoch is not None and frame.epoch > receiver.epoch:
-            restarted()
+        if receiver.epoch is not None and frame.epoch >> 32 > receiver.epoch >> 32:
+            self.restart(sender, frame.epoch >> 32, restarted)
         self.net.send(self.owner, sender, receiver.on_frame(frame, deliver))
         return receiver.dups_discarded - dups
 
-    def forget(self, peer):
-        self.receivers.pop(peer.name, None)
-        self.forgotten.add(peer.name)
-        if peer.name not in self.senders:
-            return None
-        self.senders[peer.name].reset()
-        return self.senders[peer.name].epoch
+    def restart(self, peer, incarnation, rebuild):
+        if self.heard.get(peer.name, -1) < incarnation:
+            self.heard[peer.name] = incarnation
+            if peer.name in self.senders:
+                self.senders[peer.name].reset()
+            rebuild(peer)
 
     def reset(self):
         self.receivers.clear()
         self.heard.clear()
-        self.forgotten.clear()
         self.crashed = True
         for sender in self.senders.values():
             sender.reset()
@@ -327,6 +370,7 @@ class _World:
         self.delivered = {}
         self.reports = []
         self.next_payload = 0
+        self.news = 1 << 16
 
     def _payload(self):
         self.next_payload += 1
@@ -352,14 +396,20 @@ class _World:
         elif kind == "tick":
             self.sim.run(until=self.sim.now + step[1])
         elif kind == "reset":
+            # A crash, and the restart that brings the next incarnation.
             self.owner.reset()
+            self.owner_process.incarnation += 1
             for name in PEERS:
                 self._bump("owner", name)
-        elif kind == "forget":
-            self.reports.append(("forget", self.owner.forget(self.peers[step[1]])))
-            self._bump("owner", step[1])
+        elif kind == "restart":
+            # News of a restart the peer's own frames have not shown.
+            self.news += 1
+            rebuilt = lambda peer: self.reports.append(("restart", peer.name))  # noqa: E731
+            self.owner.restart(self.peers[step[1]], self.news, rebuilt)
         elif kind == "peer_reset":
-            self.peer_senders[step[1]].reset()
+            peer = self.peers[step[1]]
+            peer.incarnation += 1
+            self.peer_senders[step[1]].reset(peer.incarnation << 32)
             self.peer_receivers[step[1]] = ReliableReceiver(WINDOW)
             self._bump(step[1], "owner")
         else:
@@ -391,7 +441,7 @@ class _World:
                 deliver = self._deliverer("owner", name, message)
                 self.reports.append(
                     self.owner.on_frame(
-                        message, peer, deliver, lambda: deliver("new epoch")
+                        message, peer, deliver, lambda peer: deliver("new epoch")
                     )
                 )
         elif isinstance(message, Ack):
@@ -416,7 +466,7 @@ _steps = st.lists(
         ),
         st.tuples(st.just("tick"), st.sampled_from((0.01, DEFAULT_RTO, 1.0))),
         st.tuples(st.just("reset")),
-        st.tuples(st.just("forget"), _peer),
+        st.tuples(st.just("restart"), _peer),
         st.tuples(st.just("peer_reset"), _peer),
     ),
     max_size=80,
@@ -425,12 +475,12 @@ _steps = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(_steps)
-@example(  # a duplicate that outlives ``forget`` is adopted afresh
+@example(  # a duplicate that outlives ``restart`` is discarded
     [
         ("peer_send", "p0"),
         ("duplicate", "p0", True, 0),
         ("deliver", "p0", True, 0),
-        ("forget", "p0"),
+        ("restart", "p0"),
         ("deliver", "p0", True, 0),
     ]
 )
@@ -444,7 +494,7 @@ _steps = st.lists(
         ("tick", DEFAULT_RTO),
     ]
 )
-@example(  # a new epoch is reported before its first payload
+@example(  # a new incarnation is reported before its first payload
     [
         ("peer_send", "p0"),
         ("peer_reset", "p0"),

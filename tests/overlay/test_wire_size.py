@@ -165,7 +165,7 @@ CONTROL_FIELDS = {
     Disconnect: ("!?", ("durable",), lambda m: b""),
     Reconnect: ("!", (), lambda m: b""),
     Ack: ("!qq", ("epoch", "seq"), lambda m: pack_value(m.credits)),
-    ChannelReset: ("!q", ("incarnation",), lambda m: b""),
+    ChannelReset: ("!q?", ("incarnation", "answer"), lambda m: b""),
     FlowInstall: ("!", (), lambda m: pack_value(m.spec)),
     FlowRemove: ("!", (), lambda m: pack_text(m.flow)),
     CreditGrant: ("!qq", ("epoch", "credits"), lambda m: b""),

@@ -255,10 +255,11 @@ def test_worker_that_cannot_start_fails_the_launch_at_once(tmp_path, monkeypatch
 
 
 def test_a_restored_home_rebuilds_from_a_subscriber_that_renewed_before_the_kill():
-    """The fresh process of a restore knows no subscriber, and the
-    subscriber's link to it is frames past its first: the restored home
-    adopts that numbering instead of waiting for frames the dead process
-    acknowledged, so the next renewal rebuilds its table."""
+    """The subscriber's link to the home is frames past its first when
+    the home dies.  The fresh process of the restore is given the
+    subscriber among the peers it tells; told, the subscriber starts its
+    link afresh and renews at once, and that renewal rebuilds the table
+    (waiting for frames the dead process acknowledged, nothing would)."""
     with make_system(ttl=1.0) as system:
         publisher = system.create_publisher("feed")
         subscriber = system.create_subscriber("watcher")
@@ -284,6 +285,64 @@ def test_a_restored_home_rebuilds_from_a_subscriber_that_renewed_before_the_kill
         ), f"table never rebuilt: {home.snapshot}"
         publisher.publish(Stock("Foo", 1.0))
         assert system.run_until(lambda: 1.0 in got, timeout=15.0)
+
+
+def test_a_restored_home_rebuilds_before_the_next_periodic_renewal():
+    """Under a 60 s TTL the subscriber renews every 30 s.  The restored
+    home tells it at once, though a fresh process holds none of the
+    links the dead one had: its table is rebuilt and it delivers within
+    10 s."""
+    with make_system(ttl=60.0) as system:
+        publisher = system.create_publisher("feed")
+        subscriber = system.create_subscriber("watcher")
+        home = system.hierarchy.stage1_nodes()[0]
+        got = []
+        system.subscribe(
+            subscriber, 'class = "Stock"', handler=lambda e, m, s: got.append(e.get_price()),
+            at_node=home,
+        )  # fmt: skip
+        assert system.run_until(lambda: subscriber._homes() == [home], timeout=20.0)
+        system.start_maintenance()
+        system.kill(home)
+        system.restore(home)
+        restored = system.sim.now
+        assert system.run_until(
+            lambda: (home.stat("table_size") or 0) > 0, timeout=10.0
+        ), f"table never rebuilt: {home.snapshot}"
+        publisher.publish(Stock("Foo", 1.0))
+        assert system.run_until(lambda: 1.0 in got, timeout=10.0)
+        assert system.sim.now - restored < 10.0
+
+
+def test_a_restored_logging_broker_runs_its_clock_on_past_its_log(tmp_path):
+    """A fresh worker's clock starts at 0, behind the append times of
+    the log it reloads.  It runs on from the log's last time, so the
+    replay of what the broker missed and the traffic after it append in
+    order and reach the subscriber."""
+    config = LogConfig(directory=str(tmp_path / "segments"), segment_size=8)
+    with make_system(stage_sizes=(3, 2, 1), ttl=2.0, log=config) as system:
+        publisher = system.create_publisher("feed")
+        subscriber = system.create_subscriber("watcher")
+        got = []
+        system.subscribe(
+            subscriber, 'class = "Stock"', handler=lambda e, m, s: got.append(e.get_price())
+        )
+        assert system.run_until(lambda: subscriber._homes(), timeout=20.0)
+        system.start_maintenance()
+        system.run_for(2.0)  # the log's times run well past a fresh clock
+        for i in range(3):
+            publisher.publish(Stock("Foo", float(i)))
+        assert system.run_until(lambda: len(got) >= 3, timeout=15.0)
+        home = subscriber._homes()[0]
+        system.kill(home)
+        publisher.publish(Stock("Foo", 100.0))  # missed: the replay re-drives it
+        system.run_for(0.2)
+        system.restore(home)
+        system.sim.poll_workers()
+        assert home.stat("now") >= 2.0
+        assert system.run_until(lambda: (home.stat("table_size") or 0) > 0, timeout=15.0)
+        publisher.publish(Stock("Probe", -1.0))
+        assert system.run_until(lambda: {100.0, -1.0} <= set(got), timeout=15.0), sorted(got)
 
 
 def test_sigkill_recovery_with_clean_audit(tmp_path):
